@@ -6,7 +6,7 @@
 
 #include "common/rng.h"
 #include "core/storage_index.h"
-#include "sim/event_queue.h"
+#include "sim/shard.h"
 #include "storage/flash_store.h"
 #include "storage/histogram.h"
 #include "trickle/trickle_timer.h"
@@ -117,12 +117,13 @@ BENCHMARK(BM_FlashScan)->Arg(1024)->Arg(16384);
 
 void BM_EventQueueThroughput(benchmark::State& state) {
   for (auto _ : state) {
-    sim::EventQueue queue;
+    sim::ShardQueue queue(/*num_origins=*/1);
     int fired = 0;
     for (int i = 0; i < 1000; ++i) {
-      queue.ScheduleAt(i, [&fired] { ++fired; });
+      queue.ScheduleRegular(i, /*origin=*/0, [&fired] { ++fired; });
     }
-    queue.RunUntil(1000);
+    while (queue.RunOne()) {
+    }
     benchmark::DoNotOptimize(fired);
   }
 }

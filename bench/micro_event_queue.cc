@@ -1,86 +1,42 @@
-// Microbenchmarks of the discrete-event queue hot path: steady-state
-// schedule/run churn, the schedule/cancel/run mix that Trickle timers and
-// radio timeouts generate, and a cancel-heavy soak that exercises heap
-// compaction. `LegacyEventQueue` is a faithful copy of the seed
-// implementation (std::function callbacks boxed per event, an
-// unordered_map<EventId, Callback> insert/find/erase per event, and lazy
-// cancellation that never reclaims heap entries), kept here so the slab/
-// generation rework in sim/event_queue.{h,cc} is benchmarked against it in
-// the same binary. The PR-1 acceptance bar is >= 1.5x on the mixed
-// workload.
+// Microbenchmarks of the discrete-event queue (ShardQueue) hot path:
+// steady-state schedule/run churn, the schedule/cancel/run mix that
+// Trickle timers and radio timeouts generate, a cancel-heavy soak that
+// exercises compaction, and MAC-backoff churn with the timer wheel in
+// front of the spill heap vs the heap alone.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "sim/event_queue.h"
+#include "sim/shard.h"
 
 namespace scoop {
 namespace {
 
-// ---------------------------------------------------------------------------
-// The seed EventQueue, verbatim (minus the SCOOP_CHECKs, which compile to
-// branches both variants would pay equally and are irrelevant to the
-// allocation/locality behavior under test).
-class LegacyEventQueue {
+/// ShardQueue pinned to one tier configuration, scheduling phase-2 events
+/// round-robin over a node-sized origin space (as a grid's agents and MACs
+/// do), so the canonical-key ordering is exercised too.
+template <sim::QueueImpl kImpl>
+class BenchQueue {
  public:
-  using Callback = std::function<void()>;
+  static constexpr uint32_t kOrigins = 1024;
 
-  LegacyEventQueue() = default;
+  BenchQueue() : q_(kOrigins, kImpl) {}
 
-  sim::EventId ScheduleAt(SimTime at, Callback fn) {
-    sim::EventId id = next_id_++;
-    heap_.push(HeapEntry{at, id});
-    pending_.emplace(id, std::move(fn));
-    return id;
+  sim::EventId ScheduleAfter(SimTime delay, sim::ShardQueue::Callback fn) {
+    origin_ = origin_ + 1 == kOrigins ? 0 : origin_ + 1;
+    return q_.ScheduleRegular(q_.now() + delay, origin_, std::move(fn));
   }
-
-  sim::EventId ScheduleAfter(SimTime delay, Callback fn) {
-    return ScheduleAt(now_ + delay, std::move(fn));
-  }
-
-  void Cancel(sim::EventId id) { pending_.erase(id); }
-
-  SimTime now() const { return now_; }
-  size_t size() const { return pending_.size(); }
-
-  bool RunOne() {
-    while (!heap_.empty()) {
-      HeapEntry top = heap_.top();
-      heap_.pop();
-      auto it = pending_.find(top.id);
-      if (it == pending_.end()) continue;  // Cancelled.
-      Callback fn = std::move(it->second);
-      pending_.erase(it);
-      now_ = top.at;
-      ++processed_;
-      fn();
-      return true;
-    }
-    return false;
-  }
-
-  size_t processed() const { return processed_; }
+  void Cancel(sim::EventId id) { q_.Cancel(id); }
+  bool RunOne() { return q_.RunOne(); }
 
  private:
-  struct HeapEntry {
-    SimTime at;
-    sim::EventId id;
-    bool operator>(const HeapEntry& other) const {
-      if (at != other.at) return at > other.at;
-      return id > other.id;
-    }
-  };
-
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<HeapEntry>> heap_;
-  std::unordered_map<sim::EventId, Callback> pending_;
-  SimTime now_ = 0;
-  sim::EventId next_id_ = 1;
-  size_t processed_ = 0;
+  sim::ShardQueue q_;
+  uint32_t origin_ = 0;
 };
+using WheelQueue = BenchQueue<sim::QueueImpl::kWheel>;
+using HeapOnlyQueue = BenchQueue<sim::QueueImpl::kHeap>;
 
 // Deterministic delay pattern (xorshift), identical across queue variants.
 struct DelayGen {
@@ -93,18 +49,9 @@ struct DelayGen {
   }
 };
 
-// EventQueue pinned to one tier configuration, so the two-tier wheel+heap
-// default and the heap-only fallback run side by side in one binary.
-struct WheelEventQueue : sim::EventQueue {
-  WheelEventQueue() : sim::EventQueue(sim::QueueImpl::kWheel) {}
-};
-struct HeapOnlyEventQueue : sim::EventQueue {
-  HeapOnlyEventQueue() : sim::EventQueue(sim::QueueImpl::kHeap) {}
-};
-
 // ---------------------------------------------------------------------------
 // Steady-state churn: a window of pending events; each iteration runs the
-// earliest and schedules a replacement. Callbacks carry a radio.cc-sized
+// earliest and schedules a replacement. Callbacks carry a radio-sized
 // capture (this-pointer plus three 64-bit values), which overflows
 // std::function's 16-byte inline buffer but fits SmallCallback's.
 template <typename Queue>
@@ -125,11 +72,10 @@ void BM_ScheduleRunChurn(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_ScheduleRunChurn, LegacyEventQueue)->Arg(1024);
-BENCHMARK_TEMPLATE(BM_ScheduleRunChurn, sim::EventQueue)->Arg(1024);
+BENCHMARK_TEMPLATE(BM_ScheduleRunChurn, WheelQueue)->Arg(1024);
 
 // ---------------------------------------------------------------------------
-// The acceptance workload: a schedule/cancel/run mix. Each iteration
+// A schedule/cancel/run mix. Each iteration
 // schedules two events, cancels an aged one (as retransmission timeouts
 // do) and replaces it, and runs one -- so the pending window stays stable
 // and every iteration pays one of each hot-path operation.
@@ -158,13 +104,12 @@ void BM_MixedScheduleCancelRun(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_MixedScheduleCancelRun, LegacyEventQueue)->Arg(256);
-BENCHMARK_TEMPLATE(BM_MixedScheduleCancelRun, sim::EventQueue)->Arg(256);
+BENCHMARK_TEMPLATE(BM_MixedScheduleCancelRun, WheelQueue)->Arg(256);
 
 // ---------------------------------------------------------------------------
 // Trickle soak: N timers that each cancel and reschedule every round, with
-// one event run per round. In the legacy queue every cancel strands a heap
-// entry, so the heap grows without bound; the reworked queue compacts.
+// one event run per round. Every cancel strands an entry in place, so the
+// queue stays bounded only through compaction.
 template <typename Queue>
 void BM_TrickleCancelReschedule(benchmark::State& state) {
   Queue q;
@@ -186,8 +131,7 @@ void BM_TrickleCancelReschedule(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_TrickleCancelReschedule, LegacyEventQueue)->Arg(64);
-BENCHMARK_TEMPLATE(BM_TrickleCancelReschedule, sim::EventQueue)->Arg(64);
+BENCHMARK_TEMPLATE(BM_TrickleCancelReschedule, WheelQueue)->Arg(64);
 
 // ---------------------------------------------------------------------------
 // MAC-backoff churn: N contending senders, each holding one pending CSMA
@@ -242,9 +186,8 @@ void BM_MacBackoffChurn(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_MacBackoffChurn, LegacyEventQueue)->Arg(128)->Arg(1024)->Arg(8192);
-BENCHMARK_TEMPLATE(BM_MacBackoffChurn, HeapOnlyEventQueue)->Arg(128)->Arg(1024)->Arg(8192);
-BENCHMARK_TEMPLATE(BM_MacBackoffChurn, WheelEventQueue)->Arg(128)->Arg(1024)->Arg(8192);
+BENCHMARK_TEMPLATE(BM_MacBackoffChurn, HeapOnlyQueue)->Arg(128)->Arg(1024)->Arg(8192);
+BENCHMARK_TEMPLATE(BM_MacBackoffChurn, WheelQueue)->Arg(128)->Arg(1024)->Arg(8192);
 
 }  // namespace
 }  // namespace scoop

@@ -1,261 +1,65 @@
-// Microbenchmarks of the radio/MAC hot path: a broadcast storm, a unicast
-// convergecast toward the basestation, and a collision-heavy synchronized
-// grid burst, each at N in {63, 121, 500, 1000}. `LegacyRadio` is a
-// faithful copy of the seed implementation -- every transmission walks all
-// N nodes through the delivery matrix, and carrier sense / collision /
-// half-duplex checks each linearly scan a shared history vector, with the
-// frame airtime recomputed on every channel attempt -- kept here so the
-// neighborhood-indexed rework in sim/radio.{h,cc} is benchmarked against
-// it in the same binary (the same pattern micro_event_queue uses). Both
-// variants use the same BackoffWindow and draw RNG identically, so they
-// simulate the identical transmission schedule: the measured difference is
-// purely the per-event data-structure work. The PR-3 acceptance bar is
-// >= 3x events/second on the broadcast storm at N = 500.
+// Microbenchmarks of the radio/MAC (ShardRadio) hot path: a broadcast
+// storm, a unicast convergecast toward the basestation, and a
+// collision-heavy synchronized grid burst, each at N in {63, 121, 500,
+// 1000}. One shard owns every node, as in a single-shard trial, so the
+// numbers are the per-event cost of carrier sense, keyed loss/ACK draws,
+// collision and half-duplex checks, and the event queue under them.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <deque>
-#include <functional>
 #include <map>
 #include <queue>
 #include <utility>
 #include <vector>
 
 #include "net/wire.h"
-#include "sim/event_queue.h"
-#include "sim/radio.h"
 #include "sim/radio_options.h"
+#include "sim/shard.h"
 #include "sim/topology.h"
 
 namespace scoop {
 namespace {
 
-using sim::EventQueue;
 using sim::RadioOptions;
 using sim::Topology;
 
-// ---------------------------------------------------------------------------
-// The seed Radio, verbatim except that (a) hooks irrelevant to the bench
-// (drop/deliver observers) collapse to counters and (b) the CSMA window
-// comes from sim::Radio::BackoffWindow so both variants schedule
-// identically.
-class LegacyRadio {
+/// A single-shard radio on its own queue, counting transmissions and
+/// deliveries. Bench drivers schedule under a pseudo-origin above the node
+/// ids, as the engine's query driver does.
+class BenchRadio {
  public:
-  LegacyRadio(const Topology* topology, const RadioOptions& options, EventQueue* queue,
-              uint64_t seed)
-      : topology_(topology),
-        options_(options),
-        queue_(queue),
-        rng_(MixSeed(seed, /*entity_id=*/0xAD10), /*stream=*/0xAD10),
-        mac_(static_cast<size_t>(topology->num_nodes())),
-        alive_(static_cast<size_t>(topology->num_nodes()), true) {}
-
-  using SendDoneHook = std::function<void(NodeId, const Packet&, bool)>;
-  void set_send_done_hook(SendDoneHook hook) { send_done_hook_ = std::move(hook); }
-
-  uint64_t transmissions() const { return transmissions_; }
-  uint64_t deliveries() const { return deliveries_; }
-
-  void Send(NodeId src, Packet pkt) {
-    if (!alive_[src]) return;
-    pkt.hdr.link_src = src;
-    OutFrame frame;
-    frame.pkt = std::move(pkt);
-    frame.retries_left =
-        (frame.pkt.hdr.link_dst == kBroadcastId) ? 0 : options_.unicast_retries;
-    mac_[src].queue.push_back(std::move(frame));
-    TryStart(src);
-  }
-
- private:
-  struct OutFrame {
-    Packet pkt;
-    int retries_left = 0;
-    int channel_attempts = 0;
-    bool seq_assigned = false;
-  };
-
-  struct MacState {
-    std::deque<OutFrame> queue;
-    bool transmitting = false;
-    bool backoff_scheduled = false;
-    uint16_t next_seq = 1;
-  };
-
-  struct Transmission {
-    NodeId src = kInvalidNodeId;
-    SimTime start = 0;
-    SimTime end = 0;
-  };
-
-  SimTime Airtime(int wire_size) const {
-    double bits = static_cast<double>(options_.link_header_bytes + wire_size) * 8.0;
-    return static_cast<SimTime>(bits / options_.bitrate_bps * kSecond);
-  }
-
-  bool ChannelBusy(NodeId node) const {
-    SimTime now = queue_->now();
-    for (const Transmission& tx : history_) {
-      if (tx.end <= now) continue;
-      if (tx.src == node) return true;
-      if (topology_->delivery_prob(tx.src, node) >= options_.interference_threshold) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool Collided(NodeId receiver, NodeId sender, SimTime start, SimTime end) const {
-    if (!options_.model_collisions) return false;
-    double signal = topology_->delivery_prob(sender, receiver);
-    for (const Transmission& tx : history_) {
-      if (tx.src == sender || tx.src == receiver) continue;
-      if (tx.end <= start || tx.start >= end) continue;
-      double interference = topology_->delivery_prob(tx.src, receiver);
-      if (interference < options_.interference_threshold) continue;
-      if (interference >= options_.capture_ratio * signal) return true;
-    }
-    return false;
-  }
-
-  bool WasTransmitting(NodeId node, SimTime start, SimTime end) const {
-    for (const Transmission& tx : history_) {
-      if (tx.src != node) continue;
-      if (tx.end <= start || tx.start >= end) continue;
-      return true;
-    }
-    return false;
-  }
-
-  void PruneTransmissions() {
-    SimTime horizon = queue_->now() - 4 * Airtime(options_.max_packet_bytes);
-    std::erase_if(history_, [horizon](const Transmission& tx) { return tx.end < horizon; });
-  }
-
-  void TryStart(NodeId src) {
-    MacState& mac = mac_[src];
-    if (mac.transmitting || mac.backoff_scheduled || mac.queue.empty()) return;
-
-    OutFrame& frame = mac.queue.front();
-    if (ChannelBusy(src)) {
-      ++frame.channel_attempts;
-      if (frame.channel_attempts >= options_.max_channel_attempts) {
-        OutFrame dropped = std::move(mac.queue.front());
-        mac.queue.pop_front();
-        if (send_done_hook_) send_done_hook_(src, dropped.pkt, false);
-        TryStart(src);
-        return;
-      }
-      SimTime window = sim::Radio::BackoffWindow(options_, frame.channel_attempts);
-      SimTime delay = 1 + rng_.UniformInt(0, window - 1);
-      mac.backoff_scheduled = true;
-      queue_->ScheduleAfter(delay, [this, src] {
-        mac_[src].backoff_scheduled = false;
-        TryStart(src);
-      });
-      return;
-    }
-
-    if (!frame.seq_assigned) {
-      frame.pkt.hdr.seq = mac.next_seq++;
-      frame.seq_assigned = true;
-    }
-    ++transmissions_;
-    SimTime start = queue_->now();
-    SimTime end = start + Airtime(frame.pkt.WireSize());
-    history_.push_back(Transmission{src, start, end});
-    mac.transmitting = true;
-    queue_->ScheduleAt(end, [this, src, start, end] { FinishTx(src, start, end); });
-  }
-
-  void FinishTx(NodeId src, SimTime start, SimTime end) {
-    MacState& mac = mac_[src];
-    mac.transmitting = false;
-    if (mac.queue.empty()) return;
-
-    OutFrame& frame = mac.queue.front();
-    const Packet& pkt = frame.pkt;
-    NodeId dst = pkt.hdr.link_dst;
-    bool dst_received = false;
-
-    int n = topology_->num_nodes();
-    for (NodeId r = 0; r < n; ++r) {
-      if (r == src) continue;
-      if (!alive_[r]) continue;
-      double p = topology_->delivery_prob(src, r);
-      if (p <= 0.0) continue;
-      if (!rng_.Bernoulli(p)) continue;
-      if (WasTransmitting(r, start, end)) continue;
-      if (Collided(r, src, start, end)) continue;
-      if (dst == r) dst_received = true;
-      ++deliveries_;
-    }
-
-    if (dst == kBroadcastId) {
-      Packet sent = std::move(mac.queue.front().pkt);
-      mac.queue.pop_front();
-      if (send_done_hook_) send_done_hook_(src, sent, true);
-    } else {
-      double p_ack = std::pow(topology_->delivery_prob(dst, src),
-                              options_.ack_shortness_exponent);
-      bool acked = dst_received && rng_.Bernoulli(p_ack);
-      if (acked) {
-        Packet sent = std::move(mac.queue.front().pkt);
-        mac.queue.pop_front();
-        if (send_done_hook_) send_done_hook_(src, sent, true);
-      } else if (frame.retries_left > 0) {
-        --frame.retries_left;
-        frame.channel_attempts = 0;
-      } else {
-        Packet sent = std::move(mac.queue.front().pkt);
-        mac.queue.pop_front();
-        if (send_done_hook_) send_done_hook_(src, sent, false);
-      }
-    }
-
-    PruneTransmissions();
-    TryStart(src);
-  }
-
-  const Topology* topology_;
-  RadioOptions options_;
-  EventQueue* queue_;
-  Rng rng_;
-  std::vector<MacState> mac_;
-  std::vector<bool> alive_;
-  std::vector<Transmission> history_;
-  SendDoneHook send_done_hook_;
-  uint64_t transmissions_ = 0;
-  uint64_t deliveries_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Thin adapter so sim::Radio exposes the same counters the bench reports.
-class IndexedRadio {
- public:
-  IndexedRadio(const Topology* topology, const RadioOptions& options, EventQueue* queue,
-               uint64_t seed)
-      : radio_(topology, options, queue, seed) {
+  BenchRadio(const Topology* topology, uint64_t seed)
+      : owner_(static_cast<size_t>(topology->num_nodes()), 0),
+        queue_(static_cast<uint32_t>(topology->num_nodes()) + 1),
+        radio_(topology, RadioOptions{}, &queue_, seed, &owner_, /*self_shard=*/0),
+        driver_origin_(static_cast<uint32_t>(topology->num_nodes())) {
     radio_.set_transmit_hook([this](NodeId, const Packet&, bool) { ++transmissions_; });
     radio_.set_deliver_hook([this](NodeId, const Packet&, bool) { ++deliveries_; });
   }
 
-  void set_send_done_hook(sim::Radio::SendDoneHook hook) {
+  void set_send_done_hook(sim::ShardRadio::SendDoneHook hook) {
     radio_.set_send_done_hook(std::move(hook));
   }
   void Send(NodeId src, Packet pkt) { radio_.Send(src, std::move(pkt)); }
+  void ScheduleAt(SimTime at, sim::ShardQueue::Callback fn) {
+    queue_.ScheduleRegular(at, driver_origin_, std::move(fn));
+  }
+  bool RunOne() { return queue_.RunOne(); }
   uint64_t transmissions() const { return transmissions_; }
   uint64_t deliveries() const { return deliveries_; }
 
  private:
-  sim::Radio radio_;
+  std::vector<int> owner_;
+  sim::ShardQueue queue_;
+  sim::ShardRadio radio_;
+  uint32_t driver_origin_;
   uint64_t transmissions_ = 0;
   uint64_t deliveries_ = 0;
 };
 
 // ---------------------------------------------------------------------------
 // Topology caches (construction is expensive at N = 1000; build once per
-// process and share across variants so both run the identical graph).
+// process and share across benchmarks).
 const Topology& CachedRandom(int n) {
   static auto* cache = new std::map<int, Topology>();
   auto it = cache->find(n);
@@ -333,33 +137,28 @@ std::vector<NodeId> ConvergecastParents(const Topology& topo) {
 // Broadcast storm (paper radio regime: each node hears ~20% of the
 // network): every node re-broadcasts the instant its previous frame
 // completes; boots are staggered so CSMA interleaves them.
-template <typename RadioT>
 void BM_BroadcastStorm(benchmark::State& state) {
   const Topology& topo = CachedRandom(static_cast<int>(state.range(0)));
   int n = topo.num_nodes();
-  EventQueue queue;
-  RadioOptions opts;
-  RadioT radio(&topo, opts, &queue, /*seed=*/42);
+  BenchRadio radio(&topo, /*seed=*/42);
   radio.set_send_done_hook(
       [&radio](NodeId src, const Packet&, bool) { radio.Send(src, SmallBroadcast(src)); });
   for (int i = 0; i < n; ++i) {
     NodeId id = static_cast<NodeId>(i);
-    queue.ScheduleAt(Millis(i + 1), [&radio, id] { radio.Send(id, SmallBroadcast(id)); });
+    radio.ScheduleAt(Millis(i + 1), [&radio, id] { radio.Send(id, SmallBroadcast(id)); });
   }
   for (auto _ : state) {
-    queue.RunOne();
+    radio.RunOne();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.counters["tx"] = static_cast<double>(radio.transmissions());
   state.counters["rx"] = static_cast<double>(radio.deliveries());
 }
-BENCHMARK_TEMPLATE(BM_BroadcastStorm, LegacyRadio)->Arg(63)->Arg(121)->Arg(500)->Arg(1000);
-BENCHMARK_TEMPLATE(BM_BroadcastStorm, IndexedRadio)->Arg(63)->Arg(121)->Arg(500)->Arg(1000);
+BENCHMARK(BM_BroadcastStorm)->Arg(63)->Arg(121)->Arg(500)->Arg(1000);
 
 // ---------------------------------------------------------------------------
 // Unicast convergecast: every sensor streams ACKed unicasts to its routing
 // parent (retries, ACK draws, and half-duplex checks dominate).
-template <typename RadioT>
 void BM_UnicastConvergecast(benchmark::State& state) {
   const Topology& topo = CachedRandom(static_cast<int>(state.range(0)));
   int n = topo.num_nodes();
@@ -370,9 +169,7 @@ void BM_UnicastConvergecast(benchmark::State& state) {
   }
   const std::vector<NodeId>& parent = pit->second;
 
-  EventQueue queue;
-  RadioOptions opts;
-  RadioT radio(&topo, opts, &queue, /*seed=*/43);
+  BenchRadio radio(&topo, /*seed=*/43);
   auto send_to_parent = [&radio, &parent](NodeId src) {
     Packet p = SmallBroadcast(src);
     p.hdr.link_dst = parent[src];
@@ -382,42 +179,37 @@ void BM_UnicastConvergecast(benchmark::State& state) {
       [send_to_parent](NodeId src, const Packet&, bool) { send_to_parent(src); });
   for (int i = 1; i < n; ++i) {
     NodeId id = static_cast<NodeId>(i);
-    queue.ScheduleAt(Millis(i + 1), [send_to_parent, id] { send_to_parent(id); });
+    radio.ScheduleAt(Millis(i + 1), [send_to_parent, id] { send_to_parent(id); });
   }
   for (auto _ : state) {
-    queue.RunOne();
+    radio.RunOne();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.counters["tx"] = static_cast<double>(radio.transmissions());
 }
-BENCHMARK_TEMPLATE(BM_UnicastConvergecast, LegacyRadio)->Arg(63)->Arg(121)->Arg(500)->Arg(1000);
-BENCHMARK_TEMPLATE(BM_UnicastConvergecast, IndexedRadio)->Arg(63)->Arg(121)->Arg(500)->Arg(1000);
+BENCHMARK(BM_UnicastConvergecast)->Arg(63)->Arg(121)->Arg(500)->Arg(1000);
 
 // ---------------------------------------------------------------------------
 // Collision-heavy grid: all nodes boot at the same instant on the dense
 // lattice and re-broadcast on completion, so backoff, carrier sense, and
 // collision checks run saturated.
-template <typename RadioT>
 void BM_CollisionGridBurst(benchmark::State& state) {
   const Topology& topo = CachedGrid(static_cast<int>(state.range(0)));
   int n = topo.num_nodes();
-  EventQueue queue;
-  RadioOptions opts;
-  RadioT radio(&topo, opts, &queue, /*seed=*/44);
+  BenchRadio radio(&topo, /*seed=*/44);
   radio.set_send_done_hook(
       [&radio](NodeId src, const Packet&, bool) { radio.Send(src, SmallBroadcast(src)); });
   for (int i = 0; i < n; ++i) {
     NodeId id = static_cast<NodeId>(i);
-    queue.ScheduleAt(0, [&radio, id] { radio.Send(id, SmallBroadcast(id)); });
+    radio.ScheduleAt(0, [&radio, id] { radio.Send(id, SmallBroadcast(id)); });
   }
   for (auto _ : state) {
-    queue.RunOne();
+    radio.RunOne();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.counters["tx"] = static_cast<double>(radio.transmissions());
 }
-BENCHMARK_TEMPLATE(BM_CollisionGridBurst, LegacyRadio)->Arg(63)->Arg(121)->Arg(500)->Arg(1000);
-BENCHMARK_TEMPLATE(BM_CollisionGridBurst, IndexedRadio)->Arg(63)->Arg(121)->Arg(500)->Arg(1000);
+BENCHMARK(BM_CollisionGridBurst)->Arg(63)->Arg(121)->Arg(500)->Arg(1000);
 
 }  // namespace
 }  // namespace scoop

@@ -1,23 +1,12 @@
-// Microbenchmarks of the agent-layer cost model: XmitsEstimator::Build.
-// `LegacyXmitsEstimator` is a faithful copy of the seed implementation --
-// per-node unordered_map edge lists and a from-scratch all-pairs Dijkstra
-// on every Build() -- kept here so the CSR + incremental rework in
-// core/xmits_estimator.{h,cc} is benchmarked against it in the same binary
-// (the pattern micro_radio and micro_event_queue use). Both variants
-// ingest the identical link statistics, so the measured difference is
-// purely data-structure and rebuild-avoidance work.
+// Microbenchmarks of the agent-layer cost model: XmitsEstimator::Build
+// (CSR edge lists with incremental, dirty-row rebuilds).
 //
 // The workload is the basestation's steady-state remap loop (§5.2/§5.3):
 // Clear(), re-ingest summary statistics that differ from the previous
-// round in only a few links, Build(). The PR-4 acceptance bar is >= 5x
-// Build throughput at N = 500.
+// round in only a few links, Build(); plus the cold first Build().
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -25,73 +14,6 @@
 
 namespace scoop::core {
 namespace {
-
-// ---------------------------------------------------------------------------
-// The seed XmitsEstimator, verbatim.
-class LegacyXmitsEstimator {
- public:
-  explicit LegacyXmitsEstimator(int num_nodes, const XmitsOptions& options = {})
-      : num_nodes_(num_nodes), options_(options), edges_(static_cast<size_t>(num_nodes)) {}
-
-  void Clear() {
-    for (auto& e : edges_) e.clear();
-  }
-
-  void AddLink(NodeId from, NodeId to, double quality) {
-    if (from == to) return;
-    if (quality < options_.min_quality) return;
-    double etx = std::min(1.0 / quality, options_.max_link_etx);
-    auto [it, inserted] = edges_[from].try_emplace(to, etx);
-    if (!inserted) it->second = std::min(it->second, etx);
-  }
-
-  void AddTreeEdge(NodeId node, NodeId parent, double assumed_quality = 0.5) {
-    if (node == parent) return;
-    if (static_cast<int>(node) >= num_nodes_ || static_cast<int>(parent) >= num_nodes_) {
-      return;
-    }
-    double etx = std::min(1.0 / assumed_quality, options_.max_link_etx);
-    edges_[node].try_emplace(parent, etx);
-    edges_[parent].try_emplace(node, etx);
-  }
-
-  void Build() {
-    dist_.assign(static_cast<size_t>(num_nodes_),
-                 std::vector<double>(static_cast<size_t>(num_nodes_),
-                                     std::numeric_limits<double>::infinity()));
-    using Item = std::pair<double, NodeId>;
-    for (int s = 0; s < num_nodes_; ++s) {
-      auto& dist = dist_[static_cast<size_t>(s)];
-      std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-      dist[static_cast<size_t>(s)] = 0;
-      heap.emplace(0.0, static_cast<NodeId>(s));
-      while (!heap.empty()) {
-        auto [d, u] = heap.top();
-        heap.pop();
-        if (d > dist[u]) continue;
-        for (const auto& [v, w] : edges_[u]) {
-          double nd = d + w;
-          if (nd < dist[v]) {
-            dist[v] = nd;
-            heap.emplace(nd, v);
-          }
-        }
-      }
-    }
-  }
-
-  double Xmits(NodeId x, NodeId y) const {
-    if (x == y) return 0.0;
-    double d = dist_[x][y];
-    return std::isinf(d) ? options_.unknown_cost : d;
-  }
-
- private:
-  int num_nodes_;
-  XmitsOptions options_;
-  std::vector<std::unordered_map<NodeId, double>> edges_;
-  std::vector<std::vector<double>> dist_;
-};
 
 // ---------------------------------------------------------------------------
 // Synthetic summary statistics: each node reports ~8 neighbor links (a
@@ -126,10 +48,9 @@ std::vector<LinkStat> MakeStats(int n, uint64_t seed) {
   return stats;
 }
 
-/// Replays one remap round into either estimator: Clear + full re-ingest
+/// Replays one remap round into the estimator: Clear + full re-ingest
 /// with `churn` links re-reported at a different quality.
-template <typename EstimatorT>
-void IngestRound(EstimatorT& est, const std::vector<LinkStat>& stats, int n, int round,
+void IngestRound(XmitsEstimator& est, const std::vector<LinkStat>& stats, int n, int round,
                  int churn) {
   est.Clear();
   size_t rotate = stats.empty() ? 0 : (static_cast<size_t>(round) * 17) % stats.size();
@@ -150,11 +71,10 @@ void IngestRound(EstimatorT& est, const std::vector<LinkStat>& stats, int n, int
 
 // ---------------------------------------------------------------------------
 // Steady-state remap: the loop ScoopBaseAgent pays every remap_interval.
-template <typename EstimatorT>
 void BM_SteadyStateRemap(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   std::vector<LinkStat> stats = MakeStats(n, /*seed=*/7);
-  EstimatorT est(n);
+  XmitsEstimator est(n);
   int churn = std::max(2, n / 50);
   IngestRound(est, stats, n, /*round=*/0, churn);
   est.Build();
@@ -169,19 +89,17 @@ void BM_SteadyStateRemap(benchmark::State& state) {
   benchmark::DoNotOptimize(checksum);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK_TEMPLATE(BM_SteadyStateRemap, LegacyXmitsEstimator)->Arg(63)->Arg(121)->Arg(500);
-BENCHMARK_TEMPLATE(BM_SteadyStateRemap, XmitsEstimator)->Arg(63)->Arg(121)->Arg(500);
+BENCHMARK(BM_SteadyStateRemap)->Arg(63)->Arg(121)->Arg(500);
 
 // ---------------------------------------------------------------------------
-// Cold build: first Build() after boot, when every row is dirty. Isolates
-// the CSR-vs-unordered_map constant factor without rebuild avoidance.
-template <typename EstimatorT>
+// Cold build: first Build() after boot, when every row is dirty -- the CSR
+// constant factor without rebuild avoidance.
 void BM_ColdFullBuild(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   std::vector<LinkStat> stats = MakeStats(n, /*seed=*/7);
   double checksum = 0;
   for (auto _ : state) {
-    EstimatorT est(n);
+    XmitsEstimator est(n);
     IngestRound(est, stats, n, /*round=*/0, /*churn=*/0);
     est.Build();
     checksum += est.Xmits(0, static_cast<NodeId>(n - 1));
@@ -189,8 +107,7 @@ void BM_ColdFullBuild(benchmark::State& state) {
   benchmark::DoNotOptimize(checksum);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK_TEMPLATE(BM_ColdFullBuild, LegacyXmitsEstimator)->Arg(63)->Arg(121)->Arg(500);
-BENCHMARK_TEMPLATE(BM_ColdFullBuild, XmitsEstimator)->Arg(63)->Arg(121)->Arg(500);
+BENCHMARK(BM_ColdFullBuild)->Arg(63)->Arg(121)->Arg(500);
 
 }  // namespace
 }  // namespace scoop::core

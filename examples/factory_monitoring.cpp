@@ -17,7 +17,7 @@
 #include "core/scoop_node_agent.h"
 #include "metrics/message_stats.h"
 #include "metrics/telemetry.h"
-#include "sim/network.h"
+#include "sim/sharded_engine.h"
 
 using namespace scoop;
 
@@ -46,12 +46,12 @@ int main() {
   topo_opts.seed = 5;
   sim::Topology topo = sim::Topology::MakeRandom(topo_opts);
 
-  sim::NetworkOptions net_opts;
+  sim::ShardedEngineOptions net_opts;
   net_opts.seed = 5;
-  sim::Network net(topo, net_opts);
+  sim::ShardedEngine net(topo, net_opts);  // One shard: runs inline.
   metrics::MessageStats stats(kMachines);
   net.set_transmit_observer(
-      [&](NodeId s, const Packet& p, bool r) { stats.OnTransmit(s, p, r); });
+      /*shard=*/0, [&](NodeId s, const Packet& p, bool r) { stats.OnTransmit(s, p, r); });
 
   metrics::Telemetry telemetry;
   Rng sample_rng(99);
@@ -87,14 +87,15 @@ int main() {
   for (int round = 1; round <= 5; ++round) {
     net.RunUntil(Minutes(3) + Minutes(5) * round);
     core::Query query;
-    query.time_lo = net.now() - Minutes(5);
-    query.time_hi = net.now();
+    query.time_lo = net.DriverNow() - Minutes(5);
+    query.time_hi = net.DriverNow();
     query.ranges.push_back(ValueRange{12, 20});  // "high vibration"
     uint32_t id = gateway->IssueQuery(query);
-    net.RunUntil(net.now() + Seconds(15));
+    net.RunUntil(net.DriverNow() + Seconds(15));
 
     const core::QueryOutcome* outcome = gateway->outcome(id);
-    std::printf("t=%2.0f min: high-vibration readings in last 5 min: ", ToSeconds(net.now()) / 60);
+    std::printf("t=%2.0f min: high-vibration readings in last 5 min: ",
+                ToSeconds(net.DriverNow()) / 60);
     if (outcome == nullptr || outcome->tuples.empty()) {
       std::printf("none");
     } else {
@@ -112,8 +113,8 @@ int main() {
   // summaries -- zero network messages (§5.5).
   core::Query max_query;
   max_query.kind = core::Query::Kind::kMax;
-  max_query.time_lo = net.now() - Minutes(10);
-  max_query.time_hi = net.now();
+  max_query.time_lo = net.DriverNow() - Minutes(10);
+  max_query.time_hi = net.DriverNow();
   uint32_t max_id = gateway->IssueQuery(max_query);
   const core::QueryOutcome* max_outcome = gateway->outcome(max_id);
   if (max_outcome != nullptr && max_outcome->aggregate.has_value()) {

@@ -1,13 +1,13 @@
 // Drives a TrickleTimer directly on the discrete-event queue, printing each
 // interval's tau and whether the node broadcast or suppressed. Shows the
-// sim layer used standalone (EventQueue + Rng + a pure state machine), the
+// sim layer used standalone (ShardQueue + Rng + a pure state machine), the
 // cancel/reschedule pattern every Scoop agent uses, and the exponential
 // decay of steady-state Trickle traffic (§5.3).
 #include <cstdio>
 
 #include "common/rng.h"
 #include "common/sim_time.h"
-#include "sim/event_queue.h"
+#include "sim/shard.h"
 #include "trickle/trickle_timer.h"
 
 namespace {
@@ -18,12 +18,12 @@ using namespace scoop;
 // returns, on each event schedule the next, and on an inconsistency cancel
 // the pending event and reschedule at the reset time.
 struct Driver {
-  sim::EventQueue* queue;
+  sim::ShardQueue* queue;
   trickle::TrickleTimer* timer;
   sim::EventId pending = sim::kInvalidEventId;
 
   void ScheduleNext(SimTime at) {
-    pending = queue->ScheduleAt(at, [this] { OnEvent(); });
+    pending = queue->ScheduleRegular(at, /*origin=*/0, [this] { OnEvent(); });
   }
 
   void OnEvent() {
@@ -48,7 +48,7 @@ struct Driver {
 }  // namespace
 
 int main() {
-  sim::EventQueue queue;
+  sim::ShardQueue queue(/*num_origins=*/1);
   Rng rng(7);
   trickle::TrickleOptions options;
   options.tau_min = Seconds(1);
@@ -62,10 +62,12 @@ int main() {
 
   // After four minutes of quiet network, inject an inconsistency: tau
   // collapses back to tau_min and the gossip rate spikes.
-  queue.ScheduleAt(Minutes(4), [&driver] { driver.OnInconsistent(); });
+  queue.ScheduleRegular(Minutes(4), /*origin=*/0, [&driver] { driver.OnInconsistent(); });
 
-  queue.RunUntil(Minutes(8));
-  std::printf("\n%zu events processed over %.0f simulated minutes\n",
-              queue.processed(), ToSeconds(queue.now()) / 60);
+  const SimTime end = Minutes(8);
+  while (queue.HeadTime() <= end) queue.RunOne();
+  queue.AdvanceTo(end);
+  std::printf("\n%llu events processed over %.0f simulated minutes\n",
+              static_cast<unsigned long long>(queue.processed()), ToSeconds(queue.now()) / 60);
   return 0;
 }

@@ -2,8 +2,7 @@
 // typed fault events -- crash-stop waves (subsuming the legacy
 // `failure_*` knobs), crash-reboot churn, link-degradation windows,
 // spatial partitions, and base outage/failover -- built once per trial
-// from (config, seed) and then replayed identically by the sequential
-// and sharded engines.
+// from (config, seed) and then replayed identically at every shard count.
 //
 // The plan is pure data: BuildFaultPlan draws all randomness up front
 // from dedicated streams, so the same (config, topology, seed) always

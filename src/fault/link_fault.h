@@ -4,9 +4,9 @@
 //
 // The channel is evaluated inside the radio's existing Bernoulli draws
 // (it multiplies probabilities, never adds or removes draws), so a null
-// or empty channel leaves every engine's event and RNG sequence exactly
-// as it was -- the property the sequential goldens and the sharded
-// K-equivalence suite pin.
+// or empty channel leaves the engine's event and RNG sequence exactly as
+// it was -- the property the campaign goldens and the K-equivalence suite
+// pin.
 #ifndef SCOOP_FAULT_LINK_FAULT_H_
 #define SCOOP_FAULT_LINK_FAULT_H_
 

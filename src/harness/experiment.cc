@@ -18,7 +18,6 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "sim/network.h"
 #include "sim/sharded_engine.h"
 #include "sim/topology.h"
 
@@ -107,9 +106,9 @@ std::array<uint64_t*, kNumPacketTypes> WireByteCounters(obs::MetricsRegistry* re
 }
 
 /// Folds one profiler's buckets into the result's perf fields. The
-/// profiler must already be stopped at the end of its run loop (the shard
-/// thread or the sequential RunUntil), so post-run work -- trace export,
-/// result collection -- never pollutes the buckets.
+/// profiler must already be stopped at the end of its shard's run loop, so
+/// post-run work -- trace export, result collection -- never pollutes the
+/// buckets.
 void AddProfile(ExperimentResult* r, obs::SimProfiler* profiler) {
   if (profiler == nullptr) return;
   r->profile_queue_seconds += profiler->Seconds(obs::SimProfiler::kQueue);
@@ -126,80 +125,65 @@ struct BaseHandle {
   std::function<uint32_t(const Query&)> issue;
 };
 
-/// Installs one base agent (node 0) plus num_nodes-1 node agents through
-/// `set_app(id, app)`, pulling each agent's telemetry and trace sinks from
-/// `telemetry_for(id)` / `trace_for(id)` (one global sink for the
-/// sequential engine, the owning shard's sink for the sharded one).
-template <typename BaseT, typename NodeT, typename SetApp, typename TelemetryFor,
-          typename TraceFor>
-BaseHandle InstallPolicy(const ExperimentConfig& config, SetApp&& set_app,
-                         TelemetryFor&& telemetry_for, TraceFor&& trace_for,
-                         workload::DataSource* source) {
+/// Per-shard sinks the agents report into: each agent gets its owning
+/// shard's Telemetry and trace sink, so shards never contend.
+struct ShardSinks {
+  std::vector<metrics::Telemetry>* telemetry;
+  const std::vector<std::unique_ptr<obs::TraceSink>>* traces;
+};
+
+/// Installs one base agent (node 0) plus num_nodes-1 node agents on the
+/// engine, wiring each to its owning shard's sinks.
+template <typename BaseT, typename NodeT>
+BaseHandle InstallPolicy(sim::ShardedEngine* engine, const ExperimentConfig& config,
+                         ShardSinks sinks, workload::DataSource* source) {
+  auto agent_config = [&](NodeId id) {
+    size_t s = static_cast<size_t>(engine->shard_of(id));
+    return MakeAgentConfig(config, id, &(*sinks.telemetry)[s], (*sinks.traces)[s].get(),
+                           source);
+  };
   BaseHandle handle;
-  auto base = std::make_unique<BaseT>(
-      MakeAgentConfig(config, 0, telemetry_for(0), trace_for(0), source));
+  auto base = std::make_unique<BaseT>(agent_config(0));
   auto* base_ptr = base.get();
   handle.agent = base_ptr;
   handle.issue = [base_ptr](const Query& q) { return base_ptr->IssueQuery(q); };
-  set_app(0, std::move(base));
+  engine->SetApp(0, std::move(base));
   for (int i = 1; i < config.num_nodes; ++i) {
     NodeId id = static_cast<NodeId>(i);
-    set_app(id, std::make_unique<NodeT>(
-                    MakeAgentConfig(config, id, telemetry_for(id), trace_for(id), source)));
+    engine->SetApp(id, std::make_unique<NodeT>(agent_config(id)));
   }
   return handle;
 }
 
-template <typename SetApp, typename TelemetryFor, typename TraceFor>
-BaseHandle InstallAgentsGeneric(const ExperimentConfig& config, SetApp set_app,
-                                TelemetryFor telemetry_for, TraceFor trace_for,
-                                workload::DataSource* source) {
+BaseHandle InstallAgents(sim::ShardedEngine* engine, const ExperimentConfig& config,
+                         ShardSinks sinks, workload::DataSource* source) {
   switch (config.policy) {
     case Policy::kScoop:
-      return InstallPolicy<core::ScoopBaseAgent, core::ScoopNodeAgent>(
-          config, set_app, telemetry_for, trace_for, source);
+      return InstallPolicy<core::ScoopBaseAgent, core::ScoopNodeAgent>(engine, config, sinks,
+                                                                       source);
     case Policy::kLocal:
-      return InstallPolicy<core::LocalBaseAgent, core::LocalNodeAgent>(
-          config, set_app, telemetry_for, trace_for, source);
+      return InstallPolicy<core::LocalBaseAgent, core::LocalNodeAgent>(engine, config, sinks,
+                                                                       source);
     case Policy::kBase:
       return InstallPolicy<core::BasePolicyBaseAgent, core::BasePolicyNodeAgent>(
-          config, set_app, telemetry_for, trace_for, source);
+          engine, config, sinks, source);
     case Policy::kHashSim:
-      return InstallPolicy<core::HashBaseAgent, core::HashNodeAgent>(
-          config, set_app, telemetry_for, trace_for, source);
+      return InstallPolicy<core::HashBaseAgent, core::HashNodeAgent>(engine, config, sinks,
+                                                                     source);
     case Policy::kHashAnalytical:
       SCOOP_CHECK(false);  // Handled by HashAnalysisAsResult, not simulation.
   }
   return {};
 }
 
-BaseHandle InstallAgents(sim::Network* network, const ExperimentConfig& config,
-                         metrics::Telemetry* telemetry, obs::TraceSink* trace,
-                         workload::DataSource* source) {
-  return InstallAgentsGeneric(
-      config,
-      [network](NodeId id, std::unique_ptr<sim::App> app) {
-        network->SetApp(id, std::move(app));
-      },
-      [telemetry](NodeId) { return telemetry; }, [trace](NodeId) { return trace; },
-      source);
-}
-
-/// The two engine hooks QueryDriver needs, so one driver serves both the
-/// sequential Network and the sharded engine (where its events run on the
-/// shard that owns the basestation).
-struct DriverOps {
-  std::function<SimTime()> now;
-  std::function<void(SimTime, SmallCallback)> schedule_at;
-};
-
 /// Generates the §6 query workload: every query_interval, a value-range
-/// query over 1-5% of the domain, about the recent past.
+/// query over 1-5% of the domain, about the recent past. Its events run on
+/// the shard that owns the basestation.
 class QueryDriver {
  public:
-  QueryDriver(DriverOps ops, const ExperimentConfig& config, BaseHandle handle,
+  QueryDriver(sim::ShardedEngine* engine, const ExperimentConfig& config, BaseHandle handle,
               ValueRange domain, uint64_t seed)
-      : ops_(std::move(ops)),
+      : engine_(engine),
         config_(config),
         handle_(std::move(handle)),
         domain_(domain),
@@ -217,7 +201,7 @@ class QueryDriver {
  private:
   void ScheduleNext(SimTime at) {
     if (at > config_.duration - Seconds(2)) return;
-    ops_.schedule_at(at, [this, at] {
+    engine_->ScheduleDriver(at, [this, at] {
       IssueOne();
       // Burst mode: the remaining burst_size-1 queries follow at
       // burst-spacing offsets (burst_size == 1 schedules nothing extra, so
@@ -225,14 +209,14 @@ class QueryDriver {
       for (int k = 1; k < config_.query_burst_size; ++k) {
         SimTime burst_at = at + k * config_.query_burst_spacing;
         if (burst_at > config_.duration - Seconds(2)) break;
-        ops_.schedule_at(burst_at, [this] { IssueOne(); });
+        engine_->ScheduleDriver(burst_at, [this] { IssueOne(); });
       }
       ScheduleNext(at + config_.query_interval);
     });
   }
 
   void IssueOne() {
-    SimTime now = ops_.now();
+    SimTime now = engine_->DriverNow();
     Query query;
     query.time_lo = std::max<SimTime>(0, now - config_.query_history_window);
     query.time_hi = now;
@@ -268,7 +252,7 @@ class QueryDriver {
     }
   }
 
-  DriverOps ops_;
+  sim::ShardedEngine* engine_;
   ExperimentConfig config_;
   BaseHandle handle_;
   ValueRange domain_;
@@ -363,40 +347,8 @@ void RecordFaultObs(FaultObs* obs, const fault::FaultEvent& ev, SimTime now) {
   }
 }
 
-/// Applies one fault event on the sequential engine. Radio state flips
-/// before the agent hook runs, so OnCrash/OnReboot observe the radio the
-/// way a real mote's firmware would (down while crashed, up at reboot).
-void ApplySequentialFault(sim::Network* network, const fault::FaultEvent& ev) {
-  sim::App* app = network->app(ev.node);
-  switch (ev.kind) {
-    case fault::FaultKind::kRadioDown:
-      network->SetNodeAlive(ev.node, false);
-      break;
-    case fault::FaultKind::kRadioUp:
-      network->SetNodeAlive(ev.node, true);
-      break;
-    case fault::FaultKind::kCrash:
-      network->SetNodeAlive(ev.node, false);
-      if (app != nullptr) app->OnCrash(network->context(ev.node));
-      break;
-    case fault::FaultKind::kReboot:
-      network->SetNodeAlive(ev.node, true);
-      if (app != nullptr) app->OnReboot(network->context(ev.node));
-      break;
-    case fault::FaultKind::kPromote:
-      if (app != nullptr) app->OnRootPromote(network->context(ev.node), true);
-      break;
-    case fault::FaultKind::kDemote:
-      if (app != nullptr) app->OnRootPromote(network->context(ev.node), false);
-      break;
-    case fault::FaultKind::kMarkLinkDown:
-    case fault::FaultKind::kMarkPartition:
-      break;  // The link channel applies the window; this is obs-only.
-  }
-}
-
-/// Post-run metric collection shared by the sequential and sharded trial
-/// paths. `processed` is the engine's total executed-event count.
+/// Post-run metric collection. `processed` is the engine's total
+/// executed-event count.
 ExperimentResult CollectResult(const ExperimentConfig& config,
                                const metrics::MessageStats& stats,
                                const metrics::Telemetry& telemetry,
@@ -518,153 +470,7 @@ const char* PolicyName(Policy policy) {
 }
 
 ExperimentResult RunTrial(const ExperimentConfig& config, uint64_t seed) {
-  if (config.shards != 1) return RunShardedTrial(config, seed, ResolvedShards(config));
-  SCOOP_CHECK(config.policy != Policy::kHashAnalytical);
-  SCOOP_CHECK_GE(config.num_nodes, 2);
-  SCOOP_CHECK_LE(config.num_nodes, kMaxSupportedNodes);
-
-  sim::Topology topology = MakeTopology(config, seed);
-  sim::NetworkOptions net_opts;
-  net_opts.seed = seed;
-  net_opts.queue_impl = config.queue;
-  sim::Network network(topology, net_opts);
-  ScopedLogClock log_clock(
-      [](const void* ctx) { return static_cast<const sim::Network*>(ctx)->now(); },
-      &network);
-
-  // Observability sinks (each null unless requested; every hook they feed
-  // is branch-on-null, and none of them draws randomness or schedules
-  // events, so results are identical with them on or off).
-  std::unique_ptr<obs::TraceSink> trace;
-  std::unique_ptr<obs::MetricsRegistry> registry;
-  std::unique_ptr<obs::SimProfiler> profiler;
-  if (!config.trace_out.empty()) trace = std::make_unique<obs::TraceSink>();
-  if (!config.metrics_out.empty()) registry = std::make_unique<obs::MetricsRegistry>();
-  if (config.profile) profiler = std::make_unique<obs::SimProfiler>();
-  network.radio().EnableObservability(trace.get(), registry.get(), profiler.get());
-  network.queue().set_profiler(profiler.get());
-
-  metrics::MessageStats stats(config.num_nodes);
-  std::array<uint64_t*, kNumPacketTypes> wire_ctrs = WireByteCounters(registry.get());
-  const std::array<uint64_t*, kNumPacketTypes>* wire = &wire_ctrs;
-  network.set_transmit_observer(
-      [&stats, wire](NodeId src, const Packet& pkt, bool retx) {
-        stats.OnTransmit(src, pkt, retx);
-        uint64_t* ctr = (*wire)[static_cast<size_t>(pkt.hdr.type)];
-        if (ctr != nullptr) *ctr += static_cast<uint64_t>(pkt.WireSize());
-      });
-  network.set_deliver_observer(
-      [&stats](NodeId dst, const Packet& pkt, bool addressed) {
-        stats.OnDeliver(dst, pkt, addressed);
-      });
-  network.set_drop_observer(
-      [&stats](NodeId src, const Packet& pkt, sim::DropReason) { stats.OnDrop(src, pkt); });
-
-  metrics::Telemetry telemetry;
-  std::unique_ptr<workload::DataSource> source = workload::MakeDataSource(
-      config.source, config.source_options, topology.positions(), seed);
-  BaseHandle handle = InstallAgents(&network, config, &telemetry, trace.get(), source.get());
-
-  // Per-query success timeline, appended in close order on the engine
-  // thread (the churn integration test reads degradation/recovery off it).
-  std::vector<ExperimentResult::QueryTimelinePoint> timeline;
-  handle.agent->on_query_complete = [&timeline](const core::QueryOutcome& o) {
-    timeline.push_back(ExperimentResult::QueryTimelinePoint{
-        ToSeconds(o.closed_at), o.targets, o.responders});
-  };
-
-  DriverOps ops;
-  ops.now = [&network] { return network.now(); };
-  ops.schedule_at = [&network](SimTime at, SmallCallback fn) {
-    network.queue().ScheduleAt(at, std::move(fn));
-  };
-  QueryDriver queries(std::move(ops), config, handle, source->domain(), seed);
-  network.Start();
-  queries.Start();
-
-  // Fault injection: the trial's FaultPlan (legacy crash-stop waves plus
-  // the typed fault.* machinery), grouped into one scheduled lambda per
-  // distinct instant -- the same schedule shape the legacy per-wave loop
-  // had, so fault-free and crash-stop-only runs stay byte-identical.
-  fault::FaultPlan plan = BuildTrialFaultPlan(config, topology, seed);
-  FaultObs fobs;
-  fobs.trace = trace.get();
-  if (FaultActive(config, plan)) fobs.Resolve(registry.get());
-  if (plan.channel.active()) network.SetFaultChannel(&plan.channel);
-  for (size_t i = 0; i < plan.events.size();) {
-    size_t j = i;
-    while (j < plan.events.size() && plan.events[j].at == plan.events[i].at) ++j;
-    std::vector<fault::FaultEvent> group(
-        plan.events.begin() + static_cast<ptrdiff_t>(i),
-        plan.events.begin() + static_cast<ptrdiff_t>(j));
-    network.queue().ScheduleAt(plan.events[i].at,
-                               [&network, &fobs, group = std::move(group)] {
-                                 for (const fault::FaultEvent& ev : group) {
-                                   ApplySequentialFault(&network, ev);
-                                   RecordFaultObs(&fobs, ev, network.now());
-                                 }
-                               });
-    i = j;
-  }
-
-  // Attribution starts at the run loop; setup (topology, agent install)
-  // belongs to no bucket.
-  if (profiler != nullptr) profiler->Restart();
-
-  if (registry != nullptr && FaultActive(config, plan)) {
-    // Degradation counters live on the agents' shared Telemetry; surfacing
-    // them as gauges puts them on the same sampled grid as everything else
-    // without threading registry pointers through the agent layer.
-    metrics::Telemetry* tel = &telemetry;
-    registry->Gauge("data.orphaned", [tel] { return tel->readings_orphaned; });
-    registry->Gauge("data.rehomed", [tel] { return tel->readings_rehomed; });
-    registry->Gauge("query.reissued", [tel] { return tel->queries_reissued; });
-    registry->Gauge("route.parent_lost", [tel] { return tel->parent_losses; });
-  }
-  if (registry != nullptr && config.metrics_interval > 0) {
-    sim::EventQueue* q = &network.queue();
-    registry->Gauge("queue.depth", [q] { return static_cast<uint64_t>(q->size()); });
-    registry->Gauge("queue.processed", [q] { return q->processed(); });
-    // Per-tier split of the two-tier queue (wheel L0/L1 + heap spill).
-    registry->Gauge("queue.wheel.absorbed", [q] { return q->wheel_absorbed(); });
-    registry->Gauge("queue.wheel.spilled", [q] { return q->wheel_spilled(); });
-    registry->Gauge("queue.wheel.l0_depth",
-                    [q] { return static_cast<uint64_t>(q->wheel_l0_size()); });
-    registry->Gauge("queue.wheel.l1_depth",
-                    [q] { return static_cast<uint64_t>(q->wheel_l1_size()); });
-    registry->Gauge("queue.heap_depth",
-                    [q] { return static_cast<uint64_t>(q->heap_tier_size()); });
-    obs::Histogram* depth_hist = registry->Hist("queue.occupancy");
-    // Slice the run on the sampling grid. EventQueue::RunUntil(t) advances
-    // the clock to exactly t, so slicing is semantics-preserving and each
-    // sample sees precisely the events at or before its grid point.
-    for (SimTime t = config.metrics_interval; t <= config.duration;
-         t += config.metrics_interval) {
-      network.RunUntil(t);
-      depth_hist->Record(q->size());
-      registry->Sample(t);
-    }
-  }
-  network.RunUntil(config.duration);
-  if (profiler != nullptr) profiler->Stop();
-
-  if (trace != nullptr) {
-    WriteTextFile(config.trace_out, obs::ExportChromeTrace({trace.get()}));
-  }
-  if (registry != nullptr) {
-    WriteTextFile(config.metrics_out, obs::ExportMetricsJsonLines({registry.get()}));
-  }
-  SCOOP_LOG(kInfo) << "trial done: policy=" << PolicyName(config.policy)
-                   << " seed=" << seed << " events=" << network.queue().processed();
-
-  ExperimentResult r = CollectResult(config, stats, telemetry,
-                                     queries.AvgPctNodesQueried(), handle.agent,
-                                     network.queue().processed());
-  r.query_timeline = std::move(timeline);
-  r.queue_wheel_absorbed = static_cast<double>(network.queue().wheel_absorbed());
-  r.queue_wheel_spilled = static_cast<double>(network.queue().wheel_spilled());
-  AddProfile(&r, profiler.get());
-  return r;
+  return RunShardedTrial(config, seed, ResolvedShards(config));
 }
 
 int ResolvedShards(const ExperimentConfig& config) {
@@ -682,7 +488,6 @@ ExperimentResult RunShardedTrial(const ExperimentConfig& config, uint64_t seed, 
   sim::ShardedEngineOptions opts;
   opts.seed = seed;
   opts.shards = shards;
-  opts.queue_impl = config.queue;
   opts.partition = config.partition;
   sim::ShardedEngine engine(MakeTopology(config, seed), opts);
   const int k = engine.num_shards();
@@ -739,16 +544,8 @@ ExperimentResult RunShardedTrial(const ExperimentConfig& config, uint64_t seed, 
 
   std::unique_ptr<workload::DataSource> source = workload::MakeKeyedDataSource(
       config.source, config.source_options, engine.topology().positions(), seed);
-  BaseHandle handle = InstallAgentsGeneric(
-      config,
-      [&engine](NodeId id, std::unique_ptr<sim::App> app) { engine.SetApp(id, std::move(app)); },
-      [&engine, &shard_telemetry](NodeId id) {
-        return &shard_telemetry[static_cast<size_t>(engine.shard_of(id))];
-      },
-      [&engine, &traces](NodeId id) {
-        return traces[static_cast<size_t>(engine.shard_of(id))].get();
-      },
-      source.get());
+  BaseHandle handle =
+      InstallAgents(&engine, config, ShardSinks{&shard_telemetry, &traces}, source.get());
 
   // Per-query success timeline; on_query_complete fires on the base
   // shard's thread only, so a plain vector is race-free.
@@ -758,12 +555,7 @@ ExperimentResult RunShardedTrial(const ExperimentConfig& config, uint64_t seed, 
         ToSeconds(o.closed_at), o.targets, o.responders});
   };
 
-  DriverOps ops;
-  ops.now = [&engine] { return engine.DriverNow(); };
-  ops.schedule_at = [&engine](SimTime at, SmallCallback fn) {
-    engine.ScheduleDriver(at, std::move(fn));
-  };
-  QueryDriver queries(std::move(ops), config, handle, source->domain(), seed);
+  QueryDriver queries(&engine, config, handle, source->domain(), seed);
 
   // Fault events go through the engine's pre-Start fault channel, which
   // feeds every shard's AliveFloor (the lookahead floor that makes aborts
@@ -887,7 +679,7 @@ ExperimentResult RunAnyTrial(const ExperimentConfig& config, uint64_t seed) {
 ExperimentResult AggregateTrials(const std::vector<ExperimentResult>& trials) {
   SCOOP_CHECK_GE(trials.size(), 1u);
   ExperimentResult sum;
-  sum.resolved_shards = 0;  // Defaults to 1 (the sequential engine).
+  sum.resolved_shards = 0;  // The field defaults to 1; sum from zero.
   for (const ExperimentResult& r : trials) {
     for (int t = 0; t < kNumPacketTypes; ++t) {
       sum.sent_by_type[static_cast<size_t>(t)] += r.sent_by_type[static_cast<size_t>(t)];

@@ -17,7 +17,6 @@
 #include "metrics/energy_model.h"
 #include "metrics/telemetry.h"
 #include "net/wire.h"
-#include "sim/event_queue.h"
 #include "sim/partition.h"
 #include "workload/data_source.h"
 
@@ -88,31 +87,23 @@ struct ExperimentConfig {
   int trials = 3;
   uint64_t seed = 42;
 
-  /// Shards (threads) one trial is split across by the conservative
-  /// parallel engine (sim/sharded_engine.h). 1 = the sequential Network
-  /// engine (the long-standing golden-pinned path); >= 2 = the sharded
-  /// engine at that K; 0 = auto (sharded engine, K from the hardware).
-  /// Sharded results are identical for every K >= 1, but the sharded
-  /// engine's keyed-RNG MAC is a (deliberate) different random universe
-  /// than the sequential engine, so 1 and 2 differ numerically.
+  /// Shards (threads) one trial is split across by the engine
+  /// (sim/sharded_engine.h). 1 = one shard run inline on the calling
+  /// thread; K >= 2 = K shards on K threads; 0 = auto (K from the
+  /// hardware). Results are bit-identical for every K; only wall-clock
+  /// speed changes.
   int shards = 1;
 
-  /// Event-queue implementation for both engines (sim/event_queue.h).
-  /// kWheel (default) fronts the heap with a hierarchical timer wheel;
-  /// kHeap is heap-only. Execution order -- and therefore every metric,
-  /// CSV, and golden -- is identical; the knob exists for differential
-  /// testing and benchmarking.
-  sim::QueueImpl queue = sim::QueueImpl::kWheel;
-
-  /// How sharded trials split the topology (sim/partition.h): contiguous
-  /// coordinate strips or min-cut regions on the audible graph. Results
-  /// are identical for both kinds (and ignored by the sequential engine);
-  /// only boundary traffic and wall-clock speed change.
+  /// How multi-shard trials split the topology (sim/partition.h):
+  /// contiguous coordinate strips or min-cut regions on the audible graph.
+  /// Results are identical for both kinds (and a single shard has nothing
+  /// to split); only boundary traffic and wall-clock speed change.
   sim::PartitionKind partition = sim::PartitionKind::kStrip;
 
-  /// Failure injection: this fraction of non-base nodes loses its radio at
-  /// `failure_time` (0 = no failures). Models the §2.1 observation that
-  /// nodes fail or move out of range mid-deployment.
+  /// Crash-stop failure injection (the fault.crash_* scenario keys): this
+  /// fraction of non-base nodes loses its radio at `failure_time` (0 = no
+  /// failures). Models the §2.1 observation that nodes fail or move out
+  /// of range mid-deployment.
   double node_failure_fraction = 0.0;
   SimTime failure_time = Minutes(20);
   /// Failure waves: the fraction above is killed again at each of
@@ -124,9 +115,9 @@ struct ExperimentConfig {
 
   /// Typed fault injection (src/fault/): crash-reboot churn, link
   /// degradation, spatial partitions, base outage/failover, and the
-  /// graceful-degradation knobs. The legacy failure_* fields above stay as
-  /// compatibility aliases for crash-stop waves; both feed one FaultPlan
-  /// per trial, built deterministically from (config, topology, seed).
+  /// graceful-degradation knobs. Together with the crash-stop fields above
+  /// it feeds one FaultPlan per trial, built deterministically from
+  /// (config, topology, seed).
   fault::FaultConfig fault;
 
   // --- Scoop feature knobs (ablations) ---
@@ -233,13 +224,12 @@ struct ExperimentResult {
   double wall_seconds = 0;  ///< Host wall-clock the trial took.
   double sim_events = 0;    ///< Discrete events the trial executed.
   /// Timer-wheel tier split: schedules absorbed by the wheel vs spilled
-  /// to the heap (heap-only runs count everything as spilled). Sharded
-  /// trials sum across shards. Perf-only, like wall_seconds.
+  /// to the heap, summed across shards. Perf-only, like wall_seconds.
   double queue_wheel_absorbed = 0;
   double queue_wheel_spilled = 0;
 
   // Profiler buckets (wall-clock attribution, config.profile only; same
-  // perf-only status as wall_seconds). Sharded trials sum across shard
+  // perf-only status as wall_seconds). Multi-shard trials sum across shard
   // threads, so the buckets total ~K times the elapsed wall time.
   double profile_queue_seconds = 0;
   double profile_radio_seconds = 0;
@@ -247,9 +237,9 @@ struct ExperimentResult {
   double profile_shard_sync_seconds = 0;
   double profile_other_seconds = 0;
 
-  // Sharded-engine telemetry (perf-only, like wall_seconds; all zero for
-  // sequential trials). `resolved_shards` is the K the trial actually ran
-  // at (1 for the sequential engine) -- recorded so `--shards=0` (auto)
+  // Shard telemetry (perf-only, like wall_seconds; stall_* and
+  // mirrored_frames are zero for single-shard trials). `resolved_shards`
+  // is the K the trial actually ran at -- recorded so `--shards=0` (auto)
   // perf probes are unambiguous across machines. stall_* are wall-clock
   // derived and nondeterministic; mirrored_frames / partition_* are
   // deterministic for a fixed (config, K, partition).
@@ -264,13 +254,14 @@ struct ExperimentResult {
 /// Runs `config.trials` trials (seeds derived from config.seed) and averages.
 ExperimentResult RunExperiment(const ExperimentConfig& config);
 
-/// Runs a single trial with an explicit seed. Dispatches to the sharded
-/// engine when config.shards != 1 (see ExperimentConfig::shards).
+/// Runs a single trial with an explicit seed, at ResolvedShards(config)
+/// shards.
 ExperimentResult RunTrial(const ExperimentConfig& config, uint64_t seed);
 
-/// Runs a single trial on the sharded engine with an explicit shard count
-/// (>= 1). Produces identical results for every `shards` value; the K=1
-/// run is the determinism reference the equivalence suite pins against.
+/// Runs a single trial with an explicit shard count (>= 1), overriding
+/// config.shards. Produces identical results for every `shards` value;
+/// the K=1 run is the determinism reference the equivalence suite pins
+/// against.
 ExperimentResult RunShardedTrial(const ExperimentConfig& config, uint64_t seed,
                                  int shards);
 

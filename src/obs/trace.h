@@ -10,9 +10,9 @@
 //    byte-identical with tracing on.
 //  - Zero overhead when off: every instrumentation site holds a nullable
 //    `TraceSink*` and compiles to a branch-on-null. No sink, no cost.
-//  - One sink per engine thread (the sequential engine has one; the
-//    sharded engine has one per shard), merged at export time with
-//    pid = shard index. Sinks are NOT thread-safe by design.
+//  - One sink per engine shard (each shard runs on its own thread),
+//    merged at export time with pid = shard index. Sinks are NOT
+//    thread-safe by design.
 #ifndef SCOOP_OBS_TRACE_H_
 #define SCOOP_OBS_TRACE_H_
 

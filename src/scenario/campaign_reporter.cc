@@ -284,16 +284,16 @@ std::string CampaignPerfJson(const CampaignResult& result) {
   out += ",\"sim_events_total\":" + FormatJsonMetric(total_events);
   out += ",\"events_per_second\":" +
          FormatJsonMetric(total_wall > 0 ? total_events / total_wall : 0.0);
-  // Timer-wheel tier split (sim/event_queue.h): the fraction of schedules
-  // the wheel absorbed without touching the heap. Heap-only runs report 0.
+  // Timer-wheel tier split (sim/shard.h): the fraction of schedules
+  // the wheel absorbed without touching the heap.
   out += ",\"queue\":{\"wheel_absorbed\":" + FormatJsonMetric(total_absorbed);
   out += ",\"wheel_spilled\":" + FormatJsonMetric(total_spilled);
   out += ",\"wheel_absorb_rate\":" +
          FormatJsonMetric(total_scheduled > 0 ? total_absorbed / total_scheduled : 0.0);
   out += "}";
-  // Sharded-engine sync costs, summed across trials. stall_us/stall_episodes
-  // are wall-clock (nondeterministic); mirrored_frames is deterministic for a
-  // fixed (config, shards, partition). All zero for sequential campaigns.
+  // Shard sync costs, summed across trials. stall_us/stall_episodes are
+  // wall-clock (nondeterministic); mirrored_frames is deterministic for a
+  // fixed (config, shards, partition). All zero for single-shard campaigns.
   if (shards_uniform) out += ",\"shards\":" + std::to_string(uniform_shards);
   if (partition_uniform) {
     out += ",\"partition\":" + JsonString(sim::PartitionKindName(uniform_partition));

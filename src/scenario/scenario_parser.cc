@@ -125,15 +125,6 @@ Status SetPolicy(ExperimentConfig* c, std::string_view v) {
   return Status::OK();
 }
 
-Status SetQueue(ExperimentConfig* c, std::string_view v) {
-  std::string_view s = TrimView(v);
-  if (s == "wheel") c->queue = sim::QueueImpl::kWheel;
-  else if (s == "heap") c->queue = sim::QueueImpl::kHeap;
-  else return Status::InvalidArgument("unknown queue " + Quoted(v) +
-                                      " (expected wheel|heap)");
-  return Status::OK();
-}
-
 Status SetPartition(ExperimentConfig* c, std::string_view v) {
   std::string_view s = TrimView(v);
   if (s == "strip") c->partition = sim::PartitionKind::kStrip;
@@ -384,39 +375,12 @@ const KeyInfo kKeys[] = {
        return StoreInt(v, &c->shards, 0, 64, "shards");
      },
      [](const ExperimentConfig& c) { return std::to_string(c.shards); }},
-    {"queue", SetQueue,
-     [](const ExperimentConfig& c) { return std::string(sim::QueueImplName(c.queue)); }},
     {"partition", SetPartition,
      [](const ExperimentConfig& c) {
        return std::string(sim::PartitionKindName(c.partition));
      }},
-    {"failure_fraction",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->node_failure_fraction, 0.0, 1.0, "failure_fraction");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.node_failure_fraction); }},
-    {"failure_minute",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->failure_time, /*allow_zero=*/true, "failure_minute");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToMinutes(c.failure_time)); }},
-    {"failure_wave_count",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->failure_wave_count, 1, 1000, "failure_wave_count");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.failure_wave_count); }},
-    {"failure_wave_interval_minutes",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->failure_wave_interval, /*allow_zero=*/false,
-                           "failure_wave_interval_minutes");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.failure_wave_interval));
-     }},
-    // Typed fault injection (src/fault/). The four fault.crash_* keys are
-    // compatibility aliases for the legacy failure_* knobs above: both
-    // names read and write the same ExperimentConfig fields, so old
-    // scenarios keep parsing and new ones can use the namespaced spelling.
+    // Typed fault injection (src/fault/). The fault.crash_* keys configure
+    // crash-stop waves through the ExperimentConfig failure_* fields.
     {"fault.crash_fraction",
      [](ExperimentConfig* c, std::string_view v) {
        return StoreDouble(v, &c->node_failure_fraction, 0.0, 1.0, "fault.crash_fraction");

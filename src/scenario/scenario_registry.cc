@@ -96,10 +96,10 @@ constexpr const char kFailureWaves[] = R"(
 name = failure_waves
 description = Three mid-run failure waves, each killing 10% of the sensors, 5 minutes apart
 source = real
-failure_fraction = 0.10
-failure_minute = 15
-failure_wave_count = 3
-failure_wave_interval_minutes = 5
+fault.crash_fraction = 0.10
+fault.crash_minute = 15
+fault.crash_wave_count = 3
+fault.crash_wave_interval_minutes = 5
 trials = 1
 sweep.policy = scoop, local, base
 sweep.seed = 1..4

@@ -4,14 +4,24 @@
 #ifndef SCOOP_SIM_APP_H_
 #define SCOOP_SIM_APP_H_
 
+#include <cstdint>
+
 #include "common/rng.h"
 #include "common/sim_time.h"
+#include "common/small_callback.h"
 #include "common/types.h"
 #include "net/wire.h"
-#include "sim/event_queue.h"
 #include "sim/radio_options.h"
 
 namespace scoop::sim {
+
+/// Handle for a scheduled event, usable with Cancel(). Packs the schedule
+/// sequence number (high 40 bits) over the queue's slab slot index (low 24
+/// bits); see ShardQueue.
+using EventId = uint64_t;
+
+/// Sentinel for "no event". Sequence numbers start at 1, so no id is 0.
+inline constexpr EventId kInvalidEventId = 0;
 
 /// Metadata accompanying a received packet.
 struct ReceiveInfo {

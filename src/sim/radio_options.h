@@ -3,6 +3,9 @@
 #ifndef SCOOP_SIM_RADIO_OPTIONS_H_
 #define SCOOP_SIM_RADIO_OPTIONS_H_
 
+#include <algorithm>
+
+#include "common/check.h"
 #include "common/sim_time.h"
 
 namespace scoop::sim {
@@ -56,6 +59,16 @@ struct RadioOptions {
   /// for isolating protocol behaviour in tests).
   bool model_collisions = true;
 };
+
+/// CSMA backoff window for the 1-based busy-channel `attempt`: starts at
+/// backoff_min, doubles per attempt, clamps at backoff_max (binary
+/// exponential backoff).
+inline SimTime BackoffWindow(const RadioOptions& options, int attempt) {
+  SCOOP_CHECK_GE(attempt, 1);
+  SimTime window = options.backoff_min;
+  for (int k = 1; k < attempt && window < options.backoff_max; ++k) window *= 2;
+  return std::min(window, options.backoff_max);
+}
 
 }  // namespace scoop::sim
 

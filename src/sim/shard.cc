@@ -77,7 +77,8 @@ void ShardQueue::SkimStale() {
 }
 
 void ShardQueue::MaybeCompact() {
-  // Amortized O(1) per cancel, same policy as EventQueue (both tiers).
+  // Amortized O(1) per cancel: rebuild both tiers only once stale entries
+  // outnumber live ones (and are numerous enough to be worth it).
   if (stale_ < 64 || stale_ * 2 <= heap_size()) return;
   size_t out = 0;
   for (size_t i = 0; i < heap_.size(); ++i) {
@@ -152,6 +153,13 @@ bool ShardQueue::RunOne() {
   return true;
 }
 
+void ShardQueue::AdvanceTo(SimTime t) {
+  SCOOP_CHECK(t >= now_);
+  SCOOP_CHECK(HeadTime() > t);
+  now_ = t;
+  if (impl_ == QueueImpl::kWheel) wheel_.AdvanceTo(now_);
+}
+
 // ---------------------------------------------------------------------------
 // ShardRadio
 // ---------------------------------------------------------------------------
@@ -187,7 +195,8 @@ ShardRadio::ShardRadio(const Topology* topology, const RadioOptions& options,
   for (NodeId u = 0; u < topology->num_nodes(); ++u) {
     mac_rng_.emplace_back(MixSeed(backoff_key, u), /*stream=*/u);
   }
-  // Geometric collision prefilter (see Radio's collide_range2_).
+  // Geometric collision prefilter: a transmitter farther than twice the
+  // longest audible link from a sender cannot corrupt any of its receptions.
   double max_d2 = 0;
   for (NodeId i = 0; i < topology->num_nodes(); ++i) {
     const Point& a = topology->position(i);
@@ -301,9 +310,10 @@ bool ShardRadio::ChannelBusy(NodeId node) const {
 void ShardRadio::CollectInterferers(NodeId sender, SimTime start, SimTime end) {
   collide_scratch_.clear();
   if (!options_.model_collisions) return;
-  // One ring walk per evaluation, shared by every receiver (see
-  // Radio::CollectInterferers): only transmissions actually overlapping
-  // the window survive into the per-receiver check.
+  // One ring walk per evaluation, shared by every receiver: ring entries
+  // are in start order, so anything starting more than one max airtime
+  // before the window cannot reach into it, and only transmissions
+  // actually overlapping the window survive into the per-receiver check.
   const Point& s = topology_->position(sender);
   for (size_t i = ring_.size(); i-- > ring_head_;) {
     const Transmission& tx = ring_[i];
@@ -386,11 +396,10 @@ void ShardRadio::ScheduleCca(NodeId src, SimTime delay) {
 void ShardRadio::TryStart(NodeId src) {
   PdesMac& mac = mac_[src];
   if (mac.transmitting || mac.cca_scheduled || mac.queue.empty()) return;
-  // Unlike the sequential radio, the channel is never sensed inline: every
-  // acquisition is a scheduled carrier-sense event at least backoff_min
-  // out. That bound is the engine's cross-shard lookahead -- a neighbor
-  // shard that has heard about everything up to t knows no new frame can
-  // start before t + backoff_min.
+  // The channel is never sensed inline: every acquisition is a scheduled
+  // carrier-sense event at least backoff_min out. That bound is the
+  // engine's cross-shard lookahead -- a neighbor shard that has heard about
+  // everything up to t knows no new frame can start before t + backoff_min.
   SimTime delay =
       options_.backoff_min + mac_rng_[src].UniformInt(0, options_.backoff_min - 1);
   // Record the already-drawn delay (never draw for instrumentation).
@@ -427,7 +436,7 @@ void ShardRadio::CcaFire(NodeId src) {
     TryStart(src);
     return;
   }
-  SimTime window = Radio::BackoffWindow(options_, frame.channel_attempts);
+  SimTime window = BackoffWindow(options_, frame.channel_attempts);
   SimTime delay = 1 + mac_rng_[src].UniformInt(0, window - 1);
   if (backoff_hist_ != nullptr) backoff_hist_->Record(static_cast<uint64_t>(delay));
   if (ctr_backoffs_ != nullptr) ++*ctr_backoffs_;
@@ -478,8 +487,7 @@ void ShardRadio::StartTx(NodeId src) {
 void ShardRadio::EvalLocal(NodeId src, uint32_t gen, SimTime start, SimTime end) {
   const PdesMac& mac = mac_[src];
   // An aborted local frame needs no evaluation: the generation bump at the
-  // power-down makes it stale here, exactly like the sequential radio's
-  // stale FinishTx branch.
+  // power-down makes it stale here.
   if (gen != mac.tx_gen || !mac.transmitting) return;
   EvalTx(src, gen, start, end, mac.queue.front().pkt, /*aborted=*/false);
 }
@@ -507,7 +515,7 @@ void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
     // Fault windows scale the per-link probability before the keyed draw;
     // every shard applies the same factor at the same (src, gen, r), so
     // the verdicts stay identical under any K-way partition. Evaluated at
-    // the transmission end (= delivery instant), matching Radio::FinishTx.
+    // the transmission end (= delivery instant).
     bool faulted = fault_ != nullptr && fault_->active();
     CollectInterferers(src, start, end);
     const bool maybe_collided = !collide_scratch_.empty();

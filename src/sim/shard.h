@@ -1,12 +1,14 @@
-// Per-shard building blocks for the conservative parallel discrete-event
-// engine (sharded_engine.h): a deterministically-ordered event queue and a
-// shard-local radio/MAC whose randomness is keyed, not stream-shared.
+// The simulator's two hot-path building blocks, one instance of each per
+// shard of the engine (sharded_engine.h): a deterministically-ordered event
+// queue and the packet-level radio/MAC whose randomness is keyed, not
+// stream-shared. A single-shard engine (K = 1) is the plain sequential
+// simulator; K > 1 splits the same event population across K queues.
 //
-// Why a second queue type: EventQueue breaks timestamp ties by scheduling
-// order, which is only meaningful inside ONE queue. Sharded runs split the
-// event population across K queues, so "schedule order" differs per K and
-// cannot order same-time events consistently. ShardQueue instead orders
-// every event by a canonical key that depends only on simulation content:
+// Why a canonical key: breaking timestamp ties by scheduling order is only
+// meaningful inside ONE queue. Sharded runs split the event population
+// across K queues, so "schedule order" differs per K and cannot order
+// same-time events consistently. ShardQueue instead orders every event by
+// a canonical key that depends only on simulation content:
 //
 //   (time, phase, origin, counter)
 //
@@ -25,17 +27,30 @@
 // transmissions end at the same instant each evaluate the other's frame
 // before waiting on its ACK verdict.
 //
-// ShardRadio re-implements the CSMA MAC in that keyed world. It differs
-// from the sequential Radio in two deliberate, K-invariant ways: every
-// fresh channel acquisition is a *scheduled* carrier-sense event at least
+// ShardRadio is the CSMA MAC in that keyed world: CSMA carrier sense with
+// exponential backoff, airtime-accurate transmissions, Bernoulli
+// per-directed-link loss, collision corruption between overlapping audible
+// transmissions (with capture), half-duplex receivers, promiscuous
+// snooping, and link-layer ACK + retransmission for unicasts -- the
+// TOSSIM-substitute substrate. Two rules keep it K-invariant: every fresh
+// channel acquisition is a *scheduled* carrier-sense event at least
 // backoff_min in the future (this is the engine's cross-shard lookahead
 // floor: a frame heard about "now" cannot hit the air sooner), and all
 // random draws (backoff, per-link loss, ACK) are keyed on stable
 // identities (node, transmission generation, receiver) instead of pulled
 // from one shared stream whose consumption order would depend on K.
+//
+// Hot-path design: one transmission touches only the sender's audible
+// out-neighbors (the topology's CSR lists), not all N nodes, and channel
+// queries (carrier sense, collision, half-duplex) run on per-node indexes
+// -- an active-transmitter bitmap intersected with the receiver's
+// interferer set, each node's last two transmission spans, and a
+// start-ordered ring of recent transmissions pruned from the front. One
+// broadcast is O(degree + overlapping transmissions).
 #ifndef SCOOP_SIM_SHARD_H_
 #define SCOOP_SIM_SHARD_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -53,32 +68,58 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "sim/event_queue.h"
-#include "sim/radio.h"
+#include "sim/app.h"
 #include "sim/radio_options.h"
 #include "sim/timer_wheel.h"
 #include "sim/topology.h"
 
 namespace scoop::sim {
 
-// kSimTimeHorizon lives in sim/event_queue.h (both queue types use it).
+/// "No more events / no constraint" sentinel time.
+inline constexpr SimTime kSimTimeHorizon = std::numeric_limits<SimTime>::max();
+
+/// Which front-end ShardQueue runs. kWheel (the only one the engine uses)
+/// puts the timer wheel in front of the spill heap; kHeap is the heap-only
+/// oracle the wheel-vs-heap differential test replays against. Both
+/// execute the identical event order.
+enum class QueueImpl {
+  kWheel,
+  kHeap,
+};
+
+/// Why a frame was dropped by the MAC without being delivered.
+enum class DropReason {
+  kChannelBusy,  ///< Exceeded max channel-acquisition attempts.
+  kNoAck,        ///< Unicast exhausted all retransmissions.
+};
 
 /// Deterministically-ordered event queue for one shard. Orders events by
 /// the canonical (time, phase, origin, counter) key documented above, so
 /// any K-way partition of one simulation executes each shard's events in
-/// the same relative order. Cancellation reuses the EventQueue discipline:
-/// slab slots, EventId = (seq << 24) | slot doubling as staleness check,
-/// lazy skimming plus bulk compaction of cancelled entries. Like
-/// EventQueue, near-future events sit in a timer wheel in front of the
-/// spill heap (sim/timer_wheel.h); wheel buckets are sorted by the
-/// canonical key when they come due, so the two-tier order equals the
-/// heap-only order and any K stays bit-identical to K=1.
+/// the same relative order.
+///
+/// Two tiers: near-future events (within ~1.05 s) sit in a hierarchical
+/// timer wheel (sim/timer_wheel.h) at O(1) per schedule -- it absorbs the
+/// MAC backoff and Trickle timer churn, most of which is cancelled before
+/// it fires -- in front of a binary min-heap spill tier for far-future
+/// timers. Wheel buckets are sorted by the canonical key when they come
+/// due, so the two-tier order equals the heap-only order.
+///
+/// Callbacks live in a slab of reusable slots, so schedule/cancel/run do
+/// no per-event heap allocation. An EventId packs a monotonic schedule
+/// sequence number (high 40 bits) over the slot index (low 24 bits); it
+/// doubles as the staleness check, so handles of events that already ran,
+/// were cancelled, or whose slot was reused are rejected with one compare,
+/// and cancellation is O(1) in either tier: the entry goes stale in place.
+/// Stale entries are skimmed at each tier's head and compacted away in bulk
+/// once they outnumber live ones.
 class ShardQueue {
  public:
   using Callback = SmallCallback;
 
   /// `num_origins` bounds the phase-2 origin space: node ids plus any
   /// pseudo-origins (driver, failure injector) the caller packs above them.
+  /// `impl` is a test hook: the engine always runs the kWheel default.
   explicit ShardQueue(uint32_t num_origins, QueueImpl impl = QueueImpl::kWheel);
 
   ShardQueue(const ShardQueue&) = delete;
@@ -123,22 +164,29 @@ class ShardQueue {
   /// Runs the earliest pending event. Returns false when empty.
   bool RunOne();
 
+  /// Moves the clock forward to `t` without running anything; every
+  /// pending event must be later than `t`.
+  void AdvanceTo(SimTime t);
+
   bool empty() const { return live_ == 0; }
   size_t size() const { return live_; }
   uint64_t processed() const { return processed_; }
   /// Entries held across both tiers, including not-yet-skimmed stale ones.
   size_t heap_size() const { return heap_.size() + wheel_.entries(); }
 
-  /// Per-tier occupancy and absorb counters (same contract as EventQueue's).
+  /// Per-tier occupancy (entries incl. stale) and the schedules absorbed
+  /// by the wheel vs spilled to the heap since construction (heap-only
+  /// mode counts every schedule as spilled). Observation-only telemetry.
   size_t wheel_l0_size() const { return wheel_.l0_entries(); }
   size_t wheel_l1_size() const { return wheel_.l1_entries(); }
   size_t heap_tier_size() const { return heap_.size(); }
   uint64_t wheel_absorbed() const { return absorbed_; }
   uint64_t wheel_spilled() const { return spilled_; }
 
-  /// Optional wall-clock profiler (same contract as EventQueue's):
-  /// callback dispatch is attributed to kAgent, everything else to the
-  /// caller's bucket. Observation-only.
+  /// Optional wall-clock profiler (null = off): callback dispatch is
+  /// attributed to kAgent (callees re-attribute themselves, e.g. the radio
+  /// switches to kRadio on entry), everything else to the caller's bucket.
+  /// Observation-only: profiling never changes event order.
   void set_profiler(obs::SimProfiler* profiler) { profiler_ = profiler; }
 
  private:
@@ -186,9 +234,9 @@ class ShardQueue {
     return slots_[e.key & kSlotMask].key == e.key;
   }
 
-  // TimerWheel host hooks (see timer_wheel.h). Unlike EventQueue's, the
-  // in-bucket sort here is load-bearing: bucket append order is schedule
-  // order, which is NOT the canonical (time, ord, key) order.
+  // TimerWheel host hooks (see timer_wheel.h). The in-bucket sort is
+  // load-bearing: bucket append order is schedule order, which is NOT the
+  // canonical (time, ord, key) order.
   using WheelEntry = HeapEntry;
   static SimTime WheelTime(const HeapEntry& e) { return e.at; }
   static bool WheelEarlier(const HeapEntry& a, const HeapEntry& b) {
@@ -226,10 +274,16 @@ class ShardQueue {
 /// a read-only mirror of boundary transmissions other shards announce.
 class ShardRadio {
  public:
-  using TransmitHook = Radio::TransmitHook;
-  using DeliverHook = Radio::DeliverHook;
-  using DropHook = Radio::DropHook;
-  using SendDoneHook = Radio::SendDoneHook;
+  /// Hooks are inline-storage SmallFunctions, not std::function: they fire
+  /// per packet, so boxing them would put an allocation on the hot path.
+  /// Observer invoked at each transmission start (the paper's cost unit).
+  using TransmitHook = SmallFunction<void(NodeId src, const Packet&, bool retransmission)>;
+  /// Observer for successful packet arrival at a node.
+  using DeliverHook = SmallFunction<void(NodeId receiver, const Packet&, bool addressed)>;
+  /// Observer for frames abandoned by the MAC.
+  using DropHook = SmallFunction<void(NodeId src, const Packet&, DropReason)>;
+  /// Completion callback toward the sending node's app.
+  using SendDoneHook = SmallFunction<void(NodeId src, const Packet&, bool success)>;
   /// Outbound cross-shard notifications, wired by the engine.
   using AnnounceFn =
       SmallFunction<void(NodeId src, uint32_t gen, SimTime start, SimTime end,
@@ -247,16 +301,25 @@ class ShardRadio {
   ShardRadio& operator=(const ShardRadio&) = delete;
 
   /// Queues `pkt` for transmission by the locally-owned node `src`.
+  /// `pkt.hdr.link_dst` selects broadcast (kBroadcastId) vs ACKed unicast.
+  /// The radio stamps link_src and assigns the per-sender sequence number
+  /// at first transmission.
   void Send(NodeId src, Packet pkt);
 
-  /// Powers a locally-owned node down or up (see Radio::SetNodeAlive).
+  /// Powers a locally-owned node's radio down (failure injection, §2.1) or
+  /// back up. A dead node transmits nothing (its queue is dropped and any
+  /// in-flight frame is aborted) and receives nothing. The RF energy of an
+  /// aborted frame stays on the air until its scheduled end: other nodes
+  /// still carrier-sense and collide with it.
   void SetNodeAlive(NodeId id, bool alive);
   bool IsAlive(NodeId id) const { return alive_[id]; }
 
-  /// Attaches a link-fault channel (see Radio::SetFaultChannel). Every
-  /// shard must attach the SAME channel: the keyed loss/ACK draws consume
-  /// no shared stream, so scaling their probabilities identically on each
-  /// shard keeps any K-way partition bit-identical.
+  /// Attaches a link-fault channel (nullptr detaches). When set and
+  /// active, per-link delivery and ACK probabilities are scaled by the
+  /// channel's window factors. Every shard must attach the SAME channel:
+  /// the keyed loss/ACK draws consume no shared stream, so scaling their
+  /// probabilities identically on each shard keeps any K-way partition
+  /// bit-identical. The channel must outlive the radio.
   void SetFaultChannel(const fault::LinkFaultChannel* channel) { fault_ = channel; }
 
   // --- Inbound cross-shard messages (applied by the shard's drain) ---
@@ -303,12 +366,16 @@ class ShardRadio {
   void set_ack_fn(AckFn fn) { ack_fn_ = std::move(fn); }
 
   const RadioOptions& options() const { return options_; }
+
+  /// Airtime of a packet of `wire_size` bytes (plus link framing).
   SimTime Airtime(int wire_size) const;
 
-  /// Attaches this shard's observability sinks (any may be null); same
-  /// resolve-once / branch-on-null / observation-only contract as
-  /// Radio::EnableObservability. Each shard gets its own sinks -- they are
-  /// only ever touched from the shard's thread.
+  /// Attaches this shard's observability sinks (any may be null). Counter
+  /// and histogram pointers are resolved here, once, so the per-event cost
+  /// is a branch plus an increment when on and one branch when off.
+  /// Observation-only: recording draws no randomness (backoff delays are
+  /// recorded after the MAC draws them) and schedules nothing. Each shard
+  /// gets its own sinks -- they are only ever touched from its thread.
   void EnableObservability(obs::TraceSink* trace, obs::MetricsRegistry* metrics,
                            obs::SimProfiler* profiler);
 
@@ -387,7 +454,8 @@ class ShardRadio {
   /// One ring walk per evaluation collecting the window's overlapping
   /// transmitters; Collided then checks a receiver against that (usually
   /// empty) list. Pure predicate split -- verdicts match the per-receiver
-  /// ring scan exactly (see Radio::CollectInterferers).
+  /// ring scan exactly: a pure predicate, no RNG, at O(candidates) per
+  /// receiver instead of O(ring window).
   void CollectInterferers(NodeId sender, SimTime start, SimTime end);
   bool Collided(NodeId receiver, NodeId sender) const;
   bool WasTransmitting(NodeId node, SimTime start, SimTime end) const;
@@ -408,8 +476,15 @@ class ShardRadio {
   std::vector<Rng> mac_rng_;  ///< Per-node backoff streams (owned nodes only).
   std::vector<bool> alive_;
 
-  // Channel state: identical shapes to Radio's, but covering this shard's
-  // transmissions plus mirrored boundary announcements.
+  // Channel state, covering this shard's transmissions plus mirrored
+  // boundary announcements. `interferers_` is the topology's precomputed
+  // per-receiver interferer sets when options_.interference_threshold
+  // matches theirs, else own_interferers_. `node_tx_` keeps each node's
+  // last two transmission spans, most recent first: a node's frames are
+  // serial, so only its latest frame starting before a window's end can
+  // overlap the window -- plus at most one starting exactly at its end.
+  // `ring_` holds recent transmissions in start order, so overlap queries
+  // walk back from the tail and stop one max airtime before the window.
   const std::vector<InterfererSet>* interferers_ = nullptr;
   std::vector<InterfererSet> own_interferers_;
   DynamicNodeBitmap active_tx_;
@@ -420,7 +495,7 @@ class ShardRadio {
   /// Scratch for CollectInterferers (reused across evaluations).
   std::vector<NodeId> collide_scratch_;
   /// Squared distance beyond which a transmitter cannot corrupt any
-  /// reception of a sender's frame (see Radio's collide_range2_).
+  /// reception of a sender's frame (twice the longest audible link).
   double collide_range2_ = 0;
 
   /// Per-target-shard armed carrier-sense times (min-heaps, indexed by

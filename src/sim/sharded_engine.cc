@@ -13,9 +13,9 @@
 namespace scoop::sim {
 
 /// Per-node container on its owner shard: implements Context for the
-/// hosted app and performs (link_src, seq) duplicate detection on
-/// delivery. Byte-for-byte the same behavior as Network::Host, but wired
-/// to the owner shard's queue and radio.
+/// hosted app (wired to the owner shard's queue and radio) and performs
+/// (link_src, seq) duplicate detection on delivery: a link-layer
+/// retransmission whose ACK was lost arrives flagged as a duplicate.
 class ShardedEngine::Host : public Context {
  public:
   Host(ShardedEngine* engine, Shard* shard, NodeId id, uint64_t seed)
@@ -102,7 +102,7 @@ class ShardedEngine::Host : public Context {
 /// hosts it owns. Everything in here is touched only by the shard's own
 /// thread while a run is in flight.
 struct ShardedEngine::Shard {
-  Shard(uint32_t num_origins, QueueImpl impl) : queue(num_origins, impl) {}
+  explicit Shard(uint32_t num_origins) : queue(num_origins) {}
 
   int index = 0;
   ShardQueue queue;
@@ -122,9 +122,9 @@ struct ShardedEngine::Shard {
   /// no-progress episodes occurred. Wall-clock-derived, NOT deterministic.
   uint64_t stall_us_total = 0;
   uint64_t stall_episodes = 0;
-  Radio::TransmitHook transmit_observer;
-  Radio::DeliverHook deliver_observer;
-  Radio::DropHook drop_observer;
+  ShardRadio::TransmitHook transmit_observer;
+  ShardRadio::DeliverHook deliver_observer;
+  ShardRadio::DropHook drop_observer;
 
   // --- Observability (null/0 = off; the queue and radio hold their own
   // resolved pointers, this is the engine-loop share) ---
@@ -211,7 +211,7 @@ ShardedEngine::ShardedEngine(Topology topology, ShardedEngineOptions options)
   uint32_t num_origins = static_cast<uint32_t>(n) + 2;
   shards_.reserve(static_cast<size_t>(num_shards_));
   for (int s = 0; s < num_shards_; ++s) {
-    auto shard = std::make_unique<Shard>(num_origins, options_.queue_impl);
+    auto shard = std::make_unique<Shard>(num_origins);
     Shard* sh = shard.get();
     sh->index = s;
     sh->in_mask = in_mask[s];
@@ -294,11 +294,16 @@ App* ShardedEngine::app(NodeId id) {
   return shards_[owner_[id]]->hosts[id]->app();
 }
 
+Context& ShardedEngine::context(NodeId id) {
+  SCOOP_CHECK_LT(static_cast<size_t>(id), owner_.size());
+  return *shards_[owner_[id]]->hosts[id];
+}
+
 void ShardedEngine::Start() {
   SCOOP_CHECK(!started_);
   started_ = true;
-  // Identical draw order to Network::Start (one boot-jitter stream walked
-  // in node id order), independent of the partition.
+  // One boot-jitter stream walked in node id order, independent of the
+  // partition.
   Rng boot_rng(MixSeed(options_.seed, 0xB007), /*stream=*/0xB007);
   int n = topology_.num_nodes();
   for (NodeId id = 0; id < n; ++id) {
@@ -365,15 +370,16 @@ bool ShardedEngine::IsAlive(NodeId id) const {
   return shards_[owner_[id]]->radio->IsAlive(id);
 }
 
-void ShardedEngine::set_transmit_observer(int shard, Radio::TransmitHook observer) {
+void ShardedEngine::set_transmit_observer(int shard,
+                                          ShardRadio::TransmitHook observer) {
   shards_[shard]->transmit_observer = std::move(observer);
 }
 
-void ShardedEngine::set_deliver_observer(int shard, Radio::DeliverHook observer) {
+void ShardedEngine::set_deliver_observer(int shard, ShardRadio::DeliverHook observer) {
   shards_[shard]->deliver_observer = std::move(observer);
 }
 
-void ShardedEngine::set_drop_observer(int shard, Radio::DropHook observer) {
+void ShardedEngine::set_drop_observer(int shard, ShardRadio::DropHook observer) {
   shards_[shard]->drop_observer = std::move(observer);
 }
 
@@ -664,6 +670,9 @@ void ShardedEngine::RunShard(Shard* shard, SimTime end) {
       shard->next_sample += shard->metrics_interval;
     }
   }
+  // Everything at or before `end` has run: park the clock there, so a
+  // caller scheduling between RunUntil calls measures delays from `end`.
+  shard->queue.AdvanceTo(end);
   // Close the books on this shard's wall-clock attribution here, on the
   // shard's own thread: whatever the main thread does afterwards (trace
   // export, result merge) must not leak into this shard's buckets.

@@ -1,6 +1,9 @@
-// Conservative parallel discrete-event engine: one simulation trial split
+// The simulator: event queue + radio + one hosted App per node, split
 // across K spatial shards, each running its own deterministically-ordered
-// queue (sim/shard.h) on its own thread.
+// queue and radio (sim/shard.h). K = 1 is one shard executed inline on the
+// caller's thread -- the plain sequential simulator; K > 1 runs the shards
+// on K threads as a conservative parallel discrete-event engine, with
+// results bit-identical to K = 1.
 //
 // Synchronization is null-message/LBTS style. Every shard continuously
 // publishes, PER OUT-NEIGHBOR SHARD, an "earliest possible transmission"
@@ -69,25 +72,23 @@ struct ShardMsg {
   Packet pkt;             ///< kAnnounce only.
 };
 
-/// Whole-engine configuration. Mirrors NetworkOptions plus the shard count.
+/// Whole-engine configuration.
 struct ShardedEngineOptions {
   RadioOptions radio;
+  /// Master seed; per-node streams are derived from it.
   uint64_t seed = 1;
+  /// Nodes boot at a uniform random time in [0, boot_jitter].
   SimTime boot_jitter = Seconds(2);
   /// Number of shards (threads) to split the trial across. Results are
   /// identical for every value; 1 runs inline without threads.
   int shards = 1;
-  /// Per-shard queue implementation; results are identical for both (see
-  /// NetworkOptions::queue_impl).
-  QueueImpl queue_impl = QueueImpl::kWheel;
   /// How the topology is split into shards (sim/partition.h). Results are
   /// identical for both kinds; only boundary traffic and speed change.
   PartitionKind partition = PartitionKind::kStrip;
 };
 
-/// Owns the sharded simulation state for one run. The public surface
-/// mirrors Network where the harness needs it (SetApp/Start/RunUntil/app),
-/// with shard-aware observer and injection hooks.
+/// Owns the simulation state for one run: SetApp / Start / RunUntil, plus
+/// shard-aware observer and injection hooks.
 class ShardedEngine {
  public:
   ShardedEngine(Topology topology, ShardedEngineOptions options);
@@ -107,18 +108,23 @@ class ShardedEngine {
   /// RunUntil() is in flight.
   App* app(NodeId id);
 
+  /// The Context handed to node `id`, for tests and examples that poke a
+  /// node directly. Safe only while no RunUntil() is in flight.
+  Context& context(NodeId id);
+
   /// Schedules all boots. Call once after all SetApp() calls.
   void Start();
 
-  /// Advances simulated time on all shards, running all due events.
-  /// Callable repeatedly; spawns (and joins) one thread per shard.
+  /// Advances simulated time on all shards, running every event at or
+  /// before `end`, then leaves every shard's clock at `end`. Callable
+  /// repeatedly; K > 1 spawns (and joins) one thread per shard.
   void RunUntil(SimTime end);
 
   /// Per-shard observers. A shard's hooks fire on that shard's thread, so
   /// each shard must get its own instrumentation sinks (merge afterwards).
-  void set_transmit_observer(int shard, Radio::TransmitHook observer);
-  void set_deliver_observer(int shard, Radio::DeliverHook observer);
-  void set_drop_observer(int shard, Radio::DropHook observer);
+  void set_transmit_observer(int shard, ShardRadio::TransmitHook observer);
+  void set_deliver_observer(int shard, ShardRadio::DeliverHook observer);
+  void set_drop_observer(int shard, ShardRadio::DropHook observer);
 
   /// Attaches observability sinks to one shard (any may be null). Like the
   /// observers above, a shard's instrumentation fires on that shard's
@@ -134,11 +140,12 @@ class ShardedEngine {
 
   /// Schedules a driver callback (query injection) at absolute time `at`.
   /// Driver events run on the shard owning node 0 (the basestation);
-  /// callable before Start() from the caller's thread and, from inside a
-  /// driver callback, on that shard's thread.
+  /// callable from the caller's thread while no RunUntil() is in flight
+  /// and, from inside a driver callback, on that shard's thread.
   void ScheduleDriver(SimTime at, SmallCallback fn);
 
-  /// Clock of the driver's shard (valid inside driver callbacks).
+  /// Clock of the driver's shard (valid inside driver callbacks and
+  /// between RunUntil() calls, where every shard's clock is the same).
   SimTime DriverNow() const;
 
   /// Schedules a power-toggle for `id` at absolute time `at`. Must be
@@ -156,7 +163,8 @@ class ShardedEngine {
   /// helpers below for `id` (or other nodes on the same shard).
   void ScheduleFault(SimTime at, NodeId id, SmallCallback fn);
 
-  // --- Immediate fault actions (ScheduleFault callbacks only) ---
+  // --- Immediate fault actions (ScheduleFault callbacks, or the caller's
+  // thread while no RunUntil() is in flight) ---
 
   /// Radio power-toggle, same semantics as ScheduleAlive's action.
   void FaultSetAlive(NodeId id, bool alive);

@@ -1,6 +1,6 @@
-// Two-level hierarchical timer wheel: the near-future tier both simulator
-// queues (sim/event_queue.h, sim/shard.h) put in front of their spill
-// heaps to absorb MAC/Trickle timer churn at O(1) per schedule.
+// Two-level hierarchical timer wheel: the near-future tier the simulator's
+// queue (ShardQueue, sim/shard.h) puts in front of its spill heap to absorb
+// MAC/Trickle timer churn at O(1) per schedule.
 //
 // Layout. Time is bucketed by the frame of an event's absolute microsecond
 // timestamp, frame(t) = t >> 10:
@@ -29,11 +29,10 @@
 //     its heap head through Earlier itself;
 //   * inside a bucket, by sorting: a bucket is lazily sorted with Earlier
 //     the first time its front is needed, and later same-bucket pushes
-//     insert at upper_bound past the consumed prefix. For the sequential
-//     EventQueue the tiebreak is the monotonic schedule sequence, so
-//     append order IS sorted order and the sort is a no-op pass; for
-//     ShardQueue's canonical (phase, origin, counter) key the sort is
-//     load-bearing. Insertion past the consumed prefix mirrors heap
+//     insert at upper_bound past the consumed prefix. With ShardQueue's
+//     canonical (phase, origin, counter) key the sort is load-bearing:
+//     append order is schedule order, not key order. Insertion past the
+//     consumed prefix mirrors heap
 //     semantics: an entry scheduled "now" with a smaller tiebreak than
 //     entries that already ran still runs next among the PENDING set.
 //
@@ -281,9 +280,8 @@ class TimerWheel {
     } else if (!b.sorted) {
       b.items.push_back(e);
     } else {
-      // Keep the pending suffix sorted. For the sequential queue the new
-      // tiebreak is the maximum so this appends; for ShardQueue it lands
-      // at its canonical position among the still-pending entries.
+      // Keep the pending suffix sorted: the new entry lands at its
+      // canonical position among the still-pending entries.
       auto pos = std::upper_bound(
           b.items.begin() + static_cast<ptrdiff_t>(b.head), b.items.end(), e,
           [](const Entry& a, const Entry& c) { return Host::WheelEarlier(a, c); });

@@ -8,7 +8,7 @@
 #include "core/scoop_node_agent.h"
 #include "metrics/message_stats.h"
 #include "metrics/telemetry.h"
-#include "sim/network.h"
+#include "sim/sharded_engine.h"
 
 namespace scoop::core {
 namespace {
@@ -43,8 +43,8 @@ struct ScoopFixture {
   ScoopFixture(sim::Topology topo, std::function<Value(NodeId, SimTime)> sample_fn,
                SimTime sampling_start = Seconds(30), uint64_t seed = 11,
                std::function<void(AgentConfig&)> tweak = nullptr)
-      : network(std::move(topo), MakeOptions(seed)) {
-    int n = network.topology().num_nodes();
+      : engine(std::move(topo), MakeOptions(seed)) {
+    int n = engine.topology().num_nodes();
     for (int i = 0; i < n; ++i) {
       AgentConfig cfg;
       cfg.self = static_cast<NodeId>(i);
@@ -60,32 +60,32 @@ struct ScoopFixture {
       if (i == 0) {
         auto app = std::make_unique<ScoopBaseAgent>(cfg);
         base = app.get();
-        network.SetApp(0, std::move(app));
+        engine.SetApp(0, std::move(app));
       } else {
         auto app = std::make_unique<ScoopNodeAgent>(cfg);
         nodes.push_back(app.get());
-        network.SetApp(static_cast<NodeId>(i), std::move(app));
+        engine.SetApp(static_cast<NodeId>(i), std::move(app));
       }
     }
-    network.Start();
+    engine.Start();
   }
 
-  static sim::NetworkOptions MakeOptions(uint64_t seed) {
-    sim::NetworkOptions o;
+  static sim::ShardedEngineOptions MakeOptions(uint64_t seed) {
+    sim::ShardedEngineOptions o;
     o.seed = seed;
     o.boot_jitter = Seconds(1);
     return o;
   }
 
   metrics::Telemetry telemetry;
-  sim::Network network;
+  sim::ShardedEngine engine;
   ScoopBaseAgent* base = nullptr;
   std::vector<ScoopNodeAgent*> nodes;
 };
 
 TEST(ScoopAgentTest, TreeFormsAndSummariesReachBase) {
   ScoopFixture f(LineTopology(), [](NodeId n, SimTime) { return Value{n * 10}; });
-  f.network.RunUntil(Minutes(3));
+  f.engine.RunUntil(Minutes(3));
   for (auto* node : f.nodes) {
     EXPECT_TRUE(node->tree().HasRoute());
   }
@@ -95,7 +95,7 @@ TEST(ScoopAgentTest, TreeFormsAndSummariesReachBase) {
 
 TEST(ScoopAgentTest, IndexDisseminatesToAllNodes) {
   ScoopFixture f(LineTopology(), [](NodeId n, SimTime) { return Value{n * 10}; });
-  f.network.RunUntil(Minutes(4));
+  f.engine.RunUntil(Minutes(4));
   EXPECT_GE(f.telemetry.indices_disseminated, 1u);
   for (auto* node : f.nodes) {
     ASSERT_NE(node->index_store().current(), nullptr);
@@ -107,7 +107,7 @@ TEST(ScoopAgentTest, UniqueValuesStoredAtProducers) {
   // With per-node unique values, the optimizer maps each node's value to
   // the node itself, so after the first index data stays local (rule 2).
   ScoopFixture f(LineTopology(), [](NodeId n, SimTime) { return Value{n * 10}; });
-  f.network.RunUntil(Minutes(6));
+  f.engine.RunUntil(Minutes(6));
   const StorageIndex& index = f.base->index_history().back().index;
   for (auto* node : f.nodes) {
     Value v = node->config().self * 10;
@@ -122,11 +122,11 @@ TEST(ScoopAgentTest, SharedValueRoutedToSingleOwner) {
   // All nodes produce 42: one owner ends up holding (almost) everything
   // that was routed after the index appeared.
   ScoopFixture f(DenseTopology(), [](NodeId, SimTime) { return Value{42}; });
-  f.network.RunUntil(Minutes(6));
+  f.engine.RunUntil(Minutes(6));
   const StorageIndex& index = f.base->index_history().back().index;
   NodeId owner = index.Lookup(42).value();
   EXPECT_NE(owner, kInvalidNodeId);
-  // Owner-hit rate should be high on a dense, strong-link network.
+  // Owner-hit rate should be high on a dense, strong-link engine.
   EXPECT_GT(f.telemetry.OwnerHitRate(), 0.8);
 }
 
@@ -134,7 +134,7 @@ TEST(ScoopAgentTest, BatchingBundlesReadings) {
   // All nodes produce the same value -> same owner -> consecutive readings
   // batch up to max_batch (5).
   ScoopFixture f(DenseTopology(), [](NodeId, SimTime) { return Value{42}; });
-  f.network.RunUntil(Minutes(8));
+  f.engine.RunUntil(Minutes(8));
   ASSERT_GT(f.telemetry.data_packets_originated, 0u);
   double batch = static_cast<double>(f.telemetry.readings_sent_remote) /
                  static_cast<double>(f.telemetry.data_packets_originated);
@@ -144,15 +144,16 @@ TEST(ScoopAgentTest, BatchingBundlesReadings) {
 
 TEST(ScoopAgentTest, QueryReturnsMatchingTuples) {
   ScoopFixture f(DenseTopology(), [](NodeId n, SimTime) { return Value{n * 10}; });
-  f.network.RunUntil(Minutes(6));
+  f.engine.RunUntil(Minutes(6));
 
   Query query;
   query.time_lo = 0;
-  query.time_hi = f.network.now();
+  query.time_hi = f.engine.DriverNow();
   query.ranges.push_back(ValueRange{10, 10});  // Node 1's value.
   uint32_t id = 0;
-  f.network.queue().ScheduleAfter(Seconds(1), [&] { id = f.base->IssueQuery(query); });
-  f.network.RunUntil(f.network.now() + Seconds(30));
+  f.engine.ScheduleDriver(f.engine.DriverNow() + Seconds(1),
+                          [&] { id = f.base->IssueQuery(query); });
+  f.engine.RunUntil(f.engine.DriverNow() + Seconds(30));
 
   const QueryOutcome* outcome = f.base->outcome(id);
   ASSERT_NE(outcome, nullptr);
@@ -166,14 +167,15 @@ TEST(ScoopAgentTest, QueryReturnsMatchingTuples) {
 
 TEST(ScoopAgentTest, NodeListQueryContactsExactlyThoseNodes) {
   ScoopFixture f(DenseTopology(), [](NodeId n, SimTime) { return Value{n * 10}; });
-  f.network.RunUntil(Minutes(6));
+  f.engine.RunUntil(Minutes(6));
   Query query;
   query.time_lo = 0;
-  query.time_hi = f.network.now();
+  query.time_hi = f.engine.DriverNow();
   query.explicit_nodes = {2};
   uint32_t id = 0;
-  f.network.queue().ScheduleAfter(Seconds(1), [&] { id = f.base->IssueQuery(query); });
-  f.network.RunUntil(f.network.now() + Seconds(30));
+  f.engine.ScheduleDriver(f.engine.DriverNow() + Seconds(1),
+                          [&] { id = f.base->IssueQuery(query); });
+  f.engine.RunUntil(f.engine.DriverNow() + Seconds(30));
   const QueryOutcome* outcome = f.base->outcome(id);
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->targets, 1);
@@ -182,16 +184,17 @@ TEST(ScoopAgentTest, NodeListQueryContactsExactlyThoseNodes) {
 
 TEST(ScoopAgentTest, MaxQueryAnsweredFromSummaries) {
   ScoopFixture f(DenseTopology(), [](NodeId n, SimTime) { return Value{n * 10}; });
-  f.network.RunUntil(Minutes(6));
+  f.engine.RunUntil(Minutes(6));
   Query query;
   query.kind = Query::Kind::kMax;
   query.time_lo = 0;
-  query.time_hi = f.network.now();
+  query.time_hi = f.engine.DriverNow();
   uint32_t id = 0;
   uint64_t data_msgs_before = f.telemetry.queries_issued;
   (void)data_msgs_before;
-  f.network.queue().ScheduleAfter(Seconds(1), [&] { id = f.base->IssueQuery(query); });
-  f.network.RunUntil(f.network.now() + Seconds(5));
+  f.engine.ScheduleDriver(f.engine.DriverNow() + Seconds(1),
+                          [&] { id = f.base->IssueQuery(query); });
+  f.engine.RunUntil(f.engine.DriverNow() + Seconds(5));
   const QueryOutcome* outcome = f.base->outcome(id);
   ASSERT_NE(outcome, nullptr);
   EXPECT_TRUE(outcome->answered_from_summaries);
@@ -202,14 +205,15 @@ TEST(ScoopAgentTest, MaxQueryAnsweredFromSummaries) {
 
 TEST(ScoopAgentTest, QueryBeforeDataPeriodReturnsNothing) {
   ScoopFixture f(DenseTopology(), [](NodeId n, SimTime) { return Value{n * 10}; });
-  f.network.RunUntil(Minutes(6));
+  f.engine.RunUntil(Minutes(6));
   Query query;
   query.time_lo = 0;
   query.time_hi = Seconds(10);  // Before sampling_start (30s).
   query.ranges.push_back(ValueRange{0, 100});
   uint32_t id = 0;
-  f.network.queue().ScheduleAfter(Seconds(1), [&] { id = f.base->IssueQuery(query); });
-  f.network.RunUntil(f.network.now() + Seconds(20));
+  f.engine.ScheduleDriver(f.engine.DriverNow() + Seconds(1),
+                          [&] { id = f.base->IssueQuery(query); });
+  f.engine.RunUntil(f.engine.DriverNow() + Seconds(20));
   const QueryOutcome* outcome = f.base->outcome(id);
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->targets, 0);
@@ -220,7 +224,7 @@ TEST(ScoopAgentTest, SuppressionSkipsUnchangedIndices) {
   // Stationary data: after the first dissemination, subsequent remaps
   // should be suppressed as near-identical (§5.3, the EQUAL observation).
   ScoopFixture f(DenseTopology(), [](NodeId, SimTime) { return Value{42}; });
-  f.network.RunUntil(Minutes(10));
+  f.engine.RunUntil(Minutes(10));
   EXPECT_GE(f.telemetry.indices_built, 3u);
   EXPECT_GT(f.telemetry.indices_suppressed, 0u);
   EXPECT_LT(f.telemetry.indices_disseminated, f.telemetry.indices_built);
@@ -237,7 +241,7 @@ TEST(ScoopAgentTest, SummaryHistoryAgesIntoBoundedDigest) {
         cfg.summary_history_window = kWindow;
         cfg.summary_history_epoch = Seconds(30);
       });
-  f.network.RunUntil(Minutes(10));
+  f.engine.RunUntil(Minutes(10));
 
   ASSERT_FALSE(f.base->summary_history().empty());
   ASSERT_FALSE(f.base->summary_digests().empty());
@@ -246,7 +250,7 @@ TEST(ScoopAgentTest, SummaryHistoryAgesIntoBoundedDigest) {
     // summary interval older than the window.
     if (!records.empty()) {
       EXPECT_GE(records.front().received_at,
-                f.network.now() - kWindow - Seconds(20) - Seconds(1))
+                f.engine.DriverNow() - kWindow - Seconds(20) - Seconds(1))
           << "node " << node;
     }
   }
@@ -274,7 +278,7 @@ TEST(ScoopAgentTest, HistoricalAnswersInsideWindowUnchangedByAging) {
           cfg.summary_history_window = window;
           cfg.summary_history_epoch = Seconds(30);
         });
-    f->network.RunUntil(Minutes(10));
+    f->engine.RunUntil(Minutes(10));
     return f;
   };
   auto keep_all = run_one(/*window=*/0);  // The paper's never-discard mode.
@@ -288,8 +292,9 @@ TEST(ScoopAgentTest, HistoricalAnswersInsideWindowUnchangedByAging) {
     query.time_lo = lo;
     query.time_hi = hi;
     uint32_t id = 0;
-    f.network.queue().ScheduleAfter(Seconds(1), [&] { id = f.base->IssueQuery(query); });
-    f.network.RunUntil(f.network.now() + Seconds(5));
+    f.engine.ScheduleDriver(f.engine.DriverNow() + Seconds(1),
+                            [&] { id = f.base->IssueQuery(query); });
+    f.engine.RunUntil(f.engine.DriverNow() + Seconds(5));
     const QueryOutcome* outcome = f.base->outcome(id);
     EXPECT_NE(outcome, nullptr);
     if (outcome == nullptr || !outcome->aggregate.has_value()) return Value{-1};
@@ -298,7 +303,7 @@ TEST(ScoopAgentTest, HistoricalAnswersInsideWindowUnchangedByAging) {
   };
 
   // In-window historical range: verbatim records answer on both sides.
-  SimTime now = aged->network.now();
+  SimTime now = aged->engine.DriverNow();
   Value in_window_aged = answer(*aged, now - Minutes(1), now);
   Value in_window_all = answer(*keep_all, now - Minutes(1), now);
   EXPECT_EQ(in_window_aged, in_window_all);
@@ -314,7 +319,7 @@ TEST(ScoopAgentTest, HistoricalAnswersInsideWindowUnchangedByAging) {
 TEST(ScoopAgentTest, RemapNowWithoutStatsIsNoop) {
   ScoopFixture f(DenseTopology(), [](NodeId, SimTime) { return Value{1}; },
                  /*sampling_start=*/Minutes(60));
-  f.network.RunUntil(Seconds(20));
+  f.engine.RunUntil(Seconds(20));
   EXPECT_FALSE(f.base->RemapNow());
   EXPECT_TRUE(f.base->index_history().empty());
 }

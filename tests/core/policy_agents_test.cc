@@ -5,7 +5,7 @@
 
 #include "metrics/message_stats.h"
 #include "metrics/telemetry.h"
-#include "sim/network.h"
+#include "sim/sharded_engine.h"
 
 namespace scoop::core {
 namespace {
@@ -37,11 +37,11 @@ AgentConfig MakeConfig(NodeId self, int n, metrics::Telemetry* telemetry) {
 
 TEST(LocalAgentsTest, NodesStoreLocallyAndFloodedQueriesFindData) {
   metrics::Telemetry telemetry;
-  sim::NetworkOptions opts;
+  sim::ShardedEngineOptions opts;
   opts.seed = 3;
-  sim::Network net(DenseTopology(), opts);
+  sim::ShardedEngine net(DenseTopology(), opts);
   metrics::MessageStats stats(4);
-  net.set_transmit_observer(
+  net.set_transmit_observer(/*shard=*/0, 
       [&](NodeId s, const Packet& p, bool r) { stats.OnTransmit(s, p, r); });
 
   LocalBaseAgent* base = nullptr;
@@ -65,11 +65,11 @@ TEST(LocalAgentsTest, NodesStoreLocallyAndFloodedQueriesFindData) {
 
   Query query;
   query.time_lo = 0;
-  query.time_hi = net.now();
+  query.time_hi = net.DriverNow();
   query.ranges.push_back(ValueRange{20, 20});
   uint32_t id = 0;
-  net.queue().ScheduleAfter(Seconds(1), [&] { id = base->IssueQuery(query); });
-  net.RunUntil(net.now() + Seconds(30));
+  net.ScheduleDriver(net.DriverNow() + Seconds(1), [&] { id = base->IssueQuery(query); });
+  net.RunUntil(net.DriverNow() + Seconds(30));
 
   const QueryOutcome* outcome = base->outcome(id);
   ASSERT_NE(outcome, nullptr);
@@ -85,11 +85,11 @@ TEST(LocalAgentsTest, NodesStoreLocallyAndFloodedQueriesFindData) {
 
 TEST(BasePolicyAgentsTest, AllDataArrivesAtBaseAndQueriesAreFree) {
   metrics::Telemetry telemetry;
-  sim::NetworkOptions opts;
+  sim::ShardedEngineOptions opts;
   opts.seed = 4;
-  sim::Network net(DenseTopology(), opts);
+  sim::ShardedEngine net(DenseTopology(), opts);
   metrics::MessageStats stats(4);
-  net.set_transmit_observer(
+  net.set_transmit_observer(/*shard=*/0, 
       [&](NodeId s, const Packet& p, bool r) { stats.OnTransmit(s, p, r); });
 
   BasePolicyBaseAgent* base = nullptr;
@@ -114,11 +114,11 @@ TEST(BasePolicyAgentsTest, AllDataArrivesAtBaseAndQueriesAreFree) {
   uint64_t sent_before = stats.TotalSent();
   Query query;
   query.time_lo = 0;
-  query.time_hi = net.now();
+  query.time_hi = net.DriverNow();
   query.ranges.push_back(ValueRange{10, 30});
   uint32_t id = 0;
-  net.queue().ScheduleAfter(Seconds(1), [&] { id = base->IssueQuery(query); });
-  net.RunUntil(net.now() + Seconds(10));
+  net.ScheduleDriver(net.DriverNow() + Seconds(1), [&] { id = base->IssueQuery(query); });
+  net.RunUntil(net.DriverNow() + Seconds(10));
   const QueryOutcome* outcome = base->outcome(id);
   ASSERT_NE(outcome, nullptr);
   EXPECT_TRUE(outcome->complete);
@@ -131,9 +131,9 @@ TEST(BasePolicyAgentsTest, AllDataArrivesAtBaseAndQueriesAreFree) {
 
 TEST(BasePolicyAgentsTest, NodeListQueryFiltersProducers) {
   metrics::Telemetry telemetry;
-  sim::NetworkOptions opts;
+  sim::ShardedEngineOptions opts;
   opts.seed = 5;
-  sim::Network net(DenseTopology(), opts);
+  sim::ShardedEngine net(DenseTopology(), opts);
   BasePolicyBaseAgent* base = nullptr;
   {
     auto app = std::make_unique<BasePolicyBaseAgent>(MakeConfig(0, 4, &telemetry));
@@ -148,11 +148,11 @@ TEST(BasePolicyAgentsTest, NodeListQueryFiltersProducers) {
 
   Query query;
   query.time_lo = 0;
-  query.time_hi = net.now();
+  query.time_hi = net.DriverNow();
   query.explicit_nodes = {2};
   uint32_t id = 0;
-  net.queue().ScheduleAfter(Seconds(1), [&] { id = base->IssueQuery(query); });
-  net.RunUntil(net.now() + Seconds(5));
+  net.ScheduleDriver(net.DriverNow() + Seconds(1), [&] { id = base->IssueQuery(query); });
+  net.RunUntil(net.DriverNow() + Seconds(5));
   const QueryOutcome* outcome = base->outcome(id);
   ASSERT_NE(outcome, nullptr);
   ASSERT_FALSE(outcome->tuples.empty());
@@ -163,9 +163,9 @@ TEST(BasePolicyAgentsTest, NodeListQueryFiltersProducers) {
 
 TEST(HashAgentsTest, DataRoutedToHashOwnerAndQueriesTargetIt) {
   metrics::Telemetry telemetry;
-  sim::NetworkOptions opts;
+  sim::ShardedEngineOptions opts;
   opts.seed = 6;
-  sim::Network net(DenseTopology(), opts);
+  sim::ShardedEngine net(DenseTopology(), opts);
   HashBaseAgent* base = nullptr;
   {
     AgentConfig cfg = MakeConfig(0, 4, &telemetry);
@@ -189,11 +189,11 @@ TEST(HashAgentsTest, DataRoutedToHashOwnerAndQueriesTargetIt) {
   NodeId owner = HashOwner(20, 4);
   Query query;
   query.time_lo = 0;
-  query.time_hi = net.now();
+  query.time_hi = net.DriverNow();
   query.ranges.push_back(ValueRange{20, 20});
   uint32_t id = 0;
-  net.queue().ScheduleAfter(Seconds(1), [&] { id = base->IssueQuery(query); });
-  net.RunUntil(net.now() + Seconds(30));
+  net.ScheduleDriver(net.DriverNow() + Seconds(1), [&] { id = base->IssueQuery(query); });
+  net.RunUntil(net.DriverNow() + Seconds(30));
   const QueryOutcome* outcome = base->outcome(id);
   ASSERT_NE(outcome, nullptr);
   if (owner == 0) {

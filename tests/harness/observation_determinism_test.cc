@@ -1,7 +1,8 @@
 // Observation must not perturb simulation: a campaign run with tracing,
 // metrics sampling, and the profiler attached must render byte-identical
-// CSVs to the same campaign with observability off, on both engines
-// (shards = 1 sequential, shards = 4 sharded). Instrumentation records
+// CSVs to the same campaign with observability off, both sequentially
+// (shards = 1: one shard run inline) and sharded (shards = 4, one thread
+// per shard, one set of sinks per shard). Instrumentation records
 // already-drawn values -- it never draws randomness or schedules events --
 // so any CSV diff here means an obs hook leaked into simulation state.
 #include <fstream>
@@ -91,8 +92,8 @@ scenario::Scenario SmallFailureWaves() {
        {std::pair<const char*, const char*>{"nodes", "16"},
         {"duration_minutes", "10"},
         {"stabilization_minutes", "2"},
-        {"failure_minute", "4"},
-        {"failure_wave_interval_minutes", "1"}}) {
+        {"fault.crash_minute", "4"},
+        {"fault.crash_wave_interval_minutes", "1"}}) {
     Status s = scenario::ApplyScenarioKey(&scn.base, key, value);
     SCOOP_CHECK(s.ok());
   }

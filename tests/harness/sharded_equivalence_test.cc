@@ -17,7 +17,7 @@ namespace {
 
 // Field-by-field exact comparison of the deterministic result columns.
 // wall_seconds and sim_events are excluded by design: wall time is host
-// noise, and the engines count bookkeeping events differently.
+// noise, and boundary evaluations count once per mirroring shard.
 void ExpectIdentical(const ExperimentResult& a, const ExperimentResult& b) {
   for (size_t t = 0; t < a.sent_by_type.size(); ++t) {
     EXPECT_EQ(a.sent_by_type[t], b.sent_by_type[t]) << "sent_by_type[" << t << "]";
@@ -277,10 +277,8 @@ TEST(ShardedEquivalenceTest, ResolvedShardsAutoAndExplicit) {
 TEST(ShardedEquivalenceTest, CampaignCsvIsByteIdenticalAcrossShardCounts) {
   // The full reporting path: same scenario, only `shards` differs. The
   // rendered per-trial and mean CSV rows must be byte-for-byte identical
-  // for every sharded K, and each trial row must equal the engine's K=1
-  // determinism reference (RunShardedTrial at 1). `shards = 1` itself is
-  // NOT in the comparison: that value selects the legacy sequential
-  // engine, a deliberately different random universe (golden-pinned).
+  // for every K, including the inline single shard, and each trial row
+  // must equal the engine's K=1 determinism reference (RunShardedTrial).
   scenario::Scenario scn;
   scn.name = "sharded-equivalence";
   scn.base = TinyConfig();
@@ -299,10 +297,10 @@ TEST(ShardedEquivalenceTest, CampaignCsvIsByteIdenticalAcrossShardCounts) {
     return std::move(run).value();
   };
 
-  scenario::CampaignResult ref = run_at(2);
+  scenario::CampaignResult ref = run_at(1);
   std::string ref_csv = scenario::CampaignCsv(ref);
   EXPECT_NE(ref_csv.find("scoop"), std::string::npos);
-  for (int k : {4, 8}) {
+  for (int k : {2, 4, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(k));
     EXPECT_EQ(ref_csv, scenario::CampaignCsv(run_at(k)));
   }
@@ -319,11 +317,9 @@ TEST(ShardedEquivalenceTest, CampaignCsvIsByteIdenticalAcrossShardCounts) {
 
 TEST(ShardedEquivalenceTest, FaultScenarioCampaignCsvMatchesAcrossShardCounts) {
   // The registered fault scenarios through the full reporting path: the
-  // rendered CSV (fault columns included) must be byte-identical across
-  // sharded K, and every trial row must equal the K=1 engine reference.
-  // As in the test above, `shards = 1` itself selects the golden-pinned
-  // sequential engine -- a different random universe -- so the K=1 leg of
-  // the "K in {1,2,4}" contract is RunShardedTrial at 1.
+  // rendered CSV (fault columns included) must be byte-identical for
+  // K in {1, 2, 4}, and every trial row must equal the K=1 engine
+  // reference.
   for (const char* name : {"churn_reboot", "partition_heal"}) {
     SCOPED_TRACE(name);
     Result<scenario::Scenario> parsed = scenario::LoadRegisteredScenario(name);
@@ -344,10 +340,13 @@ TEST(ShardedEquivalenceTest, FaultScenarioCampaignCsvMatchesAcrossShardCounts) {
       return std::move(run).value();
     };
 
-    scenario::CampaignResult ref = run_at(2);
+    scenario::CampaignResult ref = run_at(1);
     std::string ref_csv = scenario::CampaignCsv(ref);
     EXPECT_NE(ref_csv.find("readings_orphaned"), std::string::npos);
-    EXPECT_EQ(ref_csv, scenario::CampaignCsv(run_at(4)));
+    for (int k : {2, 4}) {
+      SCOPED_TRACE("shards=" + std::to_string(k));
+      EXPECT_EQ(ref_csv, scenario::CampaignCsv(run_at(k)));
+    }
     for (const scenario::CampaignRow& row : ref.rows) {
       for (size_t t = 0; t < row.trials.size(); ++t) {
         ExpectIdentical(

@@ -7,7 +7,7 @@
 #include "core/scoop_base_agent.h"
 #include "core/scoop_node_agent.h"
 #include "metrics/telemetry.h"
-#include "sim/network.h"
+#include "sim/sharded_engine.h"
 
 namespace scoop::core {
 namespace {
@@ -34,8 +34,8 @@ sim::Topology DetourTopology(double q = 0.9) {
 }
 
 struct Fixture {
-  explicit Fixture(uint64_t seed = 7) : network(DetourTopology(), MakeOptions(seed)) {
-    const int n = network.topology().num_nodes();
+  explicit Fixture(uint64_t seed = 7) : engine(DetourTopology(), MakeOptions(seed)) {
+    const int n = engine.topology().num_nodes();
     for (int i = 0; i < n; ++i) {
       AgentConfig cfg;
       cfg.self = static_cast<NodeId>(i);
@@ -53,18 +53,18 @@ struct Fixture {
       if (i == 0) {
         auto app = std::make_unique<ScoopBaseAgent>(cfg);
         base = app.get();
-        network.SetApp(0, std::move(app));
+        engine.SetApp(0, std::move(app));
       } else {
         auto app = std::make_unique<ScoopNodeAgent>(cfg);
         nodes.push_back(app.get());
-        network.SetApp(static_cast<NodeId>(i), std::move(app));
+        engine.SetApp(static_cast<NodeId>(i), std::move(app));
       }
     }
-    network.Start();
+    engine.Start();
   }
 
-  static sim::NetworkOptions MakeOptions(uint64_t seed) {
-    sim::NetworkOptions o;
+  static sim::ShardedEngineOptions MakeOptions(uint64_t seed) {
+    sim::ShardedEngineOptions o;
     o.seed = seed;
     return o;
   }
@@ -72,37 +72,37 @@ struct Fixture {
   ScoopNodeAgent* node(NodeId id) { return nodes[static_cast<size_t>(id - 1)]; }
 
   metrics::Telemetry telemetry;
-  sim::Network network;
+  sim::ShardedEngine engine;
   ScoopBaseAgent* base = nullptr;
   std::vector<ScoopNodeAgent*> nodes;
 };
 
 TEST(FailureTest, DeadRadioNeitherSendsNorReceives) {
   Fixture f;
-  f.network.RunUntil(Minutes(2));
+  f.engine.RunUntil(Minutes(2));
   uint64_t produced_before = f.telemetry.readings_produced;
   (void)produced_before;
-  f.network.SetNodeAlive(4, false);
-  EXPECT_FALSE(f.network.radio().IsAlive(4));
+  f.engine.FaultSetAlive(4, false);
+  EXPECT_FALSE(f.engine.IsAlive(4));
   size_t flash_before = f.node(4)->flash().size();
-  f.network.RunUntil(Minutes(4));
+  f.engine.RunUntil(Minutes(4));
   // Node 4 keeps sampling (its MCU is alive) but nothing reaches or leaves
   // it over the radio; its own readings route nowhere and pile up locally
   // or die -- but its flash gains nothing from other nodes.
   EXPECT_GE(f.node(4)->flash().size(), flash_before);
-  f.network.SetNodeAlive(4, true);
-  EXPECT_TRUE(f.network.radio().IsAlive(4));
+  f.engine.FaultSetAlive(4, true);
+  EXPECT_TRUE(f.engine.IsAlive(4));
 }
 
 TEST(FailureTest, TreeHealsAroundDeadRelay) {
   Fixture f;
-  f.network.RunUntil(Minutes(3));
+  f.engine.RunUntil(Minutes(3));
   // Nodes 3 and 4 initially route via 2 or 5; force the common case.
   ASSERT_TRUE(f.node(3)->tree().HasRoute());
   ASSERT_TRUE(f.node(4)->tree().HasRoute());
 
-  f.network.SetNodeAlive(2, false);
-  f.network.RunUntil(Minutes(6));
+  f.engine.FaultSetAlive(2, false);
+  f.engine.RunUntil(Minutes(6));
 
   // Node 3 must now route via the detour (node 5), never via dead node 2.
   EXPECT_TRUE(f.node(3)->tree().HasRoute());
@@ -113,28 +113,29 @@ TEST(FailureTest, TreeHealsAroundDeadRelay) {
 
 TEST(FailureTest, SummariesKeepFlowingAfterHealing) {
   Fixture f;
-  f.network.RunUntil(Minutes(3));
-  f.network.SetNodeAlive(2, false);
-  f.network.RunUntil(Minutes(6));
+  f.engine.RunUntil(Minutes(3));
+  f.engine.FaultSetAlive(2, false);
+  f.engine.RunUntil(Minutes(6));
   uint64_t received_before = f.telemetry.summaries_received_at_base;
-  f.network.RunUntil(Minutes(9));
+  f.engine.RunUntil(Minutes(9));
   // The far side of the network still reports statistics via the detour.
   EXPECT_GT(f.telemetry.summaries_received_at_base, received_before + 3);
 }
 
 TEST(FailureTest, QueriesToDeadNodeTimeOutGracefully) {
   Fixture f;
-  f.network.RunUntil(Minutes(4));
-  f.network.SetNodeAlive(4, false);
-  f.network.RunUntil(Minutes(4) + Seconds(10));
+  f.engine.RunUntil(Minutes(4));
+  f.engine.FaultSetAlive(4, false);
+  f.engine.RunUntil(Minutes(4) + Seconds(10));
 
   Query query;
   query.time_lo = 0;
-  query.time_hi = f.network.now();
+  query.time_hi = f.engine.DriverNow();
   query.explicit_nodes = {3, 4};
   uint32_t id = 0;
-  f.network.queue().ScheduleAfter(Seconds(1), [&] { id = f.base->IssueQuery(query); });
-  f.network.RunUntil(f.network.now() + Seconds(30));
+  f.engine.ScheduleDriver(f.engine.DriverNow() + Seconds(1),
+                          [&] { id = f.base->IssueQuery(query); });
+  f.engine.RunUntil(f.engine.DriverNow() + Seconds(30));
 
   const QueryOutcome* outcome = f.base->outcome(id);
   ASSERT_NE(outcome, nullptr);
@@ -148,11 +149,11 @@ TEST(FailureTest, DataForDeadOwnerFallsBackInstead) {
   // Kill a node after it became an owner: producers' data must not vanish
   // -- the §5.4 fallback stores it at the base (or en route).
   Fixture f;
-  f.network.RunUntil(Minutes(4));  // First index disseminated by now.
-  f.network.SetNodeAlive(2, false);
+  f.engine.RunUntil(Minutes(4));  // First index disseminated by now.
+  f.engine.FaultSetAlive(2, false);
   uint64_t lost_before = f.telemetry.readings_lost;
   uint64_t stored_before = f.telemetry.readings_stored;
-  f.network.RunUntil(Minutes(8));
+  f.engine.RunUntil(Minutes(8));
   uint64_t produced_delta =
       f.telemetry.readings_produced - stored_before - (f.telemetry.readings_lost - lost_before);
   (void)produced_delta;
@@ -167,11 +168,11 @@ TEST(FailureTest, DataForDeadOwnerFallsBackInstead) {
 
 TEST(FailureTest, RecoveredNodeRejoins) {
   Fixture f;
-  f.network.RunUntil(Minutes(3));
-  f.network.SetNodeAlive(2, false);
-  f.network.RunUntil(Minutes(6));
-  f.network.SetNodeAlive(2, true);
-  f.network.RunUntil(Minutes(10));
+  f.engine.RunUntil(Minutes(3));
+  f.engine.FaultSetAlive(2, false);
+  f.engine.RunUntil(Minutes(6));
+  f.engine.FaultSetAlive(2, true);
+  f.engine.RunUntil(Minutes(10));
   // Node 2 has a route again and caught up with the newest index.
   EXPECT_TRUE(f.node(2)->tree().HasRoute());
   EXPECT_NE(f.node(2)->index_store().current(), nullptr);

@@ -76,14 +76,7 @@ TEST(ScenarioParserTest, RoundTripEveryKey) {
       {"trials", "5"},
       {"seed", "123456789"},
       {"shards", "4"},
-      {"queue", "heap"},
       {"partition", "mincut"},
-      {"failure_fraction", "0.25"},
-      {"failure_minute", "12.5"},
-      {"failure_wave_count", "3"},
-      {"failure_wave_interval_minutes", "2.5"},
-      // The fault.crash_* aliases target the same fields as the legacy
-      // failure_* keys above, so they must carry the same values here.
       {"fault.crash_fraction", "0.25"},
       {"fault.crash_minute", "12.5"},
       {"fault.crash_wave_count", "3"},
@@ -173,7 +166,6 @@ TEST(ScenarioParserTest, RoundTripEveryKey) {
   EXPECT_EQ(c.trials, 5);
   EXPECT_EQ(c.seed, 123456789u);
   EXPECT_EQ(c.shards, 4);
-  EXPECT_EQ(c.queue, sim::QueueImpl::kHeap);
   EXPECT_EQ(c.partition, sim::PartitionKind::kMincut);
   EXPECT_EQ(c.failure_wave_count, 3);
   EXPECT_DOUBLE_EQ(c.fault.reboot_fraction, 0.15);
@@ -290,31 +282,29 @@ TEST(ScenarioParserTest, CrossFieldChecks) {
   EXPECT_NE(err.find("domain_lo must be <= domain_hi"), std::string::npos) << err;
 }
 
-// The fault.crash_* keys are spellings of the legacy failure_* knobs:
-// either name reads and writes the same ExperimentConfig fields, so old
-// scenarios and new ones configure identical crash-stop waves.
-TEST(ScenarioParserTest, FaultCrashKeysAliasLegacyFailureKeys) {
-  Scenario legacy = MustParse(
-      "name = legacy\n"
-      "failure_fraction = 0.3\n"
-      "failure_minute = 18\n"
-      "failure_wave_count = 4\n"
-      "failure_wave_interval_minutes = 2\n");
-  Scenario aliased = MustParse(
-      "name = aliased\n"
+// The fault.crash_* keys are the one spelling of the crash-stop wave
+// knobs: they set the ExperimentConfig failure_* fields and format back
+// under their own names, and the retired failure_* keys are rejected.
+TEST(ScenarioParserTest, FaultCrashKeysReplaceLegacyFailureKeys) {
+  Scenario scn = MustParse(
+      "name = crash\n"
       "fault.crash_fraction = 0.3\n"
       "fault.crash_minute = 18\n"
       "fault.crash_wave_count = 4\n"
       "fault.crash_wave_interval_minutes = 2\n");
-  EXPECT_DOUBLE_EQ(aliased.base.node_failure_fraction, legacy.base.node_failure_fraction);
-  EXPECT_EQ(aliased.base.failure_time, legacy.base.failure_time);
-  EXPECT_EQ(aliased.base.failure_wave_count, legacy.base.failure_wave_count);
-  EXPECT_EQ(aliased.base.failure_wave_interval, legacy.base.failure_wave_interval);
-  // The writer emits both spellings from the shared fields, so formatting
-  // either scenario shows the same values under both names.
-  std::string text = FormatScenario(aliased);
-  EXPECT_NE(text.find("failure_fraction = 0.3"), std::string::npos) << text;
+  EXPECT_DOUBLE_EQ(scn.base.node_failure_fraction, 0.3);
+  EXPECT_EQ(scn.base.failure_time, Minutes(18));
+  EXPECT_EQ(scn.base.failure_wave_count, 4);
+  EXPECT_EQ(scn.base.failure_wave_interval, Minutes(2));
+  std::string text = FormatScenario(scn);
   EXPECT_NE(text.find("fault.crash_fraction = 0.3"), std::string::npos) << text;
+  EXPECT_EQ(text.find("failure_fraction"), std::string::npos) << text;
+  for (const char* retired : {"failure_fraction = 0.3", "failure_minute = 18",
+                              "failure_wave_count = 4", "failure_wave_interval_minutes = 2",
+                              "queue = heap"}) {
+    std::string err = ErrorOf(std::string("name = t\n") + retired + "\n");
+    EXPECT_NE(err.find("unknown key"), std::string::npos) << retired << ": " << err;
+  }
 }
 
 TEST(ScenarioParserTest, FaultKeyDiagnosticsCarryPositions) {

@@ -1,22 +1,21 @@
-// Regression tests for the slab/generation EventQueue rework: the seed
-// implementation left a stale HeapEntry behind on every Cancel() until it
-// was popped, so cancel/reschedule patterns (Trickle timers, radio
-// timeouts) grew the heap without bound over long runs. These tests pin
-// the bounded-heap guarantee and the generation checks that replace the
-// old lookup-table id semantics. The determinism contract itself is
-// covered by event_queue_test.cc, which predates this rework and must keep
-// passing unmodified.
+// Regression tests for the event queue's slab/generation scheme: a queue
+// that leaves a stale entry behind on every Cancel() until it is popped
+// grows without bound under cancel/reschedule patterns (Trickle timers,
+// radio timeouts) over long runs. These tests pin the bounded-occupancy
+// guarantee and the generation checks on EventIds. The determinism
+// contract itself is covered by event_queue_test.cc.
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "sim/event_queue.h"
+#include "queue_test_util.h"
 
 namespace scoop::sim {
 namespace {
 
 TEST(EventQueueCompactionTest, CancelHeavyWorkloadKeepsHeapBounded) {
-  EventQueue q;
+  TestQueue q;
   // A Trickle-like pattern: every step cancels its pending event and
   // reschedules further out, so the seed queue would accumulate one stale
   // heap entry per step -- 200k entries by the end of this loop.
@@ -36,7 +35,7 @@ TEST(EventQueueCompactionTest, CancelHeavyWorkloadKeepsHeapBounded) {
 }
 
 TEST(EventQueueCompactionTest, CancelAllReclaimsHeapWithoutRunning) {
-  EventQueue q;
+  TestQueue q;
   std::vector<EventId> ids;
   for (int i = 0; i < 10000; ++i) {
     ids.push_back(q.ScheduleAt(100 + i, [] {}));
@@ -49,7 +48,7 @@ TEST(EventQueueCompactionTest, CancelAllReclaimsHeapWithoutRunning) {
 }
 
 TEST(EventQueueCompactionTest, StaleIdDoesNotCancelSlotReuse) {
-  EventQueue q;
+  TestQueue q;
   // Exhaust and recycle slots so a later event reuses the first id's slot.
   EventId old_id = q.ScheduleAt(10, [] {});
   q.Cancel(old_id);
@@ -66,7 +65,7 @@ TEST(EventQueueCompactionTest, StaleIdDoesNotCancelSlotReuse) {
 }
 
 TEST(EventQueueCompactionTest, StaleIdAfterRunDoesNotCancelReuse) {
-  EventQueue q;
+  TestQueue q;
   int runs = 0;
   EventId first = q.ScheduleAt(10, [&runs] { ++runs; });
   while (q.RunOne()) {
@@ -80,7 +79,7 @@ TEST(EventQueueCompactionTest, StaleIdAfterRunDoesNotCancelReuse) {
 }
 
 TEST(EventQueueCompactionTest, CancelInvalidIdIsNoop) {
-  EventQueue q;
+  TestQueue q;
   q.Cancel(kInvalidEventId);  // Empty queue: must not touch anything.
   int runs = 0;
   EventId id = q.ScheduleAt(10, [&runs] { ++runs; });
@@ -97,7 +96,7 @@ TEST(EventQueueCompactionTest, CancelInvalidIdIsNoop) {
 }
 
 TEST(EventQueueCompactionTest, OrderingSurvivesCompaction) {
-  EventQueue q;
+  TestQueue q;
   // Force several compaction cycles between schedules, then check that
   // same-time events still run in scheduling order (the determinism
   // contract) even though make_heap rebuilt the heap in between.
@@ -115,7 +114,7 @@ TEST(EventQueueCompactionTest, OrderingSurvivesCompaction) {
 }
 
 TEST(EventQueueCompactionTest, CancelFromInsideCallbackCompactsSafely) {
-  EventQueue q;
+  TestQueue q;
   // A callback cancels a large batch of later events, pushing the queue
   // over its compaction threshold while RunUntil is mid-flight.
   std::vector<EventId> victims;

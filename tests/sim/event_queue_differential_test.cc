@@ -1,24 +1,23 @@
 // Differential property tests for the two-tier queue: the timer wheel in
-// front of the heap (QueueImpl::kWheel) must execute the exact same event
-// sequence as the heap alone (kHeap) under randomized schedule / cancel /
-// reschedule streams -- including same-timestamp ties, zero-delay events
-// scheduled from inside callbacks, and delays straddling both wheel levels
-// and the spill horizon. This is the ordering-invariant contract that lets
-// the wheel default on without disturbing a single golden.
+// front of the heap (QueueImpl::kWheel, what the engine runs) must execute
+// the exact same event sequence as the heap alone (the kHeap test oracle)
+// under randomized schedule / cancel / reschedule streams -- including
+// same-timestamp ties and delays straddling both wheel levels and the
+// spill horizon. This is the ordering-invariant contract that lets the
+// wheel sit in front of the heap without disturbing a single golden.
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "sim/event_queue.h"
 #include "sim/shard.h"
 
 namespace scoop::sim {
 namespace {
 
 /// Deterministic splitmix64: the op stream must be a pure function of the
-/// seed so both queue implementations replay the identical history.
+/// seed so both queue tiers replay the identical history.
 class StreamRng {
  public:
   explicit StreamRng(uint64_t seed) : state_(seed) {}
@@ -55,91 +54,12 @@ SimTime DrawDelay(StreamRng& rng) {
   }
 }
 
-/// Replays one randomized schedule/cancel/reschedule history against an
-/// EventQueue built with `impl` and returns the execution order (labels in
-/// the order their callbacks fired) plus processed().
-std::pair<std::vector<int>, uint64_t> ReplayEventQueue(QueueImpl impl, uint64_t seed) {
-  EventQueue q(impl);
-  StreamRng rng(seed);
-  std::vector<int> order;
-  std::vector<EventId> ids;  // Indexed by label; stale entries are fine.
-  int next_label = 0;
-  SimTime tie_at = 0;  // Reused timestamp to force same-time ties.
-
-  auto schedule = [&](SimTime at) {
-    int label = next_label++;
-    ids.push_back(kInvalidEventId);
-    ids[static_cast<size_t>(label)] = q.ScheduleAt(at, [&, label] {
-      order.push_back(label);
-      // Every few events, the callback itself schedules a zero-delay
-      // follow-up -- the Trickle "fire now" shape.
-      if (label % 7 == 0) {
-        int follow = next_label++;
-        ids.push_back(kInvalidEventId);
-        ids[static_cast<size_t>(follow)] =
-            q.ScheduleAt(q.now(), [&, follow] { order.push_back(follow); });
-      }
-    });
-  };
-
-  for (int step = 0; step < 3000; ++step) {
-    switch (rng.Below(8)) {
-      case 0:
-      case 1:
-      case 2: {  // Fresh schedule.
-        SimTime at = q.now() + DrawDelay(rng);
-        if (rng.Below(4) == 0) at = tie_at >= q.now() ? tie_at : at;
-        tie_at = at;
-        schedule(at);
-        break;
-      }
-      case 3: {  // Cancel (often a stale id: must be a deterministic no-op).
-        if (!ids.empty()) q.Cancel(ids[rng.Below(ids.size())]);
-        break;
-      }
-      case 4: {  // Reschedule: cancel + fresh schedule.
-        if (!ids.empty()) q.Cancel(ids[rng.Below(ids.size())]);
-        schedule(q.now() + DrawDelay(rng));
-        break;
-      }
-      default: {  // Advance the clock, running everything due.
-        q.RunUntil(q.now() + static_cast<SimTime>(rng.Below(200000)));
-        break;
-      }
-    }
-  }
-  q.RunUntil(q.now() + 10000000);  // Drain everything still pending.
-  EXPECT_EQ(q.size(), 0u);
-  return {std::move(order), q.processed()};
-}
-
-TEST(EventQueueDifferentialTest, WheelMatchesHeapUnderRandomChurn) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    auto [heap_order, heap_processed] = ReplayEventQueue(QueueImpl::kHeap, seed);
-    auto [wheel_order, wheel_processed] = ReplayEventQueue(QueueImpl::kWheel, seed);
-    EXPECT_GT(heap_processed, 0u) << "seed " << seed;
-    EXPECT_EQ(wheel_processed, heap_processed) << "seed " << seed;
-    ASSERT_EQ(wheel_order, heap_order) << "seed " << seed;
-  }
-}
-
-TEST(EventQueueDifferentialTest, WheelAbsorbsNearFutureSchedules) {
-  // Sanity that the differential test actually exercises both tiers: a
-  // wheel replay must both absorb and spill under the delay mix above.
-  EventQueue q(QueueImpl::kWheel);
-  StreamRng rng(99);
-  for (int i = 0; i < 2000; ++i) {
-    q.ScheduleAt(q.now() + DrawDelay(rng), [] {});
-    if (rng.Below(4) == 0) q.RunUntil(q.now() + static_cast<SimTime>(rng.Below(100000)));
-  }
-  EXPECT_GT(q.wheel_absorbed(), 0u);
-  EXPECT_GT(q.wheel_spilled(), 0u);
-  EXPECT_EQ(q.wheel_absorbed() + q.wheel_spilled(), 2000u);
-}
-
-/// ShardQueue replay: same shape, but through the canonical (time, ord)
-/// ordering -- regular events with random origins plus eval/finish phases,
-/// whose relative order the wheel's lazy bucket sort must reproduce.
+/// Replays one randomized schedule/cancel/reschedule history against a
+/// ShardQueue built with `impl` and returns the execution order (labels in
+/// the order their callbacks fired) plus processed(). Events go through
+/// the canonical (time, ord) ordering -- regular events with random origins
+/// plus eval/finish phases, whose relative order the wheel's lazy bucket
+/// sort must reproduce.
 std::pair<std::vector<std::string>, uint64_t> ReplayShardQueue(QueueImpl impl,
                                                                uint64_t seed) {
   constexpr uint32_t kOrigins = 16;
@@ -225,6 +145,24 @@ TEST(ShardQueueDifferentialTest, WheelMatchesHeapUnderRandomChurn) {
     EXPECT_EQ(wheel_processed, heap_processed) << "seed " << seed;
     ASSERT_EQ(wheel_order, heap_order) << "seed " << seed;
   }
+}
+
+TEST(ShardQueueDifferentialTest, WheelAbsorbsNearFutureSchedules) {
+  // Sanity that the differential test actually exercises both tiers: a
+  // wheel replay must both absorb and spill under the delay mix above.
+  ShardQueue q(/*num_origins=*/1, QueueImpl::kWheel);
+  StreamRng rng(99);
+  for (int i = 0; i < 2000; ++i) {
+    q.ScheduleRegular(q.now() + DrawDelay(rng), /*origin=*/0, [] {});
+    if (rng.Below(4) == 0) {
+      SimTime until = q.now() + static_cast<SimTime>(rng.Below(100000));
+      while (q.HeadTime() <= until) q.RunOne();
+      q.AdvanceTo(until);
+    }
+  }
+  EXPECT_GT(q.wheel_absorbed(), 0u);
+  EXPECT_GT(q.wheel_spilled(), 0u);
+  EXPECT_EQ(q.wheel_absorbed() + q.wheel_spilled(), 2000u);
 }
 
 }  // namespace

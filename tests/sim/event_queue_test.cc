@@ -1,15 +1,20 @@
-#include "sim/event_queue.h"
-
+// The simulator event queue's (ShardQueue's) scheduling contract. Every
+// event here is a phase-2 event of one origin, where the canonical
+// (time, phase, origin, counter) key reduces to FIFO by (time, schedule
+// order): the ordering invariant protocol code leans on (Trickle
+// suppression windows, MAC backoff expiry, ack timeouts).
 #include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "queue_test_util.h"
+
 namespace scoop::sim {
 namespace {
 
 TEST(EventQueueTest, RunsInTimeOrder) {
-  EventQueue q;
+  TestQueue q;
   std::vector<int> order;
   q.ScheduleAt(30, [&] { order.push_back(3); });
   q.ScheduleAt(10, [&] { order.push_back(1); });
@@ -21,7 +26,7 @@ TEST(EventQueueTest, RunsInTimeOrder) {
 }
 
 TEST(EventQueueTest, TiesBreakByScheduleOrder) {
-  EventQueue q;
+  TestQueue q;
   std::vector<int> order;
   q.ScheduleAt(10, [&] { order.push_back(1); });
   q.ScheduleAt(10, [&] { order.push_back(2); });
@@ -32,7 +37,7 @@ TEST(EventQueueTest, TiesBreakByScheduleOrder) {
 }
 
 TEST(EventQueueTest, CancelPreventsExecution) {
-  EventQueue q;
+  TestQueue q;
   bool ran = false;
   EventId id = q.ScheduleAt(5, [&] { ran = true; });
   q.Cancel(id);
@@ -42,7 +47,7 @@ TEST(EventQueueTest, CancelPreventsExecution) {
 }
 
 TEST(EventQueueTest, CancelAfterRunIsNoop) {
-  EventQueue q;
+  TestQueue q;
   int runs = 0;
   EventId id = q.ScheduleAt(5, [&] { ++runs; });
   while (q.RunOne()) {
@@ -52,7 +57,7 @@ TEST(EventQueueTest, CancelAfterRunIsNoop) {
 }
 
 TEST(EventQueueTest, ScheduleAfterUsesCurrentTime) {
-  EventQueue q;
+  TestQueue q;
   SimTime observed = -1;
   q.ScheduleAt(100, [&] {
     q.ScheduleAfter(50, [&] { observed = q.now(); });
@@ -62,14 +67,14 @@ TEST(EventQueueTest, ScheduleAfterUsesCurrentTime) {
 }
 
 TEST(EventQueueTest, RunUntilAdvancesClockEvenWhenIdle) {
-  EventQueue q;
+  TestQueue q;
   q.RunUntil(500);
   EXPECT_EQ(q.now(), 500);
   EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueTest, RunUntilStopsAtBoundary) {
-  EventQueue q;
+  TestQueue q;
   int runs = 0;
   q.ScheduleAt(10, [&] { ++runs; });
   q.ScheduleAt(20, [&] { ++runs; });
@@ -82,7 +87,7 @@ TEST(EventQueueTest, RunUntilStopsAtBoundary) {
 }
 
 TEST(EventQueueTest, EventsCanScheduleEvents) {
-  EventQueue q;
+  TestQueue q;
   int depth = 0;
   std::function<void()> recurse = [&] {
     if (++depth < 10) q.ScheduleAfter(1, recurse);
@@ -94,7 +99,7 @@ TEST(EventQueueTest, EventsCanScheduleEvents) {
 }
 
 TEST(EventQueueTest, CancelOneOfManyAtSameTime) {
-  EventQueue q;
+  TestQueue q;
   std::vector<int> order;
   q.ScheduleAt(10, [&] { order.push_back(1); });
   EventId id = q.ScheduleAt(10, [&] { order.push_back(2); });
@@ -109,7 +114,7 @@ TEST(EventQueueTest, CancelOneOfManyAtSameTime) {
 // inside a handler (zero delay). The in-handler event must run after every
 // event already queued at that instant.
 TEST(EventQueueTest, ZeroDelayFromHandlerRunsAfterQueuedPeers) {
-  EventQueue q;
+  TestQueue q;
   std::vector<int> order;
   q.ScheduleAt(10, [&] {
     order.push_back(1);
@@ -125,7 +130,7 @@ TEST(EventQueueTest, ZeroDelayFromHandlerRunsAfterQueuedPeers) {
 // A zero-delay chain still interleaves FIFO with pre-queued peers: each
 // link goes to the back of the timestamp class, so peers are never starved.
 TEST(EventQueueTest, ZeroDelayChainDoesNotStarvePeers) {
-  EventQueue q;
+  TestQueue q;
   std::vector<int> order;
   int depth = 0;
   std::function<void()> link = [&] {
@@ -142,7 +147,7 @@ TEST(EventQueueTest, ZeroDelayChainDoesNotStarvePeers) {
 // Cancel + re-schedule assigns a fresh sequence number, moving the event
 // behind same-time peers that were scheduled in between.
 TEST(EventQueueTest, RescheduleMovesToBackOfTimestampClass) {
-  EventQueue q;
+  TestQueue q;
   std::vector<int> order;
   EventId id = q.ScheduleAt(10, [&] { order.push_back(1); });
   q.ScheduleAt(10, [&] { order.push_back(2); });

@@ -1,6 +1,9 @@
-#include "sim/network.h"
-
+// The simulated network as protocol code sees it: boots, app hosting,
+// radio power, per-node timers and radio options, on a single-shard
+// ShardedEngine (the sequential simulator).
 #include <gtest/gtest.h>
+
+#include "sim/sharded_engine.h"
 
 namespace scoop::sim {
 namespace {
@@ -29,9 +32,9 @@ Topology Pair(double q = 1.0) {
 }
 
 TEST(NetworkTest, BootsAllAppsWithinJitterWindow) {
-  NetworkOptions opts;
+  ShardedEngineOptions opts;
   opts.boot_jitter = Seconds(2);
-  Network net(Pair(), opts);
+  ShardedEngine net(Pair(), opts);
   auto a = std::make_unique<ProbeApp>();
   auto b = std::make_unique<ProbeApp>();
   ProbeApp* pa = a.get();
@@ -48,7 +51,7 @@ TEST(NetworkTest, BootsAllAppsWithinJitterWindow) {
 }
 
 TEST(NetworkTest, AppAccessorReturnsInstalledApp) {
-  Network net(Pair(), NetworkOptions{});
+  ShardedEngine net(Pair(), ShardedEngineOptions{});
   auto app = std::make_unique<ProbeApp>();
   ProbeApp* raw = app.get();
   net.SetApp(1, std::move(app));
@@ -57,20 +60,21 @@ TEST(NetworkTest, AppAccessorReturnsInstalledApp) {
 }
 
 TEST(NetworkTest, DeadNodeStopsSendingAndReceiving) {
-  NetworkOptions opts;
+  ShardedEngineOptions opts;
   opts.boot_jitter = 0;
-  Network net(Pair(), opts);
+  ShardedEngine net(Pair(), opts);
   auto a = std::make_unique<ProbeApp>();
   auto b = std::make_unique<ProbeApp>();
   ProbeApp* pb = b.get();
   net.SetApp(0, std::move(a));
   net.SetApp(1, std::move(b));
   int transmissions = 0;
-  net.set_transmit_observer([&](NodeId, const Packet&, bool) { ++transmissions; });
+  net.set_transmit_observer(/*shard=*/0,
+                            [&](NodeId, const Packet&, bool) { ++transmissions; });
   net.Start();
   net.RunUntil(Seconds(1));
 
-  net.SetNodeAlive(1, false);
+  net.FaultSetAlive(1, false);
   net.context(0).Broadcast(MakePacket(0, kInvalidNodeId, BeaconPayload{}));
   net.RunUntil(Seconds(2));
   EXPECT_EQ(pb->received, 0);  // Dead radio heard nothing.
@@ -79,14 +83,14 @@ TEST(NetworkTest, DeadNodeStopsSendingAndReceiving) {
   net.RunUntil(Seconds(3));
   EXPECT_EQ(transmissions, 1);  // Only node 0's broadcast went on air.
 
-  net.SetNodeAlive(1, true);
+  net.FaultSetAlive(1, true);
   net.context(0).Broadcast(MakePacket(0, kInvalidNodeId, BeaconPayload{}));
   net.RunUntil(Seconds(4));
   EXPECT_EQ(pb->received, 1);  // Recovered.
 }
 
 TEST(NetworkTest, ContextScheduleAndCancel) {
-  Network net(Pair(), NetworkOptions{});
+  ShardedEngine net(Pair(), ShardedEngineOptions{});
   net.SetApp(0, std::make_unique<ProbeApp>());
   net.SetApp(1, std::make_unique<ProbeApp>());
   net.Start();
@@ -101,9 +105,9 @@ TEST(NetworkTest, ContextScheduleAndCancel) {
 }
 
 TEST(NetworkTest, RadioOptionsExposedToApps) {
-  NetworkOptions opts;
+  ShardedEngineOptions opts;
   opts.radio.max_packet_bytes = 77;
-  Network net(Pair(), opts);
+  ShardedEngine net(Pair(), opts);
   net.SetApp(0, std::make_unique<ProbeApp>());
   net.SetApp(1, std::make_unique<ProbeApp>());
   net.Start();

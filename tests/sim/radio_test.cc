@@ -1,11 +1,15 @@
-#include "sim/radio.h"
-
+// The radio/MAC (ShardRadio) as a single-shard engine drives it: delivery
+// and snooping, link loss, unicast ACK + retransmission, duplicates,
+// collisions with capture, carrier sense, half duplex, the backoff window,
+// and the stale-completion hazard of a mid-air power cycle.
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "sim/network.h"
+#include "sim/shard.h"
+#include "sim/sharded_engine.h"
 
 namespace scoop::sim {
 namespace {
@@ -33,6 +37,12 @@ class RecorderApp : public App {
     }
   }
 
+  int ReceivedFrom(NodeId src) const {
+    int n = 0;
+    for (const Packet& p : received) n += p.hdr.link_src == src ? 1 : 0;
+    return n;
+  }
+
   std::vector<Packet> received;
   std::vector<Packet> snooped;
   int duplicates = 0;
@@ -49,24 +59,34 @@ Topology ChainTopology(double p01, double p12) {
   return Topology::FromMatrix(pos, d);
 }
 
+ShardedEngineOptions Options(uint64_t seed) {
+  ShardedEngineOptions o;
+  o.seed = seed;
+  return o;
+}
+
+/// A single-shard engine with a RecorderApp on every node. Tests install
+/// observers and pre-Start fault schedules, then call Boot().
 struct Fixture {
-  explicit Fixture(Topology topo, uint64_t seed = 1) : network(std::move(topo), Options(seed)) {
-    for (NodeId i = 0; i < network.topology().num_nodes(); ++i) {
+  explicit Fixture(Topology topo, ShardedEngineOptions opts = Options(1))
+      : engine(std::move(topo), opts) {
+    for (NodeId i = 0; i < engine.topology().num_nodes(); ++i) {
       auto app = std::make_unique<RecorderApp>();
       apps.push_back(app.get());
-      network.SetApp(i, std::move(app));
+      engine.SetApp(i, std::move(app));
     }
-    network.Start();
-    network.RunUntil(Seconds(3));  // Past boot jitter.
   }
 
-  static NetworkOptions Options(uint64_t seed) {
-    NetworkOptions o;
-    o.seed = seed;
-    return o;
+  /// Starts the engine and runs past the boot jitter.
+  void Boot(SimTime until = Seconds(3)) {
+    engine.Start();
+    engine.RunUntil(until);
   }
 
-  Network network;
+  Context& ctx(NodeId id) { return engine.context(id); }
+  SimTime now() const { return engine.DriverNow(); }
+
+  ShardedEngine engine;
   std::vector<RecorderApp*> apps;
 };
 
@@ -79,8 +99,9 @@ Packet TestBeacon(NodeId origin) {
 
 TEST(RadioTest, PerfectUnicastDelivered) {
   Fixture f(ChainTopology(1.0, 1.0));
-  f.network.context(0).Unicast(1, TestBeacon(0));
-  f.network.RunUntil(Seconds(4));
+  f.Boot();
+  f.ctx(0).Unicast(1, TestBeacon(0));
+  f.engine.RunUntil(Seconds(4));
   ASSERT_EQ(f.apps[1]->received.size(), 1u);
   EXPECT_EQ(f.apps[1]->received[0].hdr.link_src, 0);
   EXPECT_EQ(f.apps[1]->received[0].hdr.link_dst, 1);
@@ -92,8 +113,9 @@ TEST(RadioTest, PerfectUnicastDelivered) {
 
 TEST(RadioTest, BroadcastReachesNeighborsOnly) {
   Fixture f(ChainTopology(1.0, 1.0));
-  f.network.context(1).Broadcast(TestBeacon(1));
-  f.network.RunUntil(Seconds(4));
+  f.Boot();
+  f.ctx(1).Broadcast(TestBeacon(1));
+  f.engine.RunUntil(Seconds(4));
   EXPECT_EQ(f.apps[0]->received.size(), 1u);
   EXPECT_EQ(f.apps[2]->received.size(), 1u);
 }
@@ -103,8 +125,9 @@ TEST(RadioTest, UnicastIsSnoopedByThirdParties) {
   std::vector<std::vector<double>> d = {
       {0, 1.0, 1.0}, {1.0, 0, 1.0}, {1.0, 1.0, 0}};
   Fixture f(Topology::FromMatrix(pos, d));
-  f.network.context(0).Unicast(1, TestBeacon(0));
-  f.network.RunUntil(Seconds(4));
+  f.Boot();
+  f.ctx(0).Unicast(1, TestBeacon(0));
+  f.engine.RunUntil(Seconds(4));
   EXPECT_EQ(f.apps[1]->received.size(), 1u);
   ASSERT_EQ(f.apps[2]->snooped.size(), 1u);
   EXPECT_TRUE(f.apps[2]->received.empty());
@@ -112,44 +135,52 @@ TEST(RadioTest, UnicastIsSnoopedByThirdParties) {
 }
 
 TEST(RadioTest, DeadLinkNeverDelivers) {
+  // No reception means no ACK: every unicast burns its retries and is
+  // dropped with kNoAck, reported once per frame to the drop observer.
   Fixture f(ChainTopology(0.0, 1.0));
-  for (int i = 0; i < 20; ++i) f.network.context(0).Unicast(1, TestBeacon(0));
-  f.network.RunUntil(Seconds(30));
+  int no_ack_drops = 0;
+  f.engine.set_drop_observer(0, [&](NodeId src, const Packet&, DropReason reason) {
+    if (src == 0 && reason == DropReason::kNoAck) ++no_ack_drops;
+  });
+  int transmissions = 0;
+  f.engine.set_transmit_observer(0, [&](NodeId src, const Packet&, bool) {
+    transmissions += src == 0 ? 1 : 0;
+  });
+  f.Boot();
+  for (int i = 0; i < 20; ++i) f.ctx(0).Unicast(1, TestBeacon(0));
+  f.engine.RunUntil(Seconds(30));
   EXPECT_TRUE(f.apps[1]->received.empty());
   EXPECT_EQ(f.apps[0]->send_fail, 20);
+  EXPECT_EQ(no_ack_drops, 20);
+  // One first attempt plus unicast_retries retransmissions per frame.
+  EXPECT_EQ(transmissions, 20 * (1 + RadioOptions{}.unicast_retries));
 }
 
 TEST(RadioTest, LossyUnicastRetransmitsAndMostlySucceeds) {
-  // p = 0.5 with 3 retries: per-attempt success (incl. ack) ~0.25, over 4
-  // attempts ~68%. With 200 packets we expect clearly more successes than
-  // a no-retransmission link would give (~25%).
-  Fixture f(ChainTopology(0.5, 1.0), /*seed=*/77);
-  for (int i = 0; i < 200; ++i) f.network.context(0).Unicast(1, TestBeacon(0));
-  f.network.RunUntil(Seconds(200));
-  int delivered_unique = 0;
-  delivered_unique = static_cast<int>(f.apps[1]->received.size()) - f.apps[1]->duplicates;
+  // p = 0.5 with retries: per-attempt success (incl. ack) ~0.35, so over
+  // every attempt most frames get through. With 200 packets we expect
+  // clearly more successes than a no-retransmission link would give.
+  Fixture f(ChainTopology(0.5, 1.0), Options(77));
+  f.Boot();
+  for (int i = 0; i < 200; ++i) f.ctx(0).Unicast(1, TestBeacon(0));
+  f.engine.RunUntil(Seconds(200));
+  int delivered_unique =
+      static_cast<int>(f.apps[1]->received.size()) - f.apps[1]->duplicates;
   EXPECT_GT(delivered_unique, 100);
   EXPECT_EQ(f.apps[0]->send_ok + f.apps[0]->send_fail, 200);
   EXPECT_GT(f.apps[0]->send_ok, 100);
 }
 
 TEST(RadioTest, TransmitHookCountsRetransmissions) {
-  Topology topo = ChainTopology(0.5, 1.0);
-  NetworkOptions opts;
-  opts.seed = 5;
-  Network net(topo, opts);
+  Fixture f(ChainTopology(0.5, 1.0), Options(5));
   int transmissions = 0, retx = 0;
-  net.radio().set_transmit_hook([&](NodeId, const Packet&, bool is_retx) {
+  f.engine.set_transmit_observer(0, [&](NodeId, const Packet&, bool is_retx) {
     ++transmissions;
     if (is_retx) ++retx;
   });
-  net.SetApp(0, std::make_unique<RecorderApp>());
-  net.SetApp(1, std::make_unique<RecorderApp>());
-  net.SetApp(2, std::make_unique<RecorderApp>());
-  net.Start();
-  net.RunUntil(Seconds(3));
-  for (int i = 0; i < 100; ++i) net.context(0).Unicast(1, TestBeacon(0));
-  net.RunUntil(Seconds(120));
+  f.Boot();
+  for (int i = 0; i < 100; ++i) f.ctx(0).Unicast(1, TestBeacon(0));
+  f.engine.RunUntil(Seconds(120));
   EXPECT_GT(transmissions, 100);  // Lossy link must force retransmissions.
   EXPECT_EQ(retx, transmissions - 100);
 }
@@ -159,56 +190,79 @@ TEST(RadioTest, DuplicatesAreFlagged) {
   // received but ACKs are lost, causing duplicate deliveries.
   std::vector<Point> pos = {{0, 0}, {5, 0}};
   std::vector<std::vector<double>> d = {{0, 1.0}, {0.1, 0}};
-  Fixture f(Topology::FromMatrix(pos, d), /*seed=*/3);
-  for (int i = 0; i < 50; ++i) f.network.context(0).Unicast(1, TestBeacon(0));
-  f.network.RunUntil(Seconds(100));
+  Fixture f(Topology::FromMatrix(pos, d), Options(3));
+  f.Boot();
+  for (int i = 0; i < 50; ++i) f.ctx(0).Unicast(1, TestBeacon(0));
+  f.engine.RunUntil(Seconds(100));
   EXPECT_GT(f.apps[1]->duplicates, 0);
+}
+
+/// Runs 50 rounds in which `senders` each broadcast one beacon from the
+/// same driver instant (their carrier senses then fire a keyed random
+/// 8-16 ms later), and returns node `receiver`'s app.
+struct Rounds {
+  std::unique_ptr<Fixture> fixture;
+  RecorderApp* receiver;
+};
+Rounds BroadcastRounds(Topology topo, ShardedEngineOptions opts, std::vector<NodeId> senders,
+                       NodeId receiver) {
+  opts.boot_jitter = 0;
+  auto f = std::make_unique<Fixture>(std::move(topo), opts);
+  for (int i = 0; i < 50; ++i) {
+    ShardedEngine* engine = &f->engine;
+    f->engine.ScheduleDriver(Seconds(1) + Millis(100 * (i + 1)), [engine, senders] {
+      for (NodeId s : senders) engine->context(s).Broadcast(TestBeacon(s));
+    });
+  }
+  f->Boot(Seconds(30));
+  RecorderApp* app = f->apps[receiver];
+  return {std::move(f), app};
 }
 
 TEST(RadioTest, CollisionsCorruptOverlappingTransmissions) {
   // Hidden-terminal setup: 0 and 2 cannot hear each other (no carrier
-  // sense), both unicast to 1 simultaneously on perfect links. With
-  // collisions modeled, many packets must be lost; without, all arrive.
+  // sense), both send to 1 at nearly the same time on perfect links. With
+  // collisions modeled, most packets must be lost; without, all arrive.
   auto run = [](bool model_collisions) {
-    Topology topo = ChainTopology(1.0, 1.0);
-    NetworkOptions opts;
-    opts.seed = 9;
+    ShardedEngineOptions opts = Options(9);
     opts.radio.model_collisions = model_collisions;
-    opts.radio.unicast_retries = 0;
-    opts.boot_jitter = 0;
-    Network net(topo, opts);
-    std::vector<RecorderApp*> apps;
-    for (NodeId i = 0; i < 3; ++i) {
-      auto app = std::make_unique<RecorderApp>();
-      apps.push_back(app.get());
-      net.SetApp(i, std::move(app));
-    }
-    net.Start();
-    net.RunUntil(Seconds(1));
-    for (int i = 0; i < 50; ++i) {
-      // Schedule the two sends at exactly the same instant.
-      net.queue().ScheduleAfter(Millis(100 * (i + 1)), [&net, i] {
-        BeaconPayload b;
-        b.depth = static_cast<uint8_t>(i);
-        net.radio().Send(0, [&] {
-          Packet p = MakePacket(0, 0, b);
-          p.hdr.link_dst = 1;
-          return p;
-        }());
-        net.radio().Send(2, [&] {
-          Packet p = MakePacket(2, 0, b);
-          p.hdr.link_dst = 1;
-          return p;
-        }());
-      });
-    }
-    net.RunUntil(Seconds(30));
-    return static_cast<int>(apps[1]->received.size());
+    Rounds r = BroadcastRounds(ChainTopology(1.0, 1.0), opts, {0, 2}, 1);
+    return static_cast<int>(r.receiver->received.size());
   };
   int with_collisions = run(true);
   int without_collisions = run(false);
   EXPECT_EQ(without_collisions, 100);
   EXPECT_LT(with_collisions, 20);  // Nearly everything collides.
+}
+
+TEST(RadioTest, CaptureLetsTheStrongerOfTwoOverlappingFramesSurvive) {
+  // Hidden terminals 0 and 2 both reach receiver 1; 0's link is perfect.
+  // An overlapping frame corrupts reception only if the interferer's link
+  // is at least capture_ratio (0.5) as strong as the signal's.
+  auto from_strong = [](double weak_link) {
+    std::vector<Point> pos = {{0, 0}, {10, 0}, {20, 0}};
+    std::vector<std::vector<double>> d = {
+        {0, 1.0, 0}, {1.0, 0, weak_link}, {0, weak_link, 0}};
+    Rounds r = BroadcastRounds(Topology::FromMatrix(pos, d), Options(21), {0, 2}, 1);
+    return r.receiver->ReceivedFrom(0);
+  };
+  EXPECT_EQ(from_strong(0.3), 50);  // 0.3 < 0.5 * 1.0: captured, no loss.
+  EXPECT_LT(from_strong(0.8), 20);  // 0.8 >= 0.5 * 1.0: collisions.
+}
+
+TEST(RadioTest, HalfDuplexReceiverMissesFramesWhileTransmitting) {
+  // 0 -> 1 is perfect but 1 -> 0 is silent, so 0 never senses 1's frames.
+  // Whenever 1 is on the air (broadcasting to 2) while 0's frame arrives,
+  // 1 cannot receive it. Collisions are off to isolate half duplex.
+  std::vector<Point> pos = {{0, 0}, {10, 0}, {20, 0}};
+  std::vector<std::vector<double>> d = {{0, 1.0, 0}, {0, 0, 1.0}, {0, 1.0, 0}};
+  ShardedEngineOptions opts = Options(13);
+  opts.radio.model_collisions = false;
+  Rounds alone = BroadcastRounds(Topology::FromMatrix(pos, d), opts, {0}, 1);
+  EXPECT_EQ(alone.receiver->ReceivedFrom(0), 50);
+  Rounds busy = BroadcastRounds(Topology::FromMatrix(pos, d), opts, {0, 1}, 1);
+  EXPECT_LT(busy.receiver->ReceivedFrom(0), 50);
+  EXPECT_GT(busy.receiver->ReceivedFrom(0), 0);
 }
 
 TEST(RadioTest, CarrierSenseAvoidsCollisionsBetweenAudibleSenders) {
@@ -217,35 +271,13 @@ TEST(RadioTest, CarrierSenseAvoidsCollisionsBetweenAudibleSenders) {
   std::vector<Point> pos = {{0, 0}, {1, 0}, {0.5, 1}};
   std::vector<std::vector<double>> d = {
       {0, 1.0, 1.0}, {1.0, 0, 1.0}, {1.0, 1.0, 0}};
-  NetworkOptions opts;
-  opts.seed = 17;
-  opts.radio.unicast_retries = 0;
-  opts.boot_jitter = 0;
-  Network net(Topology::FromMatrix(pos, d), opts);
-  std::vector<RecorderApp*> apps;
-  for (NodeId i = 0; i < 3; ++i) {
-    auto app = std::make_unique<RecorderApp>();
-    apps.push_back(app.get());
-    net.SetApp(i, std::move(app));
-  }
-  net.Start();
-  net.RunUntil(Seconds(1));
-  for (int i = 0; i < 50; ++i) {
-    net.queue().ScheduleAfter(Millis(100 * (i + 1)), [&net] {
-      Packet a = TestBeacon(0);
-      a.hdr.link_dst = 2;
-      net.radio().Send(0, a);
-      Packet b = TestBeacon(1);
-      b.hdr.link_dst = 2;
-      net.radio().Send(1, b);
-    });
-  }
-  net.RunUntil(Seconds(30));
-  EXPECT_GT(static_cast<int>(apps[2]->received.size()), 85);
+  Rounds r = BroadcastRounds(Topology::FromMatrix(pos, d), Options(17), {0, 1}, 2);
+  EXPECT_GT(static_cast<int>(r.receiver->received.size()), 85);
 }
 
 TEST(RadioTest, RejectsOversizedPackets) {
   Fixture f(ChainTopology(1.0, 1.0));
+  f.Boot();
   MappingPayload big;
   big.index_id = 1;
   big.num_chunks = 1;
@@ -254,16 +286,17 @@ TEST(RadioTest, RejectsOversizedPackets) {
     big.entries.push_back(RangeEntry{i, i, 1});
   }
   Packet pkt = MakePacket(0, 0, big);
-  EXPECT_GT(pkt.WireSize(), f.network.radio().options().max_packet_bytes);
-  EXPECT_DEATH(f.network.context(0).Broadcast(pkt), "SCOOP_CHECK");
+  EXPECT_GT(pkt.WireSize(), f.ctx(0).radio_options().max_packet_bytes);
+  EXPECT_DEATH(f.ctx(0).Broadcast(pkt), "SCOOP_CHECK");
 }
 
 TEST(RadioTest, AirtimeScalesWithSize) {
   Topology topo = ChainTopology(1.0, 1.0);
-  NetworkOptions opts;
-  Network net(topo, opts);
-  SimTime small = net.radio().Airtime(20);
-  SimTime large = net.radio().Airtime(90);
+  std::vector<int> owner(3, 0);
+  ShardQueue queue(/*num_origins=*/3);
+  ShardRadio radio(&topo, RadioOptions{}, &queue, /*seed=*/1, &owner, /*self_shard=*/0);
+  SimTime small = radio.Airtime(20);
+  SimTime large = radio.Airtime(90);
   EXPECT_GT(large, small);
   // 38.4 kbps: (11+20)*8 bits ~ 6.5 ms.
   EXPECT_NEAR(static_cast<double>(small), 6458.0, 100.0);
@@ -275,7 +308,7 @@ TEST(RadioTest, BackoffWindowStartsAtMinDoublesAndClamps) {
   opts.backoff_max = Millis(32);
   std::vector<SimTime> windows;
   for (int attempt = 1; attempt <= 8; ++attempt) {
-    windows.push_back(Radio::BackoffWindow(opts, attempt));
+    windows.push_back(BackoffWindow(opts, attempt));
   }
   EXPECT_EQ(windows, (std::vector<SimTime>{Millis(1), Millis(2), Millis(4), Millis(8),
                                            Millis(16), Millis(32), Millis(32), Millis(32)}));
@@ -284,37 +317,39 @@ TEST(RadioTest, BackoffWindowStartsAtMinDoublesAndClamps) {
   opts.backoff_max = Millis(16);
   windows.clear();
   for (int attempt = 1; attempt <= 6; ++attempt) {
-    windows.push_back(Radio::BackoffWindow(opts, attempt));
+    windows.push_back(BackoffWindow(opts, attempt));
   }
   EXPECT_EQ(windows, (std::vector<SimTime>{Millis(2), Millis(4), Millis(8), Millis(16),
                                            Millis(16), Millis(16)}));
 }
 
+/// Sends `first` from node 0 and steps the engine in 1 ms slices until it
+/// is on the air; returns with the frame mid-air (airtime is ~7 ms).
+void RunUntilOnAir(Fixture* f, const int* transmissions, Packet first) {
+  f->ctx(0).Unicast(1, std::move(first));
+  while (*transmissions == 0) f->engine.RunUntil(f->now() + Millis(1));
+}
+
 TEST(RadioTest, PowerCycleMidTransmissionDoesNotSwallowNextFrame) {
-  // Regression for the stale-FinishTx hazard: node 0 is killed while a
-  // frame is on the air, revived, and sends a fresh frame before the old
-  // transmission's completion event fires. The old code ACK-processed the
-  // *new* queue-front frame as if it were the finished transmission, so
-  // the new frame was popped without ever being transmitted.
+  // Regression for the stale-completion hazard: node 0 is killed while a
+  // frame is on the air, revived, and queues a fresh frame before the old
+  // transmission's completion event fires. A completion that ACK-processed
+  // the *new* queue-front frame as if it were the finished transmission
+  // would pop the new frame without ever transmitting it.
   Fixture f(ChainTopology(1.0, 1.0));
   int transmissions = 0;
-  f.network.radio().set_transmit_hook(
-      [&](NodeId src, const Packet&, bool) { transmissions += (src == 0) ? 1 : 0; });
+  f.engine.set_transmit_observer(
+      0, [&](NodeId src, const Packet&, bool) { transmissions += (src == 0) ? 1 : 0; });
+  f.Boot();
 
-  Packet first = TestBeacon(0);
-  first.hdr.link_dst = 1;
-  SimTime t0 = f.network.now();
-  f.network.queue().ScheduleAt(t0 + Millis(10), [&] { f.network.radio().Send(0, first); });
-  // The frame's airtime is ~7 ms; kill mid-air, revive, and queue the next
-  // frame all before the transmission's scheduled end.
-  f.network.queue().ScheduleAt(t0 + Millis(12),
-                               [&] { f.network.SetNodeAlive(0, false); });
-  f.network.queue().ScheduleAt(t0 + Millis(13), [&] { f.network.SetNodeAlive(0, true); });
+  RunUntilOnAir(&f, &transmissions, TestBeacon(0));
+  f.engine.FaultSetAlive(0, false);
+  f.engine.RunUntil(f.now() + Millis(1));
+  f.engine.FaultSetAlive(0, true);
   Packet second = TestBeacon(0);
-  second.hdr.link_dst = 1;
   second.hdr.origin = 9;  // Marks the post-revival frame.
-  f.network.queue().ScheduleAt(t0 + Millis(14), [&] { f.network.radio().Send(0, second); });
-  f.network.RunUntil(t0 + Seconds(5));
+  f.ctx(0).Unicast(1, second);
+  f.engine.RunUntil(f.now() + Seconds(5));
 
   // The second frame must be genuinely transmitted (the first transmit was
   // the aborted frame's) and delivered exactly once.
@@ -327,25 +362,27 @@ TEST(RadioTest, PowerCycleMidTransmissionDoesNotSwallowNextFrame) {
 
 TEST(RadioTest, PowerCycleWithNoNewSendIsInert) {
   // Kill mid-air with nothing queued afterwards: the stale completion must
-  // retire cleanly (no crash, no delivery, no send-done).
+  // retire cleanly (no crash, no delivery, no send-done, no retransmit).
   Fixture f(ChainTopology(1.0, 1.0));
-  Packet pkt = TestBeacon(0);
-  pkt.hdr.link_dst = 1;
-  SimTime t0 = f.network.now();
-  f.network.queue().ScheduleAt(t0 + Millis(10), [&] { f.network.radio().Send(0, pkt); });
-  f.network.queue().ScheduleAt(t0 + Millis(12),
-                               [&] { f.network.SetNodeAlive(0, false); });
-  f.network.RunUntil(t0 + Seconds(5));
+  int transmissions = 0;
+  f.engine.set_transmit_observer(
+      0, [&](NodeId src, const Packet&, bool) { transmissions += (src == 0) ? 1 : 0; });
+  f.Boot();
+  RunUntilOnAir(&f, &transmissions, TestBeacon(0));
+  f.engine.FaultSetAlive(0, false);
+  f.engine.RunUntil(f.now() + Seconds(5));
   EXPECT_TRUE(f.apps[1]->received.empty());
   EXPECT_EQ(f.apps[0]->send_ok, 0);
-  EXPECT_TRUE(f.network.radio().IsIdle(0));
+  EXPECT_EQ(f.apps[0]->send_fail, 0);
+  EXPECT_EQ(transmissions, 1);
 }
 
 TEST(RadioTest, DeterministicAcrossRuns) {
   auto run = [] {
-    Fixture f(ChainTopology(0.6, 0.6), /*seed=*/123);
-    for (int i = 0; i < 100; ++i) f.network.context(0).Unicast(1, TestBeacon(0));
-    f.network.RunUntil(Seconds(100));
+    Fixture f(ChainTopology(0.6, 0.6), Options(123));
+    f.Boot();
+    for (int i = 0; i < 100; ++i) f.ctx(0).Unicast(1, TestBeacon(0));
+    f.engine.RunUntil(Seconds(100));
     return std::make_pair(f.apps[1]->received.size(), f.apps[0]->send_ok);
   };
   auto a = run();

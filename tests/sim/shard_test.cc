@@ -1,8 +1,8 @@
-// ShardQueue ordering unit tests. Unlike EventQueue (FIFO by schedule
-// order at equal times), ShardQueue orders same-time events canonically by
-// (phase, origin, per-origin counter) so the execution order is a pure
-// function of simulation content -- the property the K-equivalence suite
-// rests on.
+// ShardQueue ordering unit tests. Rather than FIFO by schedule order at
+// equal times (which holds only within one origin), ShardQueue orders
+// same-time events canonically by (phase, origin, per-origin counter) so
+// the execution order is a pure function of simulation content -- the
+// property the K-equivalence suite rests on.
 #include "sim/shard.h"
 
 #include <gtest/gtest.h>

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/network.h"
+#include "sim/sharded_engine.h"
 
 namespace scoop::trickle {
 namespace {
@@ -22,12 +22,12 @@ class NullApp : public sim::App {
 
 struct Fixture {
   Fixture()
-      : network(sim::Topology::FromMatrix({{0, 0}}, {{0.0}}), sim::NetworkOptions{}) {
-    network.SetApp(0, std::make_unique<NullApp>());
-    network.Start();
-    network.RunUntil(Seconds(3));
+      : engine(sim::Topology::FromMatrix({{0, 0}}, {{0.0}}), sim::ShardedEngineOptions{}) {
+    engine.SetApp(0, std::make_unique<NullApp>());
+    engine.Start();
+    engine.RunUntil(Seconds(3));
   }
-  sim::Network network;
+  sim::ShardedEngine engine;
 };
 
 TrickleOptions FastOptions() {
@@ -41,9 +41,9 @@ TrickleOptions FastOptions() {
 TEST(TrickleDriverTest, FiresRepeatedlyWithBackoff) {
   Fixture f;
   int fires = 0;
-  TrickleDriver driver(&f.network.context(0), FastOptions(), [&] { ++fires; });
+  TrickleDriver driver(&f.engine.context(0), FastOptions(), [&] { ++fires; });
   driver.Start();
-  f.network.RunUntil(f.network.now() + Seconds(64));
+  f.engine.RunUntil(f.engine.DriverNow() + Seconds(64));
   // Quiet medium: one fire per interval; intervals double 1,2,4,8,8,...
   EXPECT_GE(fires, 7);
   EXPECT_LE(fires, 14);
@@ -53,53 +53,53 @@ TEST(TrickleDriverTest, FiresRepeatedlyWithBackoff) {
 TEST(TrickleDriverTest, ConsistentMessagesSuppressFires) {
   Fixture f;
   int fires = 0;
-  TrickleDriver driver(&f.network.context(0), FastOptions(), [&] { ++fires; });
+  TrickleDriver driver(&f.engine.context(0), FastOptions(), [&] { ++fires; });
   driver.Start();
   // Continuously mark the interval consistent: nothing should fire.
   std::function<void()> chatter = [&] {
     driver.NoteConsistent();
-    f.network.queue().ScheduleAfter(Millis(200), chatter);
+    f.engine.ScheduleDriver(f.engine.DriverNow() + Millis(200), chatter);
   };
-  f.network.queue().ScheduleAfter(Millis(100), chatter);
-  f.network.RunUntil(f.network.now() + Seconds(30));
+  f.engine.ScheduleDriver(f.engine.DriverNow() + Millis(100), chatter);
+  f.engine.RunUntil(f.engine.DriverNow() + Seconds(30));
   EXPECT_EQ(fires, 0);
 }
 
 TEST(TrickleDriverTest, InconsistencyResetsInterval) {
   Fixture f;
   int fires = 0;
-  TrickleDriver driver(&f.network.context(0), FastOptions(), [&] { ++fires; });
+  TrickleDriver driver(&f.engine.context(0), FastOptions(), [&] { ++fires; });
   driver.Start();
-  f.network.RunUntil(f.network.now() + Seconds(40));  // tau has grown to max.
+  f.engine.RunUntil(f.engine.DriverNow() + Seconds(40));  // tau has grown to max.
   ASSERT_EQ(driver.tau(), Seconds(8));
   driver.NoteInconsistent();
   EXPECT_EQ(driver.tau(), Seconds(1));
   int fires_before = fires;
-  f.network.RunUntil(f.network.now() + Seconds(2));
+  f.engine.RunUntil(f.engine.DriverNow() + Seconds(2));
   EXPECT_GT(fires, fires_before);  // Fast re-announcement after reset.
 }
 
 TEST(TrickleDriverTest, StopCancelsPendingFire) {
   Fixture f;
   int fires = 0;
-  TrickleDriver driver(&f.network.context(0), FastOptions(), [&] { ++fires; });
+  TrickleDriver driver(&f.engine.context(0), FastOptions(), [&] { ++fires; });
   driver.Start();
   driver.Stop();
-  f.network.RunUntil(f.network.now() + Seconds(20));
+  f.engine.RunUntil(f.engine.DriverNow() + Seconds(20));
   EXPECT_EQ(fires, 0);
   // Restartable.
   driver.Start();
-  f.network.RunUntil(f.network.now() + Seconds(5));
+  f.engine.RunUntil(f.engine.DriverNow() + Seconds(5));
   EXPECT_GT(fires, 0);
 }
 
 TEST(TrickleDriverTest, HoldAtMinKeepsFiringFast) {
   Fixture f;
   int fires = 0;
-  TrickleDriver driver(&f.network.context(0), FastOptions(), [&] { ++fires; });
+  TrickleDriver driver(&f.engine.context(0), FastOptions(), [&] { ++fires; });
   driver.set_hold_at_min(true);
   driver.Start();
-  f.network.RunUntil(f.network.now() + Seconds(32));
+  f.engine.RunUntil(f.engine.DriverNow() + Seconds(32));
   // Held at tau_min=1s: about one fire per second, far more than the
   // doubled-backoff case (~7).
   EXPECT_GE(fires, 25);

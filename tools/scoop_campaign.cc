@@ -37,9 +37,8 @@ using scoop::tools::MatchFlag;
                "usage: %s (--scenario=NAME | --file=PATH.scn)\n"
                "          [--threads=N]      worker threads (0 = all hardware threads)\n"
                "          [--shards=K]       override the scenario's engine sharding\n"
-               "                             (1 = sequential, >=2 = K-way parallel, 0 = auto)\n"
-               "          [--queue=wheel|heap] override the scenario's event-queue impl\n"
-               "                             (results identical; wheel is the fast default)\n"
+               "                             (1 = one shard inline, >=2 = K threads, 0 = auto;\n"
+               "                             results identical for every K)\n"
                "          [--partition=strip|mincut] override the shard partitioner\n"
                "                             (results identical; mincut cuts sync stalls)\n"
                "          [--csv=PATH]       write per-trial + mean rows as CSV\n"
@@ -89,7 +88,6 @@ int main(int argc, char** argv) {
   std::string perf_json_path;
   int threads = 0;
   std::string shards_override;
-  std::string queue_override;
   std::string partition_override;
   bool quiet = false;
   int verbosity = 0;
@@ -124,8 +122,6 @@ int main(int argc, char** argv) {
       threads = static_cast<int>(parsed);
     } else if (MatchFlag(arg, "--shards", &value) && value != nullptr) {
       shards_override = value;
-    } else if (MatchFlag(arg, "--queue", &value) && value != nullptr) {
-      queue_override = value;
     } else if (MatchFlag(arg, "--partition", &value) && value != nullptr) {
       partition_override = value;
     } else if (MatchFlag(arg, "--csv", &value) && value != nullptr) {
@@ -172,13 +168,6 @@ int main(int argc, char** argv) {
     Status s = scenario::ApplyScenarioKey(&scn.base, "shards", shards_override);
     if (!s.ok()) {
       std::fprintf(stderr, "bad --shards value: %s\n", s.message().c_str());
-      Usage(argv[0]);
-    }
-  }
-  if (!queue_override.empty()) {
-    Status s = scenario::ApplyScenarioKey(&scn.base, "queue", queue_override);
-    if (!s.ok()) {
-      std::fprintf(stderr, "bad --queue value: %s\n", s.message().c_str());
       Usage(argv[0]);
     }
   }

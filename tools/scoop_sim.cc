@@ -41,10 +41,9 @@ using namespace scoop;
                "          [--query-width-lo=F] [--query-width-hi=F]\n"
                "          [--node-list-fraction=F] [--history-window-seconds=S]\n"
                "          [--topology=testbed|random|grid] [--trials=K] [--seed=S]\n"
-               "          [--shards=K]  1 = sequential engine, >=2 = K-way sharded\n"
-               "                        parallel engine, 0 = one shard per core\n"
-               "          [--queue=wheel|heap]  event queue impl (default wheel;\n"
-               "                        results are identical, wheel is faster)\n"
+               "          [--shards=K]  1 = one shard inline, >=2 = K shards on K\n"
+               "                        threads, 0 = one shard per core (results\n"
+               "                        are identical for every K)\n"
                "          [--partition=strip|mincut]  shard partitioner (default strip;\n"
                "                        results are identical, mincut stalls less)\n"
                "          [--batch=N] [--no-shortcut] [--no-descendants]\n"
@@ -89,8 +88,6 @@ int main(int argc, char** argv) {
       ApplyKeyOrUsage(&config, "nodes", value, argv[0]);
     } else if (MatchFlag(arg, "--shards", &value) && value != nullptr) {
       ApplyKeyOrUsage(&config, "shards", value, argv[0]);
-    } else if (MatchFlag(arg, "--queue", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "queue", value, argv[0]);
     } else if (MatchFlag(arg, "--partition", &value) && value != nullptr) {
       ApplyKeyOrUsage(&config, "partition", value, argv[0]);
     } else if (MatchFlag(arg, "--minutes", &value) && value != nullptr) {
@@ -132,9 +129,9 @@ int main(int argc, char** argv) {
     } else if (MatchFlag(arg, "--range-granularity", &value) && value != nullptr) {
       ApplyKeyOrUsage(&config, "range_granularity", value, argv[0]);
     } else if (MatchFlag(arg, "--failure-fraction", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "failure_fraction", value, argv[0]);
+      ApplyKeyOrUsage(&config, "fault.crash_fraction", value, argv[0]);
     } else if (MatchFlag(arg, "--failure-minute", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "failure_minute", value, argv[0]);
+      ApplyKeyOrUsage(&config, "fault.crash_minute", value, argv[0]);
     } else if (MatchFlag(arg, "--trace-out", &value) && value != nullptr) {
       ApplyKeyOrUsage(&config, "obs.trace_out", value, argv[0]);
     } else if (MatchFlag(arg, "--metrics-out", &value) && value != nullptr) {
