@@ -6,35 +6,6 @@
 
 namespace scoop {
 
-namespace {
-constexpr uint64_t kPcgMultiplier = 6364136223846793005ULL;
-}  // namespace
-
-Rng::Rng(uint64_t seed, uint64_t stream) {
-  inc_ = (stream << 1u) | 1u;
-  state_ = 0;
-  NextU32();
-  state_ += seed;
-  NextU32();
-}
-
-uint32_t Rng::NextU32() {
-  uint64_t old = state_;
-  state_ = old * kPcgMultiplier + inc_;
-  uint32_t xorshifted = static_cast<uint32_t>(((old >> 18u) ^ old) >> 27u);
-  uint32_t rot = static_cast<uint32_t>(old >> 59u);
-  return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
-}
-
-uint64_t Rng::NextU64() {
-  return (static_cast<uint64_t>(NextU32()) << 32) | NextU32();
-}
-
-double Rng::UniformDouble() {
-  // 53 random bits mapped to [0,1).
-  return static_cast<double>(NextU64() >> 11) * (1.0 / 9007199254740992.0);
-}
-
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   SCOOP_CHECK_LE(lo, hi);
   uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
@@ -46,12 +17,6 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
     r = NextU64();
   } while (r >= limit);
   return lo + static_cast<int64_t>(r % span);
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return UniformDouble() < p;
 }
 
 double Rng::Gaussian(double mean, double stddev) {
@@ -70,13 +35,6 @@ double Rng::Gaussian(double mean, double stddev) {
   cached_gaussian_ = radius * std::sin(theta);
   has_cached_gaussian_ = true;
   return mean + stddev * radius * std::cos(theta);
-}
-
-uint64_t MixSeed(uint64_t seed, uint64_t entity_id) {
-  uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (entity_id + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
 }
 
 }  // namespace scoop

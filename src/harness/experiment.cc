@@ -125,22 +125,20 @@ struct BaseHandle {
   std::function<uint32_t(const Query&)> issue;
 };
 
-/// Per-shard sinks the agents report into: each agent gets its owning
+/// Per-shard sinks, indexed by shard: each agent reports into its owning
 /// shard's Telemetry and trace sink, so shards never contend.
-struct ShardSinks {
-  std::vector<metrics::Telemetry>* telemetry;
-  const std::vector<std::unique_ptr<obs::TraceSink>>* traces;
-};
+using ShardTelemetry = std::vector<metrics::Telemetry>;
+using ShardTraces = std::vector<std::unique_ptr<obs::TraceSink>>;
 
 /// Installs one base agent (node 0) plus num_nodes-1 node agents on the
 /// engine, wiring each to its owning shard's sinks.
 template <typename BaseT, typename NodeT>
 BaseHandle InstallPolicy(sim::ShardedEngine* engine, const ExperimentConfig& config,
-                         ShardSinks sinks, workload::DataSource* source) {
+                         ShardTelemetry* telemetry, const ShardTraces& traces,
+                         workload::DataSource* source) {
   auto agent_config = [&](NodeId id) {
     size_t s = static_cast<size_t>(engine->shard_of(id));
-    return MakeAgentConfig(config, id, &(*sinks.telemetry)[s], (*sinks.traces)[s].get(),
-                           source);
+    return MakeAgentConfig(config, id, &(*telemetry)[s], traces[s].get(), source);
   };
   BaseHandle handle;
   auto base = std::make_unique<BaseT>(agent_config(0));
@@ -156,20 +154,21 @@ BaseHandle InstallPolicy(sim::ShardedEngine* engine, const ExperimentConfig& con
 }
 
 BaseHandle InstallAgents(sim::ShardedEngine* engine, const ExperimentConfig& config,
-                         ShardSinks sinks, workload::DataSource* source) {
+                         ShardTelemetry* telemetry, const ShardTraces& traces,
+                         workload::DataSource* source) {
   switch (config.policy) {
     case Policy::kScoop:
-      return InstallPolicy<core::ScoopBaseAgent, core::ScoopNodeAgent>(engine, config, sinks,
-                                                                       source);
+      return InstallPolicy<core::ScoopBaseAgent, core::ScoopNodeAgent>(
+          engine, config, telemetry, traces, source);
     case Policy::kLocal:
-      return InstallPolicy<core::LocalBaseAgent, core::LocalNodeAgent>(engine, config, sinks,
-                                                                       source);
+      return InstallPolicy<core::LocalBaseAgent, core::LocalNodeAgent>(
+          engine, config, telemetry, traces, source);
     case Policy::kBase:
       return InstallPolicy<core::BasePolicyBaseAgent, core::BasePolicyNodeAgent>(
-          engine, config, sinks, source);
+          engine, config, telemetry, traces, source);
     case Policy::kHashSim:
-      return InstallPolicy<core::HashBaseAgent, core::HashNodeAgent>(engine, config, sinks,
-                                                                     source);
+      return InstallPolicy<core::HashBaseAgent, core::HashNodeAgent>(
+          engine, config, telemetry, traces, source);
     case Policy::kHashAnalytical:
       SCOOP_CHECK(false);  // Handled by HashAnalysisAsResult, not simulation.
   }
@@ -544,8 +543,7 @@ ExperimentResult RunShardedTrial(const ExperimentConfig& config, uint64_t seed, 
 
   std::unique_ptr<workload::DataSource> source = workload::MakeKeyedDataSource(
       config.source, config.source_options, engine.topology().positions(), seed);
-  BaseHandle handle =
-      InstallAgents(&engine, config, ShardSinks{&shard_telemetry, &traces}, source.get());
+  BaseHandle handle = InstallAgents(&engine, config, &shard_telemetry, traces, source.get());
 
   // Per-query success timeline; on_query_complete fires on the base
   // shard's thread only, so a plain vector is race-free.

@@ -239,6 +239,7 @@ std::string CampaignPerfJson(const CampaignResult& result) {
   };
   double total_events = 0;
   double total_wall = 0;
+  size_t total_trials = 0;
   double total_absorbed = 0;
   double total_spilled = 0;
   double total_stall_us = 0;
@@ -264,6 +265,7 @@ std::string CampaignPerfJson(const CampaignResult& result) {
     for (const harness::ExperimentResult& trial : row.trials) {
       total_events += trial.sim_events;
       total_wall += trial.wall_seconds;
+      ++total_trials;
       total_absorbed += trial.queue_wheel_absorbed;
       total_spilled += trial.queue_wheel_spilled;
       total_stall_us += trial.shard_stall_us;
@@ -281,6 +283,13 @@ std::string CampaignPerfJson(const CampaignResult& result) {
   out += ",\"threads\":" + std::to_string(result.threads_used);
   out += ",\"wall_seconds\":" + FormatJsonMetric(result.wall_seconds);
   out += ",\"trial_wall_seconds_total\":" + FormatJsonMetric(total_wall);
+  // Host seconds per simulated deployment: the cost a campaign pays per
+  // trial, comparable across engines and shard counts (events/s is not:
+  // boundary evaluations and bookkeeping events vary with K).
+  out += ",\"trials\":" + std::to_string(total_trials);
+  out += ",\"wall_seconds_per_trial\":" +
+         FormatJsonMetric(total_trials > 0 ? total_wall / static_cast<double>(total_trials)
+                                           : 0.0);
   out += ",\"sim_events_total\":" + FormatJsonMetric(total_events);
   out += ",\"events_per_second\":" +
          FormatJsonMetric(total_wall > 0 ? total_events / total_wall : 0.0);

@@ -18,7 +18,7 @@ ShardQueue::ShardQueue(uint32_t num_origins, QueueImpl impl)
 }
 
 EventId ShardQueue::ScheduleInternal(SimTime at, uint64_t ord, NodeId sender,
-                                     uint32_t gen, Callback fn) {
+                                     uint32_t gen, Callback&& fn) {
   SCOOP_CHECK(at >= now_);
   uint32_t slot = AcquireSlot();
   uint64_t key = (++next_seq_ << kSlotBits) | slot;
@@ -28,12 +28,13 @@ EventId ShardQueue::ScheduleInternal(SimTime at, uint64_t ord, NodeId sender,
   s.sender = sender;
   s.gen = gen;
   HeapEntry entry{at, ord, key};
+  head_ = nullptr;
   if (impl_ == QueueImpl::kWheel && wheel_.TryPush(at, entry)) {
     ++absorbed_;
   } else {
     ++spilled_;
     heap_.push_back(entry);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    SiftUp(heap_.size() - 1);
   }
   ++live_;
   return key;
@@ -62,16 +63,64 @@ void ShardQueue::Cancel(EventId id) {
   if (id == kInvalidEventId) return;
   uint32_t slot = static_cast<uint32_t>(id & kSlotMask);
   if (slot >= slots_.size() || slots_[slot].key != id) return;  // Stale handle.
+  head_ = nullptr;
   ReleaseSlot(slot);
   --live_;
   ++stale_;
   MaybeCompact();
 }
 
+void ShardQueue::SiftUp(size_t pos) {
+  HeapEntry e = heap_[pos];
+  while (pos > 0) {
+    size_t parent = (pos - 1) >> 2;
+    if (!Earlier(e, heap_[parent])) break;
+    heap_[pos] = heap_[parent];
+    pos = parent;
+  }
+  heap_[pos] = e;
+}
+
+void ShardQueue::SiftDown(size_t pos) {
+  HeapEntry e = heap_[pos];
+  const size_t n = heap_.size();
+  HeapEntry* h = heap_.data();
+  for (;;) {
+    size_t child = (pos << 2) + 1;
+    size_t best;
+    if (child + 3 < n) {
+      // Full node: tournament-select the earliest of the four children
+      // (two independent compares, then one) instead of a serial chain.
+      size_t lo = child + (Earlier(h[child + 1], h[child]) ? 1 : 0);
+      size_t hi = child + (Earlier(h[child + 3], h[child + 2]) ? 3 : 2);
+      best = Earlier(h[hi], h[lo]) ? hi : lo;
+    } else if (child < n) {
+      best = child;
+      for (size_t c = child + 1; c < n; ++c) {
+        if (Earlier(h[c], h[best])) best = c;
+      }
+    } else {
+      break;
+    }
+    if (!Earlier(h[best], e)) break;
+    h[pos] = h[best];
+    pos = best;
+  }
+  h[pos] = e;
+}
+
+void ShardQueue::PopTop() {
+  HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    heap_[0] = last;
+    SiftDown(0);
+  }
+}
+
 void ShardQueue::SkimStale() {
   while (!heap_.empty() && !IsLive(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
+    PopTop();
     --stale_;
   }
 }
@@ -80,17 +129,22 @@ void ShardQueue::MaybeCompact() {
   // Amortized O(1) per cancel: rebuild both tiers only once stale entries
   // outnumber live ones (and are numerous enough to be worth it).
   if (stale_ < 64 || stale_ * 2 <= heap_size()) return;
-  size_t out = 0;
-  for (size_t i = 0; i < heap_.size(); ++i) {
-    if (IsLive(heap_[i])) heap_[out++] = heap_[i];
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                             [this](const HeapEntry& e) { return !IsLive(e); }),
+              heap_.end());
+  // Floyd heapify: sift down every internal node, deepest first.
+  if (heap_.size() > 1) {
+    for (size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) SiftDown(i);
   }
-  heap_.resize(out);
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
   wheel_.CompactStale();
   stale_ = 0;
 }
 
 const ShardQueue::HeapEntry* ShardQueue::PeekHead(bool* from_wheel) {
+  if (head_ != nullptr) {
+    *from_wheel = head_from_wheel_;
+    return head_;
+  }
   SkimStale();
   const HeapEntry* w =
       impl_ == QueueImpl::kWheel ? wheel_.PeekEarliest() : nullptr;
@@ -105,7 +159,9 @@ const ShardQueue::HeapEntry* ShardQueue::PeekHead(bool* from_wheel) {
     }
   }
   *from_wheel = w != nullptr;
-  return w != nullptr ? w : h;
+  head_from_wheel_ = *from_wheel;
+  head_ = w != nullptr ? w : h;
+  return head_;
 }
 
 SimTime ShardQueue::HeadTime() {
@@ -124,16 +180,24 @@ bool ShardQueue::HeadFinishInfo(NodeId* sender, uint32_t* gen) {
   return true;
 }
 
+bool ShardQueue::FinishWouldRunNext(SimTime at, NodeId sender, uint32_t gen) {
+  bool from_wheel = false;
+  const HeapEntry* head = PeekHead(&from_wheel);
+  if (head == nullptr) return true;
+  if (head->at != at) return head->at > at;
+  return head->ord > MakeOrd(1, sender, gen);
+}
+
 bool ShardQueue::RunOne() {
   bool from_wheel = false;
   const HeapEntry* head = PeekHead(&from_wheel);
   if (head == nullptr) return false;
   HeapEntry top = *head;
+  head_ = nullptr;
   if (from_wheel) {
     wheel_.PopEarliest();
   } else {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
+    PopTop();
   }
   uint32_t slot = static_cast<uint32_t>(top.key & kSlotMask);
   Callback fn = std::move(slots_[slot].fn);
@@ -157,6 +221,7 @@ void ShardQueue::AdvanceTo(SimTime t) {
   SCOOP_CHECK(t >= now_);
   SCOOP_CHECK(HeadTime() > t);
   now_ = t;
+  head_ = nullptr;
   if (impl_ == QueueImpl::kWheel) wheel_.AdvanceTo(now_);
 }
 
@@ -474,22 +539,34 @@ void ShardRadio::StartTx(NodeId src) {
   mac.transmitting = true;
   uint32_t gen = ++mac.tx_gen;
   if (announce_fn_) announce_fn_(src, gen, start, end, frame.pkt);
+  // The evaluation event queues the completion in turn (see EvalLocal).
   queue_->ScheduleEval(end, src, gen,
                        [this, src, gen, start, end] { EvalLocal(src, gen, start, end); });
-  queue_->ScheduleFinish(end, src, gen, [this, src, gen] { FinishCont(src, gen); });
-  // No floor entry for the completion: while the finish event is pending
-  // the queue head stays <= end, so the engine's head floor already bounds
-  // every message this transmission can lead to (the next acquisition
-  // starts >= end + backoff_min; the ACK verdict at `end` needs no
-  // coverage -- the remote completion stalls on the message itself).
+  // No floor entry for the completion: while the evaluation and then the
+  // completion are pending the queue head stays <= end, so the engine's
+  // head floor already bounds every message this transmission can lead to
+  // (the next acquisition starts >= end + backoff_min; the ACK verdict at
+  // `end` needs no coverage -- the remote completion stalls on the message
+  // itself).
 }
 
 void ShardRadio::EvalLocal(NodeId src, uint32_t gen, SimTime start, SimTime end) {
   const PdesMac& mac = mac_[src];
   // An aborted local frame needs no evaluation: the generation bump at the
   // power-down makes it stale here.
-  if (gen != mac.tx_gen || !mac.transmitting) return;
-  EvalTx(src, gen, start, end, mac.queue.front().pkt, /*aborted=*/false);
+  if (gen == mac.tx_gen && mac.transmitting) {
+    EvalTx(src, gen, start, end, mac.queue.front().pkt, /*aborted=*/false);
+  }
+  // The completion is the phase-1 event keyed (src, gen) at `end`. When it
+  // is canonically next -- no evaluation at `end` still pending, no
+  // completion keyed before it, and its ACK verdict in hand -- it runs
+  // right here; otherwise it is queued under that key. Either way it runs
+  // at the same point of the canonical order, so every K still matches.
+  if (!AckBlocked(src, gen) && queue_->FinishWouldRunNext(end, src, gen)) {
+    FinishCont(src, gen);
+  } else {
+    queue_->ScheduleFinish(end, src, gen, [this, src, gen] { FinishCont(src, gen); });
+  }
 }
 
 void ShardRadio::EvalRemote(NodeId src, uint32_t gen) {
@@ -517,6 +594,7 @@ void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
     // the verdicts stay identical under any K-way partition. Evaluated at
     // the transmission end (= delivery instant).
     bool faulted = fault_ != nullptr && fault_->active();
+    const uint64_t tx_key = MixSeed(link_key_, TxKey(src, gen));
     CollectInterferers(src, start, end);
     const bool maybe_collided = !collide_scratch_.empty();
     // Walk the sender's audible out-neighbors in ascending id, but only
@@ -528,7 +606,7 @@ void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
       if (!alive_[r]) continue;                            // Dead radios hear nothing.
       double p = link.prob;
       if (faulted) p *= fault_->Scale(src, r, end);
-      if (!LinkLossDraw(src, gen, r, p)) continue;         // Link loss.
+      if (!LinkLossDraw(tx_key, r, p)) continue;           // Link loss.
       if (WasTransmitting(r, start, end)) continue;        // Half duplex.
       if (maybe_collided && Collided(r, src)) continue;    // Corrupted.
       bool addressed = (dst == kBroadcastId) || (dst == r);
@@ -546,7 +624,7 @@ void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
     // receiver's state) and reports it to the sender's completion.
     if (dst != kBroadcastId && Owned(dst) && topology_->delivery_prob(src, dst) > 0) {
       if (Owned(src)) {
-        acks_[TxKey(src, gen)] = dst_received;
+        RecordAckVerdict(src, gen, dst_received);
       } else if (ack_fn_) {
         ack_fn_(src, gen, dst_received);
       }
@@ -561,7 +639,7 @@ bool ShardRadio::AckBlocked(NodeId src, uint32_t gen) const {
   if (dst == kBroadcastId) return false;
   if (Owned(dst)) return false;  // Local evaluation already ran (phase 0 < 1).
   if (topology_->delivery_prob(src, dst) <= 0) return false;  // No verdict coming.
-  return acks_.find(TxKey(src, gen)) == acks_.end();
+  return !mac.ack_present || mac.ack_gen != gen;
 }
 
 void ShardRadio::FinishCont(NodeId src, uint32_t gen) {
@@ -583,9 +661,8 @@ void ShardRadio::FinishCont(NodeId src, uint32_t gen) {
     mac.queue.pop_front();
     if (send_done_hook_) send_done_hook_(src, sent, true);
   } else {
-    auto ack_it = acks_.find(TxKey(src, gen));
-    bool dst_received = ack_it != acks_.end() && ack_it->second;
-    if (ack_it != acks_.end()) acks_.erase(ack_it);
+    bool dst_received = mac.ack_present && mac.ack_gen == gen && mac.ack_received;
+    mac.ack_present = false;
     double p_ack = std::pow(topology_->delivery_prob(dst, src),
                             options_.ack_shortness_exponent);
     if (fault_ != nullptr && fault_->active()) {
@@ -654,7 +731,14 @@ void ShardRadio::HandleAckResult(NodeId src, uint32_t gen, bool received) {
     trace_->Instant(queue_->now(), "ack.rx", obs::TraceCat::kShardSync, src,
                     "gen", gen, "received", received ? 1 : 0);
   }
-  acks_[TxKey(src, gen)] = received;
+  RecordAckVerdict(src, gen, received);
+}
+
+void ShardRadio::RecordAckVerdict(NodeId src, uint32_t gen, bool received) {
+  PdesMac& mac = mac_[src];
+  mac.ack_gen = gen;
+  mac.ack_present = true;
+  mac.ack_received = received;
 }
 
 void ShardRadio::SetAnnounceTargets(const std::vector<uint64_t>* announce_mask,

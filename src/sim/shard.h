@@ -101,7 +101,7 @@ enum class DropReason {
 /// Two tiers: near-future events (within ~1.05 s) sit in a hierarchical
 /// timer wheel (sim/timer_wheel.h) at O(1) per schedule -- it absorbs the
 /// MAC backoff and Trickle timer churn, most of which is cancelled before
-/// it fires -- in front of a binary min-heap spill tier for far-future
+/// it fires -- in front of a 4-ary min-heap spill tier for far-future
 /// timers. Wheel buckets are sorted by the canonical key when they come
 /// due, so the two-tier order equals the heap-only order.
 ///
@@ -160,6 +160,11 @@ class ShardQueue {
 
   /// True iff the head event is a phase-1 completion; outputs its key.
   bool HeadFinishInfo(NodeId* sender, uint32_t* gen);
+
+  /// True iff a completion of (sender, gen) at `at` would run next were it
+  /// queued now: every pending event is canonically later. The radio then
+  /// runs the completion inline instead of queueing it.
+  bool FinishWouldRunNext(SimTime at, NodeId sender, uint32_t gen);
 
   /// Runs the earliest pending event. Returns false when empty.
   bool RunOne();
@@ -224,11 +229,6 @@ class ShardQueue {
     if (a.ord != b.ord) return a.ord < b.ord;
     return a.key < b.key;
   }
-  struct Later {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      return Earlier(b, a);
-    }
-  };
 
   bool IsLive(const HeapEntry& e) const {
     return slots_[e.key & kSlotMask].key == e.key;
@@ -246,11 +246,20 @@ class ShardQueue {
   void WheelStaleDropped(size_t n) { stale_ -= n; }
 
   EventId ScheduleInternal(SimTime at, uint64_t ord, NodeId sender, uint32_t gen,
-                           Callback fn);
+                           Callback&& fn);
   uint32_t AcquireSlot();
   void ReleaseSlot(uint32_t index);
+  // 4-ary implicit min-heap over heap_ (half the levels of a binary heap,
+  // cache-line-friendly sift paths).
+  void SiftUp(size_t pos);
+  void SiftDown(size_t pos);
+  /// Removes the heap top (which must exist).
+  void PopTop();
+  /// Drops cancelled entries off the heap top.
   void SkimStale();
   /// Earliest pending entry across both tiers (after skimming), or null.
+  /// Cached until the next mutation, so the run loop's head checks and the
+  /// pop that follows them share one lookup.
   const HeapEntry* PeekHead(bool* from_wheel);
   void MaybeCompact();
 
@@ -267,6 +276,9 @@ class ShardQueue {
   uint64_t processed_ = 0;
   uint64_t absorbed_ = 0;
   uint64_t spilled_ = 0;
+  /// PeekHead's cached result; null = recompute. Reset by every mutation.
+  const HeapEntry* head_ = nullptr;
+  bool head_from_wheel_ = false;
   obs::SimProfiler* profiler_ = nullptr;
 };
 
@@ -396,6 +408,13 @@ class ShardRadio {
     uint32_t tx_gen = 0;
     EventId cca_event = kInvalidEventId;
     SimTime cca_at = 0;  ///< Scheduled sense time, for MacFloor cancellation.
+    /// The unicast destination's reception verdict for transmission
+    /// `ack_gen` (from a local evaluation or a cross-shard ACK message),
+    /// consumed by that transmission's completion. A node has at most one
+    /// transmission awaiting its verdict at a time.
+    uint32_t ack_gen = 0;
+    bool ack_present = false;
+    bool ack_received = false;
   };
 
   struct Transmission {
@@ -422,10 +441,14 @@ class ShardRadio {
 
   bool Owned(NodeId id) const { return (*owner_)[id] == self_shard_; }
 
-  /// Keyed per-link loss draw for receiver `r` of (src, gen): every shard
-  /// that evaluates the transmission draws the identical verdict.
-  bool LinkLossDraw(NodeId src, uint32_t gen, NodeId r, double prob) const {
-    Rng rng(MixSeed(MixSeed(link_key_, TxKey(src, gen)), r), r);
+  /// Keyed per-link loss draw for receiver `r` of the transmission whose
+  /// key is `tx_key` = MixSeed(link_key_, TxKey(src, gen)): every shard
+  /// that evaluates the transmission draws the identical verdict. Certain
+  /// outcomes (prob outside (0, 1)) need no generator.
+  static bool LinkLossDraw(uint64_t tx_key, NodeId r, double prob) {
+    if (prob <= 0.0) return false;
+    if (prob >= 1.0) return true;
+    Rng rng(MixSeed(tx_key, r), r);
     return rng.Bernoulli(prob);
   }
   bool AckDraw(NodeId src, uint32_t gen, double prob) const {
@@ -435,12 +458,14 @@ class ShardRadio {
 
   /// Arms carrier sense for the head frame. Fresh acquisitions wait at
   /// least backoff_min (the cross-shard lookahead floor) plus a keyed
-  /// jitter; busy retries use the legacy BEB window.
+  /// jitter; busy retries draw from the binary-exponential BackoffWindow.
   void ScheduleCca(NodeId src, SimTime delay);
   void TryStart(NodeId src);
   void CcaFire(NodeId src);
   void StartTx(NodeId src);
   void FinishCont(NodeId src, uint32_t gen);
+  /// Records the ACK verdict for the locally-owned sender's (src, gen).
+  void RecordAckVerdict(NodeId src, uint32_t gen, bool received);
   void EvalLocal(NodeId src, uint32_t gen, SimTime start, SimTime end);
   void EvalRemote(NodeId src, uint32_t gen);
   /// Shared reception computation for a (local or mirrored) transmission.
@@ -511,10 +536,9 @@ class ShardRadio {
   uint64_t mirrored_frames_ = 0;
 
   /// Mirrored remote transmissions keyed (src << 32 | gen), consumed by
-  /// their evaluation event; aborts and ACK verdicts keyed the same way.
+  /// their evaluation event; aborts keyed the same way.
   std::unordered_map<uint64_t, RemoteTx> remote_tx_;
   std::unordered_set<uint64_t> aborted_;
-  std::unordered_map<uint64_t, bool> acks_;
 
   TransmitHook transmit_hook_;
   DeliverHook deliver_hook_;

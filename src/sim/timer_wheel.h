@@ -165,11 +165,19 @@ class TimerWheel {
     SCOOP_DCHECK(target > cursor_);
     // Anything left in the old current frame is cancelled: a live entry
     // here would have time < now, and the host executes in time order.
-    for (size_t i = FindFrom(l0_bits_, 0); i < kBuckets;
-         i = FindFrom(l0_bits_, i + 1)) {
-      DropBucket(/*level=*/0, i);
+    // (An occupied bucket always holds entries, so empty levels skip the
+    // bitmap scans -- sparse runs change frame on almost every event.)
+    if (l0_entries_ > 0) {
+      for (size_t i = FindFrom(l0_bits_, 0); i < kBuckets;
+           i = FindFrom(l0_bits_, i + 1)) {
+        DropBucket(/*level=*/0, i);
+      }
     }
     l0_from_ = kBuckets;
+    if (l1_entries_ == 0) {
+      cursor_ = target;
+      return;
+    }
     if (target - cursor_ >= kBuckets) {
       // Jumped past the whole L1 window; every held frame is now past.
       for (size_t i = FindFrom(l1_bits_, 0); i < kBuckets;
@@ -297,8 +305,10 @@ class TimerWheel {
     Bucket& b = bucket(level, i);
     if (!b.sorted) {
       SCOOP_DCHECK(b.head == 0);
-      std::sort(b.items.begin(), b.items.end(),
-                [](const Entry& a, const Entry& c) { return Host::WheelEarlier(a, c); });
+      if (b.items.size() > 1) {
+        std::sort(b.items.begin(), b.items.end(),
+                  [](const Entry& a, const Entry& c) { return Host::WheelEarlier(a, c); });
+      }
       b.sorted = true;
     }
     size_t dropped = 0;

@@ -4,20 +4,26 @@
 For every google-benchmark entry present in both files, prints the
 old/new items-per-second (falling back to inverse wall time when a bench
 reports no item counter) and the speedup ratio new/old; for the campaign
-probes, compares events-per-second. Sharded probes additionally get an
-informational shard.stall_us / shard.mirrored_frames sync-cost diff, and
-probes run with --profile a sim-profiler bucket diff (queue/radio/agent/
-shard-sync/other wall seconds) -- never part of the gate.
+probes, compares trials per second (the inverse of wall seconds per
+trial, so bigger is better throughout) and, informationally,
+events-per-second. Sharded probes additionally get an informational
+shard.stall_us / shard.mirrored_frames sync-cost diff, and probes run
+with --profile a sim-profiler bucket diff (queue/radio/agent/shard-sync/
+other wall seconds) -- never part of the gate.
 
 Usage: tools/bench_compare.py OLD.json NEW.json [--min-ratio R] [--fail-below R]
   --min-ratio R   print a trailing WARNING line listing benches whose
                   ratio fell below R (still exit 0)
-  --fail-below R  GATE: exit 1 when any campaign events-per-second probe's
-                  new/old ratio drops below R. Only the campaign probes
-                  gate -- microbenchmarks are too noisy on shared CI
-                  runners to fail the build on. Set BENCH_ALLOW_REGRESSION=1
-                  to downgrade the gate to a warning (exit 0), e.g. when a
-                  PR knowingly trades throughput for correctness.
+  --fail-below R  GATE: exit 1 when any campaign probe's wall seconds per
+                  trial grow so that the new/old trials-per-second ratio
+                  drops below R. Only the campaign probes gate --
+                  microbenchmarks are too noisy on shared CI runners to
+                  fail the build on -- and only on wall time per trial:
+                  events/s counts engine bookkeeping events, which change
+                  with the engine and shard count without any change in
+                  cost. Set BENCH_ALLOW_REGRESSION=1 to downgrade the gate
+                  to a warning (exit 0), e.g. when a PR knowingly trades
+                  throughput for correctness.
 """
 
 import argparse
@@ -46,6 +52,9 @@ def bench_rates(doc):
                     rates[name] = scale / bench["real_time"]
         elif "events_per_second" in payload:  # campaign perf probe
             rates[f"{section}/events_per_second"] = payload["events_per_second"]
+            per_trial = payload.get("wall_seconds_per_trial", 0)
+            if per_trial > 0:
+                rates[f"{section}/trials_per_second"] = 1.0 / per_trial
     return rates
 
 
@@ -180,9 +189,9 @@ def main():
     parser.add_argument("--min-ratio", type=float, default=None,
                         help="warn (exit 0) when a bench's new/old ratio drops below this")
     parser.add_argument("--fail-below", type=float, default=None,
-                        help="exit 1 when a campaign events-per-second probe's "
-                             "ratio drops below this (BENCH_ALLOW_REGRESSION=1 "
-                             "downgrades to a warning)")
+                        help="exit 1 when a campaign probe's trials-per-second "
+                             "(1 / wall seconds per trial) ratio drops below this "
+                             "(BENCH_ALLOW_REGRESSION=1 downgrades to a warning)")
     args = parser.parse_args()
 
     with open(args.old) as f:
@@ -206,7 +215,7 @@ def main():
         print(f"{name:<72} {old_rate:>12.3g} {new_rate:>12.3g} {ratio:>6.2f}x")
         if args.min_ratio is not None and ratio < args.min_ratio:
             slow.append((name, ratio))
-        if (args.fail_below is not None and name.endswith("/events_per_second")
+        if (args.fail_below is not None and name.endswith("/trials_per_second")
                 and ratio < args.fail_below):
             gate_failures.append((name, ratio))
 
@@ -229,7 +238,7 @@ def main():
             print(f"\nWARNING (gate waived by BENCH_ALLOW_REGRESSION): "
                   f"below --fail-below {args.fail_below}: {names}")
         else:
-            print(f"\nFAIL: events-per-second regression beyond --fail-below "
+            print(f"\nFAIL: wall-seconds-per-trial regression beyond --fail-below "
                   f"{args.fail_below}: {names}", file=sys.stderr)
             return 1
     return 0

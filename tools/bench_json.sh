@@ -63,7 +63,7 @@ done
     --perf-json="${tmp}/campaign_churn_reboot.json"
 # Sharded scaling probes: the same 1024-node lattice split across K
 # parallel shards (conservative PDES engine). Tracks single-trial
-# strong-scaling; shards=1 above stays the sequential-engine baseline.
+# strong-scaling against shards=1 above (one shard run inline).
 shard_counts="${BENCH_SHARD_COUNTS:-2 4 8}"
 for k in ${shard_counts}; do
   "${tools_dir}/scoop_campaign" --scenario=grid_1024 --threads=1 \
@@ -87,7 +87,13 @@ done
 "${tools_dir}/scoop_campaign" --scenario=grid_1024 --threads=1 --profile \
     --quiet --perf-json="${tmp}/campaign_grid_1024_profile.json"
 
+# The commit the numbers were measured on; "-dirty" when the working tree
+# has uncommitted changes, so a regenerated file never claims the parent.
 commit="$(git -C "${repo_root}" rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if [[ "${commit}" != unknown ]] &&
+    [[ -n "$(git -C "${repo_root}" status --porcelain --untracked-files=no 2>/dev/null)" ]]; then
+  commit="${commit}-dirty"
+fi
 
 python3 - "${tmp}" "${out}" "${commit}" "${min_time}" "${shard_counts}" <<'EOF'
 import json
