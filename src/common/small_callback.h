@@ -13,6 +13,7 @@
 #define SCOOP_COMMON_SMALL_CALLBACK_H_
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -96,8 +97,10 @@ class SmallFunction<R(Args...)> {
   struct Ops {
     R (*invoke)(void* self, Args&&... args);
     /// Moves the representation from `from` into the raw buffer `to` and
-    /// ends `from`'s lifetime; `from` must not be destroyed again.
+    /// ends `from`'s lifetime; `from` must not be destroyed again. Null for
+    /// trivially copyable callables: moving one is a buffer copy.
     void (*relocate)(void* from, void* to);
+    /// Null for trivially destructible callables: nothing to run.
     void (*destroy)(void* self);
   };
 
@@ -112,7 +115,13 @@ class SmallFunction<R(Args...)> {
       f->~Fn();
     }
     static void Destroy(void* self) { static_cast<Fn*>(self)->~Fn(); }
-    static constexpr Ops kOps = {&Invoke, &Relocate, &Destroy};
+    // The event queue moves every callback into its slot and back out to
+    // run it; a lambda capturing only pointers and scalars then costs a
+    // buffer copy instead of two indirect calls.
+    static constexpr bool kTrivial =
+        std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>;
+    static constexpr Ops kOps = {&Invoke, kTrivial ? nullptr : &Relocate,
+                                 kTrivial ? nullptr : &Destroy};
   };
 
   template <typename Fn>
@@ -130,19 +139,24 @@ class SmallFunction<R(Args...)> {
   void MoveFrom(SmallFunction& other) noexcept {
     if (other.ops_ != nullptr) {
       ops_ = other.ops_;
-      ops_->relocate(other.buf_, buf_);
+      if (ops_->relocate != nullptr) {
+        ops_->relocate(other.buf_, buf_);
+      } else {
+        std::memcpy(buf_, other.buf_, kInlineBytes);
+      }
       other.ops_ = nullptr;
     }
   }
 
   void Reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(buf_);
+      if (ops_->destroy != nullptr) ops_->destroy(buf_);
       ops_ = nullptr;
     }
   }
 
-  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+  // Zero-filled so a whole-buffer copy never reads indeterminate bytes.
+  alignas(std::max_align_t) unsigned char buf_[kInlineBytes] = {};
   const Ops* ops_ = nullptr;
 };
 

@@ -41,7 +41,7 @@ TEST(LocalAgentsTest, NodesStoreLocallyAndFloodedQueriesFindData) {
   opts.seed = 3;
   sim::ShardedEngine net(DenseTopology(), opts);
   metrics::MessageStats stats(4);
-  net.set_transmit_observer(/*shard=*/0, 
+  net.set_transmit_observer(/*shard=*/0,
       [&](NodeId s, const Packet& p, bool r) { stats.OnTransmit(s, p, r); });
 
   LocalBaseAgent* base = nullptr;
@@ -89,7 +89,7 @@ TEST(BasePolicyAgentsTest, AllDataArrivesAtBaseAndQueriesAreFree) {
   opts.seed = 4;
   sim::ShardedEngine net(DenseTopology(), opts);
   metrics::MessageStats stats(4);
-  net.set_transmit_observer(/*shard=*/0, 
+  net.set_transmit_observer(/*shard=*/0,
       [&](NodeId s, const Packet& p, bool r) { stats.OnTransmit(s, p, r); });
 
   BasePolicyBaseAgent* base = nullptr;
