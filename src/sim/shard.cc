@@ -697,6 +697,9 @@ void ShardRadio::FinishCont(NodeId src, uint32_t gen) {
 void ShardRadio::HandleAnnounce(NodeId src, uint32_t gen, SimTime start, SimTime end,
                                 Packet pkt) {
   SCOOP_DCHECK(!Owned(src));
+  // A frame starting behind our clock is a straggler: some promise that
+  // let us run past `start` was unsound, and results would silently differ.
+  SCOOP_CHECK_GE(start, queue_->now());
   ++mirrored_frames_;
   if (ctr_announce_rx_ != nullptr) ++*ctr_announce_rx_;
   // The mirrored boundary frame, on the receiving shard's timeline.

@@ -117,6 +117,9 @@ struct ShardedEngine::Shard {
   uint64_t in_mask = 0;     ///< Shards whose EPT bounds our safe time.
   uint64_t out_mask = 0;    ///< Shards our promises must cover.
   uint64_t drain_mask = 0;  ///< Shards that may push into our mailboxes.
+  /// Lowest promise PublishEpt last wrote to any out-neighbor: once the
+  /// clock reaches it, a mid-batch republish can lift it.
+  SimTime min_published = 0;
   /// Always-on perf telemetry (like ShardQueue::processed()): wall time
   /// spent spinning with no executable event, and how many distinct
   /// no-progress episodes occurred. Wall-clock-derived, NOT deterministic.
@@ -522,7 +525,8 @@ void ShardedEngine::Drain(Shard* shard) {
   }
 }
 
-bool ShardedEngine::ExecuteUpTo(Shard* shard, SimTime limit) {
+template <bool kRepublish>
+bool ShardedEngine::ExecuteUpTo(Shard* shard, SimTime limit, SimTime safe) {
   obs::ScopedBucket bucket(shard->profiler, obs::SimProfiler::kQueue);
   bool progress = false;
   for (;;) {
@@ -550,6 +554,16 @@ bool ShardedEngine::ExecuteUpTo(Shard* shard, SimTime limit) {
     }
     shard->queue.RunOne();
     progress = true;
+    if constexpr (kRepublish) {
+      // A neighbor blocked on our promise needs it lifted only past the
+      // instant it waits for, not past the whole batch. Messages not yet
+      // drained still carry times >= `safe`, so the batch's safe time
+      // stays a sound base for the head floor.
+      if (shard->queue.now() >= shard->min_published) {
+        obs::ScopedBucket sync(shard->profiler, obs::SimProfiler::kShardSync);
+        PublishEpt(shard, safe);
+      }
+    }
   }
   return progress;
 }
@@ -584,14 +598,16 @@ void ShardedEngine::PublishEpt(Shard* shard, SimTime safe) {
     SimTime ept = std::min(shared, mac);
     std::atomic<SimTime>& cell =
         ept_[static_cast<size_t>(shard->index) * num_shards_ + t];
-    // Monotone publish: a promise never retreats. Only this shard's thread
-    // writes the cell, so load-then-store is race-free.
-    if (ept > cell.load(std::memory_order_relaxed)) {
-      cell.store(ept, std::memory_order_release);
-    }
+    // Monotone publish: a promise never retreats -- a lower one would
+    // prove an earlier promise unsound. Only this shard's thread writes
+    // the cell, so load-then-store is race-free.
+    SimTime published = cell.load(std::memory_order_relaxed);
+    SCOOP_CHECK_GE(ept, published);
+    if (ept > published) cell.store(ept, std::memory_order_release);
     epts[t] = ept;
     if (ept < min_ept) min_ept = ept;
   }
+  shard->min_published = min_ept;
   if (shard->slack_obs) {
     // Accumulated per-neighbor headroom over the most conservative
     // promise (what a single global floor would have published); clamped
@@ -622,7 +638,11 @@ void ShardedEngine::RunShard(Shard* shard, SimTime end) {
       safe = SafeTime(*shard);  // Acquire EPTs BEFORE draining, so
       Drain(shard);             // every message behind them is seen.
     }
-    bool progress = ExecuteUpTo(shard, std::min(safe, end));
+    // Hoisted: a shard nobody reads promises from (every K = 1 run) takes
+    // the loop without the per-event republish check.
+    SimTime limit = std::min(safe, end);
+    bool progress = shard->out_mask != 0 ? ExecuteUpTo<true>(shard, limit, safe)
+                                         : ExecuteUpTo<false>(shard, limit, safe);
     obs::ScopedBucket sync(shard->profiler, obs::SimProfiler::kShardSync);
     SimTime head = shard->queue.HeadTime();
     PublishEpt(shard, safe);

@@ -28,11 +28,17 @@
 //               >= end + backoff_min).
 //
 // A shard may execute every event with time <= min over its in-neighbor
-// shards' promises to it (its safe time). Publishing is monotone (a
-// promise never retreats), producers push a mailbox message BEFORE
-// bumping their EPT (release), and consumers load EPTs (acquire) BEFORE
-// draining, so every message that can affect an executable event is
-// visible before the event runs. Unicast ACK verdicts cross shards too: a
+// shards' promises to it (its safe time). It publishes at the end of each
+// batch and also mid-batch, right after an event, once its clock reaches
+// the lowest promise it last published: a neighbor blocked on that promise
+// waits only until execution passes it, not for the whole batch (the
+// null-message latency of Chandy-Misra-Bryant; the lookahead is the same).
+// Publishing is monotone -- a promise that would retreat proves an earlier
+// one unsound and fails a check, as does an announce arriving behind the
+// receiver's clock. Producers push a mailbox message BEFORE bumping their
+// EPT (release), and consumers load EPTs (acquire) BEFORE draining, so
+// every message that can affect an executable event is visible before the
+// event runs. Unicast ACK verdicts cross shards too: a
 // completion whose remote verdict is missing simply stalls at the queue
 // head (its own EPT keeps covering it) until the destination shard's
 // evaluation reports back -- which is also why a verdict's emission time
@@ -222,7 +228,12 @@ class ShardedEngine {
   SimTime SafeTime(const Shard& shard) const;
   void Drain(Shard* shard);
   void PublishEpt(Shard* shard, SimTime safe);
-  bool ExecuteUpTo(Shard* shard, SimTime limit);
+  /// Runs every event with time <= `limit`; `safe` is the safe time the
+  /// batch started from. With `kRepublish` (shards that have
+  /// out-neighbors) it also republishes the promises mid-batch, each time
+  /// the clock reaches the lowest one last published.
+  template <bool kRepublish>
+  bool ExecuteUpTo(Shard* shard, SimTime limit, SimTime safe);
   void RunShard(Shard* shard, SimTime end);
   void Push(int from, int to, ShardMsg msg);
 

@@ -2,7 +2,8 @@
 // equal times (which holds only within one origin), ShardQueue orders
 // same-time events canonically by (phase, origin, per-origin counter) so
 // the execution order is a pure function of simulation content -- the
-// property the K-equivalence suite rests on.
+// property the K-equivalence suite rests on. The radio death test at the
+// end pins the receiving side of the conservative-sync contract.
 #include "sim/shard.h"
 
 #include <gtest/gtest.h>
@@ -121,6 +122,26 @@ TEST(ShardQueueTest, CancelChurnCompactsTheHeap) {
   EXPECT_LT(q.heap_size(), 300u);
   while (!q.empty()) q.RunOne();
   EXPECT_EQ(runs, 100);
+}
+
+TEST(ShardRadioDeathTest, AnnounceBehindTheClockIsAStraggler) {
+  // Node 0 lives on this shard, node 1 on the other. Once the shard has
+  // run past t, a mirrored frame from node 1 starting before t could only
+  // arrive through an unsound promise: the radio must refuse it rather
+  // than silently rewrite history.
+  std::vector<Point> pos = {{0, 0}, {10, 0}};
+  std::vector<std::vector<double>> d = {{0, 1.0}, {1.0, 0}};
+  Topology topo = Topology::FromMatrix(pos, d);
+  std::vector<int> owner = {0, 1};
+  ShardQueue queue(/*num_origins=*/2);
+  ShardRadio radio(&topo, RadioOptions{}, &queue, /*seed=*/1, &owner, /*self_shard=*/0);
+  const SimTime t = Millis(50);
+  queue.ScheduleRegular(t, 0, [] {});
+  queue.RunOne();
+  ASSERT_EQ(queue.now(), t);
+  Packet pkt = MakePacket(1, kInvalidNodeId, DataPayload{});
+  EXPECT_DEATH(radio.HandleAnnounce(/*src=*/1, /*gen=*/1, t - 1, t + Millis(4), pkt),
+               "SCOOP_CHECK");
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -101,13 +102,16 @@ struct AliveToggle {
 };
 
 /// Runs the workload `install` describes at shard count `k` and returns
-/// the per-node logs.
+/// the per-node logs. RunUntil is called once per entry of `slices`
+/// (ascending end times), so a multi-entry list runs the trial in slices.
 template <typename InstallFn>
-std::vector<NodeLog> RunAt(int k, const Topology& topo, InstallFn install,
-                           const std::vector<AliveToggle>& toggles, SimTime until) {
+std::vector<NodeLog> RunAt(int k, PartitionKind partition, const Topology& topo,
+                           InstallFn install, const std::vector<AliveToggle>& toggles,
+                           const std::vector<SimTime>& slices) {
   ShardedEngineOptions opts;
   opts.seed = 7;
   opts.shards = k;
+  opts.partition = partition;
   ShardedEngine engine(topo, opts);
   std::vector<NodeLog> logs(static_cast<size_t>(topo.num_nodes()));
   for (NodeId id = 0; id < topo.num_nodes(); ++id) {
@@ -115,7 +119,7 @@ std::vector<NodeLog> RunAt(int k, const Topology& topo, InstallFn install,
   }
   for (const AliveToggle& t : toggles) engine.ScheduleAlive(t.at, t.id, t.alive);
   engine.Start();
-  engine.RunUntil(until);
+  for (SimTime end : slices) engine.RunUntil(end);
   return logs;
 }
 
@@ -123,13 +127,14 @@ template <typename InstallFn>
 void ExpectShardInvariant(const Topology& topo, InstallFn install,
                           const std::vector<AliveToggle>& toggles, SimTime until,
                           std::vector<int> shard_counts) {
-  std::vector<NodeLog> ref = RunAt(1, topo, install, toggles, until);
+  std::vector<NodeLog> ref = RunAt(1, PartitionKind::kStrip, topo, install, toggles, {until});
   size_t total = 0;
   for (const NodeLog& log : ref) total += log.size();
   EXPECT_GT(total, 0u) << "workload produced no events; test is vacuous";
   for (int k : shard_counts) {
     SCOPED_TRACE("shards=" + std::to_string(k));
-    std::vector<NodeLog> got = RunAt(k, topo, install, toggles, until);
+    std::vector<NodeLog> got =
+        RunAt(k, PartitionKind::kStrip, topo, install, toggles, {until});
     ASSERT_EQ(ref.size(), got.size());
     for (size_t i = 0; i < ref.size(); ++i) {
       EXPECT_EQ(ref[i], got[i]) << "node " << i;
@@ -230,6 +235,61 @@ TEST(ShardedEngineTest, MoreShardsThanNodes) {
     return std::make_unique<ChatterApp>(log, 5, Millis(250), id == 0 ? NodeId{1} : kInvalidNodeId);
   };
   ExpectShardInvariant(topo, install, {}, Seconds(4), {2, 8, 64});
+}
+
+TEST(ShardedEngineTest, SlicedRunUntilMatchesOneShot) {
+  // Every other test drives K > 1 with one RunUntil. Here the trial runs
+  // in ~10 uneven slices, so each slice edge caps a batch at `end` while
+  // promises are republished mid-batch, and the shards park and restart
+  // there; the logs must still match one uninterrupted K = 1 run.
+  std::vector<Point> pos;
+  const int side = 6;
+  for (int y = 0; y < side; ++y) {
+    for (int x = 0; x < side; ++x) {
+      pos.push_back({static_cast<double>(x) * 10.0, static_cast<double>(y) * 10.0});
+    }
+  }
+  int n = side * side;
+  std::vector<std::vector<double>> d(static_cast<size_t>(n),
+                                     std::vector<double>(static_cast<size_t>(n), 0.0));
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) {
+      int dx = std::abs(a % side - b % side);
+      int dy = std::abs(a / side - b / side);
+      if (a != b && dx <= 1 && dy <= 1) {
+        d[static_cast<size_t>(a)][static_cast<size_t>(b)] = dx + dy == 1 ? 0.95 : 0.6;
+      }
+    }
+  }
+  Topology topo = Topology::FromMatrix(std::move(pos), std::move(d));
+  // Broadcasters on every third node plus unicast pairs across the
+  // middle of the lattice, where both partitions cut.
+  auto install = [](NodeId id, NodeLog* log) -> std::unique_ptr<App> {
+    SimTime period = Millis(170) + id * Millis(3);
+    if (id == 14) return std::make_unique<ChatterApp>(log, 25, period, /*unicast_to=*/15);
+    if (id == 21) return std::make_unique<ChatterApp>(log, 25, period, /*unicast_to=*/20);
+    return std::make_unique<ChatterApp>(log, id % 3 == 0 ? 20 : 0, period);
+  };
+  std::vector<AliveToggle> toggles = {{Millis(2500), 15, false}, {Millis(3300), 15, true}};
+  const SimTime until = Seconds(6);
+  std::vector<SimTime> slices = {Millis(7),    Millis(400),  Millis(401),  Millis(1333),
+                                 Millis(2500), Millis(2917), Millis(3800), Millis(4650),
+                                 Millis(5999), until};
+  std::vector<NodeLog> ref = RunAt(1, PartitionKind::kStrip, topo, install, toggles, {until});
+  size_t total = 0;
+  for (const NodeLog& log : ref) total += log.size();
+  ASSERT_GT(total, 0u) << "workload produced no events; test is vacuous";
+  for (PartitionKind partition : {PartitionKind::kStrip, PartitionKind::kMincut}) {
+    for (int k : {2, 4}) {
+      SCOPED_TRACE("shards=" + std::to_string(k) + " mincut=" +
+                   std::to_string(partition == PartitionKind::kMincut));
+      std::vector<NodeLog> got = RunAt(k, partition, topo, install, toggles, slices);
+      ASSERT_EQ(ref.size(), got.size());
+      for (size_t i = 0; i < ref.size(); ++i) {
+        EXPECT_EQ(ref[i], got[i]) << "node " << i;
+      }
+    }
+  }
 }
 
 TEST(ShardedEngineTest, ShardOfCoversAllNodesContiguously) {
