@@ -10,37 +10,26 @@
 // query/reply traffic, landing well below LOCAL and BASE; HASH ≈ BASE
 // because query and data rates are comparable.
 #include <cstdio>
-#include <cstdlib>
 
 #include "harness/experiment.h"
 #include "harness/report.h"
-#include "scenario/campaign.h"
-#include "scenario/scenario_registry.h"
+#include "registered_grid.h"
 
 int main() {
   using namespace scoop;
-  Result<scenario::Scenario> scn = scenario::LoadRegisteredScenario("fig3_middle");
-  if (!scn.ok()) {
-    std::fprintf(stderr, "error: %s\n", scn.status().ToString().c_str());
-    return 1;
-  }
-  Result<std::vector<scenario::ExpandedRun>> runs = scenario::ExpandScenario(scn.value());
-  if (!runs.ok()) {
-    std::fprintf(stderr, "error: %s\n", runs.status().ToString().c_str());
-    return 1;
-  }
+  const bench::RegisteredGrid grid = bench::LoadRegisteredGrid("fig3_middle");
 
   std::printf("=== Figure 3 (middle): policies over the REAL trace, simulation ===\n");
   std::printf("62 nodes + base, 40 min (10 min stabilization), sample 1/15s,\n");
   std::printf("query 1/15s over 1-5%% of the domain, averaged over %d trials.\n\n",
-              scn.value().base.trials);
+              grid.scenario.base.trials);
 
   // Run the whole grid first: the "vs scoop" ratio needs the scoop total,
   // and the scenario text controls row order, so don't assume scoop is
   // first.
   std::vector<harness::ExperimentResult> results;
   double scoop_total = 0;
-  for (const scenario::ExpandedRun& run : runs.value()) {
+  for (const scenario::ExpandedRun& run : grid.runs) {
     results.push_back(harness::RunExperiment(run.config));
     if (run.config.policy == harness::Policy::kScoop) {
       scoop_total = results.back().total_excl_beacons;
@@ -50,7 +39,7 @@ int main() {
   harness::TablePrinter table({"policy", "data", "summary", "mapping", "query", "reply",
                                "total", "vs scoop"});
   for (size_t i = 0; i < results.size(); ++i) {
-    const scenario::ExpandedRun& run = runs.value()[i];
+    const scenario::ExpandedRun& run = grid.runs[i];
     const harness::ExperimentResult& r = results[i];
     table.AddRow(
         {harness::PolicyName(run.config.policy), harness::FormatCount(r.data()),

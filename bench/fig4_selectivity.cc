@@ -9,31 +9,27 @@
 // is flat (queries are free); SCOOP grows with selectivity, beating both
 // until roughly 60% of the nodes are queried, after which it becomes
 // slightly more expensive than BASE.
+//
+// The grid (policy x fraction) is the registered `fig4_selectivity`
+// scenario.
 #include <cstdio>
 
 #include "harness/experiment.h"
 #include "harness/report.h"
+#include "registered_grid.h"
 
 int main() {
   using namespace scoop;
-  harness::ExperimentConfig config;
-  config.source = workload::DataSourceKind::kReal;
-  config.query_mode = harness::ExperimentConfig::QueryMode::kNodeList;
+  const bench::RegisteredGrid grid = bench::LoadRegisteredGrid("fig4_selectivity");
 
   std::printf("=== Figure 4: cost vs %% of nodes queried (REAL, simulation) ===\n\n");
 
-  const double fractions[] = {0.05, 0.10, 0.20, 0.40, 0.60, 0.80, 1.0};
-
   harness::TablePrinter table({"policy", "%nodes-queried", "total-messages"});
-  for (harness::Policy policy :
-       {harness::Policy::kScoop, harness::Policy::kLocal, harness::Policy::kBase}) {
-    config.policy = policy;
-    for (double fraction : fractions) {
-      config.node_list_fraction = fraction;
-      harness::ExperimentResult r = harness::RunExperiment(config);
-      table.AddRow({harness::PolicyName(policy), harness::FormatPercent(fraction, 0),
-                    harness::FormatCount(r.total_excl_beacons)});
-    }
+  for (const scenario::ExpandedRun& run : grid.runs) {
+    harness::ExperimentResult r = harness::RunExperiment(run.config);
+    table.AddRow({harness::PolicyName(run.config.policy),
+                  harness::FormatPercent(run.config.node_list_fraction, 0),
+                  harness::FormatCount(r.total_excl_beacons)});
   }
   table.Print();
   std::printf(

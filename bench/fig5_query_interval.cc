@@ -5,30 +5,27 @@
 // query flooding + replies, so it becomes competitive as queries become
 // rare. BASE is flat (no query cost); SCOOP's small query cost shrinks
 // further.
+//
+// The grid (policy x interval) is the registered `fig5_query_interval`
+// scenario.
 #include <cstdio>
 
 #include "harness/experiment.h"
 #include "harness/report.h"
+#include "registered_grid.h"
 
 int main() {
   using namespace scoop;
-  harness::ExperimentConfig config;
-  config.source = workload::DataSourceKind::kReal;
+  const bench::RegisteredGrid grid = bench::LoadRegisteredGrid("fig5_query_interval");
 
   std::printf("=== Figure 5: cost vs query interval (REAL, simulation) ===\n\n");
 
-  const int intervals_s[] = {5, 10, 15, 30, 50};
-
   harness::TablePrinter table({"policy", "query-interval", "total-messages"});
-  for (harness::Policy policy :
-       {harness::Policy::kScoop, harness::Policy::kLocal, harness::Policy::kBase}) {
-    config.policy = policy;
-    for (int interval : intervals_s) {
-      config.query_interval = Seconds(interval);
-      harness::ExperimentResult r = harness::RunExperiment(config);
-      table.AddRow({harness::PolicyName(policy), std::to_string(interval) + "s",
-                    harness::FormatCount(r.total_excl_beacons)});
-    }
+  for (const scenario::ExpandedRun& run : grid.runs) {
+    harness::ExperimentResult r = harness::RunExperiment(run.config);
+    table.AddRow({harness::PolicyName(run.config.policy),
+                  harness::FormatDouble(ToSeconds(run.config.query_interval), 0) + "s",
+                  harness::FormatCount(r.total_excl_beacons)});
   }
   table.Print();
   return 0;

@@ -1,8 +1,7 @@
 // Microbenchmarks of the discrete-event queue (ShardQueue) hot path:
 // steady-state schedule/run churn, the schedule/cancel/run mix that
 // Trickle timers and radio timeouts generate, a cancel-heavy soak that
-// exercises compaction, and MAC-backoff churn with the timer wheel in
-// front of the spill heap vs the heap alone.
+// exercises compaction, and MAC-backoff churn.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -14,15 +13,14 @@
 namespace scoop {
 namespace {
 
-/// ShardQueue pinned to one tier configuration, scheduling phase-2 events
-/// round-robin over a node-sized origin space (as a grid's agents and MACs
-/// do), so the canonical-key ordering is exercised too.
-template <sim::QueueImpl kImpl>
+/// ShardQueue scheduling phase-2 events round-robin over a node-sized
+/// origin space (as a grid's agents and MACs do), so the canonical-key
+/// ordering is exercised too.
 class BenchQueue {
  public:
   static constexpr uint32_t kOrigins = 1024;
 
-  BenchQueue() : q_(kOrigins, kImpl) {}
+  BenchQueue() : q_(kOrigins) {}
 
   sim::EventId ScheduleAfter(SimTime delay, sim::ShardQueue::Callback fn) {
     origin_ = origin_ + 1 == kOrigins ? 0 : origin_ + 1;
@@ -35,10 +33,8 @@ class BenchQueue {
   sim::ShardQueue q_;
   uint32_t origin_ = 0;
 };
-using WheelQueue = BenchQueue<sim::QueueImpl::kWheel>;
-using HeapOnlyQueue = BenchQueue<sim::QueueImpl::kHeap>;
 
-// Deterministic delay pattern (xorshift), identical across queue variants.
+// Deterministic delay pattern (xorshift).
 struct DelayGen {
   uint64_t state = 0x9e3779b97f4a7c15ull;
   SimTime Next() {
@@ -54,9 +50,8 @@ struct DelayGen {
 // earliest and schedules a replacement. Callbacks carry a radio-sized
 // capture (this-pointer plus three 64-bit values), which overflows
 // std::function's 16-byte inline buffer but fits SmallCallback's.
-template <typename Queue>
 void BM_ScheduleRunChurn(benchmark::State& state) {
-  Queue q;
+  BenchQueue q;
   DelayGen delays;
   uint64_t sink = 0;
   const int window = static_cast<int>(state.range(0));
@@ -72,16 +67,15 @@ void BM_ScheduleRunChurn(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_ScheduleRunChurn, WheelQueue)->Arg(1024);
+BENCHMARK(BM_ScheduleRunChurn)->Arg(1024);
 
 // ---------------------------------------------------------------------------
 // A schedule/cancel/run mix. Each iteration
 // schedules two events, cancels an aged one (as retransmission timeouts
 // do) and replaces it, and runs one -- so the pending window stays stable
 // and every iteration pays one of each hot-path operation.
-template <typename Queue>
 void BM_MixedScheduleCancelRun(benchmark::State& state) {
-  Queue q;
+  BenchQueue q;
   DelayGen delays;
   uint64_t sink = 0;
   const int window = static_cast<int>(state.range(0));
@@ -104,15 +98,14 @@ void BM_MixedScheduleCancelRun(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_MixedScheduleCancelRun, WheelQueue)->Arg(256);
+BENCHMARK(BM_MixedScheduleCancelRun)->Arg(256);
 
 // ---------------------------------------------------------------------------
 // Trickle soak: N timers that each cancel and reschedule every round, with
 // one event run per round. Every cancel strands an entry in place, so the
 // queue stays bounded only through compaction.
-template <typename Queue>
 void BM_TrickleCancelReschedule(benchmark::State& state) {
-  Queue q;
+  BenchQueue q;
   DelayGen delays;
   uint64_t sink = 0;
   const int timers = static_cast<int>(state.range(0));
@@ -131,7 +124,7 @@ void BM_TrickleCancelReschedule(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_TrickleCancelReschedule, WheelQueue)->Arg(64);
+BENCHMARK(BM_TrickleCancelReschedule)->Arg(64);
 
 // ---------------------------------------------------------------------------
 // MAC-backoff churn: N contending senders, each holding one pending CSMA
@@ -139,8 +132,7 @@ BENCHMARK_TEMPLATE(BM_TrickleCancelReschedule, WheelQueue)->Arg(64);
 // (fresh window [8, 16) ms, doubling per busy attempt, capped at 64 ms --
 // radio_options.h defaults). Most timers are cancelled before they fire
 // (the channel went busy again) and re-armed with the next window; one in
-// eight rounds runs the due timer instead. Every delay lands inside the
-// wheel's ~1 s horizon, so this is the workload the wheel exists for.
+// eight rounds runs the due timer instead.
 struct BackoffGen {
   uint64_t state = 0x243f6a8885a308d3ull;
   uint64_t Next() {
@@ -157,9 +149,8 @@ struct BackoffGen {
   }
 };
 
-template <typename Queue>
 void BM_MacBackoffChurn(benchmark::State& state) {
-  Queue q;
+  BenchQueue q;
   BackoffGen rng;
   uint64_t sink = 0;
   const int n = static_cast<int>(state.range(0));
@@ -186,8 +177,7 @@ void BM_MacBackoffChurn(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_MacBackoffChurn, HeapOnlyQueue)->Arg(128)->Arg(1024)->Arg(8192);
-BENCHMARK_TEMPLATE(BM_MacBackoffChurn, WheelQueue)->Arg(128)->Arg(1024)->Arg(8192);
+BENCHMARK(BM_MacBackoffChurn)->Arg(128)->Arg(1024)->Arg(8192);
 
 }  // namespace
 }  // namespace scoop

@@ -4,34 +4,30 @@
 // Paper shape: the system scales well to 100 nodes with little effect on
 // loss rates; Scoop over RANDOM is the most size-sensitive source (data
 // travels ever further), other sources much less so.
+//
+// The grid (source x size) is the registered `tbl_scalability` scenario.
 #include <cstdio>
 
 #include "harness/experiment.h"
 #include "harness/report.h"
+#include "registered_grid.h"
 
 int main() {
   using namespace scoop;
-  harness::ExperimentConfig config;
-  config.policy = harness::Policy::kScoop;
-  config.trials = 2;
+  const bench::RegisteredGrid grid = bench::LoadRegisteredGrid("tbl_scalability");
 
   std::printf("=== In-text (§6): scalability up to 100 nodes (Scoop) ===\n\n");
 
-  const int sizes[] = {25, 50, 63, 100};
   harness::TablePrinter table({"source", "nodes", "total", "per-node", "stored",
                                "q-success"});
-  for (workload::DataSourceKind source :
-       {workload::DataSourceKind::kReal, workload::DataSourceKind::kRandom}) {
-    config.source = source;
-    for (int size : sizes) {
-      config.num_nodes = size;
-      harness::ExperimentResult r = harness::RunExperiment(config);
-      table.AddRow({workload::DataSourceKindName(source), std::to_string(size),
-                    harness::FormatCount(r.total_excl_beacons),
-                    harness::FormatCount(r.total_excl_beacons / size),
-                    harness::FormatPercent(r.storage_success),
-                    harness::FormatPercent(r.query_success)});
-    }
+  for (const scenario::ExpandedRun& run : grid.runs) {
+    const int size = run.config.num_nodes;
+    harness::ExperimentResult r = harness::RunExperiment(run.config);
+    table.AddRow({workload::DataSourceKindName(run.config.source), std::to_string(size),
+                  harness::FormatCount(r.total_excl_beacons),
+                  harness::FormatCount(r.total_excl_beacons / size),
+                  harness::FormatPercent(r.storage_success),
+                  harness::FormatPercent(r.query_success)});
   }
   table.Print();
   std::printf(

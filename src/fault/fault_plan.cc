@@ -68,28 +68,6 @@ void AppendWaves(std::vector<FaultEvent>* events, double fraction, SimTime first
 
 }  // namespace
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kRadioDown:
-      return "radio_down";
-    case FaultKind::kRadioUp:
-      return "radio_up";
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kReboot:
-      return "reboot";
-    case FaultKind::kPromote:
-      return "promote";
-    case FaultKind::kDemote:
-      return "demote";
-    case FaultKind::kMarkLinkDown:
-      return "link_down";
-    case FaultKind::kMarkPartition:
-      return "partition";
-  }
-  return "?";
-}
-
 FaultPlan BuildFaultPlan(const FaultConfig& config, const LegacyCrashWaves& legacy,
                          const sim::Topology& topology, int num_nodes,
                          uint64_t seed) {

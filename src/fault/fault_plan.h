@@ -107,8 +107,6 @@ enum class FaultKind : uint8_t {
   kMarkPartition,  ///< Marker: a partition window opens (counters/trace only).
 };
 
-const char* FaultKindName(FaultKind kind);
-
 struct FaultEvent {
   SimTime at = 0;
   FaultKind kind = FaultKind::kRadioDown;

@@ -170,7 +170,7 @@ BaseHandle InstallAgents(sim::ShardedEngine* engine, const ExperimentConfig& con
       return InstallPolicy<core::HashBaseAgent, core::HashNodeAgent>(
           engine, config, telemetry, traces, source);
     case Policy::kHashAnalytical:
-      SCOOP_CHECK(false);  // Handled by HashAnalysisAsResult, not simulation.
+      SCOOP_CHECK(false);  // RunAnyTrial evaluates the model instead.
   }
   return {};
 }
@@ -644,8 +644,6 @@ ExperimentResult RunShardedTrial(const ExperimentConfig& config, uint64_t seed, 
                                      queries.AvgPctNodesQueried(), handle.agent,
                                      engine.processed());
   r.query_timeline = std::move(timeline);
-  r.queue_wheel_absorbed = static_cast<double>(engine.wheel_absorbed());
-  r.queue_wheel_spilled = static_cast<double>(engine.wheel_spilled());
   r.resolved_shards = static_cast<double>(k);
   r.shard_stall_us = static_cast<double>(engine.stall_us());
   r.shard_stall_episodes = static_cast<double>(engine.stall_episodes());
@@ -712,8 +710,6 @@ ExperimentResult AggregateTrials(const std::vector<ExperimentResult>& trials) {
     sum.root_lifetime_days += r.root_lifetime_days;
     sum.wall_seconds += r.wall_seconds;
     sum.sim_events += r.sim_events;
-    sum.queue_wheel_absorbed += r.queue_wheel_absorbed;
-    sum.queue_wheel_spilled += r.queue_wheel_spilled;
     sum.profile_queue_seconds += r.profile_queue_seconds;
     sum.profile_radio_seconds += r.profile_radio_seconds;
     sum.profile_agent_seconds += r.profile_agent_seconds;
@@ -758,8 +754,6 @@ ExperimentResult AggregateTrials(const std::vector<ExperimentResult>& trials) {
   sum.root_lifetime_days /= k;
   sum.wall_seconds /= k;
   sum.sim_events /= k;
-  sum.queue_wheel_absorbed /= k;
-  sum.queue_wheel_spilled /= k;
   sum.profile_queue_seconds /= k;
   sum.profile_radio_seconds /= k;
   sum.profile_agent_seconds /= k;
@@ -828,11 +822,6 @@ core::HashModelResult RunHashAnalysis(const ExperimentConfig& config, uint64_t s
       static_cast<double>(domain_size);
   inputs.active_duration = config.duration - config.stabilization;
   return core::EvaluateHashModel(inputs);
-}
-
-ExperimentResult HashAnalysisAsResult(const ExperimentConfig& config) {
-  SCOOP_CHECK(config.policy == Policy::kHashAnalytical);
-  return RunExperiment(config);
 }
 
 }  // namespace scoop::harness

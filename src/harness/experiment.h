@@ -223,8 +223,7 @@ struct ExperimentResult {
   // seed. The campaign runner surfaces these via its perf report instead.
   double wall_seconds = 0;  ///< Host wall-clock the trial took.
   double sim_events = 0;    ///< Discrete events the trial executed.
-  /// Timer-wheel tier split: schedules absorbed by the wheel vs spilled
-  /// to the heap, summed across shards. Perf-only, like wall_seconds.
+  /// Always 0: the queue has no timer wheel; kept because perfbench reads them.
   double queue_wheel_absorbed = 0;
   double queue_wheel_spilled = 0;
 
@@ -288,10 +287,6 @@ std::string ExpandObsPath(const std::string& path, const std::string& suffix);
 /// Evaluates the paper's analytical HASH model for this workload over the
 /// same topology the simulation would use.
 core::HashModelResult RunHashAnalysis(const ExperimentConfig& config, uint64_t seed);
-
-/// Converts the analytical HASH numbers into an ExperimentResult row so
-/// benches can print all policies uniformly.
-ExperimentResult HashAnalysisAsResult(const ExperimentConfig& config);
 
 }  // namespace scoop::harness
 

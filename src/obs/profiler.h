@@ -2,8 +2,8 @@
 // buckets (event-queue bookkeeping, radio walks, agent callbacks, shard
 // synchronization). Surfaced through `--perf-json` so the bench
 // trajectory can prove -- rather than assert -- where a run's wall time
-// goes (e.g. the ROADMAP's "1024-node profile is MAC timer churn"
-// hypothesis gating the timer-wheel PR).
+// goes (e.g. whether a queue change moves the kQueue bucket at all, or
+// only the radio and agent buckets it feeds).
 //
 // Implementation: a single running steady_clock stopwatch whose elapsed
 // time is attributed to the *current* bucket at every Switch(). One clock

@@ -240,8 +240,6 @@ std::string CampaignPerfJson(const CampaignResult& result) {
   double total_events = 0;
   double total_wall = 0;
   size_t total_trials = 0;
-  double total_absorbed = 0;
-  double total_spilled = 0;
   double total_stall_us = 0;
   double total_stall_episodes = 0;
   double total_mirrored = 0;
@@ -266,8 +264,6 @@ std::string CampaignPerfJson(const CampaignResult& result) {
       total_events += trial.sim_events;
       total_wall += trial.wall_seconds;
       ++total_trials;
-      total_absorbed += trial.queue_wheel_absorbed;
-      total_spilled += trial.queue_wheel_spilled;
       total_stall_us += trial.shard_stall_us;
       total_stall_episodes += trial.shard_stall_episodes;
       total_mirrored += trial.shard_mirrored_frames;
@@ -278,7 +274,6 @@ std::string CampaignPerfJson(const CampaignResult& result) {
       }
     }
   }
-  const double total_scheduled = total_absorbed + total_spilled;
   std::string out = "{\"scenario\":" + JsonString(result.scenario_name);
   out += ",\"threads\":" + std::to_string(result.threads_used);
   out += ",\"wall_seconds\":" + FormatJsonMetric(result.wall_seconds);
@@ -293,13 +288,6 @@ std::string CampaignPerfJson(const CampaignResult& result) {
   out += ",\"sim_events_total\":" + FormatJsonMetric(total_events);
   out += ",\"events_per_second\":" +
          FormatJsonMetric(total_wall > 0 ? total_events / total_wall : 0.0);
-  // Timer-wheel tier split (sim/shard.h): the fraction of schedules
-  // the wheel absorbed without touching the heap.
-  out += ",\"queue\":{\"wheel_absorbed\":" + FormatJsonMetric(total_absorbed);
-  out += ",\"wheel_spilled\":" + FormatJsonMetric(total_spilled);
-  out += ",\"wheel_absorb_rate\":" +
-         FormatJsonMetric(total_scheduled > 0 ? total_absorbed / total_scheduled : 0.0);
-  out += "}";
   // Shard sync costs, summed across trials. stall_us/stall_episodes are
   // wall-clock (nondeterministic); mirrored_frames is deterministic for a
   // fixed (config, shards, partition). All zero for single-shard campaigns.
@@ -336,14 +324,6 @@ std::string CampaignPerfJson(const CampaignResult& result) {
            FormatJsonMetric(row.mean.wall_seconds > 0
                                 ? row.mean.sim_events / row.mean.wall_seconds
                                 : 0.0);
-    const double row_sched = row.mean.queue_wheel_absorbed + row.mean.queue_wheel_spilled;
-    out += ",\"queue\":{\"wheel_absorbed\":" +
-           FormatJsonMetric(row.mean.queue_wheel_absorbed);
-    out += ",\"wheel_spilled\":" + FormatJsonMetric(row.mean.queue_wheel_spilled);
-    out += ",\"wheel_absorb_rate\":" +
-           FormatJsonMetric(row_sched > 0 ? row.mean.queue_wheel_absorbed / row_sched
-                                          : 0.0);
-    out += "}";
     out += ",\"shards\":" +
            std::to_string(static_cast<int>(row.mean.resolved_shards));
     out += ",\"partition\":" +

@@ -12,8 +12,7 @@ namespace scoop::sim {
 // ShardQueue
 // ---------------------------------------------------------------------------
 
-ShardQueue::ShardQueue(uint32_t num_origins, QueueImpl impl)
-    : impl_(impl), counters_(num_origins, 0) {
+ShardQueue::ShardQueue(uint32_t num_origins) : counters_(num_origins, 0) {
   SCOOP_CHECK(num_origins <= (1u << 18));  // Origin field is 18 bits wide.
 }
 
@@ -27,15 +26,9 @@ EventId ShardQueue::ScheduleInternal(SimTime at, uint64_t ord, NodeId sender,
   s.key = key;
   s.sender = sender;
   s.gen = gen;
-  HeapEntry entry{at, ord, key};
   head_ = nullptr;
-  if (impl_ == QueueImpl::kWheel && wheel_.TryPush(at, entry)) {
-    ++absorbed_;
-  } else {
-    ++spilled_;
-    heap_.push_back(entry);
-    SiftUp(heap_.size() - 1);
-  }
+  heap_.push_back(HeapEntry{at, ord, key});
+  SiftUp(heap_.size() - 1);
   ++live_;
   return key;
 }
@@ -126,9 +119,9 @@ void ShardQueue::SkimStale() {
 }
 
 void ShardQueue::MaybeCompact() {
-  // Amortized O(1) per cancel: rebuild both tiers only once stale entries
+  // Amortized O(1) per cancel: rebuild the heap only once stale entries
   // outnumber live ones (and are numerous enough to be worth it).
-  if (stale_ < 64 || stale_ * 2 <= heap_size()) return;
+  if (stale_ < 64 || stale_ * 2 <= heap_.size()) return;
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
                              [this](const HeapEntry& e) { return !IsLive(e); }),
               heap_.end());
@@ -136,43 +129,23 @@ void ShardQueue::MaybeCompact() {
   if (heap_.size() > 1) {
     for (size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) SiftDown(i);
   }
-  wheel_.CompactStale();
   stale_ = 0;
 }
 
-const ShardQueue::HeapEntry* ShardQueue::PeekHead(bool* from_wheel) {
-  if (head_ != nullptr) {
-    *from_wheel = head_from_wheel_;
-    return head_;
-  }
+const ShardQueue::HeapEntry* ShardQueue::PeekHead() {
+  if (head_ != nullptr) return head_;
   SkimStale();
-  const HeapEntry* w =
-      impl_ == QueueImpl::kWheel ? wheel_.PeekEarliest() : nullptr;
-  const HeapEntry* h = heap_.empty() ? nullptr : &heap_.front();
-  // Cross-tier ties resolve through the full canonical comparator, so the
-  // two-tier order equals the heap-only order.
-  if (w != nullptr && h != nullptr) {
-    if (Earlier(*h, *w)) {
-      w = nullptr;
-    } else {
-      h = nullptr;
-    }
-  }
-  *from_wheel = w != nullptr;
-  head_from_wheel_ = *from_wheel;
-  head_ = w != nullptr ? w : h;
+  head_ = heap_.empty() ? nullptr : &heap_.front();
   return head_;
 }
 
 SimTime ShardQueue::HeadTime() {
-  bool from_wheel = false;
-  const HeapEntry* head = PeekHead(&from_wheel);
+  const HeapEntry* head = PeekHead();
   return head == nullptr ? kSimTimeHorizon : head->at;
 }
 
 bool ShardQueue::HeadFinishInfo(NodeId* sender, uint32_t* gen) {
-  bool from_wheel = false;
-  const HeapEntry* head = PeekHead(&from_wheel);
+  const HeapEntry* head = PeekHead();
   if (head == nullptr || (head->ord >> 62) != 1) return false;
   const Slot& s = slots_[head->key & kSlotMask];
   *sender = s.sender;
@@ -181,30 +154,23 @@ bool ShardQueue::HeadFinishInfo(NodeId* sender, uint32_t* gen) {
 }
 
 bool ShardQueue::FinishWouldRunNext(SimTime at, NodeId sender, uint32_t gen) {
-  bool from_wheel = false;
-  const HeapEntry* head = PeekHead(&from_wheel);
+  const HeapEntry* head = PeekHead();
   if (head == nullptr) return true;
   if (head->at != at) return head->at > at;
   return head->ord > MakeOrd(1, sender, gen);
 }
 
 bool ShardQueue::RunOne() {
-  bool from_wheel = false;
-  const HeapEntry* head = PeekHead(&from_wheel);
+  const HeapEntry* head = PeekHead();
   if (head == nullptr) return false;
   HeapEntry top = *head;
   head_ = nullptr;
-  if (from_wheel) {
-    wheel_.PopEarliest();
-  } else {
-    PopTop();
-  }
+  PopTop();
   uint32_t slot = static_cast<uint32_t>(top.key & kSlotMask);
   Callback fn = std::move(slots_[slot].fn);
   ReleaseSlot(slot);
   --live_;
   now_ = top.at;
-  if (impl_ == QueueImpl::kWheel) wheel_.AdvanceTo(now_);
   ++processed_;
   if (profiler_ != nullptr) {
     obs::SimProfiler::Bucket prev =
@@ -221,8 +187,6 @@ void ShardQueue::AdvanceTo(SimTime t) {
   SCOOP_CHECK(t >= now_);
   SCOOP_CHECK(HeadTime() > t);
   now_ = t;
-  head_ = nullptr;
-  if (impl_ == QueueImpl::kWheel) wheel_.AdvanceTo(now_);
 }
 
 // ---------------------------------------------------------------------------

@@ -70,22 +70,12 @@
 #include "obs/trace.h"
 #include "sim/app.h"
 #include "sim/radio_options.h"
-#include "sim/timer_wheel.h"
 #include "sim/topology.h"
 
 namespace scoop::sim {
 
 /// "No more events / no constraint" sentinel time.
 inline constexpr SimTime kSimTimeHorizon = std::numeric_limits<SimTime>::max();
-
-/// Which front-end ShardQueue runs. kWheel (the only one the engine uses)
-/// puts the timer wheel in front of the spill heap; kHeap is the heap-only
-/// oracle the wheel-vs-heap differential test replays against. Both
-/// execute the identical event order.
-enum class QueueImpl {
-  kWheel,
-  kHeap,
-};
 
 /// Why a frame was dropped by the MAC without being delivered.
 enum class DropReason {
@@ -98,29 +88,25 @@ enum class DropReason {
 /// any K-way partition of one simulation executes each shard's events in
 /// the same relative order.
 ///
-/// Two tiers: near-future events (within ~1.05 s) sit in a hierarchical
-/// timer wheel (sim/timer_wheel.h) at O(1) per schedule -- it absorbs the
-/// MAC backoff and Trickle timer churn, most of which is cancelled before
-/// it fires -- in front of a 4-ary min-heap spill tier for far-future
-/// timers. Wheel buckets are sorted by the canonical key when they come
-/// due, so the two-tier order equals the heap-only order.
+/// Pending events sit in one 4-ary min-heap ordered by that key; the
+/// head is cached between mutations, so the run loop's head checks and
+/// the pop that follows them share one lookup.
 ///
 /// Callbacks live in a slab of reusable slots, so schedule/cancel/run do
 /// no per-event heap allocation. An EventId packs a monotonic schedule
 /// sequence number (high 40 bits) over the slot index (low 24 bits); it
 /// doubles as the staleness check, so handles of events that already ran,
 /// were cancelled, or whose slot was reused are rejected with one compare,
-/// and cancellation is O(1) in either tier: the entry goes stale in place.
-/// Stale entries are skimmed at each tier's head and compacted away in bulk
-/// once they outnumber live ones.
+/// and cancellation is O(1): the entry goes stale in place. Stale entries
+/// are skimmed at the heap top and compacted away in bulk once they
+/// outnumber live ones.
 class ShardQueue {
  public:
   using Callback = SmallCallback;
 
   /// `num_origins` bounds the phase-2 origin space: node ids plus any
   /// pseudo-origins (driver, failure injector) the caller packs above them.
-  /// `impl` is a test hook: the engine always runs the kWheel default.
-  explicit ShardQueue(uint32_t num_origins, QueueImpl impl = QueueImpl::kWheel);
+  explicit ShardQueue(uint32_t num_origins);
 
   ShardQueue(const ShardQueue&) = delete;
   ShardQueue& operator=(const ShardQueue&) = delete;
@@ -153,9 +139,9 @@ class ShardQueue {
   /// Current simulated time (time of the last executed event).
   SimTime now() const { return now_; }
 
-  /// Earliest pending event time across both tiers, kSimTimeHorizon when
-  /// empty. Exact (skims stale entries first), not merely a lower bound:
-  /// the engine's EPT promise and safe-time execution both read it.
+  /// Earliest pending event time, kSimTimeHorizon when empty. Exact
+  /// (skims stale entries first), not merely a lower bound: the engine's
+  /// EPT promise and safe-time execution both read it.
   SimTime HeadTime();
 
   /// True iff the head event is a phase-1 completion; outputs its key.
@@ -176,17 +162,8 @@ class ShardQueue {
   bool empty() const { return live_ == 0; }
   size_t size() const { return live_; }
   uint64_t processed() const { return processed_; }
-  /// Entries held across both tiers, including not-yet-skimmed stale ones.
-  size_t heap_size() const { return heap_.size() + wheel_.entries(); }
-
-  /// Per-tier occupancy (entries incl. stale) and the schedules absorbed
-  /// by the wheel vs spilled to the heap since construction (heap-only
-  /// mode counts every schedule as spilled). Observation-only telemetry.
-  size_t wheel_l0_size() const { return wheel_.l0_entries(); }
-  size_t wheel_l1_size() const { return wheel_.l1_entries(); }
-  size_t heap_tier_size() const { return heap_.size(); }
-  uint64_t wheel_absorbed() const { return absorbed_; }
-  uint64_t wheel_spilled() const { return spilled_; }
+  /// Heap entries, including not-yet-skimmed stale ones.
+  size_t heap_size() const { return heap_.size(); }
 
   /// Optional wall-clock profiler (null = off): callback dispatch is
   /// attributed to kAgent (callees re-attribute themselves, e.g. the radio
@@ -195,8 +172,6 @@ class ShardQueue {
   void set_profiler(obs::SimProfiler* profiler) { profiler_ = profiler; }
 
  private:
-  friend class TimerWheel<ShardQueue>;
-
   static constexpr int kSlotBits = 24;
   static constexpr uint32_t kSlotMask = (1u << kSlotBits) - 1;
   static constexpr uint32_t kNilSlot = kSlotMask;
@@ -234,17 +209,6 @@ class ShardQueue {
     return slots_[e.key & kSlotMask].key == e.key;
   }
 
-  // TimerWheel host hooks (see timer_wheel.h). The in-bucket sort is
-  // load-bearing: bucket append order is schedule order, which is NOT the
-  // canonical (time, ord, key) order.
-  using WheelEntry = HeapEntry;
-  static SimTime WheelTime(const HeapEntry& e) { return e.at; }
-  static bool WheelEarlier(const HeapEntry& a, const HeapEntry& b) {
-    return Earlier(a, b);
-  }
-  bool WheelLive(const HeapEntry& e) const { return IsLive(e); }
-  void WheelStaleDropped(size_t n) { stale_ -= n; }
-
   EventId ScheduleInternal(SimTime at, uint64_t ord, NodeId sender, uint32_t gen,
                            Callback&& fn);
   uint32_t AcquireSlot();
@@ -257,15 +221,12 @@ class ShardQueue {
   void PopTop();
   /// Drops cancelled entries off the heap top.
   void SkimStale();
-  /// Earliest pending entry across both tiers (after skimming), or null.
-  /// Cached until the next mutation, so the run loop's head checks and the
-  /// pop that follows them share one lookup.
-  const HeapEntry* PeekHead(bool* from_wheel);
+  /// Earliest pending entry (after skimming), or null. Cached until the
+  /// next mutation.
+  const HeapEntry* PeekHead();
   void MaybeCompact();
 
-  QueueImpl impl_;
   std::vector<HeapEntry> heap_;
-  TimerWheel<ShardQueue> wheel_{this};
   std::vector<Slot> slots_;
   std::vector<uint64_t> counters_;  ///< Per-origin phase-2 schedule counters.
   uint32_t free_head_ = kNilSlot;
@@ -274,11 +235,8 @@ class ShardQueue {
   uint64_t next_seq_ = 0;
   SimTime now_ = 0;
   uint64_t processed_ = 0;
-  uint64_t absorbed_ = 0;
-  uint64_t spilled_ = 0;
   /// PeekHead's cached result; null = recompute. Reset by every mutation.
   const HeapEntry* head_ = nullptr;
-  bool head_from_wheel_ = false;
   obs::SimProfiler* profiler_ = nullptr;
 };
 

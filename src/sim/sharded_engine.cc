@@ -329,10 +329,6 @@ void ShardedEngine::ScheduleDriver(SimTime at, SmallCallback fn) {
 
 SimTime ShardedEngine::DriverNow() const { return shards_[owner_[0]]->queue.now(); }
 
-void ShardedEngine::ScheduleAlive(SimTime at, NodeId id, bool alive) {
-  ScheduleFault(at, id, [this, id, alive] { FaultSetAlive(id, alive); });
-}
-
 void ShardedEngine::ScheduleFault(SimTime at, NodeId id, SmallCallback fn) {
   SCOOP_CHECK(!started_);  // The AliveFloor schedule must be complete pre-run.
   SCOOP_CHECK_LT(static_cast<size_t>(id), owner_.size());
@@ -426,15 +422,6 @@ void ShardedEngine::EnableObservability(int shard, obs::TraceSink* trace,
     ShardQueue* q = &sh->queue;
     metrics->Gauge("queue.depth", [q] { return static_cast<uint64_t>(q->size()); });
     metrics->Gauge("queue.processed", [q] { return q->processed(); });
-    // Per-tier split of the two-tier queue (wheel L0/L1 + heap spill).
-    metrics->Gauge("queue.wheel.absorbed", [q] { return q->wheel_absorbed(); });
-    metrics->Gauge("queue.wheel.spilled", [q] { return q->wheel_spilled(); });
-    metrics->Gauge("queue.wheel.l0_depth",
-                   [q] { return static_cast<uint64_t>(q->wheel_l0_size()); });
-    metrics->Gauge("queue.wheel.l1_depth",
-                   [q] { return static_cast<uint64_t>(q->wheel_l1_size()); });
-    metrics->Gauge("queue.heap_depth",
-                   [q] { return static_cast<uint64_t>(q->heap_tier_size()); });
     if (metrics_interval > 0) {
       sh->sample_reg = metrics;
       sh->metrics_interval = metrics_interval;
@@ -446,18 +433,6 @@ void ShardedEngine::EnableObservability(int shard, obs::TraceSink* trace,
 uint64_t ShardedEngine::processed() const {
   uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->queue.processed();
-  return total;
-}
-
-uint64_t ShardedEngine::wheel_absorbed() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->queue.wheel_absorbed();
-  return total;
-}
-
-uint64_t ShardedEngine::wheel_spilled() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->queue.wheel_spilled();
   return total;
 }
 

@@ -154,17 +154,13 @@ class ShardedEngine {
   /// between RunUntil() calls, where every shard's clock is the same).
   SimTime DriverNow() const;
 
-  /// Schedules a power-toggle for `id` at absolute time `at`. Must be
-  /// called before Start(): the times feed each shard's AliveFloor, which
-  /// must be complete before any promise is published.
-  void ScheduleAlive(SimTime at, NodeId id, bool alive);
-
   /// Schedules an arbitrary fault action against `id` at absolute time
   /// `at`, on `id`'s owner shard under the fault pseudo-origin (same-time
   /// events keep call order per shard; identical results for every K).
-  /// Must be called before Start(): like power toggles, fault times feed
-  /// the shard's AliveFloor promise, since an action may abort a mirrored
-  /// frame at exactly its event time. The callback runs on the owning
+  /// Must be called before Start(): fault times feed the shard's
+  /// AliveFloor promise, which must be complete before any promise is
+  /// published, since an action may abort a mirrored frame at exactly its
+  /// event time. The callback runs on the owning
   /// shard's thread and may only touch that shard -- i.e. call the Fault*
   /// helpers below for `id` (or other nodes on the same shard).
   void ScheduleFault(SimTime at, NodeId id, SmallCallback fn);
@@ -172,7 +168,7 @@ class ShardedEngine {
   // --- Immediate fault actions (ScheduleFault callbacks, or the caller's
   // thread while no RunUntil() is in flight) ---
 
-  /// Radio power-toggle, same semantics as ScheduleAlive's action.
+  /// Radio power-toggle (see ShardRadio::SetNodeAlive).
   void FaultSetAlive(NodeId id, bool alive);
   /// Invokes App::OnCrash on `id`'s host.
   void FaultCrash(NodeId id);
@@ -192,11 +188,6 @@ class ShardedEngine {
   /// evaluation events once per mirroring shard, so it grows slightly
   /// with K (it is a work counter, not part of the deterministic results).
   uint64_t processed() const;
-
-  /// Timer-wheel tier split summed across shards (perf telemetry, like
-  /// processed()): schedules the wheel absorbed vs spilled to the heap.
-  uint64_t wheel_absorbed() const;
-  uint64_t wheel_spilled() const;
 
   /// Wall-clock microseconds shards spent spinning with no executable
   /// event (waiting on a neighbor promise), and how many distinct such

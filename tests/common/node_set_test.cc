@@ -214,6 +214,71 @@ TEST(NodeSetTest, DecodeRejectsMalformedInput) {
   EXPECT_FALSE(NodeSet::Decode(short_legacy.data(), short_legacy.size(), 128).has_value());
 }
 
+TEST(NodeSetTest, DecodeSurvivesSeededMutations) {
+  // Deterministic mutation fuzzing of the decoder: byte flips,
+  // truncations and extensions of the round-trip corpus (every shape, in
+  // every form, at legacy and tagged universes). Each mutant must either
+  // be rejected, or decode to a set whose re-encoding decodes back to the
+  // same set. Run it under the asan preset to catch out-of-bounds reads.
+  struct Input {
+    int universe;
+    std::vector<uint8_t> bytes;
+  };
+  std::vector<Input> corpus;
+  for (int universe : {64, 128, 129, 500, 1024, 4096}) {
+    for (const auto& ids : ShapeCorpus(universe)) {
+      NodeSet set = NodeSet::Of(ids, universe);
+      corpus.push_back({universe, set.Encode()});
+      if (universe <= NodeSet::kLegacyUniverse) continue;
+      for (Form form : {Form::kDense, Form::kDeltaList, Form::kRuns}) {
+        std::vector<uint8_t> bytes;
+        set.EncodeAs(form, &bytes);
+        corpus.push_back({universe, std::move(bytes)});
+      }
+    }
+  }
+
+  Rng rng(0xF022, 0);
+  auto below = [&rng](size_t n) { return static_cast<size_t>(rng.NextU64() % n); };
+  constexpr int kMutants = 120000;
+  int accepted = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const Input& seed = corpus[below(corpus.size())];
+    std::vector<uint8_t> bytes = seed.bytes;
+    for (size_t n = 1 + below(3); n > 0; --n) {
+      switch (below(4)) {
+        case 0:  // Flip one bit.
+          if (!bytes.empty()) bytes[below(bytes.size())] ^= uint8_t{1} << below(8);
+          break;
+        case 1:  // Overwrite one byte.
+          if (!bytes.empty()) {
+            bytes[below(bytes.size())] = static_cast<uint8_t>(rng.NextU32());
+          }
+          break;
+        case 2:  // Truncate.
+          bytes.resize(below(bytes.size() + 1));
+          break;
+        default:  // Extend with random bytes.
+          for (size_t k = 1 + below(8); k > 0; --k) {
+            bytes.push_back(static_cast<uint8_t>(rng.NextU32()));
+          }
+          break;
+      }
+    }
+    auto decoded = NodeSet::Decode(bytes.data(), bytes.size(), seed.universe);
+    if (!decoded.has_value()) continue;
+    ++accepted;
+    ASSERT_EQ(decoded->universe(), seed.universe) << "mutant " << i;
+    std::vector<uint8_t> again = decoded->Encode();
+    auto redecoded = NodeSet::Decode(again.data(), again.size(), seed.universe);
+    ASSERT_TRUE(redecoded.has_value()) << "mutant " << i;
+    ASSERT_TRUE(*redecoded == *decoded) << "mutant " << i;
+  }
+  // Both outcomes occur, so the pass condition is not vacuous.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kMutants);
+}
+
 TEST(NodeSetTest, CoarsenedToFitCoversOriginalWithinBudget) {
   Rng rng(0xF17, 0);
   for (int trial = 0; trial < 100; ++trial) {

@@ -12,7 +12,7 @@ namespace scoop::sim {
 
 class TestQueue {
  public:
-  explicit TestQueue(QueueImpl impl = QueueImpl::kWheel) : q_(/*num_origins=*/1, impl) {}
+  TestQueue() : q_(/*num_origins=*/1) {}
 
   EventId ScheduleAt(SimTime at, ShardQueue::Callback fn) {
     return q_.ScheduleRegular(at, /*origin=*/0, std::move(fn));

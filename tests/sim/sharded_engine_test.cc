@@ -117,7 +117,9 @@ std::vector<NodeLog> RunAt(int k, PartitionKind partition, const Topology& topo,
   for (NodeId id = 0; id < topo.num_nodes(); ++id) {
     engine.SetApp(id, install(id, &logs[id]));
   }
-  for (const AliveToggle& t : toggles) engine.ScheduleAlive(t.at, t.id, t.alive);
+  for (const AliveToggle& t : toggles) {
+    engine.ScheduleFault(t.at, t.id, [e = &engine, t] { e->FaultSetAlive(t.id, t.alive); });
+  }
   engine.Start();
   for (SimTime end : slices) engine.RunUntil(end);
   return logs;

@@ -74,46 +74,6 @@ def profile_buckets(doc):
     return buckets
 
 
-def queue_splits(doc):
-    """Flattens campaign probes into {section: (absorbed, spilled, rate)}.
-
-    Campaign perf probes carry a top-level "queue" object with the
-    timer-wheel tier split (see CampaignPerfJson); older baselines and
-    microbench sections simply have no entry here.
-    """
-    splits = {}
-    for section, payload in doc.items():
-        if not isinstance(payload, dict):
-            continue
-        q = payload.get("queue")
-        if isinstance(q, dict) and "wheel_absorb_rate" in q:
-            splits[section] = (q.get("wheel_absorbed", 0.0),
-                               q.get("wheel_spilled", 0.0),
-                               q["wheel_absorb_rate"])
-    return splits
-
-
-def print_queue_diff(old_doc, new_doc):
-    """Informational (never gating) diff of the queue.wheel.* tier split."""
-    old_q = queue_splits(old_doc)
-    new_q = queue_splits(new_doc)
-    names = sorted(set(old_q) | set(new_q))
-    if not names:
-        return
-    print(f"\nqueue.wheel.* tier split (informational, absorb rate):")
-    print(f"{'probe':<72} {'old rate':>12} {'new rate':>12}")
-    for name in names:
-        def fmt(entry):
-            if entry is None:
-                return "-"
-            absorbed, spilled, rate = entry
-            return f"{rate:.4f}"
-        print(f"{name:<72} {fmt(old_q.get(name)):>12} {fmt(new_q.get(name)):>12}")
-        if name in new_q:
-            absorbed, spilled, _ = new_q[name]
-            print(f"  new absorbed={absorbed:.0f} spilled={spilled:.0f}")
-
-
 def shard_splits(doc):
     """Flattens campaign probes into {section: shard-sync dict}.
 
@@ -219,7 +179,6 @@ def main():
                 and ratio < args.fail_below):
             gate_failures.append((name, ratio))
 
-    print_queue_diff(old_doc, new_doc)
     print_shard_diff(old_doc, new_doc)
     print_profile_diff(old_doc, new_doc)
 
