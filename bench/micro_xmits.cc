@@ -1,9 +1,11 @@
 // Microbenchmarks of the agent-layer cost model: XmitsEstimator::Build
-// (CSR edge lists with incremental, dirty-row rebuilds).
+// (per-source report folding, a CSR edge list and one Dijkstra per source).
 //
-// The workload is the basestation's steady-state remap loop (§5.2/§5.3):
-// Clear(), re-ingest summary statistics that differ from the previous
-// round in only a few links, Build(); plus the cold first Build().
+// The workload is the basestation's remap loop (§5.2/§5.3): Clear(),
+// re-ingest summary statistics, Build(); plus the cold first Build().
+// BM_SteadyStateRemap re-reports only ~2% of links at a new quality per
+// round, far less drift than real remaps show. Every Build() is a full
+// rebuild, so it costs about what BM_ColdFullBuild does.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -70,7 +72,8 @@ void IngestRound(XmitsEstimator& est, const std::vector<LinkStat>& stats, int n,
 }
 
 // ---------------------------------------------------------------------------
-// Steady-state remap: the loop ScoopBaseAgent pays every remap_interval.
+// Steady-state remap: the loop ScoopBaseAgent pays every remap_interval
+// (with a synthetic 2% per-round drift).
 void BM_SteadyStateRemap(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   std::vector<LinkStat> stats = MakeStats(n, /*seed=*/7);
@@ -92,8 +95,7 @@ void BM_SteadyStateRemap(benchmark::State& state) {
 BENCHMARK(BM_SteadyStateRemap)->Arg(63)->Arg(121)->Arg(500);
 
 // ---------------------------------------------------------------------------
-// Cold build: first Build() after boot, when every row is dirty -- the CSR
-// constant factor without rebuild avoidance.
+// Cold build: first Build() of a fresh estimator, construction included.
 void BM_ColdFullBuild(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   std::vector<LinkStat> stats = MakeStats(n, /*seed=*/7);

@@ -108,10 +108,8 @@ void ScoopBaseAgent::AgeSummaryHistory(NodeId node, SimTime now) {
 }
 
 void ScoopBaseAgent::RebuildXmits() {
-  // Clear + full re-ingest is the estimator's cheap steady-state path:
-  // Clear() keeps the committed graph and distances, and Build() diffs
-  // the re-ingested statistics against them, repairing only the rows the
-  // drift since the last remap actually touched.
+  // Every remap re-ingests the latest statistics from scratch; Build()
+  // then runs one Dijkstra per source over the resulting graph.
   xmits_.Clear();
   for (const auto& [node, record] : latest_) {
     for (const NeighborEntry& nbr : record.summary.neighbors) {

@@ -3,25 +3,17 @@
 // summary messages and the parent pointers carried in every packet header.
 // All-pairs expected-transmission-count shortest paths via Dijkstra.
 //
-// Hot-path design: the edge set lives in a flat CSR adjacency (parallel
-// to/etx arrays plus per-source offsets) instead of per-node hash maps,
-// distances in one row-major buffer, and Build() is incremental. Mutations
-// are staged in per-source append logs; Build() folds the log, diffs each
-// staged source against the committed edge list, and repairs each distance
-// row in two Ramalingam-Reps-style batched phases instead of re-running N
-// Dijkstras: first removed/worsened edges (per row: discover the affected
-// vertices -- those whose shortest-path support chain used a worsened
-// edge -- and re-settle only them from the unaffected boundary), then
-// new/improved edges (a Dijkstra relaxation seeded at the improved edges'
-// heads). Rows the diff provably cannot touch are kept verbatim. The
-// base's steady-state remap -- Clear() followed by re-ingesting
-// near-identical statistics -- therefore costs a diff plus repairs
-// proportional to what actually changed.
+// Reports are appended to per-source lists. Build() folds each list (the
+// first report for a receiver claims it, later measured links take the
+// min, later tree edges never overwrite), packs the folded edges into a
+// flat CSR adjacency and runs one Dijkstra per source into a row-major
+// distance buffer. Every Build() is a full rebuild: real remaps re-ingest
+// summaries in which most link qualities have moved, so repairing the
+// previous distances does not pay.
 #ifndef SCOOP_CORE_XMITS_ESTIMATOR_H_
 #define SCOOP_CORE_XMITS_ESTIMATOR_H_
 
 #include <cstdint>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -45,9 +37,7 @@ class XmitsEstimator {
  public:
   explicit XmitsEstimator(int num_nodes, const XmitsOptions& options = {});
 
-  /// Clears all edges (e.g., before re-ingesting fresh statistics). Cheap:
-  /// the committed graph and its distances survive until the next Build(),
-  /// which diffs the re-ingested edge set against them.
+  /// Clears all edges (e.g., before re-ingesting fresh statistics).
   void Clear();
 
   /// Records that packets sent by `from` reach `to` with probability
@@ -61,8 +51,7 @@ class XmitsEstimator {
   void AddTreeEdge(NodeId node, NodeId parent, double assumed_quality = 0.5);
 
   /// Computes all-pairs costs. Must be called after mutations and before
-  /// Xmits() queries. Incremental: only distance rows affected by the edge
-  /// diff since the previous Build() are recomputed.
+  /// Xmits() queries.
   void Build();
 
   /// Expected transmissions x→y along the cheapest known path.
@@ -77,97 +66,36 @@ class XmitsEstimator {
 
   const XmitsOptions& options() const { return options_; }
 
-  /// Introspection for tests and benches: rows re-run as full Dijkstras /
-  /// rows patched by the batched repairs during the last Build(). Rows not
-  /// counted in either were proven untouched by the edge diff and kept.
-  int last_build_full_rows() const { return last_full_rows_; }
-  int last_build_repaired_rows() const { return last_repaired_rows_; }
-
  private:
-  /// One committed directed edge; per-source lists are sorted by `to`.
-  struct Edge {
-    NodeId to;
-    double etx;
-  };
-  /// One staged mutation, in insertion order. Tree edges never overwrite an
-  /// existing entry; measured links take the min (best report wins).
-  struct PendingEdge {
+  /// One link report. After Build() folds a list, every entry is marked
+  /// measured, so a committed edge keeps its slot against later tree
+  /// edges and takes the min with later measured links.
+  struct Report {
     NodeId to;
     double etx;
     bool tree;
   };
-  /// One side of the edge diff Build() computes per changed source.
-  struct EdgeDelta {
-    NodeId from;
-    NodeId to;
-    double etx;      ///< New weight (infinity for pure removals).
-    double old_etx;  ///< Committed weight (infinity for pure additions).
-  };
 
-  using RepairHeap =
-      std::priority_queue<std::pair<double, NodeId>, std::vector<std::pair<double, NodeId>>,
-                          std::greater<std::pair<double, NodeId>>>;
-
-  /// Folds a source's staged log onto its committed list (empty if Clear()
-  /// intervened) into the fold_scratch_ member -- the steady-state Build()
-  /// folds every source per remap, so this path must not allocate.
-  void FoldPending(int source);
-  /// Dijkstra relaxation over the forward CSR from whatever `heap` holds:
-  /// the one settle loop FullRow and both repair phases share.
-  void RelaxFromHeap(double* dist, RepairHeap& heap);
-  /// Rebuilds the flat CSR arrays (forward and reverse) from the committed
-  /// per-source lists.
-  void RebuildCsr();
-  /// Runs one full Dijkstra from `source` into its dist_ row.
-  void FullRow(int source);
-  /// Phase 1 of the row repair: settle the vertices whose shortest paths
-  /// used a removed/worsened edge. Must run while the CSR is patched to
-  /// the intermediate graph (decreases still at their old weights).
-  /// Returns true iff the row changed.
-  bool IncreaseRepairRow(int source, const std::vector<EdgeDelta>& increases);
-  /// Phase 2: patches `source`'s dist_ row for a batch of decreased/new
-  /// edges (runs on the final CSR). Returns true iff the row changed.
-  bool DecreaseRepairRow(int source, const std::vector<EdgeDelta>& decreases);
+  /// Folds `source`'s reports in place to one measured entry per receiver,
+  /// sorted by receiver.
+  void FoldReports(int source);
+  /// Runs one Dijkstra from `source` over the CSR into its dist_ row.
+  void DijkstraRow(int source);
 
   int num_nodes_;
   XmitsOptions options_;
 
-  // Committed graph (state as of the last Build()).
-  std::vector<std::vector<Edge>> edges_;
-  // Flat CSR mirror of edges_, rebuilt only when the edge set changed:
-  // source s's out-edges are [csr_offsets_[s], csr_offsets_[s + 1]).
+  std::vector<std::vector<Report>> reports_;  ///< Per-source, insertion order.
+  // Flat CSR of the folded graph: source s's out-edges are
+  // [csr_offsets_[s], csr_offsets_[s + 1]).
   std::vector<uint32_t> csr_offsets_;
   std::vector<NodeId> csr_to_;
   std::vector<double> csr_etx_;
-  // Reverse CSR (in-edges), for the affected-vertex support checks of the
-  // increase repair: rev_edge_[k] indexes into csr_to_/csr_etx_ so the
-  // reverse view always reads the (possibly patched) forward weights.
-  std::vector<uint32_t> rev_offsets_;
-  std::vector<NodeId> rev_from_;
-  std::vector<uint32_t> rev_edge_;
-
-  // Staged mutations since the last Build().
-  std::vector<std::vector<PendingEdge>> pending_;
-  std::vector<uint32_t> pending_sources_;
-  std::vector<uint8_t> pending_flag_;
-  bool cleared_ = false;  ///< Clear() called since the last Build().
 
   /// Row-major all-pairs distances, num_nodes_^2 entries once built.
   std::vector<double> dist_;
   bool built_ = false;
-
-  int last_full_rows_ = 0;
-  int last_repaired_rows_ = 0;
-
-  // Scratch reused across Build() calls (kept hot, no per-build allocs).
-  std::vector<EdgeDelta> decreases_;
-  std::vector<EdgeDelta> increases_;
-  std::vector<uint8_t> affected_;   ///< Per-row repair scratch.
-  std::vector<uint8_t> enqueued_;   ///< Per-row repair scratch.
-  std::vector<NodeId> affected_list_;
-  std::vector<NodeId> enqueued_list_;
-  std::vector<PendingEdge> merge_scratch_;  ///< FoldPending working buffer.
-  std::vector<Edge> fold_scratch_;          ///< FoldPending result buffer.
+  std::vector<std::pair<double, NodeId>> heap_;  ///< DijkstraRow scratch.
 };
 
 }  // namespace scoop::core

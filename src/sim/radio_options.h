@@ -46,10 +46,6 @@ struct RadioOptions {
   /// delivery: p_ack = p_reverse ^ ack_shortness_exponent.
   double ack_shortness_exponent = 0.5;
 
-  /// Links with delivery probability >= this can interfere (collisions) and
-  /// trigger carrier sense.
-  double interference_threshold = 0.05;
-
   /// Capture effect: a concurrent transmission corrupts reception only if
   /// the interferer's link to the receiver is at least this fraction as
   /// strong as the signal's (delivery probability as a power proxy).

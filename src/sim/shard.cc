@@ -211,12 +211,6 @@ ShardRadio::ShardRadio(const Topology* topology, const RadioOptions& options,
   SCOOP_CHECK(queue != nullptr);
   SCOOP_CHECK(owner != nullptr);
   max_airtime_ = Airtime(options_.max_packet_bytes);
-  if (options_.interference_threshold == Topology::kInterferenceThreshold) {
-    interferers_ = &topology->interferer_sets();
-  } else {
-    own_interferers_ = topology->BuildInterfererSets(options_.interference_threshold);
-    interferers_ = &own_interferers_;
-  }
   // Per-node backoff streams: draws depend only on the node's own attempt
   // sequence, which is identical for every partitioning.
   uint64_t backoff_key = MixSeed(seed, /*entity_id=*/0xAD10);
@@ -325,7 +319,7 @@ bool ShardRadio::ChannelBusy(NodeId node) const {
   // predicate only removes the same-instant case.
   const TxSpan& own = node_tx_[node][0];
   if (own.start < now && own.end > now) return true;
-  const InterfererSet& audible = (*interferers_)[node];
+  const InterfererSet& audible = topology_->interferers(node);
   return audible.AnyActive(active_tx_, [&](NodeId a) {
     // Mirrored nodes can hold a future-start span in [0] while an earlier
     // one is still on the air in [1]; check both.
@@ -359,7 +353,7 @@ void ShardRadio::CollectInterferers(NodeId sender, SimTime start, SimTime end) {
 
 bool ShardRadio::Collided(NodeId receiver, NodeId sender) const {
   double signal = topology_->delivery_prob(sender, receiver);
-  const InterfererSet& audible = (*interferers_)[receiver];
+  const InterfererSet& audible = topology_->interferers(receiver);
   for (NodeId isrc : collide_scratch_) {
     if (isrc == receiver) continue;
     if (!audible.Test(isrc)) continue;  // Too weak to interfere.

@@ -460,16 +460,12 @@ class ShardRadio {
   std::vector<bool> alive_;
 
   // Channel state, covering this shard's transmissions plus mirrored
-  // boundary announcements. `interferers_` is the topology's precomputed
-  // per-receiver interferer sets when options_.interference_threshold
-  // matches theirs, else own_interferers_. `node_tx_` keeps each node's
-  // last two transmission spans, most recent first: a node's frames are
-  // serial, so only its latest frame starting before a window's end can
-  // overlap the window -- plus at most one starting exactly at its end.
+  // boundary announcements. `node_tx_` keeps each node's last two
+  // transmission spans, most recent first: a node's frames are serial, so
+  // only its latest frame starting before a window's end can overlap the
+  // window -- plus at most one starting exactly at its end.
   // `ring_` holds recent transmissions in start order, so overlap queries
   // walk back from the tail and stop one max airtime before the window.
-  const std::vector<InterfererSet>* interferers_ = nullptr;
-  std::vector<InterfererSet> own_interferers_;
   DynamicNodeBitmap active_tx_;
   std::vector<std::array<TxSpan, 2>> node_tx_;
   std::vector<Transmission> ring_;

@@ -206,17 +206,17 @@ Topology::Topology(std::vector<Point> positions, SparseLinks links)
     }
   }
 
-  interferers_ = BuildInterfererSets(kInterferenceThreshold);
+  interferers_ = BuildInterfererSets();
 }
 
-std::vector<InterfererSet> Topology::BuildInterfererSets(double threshold) const {
+std::vector<InterfererSet> Topology::BuildInterfererSets() const {
   size_t n = positions_.size();
   // Walking senders in ascending id keeps every receiver's list sorted
   // without a per-receiver sort.
   std::vector<std::vector<NodeId>> lists(n);
   for (size_t from = 0; from < n; ++from) {
     for (const Link& link : audible_from(static_cast<NodeId>(from))) {
-      if (link.prob >= threshold) lists[link.to].push_back(static_cast<NodeId>(from));
+      if (link.prob >= kInterferenceThreshold) lists[link.to].push_back(static_cast<NodeId>(from));
     }
   }
   std::vector<InterfererSet> sets;

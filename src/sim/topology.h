@@ -113,9 +113,7 @@ class Topology {
   using SparseLinks = std::vector<std::vector<Link>>;
 
   /// Senders whose delivery probability to a receiver is at least this can
-  /// interfere there (carrier sense and collisions). Must match the
-  /// RadioOptions::interference_threshold default; a radio configured with
-  /// a different threshold rebuilds its own sets via BuildInterfererSets.
+  /// interfere there (carrier sense and collisions).
   static constexpr double kInterferenceThreshold = 0.05;
 
   /// The flat row-major delivery matrix is materialized only up to this
@@ -186,14 +184,8 @@ class Topology {
   /// density threshold, bitmap form above it (InterfererSet picks).
   const InterfererSet& interferers(NodeId to) const { return interferers_[to]; }
 
-  /// All precomputed interferer sets, indexed by receiver (the radio keeps
-  /// one pointer to whichever vector -- this or a custom-threshold rebuild
-  /// -- it runs on).
+  /// All precomputed interferer sets, indexed by receiver.
   const std::vector<InterfererSet>& interferer_sets() const { return interferers_; }
-
-  /// Per-receiver interferer sets for a non-default threshold (the
-  /// precomputed `interferers()` cover the default).
-  std::vector<InterfererSet> BuildInterfererSets(double threshold) const;
 
   /// Position of `id` in meters.
   const Point& position(NodeId id) const { return positions_[id]; }
@@ -226,6 +218,8 @@ class Topology {
   // build for topologies they are about to discard.
   static bool ConnectedAt(const SparseLinks& links, int n, double threshold);
   static double NeighborFractionAt(const SparseLinks& links, int n, double threshold);
+  /// Per-receiver interferer sets at kInterferenceThreshold, from the CSR.
+  std::vector<InterfererSet> BuildInterfererSets() const;
 
   std::vector<Point> positions_;
   /// Flat row-major delivery matrix, num_nodes^2 entries; empty above

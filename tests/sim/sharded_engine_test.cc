@@ -294,6 +294,55 @@ TEST(ShardedEngineTest, SlicedRunUntilMatchesOneShot) {
   }
 }
 
+TEST(ShardedEngineTest, LargeNetworkDuplicatesAreFlagged) {
+  // Past 4096 nodes a host tracks each sender's last sequence number in a
+  // hash map instead of a flat per-node array. A unicast pair over a
+  // strong forward link with a weak reverse (ACK) link retransmits frames
+  // the receiver already has; those must arrive flagged as duplicates,
+  // identically at K = 1 and K = 2.
+  GridTopologyOptions grid;
+  grid.num_nodes = 4200;
+  grid.seed = 3;
+  Topology topo = Topology::MakeGrid(grid);
+  NodeId sender = kInvalidNodeId;
+  NodeId receiver = kInvalidNodeId;
+  double best = 0.0;
+  for (NodeId a = 0; a < topo.num_nodes(); ++a) {
+    for (const Topology::Link& link : topo.audible_from(a)) {
+      double reverse = topo.delivery_prob(link.to, a);
+      if (reverse > 0.0 && reverse <= 0.3 && link.prob > best) {
+        best = link.prob;
+        sender = a;
+        receiver = link.to;
+      }
+    }
+  }
+  ASSERT_GE(best, 0.5) << "no strong link with a weak reverse in the grid";
+
+  auto install = [&](NodeId id, NodeLog* log) -> std::unique_ptr<App> {
+    if (id == sender) return std::make_unique<ChatterApp>(log, 40, Millis(300), receiver);
+    if (id == receiver) return std::make_unique<ChatterApp>(log, 0, Millis(300));
+    return nullptr;
+  };
+  std::vector<int> received;
+  std::vector<int> duplicates;
+  for (int k : {1, 2}) {
+    std::vector<NodeLog> logs = RunAt(k, PartitionKind::kStrip, topo, install, {}, {Seconds(20)});
+    int recv = 0;
+    int dup = 0;
+    for (const std::string& line : logs[receiver]) {
+      if (line.rfind("recv", 0) != 0) continue;
+      ++recv;
+      if (line.find("dup=1") != std::string::npos) ++dup;
+    }
+    received.push_back(recv);
+    duplicates.push_back(dup);
+  }
+  EXPECT_GT(duplicates[0], 0);
+  EXPECT_EQ(received[0], received[1]);
+  EXPECT_EQ(duplicates[0], duplicates[1]);
+}
+
 TEST(ShardedEngineTest, ShardOfCoversAllNodesContiguously) {
   Topology topo = Line(10);
   ShardedEngineOptions opts;

@@ -42,17 +42,6 @@ void ExpectIndexesMatchMatrix(const Topology& topo) {
     }
     EXPECT_EQ(cursor, links.size());
   }
-
-  // A custom-threshold rebuild must agree with the matrix the same way.
-  constexpr double kCustom = 0.35;
-  std::vector<InterfererSet> custom = topo.BuildInterfererSets(kCustom);
-  for (int from = 0; from < n; ++from) {
-    for (int to = 0; to < n; ++to) {
-      double p = topo.delivery_prob(static_cast<NodeId>(from), static_cast<NodeId>(to));
-      EXPECT_EQ(custom[static_cast<size_t>(to)].Test(static_cast<NodeId>(from)),
-                p >= kCustom);
-    }
-  }
 }
 
 TEST(TopologyIndexTest, RandomTopologyIndexesMatchMatrix) {
@@ -104,6 +93,19 @@ TEST(TopologyIndexTest, GeneratorsScalePastTheWireFormatNodeCap) {
   opts.seed = 2;
   Topology topo = Topology::MakeGrid(opts);
   EXPECT_EQ(topo.num_nodes(), 500);
+  ExpectIndexesMatchMatrix(topo);
+}
+
+TEST(TopologyIndexTest, LargeGridWithoutDenseMatrixIndexesMatchCsr) {
+  // Past kDenseDeliveryMaxNodes no matrix is materialized and
+  // delivery_prob() binary-searches the sender's CSR row: the lockstep walk
+  // pins that it finds every listed link and returns 0 for every other pair,
+  // and that the interferer sets agree with it.
+  GridTopologyOptions opts;
+  opts.num_nodes = 2100;
+  opts.seed = 4;
+  Topology topo = Topology::MakeGrid(opts);
+  ASSERT_GT(topo.num_nodes(), Topology::kDenseDeliveryMaxNodes);
   ExpectIndexesMatchMatrix(topo);
 }
 
