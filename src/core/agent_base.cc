@@ -16,6 +16,7 @@ AgentBase::AgentBase(const AgentConfig& config)
       telemetry_(config.telemetry != nullptr ? config.telemetry : &own_telemetry_) {
   SCOOP_CHECK_GT(cfg_.num_nodes, 0);
   SCOOP_CHECK_LT(static_cast<int>(cfg_.self), cfg_.num_nodes);
+  SCOOP_CHECK(cfg_.is_base() || cfg_.sample_fn != nullptr);
 }
 
 AgentBase::~AgentBase() = default;
@@ -29,6 +30,7 @@ void AgentBase::OnBoot(sim::Context& ctx) {
   }
   ScheduleBeaconLoop();
   ScheduleMaintenanceLoop();
+  if (!cfg_.is_base()) ScheduleSampling();
   OnAgentBoot();
 }
 
@@ -212,6 +214,22 @@ void AgentBase::ScheduleMaintenanceLoop() {
     descendants_.EvictStale(ctx_->now());
     ScheduleMaintenanceLoop();
   });
+}
+
+void AgentBase::ScheduleSampling() {
+  SimTime start = cfg_.sampling_start > ctx_->now() ? cfg_.sampling_start - ctx_->now() : 0;
+  SimTime phase = ctx_->rng().UniformInt(0, cfg_.sample_interval - 1);
+  ctx_->Schedule(start + phase, [this] { SampleTick(); });
+}
+
+void AgentBase::SampleTick() {
+  // A crashed node samples nothing; the timer chain keeps ticking so
+  // sampling resumes on its own phase after a reboot.
+  if (!down_) {
+    ++telemetry_->readings_produced;
+    OnSample(cfg_.sample_fn(cfg_.self, ctx_->now()));
+  }
+  ctx_->Schedule(cfg_.sample_interval, [this] { SampleTick(); });
 }
 
 void AgentBase::HandleBeacon(const Packet& pkt) {

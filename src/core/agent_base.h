@@ -76,8 +76,14 @@ class AgentBase : public sim::App {
 
   // --- Hooks for policy subclasses ---
 
-  /// Called once after the shared machinery booted.
+  /// Called once after the shared machinery (and, on sensor nodes, the
+  /// sampling timer) booted.
   virtual void OnAgentBoot() {}
+
+  /// Called on a sensor node with each reading it produces, every
+  /// cfg_.sample_interval from cfg_.sampling_start on (per-node phase),
+  /// except while the node is down.
+  virtual void OnSample(Value v) { (void)v; }
 
   /// Handles a data packet addressed to this node. Default: apply routing
   /// rules 2-6 as-is (no index rewriting).
@@ -181,6 +187,11 @@ class AgentBase : public sim::App {
 
   void ScheduleBeaconLoop();
   void ScheduleMaintenanceLoop();
+  /// Arms the sampling timer: first tick at a per-node phase after
+  /// cfg_.sampling_start so the network does not sample in lockstep.
+  void ScheduleSampling();
+  /// One sampling tick; re-arms itself every cfg_.sample_interval.
+  void SampleTick();
   void SendBeacon();
   void ShareGossipChunk();
 

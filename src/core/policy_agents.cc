@@ -12,25 +12,15 @@ namespace scoop::core {
 
 LocalNodeAgent::LocalNodeAgent(const AgentConfig& config) : AgentBase(config) {
   SCOOP_CHECK(!config.is_base());
-  SCOOP_CHECK(config.sample_fn != nullptr);
 }
 
-void LocalNodeAgent::OnAgentBoot() {
-  SimTime start = cfg_.sampling_start > ctx().now() ? cfg_.sampling_start - ctx().now() : 0;
-  SimTime phase = ctx().rng().UniformInt(0, cfg_.sample_interval - 1);
-  ctx().Schedule(start + phase, [this] { LoopSample(); });
-}
-
-void LocalNodeAgent::LoopSample() {
-  Value v = cfg_.sample_fn(cfg_.self, ctx().now());
-  ++telemetry().readings_produced;
+void LocalNodeAgent::OnSample(Value v) {
   DataPayload d;
   d.attr = cfg_.attr;
   d.producer = cfg_.self;
   d.owner = cfg_.self;
   d.readings.push_back(Reading{v, ctx().now()});
   StoreReadings(d, StoreClass::kOwner);
-  ctx().Schedule(cfg_.sample_interval, [this] { LoopSample(); });
 }
 
 LocalBaseAgent::LocalBaseAgent(const AgentConfig& config) : AgentBase(config) {
@@ -52,18 +42,9 @@ uint32_t LocalBaseAgent::IssueQuery(const Query& query) {
 
 BasePolicyNodeAgent::BasePolicyNodeAgent(const AgentConfig& config) : AgentBase(config) {
   SCOOP_CHECK(!config.is_base());
-  SCOOP_CHECK(config.sample_fn != nullptr);
 }
 
-void BasePolicyNodeAgent::OnAgentBoot() {
-  SimTime start = cfg_.sampling_start > ctx().now() ? cfg_.sampling_start - ctx().now() : 0;
-  SimTime phase = ctx().rng().UniformInt(0, cfg_.sample_interval - 1);
-  ctx().Schedule(start + phase, [this] { LoopSample(); });
-}
-
-void BasePolicyNodeAgent::LoopSample() {
-  Value v = cfg_.sample_fn(cfg_.self, ctx().now());
-  ++telemetry().readings_produced;
+void BasePolicyNodeAgent::OnSample(Value v) {
   DataPayload d;
   d.attr = cfg_.attr;
   d.producer = cfg_.self;
@@ -72,7 +53,6 @@ void BasePolicyNodeAgent::LoopSample() {
   // Routing rules degenerate to "up the tree" (with the neighbor shortcut
   // firing for nodes adjacent to the base).
   RouteData(std::move(d), cfg_.self, tree_.parent());
-  ctx().Schedule(cfg_.sample_interval, [this] { LoopSample(); });
 }
 
 BasePolicyBaseAgent::BasePolicyBaseAgent(const AgentConfig& config) : AgentBase(config) {
@@ -118,18 +98,9 @@ NodeId HashOwner(Value v, int num_nodes) {
 
 HashNodeAgent::HashNodeAgent(const AgentConfig& config) : AgentBase(config) {
   SCOOP_CHECK(!config.is_base());
-  SCOOP_CHECK(config.sample_fn != nullptr);
 }
 
-void HashNodeAgent::OnAgentBoot() {
-  SimTime start = cfg_.sampling_start > ctx().now() ? cfg_.sampling_start - ctx().now() : 0;
-  SimTime phase = ctx().rng().UniformInt(0, cfg_.sample_interval - 1);
-  ctx().Schedule(start + phase, [this] { LoopSample(); });
-}
-
-void HashNodeAgent::LoopSample() {
-  Value v = cfg_.sample_fn(cfg_.self, ctx().now());
-  ++telemetry().readings_produced;
+void HashNodeAgent::OnSample(Value v) {
   Reading reading{v, ctx().now()};
   NodeId owner = HashOwner(v, cfg_.num_nodes);
   if (owner == cfg_.self) {
@@ -151,7 +122,6 @@ void HashNodeAgent::LoopSample() {
     batch_.readings.push_back(reading);
     if (static_cast<int>(batch_.readings.size()) >= cfg_.max_batch) FlushBatch();
   }
-  ctx().Schedule(cfg_.sample_interval, [this] { LoopSample(); });
 }
 
 void HashNodeAgent::FlushBatch() {

@@ -25,10 +25,7 @@ class LocalNodeAgent : public AgentBase {
   explicit LocalNodeAgent(const AgentConfig& config);
 
  protected:
-  void OnAgentBoot() override;
-
- private:
-  void LoopSample();
+  void OnSample(Value v) override;
 };
 
 /// LOCAL basestation: floods every query to all nodes and collects replies.
@@ -47,10 +44,7 @@ class BasePolicyNodeAgent : public AgentBase {
   explicit BasePolicyNodeAgent(const AgentConfig& config);
 
  protected:
-  void OnAgentBoot() override;
-
- private:
-  void LoopSample();
+  void OnSample(Value v) override;
 };
 
 /// BASE basestation: stores everything; answers queries from local Flash
@@ -74,10 +68,9 @@ class HashNodeAgent : public AgentBase {
   explicit HashNodeAgent(const AgentConfig& config);
 
  protected:
-  void OnAgentBoot() override;
+  void OnSample(Value v) override;
 
  private:
-  void LoopSample();
   void FlushBatch();
 
   struct Batch {

@@ -11,39 +11,18 @@ ScoopNodeAgent::ScoopNodeAgent(const AgentConfig& config)
     : AgentBase(config),
       recent_readings_(static_cast<size_t>(config.recent_readings_capacity)) {
   SCOOP_CHECK(!config.is_base());
-  SCOOP_CHECK(config.sample_fn != nullptr);
 }
 
-void ScoopNodeAgent::OnAgentBoot() {
-  ScheduleSampleLoop();
-  ScheduleSummaryLoop();
-}
+void ScoopNodeAgent::OnAgentBoot() { ScheduleSummaryLoop(); }
 
 // ---------------------------------------------------------------------------
 // Sampling and the producer side of §5.4
 // ---------------------------------------------------------------------------
 
-void ScoopNodeAgent::ScheduleSampleLoop() {
-  SimTime start = cfg_.sampling_start > ctx().now() ? cfg_.sampling_start - ctx().now() : 0;
-  // Per-node phase offset so the network does not sample in lockstep.
-  SimTime phase = ctx().rng().UniformInt(0, cfg_.sample_interval - 1);
-  ctx().Schedule(start + phase, [this] { LoopSample(); });
-}
-
-void ScoopNodeAgent::LoopSample() {
-  // A crashed node samples nothing; the timer chain keeps ticking so
-  // sampling resumes on its own phase after a reboot.
-  if (!is_down()) TakeSample();
-  ctx().Schedule(cfg_.sample_interval, [this] { LoopSample(); });
-}
-
-void ScoopNodeAgent::TakeSample() {
-  Value v = cfg_.sample_fn(cfg_.self, ctx().now());
+void ScoopNodeAgent::OnSample(Value v) {
   Reading reading{v, ctx().now()};
   recent_readings_.Push(reading);
   ++samples_since_summary_;
-  ++samples_taken_;
-  ++telemetry().readings_produced;
 
   const StorageIndex* index = index_store_.current();
   if (index == nullptr) {
@@ -173,7 +152,7 @@ void ScoopNodeAgent::OnIndexCompleted() {
 void ScoopNodeAgent::OnAgentReboot() {
   // Volatile sampling state died with the node: the recent-readings buffer
   // feeding summaries, the outgoing batch, and the since-last-summary
-  // count. samples_taken_ is lifetime introspection and survives.
+  // count.
   recent_readings_.Clear();
   batch_.active = false;
   batch_.readings.clear();

@@ -17,22 +17,17 @@ class ScoopNodeAgent : public AgentBase {
  public:
   explicit ScoopNodeAgent(const AgentConfig& config);
 
-  /// Readings sampled so far (for tests).
-  uint64_t samples_taken() const { return samples_taken_; }
-
  protected:
   void OnAgentBoot() override;
+  /// Stores/forwards the reading per the current index.
+  void OnSample(Value v) override;
   void HandleData(const Packet& pkt) override;
   void OnIndexCompleted() override;
   void OnAgentReboot() override;
   bool MappingGossipEnabled() const override { return true; }
 
  private:
-  /// Samples the sensor, stores/forwards per the current index.
-  void TakeSample();
-  void ScheduleSampleLoop();
   void ScheduleSummaryLoop();
-  void LoopSample();
   void LoopSummary();
   void SendSummary();
 
@@ -48,7 +43,6 @@ class ScoopNodeAgent : public AgentBase {
 
   storage::RingBuffer<Reading> recent_readings_;
   uint16_t samples_since_summary_ = 0;
-  uint64_t samples_taken_ = 0;
 
   /// Pending outgoing batch (§5.4: up to max_batch readings for one owner).
   struct Batch {

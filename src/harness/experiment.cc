@@ -541,7 +541,7 @@ ExperimentResult RunShardedTrial(const ExperimentConfig& config, uint64_t seed, 
     });
   }
 
-  std::unique_ptr<workload::DataSource> source = workload::MakeKeyedDataSource(
+  std::unique_ptr<workload::DataSource> source = workload::MakeDataSource(
       config.source, config.source_options, engine.topology().positions(), seed);
   BaseHandle handle = InstallAgents(&engine, config, &shard_telemetry, traces, source.get());
 

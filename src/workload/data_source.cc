@@ -25,6 +25,14 @@ const char* DataSourceKindName(DataSourceKind kind) {
 
 namespace {
 
+/// One ephemeral generator per (base key, node, time): stateless between
+/// calls, so Next() is const-correct in spirit, thread-safe, and returns
+/// the same value for the same arguments under any shard interleaving.
+Rng KeyedRng(uint64_t base, NodeId node, SimTime now) {
+  return Rng(MixSeed(MixSeed(base, node), static_cast<uint64_t>(now)), /*stream=*/node);
+}
+
+/// Pure function of the node id: needs no draws at all.
 class UniqueSource final : public DataSource {
  public:
   explicit UniqueSource(int num_nodes) : num_nodes_(num_nodes) {}
@@ -33,7 +41,6 @@ class UniqueSource final : public DataSource {
     return static_cast<Value>(node);
   }
   ValueRange domain() const override { return ValueRange{0, num_nodes_ - 1}; }
-  const char* name() const override { return "unique"; }
 
  private:
   Value num_nodes_;
@@ -50,7 +57,6 @@ class EqualSource final : public DataSource {
   ValueRange domain() const override {
     return ValueRange{options_.domain_lo, options_.domain_hi};
   }
-  const char* name() const override { return "equal"; }
 
  private:
   DataSourceOptions options_;
@@ -59,35 +65,34 @@ class EqualSource final : public DataSource {
 class RandomSource final : public DataSource {
  public:
   RandomSource(const DataSourceOptions& options, uint64_t seed)
-      : options_(options), rng_(MixSeed(seed, 0x5EED), /*stream=*/3) {}
+      : options_(options), key_(MixSeed(seed, 0x5EED)) {}
   Value Next(NodeId node, SimTime now) override {
-    (void)node;
-    (void)now;
-    return static_cast<Value>(rng_.UniformInt(options_.domain_lo, options_.domain_hi));
+    Rng rng = KeyedRng(key_, node, now);
+    return static_cast<Value>(rng.UniformInt(options_.domain_lo, options_.domain_hi));
   }
   ValueRange domain() const override {
     return ValueRange{options_.domain_lo, options_.domain_hi};
   }
-  const char* name() const override { return "random"; }
 
  private:
   DataSourceOptions options_;
-  Rng rng_;
+  uint64_t key_;
 };
 
 class GaussianSource final : public DataSource {
  public:
   GaussianSource(const DataSourceOptions& options, int num_nodes, uint64_t seed)
-      : options_(options), rng_(MixSeed(seed, 0x6A05), /*stream=*/4) {
+      : options_(options), key_(MixSeed(seed, 0x6A05)) {
     // Each sensor i picks mean mu_i from the domain for the whole
     // experiment (§6: uniform; skew != 1 warps the draw toward one end).
+    Rng rng(MixSeed(seed, 0x6A05), /*stream=*/4);
     means_.reserve(static_cast<size_t>(num_nodes));
     for (int i = 0; i < num_nodes; ++i) {
       if (options_.gaussian_mean_skew == 1.0) {
         means_.push_back(static_cast<double>(
-            rng_.UniformInt(options_.domain_lo, options_.domain_hi)));
+            rng.UniformInt(options_.domain_lo, options_.domain_hi)));
       } else {
-        double u = std::pow(rng_.UniformDouble(), options_.gaussian_mean_skew);
+        double u = std::pow(rng.UniformDouble(), options_.gaussian_mean_skew);
         // Subtract in double: the domain can span more than INT32_MAX.
         double span = static_cast<double>(options_.domain_hi) -
                       static_cast<double>(options_.domain_lo);
@@ -99,20 +104,19 @@ class GaussianSource final : public DataSource {
   }
 
   Value Next(NodeId node, SimTime now) override {
-    (void)now;
     SCOOP_CHECK_LT(static_cast<size_t>(node), means_.size());
-    double v = rng_.Gaussian(means_[node], stddev_);
+    Rng rng = KeyedRng(key_, node, now);
+    double v = rng.Gaussian(means_[node], stddev_);
     return std::clamp(static_cast<Value>(std::lround(v)), options_.domain_lo,
                       options_.domain_hi);
   }
   ValueRange domain() const override {
     return ValueRange{options_.domain_lo, options_.domain_hi};
   }
-  const char* name() const override { return "gaussian"; }
 
  private:
   DataSourceOptions options_;
-  Rng rng_;
+  uint64_t key_;
   std::vector<double> means_;
   double stddev_ = 1.0;
 };
@@ -123,13 +127,15 @@ class GaussianSource final : public DataSource {
 /// where shared(t) is a building-wide lighting signal (slow sinusoid plus
 /// lights-on/off steps), and brightness_i/offset_i are smooth functions of
 /// node position (a few Gaussian "window" bumps), so nearby nodes produce
-/// correlated, temporally stable readings.
+/// correlated, temporally stable readings. Only the per-reading noise is
+/// keyed; the bumps are drawn once at construction.
 class RealTraceSource final : public DataSource {
  public:
   RealTraceSource(const DataSourceOptions& options,
                   const std::vector<sim::Point>& positions, uint64_t seed)
-      : options_(options), rng_(MixSeed(seed, 0x4EA1), /*stream=*/5) {
+      : options_(options), key_(MixSeed(seed, 0x4EA1)) {
     SCOOP_CHECK(!positions.empty());
+    Rng rng(MixSeed(seed, 0x4EA1), /*stream=*/5);
     double max_x = 1, max_y = 1;
     for (const sim::Point& p : positions) {
       max_x = std::max(max_x, p.x);
@@ -141,8 +147,8 @@ class RealTraceSource final : public DataSource {
     };
     std::vector<Bump> bumps;
     for (int b = 0; b < 3; ++b) {
-      bumps.push_back(Bump{rng_.UniformDouble() * max_x, rng_.UniformDouble() * max_y,
-                           0.5 + rng_.UniformDouble()});
+      bumps.push_back(Bump{rng.UniformDouble() * max_x, rng.UniformDouble() * max_y,
+                           0.5 + rng.UniformDouble()});
     }
     double sigma = options_.real_correlation_meters;
     brightness_.reserve(positions.size());
@@ -176,140 +182,6 @@ class RealTraceSource final : public DataSource {
         (static_cast<int64_t>(now / lights_period_) % 3) != 0;  // On 2/3 of the time.
     double shared = 55.0 * daylight + (lights_on ? 45.0 : 0.0);
     double w = options_.real_shared_weight;
-    double v = w * shared * brightness_[node] + (1 - w) * (offset_[node] * 6.0) +
-               rng_.Gaussian(0, options_.real_noise);
-    return std::clamp(static_cast<Value>(std::lround(v)), options_.domain_lo,
-                      options_.real_domain_hi);
-  }
-
-  ValueRange domain() const override {
-    return ValueRange{options_.domain_lo, options_.real_domain_hi};
-  }
-  const char* name() const override { return "real"; }
-
- private:
-  DataSourceOptions options_;
-  Rng rng_;
-  std::vector<double> brightness_;
-  std::vector<double> offset_;
-  SimTime lights_period_ = 0;
-  SimTime day_period_ = 0;
-};
-
-/// One ephemeral generator per (base key, node, time): stateless between
-/// calls, so Next() is const-correct in spirit, thread-safe, and returns
-/// the same value for the same arguments under any shard interleaving.
-Rng KeyedRng(uint64_t base, NodeId node, SimTime now) {
-  return Rng(MixSeed(MixSeed(base, node), static_cast<uint64_t>(now)), /*stream=*/node);
-}
-
-class KeyedRandomSource final : public DataSource {
- public:
-  KeyedRandomSource(const DataSourceOptions& options, uint64_t seed)
-      : options_(options), key_(MixSeed(seed, 0x5EED)) {}
-  Value Next(NodeId node, SimTime now) override {
-    Rng rng = KeyedRng(key_, node, now);
-    return static_cast<Value>(rng.UniformInt(options_.domain_lo, options_.domain_hi));
-  }
-  ValueRange domain() const override {
-    return ValueRange{options_.domain_lo, options_.domain_hi};
-  }
-  const char* name() const override { return "random"; }
-
- private:
-  DataSourceOptions options_;
-  uint64_t key_;
-};
-
-class KeyedGaussianSource final : public DataSource {
- public:
-  KeyedGaussianSource(const DataSourceOptions& options, int num_nodes, uint64_t seed)
-      : options_(options), key_(MixSeed(seed, 0x6A05)) {
-    // Same construction-time mean draws as GaussianSource (one shared
-    // stream, walked once, before any concurrency exists).
-    Rng rng(MixSeed(seed, 0x6A05), /*stream=*/4);
-    means_.reserve(static_cast<size_t>(num_nodes));
-    for (int i = 0; i < num_nodes; ++i) {
-      if (options_.gaussian_mean_skew == 1.0) {
-        means_.push_back(static_cast<double>(
-            rng.UniformInt(options_.domain_lo, options_.domain_hi)));
-      } else {
-        double u = std::pow(rng.UniformDouble(), options_.gaussian_mean_skew);
-        double span = static_cast<double>(options_.domain_hi) -
-                      static_cast<double>(options_.domain_lo);
-        means_.push_back(
-            std::round(static_cast<double>(options_.domain_lo) + u * span));
-      }
-    }
-    stddev_ = std::sqrt(options_.gaussian_variance);
-  }
-
-  Value Next(NodeId node, SimTime now) override {
-    SCOOP_CHECK_LT(static_cast<size_t>(node), means_.size());
-    Rng rng = KeyedRng(key_, node, now);
-    double v = rng.Gaussian(means_[node], stddev_);
-    return std::clamp(static_cast<Value>(std::lround(v)), options_.domain_lo,
-                      options_.domain_hi);
-  }
-  ValueRange domain() const override {
-    return ValueRange{options_.domain_lo, options_.domain_hi};
-  }
-  const char* name() const override { return "gaussian"; }
-
- private:
-  DataSourceOptions options_;
-  uint64_t key_;
-  std::vector<double> means_;
-  double stddev_ = 1.0;
-};
-
-/// RealTraceSource with the per-reading sensor noise keyed instead of
-/// streamed; the spatial light-bump constants use the identical
-/// construction-time draws.
-class KeyedRealTraceSource final : public DataSource {
- public:
-  KeyedRealTraceSource(const DataSourceOptions& options,
-                       const std::vector<sim::Point>& positions, uint64_t seed)
-      : options_(options), key_(MixSeed(seed, 0x4EA1)) {
-    SCOOP_CHECK(!positions.empty());
-    Rng rng(MixSeed(seed, 0x4EA1), /*stream=*/5);
-    double max_x = 1, max_y = 1;
-    for (const sim::Point& p : positions) {
-      max_x = std::max(max_x, p.x);
-      max_y = std::max(max_y, p.y);
-    }
-    struct Bump {
-      double x, y, strength;
-    };
-    std::vector<Bump> bumps;
-    for (int b = 0; b < 3; ++b) {
-      bumps.push_back(Bump{rng.UniformDouble() * max_x, rng.UniformDouble() * max_y,
-                           0.5 + rng.UniformDouble()});
-    }
-    double sigma = options_.real_correlation_meters;
-    brightness_.reserve(positions.size());
-    offset_.reserve(positions.size());
-    for (const sim::Point& p : positions) {
-      double bump_light = 0;
-      for (const Bump& b : bumps) {
-        double d2 = (p.x - b.x) * (p.x - b.x) + (p.y - b.y) * (p.y - b.y);
-        bump_light += b.strength * std::exp(-d2 / (2 * sigma * sigma));
-      }
-      brightness_.push_back(0.4 + 0.8 * bump_light);
-      offset_.push_back(10.0 * bump_light + 4.0 * (p.x / max_x));
-    }
-    lights_period_ = Minutes(13);
-    day_period_ = Minutes(600);
-  }
-
-  Value Next(NodeId node, SimTime now) override {
-    SCOOP_CHECK_LT(static_cast<size_t>(node), brightness_.size());
-    double t = ToSeconds(now);
-    double daylight =
-        0.5 + 0.35 * std::sin(2 * M_PI * t / ToSeconds(day_period_));
-    bool lights_on = (static_cast<int64_t>(now / lights_period_) % 3) != 0;
-    double shared = 55.0 * daylight + (lights_on ? 45.0 : 0.0);
-    double w = options_.real_shared_weight;
     Rng rng = KeyedRng(key_, node, now);
     double v = w * shared * brightness_[node] + (1 - w) * (offset_[node] * 6.0) +
                rng.Gaussian(0, options_.real_noise);
@@ -320,7 +192,6 @@ class KeyedRealTraceSource final : public DataSource {
   ValueRange domain() const override {
     return ValueRange{options_.domain_lo, options_.real_domain_hi};
   }
-  const char* name() const override { return "real"; }
 
  private:
   DataSourceOptions options_;
@@ -349,27 +220,6 @@ std::unique_ptr<DataSource> MakeDataSource(DataSourceKind kind,
       return std::make_unique<RandomSource>(options, seed);
     case DataSourceKind::kGaussian:
       return std::make_unique<GaussianSource>(options, num_nodes, seed);
-  }
-  return nullptr;
-}
-
-std::unique_ptr<DataSource> MakeKeyedDataSource(DataSourceKind kind,
-                                                const DataSourceOptions& options,
-                                                const std::vector<sim::Point>& positions,
-                                                uint64_t seed) {
-  int num_nodes = static_cast<int>(positions.size());
-  switch (kind) {
-    case DataSourceKind::kReal:
-      return std::make_unique<KeyedRealTraceSource>(options, positions, seed);
-    case DataSourceKind::kUnique:
-      // Pure function of the node id: already thread-safe and K-invariant.
-      return std::make_unique<UniqueSource>(num_nodes);
-    case DataSourceKind::kEqual:
-      return std::make_unique<EqualSource>(options);
-    case DataSourceKind::kRandom:
-      return std::make_unique<KeyedRandomSource>(options, seed);
-    case DataSourceKind::kGaussian:
-      return std::make_unique<KeyedGaussianSource>(options, num_nodes, seed);
   }
   return nullptr;
 }

@@ -3,8 +3,17 @@
 //
 // REAL substitutes the Intel Lab light trace (which we cannot ship) with a
 // synthetic trace that reproduces the two properties Scoop exploits in it:
-// per-node temporal stationarity and cross-node spatial correlation of
-// light in one building (see DESIGN.md §2).
+// per-node temporal stationarity (a node's light changes only when the
+// building's lights toggle, so its successive readings batch well, §5.4)
+// and cross-node spatial correlation (nearby sensors see the same windows
+// and lamps, so neighbouring nodes read similar values).
+//
+// Every random draw in Next() is keyed on (seed, node, now) rather than
+// consumed from one sequential stream. Shards sample concurrently and in a
+// K-dependent interleaving, so a shared stream would be both racy and
+// non-reproducible; keyed draws are thread-safe and identical for every
+// shard count. Per-node constants (Gaussian means, the REAL trace's light
+// bumps) are drawn once at construction, before any concurrency exists.
 #ifndef SCOOP_WORKLOAD_DATA_SOURCE_H_
 #define SCOOP_WORKLOAD_DATA_SOURCE_H_
 
@@ -64,15 +73,12 @@ class DataSource {
  public:
   virtual ~DataSource() = default;
 
-  /// The next reading produced by `node` at time `now`. Deterministic given
-  /// (seed, node, call sequence).
+  /// The reading `node` produces at time `now`: a pure function of
+  /// (seed, node, now), whatever order or how often it is called in.
   virtual Value Next(NodeId node, SimTime now) = 0;
 
   /// The attribute's value domain (what the basestation would configure).
   virtual ValueRange domain() const = 0;
-
-  /// Workload name for reports.
-  virtual const char* name() const = 0;
 };
 
 /// Creates the generator for `kind`. `positions` (from the topology) feed
@@ -81,19 +87,6 @@ std::unique_ptr<DataSource> MakeDataSource(DataSourceKind kind,
                                            const DataSourceOptions& options,
                                            const std::vector<sim::Point>& positions,
                                            uint64_t seed);
-
-/// Like MakeDataSource, but every random draw in Next() is keyed on
-/// (seed, node, now) instead of consumed from one sequential stream. The
-/// sharded engine needs this: shards sample concurrently and in a
-/// K-dependent interleaving, so a shared stream would be both racy and
-/// non-reproducible, while keyed draws are thread-safe and identical for
-/// every K. Per-node constants (Gaussian means, the REAL trace's light
-/// bumps) still come from the same construction-time draws as the
-/// sequential variants.
-std::unique_ptr<DataSource> MakeKeyedDataSource(DataSourceKind kind,
-                                                const DataSourceOptions& options,
-                                                const std::vector<sim::Point>& positions,
-                                                uint64_t seed);
 
 }  // namespace scoop::workload
 

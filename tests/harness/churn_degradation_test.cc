@@ -72,5 +72,24 @@ TEST(ChurnDegradationTest, QuerySuccessDipsAndRecovers) {
   EXPECT_GT(r.queries_reissued, 0);
 }
 
+// A powered-off node produces no readings, whatever its storage policy:
+// the reboot waves must cost every policy some readings against the same
+// seed without faults.
+TEST(ChurnDegradationTest, CrashedNodesProduceNoReadingsUnderAnyPolicy) {
+  Result<scenario::Scenario> parsed = scenario::LoadRegisteredScenario("churn_reboot");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  for (Policy policy : {Policy::kScoop, Policy::kLocal, Policy::kBase, Policy::kHashSim}) {
+    SCOPED_TRACE(PolicyName(policy));
+    ExperimentConfig config = parsed.value().base;
+    config.seed = 1;
+    config.policy = policy;
+    ExperimentResult churned = RunTrial(config, MixSeed(config.seed, 0));
+    config.fault.reboot_fraction = 0;
+    ExperimentResult fault_free = RunTrial(config, MixSeed(config.seed, 0));
+    EXPECT_GT(fault_free.readings_produced, 0);
+    EXPECT_LT(churned.readings_produced, fault_free.readings_produced);
+  }
+}
+
 }  // namespace
 }  // namespace scoop::harness

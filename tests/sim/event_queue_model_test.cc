@@ -93,7 +93,7 @@ void ReplayAgainstModel(uint64_t seed) {
         // two evals for one (sender, gen) at one instant, and a duplicate
         // would make the canonical order ill-defined.
         NodeId sender = static_cast<NodeId>(rng.Below(kOrigins));
-        tag = "e" + std::to_string(label);
+        tag.assign(1, 'e').append(std::to_string(label));
         id = q.ScheduleEval(at, sender, static_cast<uint32_t>(label),
                             [&order, tag] { order.push_back(tag); });
         key = {at, 0, sender, static_cast<uint64_t>(label)};
@@ -101,7 +101,7 @@ void ReplayAgainstModel(uint64_t seed) {
       }
       case 1: {
         NodeId sender = static_cast<NodeId>(rng.Below(kOrigins));
-        tag = "f" + std::to_string(label);
+        tag.assign(1, 'f').append(std::to_string(label));
         id = q.ScheduleFinish(at, sender, static_cast<uint32_t>(label),
                               [&order, tag] { order.push_back(tag); });
         key = {at, 1, sender, static_cast<uint64_t>(label)};
@@ -109,7 +109,7 @@ void ReplayAgainstModel(uint64_t seed) {
       }
       default: {
         uint32_t origin = static_cast<uint32_t>(rng.Below(kOrigins));
-        tag = "r" + std::to_string(label);
+        tag.assign(1, 'r').append(std::to_string(label));
         id = q.ScheduleRegular(at, origin, [&order, tag] { order.push_back(tag); });
         key = {at, 2, origin, model_counters[origin]++};
         break;

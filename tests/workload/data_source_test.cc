@@ -1,6 +1,8 @@
 #include "workload/data_source.h"
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -115,7 +117,8 @@ TEST(DataSourceTest, RealIsTemporallyStable) {
 
 TEST(DataSourceTest, RealIsSpatiallyCorrelated) {
   // Nearby nodes see similar light; distant nodes differ more (this is
-  // what makes the REAL substitution faithful -- see DESIGN.md).
+  // what makes the REAL substitution faithful: the Intel Lab trace it
+  // stands in for has the same cross-node correlation).
   DataSourceOptions opts;
   std::vector<sim::Point> pos = {{0, 0}, {2, 0}, {60, 60}};
   auto source = MakeDataSource(DataSourceKind::kReal, opts, pos, 11);
@@ -141,6 +144,40 @@ TEST(DataSourceTest, DeterministicForSeed) {
       NodeId node = static_cast<NodeId>(i % 10);
       ASSERT_EQ(a->Next(node, Seconds(i)), b->Next(node, Seconds(i)))
           << DataSourceKindName(kind);
+    }
+  }
+}
+
+// The sharded engine samples nodes concurrently, in an order that depends
+// on the shard count, so a reading must be a pure function of
+// (seed, node, now): not of how many calls came before it or in what order.
+TEST(DataSourceTest, NextDependsOnlyOnSeedNodeAndTime) {
+  constexpr int kNodes = 6;
+  constexpr int kSteps = 40;
+  for (DataSourceKind kind : {DataSourceKind::kReal, DataSourceKind::kRandom,
+                              DataSourceKind::kGaussian}) {
+    SCOPED_TRACE(DataSourceKindName(kind));
+    auto grid = [](int i) {
+      return std::pair<NodeId, SimTime>{static_cast<NodeId>(i % kNodes),
+                                        Seconds(15) * (i / kNodes)};
+    };
+    constexpr int kCalls = kNodes * kSteps;
+    auto forward = MakeDataSource(kind, {}, GridPositions(kNodes), 5);
+    std::vector<Value> expected;
+    for (int i = 0; i < kCalls; ++i) {
+      auto [node, t] = grid(i);
+      expected.push_back(forward->Next(node, t));
+    }
+    auto reverse = MakeDataSource(kind, {}, GridPositions(kNodes), 5);
+    for (int i = kCalls - 1; i >= 0; --i) {
+      auto [node, t] = grid(i);
+      ASSERT_EQ(reverse->Next(node, t), expected[i]) << "reverse, call " << i;
+    }
+    auto repeated = MakeDataSource(kind, {}, GridPositions(kNodes), 5);
+    for (int i = 0; i < kCalls; ++i) {
+      auto [node, t] = grid(i);
+      ASSERT_EQ(repeated->Next(node, t), expected[i]) << "repeated, call " << i;
+      ASSERT_EQ(repeated->Next(node, t), expected[i]) << "repeated twice, call " << i;
     }
   }
 }
