@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -90,6 +91,24 @@ FaultPlan BuildFaultPlan(const FaultConfig& config, const LegacyCrashWaves& lega
                 config.reboot_wave_count, config.reboot_wave_interval,
                 std::max<SimTime>(config.reboot_downtime, kMillisecond),
                 /*reboot=*/true, num_nodes, &rng);
+  }
+
+  // Crash-stop wins: a node whose radio is off forever gets no crash or
+  // reboot at or after that instant (a reboot would bring it back). Both
+  // victim draws above stay untouched, so a config that uses only one of
+  // the two families is unaffected.
+  if (legacy.fraction > 0 && config.reboot_fraction > 0) {
+    std::vector<SimTime> stopped_at(static_cast<size_t>(num_nodes),
+                                    std::numeric_limits<SimTime>::max());
+    for (const FaultEvent& e : plan.events) {
+      if (e.kind == FaultKind::kRadioDown) {
+        stopped_at[e.node] = std::min(stopped_at[e.node], e.at);
+      }
+    }
+    std::erase_if(plan.events, [&stopped_at](const FaultEvent& e) {
+      return (e.kind == FaultKind::kCrash || e.kind == FaultKind::kReboot) &&
+             e.at >= stopped_at[e.node];
+    });
   }
 
   // Link degradation window + marker instant at its opening edge.

@@ -674,97 +674,31 @@ ExperimentResult RunAnyTrial(const ExperimentConfig& config, uint64_t seed) {
 
 ExperimentResult AggregateTrials(const std::vector<ExperimentResult>& trials) {
   SCOOP_CHECK_GE(trials.size(), 1u);
+  // Every averaged scalar; sent_by_type is averaged alongside. Each field
+  // is summed in trial order, then divided, so aggregates are bit-stable.
+  using R = ExperimentResult;
+  static constexpr double R::*kFields[] = {
+      &R::total, &R::total_excl_beacons, &R::retransmissions, &R::mac_drops, &R::storage_success,
+      &R::owner_hit_rate, &R::query_success, &R::summary_delivery, &R::readings_lost,
+      &R::readings_orphaned, &R::readings_rehomed, &R::queries_reissued, &R::parent_losses,
+      &R::send_retries, &R::readings_produced, &R::queries_issued, &R::tuples_returned,
+      &R::indices_built, &R::indices_disseminated, &R::indices_suppressed, &R::base_owned_fraction,
+      &R::avg_pct_nodes_queried, &R::root_sent, &R::root_received, &R::avg_node_sent,
+      &R::max_node_sent, &R::avg_node_lifetime_days, &R::root_lifetime_days, &R::wall_seconds,
+      &R::sim_events, &R::profile_queue_seconds, &R::profile_radio_seconds,
+      &R::profile_agent_seconds, &R::profile_shard_sync_seconds, &R::profile_other_seconds,
+      &R::resolved_shards, &R::shard_stall_us, &R::shard_stall_episodes, &R::shard_mirrored_frames,
+      &R::partition_cut_edges, &R::partition_imbalance,
+  };
   ExperimentResult sum;
   sum.resolved_shards = 0;  // The field defaults to 1; sum from zero.
   for (const ExperimentResult& r : trials) {
-    for (int t = 0; t < kNumPacketTypes; ++t) {
-      sum.sent_by_type[static_cast<size_t>(t)] += r.sent_by_type[static_cast<size_t>(t)];
-    }
-    sum.total += r.total;
-    sum.total_excl_beacons += r.total_excl_beacons;
-    sum.retransmissions += r.retransmissions;
-    sum.mac_drops += r.mac_drops;
-    sum.storage_success += r.storage_success;
-    sum.owner_hit_rate += r.owner_hit_rate;
-    sum.query_success += r.query_success;
-    sum.summary_delivery += r.summary_delivery;
-    sum.readings_lost += r.readings_lost;
-    sum.readings_orphaned += r.readings_orphaned;
-    sum.readings_rehomed += r.readings_rehomed;
-    sum.queries_reissued += r.queries_reissued;
-    sum.parent_losses += r.parent_losses;
-    sum.send_retries += r.send_retries;
-    sum.readings_produced += r.readings_produced;
-    sum.queries_issued += r.queries_issued;
-    sum.tuples_returned += r.tuples_returned;
-    sum.indices_built += r.indices_built;
-    sum.indices_disseminated += r.indices_disseminated;
-    sum.indices_suppressed += r.indices_suppressed;
-    sum.base_owned_fraction += r.base_owned_fraction;
-    sum.avg_pct_nodes_queried += r.avg_pct_nodes_queried;
-    sum.root_sent += r.root_sent;
-    sum.root_received += r.root_received;
-    sum.avg_node_sent += r.avg_node_sent;
-    sum.max_node_sent += r.max_node_sent;
-    sum.avg_node_lifetime_days += r.avg_node_lifetime_days;
-    sum.root_lifetime_days += r.root_lifetime_days;
-    sum.wall_seconds += r.wall_seconds;
-    sum.sim_events += r.sim_events;
-    sum.profile_queue_seconds += r.profile_queue_seconds;
-    sum.profile_radio_seconds += r.profile_radio_seconds;
-    sum.profile_agent_seconds += r.profile_agent_seconds;
-    sum.profile_shard_sync_seconds += r.profile_shard_sync_seconds;
-    sum.profile_other_seconds += r.profile_other_seconds;
-    sum.resolved_shards += r.resolved_shards;
-    sum.shard_stall_us += r.shard_stall_us;
-    sum.shard_stall_episodes += r.shard_stall_episodes;
-    sum.shard_mirrored_frames += r.shard_mirrored_frames;
-    sum.partition_cut_edges += r.partition_cut_edges;
-    sum.partition_imbalance += r.partition_imbalance;
+    for (size_t t = 0; t < sum.sent_by_type.size(); ++t) sum.sent_by_type[t] += r.sent_by_type[t];
+    for (double R::*f : kFields) sum.*f += r.*f;
   }
   double k = static_cast<double>(trials.size());
-  for (int t = 0; t < kNumPacketTypes; ++t) sum.sent_by_type[static_cast<size_t>(t)] /= k;
-  sum.total /= k;
-  sum.total_excl_beacons /= k;
-  sum.retransmissions /= k;
-  sum.mac_drops /= k;
-  sum.storage_success /= k;
-  sum.owner_hit_rate /= k;
-  sum.query_success /= k;
-  sum.summary_delivery /= k;
-  sum.readings_lost /= k;
-  sum.readings_orphaned /= k;
-  sum.readings_rehomed /= k;
-  sum.queries_reissued /= k;
-  sum.parent_losses /= k;
-  sum.send_retries /= k;
-  sum.readings_produced /= k;
-  sum.queries_issued /= k;
-  sum.tuples_returned /= k;
-  sum.indices_built /= k;
-  sum.indices_disseminated /= k;
-  sum.indices_suppressed /= k;
-  sum.base_owned_fraction /= k;
-  sum.avg_pct_nodes_queried /= k;
-  sum.root_sent /= k;
-  sum.root_received /= k;
-  sum.avg_node_sent /= k;
-  sum.max_node_sent /= k;
-  sum.avg_node_lifetime_days /= k;
-  sum.root_lifetime_days /= k;
-  sum.wall_seconds /= k;
-  sum.sim_events /= k;
-  sum.profile_queue_seconds /= k;
-  sum.profile_radio_seconds /= k;
-  sum.profile_agent_seconds /= k;
-  sum.profile_shard_sync_seconds /= k;
-  sum.profile_other_seconds /= k;
-  sum.resolved_shards /= k;
-  sum.shard_stall_us /= k;
-  sum.shard_stall_episodes /= k;
-  sum.shard_mirrored_frames /= k;
-  sum.partition_cut_edges /= k;
-  sum.partition_imbalance /= k;
+  for (double& v : sum.sent_by_type) v /= k;
+  for (double R::*f : kFields) sum.*f /= k;
   return sum;
 }
 

@@ -6,7 +6,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <initializer_list>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/types.h"
 #include "workload/data_source.h"
@@ -95,11 +100,45 @@ std::string FormatBool(bool v) { return v ? "on" : "off"; }
 /// Table-local shorthand for the shared shortest-round-trip formatter.
 std::string FormatNumber(double v) { return FormatShortestDouble(v); }
 
-// Durations are stored as integer microseconds; parse by rounding (not
-// truncating) so format -> parse is exact for every representable SimTime.
-SimTime MinutesOf(double m) { return static_cast<SimTime>(std::llround(m * 60.0 * kSecond)); }
-SimTime SecondsOf(double s) { return static_cast<SimTime>(std::llround(s * kSecond)); }
-double ToMinutes(SimTime t) { return ToSeconds(t) / 60.0; }
+/// Appends every part in turn. Diagnostics are built this way rather than
+/// with operator+ chains, which GCC 12's -O3 -Wrestrict false-positives on.
+template <typename... Parts>
+std::string Concat(const Parts&... parts) {
+  std::string out;
+  (out.append(parts), ...);
+  return out;
+}
+
+// Upper bound on any single duration value: one simulated decade. Keeps
+// the microsecond conversion far inside llround()'s defined int64 range.
+constexpr double kMaxDurationSeconds = 10.0 * 365 * 24 * 3600;
+
+/// A duration unit: the three conversions a duration key needs, each in
+/// the evaluation order the format has always used. One "microseconds per
+/// unit" factor would round differently and move formatted output.
+struct TimeUnit {
+  const char* name;
+  double (*seconds)(double);  ///< For the ten-year bound.
+  SimTime (*parse)(double);   ///< Rounds, so format -> parse is exact.
+  double (*format)(SimTime);
+};
+
+const TimeUnit kMinutes{
+    "minutes", [](double m) { return m * 60.0; },
+    [](double m) { return static_cast<SimTime>(std::llround(m * 60.0 * kSecond)); },
+    [](SimTime t) { return ToSeconds(t) / 60.0; }};
+const TimeUnit kSeconds{
+    "seconds", [](double s) { return s; },
+    [](double s) { return static_cast<SimTime>(std::llround(s * kSecond)); },
+    [](SimTime t) { return ToSeconds(t); }};
+const TimeUnit kMillis{
+    "milliseconds", [](double ms) { return ms / 1000.0; },
+    [](double ms) { return static_cast<SimTime>(std::llround(ms * kMillisecond)); },
+    [](SimTime t) { return ToSeconds(t) * 1000.0; }};
+
+const char* QueryModeName(ExperimentConfig::QueryMode mode) {
+  return mode == ExperimentConfig::QueryMode::kNodeList ? "node-list" : "range";
+}
 
 // --- the key table --------------------------------------------------------
 
@@ -107,613 +146,276 @@ double ToMinutes(SimTime t) { return ToSeconds(t) / 60.0; }
 /// and how to print the current value back out (for FormatScenario).
 struct KeyInfo {
   const char* key;
-  Status (*apply)(ExperimentConfig*, std::string_view);
-  std::string (*format)(const ExperimentConfig&);
+  std::function<Status(ExperimentConfig*, std::string_view)> apply;
+  std::function<std::string(const ExperimentConfig&)> format;
 };
 
-// Small builders to keep the table readable. Each returns Status so the
-// parser can attach "<origin>:<line>:<col>" positions.
-Status SetPolicy(ExperimentConfig* c, std::string_view v) {
-  std::string_view s = TrimView(v);
-  if (s == "scoop") c->policy = Policy::kScoop;
-  else if (s == "local") c->policy = Policy::kLocal;
-  else if (s == "base") c->policy = Policy::kBase;
-  else if (s == "hash") c->policy = Policy::kHashAnalytical;
-  else if (s == "hash-sim") c->policy = Policy::kHashSim;
-  else return Status::InvalidArgument("unknown policy " + Quoted(v) +
-                                      " (expected scoop|local|base|hash|hash-sim)");
-  return Status::OK();
+/// "<key> must be <bound>, got '<value>'".
+Status RangeError(const char* key, std::string_view bound, std::string_view v) {
+  return Status::OutOfRange(Concat(key, " must be ", bound, ", got ", Quoted(TrimView(v))));
 }
 
-Status SetPartition(ExperimentConfig* c, std::string_view v) {
-  std::string_view s = TrimView(v);
-  if (s == "strip") c->partition = sim::PartitionKind::kStrip;
-  else if (s == "mincut") c->partition = sim::PartitionKind::kMincut;
-  else return Status::InvalidArgument("unknown partition " + Quoted(v) +
-                                      " (expected strip|mincut)");
-  return Status::OK();
+/// The shape every builder shares. `field` is a generic accessor
+/// (`[](auto& c) -> auto& { return c.x; }`), so the setter and the
+/// formatter cannot name different fields; `parse` returns the value to
+/// store (range-checked) or the error, and `format` prints a stored value.
+template <typename Field, typename Parse, typename Format>
+KeyInfo MakeKey(const char* key, Field field, Parse parse, Format format) {
+  return {key,
+          [=](ExperimentConfig* c, std::string_view v) -> Status {
+            auto parsed = parse(v);
+            if (!parsed.ok()) return parsed.status();
+            auto& out = field(*c);
+            out = static_cast<std::remove_reference_t<decltype(out)>>(std::move(parsed).value());
+            return Status::OK();
+          },
+          [=](const ExperimentConfig& c) { return format(field(c)); }};
 }
 
-Status SetSource(ExperimentConfig* c, std::string_view v) {
-  std::string_view s = TrimView(v);
-  if (s == "real") c->source = DataSourceKind::kReal;
-  else if (s == "unique") c->source = DataSourceKind::kUnique;
-  else if (s == "equal") c->source = DataSourceKind::kEqual;
-  else if (s == "random") c->source = DataSourceKind::kRandom;
-  else if (s == "gaussian") c->source = DataSourceKind::kGaussian;
-  else return Status::InvalidArgument("unknown source " + Quoted(v) +
-                                      " (expected real|unique|equal|random|gaussian)");
-  return Status::OK();
+template <typename Field>
+KeyInfo IntKey(const char* key, Field field, int64_t lo, int64_t hi) {
+  auto parse = [=](std::string_view v) -> Result<int64_t> {
+    Result<int64_t> parsed = ParseInt(v);
+    if (parsed.ok() && (parsed.value() < lo || parsed.value() > hi)) {
+      return RangeError(key, Concat("in [", std::to_string(lo), ", ", std::to_string(hi), "]"),
+                        v);
+    }
+    return parsed;
+  };
+  return MakeKey(key, field, parse, [](auto v) { return std::to_string(v); });
 }
 
-Status SetTopology(ExperimentConfig* c, std::string_view v) {
-  std::string_view s = TrimView(v);
-  if (s == "testbed") c->preset = TopologyPreset::kTestbed;
-  else if (s == "random") c->preset = TopologyPreset::kRandom;
-  else if (s == "grid") c->preset = TopologyPreset::kGrid;
-  else return Status::InvalidArgument("unknown topology " + Quoted(v) +
-                                      " (expected testbed|random|grid)");
-  return Status::OK();
+template <typename Field>
+KeyInfo UintKey(const char* key, Field field) {
+  return MakeKey(key, field, ParseUint, [](uint64_t v) { return std::to_string(v); });
 }
 
-template <typename T>
-Status StoreInt(std::string_view v, T* out, int64_t lo, int64_t hi, const char* what) {
-  Result<int64_t> parsed = ParseInt(v);
-  if (!parsed.ok()) return parsed.status();
-  if (parsed.value() < lo || parsed.value() > hi) {
-    return Status::OutOfRange(std::string(what) + " must be in [" + std::to_string(lo) +
-                              ", " + std::to_string(hi) + "], got " + Quoted(TrimView(v)));
-  }
-  *out = static_cast<T>(parsed.value());
-  return Status::OK();
+template <typename Field>
+KeyInfo DoubleKey(const char* key, Field field, double lo, double hi) {
+  auto parse = [=](std::string_view v) -> Result<double> {
+    Result<double> parsed = ParseDouble(v);
+    if (parsed.ok() && (parsed.value() < lo || parsed.value() > hi)) {
+      return RangeError(key, Concat("in [", FormatNumber(lo), ", ", FormatNumber(hi), "]"), v);
+    }
+    return parsed;
+  };
+  return MakeKey(key, field, parse, FormatNumber);
 }
 
-Status StoreDouble(std::string_view v, double* out, double lo, double hi, const char* what) {
-  Result<double> parsed = ParseDouble(v);
-  if (!parsed.ok()) return parsed.status();
-  if (parsed.value() < lo || parsed.value() > hi) {
-    return Status::OutOfRange(std::string(what) + " must be in [" + FormatNumber(lo) + ", " +
-                              FormatNumber(hi) + "], got " + Quoted(TrimView(v)));
-  }
-  *out = parsed.value();
-  return Status::OK();
+template <typename Field>
+KeyInfo BoolKey(const char* key, Field field) {
+  return MakeKey(key, field, ParseBool, FormatBool);
 }
 
-// Upper bound on any single duration value: one simulated decade. Keeps
-// the microsecond conversion far inside llround()'s defined int64 range.
-constexpr double kMaxDurationSeconds = 10.0 * 365 * 24 * 3600;
-
-Status StoreMinutes(std::string_view v, SimTime* out, bool allow_zero, const char* what) {
-  Result<double> parsed = ParseDouble(v);
-  if (!parsed.ok()) return parsed.status();
-  if (parsed.value() < 0 || (!allow_zero && parsed.value() == 0) ||
-      parsed.value() * 60.0 > kMaxDurationSeconds) {
-    return Status::OutOfRange(std::string(what) + " must be " +
-                              (allow_zero ? ">= 0" : "> 0") +
-                              " and at most ten years of minutes, got " +
-                              Quoted(TrimView(v)));
-  }
-  *out = MinutesOf(parsed.value());
-  return Status::OK();
+/// A duration in `unit`: >= 0 (> 0 unless `allow_zero`), at most ten years.
+template <typename Field>
+KeyInfo TimeKey(const char* key, Field field, const TimeUnit& unit, bool allow_zero) {
+  auto parse = [=](std::string_view v) -> Result<SimTime> {
+    Result<double> parsed = ParseDouble(v);
+    if (!parsed.ok()) return parsed.status();
+    double x = parsed.value();
+    if (x < 0 || (!allow_zero && x == 0) || unit.seconds(x) > kMaxDurationSeconds) {
+      return RangeError(
+          key, Concat(allow_zero ? ">= 0" : "> 0", " and at most ten years of ", unit.name), v);
+    }
+    return unit.parse(x);
+  };
+  return MakeKey(key, field, parse, [=](SimTime t) { return FormatNumber(unit.format(t)); });
 }
 
-Status StoreSeconds(std::string_view v, SimTime* out, bool allow_zero, const char* what) {
-  Result<double> parsed = ParseDouble(v);
-  if (!parsed.ok()) return parsed.status();
-  if (parsed.value() < 0 || (!allow_zero && parsed.value() == 0) ||
-      parsed.value() > kMaxDurationSeconds) {
-    return Status::OutOfRange(std::string(what) + " must be " +
-                              (allow_zero ? ">= 0" : "> 0") +
-                              " and at most ten years of seconds, got " +
-                              Quoted(TrimView(v)));
-  }
-  *out = SecondsOf(parsed.value());
-  return Status::OK();
+/// An output path. A .scn value cannot be empty, so "off" (or "none")
+/// means disabled and an empty path prints as "off".
+template <typename Field>
+KeyInfo PathKey(const char* key, Field field) {
+  auto parse = [](std::string_view v) -> Result<std::string> {
+    std::string_view s = TrimView(v);
+    return (s == "off" || s == "none") ? std::string() : std::string(s);
+  };
+  return MakeKey(key, field, parse,
+                 [](const std::string& p) { return p.empty() ? std::string("off") : p; });
 }
 
-Status StoreMillis(std::string_view v, SimTime* out, bool allow_zero, const char* what) {
-  Result<double> parsed = ParseDouble(v);
-  if (!parsed.ok()) return parsed.status();
-  if (parsed.value() < 0 || (!allow_zero && parsed.value() == 0) ||
-      parsed.value() / 1000.0 > kMaxDurationSeconds) {
-    return Status::OutOfRange(std::string(what) + " must be " +
-                              (allow_zero ? ">= 0" : "> 0") +
-                              " and at most ten years of milliseconds, got " +
-                              Quoted(TrimView(v)));
-  }
-  *out = static_cast<SimTime>(std::llround(parsed.value() * kMillisecond));
-  return Status::OK();
+/// An enum spelled by its `name` function; `values` fixes the order of the
+/// "(expected a|b|c)" list in the rejection.
+template <typename Field, typename Enum>
+KeyInfo EnumKey(const char* key, Field field, const char* (*name)(Enum),
+                std::initializer_list<Enum> values) {
+  auto parse = [=, all = std::vector<Enum>(values)](std::string_view v) -> Result<Enum> {
+    std::string expected;
+    for (Enum e : all) {
+      if (TrimView(v) == name(e)) return e;
+      expected.append(expected.empty() ? "" : "|").append(name(e));
+    }
+    return Status::InvalidArgument(
+        Concat("unknown ", key, " ", Quoted(v), " (expected ", expected, ")"));
+  };
+  return MakeKey(key, field, parse, [=](Enum e) { return std::string(name(e)); });
 }
 
-std::string FormatMillis(SimTime t) { return FormatNumber(ToSeconds(t) * 1000.0); }
-
-Status StoreBool(std::string_view v, bool* out) {
-  Result<bool> parsed = ParseBool(v);
-  if (!parsed.ok()) return parsed.status();
-  *out = parsed.value();
-  return Status::OK();
+/// Every ExperimentConfig knob, in canonical writer order. Each key is
+/// declared once: its name, the one field it reads and writes, its kind
+/// and its bounds. The builders derive the setter, the formatter and the
+/// diagnostics from that entry, and enum spellings come from the enum's
+/// own *Name() function. The round-trip tests walk this same table.
+const std::vector<KeyInfo>& Keys() {
+  constexpr bool kZeroOk = true;
+  constexpr bool kPositive = false;
+  constexpr int64_t kValueBound = 1 << 30;
+  static const std::vector<KeyInfo> keys = {
+      EnumKey("policy", [](auto& c) -> auto& { return c.policy; }, harness::PolicyName,
+              {Policy::kScoop, Policy::kLocal, Policy::kBase, Policy::kHashAnalytical,
+               Policy::kHashSim}),
+      EnumKey("source", [](auto& c) -> auto& { return c.source; }, workload::DataSourceKindName,
+              {DataSourceKind::kReal, DataSourceKind::kUnique, DataSourceKind::kEqual,
+               DataSourceKind::kRandom, DataSourceKind::kGaussian}),
+      EnumKey("topology", [](auto& c) -> auto& { return c.preset; }, harness::TopologyPresetName,
+              {TopologyPreset::kTestbed, TopologyPreset::kRandom, TopologyPreset::kGrid}),
+      IntKey("nodes", [](auto& c) -> auto& { return c.num_nodes; }, 2, kMaxSupportedNodes),
+      TimeKey("duration_minutes", [](auto& c) -> auto& { return c.duration; }, kMinutes,
+              kPositive),
+      TimeKey("stabilization_minutes", [](auto& c) -> auto& { return c.stabilization; },
+              kMinutes, kZeroOk),
+      TimeKey("sample_interval_seconds", [](auto& c) -> auto& { return c.sample_interval; },
+              kSeconds, kPositive),
+      TimeKey("summary_interval_seconds", [](auto& c) -> auto& { return c.summary_interval; },
+              kSeconds, kPositive),
+      TimeKey("remap_interval_seconds", [](auto& c) -> auto& { return c.remap_interval; },
+              kSeconds, kPositive),
+      BoolKey("queries", [](auto& c) -> auto& { return c.queries_enabled; }),
+      TimeKey("query_interval_seconds", [](auto& c) -> auto& { return c.query_interval; },
+              kSeconds, kPositive),
+      IntKey("query_burst_size", [](auto& c) -> auto& { return c.query_burst_size; }, 1, 1000),
+      TimeKey("query_burst_spacing_seconds",
+              [](auto& c) -> auto& { return c.query_burst_spacing; }, kSeconds, kPositive),
+      EnumKey("query_mode", [](auto& c) -> auto& { return c.query_mode; }, QueryModeName,
+              {ExperimentConfig::QueryMode::kValueRange, ExperimentConfig::QueryMode::kNodeList}),
+      DoubleKey("query_width_lo", [](auto& c) -> auto& { return c.query_width_lo; }, 0.0, 1.0),
+      DoubleKey("query_width_hi", [](auto& c) -> auto& { return c.query_width_hi; }, 0.0, 1.0),
+      DoubleKey("node_list_fraction", [](auto& c) -> auto& { return c.node_list_fraction; },
+                0.0, 1.0),
+      TimeKey("history_window_seconds", [](auto& c) -> auto& { return c.query_history_window; },
+              kSeconds, kPositive),
+      TimeKey("summary_history_window_minutes",
+              [](auto& c) -> auto& { return c.summary_history_window; }, kMinutes, kZeroOk),
+      TimeKey("summary_history_epoch_minutes",
+              [](auto& c) -> auto& { return c.summary_history_epoch; }, kMinutes, kPositive),
+      IntKey("trials", [](auto& c) -> auto& { return c.trials; }, 1, 10000),
+      UintKey("seed", [](auto& c) -> auto& { return c.seed; }),
+      IntKey("shards", [](auto& c) -> auto& { return c.shards; }, 0, 64),
+      EnumKey("partition", [](auto& c) -> auto& { return c.partition; }, sim::PartitionKindName,
+              {sim::PartitionKind::kStrip, sim::PartitionKind::kMincut}),
+      // Typed fault injection (src/fault/). The fault.crash_* keys configure
+      // crash-stop waves through the ExperimentConfig failure_* fields.
+      DoubleKey("fault.crash_fraction", [](auto& c) -> auto& { return c.node_failure_fraction; },
+                0.0, 1.0),
+      TimeKey("fault.crash_minute", [](auto& c) -> auto& { return c.failure_time; }, kMinutes,
+              kZeroOk),
+      IntKey("fault.crash_wave_count", [](auto& c) -> auto& { return c.failure_wave_count; }, 1,
+             1000),
+      TimeKey("fault.crash_wave_interval_minutes",
+              [](auto& c) -> auto& { return c.failure_wave_interval; }, kMinutes, kPositive),
+      DoubleKey("fault.reboot_fraction", [](auto& c) -> auto& { return c.fault.reboot_fraction; },
+                0.0, 1.0),
+      TimeKey("fault.reboot_minute", [](auto& c) -> auto& { return c.fault.reboot_time; },
+              kMinutes, kZeroOk),
+      IntKey("fault.reboot_wave_count",
+             [](auto& c) -> auto& { return c.fault.reboot_wave_count; }, 1, 1000),
+      TimeKey("fault.reboot_wave_interval_minutes",
+              [](auto& c) -> auto& { return c.fault.reboot_wave_interval; }, kMinutes, kPositive),
+      TimeKey("fault.reboot_downtime_seconds",
+              [](auto& c) -> auto& { return c.fault.reboot_downtime; }, kSeconds, kPositive),
+      DoubleKey("fault.link_degrade_factor",
+                [](auto& c) -> auto& { return c.fault.link_degrade_factor; }, 0.0, 1.0),
+      TimeKey("fault.link_degrade_start_minute",
+              [](auto& c) -> auto& { return c.fault.link_degrade_start; }, kMinutes, kZeroOk),
+      TimeKey("fault.link_degrade_end_minute",
+              [](auto& c) -> auto& { return c.fault.link_degrade_end; }, kMinutes, kZeroOk),
+      DoubleKey("fault.link_degrade_x_lo",
+                [](auto& c) -> auto& { return c.fault.link_degrade_x_lo; }, 0.0, 1.0),
+      DoubleKey("fault.link_degrade_x_hi",
+                [](auto& c) -> auto& { return c.fault.link_degrade_x_hi; }, 0.0, 1.0),
+      DoubleKey("fault.link_degrade_y_lo",
+                [](auto& c) -> auto& { return c.fault.link_degrade_y_lo; }, 0.0, 1.0),
+      DoubleKey("fault.link_degrade_y_hi",
+                [](auto& c) -> auto& { return c.fault.link_degrade_y_hi; }, 0.0, 1.0),
+      TimeKey("fault.partition_start_minute",
+              [](auto& c) -> auto& { return c.fault.partition_start; }, kMinutes, kZeroOk),
+      TimeKey("fault.partition_end_minute",
+              [](auto& c) -> auto& { return c.fault.partition_end; }, kMinutes, kZeroOk),
+      DoubleKey("fault.partition_x_lo", [](auto& c) -> auto& { return c.fault.partition_x_lo; },
+                0.0, 1.0),
+      DoubleKey("fault.partition_x_hi", [](auto& c) -> auto& { return c.fault.partition_x_hi; },
+                0.0, 1.0),
+      DoubleKey("fault.partition_y_lo", [](auto& c) -> auto& { return c.fault.partition_y_lo; },
+                0.0, 1.0),
+      DoubleKey("fault.partition_y_hi", [](auto& c) -> auto& { return c.fault.partition_y_hi; },
+                0.0, 1.0),
+      TimeKey("fault.base_outage_start_minute",
+              [](auto& c) -> auto& { return c.fault.base_outage_start; }, kMinutes, kZeroOk),
+      TimeKey("fault.base_outage_end_minute",
+              [](auto& c) -> auto& { return c.fault.base_outage_end; }, kMinutes, kZeroOk),
+      IntKey("fault.base_backup", [](auto& c) -> auto& { return c.fault.base_backup; }, 0,
+             kMaxSupportedNodes),
+      BoolKey("fault.orphan_rehoming", [](auto& c) -> auto& { return c.fault.orphan_rehoming; }),
+      IntKey("fault.send_retry_max", [](auto& c) -> auto& { return c.fault.send_retry_max; }, 0,
+             100),
+      TimeKey("fault.send_retry_backoff_ms",
+              [](auto& c) -> auto& { return c.fault.send_retry_backoff; }, kMillis, kPositive),
+      IntKey("fault.query_reissue_max",
+             [](auto& c) -> auto& { return c.fault.query_reissue_max; }, 0, 100),
+      IntKey("max_batch", [](auto& c) -> auto& { return c.max_batch; }, 1, 1000),
+      BoolKey("neighbor_shortcut", [](auto& c) -> auto& { return c.enable_neighbor_shortcut; }),
+      BoolKey("descendant_routing", [](auto& c) -> auto& { return c.enable_descendant_routing; }),
+      DoubleKey("suppression_similarity",
+                [](auto& c) -> auto& { return c.suppression_similarity; }, 0.0, 1.0),
+      BoolKey("consider_store_local",
+              [](auto& c) -> auto& { return c.builder.consider_store_local; }),
+      IntKey("owner_set", [](auto& c) -> auto& { return c.builder.owner_set_size; }, 1,
+             kMaxSupportedNodes),
+      IntKey("range_granularity", [](auto& c) -> auto& { return c.builder.range_granularity; }, 1,
+             1 << 20),
+      DoubleKey("owner_hysteresis", [](auto& c) -> auto& { return c.builder.owner_hysteresis; },
+                0.0, 1.0),
+      IntKey("domain_lo", [](auto& c) -> auto& { return c.source_options.domain_lo; },
+             -kValueBound, kValueBound),
+      IntKey("domain_hi", [](auto& c) -> auto& { return c.source_options.domain_hi; },
+             -kValueBound, kValueBound),
+      IntKey("equal_value", [](auto& c) -> auto& { return c.source_options.equal_value; },
+             -kValueBound, kValueBound),
+      DoubleKey("gaussian_variance",
+                [](auto& c) -> auto& { return c.source_options.gaussian_variance; }, 0.0, 1e9),
+      DoubleKey("gaussian_mean_skew",
+                [](auto& c) -> auto& { return c.source_options.gaussian_mean_skew; }, 0.01,
+                100.0),
+      IntKey("real_domain_hi", [](auto& c) -> auto& { return c.source_options.real_domain_hi; },
+             1, kValueBound),
+      DoubleKey("real_shared_weight",
+                [](auto& c) -> auto& { return c.source_options.real_shared_weight; }, 0.0, 1.0),
+      DoubleKey("real_correlation_meters",
+                [](auto& c) -> auto& { return c.source_options.real_correlation_meters; }, 0.01,
+                1e6),
+      DoubleKey("real_noise", [](auto& c) -> auto& { return c.source_options.real_noise; }, 0.0,
+                1e6),
+      DoubleKey("energy_tx_nj_per_bit", [](auto& c) -> auto& { return c.energy.tx_nj_per_bit; },
+                0.0, 1e9),
+      DoubleKey("energy_rx_nj_per_bit", [](auto& c) -> auto& { return c.energy.rx_nj_per_bit; },
+                0.0, 1e9),
+      DoubleKey("energy_flash_write_nj_per_bit",
+                [](auto& c) -> auto& { return c.energy.flash_write_nj_per_bit; }, 0.0, 1e9),
+      DoubleKey("energy_battery_joules",
+                [](auto& c) -> auto& { return c.energy.battery_joules; }, 0.0, 1e12),
+      // Observability (src/obs/).
+      PathKey("obs.trace_out", [](auto& c) -> auto& { return c.trace_out; }),
+      PathKey("obs.metrics_out", [](auto& c) -> auto& { return c.metrics_out; }),
+      TimeKey("obs.metrics_interval_seconds",
+              [](auto& c) -> auto& { return c.metrics_interval; }, kSeconds, kPositive),
+      BoolKey("obs.profile", [](auto& c) -> auto& { return c.profile; }),
+  };
+  return keys;
 }
-
-/// Every ExperimentConfig knob, in canonical writer order. The macro-free
-/// table keeps apply and format side by side so a knob cannot be writable
-/// but not readable (the round-trip test walks this same table).
-const KeyInfo kKeys[] = {
-    {"policy", SetPolicy,
-     [](const ExperimentConfig& c) { return std::string(harness::PolicyName(c.policy)); }},
-    {"source", SetSource,
-     [](const ExperimentConfig& c) {
-       return std::string(workload::DataSourceKindName(c.source));
-     }},
-    {"topology", SetTopology,
-     [](const ExperimentConfig& c) {
-       return std::string(harness::TopologyPresetName(c.preset));
-     }},
-    {"nodes",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->num_nodes, 2, kMaxSupportedNodes, "nodes");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.num_nodes); }},
-    {"duration_minutes",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->duration, /*allow_zero=*/false, "duration_minutes");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToMinutes(c.duration)); }},
-    {"stabilization_minutes",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->stabilization, /*allow_zero=*/true,
-                           "stabilization_minutes");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToMinutes(c.stabilization)); }},
-    {"sample_interval_seconds",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreSeconds(v, &c->sample_interval, /*allow_zero=*/false,
-                           "sample_interval_seconds");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToSeconds(c.sample_interval)); }},
-    {"summary_interval_seconds",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreSeconds(v, &c->summary_interval, /*allow_zero=*/false,
-                           "summary_interval_seconds");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToSeconds(c.summary_interval)); }},
-    {"remap_interval_seconds",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreSeconds(v, &c->remap_interval, /*allow_zero=*/false,
-                           "remap_interval_seconds");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToSeconds(c.remap_interval)); }},
-    {"queries",
-     [](ExperimentConfig* c, std::string_view v) { return StoreBool(v, &c->queries_enabled); },
-     [](const ExperimentConfig& c) { return FormatBool(c.queries_enabled); }},
-    {"query_interval_seconds",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreSeconds(v, &c->query_interval, /*allow_zero=*/false,
-                           "query_interval_seconds");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToSeconds(c.query_interval)); }},
-    {"query_burst_size",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->query_burst_size, 1, 1000, "query_burst_size");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.query_burst_size); }},
-    {"query_burst_spacing_seconds",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreSeconds(v, &c->query_burst_spacing, /*allow_zero=*/false,
-                           "query_burst_spacing_seconds");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToSeconds(c.query_burst_spacing));
-     }},
-    {"query_mode",
-     [](ExperimentConfig* c, std::string_view v) {
-       std::string_view s = TrimView(v);
-       if (s == "range") c->query_mode = ExperimentConfig::QueryMode::kValueRange;
-       else if (s == "node-list") c->query_mode = ExperimentConfig::QueryMode::kNodeList;
-       else return Status::InvalidArgument("unknown query_mode " + Quoted(v) +
-                                           " (expected range|node-list)");
-       return Status::OK();
-     },
-     [](const ExperimentConfig& c) {
-       return std::string(c.query_mode == ExperimentConfig::QueryMode::kNodeList
-                              ? "node-list"
-                              : "range");
-     }},
-    {"query_width_lo",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->query_width_lo, 0.0, 1.0, "query_width_lo");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.query_width_lo); }},
-    {"query_width_hi",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->query_width_hi, 0.0, 1.0, "query_width_hi");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.query_width_hi); }},
-    {"node_list_fraction",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->node_list_fraction, 0.0, 1.0, "node_list_fraction");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.node_list_fraction); }},
-    {"history_window_seconds",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreSeconds(v, &c->query_history_window, /*allow_zero=*/false,
-                           "history_window_seconds");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToSeconds(c.query_history_window));
-     }},
-    {"summary_history_window_minutes",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->summary_history_window, /*allow_zero=*/true,
-                           "summary_history_window_minutes");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.summary_history_window));
-     }},
-    {"summary_history_epoch_minutes",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->summary_history_epoch, /*allow_zero=*/false,
-                           "summary_history_epoch_minutes");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.summary_history_epoch));
-     }},
-    {"trials",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->trials, 1, 10000, "trials");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.trials); }},
-    {"seed",
-     [](ExperimentConfig* c, std::string_view v) {
-       Result<uint64_t> parsed = ParseUint(v);
-       if (!parsed.ok()) return parsed.status();
-       c->seed = parsed.value();
-       return Status::OK();
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.seed); }},
-    {"shards",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->shards, 0, 64, "shards");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.shards); }},
-    {"partition", SetPartition,
-     [](const ExperimentConfig& c) {
-       return std::string(sim::PartitionKindName(c.partition));
-     }},
-    // Typed fault injection (src/fault/). The fault.crash_* keys configure
-    // crash-stop waves through the ExperimentConfig failure_* fields.
-    {"fault.crash_fraction",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->node_failure_fraction, 0.0, 1.0, "fault.crash_fraction");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.node_failure_fraction); }},
-    {"fault.crash_minute",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->failure_time, /*allow_zero=*/true, "fault.crash_minute");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToMinutes(c.failure_time)); }},
-    {"fault.crash_wave_count",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->failure_wave_count, 1, 1000, "fault.crash_wave_count");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.failure_wave_count); }},
-    {"fault.crash_wave_interval_minutes",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->failure_wave_interval, /*allow_zero=*/false,
-                           "fault.crash_wave_interval_minutes");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.failure_wave_interval));
-     }},
-    {"fault.reboot_fraction",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.reboot_fraction, 0.0, 1.0, "fault.reboot_fraction");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.reboot_fraction); }},
-    {"fault.reboot_minute",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->fault.reboot_time, /*allow_zero=*/true,
-                           "fault.reboot_minute");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToMinutes(c.fault.reboot_time)); }},
-    {"fault.reboot_wave_count",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->fault.reboot_wave_count, 1, 1000, "fault.reboot_wave_count");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.fault.reboot_wave_count); }},
-    {"fault.reboot_wave_interval_minutes",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->fault.reboot_wave_interval, /*allow_zero=*/false,
-                           "fault.reboot_wave_interval_minutes");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.fault.reboot_wave_interval));
-     }},
-    {"fault.reboot_downtime_seconds",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreSeconds(v, &c->fault.reboot_downtime, /*allow_zero=*/false,
-                           "fault.reboot_downtime_seconds");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToSeconds(c.fault.reboot_downtime));
-     }},
-    {"fault.link_degrade_factor",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.link_degrade_factor, 0.0, 1.0,
-                          "fault.link_degrade_factor");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.link_degrade_factor); }},
-    {"fault.link_degrade_start_minute",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->fault.link_degrade_start, /*allow_zero=*/true,
-                           "fault.link_degrade_start_minute");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.fault.link_degrade_start));
-     }},
-    {"fault.link_degrade_end_minute",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->fault.link_degrade_end, /*allow_zero=*/true,
-                           "fault.link_degrade_end_minute");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.fault.link_degrade_end));
-     }},
-    {"fault.link_degrade_x_lo",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.link_degrade_x_lo, 0.0, 1.0,
-                          "fault.link_degrade_x_lo");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.link_degrade_x_lo); }},
-    {"fault.link_degrade_x_hi",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.link_degrade_x_hi, 0.0, 1.0,
-                          "fault.link_degrade_x_hi");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.link_degrade_x_hi); }},
-    {"fault.link_degrade_y_lo",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.link_degrade_y_lo, 0.0, 1.0,
-                          "fault.link_degrade_y_lo");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.link_degrade_y_lo); }},
-    {"fault.link_degrade_y_hi",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.link_degrade_y_hi, 0.0, 1.0,
-                          "fault.link_degrade_y_hi");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.link_degrade_y_hi); }},
-    {"fault.partition_start_minute",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->fault.partition_start, /*allow_zero=*/true,
-                           "fault.partition_start_minute");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.fault.partition_start));
-     }},
-    {"fault.partition_end_minute",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->fault.partition_end, /*allow_zero=*/true,
-                           "fault.partition_end_minute");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.fault.partition_end));
-     }},
-    {"fault.partition_x_lo",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.partition_x_lo, 0.0, 1.0, "fault.partition_x_lo");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.partition_x_lo); }},
-    {"fault.partition_x_hi",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.partition_x_hi, 0.0, 1.0, "fault.partition_x_hi");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.partition_x_hi); }},
-    {"fault.partition_y_lo",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.partition_y_lo, 0.0, 1.0, "fault.partition_y_lo");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.partition_y_lo); }},
-    {"fault.partition_y_hi",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->fault.partition_y_hi, 0.0, 1.0, "fault.partition_y_hi");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.fault.partition_y_hi); }},
-    {"fault.base_outage_start_minute",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->fault.base_outage_start, /*allow_zero=*/true,
-                           "fault.base_outage_start_minute");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.fault.base_outage_start));
-     }},
-    {"fault.base_outage_end_minute",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMinutes(v, &c->fault.base_outage_end, /*allow_zero=*/true,
-                           "fault.base_outage_end_minute");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(ToMinutes(c.fault.base_outage_end));
-     }},
-    {"fault.base_backup",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->fault.base_backup, 0, kMaxSupportedNodes,
-                       "fault.base_backup");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.fault.base_backup); }},
-    {"fault.orphan_rehoming",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreBool(v, &c->fault.orphan_rehoming);
-     },
-     [](const ExperimentConfig& c) { return FormatBool(c.fault.orphan_rehoming); }},
-    {"fault.send_retry_max",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->fault.send_retry_max, 0, 100, "fault.send_retry_max");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.fault.send_retry_max); }},
-    {"fault.send_retry_backoff_ms",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreMillis(v, &c->fault.send_retry_backoff, /*allow_zero=*/false,
-                          "fault.send_retry_backoff_ms");
-     },
-     [](const ExperimentConfig& c) { return FormatMillis(c.fault.send_retry_backoff); }},
-    {"fault.query_reissue_max",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->fault.query_reissue_max, 0, 100, "fault.query_reissue_max");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.fault.query_reissue_max); }},
-    {"max_batch",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->max_batch, 1, 1000, "max_batch");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.max_batch); }},
-    {"neighbor_shortcut",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreBool(v, &c->enable_neighbor_shortcut);
-     },
-     [](const ExperimentConfig& c) { return FormatBool(c.enable_neighbor_shortcut); }},
-    {"descendant_routing",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreBool(v, &c->enable_descendant_routing);
-     },
-     [](const ExperimentConfig& c) { return FormatBool(c.enable_descendant_routing); }},
-    {"suppression_similarity",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->suppression_similarity, 0.0, 1.0, "suppression_similarity");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.suppression_similarity); }},
-    {"consider_store_local",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreBool(v, &c->builder.consider_store_local);
-     },
-     [](const ExperimentConfig& c) { return FormatBool(c.builder.consider_store_local); }},
-    {"owner_set",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->builder.owner_set_size, 1, kMaxSupportedNodes, "owner_set");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.builder.owner_set_size); }},
-    {"range_granularity",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->builder.range_granularity, 1, 1 << 20, "range_granularity");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.builder.range_granularity); }},
-    {"owner_hysteresis",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->builder.owner_hysteresis, 0.0, 1.0, "owner_hysteresis");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.builder.owner_hysteresis); }},
-    {"domain_lo",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->source_options.domain_lo, -(1 << 30), 1 << 30, "domain_lo");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.source_options.domain_lo); }},
-    {"domain_hi",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->source_options.domain_hi, -(1 << 30), 1 << 30, "domain_hi");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.source_options.domain_hi); }},
-    {"equal_value",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->source_options.equal_value, -(1 << 30), 1 << 30, "equal_value");
-     },
-     [](const ExperimentConfig& c) { return std::to_string(c.source_options.equal_value); }},
-    {"gaussian_variance",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->source_options.gaussian_variance, 0.0, 1e9,
-                          "gaussian_variance");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(c.source_options.gaussian_variance);
-     }},
-    {"gaussian_mean_skew",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->source_options.gaussian_mean_skew, 0.01, 100.0,
-                          "gaussian_mean_skew");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(c.source_options.gaussian_mean_skew);
-     }},
-    {"real_domain_hi",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreInt(v, &c->source_options.real_domain_hi, 1, 1 << 30, "real_domain_hi");
-     },
-     [](const ExperimentConfig& c) {
-       return std::to_string(c.source_options.real_domain_hi);
-     }},
-    {"real_shared_weight",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->source_options.real_shared_weight, 0.0, 1.0,
-                          "real_shared_weight");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(c.source_options.real_shared_weight);
-     }},
-    {"real_correlation_meters",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->source_options.real_correlation_meters, 0.01, 1e6,
-                          "real_correlation_meters");
-     },
-     [](const ExperimentConfig& c) {
-       return FormatNumber(c.source_options.real_correlation_meters);
-     }},
-    {"real_noise",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->source_options.real_noise, 0.0, 1e6, "real_noise");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.source_options.real_noise); }},
-    {"energy_tx_nj_per_bit",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->energy.tx_nj_per_bit, 0.0, 1e9, "energy_tx_nj_per_bit");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.energy.tx_nj_per_bit); }},
-    {"energy_rx_nj_per_bit",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->energy.rx_nj_per_bit, 0.0, 1e9, "energy_rx_nj_per_bit");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.energy.rx_nj_per_bit); }},
-    {"energy_flash_write_nj_per_bit",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->energy.flash_write_nj_per_bit, 0.0, 1e9,
-                          "energy_flash_write_nj_per_bit");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.energy.flash_write_nj_per_bit); }},
-    {"energy_battery_joules",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreDouble(v, &c->energy.battery_joules, 0.0, 1e12, "energy_battery_joules");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(c.energy.battery_joules); }},
-    // Observability (src/obs/). Path keys use the "off" sentinel because a
-    // .scn value cannot be empty; "off"/"none" both mean disabled.
-    {"obs.trace_out",
-     [](ExperimentConfig* c, std::string_view v) {
-       std::string_view s = TrimView(v);
-       c->trace_out = (s == "off" || s == "none") ? std::string() : std::string(s);
-       return Status::OK();
-     },
-     [](const ExperimentConfig& c) {
-       return c.trace_out.empty() ? std::string("off") : c.trace_out;
-     }},
-    {"obs.metrics_out",
-     [](ExperimentConfig* c, std::string_view v) {
-       std::string_view s = TrimView(v);
-       c->metrics_out = (s == "off" || s == "none") ? std::string() : std::string(s);
-       return Status::OK();
-     },
-     [](const ExperimentConfig& c) {
-       return c.metrics_out.empty() ? std::string("off") : c.metrics_out;
-     }},
-    {"obs.metrics_interval_seconds",
-     [](ExperimentConfig* c, std::string_view v) {
-       return StoreSeconds(v, &c->metrics_interval, /*allow_zero=*/false,
-                           "obs.metrics_interval_seconds");
-     },
-     [](const ExperimentConfig& c) { return FormatNumber(ToSeconds(c.metrics_interval)); }},
-    {"obs.profile",
-     [](ExperimentConfig* c, std::string_view v) { return StoreBool(v, &c->profile); },
-     [](const ExperimentConfig& c) { return FormatBool(c.profile); }},
-};
 
 const KeyInfo* FindKey(std::string_view key) {
-  for (const KeyInfo& info : kKeys) {
+  for (const KeyInfo& info : Keys()) {
     if (key == info.key) return &info;
   }
   return nullptr;
@@ -817,7 +519,7 @@ Status ApplyScenarioKey(harness::ExperimentConfig* config, std::string_view key,
 
 std::vector<std::string> ScenarioKeyNames() {
   std::vector<std::string> names;
-  for (const KeyInfo& info : kKeys) names.emplace_back(info.key);
+  for (const KeyInfo& info : Keys()) names.emplace_back(info.key);
   return names;
 }
 
@@ -943,7 +645,7 @@ std::string FormatScenario(const Scenario& scenario) {
     std::string description = sanitize(scenario.description);
     if (!description.empty()) out += "description = " + description + "\n";
   }
-  for (const KeyInfo& info : kKeys) {
+  for (const KeyInfo& info : Keys()) {
     out += std::string(info.key) + " = " + info.format(scenario.base) + "\n";
   }
   for (const SweepAxis& axis : scenario.sweeps) {

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "common/types.h"
+#include "scenario/scenario_registry.h"
 
 namespace scoop::scenario {
 namespace {
@@ -48,11 +52,11 @@ TEST(ScenarioParserTest, CommentsAndWhitespaceAreIgnored) {
   EXPECT_EQ(s.base.num_nodes, 17);
 }
 
-// Every ExperimentConfig knob must round-trip through format -> parse.
-// This map must name every key the parser recognizes, with a non-default
-// value, so adding a knob to the table without coverage fails here.
-TEST(ScenarioParserTest, RoundTripEveryKey) {
-  const std::map<std::string, std::string> values = {
+// One non-default value per key the parser recognizes. RoundTripEveryKey
+// checks that it names every key, so adding a knob to the table without
+// coverage fails there.
+const std::map<std::string, std::string>& NonDefaultValues() {
+  static const std::map<std::string, std::string> values = {
       {"policy", "hash-sim"},
       {"source", "gaussian"},
       {"topology", "grid"},
@@ -132,6 +136,12 @@ TEST(ScenarioParserTest, RoundTripEveryKey) {
       {"obs.metrics_interval_seconds", "2.5"},
       {"obs.profile", "on"},
   };
+  return values;
+}
+
+// Every ExperimentConfig knob must round-trip through format -> parse.
+TEST(ScenarioParserTest, RoundTripEveryKey) {
+  const std::map<std::string, std::string>& values = NonDefaultValues();
   for (const std::string& key : ScenarioKeyNames()) {
     ASSERT_TRUE(values.count(key)) << "no round-trip coverage for key '" << key << "'";
   }
@@ -189,6 +199,85 @@ TEST(ScenarioParserTest, RoundTripEveryKey) {
   EXPECT_TRUE(c.profile);
   ASSERT_EQ(reparsed.value().sweeps.size(), 2u);
   EXPECT_EQ(reparsed.value().sweeps[1].values.size(), 3u);
+}
+
+// Applying one key's value to a default config must change exactly that
+// key's formatted line. A key bound to another key's field shows up as a
+// second changed line, a key bound to no field as none.
+TEST(ScenarioParserTest, EveryKeyWritesItsOwnField) {
+  auto lines = [](const Scenario& s) {
+    std::vector<std::string> out;
+    std::istringstream in(FormatScenario(s));
+    for (std::string line; std::getline(in, line);) out.push_back(line);
+    return out;
+  };
+  Scenario defaults;
+  defaults.name = "own_field";
+  const std::vector<std::string> before = lines(defaults);
+  for (const auto& [key, value] : NonDefaultValues()) {
+    Scenario s = defaults;
+    Status applied = ApplyScenarioKey(&s.base, key, value);
+    ASSERT_TRUE(applied.ok()) << key << ": " << applied.ToString();
+    std::vector<std::string> after = lines(s);
+    ASSERT_EQ(after.size(), before.size()) << key;
+    std::vector<std::string> changed;
+    for (size_t i = 0; i < before.size(); ++i) {
+      if (after[i] != before[i]) changed.push_back(after[i]);
+    }
+    ASSERT_EQ(changed.size(), 1u) << key;
+    EXPECT_EQ(changed[0].rfind(key + " = ", 0), 0u) << key << " changed " << changed[0];
+  }
+}
+
+// Deterministic mutation fuzzing of the parser, in the manner of the
+// NodeSet decoder fuzzer: bit flips, inserted characters, deleted spans and
+// truncations of the registered specs. Each mutant must either be rejected
+// with a diagnostic that starts with its origin, or parse to a scenario
+// whose text is a fixed point of Format -> Parse -> Format. Run it under
+// the asan preset to catch out-of-bounds reads.
+TEST(ScenarioParserTest, ParseSurvivesSeededMutations) {
+  size_t count = 0;
+  const RegistryEntry* registry = RegisteredScenarios(&count);
+  Rng rng(0x5C4, 0);
+  auto below = [&rng](size_t n) { return static_cast<size_t>(rng.NextU64() % n); };
+  // The characters the grammar gives meaning to, plus some that it does not.
+  const std::string alphabet = "=#;,.\n\t -_+e0123456789abcxyz";
+  constexpr int kMutants = 100000;
+  int accepted = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string text = registry[below(count)].spec;
+    for (size_t n = 1 + below(3); n > 0; --n) {
+      switch (below(4)) {
+        case 0:  // Flip one bit.
+          if (!text.empty()) text[below(text.size())] ^= static_cast<char>(1 << below(8));
+          break;
+        case 1:  // Insert one character.
+          text.insert(below(text.size() + 1), 1, alphabet[below(alphabet.size())]);
+          break;
+        case 2:  // Delete a short span.
+          if (!text.empty()) text.erase(below(text.size()), 1 + below(8));
+          break;
+        default:  // Truncate.
+          text.resize(below(text.size() + 1));
+          break;
+      }
+    }
+    Result<Scenario> parsed = ParseScenario(text, "mutant.scn");
+    if (!parsed.ok()) {
+      ASSERT_EQ(parsed.status().message().rfind("mutant.scn", 0), 0u)
+          << "mutant " << i << ": " << parsed.status().ToString();
+      continue;
+    }
+    ++accepted;
+    std::string formatted = FormatScenario(parsed.value());
+    Result<Scenario> reparsed = ParseScenario(formatted, "formatted.scn");
+    ASSERT_TRUE(reparsed.ok()) << "mutant " << i << ": " << reparsed.status().ToString()
+                               << "\n" << formatted;
+    ASSERT_EQ(FormatScenario(reparsed.value()), formatted) << "mutant " << i;
+  }
+  // Both outcomes occur, so the pass condition is not vacuous.
+  EXPECT_GT(accepted, kMutants / 20);
+  EXPECT_LT(accepted, kMutants - kMutants / 20);
 }
 
 // The .scn grammar rejects empty values, so disabled observability paths

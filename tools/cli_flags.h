@@ -22,6 +22,26 @@ inline bool MatchFlag(const char* arg, const char* name, const char** value) {
   return false;
 }
 
+/// A flag that sets one scenario key. With `fixed` set it is a switch: it
+/// applies `fixed` and ignores any `=value`; otherwise it needs `--flag=v`.
+struct KeyFlag {
+  const char* flag;
+  const char* key;
+  const char* fixed = nullptr;
+};
+
+/// The entry of `flags` that `arg` names, with the value it applies in
+/// *value; nullptr when none matches (or a valued flag has no value).
+template <size_t N>
+const KeyFlag* MatchKeyFlag(const char* arg, const KeyFlag (&flags)[N], const char** value) {
+  for (const KeyFlag& f : flags) {
+    if (!MatchFlag(arg, f.flag, value)) continue;
+    if (f.fixed != nullptr) *value = f.fixed;
+    return *value != nullptr ? &f : nullptr;
+  }
+  return nullptr;
+}
+
 }  // namespace scoop::tools
 
 #endif  // SCOOP_TOOLS_CLI_FLAGS_H_

@@ -30,7 +30,19 @@
 namespace {
 
 using namespace scoop;
+using scoop::tools::KeyFlag;
 using scoop::tools::MatchFlag;
+using scoop::tools::MatchKeyFlag;
+
+/// Flags that override one key of the scenario's base config.
+constexpr KeyFlag kOverrideFlags[] = {
+    {"--shards", "shards"},
+    {"--partition", "partition"},
+    {"--trace-out", "obs.trace_out"},
+    {"--metrics-out", "obs.metrics_out"},
+    {"--metrics-interval", "obs.metrics_interval_seconds"},
+    {"--profile", "obs.profile", "on"},
+};
 
 [[noreturn]] void Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -87,18 +99,18 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string perf_json_path;
   int threads = 0;
-  std::string shards_override;
-  std::string partition_override;
   bool quiet = false;
   int verbosity = 0;
-  // (key, value) pairs applied to the scenario's base config after parsing,
-  // through the same table the .scn obs.* keys use.
-  std::vector<std::pair<std::string, std::string>> obs_overrides;
+  // Applied to the scenario's base config after parsing, in command-line
+  // order, through the same table the .scn keys use.
+  std::vector<std::pair<const KeyFlag*, std::string>> overrides;
 
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
     const char* arg = argv[i];
-    if (MatchFlag(arg, "--list", &value)) {
+    if (const KeyFlag* flag = MatchKeyFlag(arg, kOverrideFlags, &value)) {
+      overrides.emplace_back(flag, value);
+    } else if (MatchFlag(arg, "--list", &value)) {
       return ListScenarios();
     } else if (MatchFlag(arg, "--print", &value) && value != nullptr) {
       const char* spec = scenario::FindRegisteredSpec(value);
@@ -120,24 +132,12 @@ int main(int argc, char** argv) {
         Usage(argv[0]);
       }
       threads = static_cast<int>(parsed);
-    } else if (MatchFlag(arg, "--shards", &value) && value != nullptr) {
-      shards_override = value;
-    } else if (MatchFlag(arg, "--partition", &value) && value != nullptr) {
-      partition_override = value;
     } else if (MatchFlag(arg, "--csv", &value) && value != nullptr) {
       csv_path = value;
     } else if (MatchFlag(arg, "--json", &value) && value != nullptr) {
       json_path = value;
     } else if (MatchFlag(arg, "--perf-json", &value) && value != nullptr) {
       perf_json_path = value;
-    } else if (MatchFlag(arg, "--trace-out", &value) && value != nullptr) {
-      obs_overrides.emplace_back("obs.trace_out", value);
-    } else if (MatchFlag(arg, "--metrics-out", &value) && value != nullptr) {
-      obs_overrides.emplace_back("obs.metrics_out", value);
-    } else if (MatchFlag(arg, "--metrics-interval", &value) && value != nullptr) {
-      obs_overrides.emplace_back("obs.metrics_interval_seconds", value);
-    } else if (MatchFlag(arg, "--profile", &value)) {
-      obs_overrides.emplace_back("obs.profile", "true");
     } else if (std::strcmp(arg, "-v") == 0) {
       verbosity = 1;
     } else if (std::strcmp(arg, "-vv") == 0) {
@@ -164,24 +164,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   scenario::Scenario scn = std::move(parsed).value();
-  if (!shards_override.empty()) {
-    Status s = scenario::ApplyScenarioKey(&scn.base, "shards", shards_override);
+  for (const auto& [flag, value] : overrides) {
+    Status s = scenario::ApplyScenarioKey(&scn.base, flag->key, value);
     if (!s.ok()) {
-      std::fprintf(stderr, "bad --shards value: %s\n", s.message().c_str());
-      Usage(argv[0]);
-    }
-  }
-  if (!partition_override.empty()) {
-    Status s = scenario::ApplyScenarioKey(&scn.base, "partition", partition_override);
-    if (!s.ok()) {
-      std::fprintf(stderr, "bad --partition value: %s\n", s.message().c_str());
-      Usage(argv[0]);
-    }
-  }
-  for (const auto& [key, value] : obs_overrides) {
-    Status s = scenario::ApplyScenarioKey(&scn.base, key, value);
-    if (!s.ok()) {
-      std::fprintf(stderr, "bad --%s value: %s\n", key.c_str(), s.message().c_str());
+      std::fprintf(stderr, "bad %s value: %s\n", flag->flag, s.message().c_str());
       Usage(argv[0]);
     }
   }

@@ -8,6 +8,7 @@
 //             [--query-width-lo=F] [--query-width-hi=F]
 //             [--node-list-fraction=F] [--history-window-seconds=S]
 //             [--topology=testbed|random|grid] [--trials=K] [--seed=S]
+//             [--shards=K] [--partition=strip|mincut]
 //             [--batch=N] [--no-shortcut] [--no-descendants]
 //             [--owner-set=K] [--range-granularity=G]
 //             [--failure-fraction=F] [--failure-minute=M]
@@ -58,19 +59,43 @@ using namespace scoop;
   std::exit(2);
 }
 
-using scoop::tools::MatchFlag;
+using scoop::tools::KeyFlag;
+using scoop::tools::MatchKeyFlag;
 
-/// Routes the enum-valued flags through the scenario key table, so the CLI
-/// and .scn files share one name-to-enum mapping (and one rejection path
-/// for unknown values).
-void ApplyKeyOrUsage(harness::ExperimentConfig* config, const char* key, const char* value,
-                     const char* argv0) {
-  scoop::Status s = scenario::ApplyScenarioKey(config, key, value);
-  if (!s.ok()) {
-    std::fprintf(stderr, "%s\n", s.message().c_str());
-    Usage(argv0);
-  }
-}
+/// Every flag sets one scenario key, so the CLI and .scn files share one
+/// name-to-enum mapping and one rejection path for bad values.
+constexpr KeyFlag kFlags[] = {
+    {"--policy", "policy"},
+    {"--source", "source"},
+    {"--nodes", "nodes"},
+    {"--shards", "shards"},
+    {"--partition", "partition"},
+    {"--minutes", "duration_minutes"},
+    {"--stabilization-minutes", "stabilization_minutes"},
+    {"--sample-interval", "sample_interval_seconds"},
+    {"--summary-interval", "summary_interval_seconds"},
+    {"--remap-interval", "remap_interval_seconds"},
+    {"--query-interval", "query_interval_seconds"},
+    {"--query-mode", "query_mode"},
+    {"--query-width-lo", "query_width_lo"},
+    {"--query-width-hi", "query_width_hi"},
+    {"--node-list-fraction", "node_list_fraction"},
+    {"--history-window-seconds", "history_window_seconds"},
+    {"--topology", "topology"},
+    {"--trials", "trials"},
+    {"--seed", "seed"},
+    {"--batch", "max_batch"},
+    {"--no-shortcut", "neighbor_shortcut", "off"},
+    {"--no-descendants", "descendant_routing", "off"},
+    {"--owner-set", "owner_set"},
+    {"--range-granularity", "range_granularity"},
+    {"--failure-fraction", "fault.crash_fraction"},
+    {"--failure-minute", "fault.crash_minute"},
+    {"--trace-out", "obs.trace_out"},
+    {"--metrics-out", "obs.metrics_out"},
+    {"--metrics-interval", "obs.metrics_interval_seconds"},
+    {"--profile", "obs.profile", "on"},
+};
 
 }  // namespace
 
@@ -80,66 +105,12 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
     const char* arg = argv[i];
-    if (MatchFlag(arg, "--policy", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "policy", value, argv[0]);
-    } else if (MatchFlag(arg, "--source", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "source", value, argv[0]);
-    } else if (MatchFlag(arg, "--nodes", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "nodes", value, argv[0]);
-    } else if (MatchFlag(arg, "--shards", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "shards", value, argv[0]);
-    } else if (MatchFlag(arg, "--partition", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "partition", value, argv[0]);
-    } else if (MatchFlag(arg, "--minutes", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "duration_minutes", value, argv[0]);
-    } else if (MatchFlag(arg, "--stabilization-minutes", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "stabilization_minutes", value, argv[0]);
-    } else if (MatchFlag(arg, "--sample-interval", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "sample_interval_seconds", value, argv[0]);
-    } else if (MatchFlag(arg, "--summary-interval", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "summary_interval_seconds", value, argv[0]);
-    } else if (MatchFlag(arg, "--remap-interval", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "remap_interval_seconds", value, argv[0]);
-    } else if (MatchFlag(arg, "--query-interval", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "query_interval_seconds", value, argv[0]);
-    } else if (MatchFlag(arg, "--query-mode", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "query_mode", value, argv[0]);
-    } else if (MatchFlag(arg, "--query-width-lo", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "query_width_lo", value, argv[0]);
-    } else if (MatchFlag(arg, "--query-width-hi", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "query_width_hi", value, argv[0]);
-    } else if (MatchFlag(arg, "--node-list-fraction", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "node_list_fraction", value, argv[0]);
-    } else if (MatchFlag(arg, "--history-window-seconds", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "history_window_seconds", value, argv[0]);
-    } else if (MatchFlag(arg, "--topology", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "topology", value, argv[0]);
-    } else if (MatchFlag(arg, "--trials", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "trials", value, argv[0]);
-    } else if (MatchFlag(arg, "--seed", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "seed", value, argv[0]);
-    } else if (MatchFlag(arg, "--batch", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "max_batch", value, argv[0]);
-    } else if (MatchFlag(arg, "--no-shortcut", &value)) {
-      config.enable_neighbor_shortcut = false;
-    } else if (MatchFlag(arg, "--no-descendants", &value)) {
-      config.enable_descendant_routing = false;
-    } else if (MatchFlag(arg, "--owner-set", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "owner_set", value, argv[0]);
-    } else if (MatchFlag(arg, "--range-granularity", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "range_granularity", value, argv[0]);
-    } else if (MatchFlag(arg, "--failure-fraction", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "fault.crash_fraction", value, argv[0]);
-    } else if (MatchFlag(arg, "--failure-minute", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "fault.crash_minute", value, argv[0]);
-    } else if (MatchFlag(arg, "--trace-out", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "obs.trace_out", value, argv[0]);
-    } else if (MatchFlag(arg, "--metrics-out", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "obs.metrics_out", value, argv[0]);
-    } else if (MatchFlag(arg, "--metrics-interval", &value) && value != nullptr) {
-      ApplyKeyOrUsage(&config, "obs.metrics_interval_seconds", value, argv[0]);
-    } else if (MatchFlag(arg, "--profile", &value)) {
-      config.profile = true;
+    if (const KeyFlag* flag = MatchKeyFlag(arg, kFlags, &value)) {
+      scoop::Status s = scenario::ApplyScenarioKey(&config, flag->key, value);
+      if (!s.ok()) {
+        std::fprintf(stderr, "%s\n", s.message().c_str());
+        Usage(argv[0]);
+      }
     } else if (std::strcmp(arg, "-v") == 0) {
       verbosity = 1;
     } else if (std::strcmp(arg, "-vv") == 0) {
