@@ -9,6 +9,7 @@
 #include <cmath>
 #include <map>
 #include <queue>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -34,7 +35,10 @@ class BenchRadio {
         radio_(topology, RadioOptions{}, &queue_, seed, &owner_, /*self_shard=*/0),
         driver_origin_(static_cast<uint32_t>(topology->num_nodes())) {
     radio_.set_transmit_hook([this](NodeId, const Packet&, bool) { ++transmissions_; });
-    radio_.set_deliver_hook([this](NodeId, const Packet&, bool) { ++deliveries_; });
+    radio_.set_deliver_hook(
+        [this](const Packet&, std::span<const sim::ShardRadio::Reception> receptions) {
+          deliveries_ += receptions.size();
+        });
   }
 
   void set_send_done_hook(sim::ShardRadio::SendDoneHook hook) {

@@ -23,6 +23,8 @@ AgentBase::~AgentBase() = default;
 
 void AgentBase::OnBoot(sim::Context& ctx) {
   ctx_ = &ctx;
+  // Every packet this node hears reads the agent and its neighbor slots.
+  ctx_->DeclareHotState(this, neighbors_.storage());
   if (MappingGossipEnabled()) {
     gossip_ = std::make_unique<trickle::TrickleDriver>(ctx_, cfg_.mapping_trickle,
                                                        [this] { ShareGossipChunk(); });
@@ -153,7 +155,6 @@ void AgentBase::OnCrash(sim::Context& ctx) {
 }
 
 void AgentBase::OnReboot(sim::Context& ctx) {
-  (void)ctx;
   down_ = false;
   // Volatile state is gone: stored tuples, routing tree, link estimates,
   // descendant cache, and the orphan buffer (its readings stay counted as
@@ -162,6 +163,7 @@ void AgentBase::OnReboot(sim::Context& ctx) {
   // index until gossip catches it up (§5.3).
   flash_.Clear();
   neighbors_ = net::NeighborTable(cfg_.neighbor);
+  ctx.DeclareHotState(this, neighbors_.storage());  // Fresh slot storage.
   tree_ = net::RoutingTree(cfg_.self, cfg_.is_base(), cfg_.tree);
   descendants_ = net::DescendantsTable(cfg_.descendants);
   orphans_.clear();

@@ -1,65 +1,74 @@
 #include "net/descendants.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace scoop::net {
 
+namespace {
+
+/// lower_bound comparator over id-sorted slots.
+constexpr auto kIdLess = [](const auto& slot, NodeId id) { return slot.id < id; };
+
+}  // namespace
+
 DescendantsTable::DescendantsTable(const DescendantsOptions& options) : options_(options) {
   SCOOP_CHECK_GT(options_.capacity, 0);
+  // Bounded table: one up-front allocation covers its whole lifetime.
+  entries_.reserve(static_cast<size_t>(options_.capacity));
+}
+
+std::vector<DescendantsTable::Slot>::const_iterator DescendantsTable::Find(NodeId id) const {
+  auto it = std::lower_bound(entries_.begin(), entries_.end(), id, kIdLess);
+  return (it != entries_.end() && it->id == id) ? it : entries_.end();
 }
 
 void DescendantsTable::Learn(NodeId descendant, NodeId via_child, SimTime now) {
-  auto it = entries_.find(descendant);
-  if (it != entries_.end()) {
-    it->second.via_child = via_child;
-    it->second.last_update = now;
+  auto it = std::lower_bound(entries_.begin(), entries_.end(), descendant, kIdLess);
+  if (it != entries_.end() && it->id == descendant) {
+    it->via_child = via_child;
+    it->last_update = now;
     return;
   }
-  if (static_cast<int>(entries_.size()) >= options_.capacity) EvictOldest();
-  entries_.emplace(descendant, Entry{via_child, now});
+  if (static_cast<int>(entries_.size()) >= options_.capacity) {
+    EvictOldest();
+    // Eviction shifted slots; recompute the insertion point.
+    it = std::lower_bound(entries_.begin(), entries_.end(), descendant, kIdLess);
+  }
+  entries_.insert(it, Slot{descendant, via_child, now});
 }
 
 std::optional<NodeId> DescendantsTable::NextHop(NodeId dst) const {
-  auto it = entries_.find(dst);
+  auto it = Find(dst);
   if (it == entries_.end()) return std::nullopt;
-  return it->second.via_child;
+  return it->via_child;
 }
 
 void DescendantsTable::ForgetChild(NodeId child) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.via_child == child) {
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(entries_, [child](const Slot& slot) { return slot.via_child == child; });
 }
 
 void DescendantsTable::EvictStale(SimTime now) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (now - it->second.last_update > options_.eviction_timeout) {
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(entries_, [this, now](const Slot& slot) {
+    return now - slot.last_update > options_.eviction_timeout;
+  });
 }
 
 std::vector<NodeId> DescendantsTable::Ids() const {
   std::vector<NodeId> out;
   out.reserve(entries_.size());
-  for (const auto& [id, entry] : entries_) out.push_back(id);
+  for (const Slot& slot : entries_) out.push_back(slot.id);
   return out;
 }
 
 void DescendantsTable::EvictOldest() {
-  auto oldest = entries_.end();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (oldest == entries_.end() || it->second.last_update < oldest->second.last_update ||
-        (it->second.last_update == oldest->second.last_update && it->first < oldest->first)) {
-      oldest = it;
-    }
-  }
+  // Slots are in ascending id, so the first minimum of last_update is the
+  // minimum of (last_update, id).
+  auto oldest = std::min_element(entries_.begin(), entries_.end(),
+                                 [](const Slot& a, const Slot& b) {
+                                   return a.last_update < b.last_update;
+                                 });
   if (oldest != entries_.end()) entries_.erase(oldest);
 }
 

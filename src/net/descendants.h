@@ -7,7 +7,6 @@
 #define SCOOP_NET_DESCENDANTS_H_
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -37,7 +36,7 @@ class DescendantsTable {
   std::optional<NodeId> NextHop(NodeId dst) const;
 
   /// True iff `dst` is a known descendant.
-  bool Contains(NodeId dst) const { return entries_.count(dst) > 0; }
+  bool Contains(NodeId dst) const { return Find(dst) != entries_.end(); }
 
   /// Forgets a child branch entirely (e.g., when the child stops being a
   /// neighbor); all descendants routed via it are dropped.
@@ -52,15 +51,24 @@ class DescendantsTable {
   size_t size() const { return entries_.size(); }
 
  private:
-  struct Entry {
-    NodeId via_child = kInvalidNodeId;
-    SimTime last_update = 0;
+  /// One known descendant and the child branch leading to it.
+  struct Slot {
+    NodeId id;
+    NodeId via_child;
+    SimTime last_update;
   };
 
+  /// The slot for `id`, or end() if absent.
+  std::vector<Slot>::const_iterator Find(NodeId id) const;
+
+  /// Drops the entry with the smallest (last_update, id).
   void EvictOldest();
 
   DescendantsOptions options_;
-  std::unordered_map<NodeId, Entry> entries_;
+  // Bounded and consulted per forwarded packet, so it is kept like
+  // NeighborTable's: a vector sorted by id and reserved at capacity, where
+  // a lookup is a binary search and an insert never allocates.
+  std::vector<Slot> entries_;
 };
 
 }  // namespace scoop::net

@@ -71,6 +71,10 @@ class NeighborTable {
   /// Number of tracked neighbors.
   size_t size() const { return entries_.size(); }
 
+  /// Start of the slot storage OnPacketSeen searches. Reserved at
+  /// construction, so it stays put for the table's lifetime.
+  const void* storage() const { return entries_.data(); }
+
  private:
   struct Entry {
     uint16_t last_seq = 0;

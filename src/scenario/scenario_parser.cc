@@ -223,13 +223,12 @@ KeyInfo TimeKey(const char* key, Field field, const TimeUnit& unit, bool allow_z
   return MakeKey(key, field, parse, [=](SimTime t) { return FormatNumber(unit.format(t)); });
 }
 
-/// An output path. A .scn value cannot be empty, so "off" (or "none")
-/// means disabled and an empty path prints as "off".
+/// An output path, taken verbatim. A .scn value cannot be empty, so "off"
+/// (or "none") means disabled and an empty path prints as "off".
 template <typename Field>
 KeyInfo PathKey(const char* key, Field field) {
   auto parse = [](std::string_view v) -> Result<std::string> {
-    std::string_view s = TrimView(v);
-    return (s == "off" || s == "none") ? std::string() : std::string(s);
+    return (v == "off" || v == "none") ? std::string() : std::string(v);
   };
   return MakeKey(key, field, parse,
                  [](const std::string& p) { return p.empty() ? std::string("off") : p; });
@@ -421,21 +420,102 @@ const KeyInfo* FindKey(std::string_view key) {
   return nullptr;
 }
 
-/// Expands a sweep value list: comma-separated tokens, where a lone
+// --- quoted values ---------------------------------------------------------
+//
+// A value, or one element of a sweep list, is either bare text or a single
+// double-quoted string. Inside quotes '#', ',' and ".." are literal, a
+// backslash takes the next character literally, and "\n" is a newline.
+// The writer quotes exactly the values that would not read back bare.
+
+/// Index of the first character outside quotes at which `hit(s, i)` holds,
+/// or npos. An unterminated quote hides the rest of `s`.
+template <typename Hit>
+size_t FindUnquoted(std::string_view s, Hit hit) {
+  bool quoted = false;
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (quoted) {
+      if (s[i] == '\\') {
+        ++i;
+      } else if (s[i] == '"') {
+        quoted = false;
+      }
+    } else if (s[i] == '"') {
+      quoted = true;
+    } else if (hit(s, i)) {
+      return i;
+    }
+  }
+  return std::string_view::npos;
+}
+
+/// True at a '#' that starts a comment: first on its line or after
+/// whitespace.
+bool CommentStart(std::string_view s, size_t i) {
+  return s[i] == '#' && (i == 0 || std::isspace(static_cast<unsigned char>(s[i - 1])));
+}
+
+/// The text of a trimmed value token: bare text as is, one quoted string
+/// unescaped.
+Result<std::string> Unquote(std::string_view token) {
+  if (token.empty() || token.front() != '"') {
+    if (token.find('"') != std::string_view::npos) {
+      return Status::InvalidArgument("a quote must enclose the whole value, got " +
+                                     Quoted(token));
+    }
+    return std::string(token);
+  }
+  std::string out;
+  for (size_t i = 1; i < token.size(); ++i) {
+    char c = token[i];
+    if (c == '"') {
+      if (i + 1 != token.size()) {
+        return Status::InvalidArgument("text after the closing quote in " + Quoted(token));
+      }
+      return out;
+    }
+    if (c == '\\' && i + 1 < token.size()) {
+      c = token[++i];
+      if (c == 'n') c = '\n';
+    }
+    out += c;
+  }
+  return Status::InvalidArgument("unterminated quote in " + Quoted(token));
+}
+
+/// `v` as the writer emits it: bare when it reads back unchanged, quoted
+/// otherwise (surrounding whitespace, a quote, a newline, a comment-starting
+/// '#', or a ',' or ".." that a sweep list would split or expand).
+std::string FormatValue(std::string_view v) {
+  bool bare = !v.empty() && !std::isspace(static_cast<unsigned char>(v.front())) &&
+              !std::isspace(static_cast<unsigned char>(v.back())) &&
+              v.find_first_of("\",\n") == std::string_view::npos &&
+              v.find("..") == std::string_view::npos &&
+              FindUnquoted(v, CommentStart) == std::string_view::npos;
+  if (bare) return std::string(v);
+  std::string out = "\"";
+  for (char c : v) {
+    if (c == '\n') {
+      out += "\\n";
+      continue;
+    }
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  out += '"';
+  return out;
+}
+
+/// Expands a sweep value list: comma-separated tokens, where a lone bare
 /// "lo..hi" token expands to the inclusive integer range.
 Result<std::vector<std::string>> ExpandSweepValues(std::string_view text) {
   std::vector<std::string> values;
-  size_t start = 0;
-  std::string spec(text);
-  while (start <= spec.size()) {
-    size_t comma = spec.find(',', start);
-    std::string_view token =
-        TrimView(std::string_view(spec).substr(start, comma == std::string::npos
-                                                          ? std::string::npos
-                                                          : comma - start));
+  for (;;) {
+    size_t comma = FindUnquoted(text, [](std::string_view s, size_t i) { return s[i] == ','; });
+    std::string_view token = TrimView(text.substr(0, comma));
     if (token.empty()) return Status::InvalidArgument("empty sweep value");
     size_t dots = token.find("..");
-    bool is_range = dots != std::string_view::npos &&
+    bool is_range = token.find('"') == std::string_view::npos &&
+                    dots != std::string_view::npos &&
                     token.find("..", dots + 1) == std::string_view::npos;
     if (is_range) {
       Result<int64_t> lo = ParseInt(token.substr(0, dots));
@@ -460,22 +540,22 @@ Result<std::vector<std::string>> ExpandSweepValues(std::string_view text) {
         ++v;
       }
     } else {
-      values.emplace_back(token);
+      Result<std::string> value = Unquote(token);
+      if (!value.ok()) return value.status();
+      values.push_back(std::move(value).value());
     }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+    if (comma == std::string_view::npos) break;
+    text.remove_prefix(comma + 1);
   }
   return values;
 }
 
-/// Strips a trailing comment: " # ..." (hash preceded by whitespace).
+/// Strips a trailing comment: " # ..." (hash preceded by whitespace,
+/// outside quotes).
 std::string_view StripTrailingComment(std::string_view line) {
-  for (size_t i = 1; i < line.size(); ++i) {
-    if (line[i] == '#' && std::isspace(static_cast<unsigned char>(line[i - 1]))) {
-      return line.substr(0, i);
-    }
-  }
-  return line;
+  return line.substr(0, FindUnquoted(line, [](std::string_view s, size_t i) {
+                       return i > 0 && CommentStart(s, i);
+                     }));
 }
 
 std::string Position(std::string_view origin, int line, size_t col) {
@@ -568,16 +648,24 @@ Result<Scenario> ParseScenario(std::string_view text, std::string_view origin) {
     }
     seen_keys.emplace_back(key);
 
+    // Sweep lists unquote element by element; every other value is one
+    // token.
+    const bool is_sweep = key.substr(0, 6) == "sweep.";
+    Result<std::string> text = is_sweep ? std::string() : Unquote(value);
+    if (!text.ok()) {
+      return Status::InvalidArgument(Position(origin, line_no, value_col) +
+                                     text.status().message());
+    }
     if (key == "name") {
-      scenario.name = std::string(value);
+      scenario.name = std::move(text).value();
       have_name = true;
       continue;
     }
     if (key == "description") {
-      scenario.description = std::string(value);
+      scenario.description = std::move(text).value();
       continue;
     }
-    if (key.substr(0, 6) == "sweep.") {
+    if (is_sweep) {
       std::string_view axis_key = key.substr(6);
       const KeyInfo* info = FindKey(axis_key);
       if (info == nullptr) {
@@ -609,7 +697,7 @@ Result<Scenario> ParseScenario(std::string_view text, std::string_view origin) {
       return Status::InvalidArgument(Position(origin, line_no, key_col) + "unknown key " +
                                      Quoted(key));
     }
-    Status s = info->apply(&scenario.base, value);
+    Status s = info->apply(&scenario.base, text.value());
     if (!s.ok()) {
       return Status::InvalidArgument(Position(origin, line_no, value_col) + s.message());
     }
@@ -626,14 +714,13 @@ Result<Scenario> ParseScenario(std::string_view text, std::string_view origin) {
 }
 
 std::string FormatScenario(const Scenario& scenario) {
-  // Newlines and whitespace-preceded '#' cannot appear in a .scn value
-  // (they would end the value or start a comment), so sanitize free-text
-  // fields to keep the emitted file parseable.
+  // Free text is written bare: newlines and tabs flatten to spaces, and
+  // quotes and comment-starting '#' are dropped.
   auto sanitize = [](std::string_view s) {
     std::string out;
     for (char c : s) {
       if (c == '\n' || c == '\r' || c == '\t') c = ' ';
-      if (c == '#' && (out.empty() || out.back() == ' ')) continue;
+      if (c == '"' || (c == '#' && (out.empty() || out.back() == ' '))) continue;
       out += c;
     }
     return std::string(TrimView(out));
@@ -646,13 +733,13 @@ std::string FormatScenario(const Scenario& scenario) {
     if (!description.empty()) out += "description = " + description + "\n";
   }
   for (const KeyInfo& info : Keys()) {
-    out += std::string(info.key) + " = " + info.format(scenario.base) + "\n";
+    out += std::string(info.key) + " = " + FormatValue(info.format(scenario.base)) + "\n";
   }
   for (const SweepAxis& axis : scenario.sweeps) {
     out += "sweep." + axis.key + " = ";
     for (size_t i = 0; i < axis.values.size(); ++i) {
       if (i > 0) out += ", ";
-      out += axis.values[i];
+      out += FormatValue(axis.values[i]);
     }
     out += "\n";
   }

@@ -13,6 +13,12 @@
 // (whole-line) start comments. Errors carry "<origin>:<line>:<col>"
 // positions. `sweep.<key>` declares a sweep axis over any scalar key;
 // values are comma-separated, or `lo..hi` for inclusive integer ranges.
+// A value, or one sweep element, may be a double-quoted string, inside
+// which `#`, `,` and `..` are literal, `\` escapes the next character
+// and `\n` is a newline:
+//
+//   obs.trace_out = "runs/a #1.json"
+//   sweep.obs.metrics_out = "m #1.jsonl", m2.jsonl
 #ifndef SCOOP_SCENARIO_SCENARIO_PARSER_H_
 #define SCOOP_SCENARIO_SCENARIO_PARSER_H_
 
@@ -46,10 +52,13 @@ Status ValidateConfig(const harness::ExperimentConfig& config);
 std::vector<std::string> ScenarioKeyNames();
 
 /// Serializes a scenario back to .scn text emitting every config key, such
-/// that ParseScenario(FormatScenario(s)) reproduces `s` exactly. The one
-/// exception: newlines and comment-starting '#' are not representable in
-/// .scn values, so they are replaced with spaces / stripped from the name
-/// and description.
+/// that ParseScenario(FormatScenario(s)) reproduces `s` exactly. Values
+/// that would not read back bare (a comment-starting '#', a quote, a
+/// newline, surrounding whitespace, or a ',' or ".." inside a sweep list)
+/// are written as double-quoted strings. The exceptions: the name and
+/// description are written bare, with newlines and tabs flattened to
+/// spaces and quotes and comment-starting '#' dropped, and a path spelled
+/// "off" or "none" reads back as disabled.
 std::string FormatScenario(const Scenario& scenario);
 
 /// Shortest decimal string that strtod parses back to exactly `v`. Shared

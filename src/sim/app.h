@@ -65,6 +65,15 @@ class Context {
 
   /// Radio configuration (MTU, bitrate) -- needed for chunk sizing.
   virtual const RadioOptions& radio_options() const = 0;
+
+  /// Names two addresses the app reads for every packet it hears (say,
+  /// itself and a per-packet lookup table), so the simulator can prefetch
+  /// them for all receivers of a frame before delivering it. A hint only:
+  /// it never changes results, and a later call replaces the earlier one.
+  virtual void DeclareHotState(const void* first, const void* second) {
+    (void)first;
+    (void)second;
+  }
 };
 
 /// A protocol stack running on one node.

@@ -221,8 +221,10 @@ ShardRadio::ShardRadio(const Topology* topology, const RadioOptions& options,
   // Geometric collision prefilter: a transmitter farther than twice the
   // longest audible link from a sender cannot corrupt any of its receptions.
   double max_d2 = 0;
+  size_t max_degree = 0;
   for (NodeId i = 0; i < topology->num_nodes(); ++i) {
     const Point& a = topology->position(i);
+    max_degree = std::max(max_degree, topology->audible_from(i).size());
     for (const Topology::Link& link : topology->audible_from(i)) {
       const Point& b = topology->position(link.to);
       double dx = a.x - b.x;
@@ -231,6 +233,7 @@ ShardRadio::ShardRadio(const Topology* topology, const RadioOptions& options,
     }
   }
   collide_range2_ = 4.0 * max_d2;
+  receptions_.reserve(max_degree);
 }
 
 void ShardRadio::EnableObservability(obs::TraceSink* trace,
@@ -351,14 +354,11 @@ void ShardRadio::CollectInterferers(NodeId sender, SimTime start, SimTime end) {
   }
 }
 
-bool ShardRadio::Collided(NodeId receiver, NodeId sender) const {
-  double signal = topology_->delivery_prob(sender, receiver);
-  const InterfererSet& audible = topology_->interferers(receiver);
+bool ShardRadio::Collided(NodeId receiver, double signal) const {
+  const double capture = options_.capture_ratio * signal;
   for (NodeId isrc : collide_scratch_) {
-    if (isrc == receiver) continue;
-    if (!audible.Test(isrc)) continue;  // Too weak to interfere.
-    double interference = topology_->delivery_prob(isrc, receiver);
-    if (interference >= options_.capture_ratio * signal) return true;
+    double p = topology_->delivery_prob(isrc, receiver);
+    if (p >= Topology::kInterferenceThreshold && p >= capture) return true;
   }
   return false;
 }
@@ -555,18 +555,23 @@ void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
     const uint64_t tx_key = MixSeed(link_key_, TxKey(src, gen));
     CollectInterferers(src, start, end);
     const bool maybe_collided = !collide_scratch_.empty();
-    // Walk the sender's audible out-neighbors in ascending id, but only
-    // deliver to receivers this shard owns; the other shards run the same
-    // walk over their own nodes with identical keyed draws.
+    // Verdict pass: walk the sender's audible out-neighbors in ascending
+    // id, but only for receivers this shard owns; the other shards run
+    // the same walk over their own nodes with identical keyed draws. The
+    // pass is pure, so running every verdict before any delivery changes
+    // nothing: apps react only through Send and Schedule, which never
+    // start a transmission inline, and liveness changes only in fault
+    // events.
+    receptions_.clear();
     for (const Topology::Link& link : topology_->audible_from(src)) {
       NodeId r = link.to;
       if (!Owned(r)) continue;
-      if (!alive_[r]) continue;                            // Dead radios hear nothing.
+      if (!alive_[r]) continue;                                // Dead radios hear nothing.
       double p = link.prob;
       if (faulted) p *= fault_->Scale(src, r, end);
-      if (!LinkLossDraw(tx_key, r, p)) continue;           // Link loss.
-      if (WasTransmitting(r, start, end)) continue;        // Half duplex.
-      if (maybe_collided && Collided(r, src)) continue;    // Corrupted.
+      if (!LinkLossDraw(tx_key, r, p)) continue;               // Link loss.
+      if (WasTransmitting(r, start, end)) continue;            // Half duplex.
+      if (maybe_collided && Collided(r, link.prob)) continue;  // Corrupted.
       bool addressed = (dst == kBroadcastId) || (dst == r);
       if (dst == r) dst_received = true;
       if (ctr_deliveries_ != nullptr) ++*ctr_deliveries_;
@@ -576,8 +581,9 @@ void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
                         static_cast<uint64_t>(src), "type",
                         static_cast<uint64_t>(pkt.hdr.type));
       }
-      if (deliver_hook_) deliver_hook_(r, pkt, addressed);
+      receptions_.push_back(Reception{r, addressed});
     }
+    if (!receptions_.empty() && deliver_hook_) deliver_hook_(pkt, receptions_);
     // The destination's shard resolves the ACK verdict (it alone knows the
     // receiver's state) and reports it to the sender's completion.
     if (dst != kBroadcastId && Owned(dst) && topology_->delivery_prob(src, dst) > 0) {

@@ -42,11 +42,16 @@
 //
 // Hot-path design: one transmission touches only the sender's audible
 // out-neighbors (the topology's CSR lists), not all N nodes, and channel
-// queries (carrier sense, collision, half-duplex) run on per-node indexes
-// -- an active-transmitter bitmap intersected with the receiver's
-// interferer set, each node's last two transmission spans, and a
-// start-ordered ring of recent transmissions pruned from the front. One
-// broadcast is O(degree + overlapping transmissions).
+// queries run on per-node indexes: carrier sense intersects an
+// active-transmitter bitmap with the receiver's interferer set, half
+// duplex reads each node's last two transmission spans, and collisions
+// read a start-ordered ring of recent transmissions pruned from the
+// front. A frame is evaluated in two passes. The first is pure: it walks
+// the receivers, tests each against the frame's few overlapping
+// transmitters with one delivery-probability load apiece, and fills a
+// pre-allocated reception list. The second hands that whole list to the
+// deliver hook in one call. One broadcast is O(degree + overlapping
+// transmissions) and allocates nothing.
 #ifndef SCOOP_SIM_SHARD_H_
 #define SCOOP_SIM_SHARD_H_
 
@@ -55,6 +60,7 @@
 #include <deque>
 #include <limits>
 #include <queue>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -248,8 +254,16 @@ class ShardRadio {
   /// per packet, so boxing them would put an allocation on the hot path.
   /// Observer invoked at each transmission start (the paper's cost unit).
   using TransmitHook = SmallFunction<void(NodeId src, const Packet&, bool retransmission)>;
-  /// Observer for successful packet arrival at a node.
-  using DeliverHook = SmallFunction<void(NodeId receiver, const Packet&, bool addressed)>;
+  /// One node that latched a frame: `addressed` is true for broadcasts
+  /// and for unicasts to it, false for an overheard unicast.
+  struct Reception {
+    NodeId receiver;
+    bool addressed;
+  };
+  /// Delivery of one frame to every node that latched it, in ascending
+  /// receiver id. Called once per frame with a non-empty list, which is
+  /// valid only during the call.
+  using DeliverHook = SmallFunction<void(const Packet&, std::span<const Reception>)>;
   /// Observer for frames abandoned by the MAC.
   using DropHook = SmallFunction<void(NodeId src, const Packet&, DropReason)>;
   /// Completion callback toward the sending node's app.
@@ -434,13 +448,19 @@ class ShardRadio {
   /// invisible, so same-instant acquisitions never depend on cross-shard
   /// message timing (see file comment).
   bool ChannelBusy(NodeId node) const;
-  /// One ring walk per evaluation collecting the window's overlapping
-  /// transmitters; Collided then checks a receiver against that (usually
-  /// empty) list. Pure predicate split -- verdicts match the per-receiver
-  /// ring scan exactly: a pure predicate, no RNG, at O(candidates) per
-  /// receiver instead of O(ring window).
+  /// One ring walk per evaluation, shared by every receiver, collects the
+  /// transmitters whose frames overlap the window and lie within
+  /// collision range of the sender. Collided then tests one receiver
+  /// against that (usually empty) list: O(candidates) per receiver instead
+  /// of O(ring window), with no RNG.
   void CollectInterferers(NodeId sender, SimTime start, SimTime end);
-  bool Collided(NodeId receiver, NodeId sender) const;
+  /// True iff an overlapping transmitter corrupts `receiver`'s copy of a
+  /// frame heard at link probability `signal`. An interferer counts iff
+  /// its own link to the receiver p satisfies p >= kInterferenceThreshold
+  /// (membership in the receiver's interferer set) and p >= capture_ratio
+  /// * signal (no capture): one delivery_prob load per candidate. The
+  /// receiver itself needs no skip, since delivery_prob(r, r) is 0.
+  bool Collided(NodeId receiver, double signal) const;
   bool WasTransmitting(NodeId node, SimTime start, SimTime end) const;
   void InsertRing(Transmission tx);
   void PruneRing();
@@ -473,6 +493,9 @@ class ShardRadio {
   SimTime max_airtime_ = 0;
   /// Scratch for CollectInterferers (reused across evaluations).
   std::vector<NodeId> collide_scratch_;
+  /// One frame's receptions, filled by EvalTx's verdict pass and handed to
+  /// the deliver hook; reserved to the largest audible out-degree.
+  std::vector<Reception> receptions_;
   /// Squared distance beyond which a transmitter cannot corrupt any
   /// reception of a sender's frame (twice the longest audible link).
   double collide_range2_ = 0;

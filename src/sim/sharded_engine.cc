@@ -1,6 +1,7 @@
 #include "sim/sharded_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <numeric>
@@ -38,6 +39,7 @@ class ShardedEngine::Host : public Context {
   EventId Schedule(SimTime delay, SmallCallback fn) override;
   void Cancel(EventId id) override;
   const RadioOptions& radio_options() const override { return engine_->options_.radio; }
+  void DeclareHotState(const void* first, const void* second) override;
 
   // --- Delivery path (called by the shard's radio hooks) ---
   void Deliver(const Packet& pkt, bool addressed) {
@@ -108,6 +110,10 @@ struct ShardedEngine::Shard {
   ShardQueue queue;
   std::unique_ptr<ShardRadio> radio;
   std::vector<std::unique_ptr<Host>> hosts;  ///< Indexed by node; null if not owned.
+  /// Per-node addresses the app declared hot (Context::DeclareHotState),
+  /// flat so that a frame's deliveries prefetch them without chasing the
+  /// host pointers first.
+  std::vector<std::array<const void*, 2>> hot;
   /// Sorted times of every pre-scheduled power-toggle this shard will
   /// execute; `alive_cursor` advances as they run. The next pending time
   /// is the AliveFloor: a power-down can emit an abort at its event time
@@ -126,7 +132,7 @@ struct ShardedEngine::Shard {
   uint64_t stall_us_total = 0;
   uint64_t stall_episodes = 0;
   ShardRadio::TransmitHook transmit_observer;
-  ShardRadio::DeliverHook deliver_observer;
+  DeliverObserver deliver_observer;
   ShardRadio::DropHook drop_observer;
 
   // --- Observability (null/0 = off; the queue and radio hold their own
@@ -169,6 +175,10 @@ EventId ShardedEngine::Host::Schedule(SimTime delay, SmallCallback fn) {
 }
 
 void ShardedEngine::Host::Cancel(EventId id) { shard_->queue.Cancel(id); }
+
+void ShardedEngine::Host::DeclareHotState(const void* first, const void* second) {
+  shard_->hot[id_] = {first, second};
+}
 
 ShardedEngine::ShardedEngine(Topology topology, ShardedEngineOptions options)
     : topology_(std::move(topology)), options_(options) {
@@ -225,15 +235,25 @@ ShardedEngine::ShardedEngine(Topology topology, ShardedEngineOptions options)
                                              options_.seed, &owner_, s);
     sh->radio->SetAnnounceTargets(&announce_mask_, num_shards_);
     sh->hosts.resize(static_cast<size_t>(n));
+    sh->hot.assign(static_cast<size_t>(n), {nullptr, nullptr});
     for (NodeId id = 0; id < n; ++id) {
       if (owner_[id] == s) {
         sh->hosts[id] = std::make_unique<Host>(this, sh, id, options_.seed);
       }
     }
-    sh->radio->set_deliver_hook([sh](NodeId receiver, const Packet& pkt, bool addressed) {
-      if (sh->deliver_observer) sh->deliver_observer(receiver, pkt, addressed);
-      sh->hosts[receiver]->Deliver(pkt, addressed);
-    });
+    sh->radio->set_deliver_hook(
+        [sh](const Packet& pkt, std::span<const ShardRadio::Reception> receptions) {
+          // Delivery is bound by cache misses on cold per-node state, so
+          // put every receiver's loads in flight before the first one is
+          // needed.
+          for (const ShardRadio::Reception& rx : receptions) {
+            for (const void* addr : sh->hot[rx.receiver]) __builtin_prefetch(addr);
+          }
+          for (const ShardRadio::Reception& rx : receptions) {
+            if (sh->deliver_observer) sh->deliver_observer(rx.receiver, pkt, rx.addressed);
+            sh->hosts[rx.receiver]->Deliver(pkt, rx.addressed);
+          }
+        });
     sh->radio->set_send_done_hook([sh](NodeId src, const Packet& pkt, bool success) {
       sh->hosts[src]->SendDone(pkt, success);
     });
@@ -374,7 +394,7 @@ void ShardedEngine::set_transmit_observer(int shard,
   shards_[shard]->transmit_observer = std::move(observer);
 }
 
-void ShardedEngine::set_deliver_observer(int shard, ShardRadio::DeliverHook observer) {
+void ShardedEngine::set_deliver_observer(int shard, DeliverObserver observer) {
   shards_[shard]->deliver_observer = std::move(observer);
 }
 

@@ -126,10 +126,15 @@ class ShardedEngine {
   /// repeatedly; K > 1 spawns (and joins) one thread per shard.
   void RunUntil(SimTime end);
 
+  /// Observer for one node latching a frame, called just before the
+  /// node's app sees it.
+  using DeliverObserver =
+      SmallFunction<void(NodeId receiver, const Packet&, bool addressed)>;
+
   /// Per-shard observers. A shard's hooks fire on that shard's thread, so
   /// each shard must get its own instrumentation sinks (merge afterwards).
   void set_transmit_observer(int shard, ShardRadio::TransmitHook observer);
-  void set_deliver_observer(int shard, ShardRadio::DeliverHook observer);
+  void set_deliver_observer(int shard, DeliverObserver observer);
   void set_drop_observer(int shard, ShardRadio::DropHook observer);
 
   /// Attaches observability sinks to one shard (any may be null). Like the

@@ -34,6 +34,20 @@ TEST(DescendantsTest, CapacityEvictsOldest) {
   EXPECT_TRUE(table.Contains(4));
 }
 
+TEST(DescendantsTest, EvictionTieGoesToTheLowestId) {
+  DescendantsOptions opts;
+  opts.capacity = 3;
+  DescendantsTable table(opts);
+  table.Learn(7, 1, Seconds(2));
+  table.Learn(4, 1, Seconds(1));
+  table.Learn(2, 1, Seconds(1));
+  table.Learn(9, 1, Seconds(3));  // 2 and 4 tie on age; the lower id goes.
+  EXPECT_FALSE(table.Contains(2));
+  EXPECT_TRUE(table.Contains(4));
+  EXPECT_TRUE(table.Contains(7));
+  EXPECT_TRUE(table.Contains(9));
+}
+
 TEST(DescendantsTest, RefreshProtectsFromEviction) {
   DescendantsOptions opts;
   opts.capacity = 2;

@@ -131,8 +131,10 @@ const std::map<std::string, std::string>& NonDefaultValues() {
       {"energy_rx_nj_per_bit", "325"},
       {"energy_flash_write_nj_per_bit", "30"},
       {"energy_battery_joules", "15000"},
-      {"obs.trace_out", "out/trace.json"},
-      {"obs.metrics_out", "out/metrics.jsonl"},
+      // Paths that only read back quoted: a comment-starting '#', a
+      // sweep-splitting ',' and "..", a quote and surrounding space.
+      {"obs.trace_out", "runs/a #1.json"},
+      {"obs.metrics_out", " ../m, \"2\".jsonl"},
       {"obs.metrics_interval_seconds", "2.5"},
       {"obs.profile", "on"},
   };
@@ -156,6 +158,9 @@ TEST(ScenarioParserTest, RoundTripEveryKey) {
   }
   original.sweeps.push_back(SweepAxis{"policy", {"scoop", "local"}});
   original.sweeps.push_back(SweepAxis{"seed", {"1", "2", "3"}});
+  const std::vector<std::string> paths = {"m #1.jsonl", "m2.jsonl", "a, b.jsonl",
+                                          "../up.jsonl", "tab\tand\nnewline\\"};
+  original.sweeps.push_back(SweepAxis{"obs.metrics_out", paths});
 
   std::string text = FormatScenario(original);
   Result<Scenario> reparsed = ParseScenario(text, "roundtrip.scn");
@@ -193,12 +198,38 @@ TEST(ScenarioParserTest, RoundTripEveryKey) {
   EXPECT_EQ(c.source_options.domain_lo, -5);
   EXPECT_DOUBLE_EQ(c.source_options.gaussian_mean_skew, 3.0);
   EXPECT_DOUBLE_EQ(c.energy.battery_joules, 15000.0);
-  EXPECT_EQ(c.trace_out, "out/trace.json");
-  EXPECT_EQ(c.metrics_out, "out/metrics.jsonl");
+  EXPECT_EQ(c.trace_out, "runs/a #1.json");
+  EXPECT_EQ(c.metrics_out, " ../m, \"2\".jsonl");
   EXPECT_EQ(c.metrics_interval, Seconds(2.5));
   EXPECT_TRUE(c.profile);
-  ASSERT_EQ(reparsed.value().sweeps.size(), 2u);
+  ASSERT_EQ(reparsed.value().sweeps.size(), 3u);
   EXPECT_EQ(reparsed.value().sweeps[1].values.size(), 3u);
+  EXPECT_EQ(reparsed.value().sweeps[2].values, paths);
+}
+
+TEST(ScenarioParserTest, QuotedValuesKeepCommentsCommasAndEscapes) {
+  Scenario s = MustParse(
+      "name = \"quoted # name\"  # a real comment\n"
+      "obs.trace_out = \"runs/a #1.json\"\n"
+      "obs.metrics_out = \"say \\\"hi\\\" \\\\ \\n\"\n"
+      "sweep.obs.trace_out = \"a, b\", c.json ,\"1..2\"\n");
+  EXPECT_EQ(s.name, "quoted # name");
+  EXPECT_EQ(s.base.trace_out, "runs/a #1.json");
+  EXPECT_EQ(s.base.metrics_out, "say \"hi\" \\ \n");
+  ASSERT_EQ(s.sweeps.size(), 1u);
+  EXPECT_EQ(s.sweeps[0].values, (std::vector<std::string>{"a, b", "c.json", "1..2"}));
+}
+
+TEST(ScenarioParserTest, MalformedQuotesAreRejected) {
+  EXPECT_NE(ErrorOf("name = t\nobs.trace_out = \"open\n").find("unterminated quote"),
+            std::string::npos);
+  EXPECT_NE(ErrorOf("name = t\nobs.trace_out = \"a\"b\n").find("after the closing quote"),
+            std::string::npos);
+  EXPECT_NE(ErrorOf("name = t\nobs.trace_out = a\"b\"\n").find("whole value"),
+            std::string::npos);
+  EXPECT_NE(ErrorOf("name = t\nsweep.obs.trace_out = a, b\"c\"\n").find("whole value"),
+            std::string::npos);
+  EXPECT_EQ(ErrorOf("name = t\nobs.trace_out = \"open\n").rfind("test.scn:2:17: ", 0), 0u);
 }
 
 // Applying one key's value to a default config must change exactly that
@@ -241,7 +272,7 @@ TEST(ScenarioParserTest, ParseSurvivesSeededMutations) {
   Rng rng(0x5C4, 0);
   auto below = [&rng](size_t n) { return static_cast<size_t>(rng.NextU64() % n); };
   // The characters the grammar gives meaning to, plus some that it does not.
-  const std::string alphabet = "=#;,.\n\t -_+e0123456789abcxyz";
+  const std::string alphabet = "=#;,.\n\t -_+e0123456789abcxyz\"\\";
   constexpr int kMutants = 100000;
   int accepted = 0;
   for (int i = 0; i < kMutants; ++i) {

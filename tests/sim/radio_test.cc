@@ -2,6 +2,7 @@
 // and snooping, link loss, unicast ACK + retransmission, duplicates,
 // collisions with capture, carrier sense, half duplex, the backoff window,
 // and the stale-completion hazard of a mid-air power cycle.
+#include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -248,6 +249,26 @@ TEST(RadioTest, CaptureLetsTheStrongerOfTwoOverlappingFramesSurvive) {
   };
   EXPECT_EQ(from_strong(0.3), 50);  // 0.3 < 0.5 * 1.0: captured, no loss.
   EXPECT_LT(from_strong(0.8), 20);  // 0.8 >= 0.5 * 1.0: collisions.
+}
+
+TEST(RadioTest, OnlyInterferersAtTheThresholdCanCorrupt) {
+  // Hidden terminals 0 and 2 both reach receiver 1; 0's link is perfect.
+  // A capture ratio of 0.01 puts capture_ratio * signal below the
+  // interference threshold, so capture alone would let any of 2's links
+  // corrupt. The threshold must still decide: a link just below it never
+  // corrupts, and a link exactly at it does.
+  auto from_strong = [](double interferer_link) {
+    std::vector<Point> pos = {{0, 0}, {10, 0}, {20, 0}};
+    std::vector<std::vector<double>> d = {
+        {0, 1.0, 0}, {1.0, 0, interferer_link}, {0, interferer_link, 0}};
+    ShardedEngineOptions opts = Options(21);
+    opts.radio.capture_ratio = 0.01;
+    Rounds r = BroadcastRounds(Topology::FromMatrix(pos, d), opts, {0, 2}, 1);
+    return r.receiver->ReceivedFrom(0);
+  };
+  const double threshold = Topology::kInterferenceThreshold;
+  EXPECT_EQ(from_strong(std::nextafter(threshold, 0.0)), 50);
+  EXPECT_LT(from_strong(threshold), 20);
 }
 
 TEST(RadioTest, HalfDuplexReceiverMissesFramesWhileTransmitting) {
