@@ -3,7 +3,9 @@
 // collision-heavy synchronized grid burst, each at N in {63, 121, 500,
 // 1000}. One shard owns every node, as in a single-shard trial, so the
 // numbers are the per-event cost of carrier sense, keyed loss/ACK draws,
-// collision and half-duplex checks, and the event queue under them.
+// collision and half-duplex checks, and the event queue under them. A
+// fourth case adds the receive layer: a grid storm whose every reception
+// is snooped into the receiver's NeighborTable by its in-link rank.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -13,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/neighbor_table.h"
 #include "net/wire.h"
 #include "sim/radio_options.h"
 #include "sim/shard.h"
@@ -44,6 +47,10 @@ class BenchRadio {
   void set_send_done_hook(sim::ShardRadio::SendDoneHook hook) {
     radio_.set_send_done_hook(std::move(hook));
   }
+  void set_deliver_hook(sim::ShardRadio::DeliverHook hook) {
+    radio_.set_deliver_hook(std::move(hook));
+  }
+  SimTime now() const { return queue_.now(); }
   void Send(NodeId src, Packet pkt) { radio_.Send(src, std::move(pkt)); }
   void ScheduleAt(SimTime at, sim::ShardQueue::Callback fn) {
     queue_.ScheduleRegular(at, driver_origin_, std::move(fn));
@@ -214,6 +221,41 @@ void BM_CollisionGridBurst(benchmark::State& state) {
   state.counters["tx"] = static_cast<double>(radio.transmissions());
 }
 BENCHMARK(BM_CollisionGridBurst)->Arg(63)->Arg(121)->Arg(500)->Arg(1000);
+
+// ---------------------------------------------------------------------------
+// Delivery path: a broadcast storm on the lattice (staggered boots, each
+// node re-broadcasting on completion) whose every reception updates the
+// receiver's link estimator, as an agent's snoop does: one
+// NeighborTable::OnPacketSeen keyed by the reception's in-link rank.
+void BM_SnoopGridStorm(benchmark::State& state) {
+  const Topology& topo = CachedGrid(static_cast<int>(state.range(0)));
+  int n = topo.num_nodes();
+  BenchRadio radio(&topo, /*seed=*/45);
+  std::vector<net::NeighborTable> tables(static_cast<size_t>(n));
+  uint64_t snoops = 0;
+  radio.set_deliver_hook([&](const Packet& pkt,
+                             std::span<const sim::ShardRadio::Reception> receptions) {
+    for (const sim::ShardRadio::Reception& rx : receptions) {
+      tables[rx.receiver].OnPacketSeen(pkt.hdr.link_src, pkt.hdr.seq, radio.now(),
+                                       topo.in_rank(rx.link));
+    }
+    snoops += receptions.size();
+  });
+  radio.set_send_done_hook(
+      [&radio](NodeId src, const Packet&, bool) { radio.Send(src, SmallBroadcast(src)); });
+  for (int i = 0; i < n; ++i) {
+    NodeId id = static_cast<NodeId>(i);
+    radio.ScheduleAt(Millis(i + 1), [&radio, id] { radio.Send(id, SmallBroadcast(id)); });
+  }
+  for (auto _ : state) {
+    radio.RunOne();
+  }
+  benchmark::DoNotOptimize(tables.data());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["tx"] = static_cast<double>(radio.transmissions());
+  state.counters["snoops"] = static_cast<double>(snoops);
+}
+BENCHMARK(BM_SnoopGridStorm)->Arg(121)->Arg(1024);
 
 }  // namespace
 }  // namespace scoop

@@ -23,8 +23,6 @@ AgentBase::~AgentBase() = default;
 
 void AgentBase::OnBoot(sim::Context& ctx) {
   ctx_ = &ctx;
-  // Every packet this node hears reads the agent and its neighbor slots.
-  ctx_->DeclareHotState(this, neighbors_.storage());
   if (MappingGossipEnabled()) {
     gossip_ = std::make_unique<trickle::TrickleDriver>(ctx_, cfg_.mapping_trickle,
                                                        [this] { ShareGossipChunk(); });
@@ -38,14 +36,14 @@ void AgentBase::OnBoot(sim::Context& ctx) {
 
 void AgentBase::OnReceive(sim::Context& ctx, const Packet& pkt, const sim::ReceiveInfo& info) {
   (void)ctx;
-  neighbors_.OnPacketSeen(pkt.hdr.link_src, pkt.hdr.seq, ctx_->now());
+  neighbors_.OnPacketSeen(pkt.hdr.link_src, pkt.hdr.seq, ctx_->now(), info.in_link);
   if (info.duplicate && pkt.hdr.type != PacketType::kBeacon) {
     return;  // Link-layer retransmission we already processed.
   }
   if (cfg_.is_base()) OnPacketAtBase(pkt);
   switch (pkt.hdr.type) {
     case PacketType::kBeacon:
-      HandleBeacon(pkt);
+      HandleBeacon(pkt, info.in_link);
       break;
     case PacketType::kSummary:
       MaybeLearnDescendant(pkt);
@@ -71,10 +69,10 @@ void AgentBase::OnReceive(sim::Context& ctx, const Packet& pkt, const sim::Recei
   }
 }
 
-void AgentBase::OnSnoop(sim::Context& ctx, const Packet& pkt) {
+void AgentBase::OnSnoop(sim::Context& ctx, const Packet& pkt, const sim::ReceiveInfo& info) {
   (void)ctx;
   // Promiscuous listening feeds the link estimator (§5.2).
-  neighbors_.OnPacketSeen(pkt.hdr.link_src, pkt.hdr.seq, ctx_->now());
+  neighbors_.OnPacketSeen(pkt.hdr.link_src, pkt.hdr.seq, ctx_->now(), info.in_link);
 }
 
 void AgentBase::OnSendDone(sim::Context& ctx, const Packet& pkt, bool success) {
@@ -155,6 +153,7 @@ void AgentBase::OnCrash(sim::Context& ctx) {
 }
 
 void AgentBase::OnReboot(sim::Context& ctx) {
+  (void)ctx;
   down_ = false;
   // Volatile state is gone: stored tuples, routing tree, link estimates,
   // descendant cache, and the orphan buffer (its readings stay counted as
@@ -163,7 +162,6 @@ void AgentBase::OnReboot(sim::Context& ctx) {
   // index until gossip catches it up (§5.3).
   flash_.Clear();
   neighbors_ = net::NeighborTable(cfg_.neighbor);
-  ctx.DeclareHotState(this, neighbors_.storage());  // Fresh slot storage.
   tree_ = net::RoutingTree(cfg_.self, cfg_.is_base(), cfg_.tree);
   descendants_ = net::DescendantsTable(cfg_.descendants);
   orphans_.clear();
@@ -234,18 +232,18 @@ void AgentBase::SampleTick() {
   ctx_->Schedule(cfg_.sample_interval, [this] { SampleTick(); });
 }
 
-void AgentBase::HandleBeacon(const Packet& pkt) {
+void AgentBase::HandleBeacon(const Packet& pkt, uint16_t in_link) {
   const BeaconPayload& beacon = pkt.As<BeaconPayload>();
   for (const NeighborEntry& entry : beacon.link_report) {
     if (entry.id == cfg_.self) {
       neighbors_.OnReverseReport(pkt.hdr.link_src,
-                                 static_cast<double>(entry.quality_x255) / 255.0);
+                                 static_cast<double>(entry.quality_x255) / 255.0, in_link);
     }
   }
   // Route cost uses the expected per-attempt success of unicasts *toward*
   // the candidate (outbound data + inbound ACK), not raw inbound quality.
-  tree_.OnBeacon(pkt.hdr.link_src, beacon, neighbors_.UnicastQuality(pkt.hdr.link_src),
-                 ctx_->now());
+  tree_.OnBeacon(pkt.hdr.link_src, beacon,
+                 neighbors_.UnicastQuality(pkt.hdr.link_src, in_link), ctx_->now());
 }
 
 void AgentBase::MaybeLearnDescendant(const Packet& pkt) {

@@ -35,7 +35,7 @@ class AgentBase : public sim::App {
   // --- sim::App (final; subclasses use the protected hooks) ---
   void OnBoot(sim::Context& ctx) final;
   void OnReceive(sim::Context& ctx, const Packet& pkt, const sim::ReceiveInfo& info) final;
-  void OnSnoop(sim::Context& ctx, const Packet& pkt) final;
+  void OnSnoop(sim::Context& ctx, const Packet& pkt, const sim::ReceiveInfo& info) final;
   void OnSendDone(sim::Context& ctx, const Packet& pkt, bool success) final;
   void OnCrash(sim::Context& ctx) final;
   void OnReboot(sim::Context& ctx) final;
@@ -162,7 +162,7 @@ class AgentBase : public sim::App {
   }
 
  private:
-  void HandleBeacon(const Packet& pkt);
+  void HandleBeacon(const Packet& pkt, uint16_t in_link);
   void HandleQueryPacket(const Packet& pkt);
   void HandleReplyPacket(const Packet& pkt);
   void HandleMappingPacket(const Packet& pkt);
@@ -196,13 +196,15 @@ class AgentBase : public sim::App {
   void ShareGossipChunk();
 
  protected:
+  // First, so it shares the object's first cache line with the vtable
+  // pointer: every packet heard reads both.
+  sim::Context* ctx_ = nullptr;
   AgentConfig cfg_;
   net::NeighborTable neighbors_;
   net::RoutingTree tree_;
   net::DescendantsTable descendants_;
   storage::FlashStore flash_;
   IndexStore index_store_;
-  sim::Context* ctx_ = nullptr;
   /// Crash-reboot fault state (see is_down()).
   bool down_ = false;
 

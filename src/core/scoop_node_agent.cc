@@ -1,6 +1,7 @@
 #include "core/scoop_node_agent.h"
 
 #include <map>
+#include <optional>
 
 #include "common/check.h"
 #include "storage/summary_builder.h"
@@ -73,8 +74,9 @@ NodeId ScoopNodeAgent::PickOwner(const StorageIndex& index, Value v) const {
   NodeId best_neighbor = kInvalidNodeId;
   for (NodeId c : candidates) {
     if (c == cfg_.self || c == kStoreLocalOwner) return c;
-    if (neighbors_.Contains(c) && neighbors_.Quality(c) > best_quality) {
-      best_quality = neighbors_.Quality(c);
+    std::optional<double> quality = neighbors_.TrackedQuality(c);
+    if (quality.has_value() && *quality > best_quality) {
+      best_quality = *quality;
       best_neighbor = c;
     }
   }

@@ -32,17 +32,16 @@ void MessageStats::OnTransmit(NodeId src, const Packet& packet, bool retransmiss
 
 void MessageStats::OnDeliver(NodeId dst, const Packet& packet, bool addressed) {
   size_t type = static_cast<size_t>(packet.hdr.type);
+  uint64_t bytes = static_cast<uint64_t>(packet.WireSize());
   if (addressed) {
     ++by_type_[type].delivered;
     ++per_node_recv_[dst];
     per_node_recv_by_type_[dst][type] += 1;
-    if (packet.hdr.type != PacketType::kBeacon) {
-      per_node_workload_bytes_[dst] += static_cast<uint64_t>(packet.WireSize());
-    }
+    if (packet.hdr.type != PacketType::kBeacon) per_node_workload_bytes_[dst] += bytes;
   } else {
     ++by_type_[type].snooped;
   }
-  per_node_bytes_recv_[dst] += static_cast<uint64_t>(packet.WireSize());
+  per_node_bytes_recv_[dst] += bytes;
 }
 
 void MessageStats::OnDrop(NodeId src, const Packet& packet) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/check.h"
 
@@ -10,46 +9,50 @@ namespace scoop::net {
 
 NeighborTable::NeighborTable(const NeighborTableOptions& options) : options_(options) {
   SCOOP_CHECK_GT(options_.capacity, 0);
+  SCOOP_CHECK_LE(options_.capacity, kMaxCapacity);
   SCOOP_CHECK_GT(options_.estimation_window, 0);
   // Bounded table: one up-front allocation covers its whole lifetime.
   entries_.reserve(static_cast<size_t>(options_.capacity));
 }
 
-std::vector<NeighborTable::Slot>::iterator NeighborTable::Find(NodeId id) {
-  auto it = std::lower_bound(entries_.begin(), entries_.end(), id,
-                             [](const Slot& slot, NodeId key) { return slot.id < key; });
-  if (it != entries_.end() && it->id == id) return it;
-  return entries_.end();
+std::vector<NeighborTable::Slot>::const_iterator NeighborTable::LowerBound(NodeId id) const {
+  return std::lower_bound(entries_.begin(), entries_.end(), id,
+                          [](const Slot& slot, NodeId key) { return slot.id < key; });
 }
 
-std::vector<NeighborTable::Slot>::const_iterator NeighborTable::Find(NodeId id) const {
-  auto it = std::lower_bound(entries_.begin(), entries_.end(), id,
-                             [](const Slot& slot, NodeId key) { return slot.id < key; });
-  if (it != entries_.end() && it->id == id) return it;
-  return entries_.end();
+size_t NeighborTable::Locate(NodeId id, uint16_t in_link) const {
+  size_t hinted = hint_[in_link % hint_.size()];
+  if (hinted < entries_.size() && entries_[hinted].id == id) return hinted;
+  auto it = LowerBound(id);
+  return it != entries_.end() && it->id == id ? static_cast<size_t>(it - entries_.begin())
+                                              : entries_.size();
 }
 
-void NeighborTable::OnPacketSeen(NodeId src, uint16_t seq, SimTime now) {
-  auto it = std::lower_bound(entries_.begin(), entries_.end(), src,
-                             [](const Slot& slot, NodeId key) { return slot.id < key; });
-  if (it == entries_.end() || it->id != src) {
-    if (static_cast<int>(entries_.size()) >= options_.capacity) {
-      EvictWorst();
-      // Eviction shifted slots; recompute the insertion point.
-      it = std::lower_bound(entries_.begin(), entries_.end(), src,
-                            [](const Slot& slot, NodeId key) { return slot.id < key; });
+void NeighborTable::OnPacketSeen(NodeId src, uint16_t seq, SimTime now, uint16_t in_link) {
+  uint8_t& hint = HintFor(in_link);
+  size_t pos = hint;
+  if (pos >= entries_.size() || entries_[pos].id != src) {
+    auto it = LowerBound(src);
+    if (it == entries_.end() || it->id != src) {
+      if (static_cast<int>(entries_.size()) >= options_.capacity) {
+        EvictWorst();
+        it = LowerBound(src);  // Eviction shifted slots.
+      }
+      Entry entry;
+      entry.last_seq = seq;
+      entry.window_received = 1;
+      entry.quality = options_.initial_quality;
+      entry.has_estimate = false;
+      entry.last_heard = now;
+      it = entries_.insert(it, Slot{src, entry});
+      hint = static_cast<uint8_t>(it - entries_.begin());
+      return;
     }
-    Entry entry;
-    entry.last_seq = seq;
-    entry.window_received = 1;
-    entry.quality = options_.initial_quality;
-    entry.has_estimate = false;
-    entry.last_heard = now;
-    entries_.insert(it, Slot{src, entry});
-    return;
+    pos = static_cast<size_t>(it - entries_.begin());
+    hint = static_cast<uint8_t>(pos);
   }
 
-  Entry& entry = it->entry;
+  Entry& entry = entries_[pos].entry;
   entry.last_heard = now;
   uint16_t gap = static_cast<uint16_t>(seq - entry.last_seq);
   if (gap == 0) return;  // Link-layer retransmission; not a new packet.
@@ -75,10 +78,11 @@ void NeighborTable::OnPacketSeen(NodeId src, uint16_t seq, SimTime now) {
   }
 }
 
-void NeighborTable::OnReverseReport(NodeId neighbor, double quality_they_hear_us) {
-  auto it = Find(neighbor);
-  if (it == entries_.end()) return;  // Only track reports from known neighbors.
-  Entry& entry = it->entry;
+void NeighborTable::OnReverseReport(NodeId neighbor, double quality_they_hear_us,
+                                    uint16_t in_link) {
+  size_t pos = Locate(neighbor, in_link);
+  if (pos == entries_.size()) return;  // Only track reports from known neighbors.
+  Entry& entry = entries_[pos].entry;
   if (entry.has_reverse) {
     entry.reverse_quality = options_.ewma_alpha * quality_they_hear_us +
                             (1 - options_.ewma_alpha) * entry.reverse_quality;
@@ -88,21 +92,23 @@ void NeighborTable::OnReverseReport(NodeId neighbor, double quality_they_hear_us
   }
 }
 
-double NeighborTable::Quality(NodeId src) const {
-  auto it = Find(src);
-  return it == entries_.end() ? 0.0 : it->entry.quality;
+std::optional<double> NeighborTable::TrackedQuality(NodeId src) const {
+  size_t pos = Locate(src, kNoInLink);
+  if (pos == entries_.size()) return std::nullopt;
+  return entries_[pos].entry.quality;
 }
 
 double NeighborTable::OutboundQuality(NodeId dst) const {
-  auto it = Find(dst);
-  if (it == entries_.end()) return 0.0;
-  return it->entry.has_reverse ? it->entry.reverse_quality : it->entry.quality;
+  size_t pos = Locate(dst, kNoInLink);
+  if (pos == entries_.size()) return 0.0;
+  const Entry& e = entries_[pos].entry;
+  return e.has_reverse ? e.reverse_quality : e.quality;
 }
 
-double NeighborTable::UnicastQuality(NodeId dst) const {
-  auto it = Find(dst);
-  if (it == entries_.end()) return 0.0;
-  const Entry& e = it->entry;
+double NeighborTable::UnicastQuality(NodeId dst, uint16_t in_link) const {
+  size_t pos = Locate(dst, in_link);
+  if (pos == entries_.size()) return 0.0;
+  const Entry& e = entries_[pos].entry;
   double out = e.has_reverse ? e.reverse_quality : e.quality;
   // The ACK returns on the inbound link; ACK frames are short, so their
   // loss is sub-linear in the link's packet loss.
@@ -110,24 +116,28 @@ double NeighborTable::UnicastQuality(NodeId dst) const {
 }
 
 std::vector<NeighborEntry> NeighborTable::BestNeighbors(int k) const {
-  std::vector<std::pair<double, NodeId>> ranked;
-  ranked.reserve(entries_.size());
-  for (const Slot& slot : entries_) {
-    ranked.emplace_back(slot.entry.quality, slot.id);
+  // Rank compact (quality, position) pairs on the stack: quality
+  // descending, ties broken by ascending id, which for id-sorted slots is
+  // ascending position.
+  struct Ranked {
+    double quality;
+    uint8_t pos;
+  };
+  std::array<Ranked, kMaxCapacity> ranked;
+  size_t n = entries_.size();
+  for (size_t i = 0; i < n; ++i) {
+    ranked[i] = Ranked{entries_[i].entry.quality, static_cast<uint8_t>(i)};
   }
-  // Sort by quality descending; break ties by id for determinism.
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  });
-  if (static_cast<int>(ranked.size()) > k) ranked.resize(static_cast<size_t>(k));
-  std::vector<NeighborEntry> out;
-  out.reserve(ranked.size());
-  for (const auto& [quality, id] : ranked) {
-    NeighborEntry e;
-    e.id = id;
-    e.quality_x255 = static_cast<uint8_t>(std::lround(std::clamp(quality, 0.0, 1.0) * 255));
-    out.push_back(e);
+  size_t top = std::min(n, static_cast<size_t>(std::max(k, 0)));
+  std::partial_sort(ranked.begin(), ranked.begin() + top, ranked.begin() + n,
+                    [](const Ranked& a, const Ranked& b) {
+                      return a.quality != b.quality ? a.quality > b.quality : a.pos < b.pos;
+                    });
+  std::vector<NeighborEntry> out(top);
+  for (size_t i = 0; i < top; ++i) {
+    out[i].id = entries_[ranked[i].pos].id;
+    out[i].quality_x255 =
+        static_cast<uint8_t>(std::lround(std::clamp(ranked[i].quality, 0.0, 1.0) * 255));
   }
   return out;
 }

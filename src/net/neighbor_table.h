@@ -5,9 +5,20 @@
 // missed from each neighbor (gaps in the sequence) and derives an inbound
 // delivery-probability estimate. The table is bounded (32 entries in the
 // paper) and evicts nodes it has not heard from in a long time.
+//
+// Per-packet lookups also take the sender's in-link rank
+// (sim::ReceiveInfo::in_link: a dense index of the senders this node can
+// hear). A small direct-mapped hint array caches each rank's slot
+// position, so a snoop finds its slot with one load and one id compare; a
+// miss falls back to the binary search and refreshes the hint. The hint
+// is only a cache: any value, right, wrong or stale, gives the same
+// results.
 #ifndef SCOOP_NET_NEIGHBOR_TABLE_H_
 #define SCOOP_NET_NEIGHBOR_TABLE_H_
 
+#include <array>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -18,7 +29,8 @@ namespace scoop::net {
 
 /// Tunables for NeighborTable.
 struct NeighborTableOptions {
-  /// Maximum tracked neighbors (paper: 32).
+  /// Maximum tracked neighbors (paper: 32; at most
+  /// NeighborTable::kMaxCapacity).
   int capacity = 32;
   /// Entries not heard for this long are evicted.
   SimTime eviction_timeout = Seconds(240);
@@ -33,20 +45,32 @@ struct NeighborTableOptions {
 /// Bounded table of radio neighbors with passive inbound link estimates.
 class NeighborTable {
  public:
+  /// Slot positions are cached in bytes.
+  static constexpr int kMaxCapacity = 256;
+  /// The in-link argument for callers that have none. Any value gives the
+  /// same results; this one only names the case.
+  static constexpr uint16_t kNoInLink = 0xFFFF;
+
   explicit NeighborTable(const NeighborTableOptions& options = {});
 
   /// Records that a packet from `src` with sequence number `seq` was heard
-  /// at time `now` (receive or snoop). Retransmissions reuse the sequence
-  /// number and are ignored for loss accounting.
-  void OnPacketSeen(NodeId src, uint16_t seq, SimTime now);
+  /// at time `now` (receive or snoop); `in_link` is src's in-link rank
+  /// here. Retransmissions reuse the sequence number and are ignored for
+  /// loss accounting.
+  void OnPacketSeen(NodeId src, uint16_t seq, SimTime now, uint16_t in_link);
 
-  /// Records that `neighbor` reported hearing us with probability
-  /// `quality_they_hear_us` (from its beacon link report): the quality of
-  /// the *outbound* link self→neighbor.
-  void OnReverseReport(NodeId neighbor, double quality_they_hear_us);
+  /// Records that `neighbor` (in-link rank `in_link`) reported hearing us
+  /// with probability `quality_they_hear_us` (from its beacon link
+  /// report): the quality of the *outbound* link self→neighbor.
+  void OnReverseReport(NodeId neighbor, double quality_they_hear_us, uint16_t in_link);
+
+  /// Estimated delivery probability of the link src→self if `src` is
+  /// tracked: one lookup for callers that must tell an unknown neighbor
+  /// from a zero estimate.
+  std::optional<double> TrackedQuality(NodeId src) const;
 
   /// Estimated delivery probability of the link src→self; 0 if unknown.
-  double Quality(NodeId src) const;
+  double Quality(NodeId src) const { return TrackedQuality(src).value_or(0.0); }
 
   /// Estimated delivery probability of the link self→dst: the neighbor's
   /// reverse report when available, else the inbound estimate as a proxy.
@@ -54,10 +78,10 @@ class NeighborTable {
 
   /// Expected per-attempt success of a unicast self→dst including the link
   /// ACK returning on dst→self (what routing costs should be based on).
-  double UnicastQuality(NodeId dst) const;
+  double UnicastQuality(NodeId dst, uint16_t in_link = kNoInLink) const;
 
   /// True iff `src` is currently tracked.
-  bool Contains(NodeId src) const { return Find(src) != entries_.end(); }
+  bool Contains(NodeId src) const { return Locate(src, kNoInLink) != entries_.size(); }
 
   /// The `k` best neighbors by quality, as summary-ready entries (§5.2).
   std::vector<NeighborEntry> BestNeighbors(int k) const;
@@ -70,10 +94,6 @@ class NeighborTable {
 
   /// Number of tracked neighbors.
   size_t size() const { return entries_.size(); }
-
-  /// Start of the slot storage OnPacketSeen searches. Reserved at
-  /// construction, so it stays put for the table's lifetime.
-  const void* storage() const { return entries_.data(); }
 
  private:
   struct Entry {
@@ -93,21 +113,32 @@ class NeighborTable {
     Entry entry;
   };
 
-  /// Iterator to the slot for `id`, or end() if absent.
-  std::vector<Slot>::iterator Find(NodeId id);
-  std::vector<Slot>::const_iterator Find(NodeId id) const;
+  /// Position of `id`'s slot, or size() if absent: the hint for
+  /// `in_link` when it names `id`, else a binary search.
+  size_t Locate(NodeId id, uint16_t in_link) const;
+
+  /// First slot whose id is not below `id` (the binary search).
+  std::vector<Slot>::const_iterator LowerBound(NodeId id) const;
+
+  uint8_t& HintFor(uint16_t in_link) { return hint_[in_link % hint_.size()]; }
 
   /// Evicts the worst entry to make room, preferring stale + low quality.
   void EvictWorst();
 
-  NeighborTableOptions options_;
-  // The table is bounded at `capacity` (32 in the paper) and looked up on
-  // every packet a node hears, so a flat vector sorted by id beats a hash
-  // map: the find is a binary search over one or two cache lines, inserts
-  // never allocate past the reserved capacity, and iteration is a
-  // canonical ascending-id order, which makes eviction tie-breaks and
-  // Ids() deterministic by construction rather than by bucket layout.
+  // Direct-mapped slot-position cache, indexed by in-link rank mod 32.
+  // Lattices hear at most 26 senders, the 63-node random and testbed
+  // presets at most 32, so no two of their neighbors share an entry; in
+  // denser networks (100-node testbed: up to 49) ranks r and r + 32 do,
+  // and a collision costs the binary search.
+  std::array<uint8_t, 32> hint_{};
+  // The table is bounded at `capacity` (32 in the paper), so a flat vector
+  // sorted by id beats a hash map: inserts never allocate past the
+  // reserved capacity, the binary search behind a hint miss covers a few
+  // cache lines, and iteration is a canonical ascending-id order, which
+  // makes eviction tie-breaks and Ids() deterministic by construction
+  // rather than by bucket layout.
   std::vector<Slot> entries_;
+  NeighborTableOptions options_;
 };
 
 }  // namespace scoop::net

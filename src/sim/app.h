@@ -23,15 +23,19 @@ using EventId = uint64_t;
 /// Sentinel for "no event". Sequence numbers start at 1, so no id is 0.
 inline constexpr EventId kInvalidEventId = 0;
 
-/// Metadata accompanying a received packet.
+/// Metadata accompanying a received or overheard packet.
 struct ReceiveInfo {
-  /// True if the packet was unicast to this node or broadcast; false never
-  /// reaches OnReceive (overheard unicasts go to OnSnoop).
+  /// True if the packet was unicast to this node or broadcast (OnReceive);
+  /// false for an overheard unicast (OnSnoop).
   bool addressed_to_me = true;
   /// True if this (link_src, seq) was already delivered -- a link-layer
   /// retransmission whose ACK was lost. Data paths should ignore duplicates;
-  /// link estimators may still count them.
+  /// link estimators may still count them. Always false in OnSnoop.
   bool duplicate = false;
+  /// Host-only, never on the wire: the rank of link_src among the senders
+  /// this node can hear (Topology::in_rank), a dense small integer per
+  /// neighbor that per-neighbor tables can index instead of searching.
+  uint16_t in_link = 0;
 };
 
 /// Services a node's protocol code can use. Implemented by the simulator;
@@ -65,15 +69,6 @@ class Context {
 
   /// Radio configuration (MTU, bitrate) -- needed for chunk sizing.
   virtual const RadioOptions& radio_options() const = 0;
-
-  /// Names two addresses the app reads for every packet it hears (say,
-  /// itself and a per-packet lookup table), so the simulator can prefetch
-  /// them for all receivers of a frame before delivering it. A hint only:
-  /// it never changes results, and a later call replaces the earlier one.
-  virtual void DeclareHotState(const void* first, const void* second) {
-    (void)first;
-    (void)second;
-  }
 };
 
 /// A protocol stack running on one node.
@@ -89,9 +84,10 @@ class App {
 
   /// Called for overheard unicasts addressed to someone else (promiscuous
   /// listening; used for link estimation, §5.2).
-  virtual void OnSnoop(Context& ctx, const Packet& pkt) {
+  virtual void OnSnoop(Context& ctx, const Packet& pkt, const ReceiveInfo& info) {
     (void)ctx;
     (void)pkt;
+    (void)info;
   }
 
   /// Called when a queued packet leaves the MAC: `success` is true for

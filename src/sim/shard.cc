@@ -563,7 +563,10 @@ void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
     // start a transmission inline, and liveness changes only in fault
     // events.
     receptions_.clear();
-    for (const Topology::Link& link : topology_->audible_from(src)) {
+    const uint32_t link_base = topology_->link_base(src);
+    std::span<const Topology::Link> links = topology_->audible_from(src);
+    for (uint32_t k = 0; k < links.size(); ++k) {
+      const Topology::Link& link = links[k];
       NodeId r = link.to;
       if (!Owned(r)) continue;
       if (!alive_[r]) continue;                                // Dead radios hear nothing.
@@ -581,7 +584,7 @@ void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
                         static_cast<uint64_t>(src), "type",
                         static_cast<uint64_t>(pkt.hdr.type));
       }
-      receptions_.push_back(Reception{r, addressed});
+      receptions_.push_back(Reception{r, addressed, link_base + k});
     }
     if (!receptions_.empty() && deliver_hook_) deliver_hook_(pkt, receptions_);
     // The destination's shard resolves the ACK verdict (it alone knows the

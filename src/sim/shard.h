@@ -49,9 +49,13 @@
 // front. A frame is evaluated in two passes. The first is pure: it walks
 // the receivers, tests each against the frame's few overlapping
 // transmitters with one delivery-probability load apiece, and fills a
-// pre-allocated reception list. The second hands that whole list to the
-// deliver hook in one call. One broadcast is O(degree + overlapping
-// transmissions) and allocates nothing.
+// pre-allocated reception list. Each reception carries its CSR link
+// index (Topology::link_base + walk position), so receive-side per-link
+// state -- the engine's duplicate filter, the receiver's in-link rank and
+// through it the neighbor-table slot -- is found by index, never by
+// search. The second pass hands that whole list to the deliver hook in
+// one call. One broadcast is O(degree + overlapping transmissions) and
+// allocates nothing.
 #ifndef SCOOP_SIM_SHARD_H_
 #define SCOOP_SIM_SHARD_H_
 
@@ -255,10 +259,13 @@ class ShardRadio {
   /// Observer invoked at each transmission start (the paper's cost unit).
   using TransmitHook = SmallFunction<void(NodeId src, const Packet&, bool retransmission)>;
   /// One node that latched a frame: `addressed` is true for broadcasts
-  /// and for unicasts to it, false for an overheard unicast.
+  /// and for unicasts to it, false for an overheard unicast. `link` is
+  /// the CSR index of the sender->receiver link (Topology::link_base), so
+  /// per-link receive state is one direct load away.
   struct Reception {
     NodeId receiver;
     bool addressed;
+    uint32_t link;
   };
   /// Delivery of one frame to every node that latched it, in ascending
   /// receiver id. Called once per frame with a non-empty list, which is

@@ -1,31 +1,24 @@
 #include "sim/sharded_engine.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <chrono>
 #include <numeric>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
 
 namespace scoop::sim {
 
-/// Per-node container on its owner shard: implements Context for the
-/// hosted app (wired to the owner shard's queue and radio) and performs
-/// (link_src, seq) duplicate detection on delivery: a link-layer
-/// retransmission whose ACK was lost arrives flagged as a duplicate.
+/// Per-node container on its owner shard: owns the hosted app and
+/// implements Context for it, wired to the owner shard's queue and radio.
+/// Frame delivery bypasses it: the shard's deliver hook calls the app
+/// directly and hands it this object only as its Context.
 class ShardedEngine::Host : public Context {
  public:
   Host(ShardedEngine* engine, Shard* shard, NodeId id, uint64_t seed)
-      : engine_(engine), shard_(shard), id_(id), rng_(MixSeed(seed, id), /*stream=*/id) {
-    int n = engine->topology_.num_nodes();
-    if (n <= kFlatSeqMaxNodes) {
-      last_seq_flat_.assign(static_cast<size_t>(n), -1);
-    }
-  }
+      : engine_(engine), shard_(shard), id_(id), rng_(MixSeed(seed, id), /*stream=*/id) {}
 
   void set_app(std::unique_ptr<App> app) { app_ = std::move(app); }
   App* app() { return app_.get(); }
@@ -39,20 +32,6 @@ class ShardedEngine::Host : public Context {
   EventId Schedule(SimTime delay, SmallCallback fn) override;
   void Cancel(EventId id) override;
   const RadioOptions& radio_options() const override { return engine_->options_.radio; }
-  void DeclareHotState(const void* first, const void* second) override;
-
-  // --- Delivery path (called by the shard's radio hooks) ---
-  void Deliver(const Packet& pkt, bool addressed) {
-    if (app_ == nullptr) return;
-    if (addressed) {
-      ReceiveInfo info;
-      info.addressed_to_me = true;
-      info.duplicate = IsDuplicate(pkt);
-      app_->OnReceive(*this, pkt, info);
-    } else {
-      app_->OnSnoop(*this, pkt);
-    }
-  }
 
   void SendDone(const Packet& pkt, bool success) {
     if (app_ != nullptr) app_->OnSendDone(*this, pkt, success);
@@ -75,29 +54,11 @@ class ShardedEngine::Host : public Context {
   }
 
  private:
-  static constexpr int kFlatSeqMaxNodes = 4096;
-
-  bool IsDuplicate(const Packet& pkt) {
-    if (!last_seq_flat_.empty()) {
-      int32_t& slot = last_seq_flat_[pkt.hdr.link_src];
-      bool dup = (slot == pkt.hdr.seq);
-      slot = pkt.hdr.seq;
-      return dup;
-    }
-    auto [it, inserted] = last_seq_map_.try_emplace(pkt.hdr.link_src, pkt.hdr.seq);
-    if (inserted) return false;
-    bool dup = (it->second == pkt.hdr.seq);
-    it->second = pkt.hdr.seq;
-    return dup;
-  }
-
   ShardedEngine* engine_;
   Shard* shard_;
   NodeId id_;
   Rng rng_;
   std::unique_ptr<App> app_;
-  std::vector<int32_t> last_seq_flat_;
-  std::unordered_map<NodeId, uint16_t> last_seq_map_;
 };
 
 /// One shard: a deterministic queue, the radio for its nodes, and the
@@ -110,10 +71,15 @@ struct ShardedEngine::Shard {
   ShardQueue queue;
   std::unique_ptr<ShardRadio> radio;
   std::vector<std::unique_ptr<Host>> hosts;  ///< Indexed by node; null if not owned.
-  /// Per-node addresses the app declared hot (Context::DeclareHotState),
-  /// flat so that a frame's deliveries prefetch them without chasing the
-  /// host pointers first.
-  std::vector<std::array<const void*, 2>> hot;
+  /// Each host's app (null if none), flat, so delivery reaches the app
+  /// without loading the Host.
+  std::vector<App*> apps;
+  /// Link-layer duplicate filter: the last seq delivered addressed over
+  /// each CSR link (-1 = none yet). Only audible senders can deliver, so
+  /// one slot per link is one slot per (sender, receiver) pair, and one
+  /// frame's slots are contiguous in the sender's row. Only the receiver's
+  /// owner shard writes a slot.
+  std::vector<int32_t> last_seq;
   /// Sorted times of every pre-scheduled power-toggle this shard will
   /// execute; `alive_cursor` advances as they run. The next pending time
   /// is the AliveFloor: a power-down can emit an abort at its event time
@@ -176,10 +142,6 @@ EventId ShardedEngine::Host::Schedule(SimTime delay, SmallCallback fn) {
 
 void ShardedEngine::Host::Cancel(EventId id) { shard_->queue.Cancel(id); }
 
-void ShardedEngine::Host::DeclareHotState(const void* first, const void* second) {
-  shard_->hot[id_] = {first, second};
-}
-
 ShardedEngine::ShardedEngine(Topology topology, ShardedEngineOptions options)
     : topology_(std::move(topology)), options_(options) {
   SCOOP_CHECK_GE(options_.shards, 1);
@@ -235,23 +197,34 @@ ShardedEngine::ShardedEngine(Topology topology, ShardedEngineOptions options)
                                              options_.seed, &owner_, s);
     sh->radio->SetAnnounceTargets(&announce_mask_, num_shards_);
     sh->hosts.resize(static_cast<size_t>(n));
-    sh->hot.assign(static_cast<size_t>(n), {nullptr, nullptr});
+    sh->apps.assign(static_cast<size_t>(n), nullptr);
+    sh->last_seq.assign(topology_.num_links(), -1);
     for (NodeId id = 0; id < n; ++id) {
       if (owner_[id] == s) {
         sh->hosts[id] = std::make_unique<Host>(this, sh, id, options_.seed);
       }
     }
     sh->radio->set_deliver_hook(
-        [sh](const Packet& pkt, std::span<const ShardRadio::Reception> receptions) {
-          // Delivery is bound by cache misses on cold per-node state, so
-          // put every receiver's loads in flight before the first one is
-          // needed.
-          for (const ShardRadio::Reception& rx : receptions) {
-            for (const void* addr : sh->hot[rx.receiver]) __builtin_prefetch(addr);
-          }
+        [this, sh](const Packet& pkt, std::span<const ShardRadio::Reception> receptions) {
+          // Every per-receiver lookup is a direct index: the app table by
+          // receiver, the duplicate filter and the in-link rank by link.
           for (const ShardRadio::Reception& rx : receptions) {
             if (sh->deliver_observer) sh->deliver_observer(rx.receiver, pkt, rx.addressed);
-            sh->hosts[rx.receiver]->Deliver(pkt, rx.addressed);
+            App* app = sh->apps[rx.receiver];
+            if (app == nullptr) continue;
+            // The Host is the app's Context; passing it loads nothing.
+            Context& ctx = *sh->hosts[rx.receiver];
+            ReceiveInfo info;
+            info.addressed_to_me = rx.addressed;
+            info.in_link = topology_.in_rank(rx.link);
+            if (rx.addressed) {
+              int32_t& last = sh->last_seq[rx.link];
+              info.duplicate = last == pkt.hdr.seq;
+              last = pkt.hdr.seq;
+              app->OnReceive(ctx, pkt, info);
+            } else {
+              app->OnSnoop(ctx, pkt, info);
+            }
           }
         });
     sh->radio->set_send_done_hook([sh](NodeId src, const Packet& pkt, bool success) {
@@ -309,7 +282,9 @@ ShardedEngine::~ShardedEngine() = default;
 void ShardedEngine::SetApp(NodeId id, std::unique_ptr<App> app) {
   SCOOP_CHECK(!started_);
   SCOOP_CHECK_LT(static_cast<size_t>(id), owner_.size());
-  shards_[owner_[id]]->hosts[id]->set_app(std::move(app));
+  Shard* sh = shards_[owner_[id]].get();
+  sh->apps[id] = app.get();
+  sh->hosts[id]->set_app(std::move(app));
 }
 
 App* ShardedEngine::app(NodeId id) {

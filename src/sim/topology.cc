@@ -193,6 +193,16 @@ Topology::Topology(std::vector<Point> positions, SparseLinks links)
   }
   out_offsets_[n] = static_cast<uint32_t>(out_links_.size());
 
+  // Senders walk in ascending id, so counting each receiver's in-links as
+  // they appear ranks them in ascending sender order.
+  std::vector<uint32_t> in_degree(n, 0);
+  in_ranks_.reserve(out_links_.size());
+  for (const Link& link : out_links_) {
+    uint32_t rank = in_degree[link.to]++;
+    SCOOP_CHECK_LE(rank, std::numeric_limits<uint16_t>::max());
+    in_ranks_.push_back(static_cast<uint16_t>(rank));
+  }
+
   // Dense matrix for O(1) lookups, scattered from the CSR -- but only up
   // to the cap: at 10k nodes the 800 MB zero-fill alone would eat the
   // whole generation budget.

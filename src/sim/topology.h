@@ -20,7 +20,9 @@
 // above it). A flat row-major delivery matrix backs O(1) delivery_prob()
 // lookups up to kDenseDeliveryMaxNodes; past that (10k-node benchmarks)
 // the matrix would dominate wall time and memory, so lookups fall back to
-// a binary search of the sender's CSR row.
+// a binary search of the sender's CSR row. Every link also carries its
+// rank among the receiver's in-links, so receive-side per-link state is
+// found by index rather than by searching for the sender.
 #ifndef SCOOP_SIM_TOPOLOGY_H_
 #define SCOOP_SIM_TOPOLOGY_H_
 
@@ -178,6 +180,19 @@ class Topology {
             out_links_.data() + out_offsets_[static_cast<size_t>(from) + 1]};
   }
 
+  /// Global CSR index of `from`'s first out-link: the link at position k
+  /// of audible_from(from) is link number link_base(from) + k. Link
+  /// numbers index per-link state (the engine's duplicate filter).
+  uint32_t link_base(NodeId from) const { return out_offsets_[from]; }
+
+  /// Total number of audible directed links (the CSR length).
+  size_t num_links() const { return out_links_.size(); }
+
+  /// Rank of link `link`'s sender among its receiver's audible in-links,
+  /// in ascending sender order: 0 for the lowest-id sender the receiver
+  /// can hear. A dense per-receiver index of who can be heard.
+  uint16_t in_rank(uint32_t link) const { return in_ranks_[link]; }
+
   /// Senders whose delivery probability to `to` clears
   /// kInterferenceThreshold: the only nodes whose transmissions `to` can
   /// carrier-sense or be corrupted by. Sparse-list form below the audible
@@ -229,6 +244,9 @@ class Topology {
   /// out_links_[out_offsets_[i] .. out_offsets_[i+1]).
   std::vector<uint32_t> out_offsets_;
   std::vector<Link> out_links_;
+  /// Parallel to out_links_: each link's in_rank(). Kept out of Link so
+  /// the walk's 16-byte {to, prob} stride stays as it is.
+  std::vector<uint16_t> in_ranks_;
   /// Per-receiver interferer sets at kInterferenceThreshold.
   std::vector<InterfererSet> interferers_;
 };

@@ -3,6 +3,7 @@
 // collisions with capture, carrier sense, half duplex, the backoff window,
 // and the stale-completion hazard of a mid-air power cycle.
 #include <cmath>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -22,11 +23,21 @@ class RecorderApp : public App {
   void OnReceive(Context& ctx, const Packet& pkt, const ReceiveInfo& info) override {
     (void)ctx;
     received.push_back(pkt);
+    CheckInLink(ctx, pkt, info);
     if (info.duplicate) ++duplicates;
+    // The link-layer filter flags a frame iff it repeats the seq last
+    // delivered addressed from the same sender.
+    auto last = last_seq.find(pkt.hdr.link_src);
+    bool repeat = last != last_seq.end() && last->second == pkt.hdr.seq;
+    if (info.duplicate != repeat) ++duplicate_mismatches;
+    for (const auto& [src, seq] : last_seq) {
+      if (src != pkt.hdr.link_src && seq == pkt.hdr.seq) ++same_seq_as_other_sender;
+    }
+    last_seq[pkt.hdr.link_src] = pkt.hdr.seq;
   }
-  void OnSnoop(Context& ctx, const Packet& pkt) override {
-    (void)ctx;
+  void OnSnoop(Context& ctx, const Packet& pkt, const ReceiveInfo& info) override {
     snooped.push_back(pkt);
+    CheckInLink(ctx, pkt, info);
   }
   void OnSendDone(Context& ctx, const Packet& pkt, bool success) override {
     (void)ctx;
@@ -44,9 +55,26 @@ class RecorderApp : public App {
     return n;
   }
 
+  /// With `topology` set, counts receptions whose in-link rank differs
+  /// from the sender's position among this node's audible senders, found
+  /// by scanning the delivery matrix.
+  void CheckInLink(const Context& ctx, const Packet& pkt, const ReceiveInfo& info) {
+    if (topology == nullptr) return;
+    int rank = 0;
+    for (NodeId s = 0; s < pkt.hdr.link_src; ++s) {
+      if (topology->delivery_prob(s, ctx.self()) > 0.0) ++rank;
+    }
+    if (info.in_link != rank) ++in_link_mismatches;
+  }
+
+  const Topology* topology = nullptr;
+  int in_link_mismatches = 0;
   std::vector<Packet> received;
   std::vector<Packet> snooped;
   int duplicates = 0;
+  std::map<NodeId, uint16_t> last_seq;
+  int duplicate_mismatches = 0;
+  int same_seq_as_other_sender = 0;
   int send_ok = 0;
   int send_fail = 0;
 };
@@ -196,6 +224,55 @@ TEST(RadioTest, DuplicatesAreFlagged) {
   for (int i = 0; i < 50; ++i) f.ctx(0).Unicast(1, TestBeacon(0));
   f.engine.RunUntil(Seconds(100));
   EXPECT_GT(f.apps[1]->duplicates, 0);
+}
+
+TEST(RadioTest, ReceptionsCarryTheSendersInLinkRank) {
+  RandomTopologyOptions opts;
+  opts.num_nodes = 30;
+  opts.seed = 11;
+  Fixture f(Topology::MakeRandom(opts));
+  const Topology& topo = f.engine.topology();
+  for (RecorderApp* app : f.apps) app->topology = &topo;
+  f.Boot();
+  // A broadcast and a unicast (overheard by the sender's other
+  // neighbors) from every node.
+  for (NodeId i = 0; i < topo.num_nodes(); ++i) {
+    f.ctx(i).Broadcast(TestBeacon(i));
+    f.ctx(i).Unicast(topo.audible_from(i).front().to, TestBeacon(i));
+  }
+  f.engine.RunUntil(Seconds(20));
+  size_t received = 0;
+  size_t snooped = 0;
+  int mismatches = 0;
+  for (const RecorderApp* app : f.apps) {
+    received += app->received.size();
+    snooped += app->snooped.size();
+    mismatches += app->in_link_mismatches;
+  }
+  EXPECT_GT(received, 40u) << snooped;
+  EXPECT_GT(snooped, 40u) << received;
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(RadioTest, DuplicatesAreKeyedPerSender) {
+  // Nodes 0 and 2 both unicast to 1 over perfect links; 1's ACKs back are
+  // weak, so both retransmit frames 1 already has. Their MAC sequence
+  // numbers run in step, so 1 also hears the same seq from two senders,
+  // which must not be flagged.
+  std::vector<Point> pos = {{0, 0}, {5, 0}, {10, 0}};
+  std::vector<std::vector<double>> d = {{0, 1.0, 1.0}, {0.15, 0, 0.15}, {1.0, 1.0, 0}};
+  Fixture f(Topology::FromMatrix(pos, d), Options(4));
+  f.Boot();
+  for (int i = 0; i < 30; ++i) {
+    f.ctx(0).Unicast(1, TestBeacon(0));
+    f.ctx(2).Unicast(1, TestBeacon(2));
+  }
+  f.engine.RunUntil(Seconds(100));
+  const RecorderApp& rx = *f.apps[1];
+  EXPECT_GT(rx.duplicates, 0);
+  EXPECT_GT(rx.same_seq_as_other_sender, 0);
+  EXPECT_EQ(rx.duplicate_mismatches, 0);
+  EXPECT_EQ(rx.ReceivedFrom(0) + rx.ReceivedFrom(2) - rx.duplicates, 60);
 }
 
 /// Runs 50 rounds in which `senders` each broadcast one beacon from the

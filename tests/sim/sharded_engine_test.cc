@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,7 +50,8 @@ class ChatterApp : public App {
                     " dup=" + std::to_string(info.duplicate));
   }
 
-  void OnSnoop(Context& ctx, const Packet& pkt) override {
+  void OnSnoop(Context& ctx, const Packet& pkt, const ReceiveInfo& info) override {
+    (void)info;
     log_->push_back("snoop t=" + std::to_string(ctx.now()) +
                     " from=" + std::to_string(pkt.hdr.link_src));
   }
@@ -295,11 +298,11 @@ TEST(ShardedEngineTest, SlicedRunUntilMatchesOneShot) {
 }
 
 TEST(ShardedEngineTest, LargeNetworkDuplicatesAreFlagged) {
-  // Past 4096 nodes a host tracks each sender's last sequence number in a
-  // hash map instead of a flat per-node array. A unicast pair over a
-  // strong forward link with a weak reverse (ACK) link retransmits frames
-  // the receiver already has; those must arrive flagged as duplicates,
-  // identically at K = 1 and K = 2.
+  // The duplicate filter has one slot per audible link at every network
+  // size. A unicast pair over a strong forward link with a weak reverse
+  // (ACK) link in a 4200-node grid retransmits frames the receiver
+  // already has; those must arrive flagged as duplicates, identically at
+  // K = 1 and K = 2.
   GridTopologyOptions grid;
   grid.num_nodes = 4200;
   grid.seed = 3;
@@ -341,6 +344,45 @@ TEST(ShardedEngineTest, LargeNetworkDuplicatesAreFlagged) {
   EXPECT_GT(duplicates[0], 0);
   EXPECT_EQ(received[0], received[1]);
   EXPECT_EQ(duplicates[0], duplicates[1]);
+}
+
+TEST(ShardedEngineTest, DuplicatesAreKeyedPerSenderOnEveryShard) {
+  // 0 -> 1 <- 2 with weak ACK links back from 1: both senders retransmit
+  // frames 1 already has, and since their sequence numbers run in step, 1
+  // also hears each seq from both. At K = 3 every node is its own shard,
+  // so the receiver's shard filters frames from two other shards.
+  std::vector<Point> pos = {{0, 0}, {10, 0}, {20, 0}};
+  std::vector<std::vector<double>> d = {{0, 1.0, 0}, {0.15, 0, 0.15}, {0, 1.0, 0}};
+  Topology topo = Topology::FromMatrix(pos, d);
+  auto install = [](NodeId id, NodeLog* log) -> std::unique_ptr<App> {
+    if (id == 1) return std::make_unique<ChatterApp>(log, 0, Millis(300));
+    return std::make_unique<ChatterApp>(log, 30, Millis(300), /*unicast_to=*/1);
+  };
+  ExpectShardInvariant(topo, install, {}, Seconds(30), {2, 3});
+
+  std::vector<NodeLog> logs = RunAt(3, PartitionKind::kStrip, topo, install, {}, {Seconds(30)});
+  std::map<int, int> last_seq;  // Sender -> seq of its last recv line.
+  int dups = 0;
+  int same_seq_as_other_sender = 0;
+  for (const std::string& line : logs[1]) {
+    int from = 0;
+    int seq = 0;
+    int dup = 0;
+    long long t = 0;
+    if (std::sscanf(line.c_str(), "recv t=%lld from=%d seq=%d dup=%d", &t, &from, &seq,
+                    &dup) != 4) {
+      continue;
+    }
+    auto last = last_seq.find(from);
+    EXPECT_EQ(dup == 1, last != last_seq.end() && last->second == seq) << line;
+    for (const auto& [other, other_seq] : last_seq) {
+      if (other != from && other_seq == seq) ++same_seq_as_other_sender;
+    }
+    last_seq[from] = seq;
+    dups += dup;
+  }
+  EXPECT_GT(dups, 0);
+  EXPECT_GT(same_seq_as_other_sender, 0);
 }
 
 TEST(ShardedEngineTest, ShardOfCoversAllNodesContiguously) {

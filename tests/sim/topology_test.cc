@@ -1,5 +1,9 @@
 #include "sim/topology.h"
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace scoop::sim {
@@ -212,6 +216,37 @@ TEST(TopologyTest, MeanHopsFromBasePositive) {
   double hops = t.MeanHopsFrom(0, 0.1);
   EXPECT_GT(hops, 1.0);
   EXPECT_LT(hops, 10.0);
+}
+
+TEST(TopologyTest, InRankIsTheSendersPositionAmongTheReceiversInLinks) {
+  RandomTopologyOptions random;
+  random.num_nodes = 63;
+  random.seed = 5;
+  GridTopologyOptions grid;
+  grid.num_nodes = 121;
+  for (const Topology& t : {Topology::MakeRandom(random), Topology::MakeGrid(grid)}) {
+    // Reference: each receiver's audible senders in ascending id, found by
+    // scanning the whole delivery matrix.
+    int n = t.num_nodes();
+    std::vector<std::vector<NodeId>> in_links(static_cast<size_t>(n));
+    for (NodeId from = 0; from < n; ++from) {
+      for (NodeId to = 0; to < n; ++to) {
+        if (t.delivery_prob(from, to) > 0.0) in_links[to].push_back(from);
+      }
+    }
+    uint32_t expected_base = 0;
+    for (NodeId from = 0; from < n; ++from) {
+      ASSERT_EQ(t.link_base(from), expected_base);
+      std::span<const Topology::Link> row = t.audible_from(from);
+      for (uint32_t k = 0; k < row.size(); ++k) {
+        const std::vector<NodeId>& senders = in_links[row[k].to];
+        auto pos = std::find(senders.begin(), senders.end(), from) - senders.begin();
+        EXPECT_EQ(t.in_rank(t.link_base(from) + k), pos) << from << "->" << row[k].to;
+      }
+      expected_base += static_cast<uint32_t>(row.size());
+    }
+    EXPECT_EQ(t.num_links(), expected_base);
+  }
 }
 
 }  // namespace

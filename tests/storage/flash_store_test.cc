@@ -71,7 +71,7 @@ TEST(SummaryBuilderTest, BuildsFromRecentReadings) {
     recent.Push(Reading{static_cast<Value>(10 + i), Seconds(i)});
   }
   net::NeighborTable neighbors;
-  for (uint16_t s = 1; s < 20; ++s) neighbors.OnPacketSeen(7, s, Seconds(s));
+  for (uint16_t s = 1; s < 20; ++s) neighbors.OnPacketSeen(7, s, Seconds(s), 7);
   SummaryPayload summary = BuildSummary(0, recent, 10, neighbors, 3);
   EXPECT_EQ(summary.vmin, 10);
   EXPECT_EQ(summary.vmax, 19);
@@ -95,7 +95,7 @@ TEST(SummaryBuilderTest, NeighborListCapped) {
   RingBuffer<Reading> recent(30);
   recent.Push(Reading{5, 0});
   net::NeighborTable neighbors;
-  for (NodeId id = 1; id <= 20; ++id) neighbors.OnPacketSeen(id, 1, Seconds(1));
+  for (NodeId id = 1; id <= 20; ++id) neighbors.OnPacketSeen(id, 1, Seconds(1), id);
   SummaryBuilderOptions opts;
   opts.max_neighbors = 12;
   SummaryPayload summary = BuildSummary(0, recent, 1, neighbors, kNoIndex, opts);
