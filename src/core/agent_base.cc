@@ -13,6 +13,7 @@ AgentBase::AgentBase(const AgentConfig& config)
       tree_(config.self, config.is_base(), config.tree),
       descendants_(config.descendants),
       flash_(config.flash),
+      ledger_(config.num_nodes),
       telemetry_(config.telemetry != nullptr ? config.telemetry : &own_telemetry_) {
   SCOOP_CHECK_GT(cfg_.num_nodes, 0);
   SCOOP_CHECK_LT(static_cast<int>(cfg_.self), cfg_.num_nodes);
@@ -105,8 +106,7 @@ void AgentBase::OnSendDone(sim::Context& ctx, const Packet& pkt, bool success) {
     telemetry_->readings_lost += d.readings.size();
     return;
   }
-  if (pkt.hdr.type == PacketType::kSummary && MaybeRetrySend(pkt)) return;
-  OnAgentSendFailed(pkt);
+  if (pkt.hdr.type == PacketType::kSummary) MaybeRetrySend(pkt);
 }
 
 bool AgentBase::MaybeRetrySend(const Packet& pkt) {
@@ -149,7 +149,6 @@ bool AgentBase::MaybeRetrySend(const Packet& pkt) {
 void AgentBase::OnCrash(sim::Context& ctx) {
   (void)ctx;
   down_ = true;
-  OnAgentCrash();
 }
 
 void AgentBase::OnReboot(sim::Context& ctx) {
@@ -396,13 +395,9 @@ void AgentBase::RehomeOrphans() {
       // lands next (owner, fallback, or a fresh orphan park) re-counts it,
       // keeping storage_success a fraction of unique readings.
       telemetry_->readings_stored -= readings.size();
-      DataPayload d;
-      d.attr = stale.attr;
-      d.producer = stale.producer;
-      d.owner = owner;
-      d.sid = index->id();
-      d.readings = std::move(readings);
-      RouteData(std::move(d), cfg_.self, tree_.parent());
+      RouteData(DataPayload{.attr = stale.attr, .producer = stale.producer, .owner = owner,
+                            .sid = index->id(), .readings = std::move(readings)},
+                cfg_.self, tree_.parent());
     }
   }
   if (cfg_.trace != nullptr && rehomed > 0) {
@@ -487,23 +482,17 @@ void AgentBase::HandleMappingPacket(const Packet& pkt) {
 // ---------------------------------------------------------------------------
 
 bool AgentBase::ShouldRebroadcastQuery(const QueryPayload& query) const {
-  if (cfg_.is_base()) return false;  // The base originated it.
-  // Early-exit walk over the target set -- no per-packet materialization of
-  // the member vector (at 1000+ nodes a flood query names the whole
-  // network).
-  return query.targets.AnyOf([this](NodeId target) {
-    if (target == cfg_.self) return false;
-    return descendants_.Contains(target) || neighbors_.Contains(target);
-  });
+  // Walk the at most 32 neighbours and descendants against the target set,
+  // not the target set (at 1000+ nodes a flood names the whole network)
+  // against the tables.
+  auto helps = [this, &query](NodeId id) { return id != cfg_.self && query.targets.Test(id); };
+  return descendants_.AnyOf(helps) || neighbors_.AnyOf(helps);
 }
 
 void AgentBase::HandleQueryPacket(const Packet& pkt) {
-  const QueryPayload& query = pkt.As<QueryPayload>();
-  QuerySeenState& state = queries_seen_[query.query_id];
-  ++state.heard;
-  if (state.reacted) return;
-  state.reacted = true;
   if (cfg_.is_base()) return;  // Echo of our own flood.
+  const QueryPayload& query = pkt.As<QueryPayload>();
+  if (++queries_heard_[query.query_id] > 1) return;
 
   if (query.targets.Test(cfg_.self)) {
     SimTime jitter = ctx_->rng().UniformInt(Millis(50), cfg_.reply_jitter);
@@ -515,10 +504,9 @@ void AgentBase::HandleQueryPacket(const Packet& pkt) {
     Packet copy = pkt;  // Keep the base as origin.
     uint32_t id = query.query_id;
     ctx_->Schedule(jitter, [this, copy, id] {
-      auto it = queries_seen_.find(id);
       // Polite gossip: suppress if we heard the query enough times while
       // waiting (our neighborhood is covered).
-      if (it != queries_seen_.end() && it->second.heard > cfg_.query_redundancy_k) return;
+      if (queries_heard_[id] > cfg_.query_redundancy_k) return;
       if (cfg_.trace != nullptr) {
         cfg_.trace->Instant(ctx_->now(), "query.fwd", obs::TraceCat::kQuery,
                             static_cast<uint16_t>(cfg_.self), "id", id);
@@ -567,99 +555,77 @@ void AgentBase::HandleReplyPacket(const Packet& pkt) {
     return;
   }
   const ReplyPayload& reply = pkt.As<ReplyPayload>();
-  auto it = pending_.find(reply.query_id);
-  if (it == pending_.end()) {
-    // A reply to a re-issued wire id credits the original pending query.
-    auto alias = reissue_alias_.find(reply.query_id);
-    if (alias == reissue_alias_.end()) return;  // Late reply; already closed.
-    it = pending_.find(alias->second);
-    if (it == pending_.end()) return;
+  // A reply to a re-issue wire id credits the original query; late replies
+  // and replies from unrequested nodes are dropped.
+  bool first = false;
+  QueryLedger::Entry* entry = ledger_.Credit(reply.query_id, reply.responder, &first);
+  if (entry == nullptr) return;
+  if (first && cfg_.trace != nullptr) {
+    cfg_.trace->Instant(ctx_->now(), "query.reply", obs::TraceCat::kQuery,
+                        static_cast<uint16_t>(cfg_.self), "id", reply.query_id,
+                        "responder", static_cast<uint64_t>(reply.responder));
   }
-  PendingQuery& pending = it->second;
-  // Replies from nodes the planner never asked for (they were swept into
-  // the wire set by MTU coarsening) don't count and don't contribute
-  // tuples -- the outcome reflects the requested set exactly. This also
-  // bounds reply.responder: Test() past num_nodes is false.
-  if (!pending.requested.Test(reply.responder)) return;
-  if (!pending.responded.Test(reply.responder)) {
-    pending.responded.Set(reply.responder);
-    ++pending.outcome.responders;
-    if (cfg_.trace != nullptr) {
-      cfg_.trace->Instant(ctx_->now(), "query.reply", obs::TraceCat::kQuery,
-                          static_cast<uint16_t>(cfg_.self), "id", reply.query_id,
-                          "responder", static_cast<uint64_t>(reply.responder));
-    }
-  }
-  for (const ReplyTuple& t : reply.tuples) pending.outcome.tuples.push_back(t);
-  if (pending.outcome.responders >= pending.outcome.targets) {
-    CloseQuery(it->first);  // The original id, not a re-issued wire alias.
-  }
+  QueryOutcome& outcome = entry->outcome;
+  outcome.tuples.insert(outcome.tuples.end(), reply.tuples.begin(), reply.tuples.end());
+  if (outcome.responders >= outcome.targets) CloseQuery(outcome.query_id);
+}
+
+QueryPayload AgentBase::MakeQueryPayload(const Query& query, NodeSet targets) {
+  return QueryPayload{.attr = query.attr, .targets = std::move(targets), .time_lo = query.time_lo,
+                      .time_hi = query.time_hi, .ranges = query.ranges};
+}
+
+bool AgentBase::FitToFrame(QueryPayload* payload) const {
+  int set_budget = ctx_->radio_options().max_packet_bytes - PacketHeader::kWireSize -
+                   (payload->WireSize() - payload->targets.WireSize());
+  if (payload->targets.WireSize() <= set_budget) return true;
+  payload->targets = payload->targets.CoarsenedToFit(set_budget, cfg_.base);
+  return payload->targets.WireSize() <= set_budget;
 }
 
 uint32_t AgentBase::IssueQueryToTargets(const Query& query,
                                         const std::vector<NodeId>& targets) {
   SCOOP_CHECK(cfg_.is_base());
   SCOOP_CHECK(ctx_ != nullptr);
-  uint32_t id = next_query_id_++;
-
-  QueryPayload payload;
-  payload.query_id = id;
-  payload.attr = query.attr;
-  payload.time_lo = query.time_lo;
-  payload.time_hi = query.time_hi;
-  payload.ranges = query.ranges;
-  payload.targets = NodeSet(cfg_.num_nodes);
-  PendingQuery pending;
-  pending.requested = DynamicNodeBitmap(cfg_.num_nodes);
+  NodeSet wire_targets(cfg_.num_nodes);
+  DynamicNodeBitmap requested(cfg_.num_nodes);
   for (NodeId t : targets) {
     if (t != cfg_.base) {
-      payload.targets.Set(t);
-      pending.requested.Set(t);
+      wire_targets.Set(t);
+      requested.Set(t);
     }
   }
-  // The §5.5 flood is a single packet, so the wire target set must fit one
-  // frame. Above the legacy 128-node regime an adversarially scattered set
-  // can exceed the MTU even in its smallest form; coarsen it to a covering
-  // superset of id runs (never across the base). The extra nodes reply,
-  // but HandleReplyPacket drops them against `requested`, so coarsening is
-  // purely a wire-level concession -- outcomes are unchanged.
-  int set_budget = ctx_->radio_options().max_packet_bytes - PacketHeader::kWireSize -
-                   (payload.WireSize() - payload.targets.WireSize());
-  if (payload.targets.WireSize() > set_budget) {
-    payload.targets = payload.targets.CoarsenedToFit(set_budget, cfg_.base);
-    if (payload.targets.WireSize() > set_budget) {
-      // Even a single covering run cannot sit beside this many value
-      // ranges (only reachable via hand-built queries; the workloads emit
-      // 0-1 ranges). Answer from the base's own store instead of emitting
-      // an unsendable frame, and count it so experiments can tell these
-      // local-only outcomes from real network successes.
-      payload.targets = NodeSet(cfg_.num_nodes);
-      pending.requested = DynamicNodeBitmap(cfg_.num_nodes);
-      ++telemetry_->queries_target_set_unsendable;
-    }
+  // Above the legacy 128-node regime an adversarially scattered set can
+  // exceed the MTU even in its smallest form. The extra nodes coarsening
+  // adds reply, but the ledger drops them against `requested`, so
+  // coarsening is purely a wire-level concession -- outcomes are unchanged.
+  QueryPayload payload = MakeQueryPayload(query, std::move(wire_targets));
+  if (!FitToFrame(&payload)) {
+    // Even a single covering run cannot sit beside this many value ranges
+    // (only reachable via hand-built queries; the workloads emit 0-1
+    // ranges). Answer from the base's own store instead of emitting an
+    // unsendable frame, and count it so experiments can tell these
+    // local-only outcomes from real network successes.
+    payload.targets = NodeSet(cfg_.num_nodes);
+    requested = DynamicNodeBitmap(cfg_.num_nodes);
+    ++telemetry_->queries_target_set_unsendable;
   }
-
-  pending.outcome.query_id = id;
-  pending.outcome.query = query;
-  pending.outcome.targets = pending.requested.Count();
-  pending.responded = DynamicNodeBitmap(cfg_.num_nodes);
-  pending.issued_at = ctx_->now();
+  uint32_t id = ledger_.Open(query, std::move(requested), ctx_->now());
+  payload.query_id = id;
+  QueryOutcome& outcome = ledger_.open(id)->outcome;
   if (cfg_.trace != nullptr) {
     cfg_.trace->Instant(ctx_->now(), "query.issue", obs::TraceCat::kQuery,
                         static_cast<uint16_t>(cfg_.self), "id", id, "targets",
-                        static_cast<uint64_t>(pending.outcome.targets));
+                        static_cast<uint64_t>(outcome.targets));
   }
   // The base's own store answers for free (fallback data + values the
   // index mapped to the base).
-  pending.outcome.tuples = flash_.Scan(payload);
+  outcome.tuples = flash_.Scan(payload);
 
   ++telemetry_->queries_issued;
-  telemetry_->query_targets_total += static_cast<uint64_t>(pending.outcome.targets);
-  queries_seen_[id].reacted = true;  // Ignore echoes of our own flood.
+  telemetry_->query_targets_total += static_cast<uint64_t>(outcome.targets);
 
-  bool any_targets = !payload.targets.Empty();
-  pending_.emplace(id, std::move(pending));
-  if (!any_targets) {
+  if (payload.targets.Empty()) {
     CloseQuery(id);
     return id;
   }
@@ -668,44 +634,28 @@ uint32_t AgentBase::IssueQueryToTargets(const Query& query,
   return id;
 }
 
-void AgentBase::ReissueQuery(uint32_t query_id, PendingQuery& pending) {
+void AgentBase::ReissueQuery(uint32_t query_id) {
   // Flood only the requested-but-silent responders, under a fresh wire id
   // so nodes that already reacted to the original flood react again.
-  uint32_t wire_id = next_query_id_++;
-  reissue_alias_[wire_id] = query_id;
+  uint32_t wire_id = ledger_.Alias(query_id);
   ++telemetry_->queries_reissued;
 
-  QueryPayload payload;
-  payload.query_id = wire_id;
-  payload.attr = pending.outcome.query.attr;
-  payload.time_lo = pending.outcome.query.time_lo;
-  payload.time_hi = pending.outcome.query.time_hi;
-  payload.ranges = pending.outcome.query.ranges;
-  payload.targets = NodeSet(cfg_.num_nodes);
-  int missing = 0;
-  for (int i = 0; i < cfg_.num_nodes; ++i) {
-    NodeId n = static_cast<NodeId>(i);
-    if (pending.requested.Test(n) && !pending.responded.Test(n)) {
-      payload.targets.Set(n);
-      ++missing;
-    }
+  const QueryLedger::Entry& entry = *ledger_.open(query_id);
+  NodeSet missing(cfg_.num_nodes);
+  for (NodeId n : entry.requested.ToVector()) {
+    if (!entry.responded.Test(n)) missing.Set(n);
   }
   if (cfg_.trace != nullptr) {
     cfg_.trace->Instant(ctx_->now(), "query.reissue", obs::TraceCat::kFault,
                         static_cast<uint16_t>(cfg_.self), "id", query_id,
-                        "missing", static_cast<uint64_t>(missing));
+                        "missing", static_cast<uint64_t>(missing.Count()));
   }
-  queries_seen_[wire_id].reacted = true;  // Ignore echoes of our own flood.
-
-  // Same MTU coarsening as the original issue. Re-issue sets are subsets,
-  // so overflow is rare; an unsendable set just skips the flood and the
-  // follow-up timeout closes the query.
-  int set_budget = ctx_->radio_options().max_packet_bytes - PacketHeader::kWireSize -
-                   (payload.WireSize() - payload.targets.WireSize());
-  if (payload.targets.WireSize() > set_budget) {
-    payload.targets = payload.targets.CoarsenedToFit(set_budget, cfg_.base);
-  }
-  if (missing > 0 && payload.targets.WireSize() <= set_budget) {
+  // Re-issue sets are subsets of the original, so overflow is rare; an
+  // unsendable set just skips the flood and the follow-up timeout closes
+  // the query.
+  QueryPayload payload = MakeQueryPayload(entry.outcome.query, std::move(missing));
+  payload.query_id = wire_id;
+  if (!payload.targets.Empty() && FitToFrame(&payload)) {
     ctx_->Broadcast(MakeFromSelf(std::move(payload)));
   }
   // Intentionally NOT bumping queries_issued / query_targets_total: the
@@ -715,59 +665,34 @@ void AgentBase::ReissueQuery(uint32_t query_id, PendingQuery& pending) {
 }
 
 void AgentBase::CloseQuery(uint32_t query_id) {
-  auto it = pending_.find(query_id);
-  if (it == pending_.end()) return;  // Already closed.
+  QueryLedger::Entry* entry = ledger_.open(query_id);
+  if (entry == nullptr) return;  // Already closed.
   // Degradation fallback: an incomplete query with re-issue budget left is
   // not closed -- the still-missing responders are asked again under a
   // fresh wire id and a new timeout is armed.
-  if (cfg_.fault_query_reissue_max > 0 &&
-      it->second.outcome.responders < it->second.outcome.targets &&
-      it->second.reissues < cfg_.fault_query_reissue_max) {
-    ++it->second.reissues;
-    ReissueQuery(query_id, it->second);
+  if (entry->outcome.responders < entry->outcome.targets &&
+      entry->reissues < cfg_.fault_query_reissue_max) {
+    ReissueQuery(query_id);
     return;
   }
-  SimTime issued_at = it->second.issued_at;
-  QueryOutcome outcome = std::move(it->second.outcome);
-  pending_.erase(it);
-  // Drop any wire aliases from re-issues of this query.
-  for (auto alias = reissue_alias_.begin(); alias != reissue_alias_.end();) {
-    alias = alias->second == query_id ? reissue_alias_.erase(alias) : std::next(alias);
-  }
-  outcome.closed = true;
-  outcome.complete = outcome.responders >= outcome.targets;
-  outcome.closed_at = ctx_->now();
-  if (cfg_.trace != nullptr) {
+  const QueryOutcome& outcome = ledger_.Close(query_id, ctx_->now());
+  if (entry->flooded && cfg_.trace != nullptr) {
     // The whole issue-to-close lifetime as one span on the base's track.
-    cfg_.trace->Span(issued_at, ctx_->now() - issued_at, "query",
+    cfg_.trace->Span(entry->issued_at, ctx_->now() - entry->issued_at, "query",
                      obs::TraceCat::kQuery, static_cast<uint16_t>(cfg_.self),
                      "id", query_id, "responders",
                      static_cast<uint64_t>(outcome.responders));
   }
   telemetry_->replies_received += static_cast<uint64_t>(outcome.responders);
   telemetry_->tuples_returned += outcome.tuples.size();
-  auto [done_it, inserted] = done_.emplace(query_id, std::move(outcome));
-  SCOOP_CHECK(inserted);
-  if (on_query_complete) on_query_complete(done_it->second);
+  if (on_query_complete) on_query_complete(outcome);
 }
 
 uint32_t AgentBase::RecordImmediateOutcome(QueryOutcome outcome) {
-  uint32_t id = next_query_id_++;
-  outcome.query_id = id;
-  outcome.closed = true;
-  outcome.complete = true;
-  if (ctx_ != nullptr) outcome.closed_at = ctx_->now();
+  uint32_t id = ledger_.Record(std::move(outcome));
   ++telemetry_->queries_issued;
-  telemetry_->tuples_returned += outcome.tuples.size();
-  auto [it, inserted] = done_.emplace(id, std::move(outcome));
-  SCOOP_CHECK(inserted);
-  if (on_query_complete) on_query_complete(it->second);
+  CloseQuery(id);
   return id;
-}
-
-const QueryOutcome* AgentBase::outcome(uint32_t query_id) const {
-  auto it = done_.find(query_id);
-  return it == done_.end() ? nullptr : &it->second;
 }
 
 }  // namespace scoop::core

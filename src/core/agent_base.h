@@ -17,6 +17,7 @@
 #include "core/agent_config.h"
 #include "core/index_store.h"
 #include "core/query.h"
+#include "core/query_ledger.h"
 #include "net/descendants.h"
 #include "net/neighbor_table.h"
 #include "net/routing_tree.h"
@@ -57,10 +58,7 @@ class AgentBase : public sim::App {
   uint32_t IssueQueryToTargets(const Query& query, const std::vector<NodeId>& targets);
 
   /// Outcome of a closed query; nullptr while pending or unknown.
-  const QueryOutcome* outcome(uint32_t query_id) const;
-
-  /// All closed outcomes (issue order not guaranteed).
-  const std::unordered_map<uint32_t, QueryOutcome>& outcomes() const { return done_; }
+  const QueryOutcome* outcome(uint32_t query_id) const { return ledger_.outcome(query_id); }
 
   /// Invoked whenever a query closes.
   std::function<void(const QueryOutcome&)> on_query_complete;
@@ -99,14 +97,6 @@ class AgentBase : public sim::App {
   /// Called when mapping gossip completes assembly of a new index.
   virtual void OnIndexCompleted() {}
 
-  /// Called when a non-data packet this agent queued failed all
-  /// retransmissions.
-  virtual void OnAgentSendFailed(const Packet& pkt) { (void)pkt; }
-
-  /// Called after the shared crash handling set the down flag (fault
-  /// injection, src/fault/). Pending timers still fire while down.
-  virtual void OnAgentCrash() {}
-
   /// Called after the shared reboot handling reset the volatile substrate
   /// (routing tree, neighbors, descendants, flash, orphan buffer). The
   /// index store is deliberately left as-is: a rebooted node holds a stale
@@ -136,6 +126,13 @@ class AgentBase : public sim::App {
   /// Stores all readings of `data` in local Flash with telemetry.
   void StoreReadings(const DataPayload& data, StoreClass cls);
 
+  /// This node's own `readings`, bound for `owner` as looked up in index
+  /// version `sid`.
+  DataPayload OwnReadings(NodeId owner, IndexId sid, std::vector<Reading> readings) const {
+    return DataPayload{.attr = cfg_.attr, .producer = cfg_.self, .owner = owner, .sid = sid,
+                       .readings = std::move(readings)};
+  }
+
   /// True between OnCrash and OnReboot: the radio is off and periodic
   /// loops must skip their work (their timers keep firing).
   bool is_down() const { return down_; }
@@ -150,6 +147,9 @@ class AgentBase : public sim::App {
   /// from summaries); assigns an id, closes it, and fires the completion
   /// callback. Returns the id.
   uint32_t RecordImmediateOutcome(QueryOutcome outcome);
+
+  /// The wire form of `query` asking `targets`; query_id is left 0.
+  static QueryPayload MakeQueryPayload(const Query& query, NodeSet targets);
 
   /// Resets the mapping-gossip Trickle timer to its fastest interval (used
   /// by the base after seeding a fresh index).
@@ -175,6 +175,13 @@ class AgentBase : public sim::App {
   /// Scans local Flash and sends (possibly chunked) replies up the tree.
   void SendQueryReply(const QueryPayload& query);
 
+  /// MTU fit: the §5.5 flood is a single packet, so a target set too large
+  /// for one frame is coarsened to a covering superset of id runs (never
+  /// across the base). False when even that does not fit.
+  bool FitToFrame(QueryPayload* payload) const;
+
+  /// Closes the query `query_id` -- network or immediate -- unless it is
+  /// already closed or is re-issued instead; the one close path.
   void CloseQuery(uint32_t query_id);
 
   /// Re-routes buffered orphans under the (new) current index.
@@ -209,31 +216,10 @@ class AgentBase : public sim::App {
   bool down_ = false;
 
  private:
-  struct QuerySeenState {
-    int heard = 0;
-    bool reacted = false;
-  };
-
-  struct PendingQuery {
-    QueryOutcome outcome;
-    SimTime issued_at = 0;  ///< Start of the query trace span.
-    /// Timeout re-issues already spent on this query (fault degradation;
-    /// bounded by cfg_.fault_query_reissue_max).
-    int reissues = 0;
-    /// The targets the planner actually asked for. The wire set may be a
-    /// coarsened superset (MTU fitting); replies from the extra nodes are
-    /// dropped so outcomes and selectivity metrics only ever reflect the
-    /// requested set.
-    DynamicNodeBitmap requested;
-    /// Which requested targets have answered; sized to the experiment's
-    /// num_nodes (the old fixed 128-bit bitmap capped deployments).
-    DynamicNodeBitmap responded;
-  };
-
   /// Re-issues a still-incomplete query at the nodes yet to answer: a
-  /// fresh wire id floods the missing set, aliased back to the original
-  /// pending entry, and a new timeout is armed.
-  void ReissueQuery(uint32_t query_id, PendingQuery& pending);
+  /// fresh wire id floods the missing set, crediting the original ledger
+  /// entry, and a new timeout is armed.
+  void ReissueQuery(uint32_t query_id);
 
   /// Cap on buffered orphan batches; beyond it the oldest batch is
   /// counted lost (never silently dropped) and evicted.
@@ -241,14 +227,12 @@ class AgentBase : public sim::App {
 
   std::unique_ptr<trickle::TrickleDriver> gossip_;
   SimTime last_gossip_help_ = -Minutes(1);
-  std::unordered_map<uint32_t, QuerySeenState> queries_seen_;
-  std::unordered_map<uint32_t, PendingQuery> pending_;
-  std::unordered_map<uint32_t, QueryOutcome> done_;
+  /// How often a sensor node heard each query id; it reacts to the first.
+  std::unordered_map<uint32_t, int> queries_heard_;
   /// Orphaned batches awaiting re-homing (fault_orphan_rehoming).
   std::vector<DataPayload> orphans_;
-  /// Re-issued wire query id -> original pending query id.
-  std::unordered_map<uint32_t, uint32_t> reissue_alias_;
-  uint32_t next_query_id_ = 1;
+  /// Every query id the base hands out.
+  QueryLedger ledger_;
   metrics::Telemetry* telemetry_;
   metrics::Telemetry own_telemetry_;  // Used when config.telemetry is null.
 };

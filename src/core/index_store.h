@@ -65,8 +65,6 @@ class IndexStore {
   /// The chunk payload for (id, idx) if we hold it.
   std::optional<MappingPayload> ChunkAt(IndexId id, uint8_t idx) const;
 
-  /// Total chunks in the newest version (0 if unknown).
-  int expected_chunk_count() const { return num_chunks_; }
 
  private:
   StorageIndex complete_;

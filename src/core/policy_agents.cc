@@ -15,12 +15,7 @@ LocalNodeAgent::LocalNodeAgent(const AgentConfig& config) : AgentBase(config) {
 }
 
 void LocalNodeAgent::OnSample(Value v) {
-  DataPayload d;
-  d.attr = cfg_.attr;
-  d.producer = cfg_.self;
-  d.owner = cfg_.self;
-  d.readings.push_back(Reading{v, ctx().now()});
-  StoreReadings(d, StoreClass::kOwner);
+  StoreReadings(OwnReadings(cfg_.self, kNoIndex, {Reading{v, ctx().now()}}), StoreClass::kOwner);
 }
 
 LocalBaseAgent::LocalBaseAgent(const AgentConfig& config) : AgentBase(config) {
@@ -45,14 +40,10 @@ BasePolicyNodeAgent::BasePolicyNodeAgent(const AgentConfig& config) : AgentBase(
 }
 
 void BasePolicyNodeAgent::OnSample(Value v) {
-  DataPayload d;
-  d.attr = cfg_.attr;
-  d.producer = cfg_.self;
-  d.owner = cfg_.base;
-  d.readings.push_back(Reading{v, ctx().now()});
   // Routing rules degenerate to "up the tree" (with the neighbor shortcut
   // firing for nodes adjacent to the base).
-  RouteData(std::move(d), cfg_.self, tree_.parent());
+  RouteData(OwnReadings(cfg_.base, kNoIndex, {Reading{v, ctx().now()}}), cfg_.self,
+            tree_.parent());
 }
 
 BasePolicyBaseAgent::BasePolicyBaseAgent(const AgentConfig& config) : AgentBase(config) {
@@ -61,14 +52,9 @@ BasePolicyBaseAgent::BasePolicyBaseAgent(const AgentConfig& config) : AgentBase(
 
 uint32_t BasePolicyBaseAgent::IssueQuery(const Query& query) {
   // All data lives here: answer from local Flash, no messages (§4).
-  QueryPayload probe;
-  probe.attr = query.attr;
-  probe.time_lo = query.time_lo;
-  probe.time_hi = query.time_hi;
-  probe.ranges = query.ranges;
   QueryOutcome outcome;
   outcome.query = query;
-  outcome.tuples = mutable_flash().Scan(probe);
+  outcome.tuples = mutable_flash().Scan(MakeQueryPayload(query, NodeSet()));
   if (!query.explicit_nodes.empty()) {
     std::set<NodeId> wanted(query.explicit_nodes.begin(), query.explicit_nodes.end());
     std::erase_if(outcome.tuples,
@@ -104,12 +90,7 @@ void HashNodeAgent::OnSample(Value v) {
   Reading reading{v, ctx().now()};
   NodeId owner = HashOwner(v, cfg_.num_nodes);
   if (owner == cfg_.self) {
-    DataPayload d;
-    d.attr = cfg_.attr;
-    d.producer = cfg_.self;
-    d.owner = cfg_.self;
-    d.readings.push_back(reading);
-    StoreReadings(d, StoreClass::kOwner);
+    StoreReadings(OwnReadings(cfg_.self, kNoIndex, {reading}), StoreClass::kOwner);
   } else {
     // Same batching rule as Scoop: consecutive same-owner readings share a
     // packet (only helps when consecutive values hash alike, e.g. EQUAL).
@@ -127,14 +108,9 @@ void HashNodeAgent::OnSample(Value v) {
 void HashNodeAgent::FlushBatch() {
   if (!batch_.active) return;
   batch_.active = false;
-  DataPayload d;
-  d.attr = cfg_.attr;
-  d.producer = cfg_.self;
-  d.owner = batch_.owner;
-  d.sid = 1;  // The hash "index" is static and version-less.
-  d.readings = std::move(batch_.readings);
+  // The hash "index" is static and version-less: sid 1.
+  RouteData(OwnReadings(batch_.owner, 1, std::move(batch_.readings)), cfg_.self, tree_.parent());
   batch_.readings.clear();
-  RouteData(std::move(d), cfg_.self, tree_.parent());
 }
 
 HashBaseAgent::HashBaseAgent(const AgentConfig& config) : AgentBase(config) {

@@ -28,24 +28,13 @@ void ScoopNodeAgent::OnSample(Value v) {
   const StorageIndex* index = index_store_.current();
   if (index == nullptr) {
     // No complete storage index yet: default to local storage (§5.3).
-    DataPayload d;
-    d.attr = cfg_.attr;
-    d.producer = cfg_.self;
-    d.owner = cfg_.self;
-    d.readings.push_back(reading);
-    StoreReadings(d, StoreClass::kLocalNoIndex);
+    StoreReadings(OwnReadings(cfg_.self, kNoIndex, {reading}), StoreClass::kLocalNoIndex);
     return;
   }
 
   NodeId owner = PickOwner(*index, v);
   if (owner == kStoreLocalOwner || owner == cfg_.self) {
-    DataPayload d;
-    d.attr = cfg_.attr;
-    d.producer = cfg_.self;
-    d.owner = cfg_.self;
-    d.sid = index->id();
-    d.readings.push_back(reading);
-    StoreReadings(d, StoreClass::kOwner);
+    StoreReadings(OwnReadings(cfg_.self, index->id(), {reading}), StoreClass::kOwner);
     return;
   }
 
@@ -89,12 +78,8 @@ void ScoopNodeAgent::FlushBatch() {
   const StorageIndex* index = index_store_.current();
   if (index == nullptr || !index->valid()) {
     // Index vanished (cannot normally happen); store locally.
-    DataPayload d;
-    d.attr = cfg_.attr;
-    d.producer = cfg_.self;
-    d.owner = cfg_.self;
-    d.readings = std::move(batch_.readings);
-    StoreReadings(d, StoreClass::kLocalNoIndex);
+    StoreReadings(OwnReadings(cfg_.self, kNoIndex, std::move(batch_.readings)),
+                  StoreClass::kLocalNoIndex);
     return;
   }
   // Rule 1 applies to queued readings as well: resolve owners against the
@@ -105,13 +90,7 @@ void ScoopNodeAgent::FlushBatch() {
   }
   batch_.readings.clear();
   for (auto& [owner, readings] : groups) {
-    DataPayload d;
-    d.attr = cfg_.attr;
-    d.producer = cfg_.self;
-    d.owner = owner;
-    d.sid = index->id();
-    d.readings = std::move(readings);
-    RouteData(std::move(d), cfg_.self, tree_.parent());
+    RouteData(OwnReadings(owner, index->id(), std::move(readings)), cfg_.self, tree_.parent());
   }
 }
 
@@ -135,13 +114,10 @@ void ScoopNodeAgent::HandleData(const Packet& pkt) {
     groups[owner.value_or(incoming.owner)].push_back(r);
   }
   for (auto& [owner, readings] : groups) {
-    DataPayload d;
-    d.attr = incoming.attr;
-    d.producer = incoming.producer;
-    d.owner = (owner == kStoreLocalOwner) ? incoming.producer : owner;
-    d.sid = index->id();
-    d.readings = std::move(readings);
-    RouteData(std::move(d), pkt.hdr.origin, pkt.hdr.origin_parent);
+    NodeId dst = owner == kStoreLocalOwner ? incoming.producer : owner;
+    RouteData(DataPayload{.attr = incoming.attr, .producer = incoming.producer, .owner = dst,
+                          .sid = index->id(), .readings = std::move(readings)},
+              pkt.hdr.origin, pkt.hdr.origin_parent);
   }
 }
 

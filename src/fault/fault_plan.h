@@ -76,15 +76,6 @@ struct FaultConfig {
   /// Base-side query re-issue after timeout against the responder set
   /// still missing (0 = off; at most this many re-issues per query).
   int query_reissue_max = 0;
-
-  /// True when any scheduled fault machinery (events or link windows) is
-  /// configured. The degradation knobs above don't count: they change
-  /// agent behavior, not the plan.
-  bool AnyPlanned() const {
-    return reboot_fraction > 0 || (link_degrade_factor != 1.0 && link_degrade_end > link_degrade_start) ||
-           partition_end > partition_start ||
-           (base_outage_end > base_outage_start && base_backup != 0);
-  }
 };
 
 /// The legacy crash-stop knobs (`node_failure_fraction` & friends on

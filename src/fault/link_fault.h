@@ -36,7 +36,6 @@ class LinkFaultChannel {
   }
 
   bool active() const { return !windows_.empty(); }
-  size_t window_count() const { return windows_.size(); }
 
   /// Multiplicative scale for the link from -> to at time `t`. 1.0 when no
   /// window applies; 0.0 severs the link outright.

@@ -6,6 +6,7 @@
 #ifndef SCOOP_NET_DESCENDANTS_H_
 #define SCOOP_NET_DESCENDANTS_H_
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -47,6 +48,13 @@ class DescendantsTable {
 
   /// All known descendant ids (unordered).
   std::vector<NodeId> Ids() const;
+
+  /// True iff `fn(id)` holds for some known descendant, called in ascending id
+  /// order up to the first hit. Allocation-free, unlike Ids().
+  template <typename Fn>
+  bool AnyOf(Fn&& fn) const {
+    return std::any_of(entries_.begin(), entries_.end(), [&fn](const Slot& s) { return fn(s.id); });
+  }
 
   size_t size() const { return entries_.size(); }
 

@@ -98,13 +98,6 @@ std::optional<double> NeighborTable::TrackedQuality(NodeId src) const {
   return entries_[pos].entry.quality;
 }
 
-double NeighborTable::OutboundQuality(NodeId dst) const {
-  size_t pos = Locate(dst, kNoInLink);
-  if (pos == entries_.size()) return 0.0;
-  const Entry& e = entries_[pos].entry;
-  return e.has_reverse ? e.reverse_quality : e.quality;
-}
-
 double NeighborTable::UnicastQuality(NodeId dst, uint16_t in_link) const {
   size_t pos = Locate(dst, in_link);
   if (pos == entries_.size()) return 0.0;

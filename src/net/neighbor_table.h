@@ -16,6 +16,7 @@
 #ifndef SCOOP_NET_NEIGHBOR_TABLE_H_
 #define SCOOP_NET_NEIGHBOR_TABLE_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
@@ -72,9 +73,6 @@ class NeighborTable {
   /// Estimated delivery probability of the link src→self; 0 if unknown.
   double Quality(NodeId src) const { return TrackedQuality(src).value_or(0.0); }
 
-  /// Estimated delivery probability of the link self→dst: the neighbor's
-  /// reverse report when available, else the inbound estimate as a proxy.
-  double OutboundQuality(NodeId dst) const;
 
   /// Expected per-attempt success of a unicast self→dst including the link
   /// ACK returning on dst→self (what routing costs should be based on).
@@ -88,6 +86,13 @@ class NeighborTable {
 
   /// All tracked neighbor ids (unordered).
   std::vector<NodeId> Ids() const;
+
+  /// True iff `fn(id)` holds for some tracked neighbor, called in ascending id
+  /// order up to the first hit. Allocation-free, unlike Ids().
+  template <typename Fn>
+  bool AnyOf(Fn&& fn) const {
+    return std::any_of(entries_.begin(), entries_.end(), [&fn](const Slot& s) { return fn(s.id); });
+  }
 
   /// Drops entries not heard from within the eviction timeout.
   void EvictStale(SimTime now);

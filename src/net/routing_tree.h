@@ -68,8 +68,6 @@ class RoutingTree {
   /// the node re-learns its route from subsequent beacons.
   void SetRoot(bool is_base);
 
-  /// Number of remembered parent candidates.
-  size_t candidate_count() const { return candidates_.size(); }
 
  private:
   struct Candidate {

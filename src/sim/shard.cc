@@ -455,7 +455,7 @@ void ShardRadio::CcaFire(NodeId src) {
                       static_cast<uint64_t>(dropped.pkt.hdr.type));
     }
     if (drop_hook_) drop_hook_(src, dropped.pkt, DropReason::kChannelBusy);
-    if (send_done_hook_) send_done_hook_(src, dropped.pkt, false);
+    NotifySendDone(src, dropped.pkt, false);
     TryStart(src);
     return;
   }
@@ -586,7 +586,11 @@ void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
       }
       receptions_.push_back(Reception{r, addressed, link_base + k});
     }
-    if (!receptions_.empty() && deliver_hook_) deliver_hook_(pkt, receptions_);
+    if (!receptions_.empty() && deliver_hook_) {
+      // The receivers' handlers run here: charge them to the agent bucket.
+      obs::ScopedBucket agent(profiler_, obs::SimProfiler::kAgent);
+      deliver_hook_(pkt, receptions_);
+    }
     // The destination's shard resolves the ACK verdict (it alone knows the
     // receiver's state) and reports it to the sender's completion.
     if (dst != kBroadcastId && Owned(dst) && topology_->delivery_prob(src, dst) > 0) {
@@ -609,6 +613,12 @@ bool ShardRadio::AckBlocked(NodeId src, uint32_t gen) const {
   return !mac.ack_present || mac.ack_gen != gen;
 }
 
+void ShardRadio::NotifySendDone(NodeId src, const Packet& pkt, bool success) {
+  if (!send_done_hook_) return;
+  obs::ScopedBucket agent(profiler_, obs::SimProfiler::kAgent);
+  send_done_hook_(src, pkt, success);
+}
+
 void ShardRadio::FinishCont(NodeId src, uint32_t gen) {
   obs::ScopedBucket bucket(profiler_, obs::SimProfiler::kRadio);
   PdesMac& mac = mac_[src];
@@ -626,7 +636,7 @@ void ShardRadio::FinishCont(NodeId src, uint32_t gen) {
   if (dst == kBroadcastId) {
     Packet sent = std::move(mac.queue.front().pkt);
     mac.queue.pop_front();
-    if (send_done_hook_) send_done_hook_(src, sent, true);
+    NotifySendDone(src, sent, true);
   } else {
     bool dst_received = mac.ack_present && mac.ack_gen == gen && mac.ack_received;
     mac.ack_present = false;
@@ -639,7 +649,7 @@ void ShardRadio::FinishCont(NodeId src, uint32_t gen) {
     if (acked) {
       Packet sent = std::move(mac.queue.front().pkt);
       mac.queue.pop_front();
-      if (send_done_hook_) send_done_hook_(src, sent, true);
+      NotifySendDone(src, sent, true);
     } else if (frame.retries_left > 0) {
       --frame.retries_left;
       frame.channel_attempts = 0;  // Fresh CSMA round for the retransmission.
@@ -653,7 +663,7 @@ void ShardRadio::FinishCont(NodeId src, uint32_t gen) {
                         "dst", static_cast<uint64_t>(dst));
       }
       if (drop_hook_) drop_hook_(src, sent, DropReason::kNoAck);
-      if (send_done_hook_) send_done_hook_(src, sent, false);
+      NotifySendDone(src, sent, false);
     }
   }
 

@@ -443,6 +443,9 @@ class ShardRadio {
   void CcaFire(NodeId src);
   void StartTx(NodeId src);
   void FinishCont(NodeId src, uint32_t gen);
+  /// Reports a frame's fate to its sender's app, charged to the agent
+  /// bucket.
+  void NotifySendDone(NodeId src, const Packet& pkt, bool success);
   /// Records the ACK verdict for the locally-owned sender's (src, gen).
   void RecordAckVerdict(NodeId src, uint32_t gen, bool received);
   void EvalLocal(NodeId src, uint32_t gen, SimTime start, SimTime end);

@@ -156,9 +156,6 @@ class Topology {
   /// Number of nodes, including the basestation.
   int num_nodes() const { return static_cast<int>(positions_.size()); }
 
-  /// The basestation id (always 0 by convention).
-  NodeId base_id() const { return 0; }
-
   /// Delivery probability of a packet sent by `from` arriving at `to`.
   /// O(1) from the dense matrix up to kDenseDeliveryMaxNodes, else a
   /// binary search of `from`'s CSR row.
@@ -211,9 +208,6 @@ class Topology {
   /// Average fraction of the network a node can hear (links with delivery
   /// probability >= threshold). O(links).
   double AvgNeighborFraction(double threshold) const;
-
-  /// Mean delivery probability over audible links (prob > 0).
-  double MeanAudibleDelivery() const;
 
   /// True iff every node is reachable *from* the base and can reach the
   /// base over directed links with delivery >= threshold. (Asymmetric

@@ -55,8 +55,6 @@ class FlashStore {
   /// survive, matching RingBuffer::Clear).
   void Clear() { buffer_.Clear(); }
 
-  /// Tuples ever written.
-  uint64_t tuples_written() const { return buffer_.total_pushed(); }
 
   /// Tuples lost to ring overwrite.
   uint64_t tuples_overwritten() const { return buffer_.overwritten(); }

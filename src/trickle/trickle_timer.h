@@ -67,7 +67,6 @@ class TrickleTimer {
   /// While held, the interval does not double at interval end (used by
   /// nodes that still need data and must keep soliciting at tau_min).
   void set_hold_at_min(bool hold) { hold_at_min_ = hold; }
-  bool hold_at_min() const { return hold_at_min_; }
 
  private:
   enum class Phase {

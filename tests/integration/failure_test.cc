@@ -34,7 +34,8 @@ sim::Topology DetourTopology(double q = 0.9) {
 }
 
 struct Fixture {
-  explicit Fixture(uint64_t seed = 7) : engine(DetourTopology(), MakeOptions(seed)) {
+  explicit Fixture(uint64_t seed = 7, int query_reissue_max = 0)
+      : engine(DetourTopology(), MakeOptions(seed)) {
     const int n = engine.topology().num_nodes();
     for (int i = 0; i < n; ++i) {
       AgentConfig cfg;
@@ -48,6 +49,7 @@ struct Fixture {
       // Faster healing for a compact test.
       cfg.tree.parent_timeout = Seconds(45);
       cfg.neighbor.eviction_timeout = Seconds(60);
+      cfg.fault_query_reissue_max = query_reissue_max;
       cfg.telemetry = &telemetry;
       cfg.sample_fn = [](NodeId node, SimTime) { return Value{node * 10}; };
       if (i == 0) {
@@ -143,6 +145,40 @@ TEST(FailureTest, QueriesToDeadNodeTimeOutGracefully) {
   EXPECT_EQ(outcome->targets, 2);
   EXPECT_EQ(outcome->responders, 1);  // Only node 3 answers.
   EXPECT_FALSE(outcome->complete);
+}
+
+TEST(FailureTest, QueryToDeadNodeIsReissuedOnceAndClosesOnce) {
+  Fixture f(/*seed=*/7, /*query_reissue_max=*/1);
+  f.engine.RunUntil(Minutes(4));
+  f.engine.FaultSetAlive(4, false);
+  f.engine.RunUntil(Minutes(4) + Seconds(10));
+
+  std::vector<QueryOutcome> completed;
+  f.base->on_query_complete = [&](const QueryOutcome& o) { completed.push_back(o); };
+  Query query;
+  query.time_lo = 0;
+  query.time_hi = f.engine.DriverNow();
+  query.explicit_nodes = {3, 4};
+  uint32_t id = 0;
+  SimTime issued_at = f.engine.DriverNow() + Seconds(1);
+  f.engine.ScheduleDriver(issued_at, [&] { id = f.base->IssueQuery(query); });
+  // Long enough for the timeout, the re-issue and its own timeout.
+  f.engine.RunUntil(f.engine.DriverNow() + Seconds(60));
+
+  EXPECT_EQ(f.telemetry.queries_reissued, 1u);
+  ASSERT_EQ(completed.size(), 1u);
+  EXPECT_EQ(completed[0].query_id, id);
+  const QueryOutcome* outcome = f.base->outcome(id);
+  ASSERT_NE(outcome, nullptr);
+  EXPECT_EQ(outcome->query_id, id);
+  EXPECT_TRUE(outcome->closed);
+  EXPECT_EQ(outcome->targets, 2);
+  EXPECT_EQ(outcome->responders, 1);  // Node 3 answers once, across both floods.
+  EXPECT_FALSE(outcome->complete);
+  // Closed by the re-issue's timeout, not the first one.
+  EXPECT_EQ(outcome->closed_at, issued_at + 2 * AgentConfig{}.query_timeout);
+  // The re-issue's wire id is not a query of its own.
+  EXPECT_EQ(f.base->outcome(id + 1), nullptr);
 }
 
 TEST(FailureTest, DataForDeadOwnerFallsBackInstead) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -383,6 +384,55 @@ TEST(ShardedEngineTest, DuplicatesAreKeyedPerSenderOnEveryShard) {
   }
   EXPECT_GT(dups, 0);
   EXPECT_GT(same_seq_as_other_sender, 0);
+}
+
+/// Broadcasts `count` packets and busy-waits a fixed wall time in every
+/// receive and send-done handler.
+class SpinApp : public App {
+ public:
+  static constexpr auto kSpin = std::chrono::milliseconds(2);
+
+  explicit SpinApp(int count) : count_(count) {}
+
+  void OnBoot(Context& ctx) override {
+    if (count_ > 0) ctx.Schedule(Millis(300), [this, &ctx] { SendNext(ctx); });
+  }
+  void OnReceive(Context&, const Packet&, const ReceiveInfo&) override { Spin(); }
+  void OnSendDone(Context&, const Packet&, bool) override { Spin(); }
+
+  int spins = 0;
+
+ private:
+  void SendNext(Context& ctx) {
+    ctx.Broadcast(DataPacket(ctx.self(), static_cast<uint32_t>(count_)));
+    if (--count_ > 0) ctx.Schedule(Millis(300), [this, &ctx] { SendNext(ctx); });
+  }
+  void Spin() {
+    ++spins;
+    auto until = std::chrono::steady_clock::now() + kSpin;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  }
+
+  int count_;
+};
+
+TEST(ShardedEngineTest, ProfilerChargesReceiveAndSendDoneHandlersToTheAgent) {
+  ShardedEngine engine(Line(2), ShardedEngineOptions{});
+  obs::SimProfiler profiler;
+  engine.EnableObservability(/*shard=*/0, nullptr, nullptr, &profiler);
+  auto sender = std::make_unique<SpinApp>(4);
+  auto receiver = std::make_unique<SpinApp>(0);
+  SpinApp* apps[] = {sender.get(), receiver.get()};
+  engine.SetApp(0, std::move(sender));
+  engine.SetApp(1, std::move(receiver));
+  engine.Start();
+  engine.RunUntil(Seconds(3));
+  // Four send-dones at the sender, four receptions over the perfect link.
+  ASSERT_EQ(apps[0]->spins, 4);
+  ASSERT_EQ(apps[1]->spins, 4);
+  double spun = std::chrono::duration<double>(SpinApp::kSpin).count() * 8;
+  EXPECT_GE(profiler.Seconds(obs::SimProfiler::kAgent), spun);
 }
 
 TEST(ShardedEngineTest, ShardOfCoversAllNodesContiguously) {
