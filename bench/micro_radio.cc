@@ -27,22 +27,16 @@ namespace {
 using sim::RadioOptions;
 using sim::Topology;
 
-/// A single-shard radio on its own queue, counting transmissions and
-/// deliveries. Bench drivers schedule under a pseudo-origin above the node
-/// ids, as the engine's query driver does.
+/// A single-shard radio on its own queue; its traffic ledger counts the
+/// transmissions and deliveries. Bench drivers schedule under a
+/// pseudo-origin above the node ids, as the engine's query driver does.
 class BenchRadio {
  public:
   BenchRadio(const Topology* topology, uint64_t seed)
       : owner_(static_cast<size_t>(topology->num_nodes()), 0),
         queue_(static_cast<uint32_t>(topology->num_nodes()) + 1),
         radio_(topology, RadioOptions{}, &queue_, seed, &owner_, /*self_shard=*/0),
-        driver_origin_(static_cast<uint32_t>(topology->num_nodes())) {
-    radio_.set_transmit_hook([this](NodeId, const Packet&, bool) { ++transmissions_; });
-    radio_.set_deliver_hook(
-        [this](const Packet&, std::span<const sim::ShardRadio::Reception> receptions) {
-          deliveries_ += receptions.size();
-        });
-  }
+        driver_origin_(static_cast<uint32_t>(topology->num_nodes())) {}
 
   void set_send_done_hook(sim::ShardRadio::SendDoneHook hook) {
     radio_.set_send_done_hook(std::move(hook));
@@ -56,16 +50,14 @@ class BenchRadio {
     queue_.ScheduleRegular(at, driver_origin_, std::move(fn));
   }
   bool RunOne() { return queue_.RunOne(); }
-  uint64_t transmissions() const { return transmissions_; }
-  uint64_t deliveries() const { return deliveries_; }
+  uint64_t transmissions() const { return radio_.traffic().TotalSent(); }
+  uint64_t deliveries() const { return radio_.traffic().receptions(); }
 
  private:
   std::vector<int> owner_;
   sim::ShardQueue queue_;
   sim::ShardRadio radio_;
   uint32_t driver_origin_;
-  uint64_t transmissions_ = 0;
-  uint64_t deliveries_ = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -49,9 +49,6 @@ int main() {
   sim::ShardedEngineOptions net_opts;
   net_opts.seed = 5;
   sim::ShardedEngine net(topo, net_opts);  // One shard: runs inline.
-  metrics::MessageStats stats(kMachines);
-  net.set_transmit_observer(
-      /*shard=*/0, [&](NodeId s, const Packet& p, bool r) { stats.OnTransmit(s, p, r); });
 
   metrics::Telemetry telemetry;
   Rng sample_rng(99);
@@ -122,8 +119,19 @@ int main() {
                 *max_outcome->aggregate);
   }
 
-  std::printf("\nTotals: %llu readings produced, %s\n",
-              static_cast<unsigned long long>(telemetry.readings_produced),
-              stats.ToString().c_str());
+  const metrics::MessageStats traffic = net.traffic();
+  std::printf("\nTotals: %llu readings produced, messages sent (incl. retx):\n",
+              static_cast<unsigned long long>(telemetry.readings_produced));
+  for (int t = 0; t < kNumPacketTypes; ++t) {
+    PacketType type = static_cast<PacketType>(t);
+    const metrics::TypeCounters& c = traffic.ByType(type);
+    std::printf("  %s: %llu (retx %llu)\n", PacketTypeName(type),
+                static_cast<unsigned long long>(c.sent),
+                static_cast<unsigned long long>(c.retransmissions));
+  }
+  std::printf("  total: %llu (excl beacons: %llu), MAC drops: %llu\n",
+              static_cast<unsigned long long>(traffic.TotalSent()),
+              static_cast<unsigned long long>(traffic.TotalSentExclBeacons()),
+              static_cast<unsigned long long>(traffic.TotalDrops()));
   return 0;
 }

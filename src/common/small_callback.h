@@ -1,10 +1,10 @@
 // Move-only type-erased callable with inline storage. The discrete-event
 // queue runs one `void()` of these per simulated event, and the radio
-// invokes one per packet on its observer chain, so unlike std::function
-// (16-byte small-object buffer in libstdc++) the buffer is sized to hold
-// typical simulator callbacks -- `this` plus a few scalars, or a whole
-// std::function forwarded from legacy call sites -- without touching the
-// allocator. Larger or potentially-throwing-move callables fall back to a
+// invokes its deliver and send-done hooks once per frame, so unlike
+// std::function (16-byte small-object buffer in libstdc++) the buffer is
+// sized to hold typical simulator callbacks -- `this` plus a few scalars,
+// or a whole std::function forwarded from legacy call sites -- without
+// touching the allocator. Larger or potentially-throwing-move callables fall back to a
 // single heap box.
 //
 // SmallFunction<R(Args...)> is the general template; SmallCallback is the

@@ -155,14 +155,15 @@ void AgentBase::OnReboot(sim::Context& ctx) {
   (void)ctx;
   down_ = false;
   // Volatile state is gone: stored tuples, routing tree, link estimates,
-  // descendant cache, and the orphan buffer (its readings stay counted as
-  // orphaned-but-never-rehomed, so the loss is visible in the accounting).
-  // The index store survives deliberately -- a rebooted node holds a stale
-  // index until gossip catches it up (§5.3).
+  // descendant cache, the query ids heard, and the orphan buffer (its
+  // readings stay counted as orphaned-but-never-rehomed, so the loss is
+  // visible in the accounting). The index store survives deliberately --
+  // a rebooted node holds a stale index until gossip catches it up (§5.3).
   flash_.Clear();
   neighbors_ = net::NeighborTable(cfg_.neighbor);
   tree_ = net::RoutingTree(cfg_.self, cfg_.is_base(), cfg_.tree);
   descendants_ = net::DescendantsTable(cfg_.descendants);
+  queries_heard_.clear();
   orphans_.clear();
   OnAgentReboot();
 }

@@ -111,29 +111,13 @@ FaultPlan BuildFaultPlan(const FaultConfig& config, const LegacyCrashWaves& lega
     });
   }
 
-  // Link degradation window + marker instant at its opening edge.
-  if (config.link_degrade_factor != 1.0 &&
-      config.link_degrade_end > config.link_degrade_start) {
-    SCOOP_CHECK_GE(config.link_degrade_factor, 0.0);
-    plan.channel.AddWindow(
-        config.link_degrade_start, config.link_degrade_end,
-        config.link_degrade_factor,
-        RegionMask(topology, num_nodes, config.link_degrade_x_lo,
-                   config.link_degrade_x_hi, config.link_degrade_y_lo,
-                   config.link_degrade_y_hi),
-        /*partition=*/false);
-    plan.events.push_back(
-        FaultEvent{config.link_degrade_start, FaultKind::kMarkLinkDown, 0});
-  }
-
   // Partition window: sever boundary-crossing links, then heal.
   if (config.partition_end > config.partition_start) {
     plan.channel.AddWindow(
-        config.partition_start, config.partition_end, /*factor=*/0.0,
+        config.partition_start, config.partition_end,
         RegionMask(topology, num_nodes, config.partition_x_lo,
                    config.partition_x_hi, config.partition_y_lo,
-                   config.partition_y_hi),
-        /*partition=*/true);
+                   config.partition_y_hi));
     plan.events.push_back(
         FaultEvent{config.partition_start, FaultKind::kMarkPartition, 0});
   }

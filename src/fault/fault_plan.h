@@ -1,8 +1,8 @@
 // Deterministic fault injection: a seeded, sim-time-scheduled plan of
 // typed fault events -- crash-stop waves (subsuming the legacy
-// `failure_*` knobs), crash-reboot churn, link-degradation windows,
-// spatial partitions, and base outage/failover -- built once per trial
-// from (config, seed) and then replayed identically at every shard count.
+// `failure_*` knobs), crash-reboot churn, spatial partitions, and base
+// outage/failover -- built once per trial from (config, seed) and then
+// replayed identically at every shard count.
 //
 // The plan is pure data: BuildFaultPlan draws all randomness up front
 // from dedicated streams, so the same (config, topology, seed) always
@@ -36,16 +36,6 @@ struct FaultConfig {
   int reboot_wave_count = 1;
   SimTime reboot_wave_interval = Minutes(5);
   SimTime reboot_downtime = Seconds(60);
-
-  // --- Link degradation: delivery probabilities of links touching the
-  // region are multiplied by `link_degrade_factor` over [start, end).
-  double link_degrade_factor = 1.0;  ///< 1.0 = off.
-  SimTime link_degrade_start = 0;
-  SimTime link_degrade_end = 0;
-  double link_degrade_x_lo = 0.0;
-  double link_degrade_x_hi = 1.0;
-  double link_degrade_y_lo = 0.0;
-  double link_degrade_y_hi = 1.0;
 
   // --- Spatial partition: every link crossing the rectangle's boundary is
   // severed over [start, end) (both islands stay internally connected),
@@ -87,15 +77,16 @@ struct LegacyCrashWaves {
   SimTime wave_interval = Minutes(5);
 };
 
+/// The values are stable: traces carry them as `args.kind` (6 was a
+/// retired link-degradation marker).
 enum class FaultKind : uint8_t {
-  kRadioDown,      ///< Crash-stop: radio off forever (legacy failure waves).
-  kRadioUp,        ///< Radio back on without agent reset (base outage heal).
-  kCrash,          ///< Radio off + agent OnCrash (start of a reboot cycle).
-  kReboot,         ///< Radio on + agent OnReboot (storage cleared, tree rejoin).
-  kPromote,        ///< Node becomes tree root (base failover backup).
-  kDemote,         ///< Node stops being tree root (base back up).
-  kMarkLinkDown,   ///< Marker: a link-degradation window opens (counters/trace only).
-  kMarkPartition,  ///< Marker: a partition window opens (counters/trace only).
+  kRadioDown = 0,      ///< Crash-stop: radio off forever (legacy failure waves).
+  kRadioUp = 1,        ///< Radio back on without agent reset (base outage heal).
+  kCrash = 2,          ///< Radio off + agent OnCrash (start of a reboot cycle).
+  kReboot = 3,         ///< Radio on + agent OnReboot (storage cleared, tree rejoin).
+  kPromote = 4,        ///< Node becomes tree root (base failover backup).
+  kDemote = 5,         ///< Node stops being tree root (base back up).
+  kMarkPartition = 7,  ///< Marker: a partition window opens (counters/trace only).
 };
 
 struct FaultEvent {

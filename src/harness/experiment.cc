@@ -91,20 +91,6 @@ void WriteTextFile(const std::string& path, const std::string& text) {
   }
 }
 
-/// Resolves the per-packet-type wire-byte counters ("wire.bytes.<type>").
-/// All null when metrics are off, so the transmit observer stays a single
-/// pointer test per packet.
-std::array<uint64_t*, kNumPacketTypes> WireByteCounters(obs::MetricsRegistry* registry) {
-  std::array<uint64_t*, kNumPacketTypes> ctrs{};
-  if (registry == nullptr) return ctrs;
-  for (int t = 0; t < kNumPacketTypes; ++t) {
-    std::string name = "wire.bytes.";
-    name += PacketTypeName(static_cast<PacketType>(t));
-    ctrs[static_cast<size_t>(t)] = registry->Counter(name);
-  }
-  return ctrs;
-}
-
 /// Folds one profiler's buckets into the result's perf fields. The
 /// profiler must already be stopped at the end of its shard's run loop, so
 /// post-run work -- trace export, result collection -- never pollutes the
@@ -289,14 +275,12 @@ struct FaultObs {
   obs::TraceSink* trace = nullptr;
   uint64_t* crash = nullptr;
   uint64_t* reboot = nullptr;
-  uint64_t* link_down = nullptr;
   uint64_t* partition = nullptr;
 
   void Resolve(obs::MetricsRegistry* registry) {
     if (registry == nullptr) return;
     crash = registry->Counter("fault.crash");
     reboot = registry->Counter("fault.reboot");
-    link_down = registry->Counter("fault.link_down");
     partition = registry->Counter("fault.partition");
   }
 };
@@ -314,8 +298,6 @@ const char* FaultInstantName(fault::FaultKind kind) {
       return "fault.promote";
     case fault::FaultKind::kDemote:
       return "fault.demote";
-    case fault::FaultKind::kMarkLinkDown:
-      return "fault.link_down";
     case fault::FaultKind::kMarkPartition:
       return "fault.partition";
   }
@@ -330,9 +312,6 @@ void RecordFaultObs(FaultObs* obs, const fault::FaultEvent& ev, SimTime now) {
       break;
     case fault::FaultKind::kReboot:
       if (obs->reboot != nullptr) ++*obs->reboot;
-      break;
-    case fault::FaultKind::kMarkLinkDown:
-      if (obs->link_down != nullptr) ++*obs->link_down;
       break;
     case fault::FaultKind::kMarkPartition:
       if (obs->partition != nullptr) ++*obs->partition;
@@ -358,8 +337,8 @@ ExperimentResult CollectResult(const ExperimentConfig& config,
     const metrics::TypeCounters& c = stats.ByType(static_cast<PacketType>(t));
     r.sent_by_type[static_cast<size_t>(t)] = static_cast<double>(c.sent);
     r.retransmissions += static_cast<double>(c.retransmissions);
-    r.mac_drops += static_cast<double>(c.dropped);
   }
+  r.mac_drops = static_cast<double>(stats.TotalDrops());
   r.total = static_cast<double>(stats.TotalSent());
   r.total_excl_beacons = static_cast<double>(stats.TotalSentExclBeacons());
 
@@ -491,22 +470,18 @@ ExperimentResult RunShardedTrial(const ExperimentConfig& config, uint64_t seed, 
   sim::ShardedEngine engine(MakeTopology(config, seed), opts);
   const int k = engine.num_shards();
 
-  // One MessageStats/Telemetry per shard -- observers and agents touch only
-  // their own shard's sink, so shards never contend -- merged after the run.
-  // Every counter is a sum, so the merged totals are K-invariant even
-  // though the split across sinks is not.
-  std::vector<metrics::MessageStats> shard_stats;
-  shard_stats.reserve(static_cast<size_t>(k));
-  for (int s = 0; s < k; ++s) shard_stats.emplace_back(config.num_nodes);
+  // One Telemetry per shard -- agents touch only their own shard's sink, so
+  // shards never contend -- merged after the run. Every counter is a sum,
+  // so the merged totals are K-invariant even though the split across
+  // sinks is not. The radios keep the traffic ledger the same way.
   std::vector<metrics::Telemetry> shard_telemetry(static_cast<size_t>(k));
 
-  // Observability sinks follow the same one-per-shard rule as the stats
-  // sinks above: each shard's instrumentation fires on its own thread, so
-  // shards never contend; export merges them afterwards.
+  // Observability sinks follow the same one-per-shard rule: each shard's
+  // instrumentation fires on its own thread, so shards never contend;
+  // export merges them afterwards.
   std::vector<std::unique_ptr<obs::TraceSink>> traces(static_cast<size_t>(k));
   std::vector<std::unique_ptr<obs::MetricsRegistry>> registries(static_cast<size_t>(k));
   std::vector<std::unique_ptr<obs::SimProfiler>> profilers(static_cast<size_t>(k));
-  std::vector<std::array<uint64_t*, kNumPacketTypes>> wire_ctrs(static_cast<size_t>(k));
   for (int s = 0; s < k; ++s) {
     if (!config.trace_out.empty()) {
       traces[static_cast<size_t>(s)] = std::make_unique<obs::TraceSink>();
@@ -521,24 +496,6 @@ ExperimentResult RunShardedTrial(const ExperimentConfig& config, uint64_t seed, 
                                registries[static_cast<size_t>(s)].get(),
                                profilers[static_cast<size_t>(s)].get(),
                                config.metrics_interval);
-    wire_ctrs[static_cast<size_t>(s)] =
-        WireByteCounters(registries[static_cast<size_t>(s)].get());
-  }
-
-  for (int s = 0; s < k; ++s) {
-    metrics::MessageStats* ms = &shard_stats[static_cast<size_t>(s)];
-    const std::array<uint64_t*, kNumPacketTypes>* wire = &wire_ctrs[static_cast<size_t>(s)];
-    engine.set_transmit_observer(s, [ms, wire](NodeId src, const Packet& pkt, bool retx) {
-      ms->OnTransmit(src, pkt, retx);
-      uint64_t* ctr = (*wire)[static_cast<size_t>(pkt.hdr.type)];
-      if (ctr != nullptr) *ctr += static_cast<uint64_t>(pkt.WireSize());
-    });
-    engine.set_deliver_observer(s, [ms](NodeId dst, const Packet& pkt, bool addressed) {
-      ms->OnDeliver(dst, pkt, addressed);
-    });
-    engine.set_drop_observer(s, [ms](NodeId src, const Packet& pkt, sim::DropReason) {
-      ms->OnDrop(src, pkt);
-    });
   }
 
   std::unique_ptr<workload::DataSource> source = workload::MakeDataSource(
@@ -593,7 +550,6 @@ ExperimentResult RunShardedTrial(const ExperimentConfig& config, uint64_t seed, 
         case fault::FaultKind::kDemote:
           engine.FaultRootPromote(ev.node, false);
           break;
-        case fault::FaultKind::kMarkLinkDown:
         case fault::FaultKind::kMarkPartition:
           break;  // The link channel applies the window; this is obs-only.
       }
@@ -621,8 +577,6 @@ ExperimentResult RunShardedTrial(const ExperimentConfig& config, uint64_t seed, 
   queries.Start();
   engine.RunUntil(config.duration);
 
-  metrics::MessageStats stats = std::move(shard_stats[0]);
-  for (int s = 1; s < k; ++s) stats.MergeFrom(shard_stats[static_cast<size_t>(s)]);
   metrics::Telemetry telemetry = shard_telemetry[0];
   for (int s = 1; s < k; ++s) telemetry.MergeFrom(shard_telemetry[static_cast<size_t>(s)]);
 
@@ -640,7 +594,7 @@ ExperimentResult RunShardedTrial(const ExperimentConfig& config, uint64_t seed, 
                    << " seed=" << seed << " shards=" << k
                    << " events=" << engine.processed();
 
-  ExperimentResult r = CollectResult(config, stats, telemetry,
+  ExperimentResult r = CollectResult(config, engine.traffic(), telemetry,
                                      queries.AvgPctNodesQueried(), handle.agent,
                                      engine.processed());
   r.query_timeline = std::move(timeline);

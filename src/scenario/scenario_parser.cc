@@ -323,20 +323,6 @@ const std::vector<KeyInfo>& Keys() {
               [](auto& c) -> auto& { return c.fault.reboot_wave_interval; }, kMinutes, kPositive),
       TimeKey("fault.reboot_downtime_seconds",
               [](auto& c) -> auto& { return c.fault.reboot_downtime; }, kSeconds, kPositive),
-      DoubleKey("fault.link_degrade_factor",
-                [](auto& c) -> auto& { return c.fault.link_degrade_factor; }, 0.0, 1.0),
-      TimeKey("fault.link_degrade_start_minute",
-              [](auto& c) -> auto& { return c.fault.link_degrade_start; }, kMinutes, kZeroOk),
-      TimeKey("fault.link_degrade_end_minute",
-              [](auto& c) -> auto& { return c.fault.link_degrade_end; }, kMinutes, kZeroOk),
-      DoubleKey("fault.link_degrade_x_lo",
-                [](auto& c) -> auto& { return c.fault.link_degrade_x_lo; }, 0.0, 1.0),
-      DoubleKey("fault.link_degrade_x_hi",
-                [](auto& c) -> auto& { return c.fault.link_degrade_x_hi; }, 0.0, 1.0),
-      DoubleKey("fault.link_degrade_y_lo",
-                [](auto& c) -> auto& { return c.fault.link_degrade_y_lo; }, 0.0, 1.0),
-      DoubleKey("fault.link_degrade_y_hi",
-                [](auto& c) -> auto& { return c.fault.link_degrade_y_hi; }, 0.0, 1.0),
       TimeKey("fault.partition_start_minute",
               [](auto& c) -> auto& { return c.fault.partition_start; }, kMinutes, kZeroOk),
       TimeKey("fault.partition_end_minute",

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <string>
 
 #include "common/check.h"
 
@@ -206,7 +207,8 @@ ShardRadio::ShardRadio(const Topology* topology, const RadioOptions& options,
       mac_(static_cast<size_t>(topology->num_nodes())),
       alive_(static_cast<size_t>(topology->num_nodes()), true),
       active_tx_(topology->num_nodes()),
-      node_tx_(static_cast<size_t>(topology->num_nodes())) {
+      node_tx_(static_cast<size_t>(topology->num_nodes())),
+      traffic_(topology->num_nodes()) {
   SCOOP_CHECK(topology != nullptr);
   SCOOP_CHECK(queue != nullptr);
   SCOOP_CHECK(owner != nullptr);
@@ -244,10 +246,18 @@ void ShardRadio::EnableObservability(obs::TraceSink* trace,
   if (metrics != nullptr) {
     backoff_hist_ = metrics->Hist("mac.backoff_us");
     ctr_backoffs_ = metrics->Counter("mac.backoffs_scheduled");
-    ctr_tx_ = metrics->Counter("radio.tx_started");
-    ctr_deliveries_ = metrics->Counter("radio.deliveries");
-    ctr_drops_busy_ = metrics->Counter("radio.drops_channel_busy");
-    ctr_drops_noack_ = metrics->Counter("radio.drops_no_ack");
+    metrics->Gauge("radio.tx_started", [this] { return traffic_.TotalSent(); });
+    metrics->Gauge("radio.deliveries", [this] { return traffic_.receptions(); });
+    metrics->Gauge("radio.drops_channel_busy",
+                   [this] { return traffic_.drops(metrics::DropReason::kChannelBusy); });
+    metrics->Gauge("radio.drops_no_ack",
+                   [this] { return traffic_.drops(metrics::DropReason::kNoAck); });
+    for (int i = 0; i < kNumPacketTypes; ++i) {
+      PacketType type = static_cast<PacketType>(i);
+      std::string name = "wire.bytes.";
+      name += PacketTypeName(type);
+      metrics->Gauge(name, [this, type] { return traffic_.ByType(type).bytes_sent; });
+    }
     ctr_announce_rx_ = metrics->Counter("shard.announce_rx");
     ctr_abort_rx_ = metrics->Counter("shard.abort_rx");
     ctr_ack_rx_ = metrics->Counter("shard.ack_rx");
@@ -448,13 +458,12 @@ void ShardRadio::CcaFire(NodeId src) {
   if (frame.channel_attempts >= options_.max_channel_attempts) {
     OutFrame dropped = std::move(mac.queue.front());
     mac.queue.pop_front();
-    if (ctr_drops_busy_ != nullptr) ++*ctr_drops_busy_;
+    traffic_.OnDrop(metrics::DropReason::kChannelBusy);
     if (trace_ != nullptr) {
       trace_->Instant(queue_->now(), "drop.channel_busy",
                       obs::TraceCat::kPacket, src, "type",
                       static_cast<uint64_t>(dropped.pkt.hdr.type));
     }
-    if (drop_hook_) drop_hook_(src, dropped.pkt, DropReason::kChannelBusy);
     NotifySendDone(src, dropped.pkt, false);
     TryStart(src);
     return;
@@ -480,11 +489,10 @@ void ShardRadio::StartTx(NodeId src) {
   }
   bool is_retx = frame.retries_left < options_.unicast_retries &&
                  frame.pkt.hdr.link_dst != kBroadcastId;
-  if (transmit_hook_) transmit_hook_(src, frame.pkt, is_retx);
+  traffic_.OnTransmit(src, frame.pkt, is_retx);
 
   SimTime start = queue_->now();
   SimTime end = start + frame.airtime;
-  if (ctr_tx_ != nullptr) ++*ctr_tx_;
   if (trace_ != nullptr) {
     trace_->Span(start, frame.airtime, "tx", obs::TraceCat::kPacket, src,
                  "type", static_cast<uint64_t>(frame.pkt.hdr.type), "seq",
@@ -547,10 +555,10 @@ void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
   NodeId dst = pkt.hdr.link_dst;
   bool dst_received = false;
   if (!aborted) {
-    // Fault windows scale the per-link probability before the keyed draw;
-    // every shard applies the same factor at the same (src, gen, r), so
-    // the verdicts stay identical under any K-way partition. Evaluated at
-    // the transmission end (= delivery instant).
+    // A partition window severs a link in place of its keyed draw; every
+    // shard asks the same channel at the same (src, r, end), so the
+    // verdicts stay identical under any K-way partition. Evaluated at the
+    // transmission end (= delivery instant).
     bool faulted = fault_ != nullptr && fault_->active();
     const uint64_t tx_key = MixSeed(link_key_, TxKey(src, gen));
     CollectInterferers(src, start, end);
@@ -563,6 +571,7 @@ void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
     // start a transmission inline, and liveness changes only in fault
     // events.
     receptions_.clear();
+    const uint64_t workload_bytes = metrics::MessageStats::WorkloadBytes(pkt);
     const uint32_t link_base = topology_->link_base(src);
     std::span<const Topology::Link> links = topology_->audible_from(src);
     for (uint32_t k = 0; k < links.size(); ++k) {
@@ -570,14 +579,13 @@ void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
       NodeId r = link.to;
       if (!Owned(r)) continue;
       if (!alive_[r]) continue;                                // Dead radios hear nothing.
-      double p = link.prob;
-      if (faulted) p *= fault_->Scale(src, r, end);
-      if (!LinkLossDraw(tx_key, r, p)) continue;               // Link loss.
+      if (faulted && fault_->Severed(src, r, end)) continue;   // Partitioned.
+      if (!LinkLossDraw(tx_key, r, link.prob)) continue;       // Link loss.
       if (WasTransmitting(r, start, end)) continue;            // Half duplex.
       if (maybe_collided && Collided(r, link.prob)) continue;  // Corrupted.
       bool addressed = (dst == kBroadcastId) || (dst == r);
       if (dst == r) dst_received = true;
-      if (ctr_deliveries_ != nullptr) ++*ctr_deliveries_;
+      traffic_.OnReceive(r, addressed, workload_bytes);
       // Trace addressed receptions only; snoops are counted, not traced.
       if (trace_ != nullptr && addressed) {
         trace_->Instant(end, "deliver", obs::TraceCat::kPacket, r, "src",
@@ -642,10 +650,9 @@ void ShardRadio::FinishCont(NodeId src, uint32_t gen) {
     mac.ack_present = false;
     double p_ack = std::pow(topology_->delivery_prob(dst, src),
                             options_.ack_shortness_exponent);
-    if (fault_ != nullptr && fault_->active()) {
-      p_ack *= fault_->Scale(dst, src, queue_->now());  // Reverse link.
-    }
-    bool acked = dst_received && AckDraw(src, gen, p_ack);
+    bool severed = fault_ != nullptr && fault_->active() &&
+                   fault_->Severed(dst, src, queue_->now());  // Reverse link.
+    bool acked = dst_received && !severed && AckDraw(src, gen, p_ack);
     if (acked) {
       Packet sent = std::move(mac.queue.front().pkt);
       mac.queue.pop_front();
@@ -656,13 +663,12 @@ void ShardRadio::FinishCont(NodeId src, uint32_t gen) {
     } else {
       Packet sent = std::move(mac.queue.front().pkt);
       mac.queue.pop_front();
-      if (ctr_drops_noack_ != nullptr) ++*ctr_drops_noack_;
+      traffic_.OnDrop(metrics::DropReason::kNoAck);
       if (trace_ != nullptr) {
         trace_->Instant(queue_->now(), "drop.no_ack", obs::TraceCat::kPacket,
                         src, "type", static_cast<uint64_t>(sent.hdr.type),
                         "dst", static_cast<uint64_t>(dst));
       }
-      if (drop_hook_) drop_hook_(src, sent, DropReason::kNoAck);
       NotifySendDone(src, sent, false);
     }
   }

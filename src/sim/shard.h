@@ -53,9 +53,11 @@
 // index (Topology::link_base + walk position), so receive-side per-link
 // state -- the engine's duplicate filter, the receiver's in-link rank and
 // through it the neighbor-table slot -- is found by index, never by
-// search. The second pass hands that whole list to the deliver hook in
-// one call. One broadcast is O(degree + overlapping transmissions) and
-// allocates nothing.
+// search. The verdict pass also books each reception in the shard's
+// traffic ledger (metrics/message_stats.h), as transmit start and the MAC
+// drop sites book theirs. The second pass hands the whole list to the
+// deliver hook in one call. One broadcast is O(degree + overlapping
+// transmissions) and allocates nothing.
 #ifndef SCOOP_SIM_SHARD_H_
 #define SCOOP_SIM_SHARD_H_
 
@@ -74,6 +76,7 @@
 #include "common/rng.h"
 #include "common/small_callback.h"
 #include "fault/link_fault.h"
+#include "metrics/message_stats.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -86,12 +89,6 @@ namespace scoop::sim {
 
 /// "No more events / no constraint" sentinel time.
 inline constexpr SimTime kSimTimeHorizon = std::numeric_limits<SimTime>::max();
-
-/// Why a frame was dropped by the MAC without being delivered.
-enum class DropReason {
-  kChannelBusy,  ///< Exceeded max channel-acquisition attempts.
-  kNoAck,        ///< Unicast exhausted all retransmissions.
-};
 
 /// Deterministically-ordered event queue for one shard. Orders events by
 /// the canonical (time, phase, origin, counter) key documented above, so
@@ -255,9 +252,7 @@ class ShardQueue {
 class ShardRadio {
  public:
   /// Hooks are inline-storage SmallFunctions, not std::function: they fire
-  /// per packet, so boxing them would put an allocation on the hot path.
-  /// Observer invoked at each transmission start (the paper's cost unit).
-  using TransmitHook = SmallFunction<void(NodeId src, const Packet&, bool retransmission)>;
+  /// per frame, so boxing them would put an allocation on the hot path.
   /// One node that latched a frame: `addressed` is true for broadcasts
   /// and for unicasts to it, false for an overheard unicast. `link` is
   /// the CSR index of the sender->receiver link (Topology::link_base), so
@@ -271,8 +266,6 @@ class ShardRadio {
   /// receiver id. Called once per frame with a non-empty list, which is
   /// valid only during the call.
   using DeliverHook = SmallFunction<void(const Packet&, std::span<const Reception>)>;
-  /// Observer for frames abandoned by the MAC.
-  using DropHook = SmallFunction<void(NodeId src, const Packet&, DropReason)>;
   /// Completion callback toward the sending node's app.
   using SendDoneHook = SmallFunction<void(NodeId src, const Packet&, bool success)>;
   /// Outbound cross-shard notifications, wired by the engine.
@@ -306,11 +299,11 @@ class ShardRadio {
   bool IsAlive(NodeId id) const { return alive_[id]; }
 
   /// Attaches a link-fault channel (nullptr detaches). When set and
-  /// active, per-link delivery and ACK probabilities are scaled by the
-  /// channel's window factors. Every shard must attach the SAME channel:
-  /// the keyed loss/ACK draws consume no shared stream, so scaling their
-  /// probabilities identically on each shard keeps any K-way partition
-  /// bit-identical. The channel must outlive the radio.
+  /// active, a link the channel severs fails its delivery and ACK
+  /// verdicts. Every shard must attach the SAME channel: the keyed
+  /// loss/ACK draws consume no shared stream, so severing links
+  /// identically on each shard keeps any K-way partition bit-identical.
+  /// The channel must outlive the radio.
   void SetFaultChannel(const fault::LinkFaultChannel* channel) { fault_ = channel; }
 
   // --- Inbound cross-shard messages (applied by the shard's drain) ---
@@ -348,9 +341,12 @@ class ShardRadio {
   /// partitioner is judged by.
   uint64_t mirrored_frames() const { return mirrored_frames_; }
 
-  void set_transmit_hook(TransmitHook hook) { transmit_hook_ = std::move(hook); }
+  /// This shard's traffic ledger: transmissions by its nodes, receptions
+  /// at its nodes, and its MAC drops, over the whole run. Always on; the
+  /// engine merges the K ledgers (ShardedEngine::traffic()).
+  const metrics::MessageStats& traffic() const { return traffic_; }
+
   void set_deliver_hook(DeliverHook hook) { deliver_hook_ = std::move(hook); }
-  void set_drop_hook(DropHook hook) { drop_hook_ = std::move(hook); }
   void set_send_done_hook(SendDoneHook hook) { send_done_hook_ = std::move(hook); }
   void set_announce_fn(AnnounceFn fn) { announce_fn_ = std::move(fn); }
   void set_abort_fn(AbortFn fn) { abort_fn_ = std::move(fn); }
@@ -367,6 +363,9 @@ class ShardRadio {
   /// Observation-only: recording draws no randomness (backoff delays are
   /// recorded after the MAC draws them) and schedules nothing. Each shard
   /// gets its own sinks -- they are only ever touched from its thread.
+  /// The registry also samples the traffic ledger, as gauges named
+  /// radio.tx_started, radio.deliveries, radio.drops_{channel_busy,no_ack}
+  /// and wire.bytes.<type>.
   void EnableObservability(obs::TraceSink* trace, obs::MetricsRegistry* metrics,
                            obs::SimProfiler* profiler);
 
@@ -478,7 +477,7 @@ class ShardRadio {
   const Topology* topology_;
   RadioOptions options_;
   ShardQueue* queue_;
-  /// Optional link-degradation/partition windows (src/fault/); null = off.
+  /// Optional partition windows (src/fault/); null = off.
   const fault::LinkFaultChannel* fault_ = nullptr;
   const std::vector<int>* owner_;
   int self_shard_;
@@ -527,9 +526,9 @@ class ShardRadio {
   std::unordered_map<uint64_t, RemoteTx> remote_tx_;
   std::unordered_set<uint64_t> aborted_;
 
-  TransmitHook transmit_hook_;
+  metrics::MessageStats traffic_;
+
   DeliverHook deliver_hook_;
-  DropHook drop_hook_;
   SendDoneHook send_done_hook_;
   AnnounceFn announce_fn_;
   AbortFn abort_fn_;
@@ -540,10 +539,6 @@ class ShardRadio {
   obs::SimProfiler* profiler_ = nullptr;
   obs::Histogram* backoff_hist_ = nullptr;
   uint64_t* ctr_backoffs_ = nullptr;
-  uint64_t* ctr_tx_ = nullptr;
-  uint64_t* ctr_deliveries_ = nullptr;
-  uint64_t* ctr_drops_busy_ = nullptr;
-  uint64_t* ctr_drops_noack_ = nullptr;
   uint64_t* ctr_announce_rx_ = nullptr;
   uint64_t* ctr_abort_rx_ = nullptr;
   uint64_t* ctr_ack_rx_ = nullptr;

@@ -97,9 +97,6 @@ struct ShardedEngine::Shard {
   /// no-progress episodes occurred. Wall-clock-derived, NOT deterministic.
   uint64_t stall_us_total = 0;
   uint64_t stall_episodes = 0;
-  ShardRadio::TransmitHook transmit_observer;
-  DeliverObserver deliver_observer;
-  ShardRadio::DropHook drop_observer;
 
   // --- Observability (null/0 = off; the queue and radio hold their own
   // resolved pointers, this is the engine-loop share) ---
@@ -209,7 +206,6 @@ ShardedEngine::ShardedEngine(Topology topology, ShardedEngineOptions options)
           // Every per-receiver lookup is a direct index: the app table by
           // receiver, the duplicate filter and the in-link rank by link.
           for (const ShardRadio::Reception& rx : receptions) {
-            if (sh->deliver_observer) sh->deliver_observer(rx.receiver, pkt, rx.addressed);
             App* app = sh->apps[rx.receiver];
             if (app == nullptr) continue;
             // The Host is the app's Context; passing it loads nothing.
@@ -229,12 +225,6 @@ ShardedEngine::ShardedEngine(Topology topology, ShardedEngineOptions options)
         });
     sh->radio->set_send_done_hook([sh](NodeId src, const Packet& pkt, bool success) {
       sh->hosts[src]->SendDone(pkt, success);
-    });
-    sh->radio->set_transmit_hook([sh](NodeId src, const Packet& pkt, bool retx) {
-      if (sh->transmit_observer) sh->transmit_observer(src, pkt, retx);
-    });
-    sh->radio->set_drop_hook([sh](NodeId src, const Packet& pkt, DropReason reason) {
-      if (sh->drop_observer) sh->drop_observer(src, pkt, reason);
     });
     sh->radio->set_announce_fn(
         [this, sh](NodeId src, uint32_t gen, SimTime start, SimTime end,
@@ -364,17 +354,10 @@ bool ShardedEngine::IsAlive(NodeId id) const {
   return shards_[owner_[id]]->radio->IsAlive(id);
 }
 
-void ShardedEngine::set_transmit_observer(int shard,
-                                          ShardRadio::TransmitHook observer) {
-  shards_[shard]->transmit_observer = std::move(observer);
-}
-
-void ShardedEngine::set_deliver_observer(int shard, DeliverObserver observer) {
-  shards_[shard]->deliver_observer = std::move(observer);
-}
-
-void ShardedEngine::set_drop_observer(int shard, ShardRadio::DropHook observer) {
-  shards_[shard]->drop_observer = std::move(observer);
+metrics::MessageStats ShardedEngine::traffic() const {
+  metrics::MessageStats merged = shards_[0]->radio->traffic();
+  for (int s = 1; s < num_shards_; ++s) merged.MergeFrom(shards_[s]->radio->traffic());
+  return merged;
 }
 
 void ShardedEngine::EnableObservability(int shard, obs::TraceSink* trace,

@@ -94,7 +94,7 @@ struct ShardedEngineOptions {
 };
 
 /// Owns the simulation state for one run: SetApp / Start / RunUntil, plus
-/// shard-aware observer and injection hooks.
+/// shard-aware observability and fault-injection hooks.
 class ShardedEngine {
  public:
   ShardedEngine(Topology topology, ShardedEngineOptions options);
@@ -126,20 +126,14 @@ class ShardedEngine {
   /// repeatedly; K > 1 spawns (and joins) one thread per shard.
   void RunUntil(SimTime end);
 
-  /// Observer for one node latching a frame, called just before the
-  /// node's app sees it.
-  using DeliverObserver =
-      SmallFunction<void(NodeId receiver, const Packet&, bool addressed)>;
+  /// The link-layer traffic of the run so far: every shard radio's ledger,
+  /// merged. Every counter is a sum, so the result is the same for every K.
+  /// Safe only while no RunUntil() is in flight.
+  metrics::MessageStats traffic() const;
 
-  /// Per-shard observers. A shard's hooks fire on that shard's thread, so
-  /// each shard must get its own instrumentation sinks (merge afterwards).
-  void set_transmit_observer(int shard, ShardRadio::TransmitHook observer);
-  void set_deliver_observer(int shard, DeliverObserver observer);
-  void set_drop_observer(int shard, ShardRadio::DropHook observer);
-
-  /// Attaches observability sinks to one shard (any may be null). Like the
-  /// observers above, a shard's instrumentation fires on that shard's
-  /// thread, so every shard needs its own sinks; merge/export them after
+  /// Attaches observability sinks to one shard (any may be null). A
+  /// shard's instrumentation fires on that shard's thread, so every shard
+  /// needs its own sinks; merge/export them after
   /// RunUntil returns. With `metrics_interval > 0` the shard also samples
   /// its registry on that simulated-time grid, at deterministic points in
   /// the event order (independent of thread timing and shard count).

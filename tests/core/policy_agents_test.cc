@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "metrics/message_stats.h"
 #include "metrics/telemetry.h"
 #include "sim/sharded_engine.h"
 
@@ -40,9 +39,6 @@ TEST(LocalAgentsTest, NodesStoreLocallyAndFloodedQueriesFindData) {
   sim::ShardedEngineOptions opts;
   opts.seed = 3;
   sim::ShardedEngine net(DenseTopology(), opts);
-  metrics::MessageStats stats(4);
-  net.set_transmit_observer(/*shard=*/0,
-      [&](NodeId s, const Packet& p, bool r) { stats.OnTransmit(s, p, r); });
 
   LocalBaseAgent* base = nullptr;
   {
@@ -57,9 +53,9 @@ TEST(LocalAgentsTest, NodesStoreLocallyAndFloodedQueriesFindData) {
   net.RunUntil(Minutes(2));
 
   // No data/summary/mapping traffic at all.
-  EXPECT_EQ(stats.ByType(PacketType::kData).sent, 0u);
-  EXPECT_EQ(stats.ByType(PacketType::kSummary).sent, 0u);
-  EXPECT_EQ(stats.ByType(PacketType::kMapping).sent, 0u);
+  EXPECT_EQ(net.traffic().ByType(PacketType::kData).sent, 0u);
+  EXPECT_EQ(net.traffic().ByType(PacketType::kSummary).sent, 0u);
+  EXPECT_EQ(net.traffic().ByType(PacketType::kMapping).sent, 0u);
   EXPECT_GT(telemetry.readings_produced, 0u);
   EXPECT_EQ(telemetry.readings_stored, telemetry.readings_produced);
 
@@ -88,9 +84,6 @@ TEST(BasePolicyAgentsTest, AllDataArrivesAtBaseAndQueriesAreFree) {
   sim::ShardedEngineOptions opts;
   opts.seed = 4;
   sim::ShardedEngine net(DenseTopology(), opts);
-  metrics::MessageStats stats(4);
-  net.set_transmit_observer(/*shard=*/0,
-      [&](NodeId s, const Packet& p, bool r) { stats.OnTransmit(s, p, r); });
 
   BasePolicyBaseAgent* base = nullptr;
   {
@@ -104,14 +97,13 @@ TEST(BasePolicyAgentsTest, AllDataArrivesAtBaseAndQueriesAreFree) {
   net.Start();
   net.RunUntil(Minutes(3));
 
-  EXPECT_GT(stats.ByType(PacketType::kData).sent, 0u);
+  EXPECT_GT(net.traffic().ByType(PacketType::kData).sent, 0u);
   EXPECT_GT(base->flash().size(), 0u);
   // Nearly everything produced lands in the base's store (dense strong
   // links; a reading or two may be in flight).
   EXPECT_GT(static_cast<double>(base->flash().size()),
             0.9 * static_cast<double>(telemetry.readings_produced));
 
-  uint64_t sent_before = stats.TotalSent();
   Query query;
   query.time_lo = 0;
   query.time_hi = net.DriverNow();
@@ -124,9 +116,8 @@ TEST(BasePolicyAgentsTest, AllDataArrivesAtBaseAndQueriesAreFree) {
   EXPECT_TRUE(outcome->complete);
   EXPECT_FALSE(outcome->tuples.empty());
   // Queries cost zero messages (beacons aside).
-  EXPECT_EQ(stats.ByType(PacketType::kQuery).sent, 0u);
-  EXPECT_EQ(stats.ByType(PacketType::kReply).sent, 0u);
-  (void)sent_before;
+  EXPECT_EQ(net.traffic().ByType(PacketType::kQuery).sent, 0u);
+  EXPECT_EQ(net.traffic().ByType(PacketType::kReply).sent, 0u);
 }
 
 TEST(BasePolicyAgentsTest, NodeListQueryFiltersProducers) {

@@ -1,5 +1,8 @@
 #include "harness/experiment.h"
 
+#include <fstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -157,6 +160,49 @@ TEST(HarnessTest, TrialsCarryPerfTelemetry) {
   ExperimentResult hash = RunAnyTrial(config, 11);
   EXPECT_EQ(hash.sim_events, 0);  // Closed-form model: no simulation.
   EXPECT_GT(hash.wall_seconds, 0);
+}
+
+/// The integer field `name` of one metrics JSONL row.
+uint64_t JsonlField(const std::string& row, const std::string& name) {
+  std::string key = "\"" + name + "\":";
+  size_t at = row.find(key);
+  EXPECT_NE(at, std::string::npos) << name << " missing from " << row;
+  if (at == std::string::npos) return 0;
+  return std::stoull(row.substr(at + key.size()));
+}
+
+// The metrics time series and the CSV totals come from one traffic
+// ledger: summed over shards, the last sample row of a run whose length is
+// a multiple of the interval equals the trial result, at any shard count.
+TEST(HarnessTest, MetricsJsonlTrafficMatchesTheResult) {
+  ExperimentConfig config;
+  config.num_nodes = 30;
+  config.duration = Minutes(6);
+  config.stabilization = Minutes(1);
+  config.trials = 1;
+  config.metrics_interval = Seconds(30);
+  for (int shards : {1, 3}) {
+    config.metrics_out =
+        ::testing::TempDir() + "ledger-k" + std::to_string(shards) + ".jsonl";
+    ExperimentResult r = RunShardedTrial(config, 21, shards);
+    ASSERT_GT(r.mac_drops, 0) << "the drop check needs drops";
+
+    std::ifstream in(config.metrics_out);
+    ASSERT_TRUE(in.good()) << config.metrics_out;
+    const std::string end_stamp = "{\"t_us\":" + std::to_string(config.duration) + ",";
+    int rows = 0;
+    uint64_t tx = 0, busy = 0, no_ack = 0;
+    for (std::string row; std::getline(in, row);) {
+      if (row.rfind(end_stamp, 0) != 0) continue;
+      ++rows;
+      tx += JsonlField(row, "radio.tx_started");
+      busy += JsonlField(row, "radio.drops_channel_busy");
+      no_ack += JsonlField(row, "radio.drops_no_ack");
+    }
+    EXPECT_EQ(rows, shards) << "one final row per shard";
+    EXPECT_EQ(static_cast<double>(tx), r.total) << "K=" << shards;
+    EXPECT_EQ(static_cast<double>(busy + no_ack), r.mac_drops) << "K=" << shards;
+  }
 }
 
 TEST(ReportTest, TableAlignsColumns) {

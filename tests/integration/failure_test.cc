@@ -181,6 +181,40 @@ TEST(FailureTest, QueryToDeadNodeIsReissuedOnceAndClosesOnce) {
   EXPECT_EQ(f.base->outcome(id + 1), nullptr);
 }
 
+TEST(FailureTest, RebootedNodeAnswersAQueryItHeardBeforeTheCrash) {
+  // Which query ids a node has heard is volatile state: a node that heard
+  // query q, crashed and rebooted must react to q when it hears it again.
+  Fixture f;
+  f.engine.RunUntil(Minutes(4));  // Tree formed.
+  QueryPayload q;
+  q.query_id = 1000;  // Not the base's: it drops the replies, relays carry them.
+  q.targets = NodeSet(f.engine.topology().num_nodes());
+  q.targets.Set(4);
+  q.time_hi = f.engine.DriverNow();
+  const Packet query = MakePacket(/*origin=*/0, /*origin_parent=*/0, q);
+  // Node 3, node 4's only neighbour, floods q; returns the replies sent
+  // network-wide within the next 10 s.
+  auto replies_to_flood = [&] {
+    uint64_t before = f.engine.traffic().ByType(PacketType::kReply).sent;
+    f.engine.context(3).Broadcast(query);
+    f.engine.RunUntil(f.engine.DriverNow() + Seconds(10));
+    return f.engine.traffic().ByType(PacketType::kReply).sent - before;
+  };
+
+  EXPECT_GT(replies_to_flood(), 0u);  // First hearing: node 4 answers.
+  EXPECT_EQ(replies_to_flood(), 0u);  // Same id again: ignored.
+
+  f.engine.FaultSetAlive(4, false);
+  f.engine.FaultCrash(4);
+  f.engine.RunUntil(f.engine.DriverNow() + Seconds(5));
+  f.engine.FaultSetAlive(4, true);
+  f.engine.FaultReboot(4);
+  f.engine.RunUntil(f.engine.DriverNow() + Minutes(2));
+  ASSERT_TRUE(f.node(4)->tree().HasRoute());
+
+  EXPECT_GT(replies_to_flood(), 0u);  // After the reboot q is news again.
+}
+
 TEST(FailureTest, DataForDeadOwnerFallsBackInstead) {
   // Kill a node after it became an owner: producers' data must not vanish
   // -- the §5.4 fallback stores it at the base (or en route).

@@ -19,46 +19,47 @@ Packet DataPacket(NodeId origin) {
 TEST(MessageStatsTest, CountsByTypeAndNode) {
   MessageStats stats(4);
   Packet data = DataPacket(1);
+  uint64_t data_bytes = MessageStats::WorkloadBytes(data);
   stats.OnTransmit(1, data, false);
   stats.OnTransmit(1, data, true);
   stats.OnTransmit(2, MakePacket(2, 0, BeaconPayload{}), false);
-  stats.OnDeliver(3, data, true);
-  stats.OnDeliver(2, data, false);  // Snooped.
-  stats.OnDrop(1, data);
+  stats.OnReceive(3, /*addressed=*/true, data_bytes);
+  stats.OnReceive(2, /*addressed=*/false, data_bytes);  // Snooped.
+  stats.OnDrop(DropReason::kNoAck);
 
   const TypeCounters& d = stats.ByType(PacketType::kData);
   EXPECT_EQ(d.sent, 2u);
   EXPECT_EQ(d.retransmissions, 1u);
-  EXPECT_EQ(d.delivered, 1u);
-  EXPECT_EQ(d.snooped, 1u);
-  EXPECT_EQ(d.dropped, 1u);
   EXPECT_EQ(stats.ByType(PacketType::kBeacon).sent, 1u);
   EXPECT_EQ(stats.TotalSent(), 3u);
   EXPECT_EQ(stats.TotalSentExclBeacons(), 2u);
   EXPECT_EQ(stats.SentBy(1), 2u);
   EXPECT_EQ(stats.SentBy(2), 1u);
+  EXPECT_EQ(stats.receptions(), 2u);  // Snoops count on the channel...
   EXPECT_EQ(stats.ReceivedBy(3), 1u);
-  EXPECT_EQ(stats.ReceivedBy(2), 0u);  // Snoops are not addressed receipts.
-  EXPECT_EQ(stats.SentByOfType(1, PacketType::kData), 2u);
-  EXPECT_EQ(stats.ReceivedByOfType(3, PacketType::kData), 1u);
+  EXPECT_EQ(stats.ReceivedBy(2), 0u);  // ...but are not addressed receipts.
+  EXPECT_EQ(stats.drops(DropReason::kNoAck), 1u);
+  EXPECT_EQ(stats.drops(DropReason::kChannelBusy), 0u);
+  EXPECT_EQ(stats.TotalDrops(), 1u);
 }
 
 TEST(MessageStatsTest, ByteAccounting) {
   MessageStats stats(2);
   Packet data = DataPacket(0);
+  Packet beacon = MakePacket(0, 0, BeaconPayload{});
+  uint64_t size = static_cast<uint64_t>(data.WireSize());
+  EXPECT_EQ(MessageStats::WorkloadBytes(data), size);
+  EXPECT_EQ(MessageStats::WorkloadBytes(beacon), 0u);
   stats.OnTransmit(0, data, false);
-  EXPECT_EQ(stats.BytesSentBy(0), static_cast<uint64_t>(data.WireSize()));
-  stats.OnDeliver(1, data, true);
-  stats.OnDeliver(1, data, false);
-  EXPECT_EQ(stats.BytesReceivedBy(1), 2 * static_cast<uint64_t>(data.WireSize()));
-}
-
-TEST(MessageStatsTest, ToStringMentionsTypes) {
-  MessageStats stats(2);
-  stats.OnTransmit(0, DataPacket(0), false);
-  std::string report = stats.ToString();
-  EXPECT_NE(report.find("data"), std::string::npos);
-  EXPECT_NE(report.find("total"), std::string::npos);
+  stats.OnTransmit(0, beacon, false);
+  // Wire bytes count every type; workload bytes leave beacons out.
+  EXPECT_EQ(stats.ByType(PacketType::kData).bytes_sent, size);
+  EXPECT_EQ(stats.ByType(PacketType::kBeacon).bytes_sent,
+            static_cast<uint64_t>(beacon.WireSize()));
+  EXPECT_EQ(stats.WorkloadBytesBy(0), size);
+  stats.OnReceive(1, /*addressed=*/true, size);
+  stats.OnReceive(1, /*addressed=*/false, size);  // Snoops cost no workload.
+  EXPECT_EQ(stats.WorkloadBytesBy(1), size);
 }
 
 TEST(EnergyModelTest, RadioDominatesFlashPerBit) {

@@ -90,13 +90,6 @@ const std::map<std::string, std::string>& NonDefaultValues() {
       {"fault.reboot_wave_count", "2"},
       {"fault.reboot_wave_interval_minutes", "3.5"},
       {"fault.reboot_downtime_seconds", "45"},
-      {"fault.link_degrade_factor", "0.4"},
-      {"fault.link_degrade_start_minute", "8"},
-      {"fault.link_degrade_end_minute", "14"},
-      {"fault.link_degrade_x_lo", "0.1"},
-      {"fault.link_degrade_x_hi", "0.6"},
-      {"fault.link_degrade_y_lo", "0.2"},
-      {"fault.link_degrade_y_hi", "0.9"},
       {"fault.partition_start_minute", "9"},
       {"fault.partition_end_minute", "13"},
       {"fault.partition_x_lo", "0.05"},
@@ -185,7 +178,7 @@ TEST(ScenarioParserTest, RoundTripEveryKey) {
   EXPECT_EQ(c.failure_wave_count, 3);
   EXPECT_DOUBLE_EQ(c.fault.reboot_fraction, 0.15);
   EXPECT_EQ(c.fault.reboot_downtime, Seconds(45));
-  EXPECT_DOUBLE_EQ(c.fault.link_degrade_factor, 0.4);
+  EXPECT_DOUBLE_EQ(c.fault.partition_x_lo, 0.05);
   EXPECT_EQ(c.fault.partition_start, Seconds(9 * 60));
   EXPECT_EQ(c.fault.base_backup, 3);
   EXPECT_TRUE(c.fault.orphan_rehoming);

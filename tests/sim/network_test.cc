@@ -68,9 +68,6 @@ TEST(NetworkTest, DeadNodeStopsSendingAndReceiving) {
   ProbeApp* pb = b.get();
   net.SetApp(0, std::move(a));
   net.SetApp(1, std::move(b));
-  int transmissions = 0;
-  net.set_transmit_observer(/*shard=*/0,
-                            [&](NodeId, const Packet&, bool) { ++transmissions; });
   net.Start();
   net.RunUntil(Seconds(1));
 
@@ -81,7 +78,7 @@ TEST(NetworkTest, DeadNodeStopsSendingAndReceiving) {
 
   net.context(1).Broadcast(MakePacket(1, kInvalidNodeId, BeaconPayload{}));
   net.RunUntil(Seconds(3));
-  EXPECT_EQ(transmissions, 1);  // Only node 0's broadcast went on air.
+  EXPECT_EQ(net.traffic().TotalSent(), 1u);  // Only node 0's broadcast went on air.
 
   net.FaultSetAlive(1, true);
   net.context(0).Broadcast(MakePacket(0, kInvalidNodeId, BeaconPayload{}));

@@ -95,7 +95,7 @@ ShardedEngineOptions Options(uint64_t seed) {
 }
 
 /// A single-shard engine with a RecorderApp on every node. Tests install
-/// observers and pre-Start fault schedules, then call Boot().
+/// pre-Start fault schedules, then call Boot().
 struct Fixture {
   explicit Fixture(Topology topo, ShardedEngineOptions opts = Options(1))
       : engine(std::move(topo), opts) {
@@ -165,24 +165,19 @@ TEST(RadioTest, UnicastIsSnoopedByThirdParties) {
 
 TEST(RadioTest, DeadLinkNeverDelivers) {
   // No reception means no ACK: every unicast burns its retries and is
-  // dropped with kNoAck, reported once per frame to the drop observer.
+  // dropped with kNoAck, booked once per frame in the traffic ledger.
   Fixture f(ChainTopology(0.0, 1.0));
-  int no_ack_drops = 0;
-  f.engine.set_drop_observer(0, [&](NodeId src, const Packet&, DropReason reason) {
-    if (src == 0 && reason == DropReason::kNoAck) ++no_ack_drops;
-  });
-  int transmissions = 0;
-  f.engine.set_transmit_observer(0, [&](NodeId src, const Packet&, bool) {
-    transmissions += src == 0 ? 1 : 0;
-  });
   f.Boot();
   for (int i = 0; i < 20; ++i) f.ctx(0).Unicast(1, TestBeacon(0));
   f.engine.RunUntil(Seconds(30));
   EXPECT_TRUE(f.apps[1]->received.empty());
   EXPECT_EQ(f.apps[0]->send_fail, 20);
-  EXPECT_EQ(no_ack_drops, 20);
+  const metrics::MessageStats traffic = f.engine.traffic();
+  EXPECT_EQ(traffic.drops(metrics::DropReason::kNoAck), 20u);
+  EXPECT_EQ(traffic.drops(metrics::DropReason::kChannelBusy), 0u);
   // One first attempt plus unicast_retries retransmissions per frame.
-  EXPECT_EQ(transmissions, 20 * (1 + RadioOptions{}.unicast_retries));
+  EXPECT_EQ(traffic.SentBy(0), 20u * (1 + RadioOptions{}.unicast_retries));
+  EXPECT_EQ(traffic.receptions(), 0u);
 }
 
 TEST(RadioTest, LossyUnicastRetransmitsAndMostlySucceeds) {
@@ -200,18 +195,34 @@ TEST(RadioTest, LossyUnicastRetransmitsAndMostlySucceeds) {
   EXPECT_GT(f.apps[0]->send_ok, 100);
 }
 
-TEST(RadioTest, TransmitHookCountsRetransmissions) {
+TEST(RadioTest, LedgerCountsRetransmissions) {
   Fixture f(ChainTopology(0.5, 1.0), Options(5));
-  int transmissions = 0, retx = 0;
-  f.engine.set_transmit_observer(0, [&](NodeId, const Packet&, bool is_retx) {
-    ++transmissions;
-    if (is_retx) ++retx;
-  });
   f.Boot();
   for (int i = 0; i < 100; ++i) f.ctx(0).Unicast(1, TestBeacon(0));
   f.engine.RunUntil(Seconds(120));
-  EXPECT_GT(transmissions, 100);  // Lossy link must force retransmissions.
-  EXPECT_EQ(retx, transmissions - 100);
+  const metrics::TypeCounters beacons = f.engine.traffic().ByType(PacketType::kBeacon);
+  EXPECT_GT(beacons.sent, 100u);  // Lossy link must force retransmissions.
+  EXPECT_EQ(beacons.retransmissions, beacons.sent - 100);
+  EXPECT_EQ(beacons.bytes_sent, beacons.sent * static_cast<uint64_t>(TestBeacon(0).WireSize()));
+}
+
+TEST(RadioTest, LedgerCountsEveryReceptionButOnlyAddressedOnesPerNode) {
+  // Node 1's unicast to 0 is overheard by 2; its broadcast reaches both.
+  Fixture f(ChainTopology(1.0, 1.0));
+  f.Boot();
+  f.ctx(1).Unicast(0, TestBeacon(1));
+  f.engine.RunUntil(Seconds(4));
+  f.ctx(1).Broadcast(TestBeacon(1));
+  f.engine.RunUntil(Seconds(6));
+  ASSERT_EQ(f.apps[2]->snooped.size(), 1u);
+  const metrics::MessageStats traffic = f.engine.traffic();
+  EXPECT_EQ(traffic.SentBy(1), 2u);
+  EXPECT_EQ(traffic.receptions(), 4u);
+  EXPECT_EQ(traffic.ReceivedBy(0), 2u);
+  EXPECT_EQ(traffic.ReceivedBy(2), 1u);  // The snoop is not addressed to it.
+  // Beacons are routing substrate, not workload.
+  EXPECT_EQ(traffic.WorkloadBytesBy(1), 0u);
+  EXPECT_EQ(traffic.TotalSentExclBeacons(), 0u);
 }
 
 TEST(RadioTest, DuplicatesAreFlagged) {
@@ -423,9 +434,9 @@ TEST(RadioTest, BackoffWindowStartsAtMinDoublesAndClamps) {
 
 /// Sends `first` from node 0 and steps the engine in 1 ms slices until it
 /// is on the air; returns with the frame mid-air (airtime is ~7 ms).
-void RunUntilOnAir(Fixture* f, const int* transmissions, Packet first) {
+void RunUntilOnAir(Fixture* f, Packet first) {
   f->ctx(0).Unicast(1, std::move(first));
-  while (*transmissions == 0) f->engine.RunUntil(f->now() + Millis(1));
+  while (f->engine.traffic().SentBy(0) == 0) f->engine.RunUntil(f->now() + Millis(1));
 }
 
 TEST(RadioTest, PowerCycleMidTransmissionDoesNotSwallowNextFrame) {
@@ -435,12 +446,9 @@ TEST(RadioTest, PowerCycleMidTransmissionDoesNotSwallowNextFrame) {
   // the *new* queue-front frame as if it were the finished transmission
   // would pop the new frame without ever transmitting it.
   Fixture f(ChainTopology(1.0, 1.0));
-  int transmissions = 0;
-  f.engine.set_transmit_observer(
-      0, [&](NodeId src, const Packet&, bool) { transmissions += (src == 0) ? 1 : 0; });
   f.Boot();
 
-  RunUntilOnAir(&f, &transmissions, TestBeacon(0));
+  RunUntilOnAir(&f, TestBeacon(0));
   f.engine.FaultSetAlive(0, false);
   f.engine.RunUntil(f.now() + Millis(1));
   f.engine.FaultSetAlive(0, true);
@@ -451,7 +459,7 @@ TEST(RadioTest, PowerCycleMidTransmissionDoesNotSwallowNextFrame) {
 
   // The second frame must be genuinely transmitted (the first transmit was
   // the aborted frame's) and delivered exactly once.
-  EXPECT_EQ(transmissions, 2);
+  EXPECT_EQ(f.engine.traffic().SentBy(0), 2u);
   ASSERT_EQ(f.apps[1]->received.size(), 1u);
   EXPECT_EQ(f.apps[1]->received[0].hdr.origin, 9);
   EXPECT_EQ(f.apps[0]->send_ok, 1);
@@ -462,17 +470,14 @@ TEST(RadioTest, PowerCycleWithNoNewSendIsInert) {
   // Kill mid-air with nothing queued afterwards: the stale completion must
   // retire cleanly (no crash, no delivery, no send-done, no retransmit).
   Fixture f(ChainTopology(1.0, 1.0));
-  int transmissions = 0;
-  f.engine.set_transmit_observer(
-      0, [&](NodeId src, const Packet&, bool) { transmissions += (src == 0) ? 1 : 0; });
   f.Boot();
-  RunUntilOnAir(&f, &transmissions, TestBeacon(0));
+  RunUntilOnAir(&f, TestBeacon(0));
   f.engine.FaultSetAlive(0, false);
   f.engine.RunUntil(f.now() + Seconds(5));
   EXPECT_TRUE(f.apps[1]->received.empty());
   EXPECT_EQ(f.apps[0]->send_ok, 0);
   EXPECT_EQ(f.apps[0]->send_fail, 0);
-  EXPECT_EQ(transmissions, 1);
+  EXPECT_EQ(f.engine.traffic().SentBy(0), 1u);
 }
 
 TEST(RadioTest, DeterministicAcrossRuns) {

@@ -44,7 +44,7 @@ def load_events(path):
 # FaultInstantName); each carries an args.kind discriminant.
 FAULT_INJECT_NAMES = frozenset({
     "fault.crash", "fault.reboot", "fault.radio_up", "fault.promote",
-    "fault.demote", "fault.link_down", "fault.partition",
+    "fault.demote", "fault.partition",
 })
 # Graceful-degradation markers emitted by the agents on the same category
 # (src/core/agent_base.cc); no kind discriminant.
