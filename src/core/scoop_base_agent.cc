@@ -171,7 +171,6 @@ bool ScoopBaseAgent::RemapNow() {
   RebuildXmits();
   BuildResult result = IndexBuilder::Build(inputs, cfg_.builder, next_index_id_);
   ++telemetry().indices_built;
-  if (result.chose_store_local) ++telemetry().store_local_decisions;
   if (cfg_.trace != nullptr) {
     cfg_.trace->Instant(ctx().now(), "index.build", obs::TraceCat::kIndex,
                         static_cast<uint16_t>(cfg_.self), "id", next_index_id_,

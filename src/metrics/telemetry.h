@@ -18,17 +18,12 @@ struct Telemetry {
   uint64_t readings_stored = 0;
   /// ... at the owner the (newest applicable) index designated.
   uint64_t stored_at_owner = 0;
-  /// ... at the basestation because routing could not find the owner
-  /// (routing rule 4 fallback).
-  uint64_t stored_at_base_fallback = 0;
   /// ... locally because the node had no complete index yet (§5.3).
   uint64_t stored_local_no_index = 0;
   /// Readings lost in transit (MAC drop with no further fallback).
   uint64_t readings_lost = 0;
   /// Data packets queued by their producer (batches count once).
   uint64_t data_packets_originated = 0;
-  /// Data packets relayed by intermediate nodes (per forwarding decision).
-  uint64_t data_packets_forwarded = 0;
   /// Readings that left their producer over the radio.
   uint64_t readings_sent_remote = 0;
 
@@ -42,17 +37,12 @@ struct Telemetry {
   uint64_t tuples_returned = 0;
   /// Queries answered without network traffic, from stored summaries (§5.5).
   uint64_t queries_answered_from_summaries = 0;
-  /// Queries whose target set could not fit one frame even fully coarsened
-  /// (value-range-heavy hand-built queries): answered from the base's own
-  /// store only, so a nonzero count flags results that skipped the network.
-  uint64_t queries_target_set_unsendable = 0;
 
   // --- Index lifecycle (basestation) ---
   uint64_t indices_built = 0;
   uint64_t indices_disseminated = 0;
   /// Rebuilds suppressed because the new index was too similar (§5.3).
   uint64_t indices_suppressed = 0;
-  uint64_t store_local_decisions = 0;
 
   // --- Statistics collection ---
   uint64_t summaries_sent = 0;
@@ -78,22 +68,18 @@ struct Telemetry {
     readings_produced += other.readings_produced;
     readings_stored += other.readings_stored;
     stored_at_owner += other.stored_at_owner;
-    stored_at_base_fallback += other.stored_at_base_fallback;
     stored_local_no_index += other.stored_local_no_index;
     readings_lost += other.readings_lost;
     data_packets_originated += other.data_packets_originated;
-    data_packets_forwarded += other.data_packets_forwarded;
     readings_sent_remote += other.readings_sent_remote;
     queries_issued += other.queries_issued;
     query_targets_total += other.query_targets_total;
     replies_received += other.replies_received;
     tuples_returned += other.tuples_returned;
     queries_answered_from_summaries += other.queries_answered_from_summaries;
-    queries_target_set_unsendable += other.queries_target_set_unsendable;
     indices_built += other.indices_built;
     indices_disseminated += other.indices_disseminated;
     indices_suppressed += other.indices_suppressed;
-    store_local_decisions += other.store_local_decisions;
     summaries_sent += other.summaries_sent;
     summaries_received_at_base += other.summaries_received_at_base;
     readings_orphaned += other.readings_orphaned;

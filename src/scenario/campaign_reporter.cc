@@ -113,6 +113,50 @@ std::string JsonString(const std::string& s) {
   return out;
 }
 
+/// The profiler buckets: table label, perf-JSON key and field.
+struct Bucket {
+  const char* label;
+  const char* key;
+  double ExperimentResult::*field;
+};
+constexpr Bucket kBuckets[] = {
+    {"queue", "profile_queue_seconds", &ExperimentResult::profile_queue_seconds},
+    {"radio", "profile_radio_seconds", &ExperimentResult::profile_radio_seconds},
+    {"agent", "profile_agent_seconds", &ExperimentResult::profile_agent_seconds},
+    {"shard-sync", "profile_shard_sync_seconds", &ExperimentResult::profile_shard_sync_seconds},
+    {"other", "profile_other_seconds", &ExperimentResult::profile_other_seconds},
+};
+
+/// True when some trial ran with the profiler (obs.profile / --profile):
+/// a combo's mean bucket is nonzero iff one of its trials' is.
+bool AnyTrialProfiled(const CampaignResult& result) {
+  for (const CampaignRow& row : result.rows) {
+    for (const Bucket& b : kBuckets) {
+      if (row.mean.*b.field > 0) return true;
+    }
+  }
+  return false;
+}
+
+/// One row per combo, under the axis keys (or "scenario") and `columns`:
+/// the combo's axis values (or the scenario name), then `cells(mean)`.
+template <typename Cells>
+std::string ComboTable(const CampaignResult& result, const std::vector<std::string>& columns,
+                       Cells cells) {
+  std::vector<std::string> headers = result.axis_keys;
+  if (headers.empty()) headers.push_back("scenario");
+  headers.insert(headers.end(), columns.begin(), columns.end());
+  harness::TablePrinter table(std::move(headers));
+  for (const CampaignRow& row : result.rows) {
+    std::vector<std::string> line;
+    if (result.axis_keys.empty()) line.push_back(result.scenario_name);
+    for (const auto& [key, value] : row.axes) line.push_back(value);
+    for (std::string& cell : cells(row.mean)) line.push_back(std::move(cell));
+    table.AddRow(std::move(line));
+  }
+  return table.ToString();
+}
+
 }  // namespace
 
 const MetricColumn* MetricColumns(size_t* count) {
@@ -121,30 +165,26 @@ const MetricColumn* MetricColumns(size_t* count) {
 }
 
 std::string CampaignTable(const CampaignResult& result) {
-  std::vector<std::string> headers = result.axis_keys;
-  if (headers.empty()) headers.push_back("scenario");
-  for (const char* h : {"data", "summary", "mapping", "query+reply", "total", "stored",
-                        "q-success"}) {
-    headers.emplace_back(h);
-  }
-  harness::TablePrinter table(headers);
-  for (const CampaignRow& row : result.rows) {
+  return ComboTable(
+      result, {"data", "summary", "mapping", "query+reply", "total", "stored", "q-success"},
+      [](const ExperimentResult& m) {
+        return std::vector<std::string>{
+            harness::FormatCount(m.data()), harness::FormatCount(m.summary()),
+            harness::FormatCount(m.mapping()), harness::FormatCount(m.query_reply()),
+            harness::FormatCount(m.total_excl_beacons),
+            harness::FormatPercent(m.storage_success), harness::FormatPercent(m.query_success)};
+      });
+}
+
+std::string CampaignProfileTable(const CampaignResult& result) {
+  if (!AnyTrialProfiled(result)) return "";
+  std::vector<std::string> labels;
+  for (const Bucket& b : kBuckets) labels.emplace_back(b.label);
+  return ComboTable(result, labels, [](const ExperimentResult& m) {
     std::vector<std::string> cells;
-    if (result.axis_keys.empty()) {
-      cells.push_back(result.scenario_name);
-    } else {
-      for (const auto& [key, value] : row.axes) cells.push_back(value);
-    }
-    cells.push_back(harness::FormatCount(row.mean.data()));
-    cells.push_back(harness::FormatCount(row.mean.summary()));
-    cells.push_back(harness::FormatCount(row.mean.mapping()));
-    cells.push_back(harness::FormatCount(row.mean.query_reply()));
-    cells.push_back(harness::FormatCount(row.mean.total_excl_beacons));
-    cells.push_back(harness::FormatPercent(row.mean.storage_success));
-    cells.push_back(harness::FormatPercent(row.mean.query_success));
-    table.AddRow(std::move(cells));
-  }
-  return table.ToString();
+    for (const Bucket& b : kBuckets) cells.push_back(harness::FormatDouble(m.*b.field, 3));
+    return cells;
+  });
 }
 
 std::string CampaignCsv(const CampaignResult& result) {
@@ -217,26 +257,6 @@ std::string CampaignJsonLines(const CampaignResult& result) {
 }
 
 std::string CampaignPerfJson(const CampaignResult& result) {
-  // The profiler buckets, as (json key, accessor) pairs shared by the
-  // top-level totals and the per-row means. Emitted only when some trial
-  // actually profiled (config obs.profile / --profile), so unprofiled perf
-  // reports keep their old shape.
-  struct Bucket {
-    const char* key;
-    double (*get)(const harness::ExperimentResult&);
-  };
-  static constexpr Bucket kBuckets[] = {
-      {"profile_queue_seconds",
-       [](const harness::ExperimentResult& r) { return r.profile_queue_seconds; }},
-      {"profile_radio_seconds",
-       [](const harness::ExperimentResult& r) { return r.profile_radio_seconds; }},
-      {"profile_agent_seconds",
-       [](const harness::ExperimentResult& r) { return r.profile_agent_seconds; }},
-      {"profile_shard_sync_seconds",
-       [](const harness::ExperimentResult& r) { return r.profile_shard_sync_seconds; }},
-      {"profile_other_seconds",
-       [](const harness::ExperimentResult& r) { return r.profile_other_seconds; }},
-  };
   double total_events = 0;
   double total_wall = 0;
   size_t total_trials = 0;
@@ -244,7 +264,8 @@ std::string CampaignPerfJson(const CampaignResult& result) {
   double total_stall_episodes = 0;
   double total_mirrored = 0;
   double bucket_totals[std::size(kBuckets)] = {};
-  bool profiled = false;
+  // Unprofiled perf reports carry no "profile" objects.
+  const bool profiled = AnyTrialProfiled(result);
   // The resolved shard count / partitioner, when they agree across every row
   // (the common case: one campaign = one sharding configuration). Mixed
   // campaigns keep the per-row values only.
@@ -267,11 +288,7 @@ std::string CampaignPerfJson(const CampaignResult& result) {
       total_stall_us += trial.shard_stall_us;
       total_stall_episodes += trial.shard_stall_episodes;
       total_mirrored += trial.shard_mirrored_frames;
-      for (size_t b = 0; b < std::size(kBuckets); ++b) {
-        double v = kBuckets[b].get(trial);
-        bucket_totals[b] += v;
-        if (v > 0) profiled = true;
-      }
+      for (size_t b = 0; b < std::size(kBuckets); ++b) bucket_totals[b] += trial.*kBuckets[b].field;
     }
   }
   std::string out = "{\"scenario\":" + JsonString(result.scenario_name);
@@ -341,7 +358,7 @@ std::string CampaignPerfJson(const CampaignResult& result) {
         if (b > 0) out += ",";
         out += JsonString(kBuckets[b].key);
         out += ":";
-        out += FormatJsonMetric(kBuckets[b].get(row.mean));
+        out += FormatJsonMetric(row.mean.*kBuckets[b].field);
       }
       out += "}";
     }

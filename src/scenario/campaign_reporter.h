@@ -27,6 +27,11 @@ const MetricColumn* MetricColumns(size_t* count);
 /// axis columns plus the Figure 3 headline metrics.
 std::string CampaignTable(const CampaignResult& result);
 
+/// The profiler's buckets (queue, radio, agent, shard-sync, other) as a
+/// table of mean wall seconds per trial, one row per combo; empty when no
+/// trial profiled.
+std::string CampaignProfileTable(const CampaignResult& result);
+
 /// CSV: header, then per-combo one row per trial (trial = 0..k-1) followed
 /// by the trial-averaged row (trial = mean). Deterministic byte-for-byte
 /// for a given scenario, at any thread count.

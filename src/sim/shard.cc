@@ -258,10 +258,8 @@ void ShardRadio::EnableObservability(obs::TraceSink* trace,
       name += PacketTypeName(type);
       metrics->Gauge(name, [this, type] { return traffic_.ByType(type).bytes_sent; });
     }
-    ctr_announce_rx_ = metrics->Counter("shard.announce_rx");
     ctr_abort_rx_ = metrics->Counter("shard.abort_rx");
     ctr_ack_rx_ = metrics->Counter("shard.ack_rx");
-    ctr_mirror_evals_ = metrics->Counter("shard.mirror_evals");
   }
 }
 
@@ -539,9 +537,15 @@ void ShardRadio::EvalRemote(NodeId src, uint32_t gen) {
   uint64_t key = TxKey(src, gen);
   auto it = remote_tx_.find(key);
   SCOOP_CHECK(it != remote_tx_.end());
-  if (ctr_mirror_evals_ != nullptr) ++*ctr_mirror_evals_;
-  bool aborted = aborted_.erase(key) > 0;
-  EvalTx(src, gen, it->second.start, it->second.end, it->second.pkt, aborted);
+  ++mirrored_frames_;
+  const RemoteTx& tx = it->second;
+  if (tx.aborted) {
+    if (ctr_abort_rx_ != nullptr) ++*ctr_abort_rx_;
+    if (trace_ != nullptr) {
+      trace_->Instant(queue_->now(), "abort.rx", obs::TraceCat::kShardSync, src, "gen", gen);
+    }
+  }
+  EvalTx(src, gen, tx.start, tx.end, tx.pkt, tx.aborted);
   // Retire the mirror's active bit unless a newer announced span of this
   // node is still (or not yet) on the air.
   if (node_tx_[src][0].end <= queue_->now()) active_tx_.Clear(src);
@@ -603,7 +607,7 @@ void ShardRadio::EvalTx(NodeId src, uint32_t gen, SimTime start, SimTime end,
     // receiver's state) and reports it to the sender's completion.
     if (dst != kBroadcastId && Owned(dst) && topology_->delivery_prob(src, dst) > 0) {
       if (Owned(src)) {
-        RecordAckVerdict(src, gen, dst_received);
+        HandleAckResult(src, gen, dst_received);
       } else if (ack_fn_) {
         ack_fn_(src, gen, dst_received);
       }
@@ -646,8 +650,16 @@ void ShardRadio::FinishCont(NodeId src, uint32_t gen) {
     mac.queue.pop_front();
     NotifySendDone(src, sent, true);
   } else {
-    bool dst_received = mac.ack_present && mac.ack_gen == gen && mac.ack_received;
+    bool verdict = mac.ack_present && mac.ack_gen == gen;
+    bool dst_received = verdict && mac.ack_received;
     mac.ack_present = false;
+    if (verdict && !Owned(dst)) {  // The verdict came from dst's shard.
+      if (ctr_ack_rx_ != nullptr) ++*ctr_ack_rx_;
+      if (trace_ != nullptr) {
+        trace_->Instant(queue_->now(), "ack.rx", obs::TraceCat::kShardSync, src, "gen", gen,
+                        "received", dst_received ? 1 : 0);
+      }
+    }
     double p_ack = std::pow(topology_->delivery_prob(dst, src),
                             options_.ack_shortness_exponent);
     bool severed = fault_ != nullptr && fault_->active() &&
@@ -683,8 +695,6 @@ void ShardRadio::HandleAnnounce(NodeId src, uint32_t gen, SimTime start, SimTime
   // A frame starting behind our clock is a straggler: some promise that
   // let us run past `start` was unsound, and results would silently differ.
   SCOOP_CHECK_GE(start, queue_->now());
-  ++mirrored_frames_;
-  if (ctr_announce_rx_ != nullptr) ++*ctr_announce_rx_;
   // The mirrored boundary frame, on the receiving shard's timeline.
   if (trace_ != nullptr) {
     trace_->Span(start, end - start, "mirror.tx", obs::TraceCat::kShardSync,
@@ -701,26 +711,14 @@ void ShardRadio::HandleAnnounce(NodeId src, uint32_t gen, SimTime start, SimTime
 }
 
 void ShardRadio::HandleAbort(NodeId src, uint32_t gen) {
-  // Aborts always precede the mirrored frame's end (the owner only emits
-  // one while the frame is mid-air), so the evaluation is still pending.
-  if (ctr_abort_rx_ != nullptr) ++*ctr_abort_rx_;
-  if (trace_ != nullptr) {
-    trace_->Instant(queue_->now(), "abort.rx", obs::TraceCat::kShardSync, src,
-                    "gen", gen);
-  }
-  aborted_.insert(TxKey(src, gen));
+  // The owner emits an abort only mid-air, after the announce on the same
+  // FIFO mailbox, so the evaluation (which counts and traces it) is pending.
+  auto it = remote_tx_.find(TxKey(src, gen));
+  SCOOP_CHECK(it != remote_tx_.end());
+  it->second.aborted = true;
 }
 
 void ShardRadio::HandleAckResult(NodeId src, uint32_t gen, bool received) {
-  if (ctr_ack_rx_ != nullptr) ++*ctr_ack_rx_;
-  if (trace_ != nullptr) {
-    trace_->Instant(queue_->now(), "ack.rx", obs::TraceCat::kShardSync, src,
-                    "gen", gen, "received", received ? 1 : 0);
-  }
-  RecordAckVerdict(src, gen, received);
-}
-
-void ShardRadio::RecordAckVerdict(NodeId src, uint32_t gen, bool received) {
   PdesMac& mac = mac_[src];
   mac.ack_gen = gen;
   mac.ack_present = true;

@@ -68,7 +68,6 @@
 #include <queue>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/check.h"
@@ -309,6 +308,8 @@ class ShardRadio {
   // --- Inbound cross-shard messages (applied by the shard's drain) ---
   void HandleAnnounce(NodeId src, uint32_t gen, SimTime start, SimTime end, Packet pkt);
   void HandleAbort(NodeId src, uint32_t gen);
+  /// Records the ACK verdict for the locally-owned sender's (src, gen);
+  /// local evaluations record theirs here too.
   void HandleAckResult(NodeId src, uint32_t gen, bool received);
 
   /// True iff the pending completion of (src, gen) cannot run yet because
@@ -335,8 +336,9 @@ class ShardRadio {
   /// kSimTimeHorizon if none.
   SimTime MacFloorFor(int target, SimTime clock, bool head_past_clock);
 
-  /// Boundary transmissions mirrored INTO this shard (announce handled),
-  /// over the whole run. Always-on perf telemetry, like
+  /// Boundary transmissions mirrored INTO this shard, counted when their
+  /// evaluation runs: on the event timeline, so the count at any simulated
+  /// instant does not depend on thread timing. Always-on perf telemetry, like
   /// ShardQueue::processed(); the cut quality metric the min-cut
   /// partitioner is judged by.
   uint64_t mirrored_frames() const { return mirrored_frames_; }
@@ -411,6 +413,7 @@ class ShardRadio {
     Packet pkt;
     SimTime start = 0;
     SimTime end = 0;
+    bool aborted = false;  ///< Its sender powered down mid-frame.
   };
 
   static uint64_t TxKey(NodeId src, uint32_t gen) {
@@ -445,8 +448,6 @@ class ShardRadio {
   /// Reports a frame's fate to its sender's app, charged to the agent
   /// bucket.
   void NotifySendDone(NodeId src, const Packet& pkt, bool success);
-  /// Records the ACK verdict for the locally-owned sender's (src, gen).
-  void RecordAckVerdict(NodeId src, uint32_t gen, bool received);
   void EvalLocal(NodeId src, uint32_t gen, SimTime start, SimTime end);
   void EvalRemote(NodeId src, uint32_t gen);
   /// Shared reception computation for a (local or mirrored) transmission.
@@ -522,9 +523,8 @@ class ShardRadio {
   uint64_t mirrored_frames_ = 0;
 
   /// Mirrored remote transmissions keyed (src << 32 | gen), consumed by
-  /// their evaluation event; aborts keyed the same way.
+  /// their evaluation event.
   std::unordered_map<uint64_t, RemoteTx> remote_tx_;
-  std::unordered_set<uint64_t> aborted_;
 
   metrics::MessageStats traffic_;
 
@@ -539,10 +539,8 @@ class ShardRadio {
   obs::SimProfiler* profiler_ = nullptr;
   obs::Histogram* backoff_hist_ = nullptr;
   uint64_t* ctr_backoffs_ = nullptr;
-  uint64_t* ctr_announce_rx_ = nullptr;
   uint64_t* ctr_abort_rx_ = nullptr;
   uint64_t* ctr_ack_rx_ = nullptr;
-  uint64_t* ctr_mirror_evals_ = nullptr;
 };
 
 }  // namespace scoop::sim

@@ -8,6 +8,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -149,6 +152,74 @@ TEST(ObservationDeterminismTest, ChurnRebootSharded) {
   std::string trace = ExpectObservedRunIdentical(SmallChurnReboot(), 4, "churn-k4");
   EXPECT_NE(trace.find("\"name\":\"fault.crash\",\"cat\":\"fault\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"fault.reboot\",\"cat\":\"fault\""), std::string::npos);
+}
+
+/// True for the metrics keys that depend on thread timing at K > 1 (the
+/// README's list under "Metrics"): queue bookkeeping, EPT stalls and
+/// promise slack. Every other key is counted on the event timeline.
+bool TimingDependent(std::string_view key) {
+  for (std::string_view k : {"queue.depth", "queue.occupancy", "queue.processed",
+                             "shard.stall_us", "shard.stall_episodes"}) {
+    if (key == k) return true;
+  }
+  return key.substr(0, 21) == "shard.ept_slack_us.to";
+}
+
+/// One metrics JSONL file as rows of (key, raw value text), less the
+/// timing-dependent keys. Values are compared as text: both runs come
+/// from one build, so field order and number spelling match.
+std::vector<std::vector<std::pair<std::string, std::string>>> MetricsRows(
+    const std::string& path) {
+  std::vector<std::vector<std::pair<std::string, std::string>>> rows;
+  std::istringstream in(ReadWholeFile(path));
+  for (std::string line; std::getline(in, line);) {
+    auto& row = rows.emplace_back();
+    // Top-level members of a flat object whose values may nest {} and [].
+    for (size_t i = 1; i + 1 < line.size();) {
+      size_t key_end = line.find('"', i + 1);
+      SCOOP_CHECK(line[i] == '"' && key_end != std::string::npos && line[key_end + 1] == ':');
+      size_t v = key_end + 2, e = v;
+      for (int depth = 0; e + 1 < line.size() && (depth > 0 || line[e] != ','); ++e) {
+        if (line[e] == '{' || line[e] == '[') ++depth;
+        if (line[e] == '}' || line[e] == ']') --depth;
+      }
+      std::string key = line.substr(i + 1, key_end - i - 1);
+      if (!TimingDependent(key)) row.emplace_back(key, line.substr(v, e - v));
+      i = e + 1;
+    }
+  }
+  return rows;
+}
+
+TEST(ObservationDeterminismTest, ChurnRebootShardedMetricsRepeat) {
+  // Two K = 3 runs of one build: every metrics row must match outside the
+  // timing-dependent keys. Cross-shard messages drain whenever the thread
+  // schedule lets them, so a key counted at drain time would differ.
+  std::vector<std::vector<std::vector<std::pair<std::string, std::string>>>> runs;
+  for (const char* tag : {"a", "b"}) {
+    scenario::Scenario scn = SmallChurnReboot();
+    SCOOP_CHECK(scenario::ApplyScenarioKey(&scn.base, "shards", "3").ok());
+    std::string path = ::testing::TempDir() + "obs-repeat-" + tag + "-metrics.jsonl";
+    scn.base.metrics_out = path;
+    // A fine grid: a drain-time count straddles some sample point.
+    scn.base.metrics_interval = Seconds(1);
+    scenario::CampaignOptions options;
+    options.threads = 1;
+    ASSERT_TRUE(scenario::RunCampaign(scn, options).ok());
+    runs.push_back(MetricsRows(ExpandObsPath(path, "-c0-t0")));
+  }
+  ASSERT_EQ(runs[0].size(), runs[1].size());
+  ASSERT_FALSE(runs[0].empty());
+  for (size_t r = 0; r < runs[0].size(); ++r) {
+    EXPECT_EQ(runs[0][r], runs[1][r]) << "metrics row " << r + 1;
+  }
+  // The comparison covers the cross-shard counters: mirrored frames were
+  // counted by the end of the run.
+  bool mirrored = false;
+  for (const auto& [key, value] : runs[0].back()) {
+    if (key == "shard.mirrored_frames" && value != "0") mirrored = true;
+  }
+  EXPECT_TRUE(mirrored);
 }
 
 }  // namespace

@@ -24,7 +24,7 @@ namespace {
 
 // Telemetry is a flat bag of uint64_t counters; its MergeFrom must sum
 // every one of them. Count the words and pin the layout.
-constexpr size_t kTelemetryWords = 26;
+constexpr size_t kTelemetryWords = 22;
 static_assert(sizeof(Telemetry) == kTelemetryWords * sizeof(uint64_t),
               "Telemetry gained or lost a counter: update MergeFrom "
               "(telemetry.h), then the expected word count here and the "

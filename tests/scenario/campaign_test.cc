@@ -77,6 +77,24 @@ TEST(CampaignTest, CsvAndJsonAreByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(CampaignTable(a.value()), CampaignTable(b.value()));
 }
 
+// The profiler table is printed only when some trial profiled, with one
+// row per combo under the axis columns and the five bucket columns.
+TEST(CampaignTest, ProfileTableOnlyWhenProfiled) {
+  Scenario s = MustParse(std::string(kTinyBase) + "sweep.policy = scoop, local\n");
+  Result<CampaignResult> plain = RunCampaign(s, CampaignOptions{});
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(CampaignProfileTable(plain.value()), "");
+
+  s.base.profile = true;
+  Result<CampaignResult> profiled = RunCampaign(s, CampaignOptions{});
+  ASSERT_TRUE(profiled.ok());
+  std::string table = CampaignProfileTable(profiled.value());
+  EXPECT_EQ(table.rfind("  policy  queue  radio  agent  shard-sync  other", 0), 0u) << table;
+  EXPECT_EQ(std::count(table.begin(), table.end(), '\n'), 4) << table;  // Header, rule, 2 rows.
+  EXPECT_NE(table.find("\n  scoop "), std::string::npos) << table;
+  EXPECT_NE(table.find("\n  local "), std::string::npos) << table;
+}
+
 // A one-combo campaign must reproduce RunExperiment exactly: same per-trial
 // seeds, same aggregation, same doubles.
 TEST(CampaignTest, SingleComboMatchesRunExperiment) {

@@ -2,24 +2,27 @@
 # Byte-identity check of campaign results between two builds: runs every
 # registered scenario (`scoop_campaign --list`) at --threads=4 with --csv
 # on both builds, plus four sharded legs, and cmp's each pair of CSVs.
-# Two observability legs also run churn_reboot with --metrics-out:
-#   churn_reboot.obs          --shards=1, with --trace-out too: the CSV and
-#                             every trace must be byte-identical, and every
-#                             metrics JSONL row must hold the same
-#                             name/value pairs (compared as JSON objects,
-#                             so field order may differ).
-#   churn_reboot.obs.shards3  --shards=3: the CSV and the metrics rows, less
-#                             the `shard.*` and `queue.*` keys, which count
-#                             cross-shard messages as the thread schedule
-#                             drains them. It writes no traces: at K > 1
-#                             they hold wall-clock stall instants.
+# Two observability legs also run churn_reboot with --trace-out and
+# --metrics-out:
+#   churn_reboot.obs          --shards=1: the CSV and every trace must be
+#                             byte-identical, and every metrics JSONL row
+#                             must hold the same name/value pairs (compared
+#                             as JSON objects, so field order may differ).
+#   churn_reboot.obs.shards3  --shards=3: the same, less what depends on
+#                             thread timing at K > 1 (README, "Metrics"):
+#                             the metrics keys in TIMING_KEYS are dropped,
+#                             and the traces are compared as multisets of
+#                             events, less the wall-clock `ept.stall`
+#                             instants.
 # Exits non-zero if any pair differs or any run fails.
 #
 # Usage: tools/csv_identity.sh PARENT_BUILD CHANGE_BUILD
 #   Each argument is a build directory holding tools/scoop_campaign
-#   (e.g. a build of the parent commit and one of the change).
+#   (e.g. a build of the parent commit and one of the change). Given the
+#   same build twice, it checks run-to-run reproducibility instead: every
+#   leg, the K = 3 metrics and traces included, must come out identical.
 #   CSV_IDENTITY_OUT=DIR keeps the outputs in DIR (default: a temp dir,
-#   removed on exit; the traces take about 0.6 GB per side).
+#   removed on exit; the traces take about 1.2 GB per side).
 #   CSV_IDENTITY_IGNORE_KEYS=a,b drops the named metrics keys from both
 #   sides before comparing (for a change that retires a metric).
 set -euo pipefail
@@ -55,22 +58,30 @@ legs+=("churn_reboot.shards3|--scenario=churn_reboot --shards=3")
 legs+=("partition_heal.shards2|--scenario=partition_heal --shards=2")
 legs+=("base_failover.shards4|--scenario=base_failover --shards=4")
 
-# Compares two metrics JSONL files row by row as JSON objects. Extra
-# arguments are key prefixes to skip.
+# The metrics keys that depend on thread timing at K > 1; a trailing `*`
+# matches a prefix.
+TIMING_KEYS="queue.depth,queue.occupancy,queue.processed,shard.stall_us"
+TIMING_KEYS+=",shard.stall_episodes,shard.ept_slack_us.to*"
+
+# Compares two metrics JSONL files row by row as JSON objects, less the
+# keys in CSV_IDENTITY_IGNORE_KEYS and in the optional third argument (a
+# comma-separated list like TIMING_KEYS).
 jsonl_same() {
   python3 - "$@" <<'PY'
 import json
 import os
 import sys
 
-a, b, prefixes = sys.argv[1], sys.argv[2], tuple(sys.argv[3:])
-ignore = set(filter(None, os.environ.get("CSV_IDENTITY_IGNORE_KEYS", "").split(",")))
+a, b = sys.argv[1], sys.argv[2]
+skip = ",".join([os.environ.get("CSV_IDENTITY_IGNORE_KEYS", "")] + sys.argv[3:])
+keys = {k for k in skip.split(",") if k and not k.endswith("*")}
+prefixes = tuple(k[:-1] for k in skip.split(",") if k.endswith("*"))
 
 
 def rows(path):
     with open(path) as f:
         return [{k: v for k, v in json.loads(line).items()
-                 if k not in ignore and not (prefixes and k.startswith(prefixes))}
+                 if k not in keys and not (prefixes and k.startswith(prefixes))}
                 for line in f]
 
 
@@ -84,20 +95,25 @@ for i, (x, y) in enumerate(zip(ra, rb), 1):
 PY
 }
 
-# One observability leg: label, shard count, then metrics key prefixes to
-# skip. Only a leg that skips none writes (and compares) traces.
+# A trace's events one per line, sorted, less the `ept.stall` instants
+# (the writer puts one event on each line).
+trace_events() {
+  sed -e 's/^{"displayTimeUnit":"ms","traceEvents":\[//' -e 's/,$//' -e 's/\]}$//' "$1" |
+    grep -v '"name":"ept.stall"' | LC_ALL=C sort -S 64M -T "${out}"
+}
+
+# One observability leg: label, shard count. At K > 1 the timing-dependent
+# metrics keys and trace events are left out of the comparison.
 obs_leg() {
   local label="$1" shards="$2"
-  shift 2
-  local side bin dir f name trace=()
+  local side bin dir f name
   for side in parent change; do
     bin="${parent}"
     [[ "${side}" == change ]] && bin="${change}"
     dir="${out}/${label}.${side}"
     mkdir -p "${dir}"
-    [[ $# -eq 0 ]] && trace=(--trace-out="${dir}/trace.json")
     if ! "${bin}" --scenario=churn_reboot --shards="${shards}" --threads=4 --quiet \
-         --csv="${dir}/results.csv" "${trace[@]}" \
+         --csv="${dir}/results.csv" --trace-out="${dir}/trace.json" \
          --metrics-out="${dir}/metrics.jsonl" > /dev/null; then
       echo "FAILED     ${label} (${side} run exited non-zero)"
       failed=1
@@ -113,8 +129,15 @@ obs_leg() {
     name="$(basename "${f}")"
     if [[ ! -e "${out}/${label}.change/${name}" ]]; then
       continue
+    elif [[ "${name}" == *.jsonl && "${shards}" -gt 1 ]]; then
+      jsonl_same "${f}" "${out}/${label}.change/${name}" "${TIMING_KEYS}" || ok=0
     elif [[ "${name}" == *.jsonl ]]; then
-      jsonl_same "${f}" "${out}/${label}.change/${name}" "$@" || ok=0
+      jsonl_same "${f}" "${out}/${label}.change/${name}" || ok=0
+    elif [[ "${name}" == trace* && "${shards}" -gt 1 ]]; then
+      if ! cmp -s <(trace_events "${f}") <(trace_events "${out}/${label}.change/${name}"); then
+        echo "           ${label}: ${name} events differ"
+        ok=0
+      fi
     elif ! cmp -s "${f}" "${out}/${label}.change/${name}"; then
       echo "           ${label}: ${name} differs"
       ok=0
@@ -151,7 +174,7 @@ for leg in "${legs[@]}"; do
 done
 
 obs_leg churn_reboot.obs 1
-obs_leg churn_reboot.obs.shards3 3 shard. queue.
+obs_leg churn_reboot.obs.shards3 3
 
 if [[ "${failed}" -ne 0 ]]; then
   echo "csv_identity: results differ" >&2

@@ -1,22 +1,27 @@
-// scoop_campaign: multi-threaded campaign runner over declarative .scn
-// scenarios.
+// scoop_campaign: the command-line runner. Runs a declarative .scn
+// scenario, or the default configuration, across worker threads.
 //
 //   scoop_campaign --list
 //   scoop_campaign --print=fig3_middle            > mine.scn
 //   scoop_campaign --scenario=fig3_middle --threads=8
 //   scoop_campaign --file=mine.scn --csv=out.csv --json=out.jsonl
+//   scoop_campaign --nodes=63 --duration_minutes=40 --topology=testbed
 //
-// Expands the scenario's sweep axes into a (combo x seed) grid, shards it
-// across worker threads, and prints the bench-style summary table; --csv
-// and --json additionally write machine-readable reports. Output is
-// byte-identical at any thread count.
+// Any scenario key given as --KEY=VALUE overrides that key of the base
+// config, through the same setter table the .scn keys use. With neither
+// --scenario nor --file the base config is the default one, run as a
+// one-combo scenario named "default". Expands the scenario's sweep axes
+// into a (combo x seed) grid, shards it across worker threads, and prints
+// the bench-style summary table (plus the profiler's bucket table when
+// any trial profiled); --csv and --json additionally write
+// machine-readable reports. Output is byte-identical at any thread count.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -25,34 +30,71 @@
 #include "scenario/scenario_parser.h"
 #include "scenario/scenario_registry.h"
 
-#include "cli_flags.h"
-
 namespace {
 
 using namespace scoop;
-using scoop::tools::KeyFlag;
-using scoop::tools::MatchFlag;
-using scoop::tools::MatchKeyFlag;
 
-/// Flags that override one key of the scenario's base config.
-constexpr KeyFlag kOverrideFlags[] = {
-    {"--shards", "shards"},
-    {"--partition", "partition"},
+/// Matches `arg` against `--name` (then *value = nullptr) or `--name=...`
+/// (then *value points at the text after '='). Returns false otherwise.
+bool MatchFlag(const char* arg, const char* name, const char** value) {
+  size_t len = std::strlen(name);
+  if (std::strncmp(arg, name, len) != 0) return false;
+  if (arg[len] == '\0') {
+    *value = nullptr;
+    return true;
+  }
+  if (arg[len] == '=') {
+    *value = arg + len + 1;
+    return true;
+  }
+  return false;
+}
+
+/// Short spellings of the observability keys. With `fixed` set the flag is
+/// a switch: it applies `fixed` and ignores any `=value`.
+struct KeyFlag {
+  const char* flag;
+  const char* key;
+  const char* fixed = nullptr;
+};
+constexpr KeyFlag kObsFlags[] = {
     {"--trace-out", "obs.trace_out"},
     {"--metrics-out", "obs.metrics_out"},
     {"--metrics-interval", "obs.metrics_interval_seconds"},
     {"--profile", "obs.profile", "on"},
 };
 
+/// One scenario key set on the command line, applied in command-line order.
+struct Override {
+  std::string flag;
+  std::string key;
+  std::string value;
+};
+
+/// The override `arg` spells: an observability alias, or `--KEY=VALUE` for
+/// any other key (checked when applied). False when `arg` is neither.
+bool MatchOverride(const char* arg, Override* out) {
+  for (const KeyFlag& f : kObsFlags) {
+    const char* value = nullptr;
+    if (!MatchFlag(arg, f.flag, &value)) continue;
+    if (f.fixed != nullptr) value = f.fixed;
+    if (value == nullptr) return false;
+    *out = {f.flag, f.key, value};
+    return true;
+  }
+  const char* eq = std::strchr(arg, '=');
+  if (std::strncmp(arg, "--", 2) != 0 || eq == nullptr || eq == arg + 2) return false;
+  *out = {std::string(arg, eq), std::string(arg + 2, eq), eq + 1};
+  return true;
+}
+
 [[noreturn]] void Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s (--scenario=NAME | --file=PATH.scn)\n"
+               "usage: %s [--scenario=NAME | --file=PATH.scn] [--KEY=VALUE ...]\n"
+               "          [--KEY=VALUE]      set any .scn scenario key, e.g. --nodes=63\n"
+               "                             --policy=local --shards=4 --partition=mincut\n"
+               "                             (without --scenario/--file: on the defaults)\n"
                "          [--threads=N]      worker threads (0 = all hardware threads)\n"
-               "          [--shards=K]       override the scenario's engine sharding\n"
-               "                             (1 = one shard inline, >=2 = K threads, 0 = auto;\n"
-               "                             results identical for every K)\n"
-               "          [--partition=strip|mincut] override the shard partitioner\n"
-               "                             (results identical; mincut cuts sync stalls)\n"
                "          [--csv=PATH]       write per-trial + mean rows as CSV\n"
                "          [--json=PATH]      write per-combo JSON-lines\n"
                "          [--perf-json=PATH] write wall-clock/events-per-second perf report\n"
@@ -61,7 +103,7 @@ constexpr KeyFlag kOverrideFlags[] = {
                "          [--metrics-interval=S] metrics sampling grid (sim seconds)\n"
                "          [--profile]        attach the wall-clock sim profiler\n"
                "          [-v | -vv]         info / debug logging to stderr\n"
-               "          [--quiet]          suppress the summary table\n"
+               "          [--quiet]          suppress the summary tables\n"
                "       %s --list             list registered scenarios\n"
                "       %s --print=NAME      dump a registered scenario's .scn text\n",
                argv0, argv0, argv0);
@@ -98,19 +140,17 @@ int main(int argc, char** argv) {
   std::string csv_path;
   std::string json_path;
   std::string perf_json_path;
+  int sources = 0;  // --scenario and --file given.
   int threads = 0;
   bool quiet = false;
   int verbosity = 0;
-  // Applied to the scenario's base config after parsing, in command-line
-  // order, through the same table the .scn keys use.
-  std::vector<std::pair<const KeyFlag*, std::string>> overrides;
+  std::vector<Override> overrides;
 
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
     const char* arg = argv[i];
-    if (const KeyFlag* flag = MatchKeyFlag(arg, kOverrideFlags, &value)) {
-      overrides.emplace_back(flag, value);
-    } else if (MatchFlag(arg, "--list", &value)) {
+    Override key_override;
+    if (MatchFlag(arg, "--list", &value)) {
       return ListScenarios();
     } else if (MatchFlag(arg, "--print", &value) && value != nullptr) {
       const char* spec = scenario::FindRegisteredSpec(value);
@@ -122,8 +162,10 @@ int main(int argc, char** argv) {
       return 0;
     } else if (MatchFlag(arg, "--scenario", &value) && value != nullptr) {
       scenario_name = value;
+      ++sources;
     } else if (MatchFlag(arg, "--file", &value) && value != nullptr) {
       file_path = value;
+      ++sources;
     } else if (MatchFlag(arg, "--threads", &value) && value != nullptr) {
       char* end = nullptr;
       long parsed = std::strtol(value, &end, 10);
@@ -144,15 +186,18 @@ int main(int argc, char** argv) {
       verbosity = 2;
     } else if (MatchFlag(arg, "--quiet", &value)) {
       quiet = true;
+    } else if (MatchOverride(arg, &key_override)) {
+      overrides.push_back(std::move(key_override));
     } else {
       Usage(argv[0]);
     }
   }
   SetLogLevel(LogLevelForVerbosity(verbosity));
-  if (scenario_name.empty() == file_path.empty()) Usage(argv[0]);  // Exactly one source.
+  if (sources > 1) Usage(argv[0]);
 
   Result<scenario::Scenario> parsed = [&]() -> Result<scenario::Scenario> {
-    if (!scenario_name.empty()) return scenario::LoadRegisteredScenario(scenario_name);
+    if (sources == 0) return scenario::Scenario{"default", "the default configuration", {}, {}};
+    if (file_path.empty()) return scenario::LoadRegisteredScenario(scenario_name);
     std::ifstream in(file_path, std::ios::binary);
     if (!in) return Status::NotFound("cannot open " + file_path);
     std::ostringstream buf;
@@ -164,10 +209,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   scenario::Scenario scn = std::move(parsed).value();
-  for (const auto& [flag, value] : overrides) {
-    Status s = scenario::ApplyScenarioKey(&scn.base, flag->key, value);
+  for (const Override& o : overrides) {
+    // A sweep axis would silently overwrite the flag in every combo.
+    bool swept = std::any_of(scn.sweeps.begin(), scn.sweeps.end(),
+                             [&](const scenario::SweepAxis& a) { return a.key == o.key; });
+    Status s = swept ? Status::InvalidArgument("scenario " + scn.name + " sweeps " + o.key)
+                     : scenario::ApplyScenarioKey(&scn.base, o.key, o.value);
     if (!s.ok()) {
-      std::fprintf(stderr, "bad %s value: %s\n", flag->flag, s.message().c_str());
+      std::fprintf(stderr, "bad %s: %s\n", o.flag.c_str(), s.message().c_str());
       Usage(argv[0]);
     }
   }
@@ -183,19 +232,21 @@ int main(int argc, char** argv) {
 
   if (!quiet) {
     size_t total_trials = 0;
-    for (const scenario::CampaignRow& row : result.rows) total_trials += row.trials.size();
-    std::printf("scenario %s: %s\n", result.scenario_name.c_str(),
-                result.description.empty() ? "(no description)" : result.description.c_str());
     double events = 0;
     for (const scenario::CampaignRow& row : result.rows) {
+      total_trials += row.trials.size();
       for (const auto& trial : row.trials) events += trial.sim_events;
     }
+    std::printf("scenario %s: %s\n", result.scenario_name.c_str(),
+                result.description.empty() ? "(no description)" : result.description.c_str());
     std::printf("%zu combos x trials = %zu runs on %d thread%s"
                 " (%.2fs wall, %.0f events/s)\n\n",
                 result.rows.size(), total_trials, result.threads_used,
                 result.threads_used == 1 ? "" : "s", result.wall_seconds,
                 result.wall_seconds > 0 ? events / result.wall_seconds : 0.0);
     std::fputs(scenario::CampaignTable(result).c_str(), stdout);
+    std::string profile = scenario::CampaignProfileTable(result);
+    if (!profile.empty()) std::printf("\n%s", profile.c_str());
   }
   if (!csv_path.empty() && !WriteFile(csv_path, scenario::CampaignCsv(result))) return 1;
   if (!json_path.empty() && !WriteFile(json_path, scenario::CampaignJsonLines(result))) {
