@@ -1,8 +1,9 @@
 // Experiment harness: assembles a full simulated Scoop/LOCAL/BASE/HASH
 // deployment from an ExperimentConfig, runs it (optionally over several
 // trials), and aggregates the paper's metrics -- message counts by type,
-// success rates, per-node skew, and energy/lifetime estimates. All figure
-// and table benches, the integration tests, and the examples drive this.
+// success rates, per-node skew, and energy/lifetime estimates. The
+// campaign runner (and through it every figure and table scenario), the
+// integration tests, and the examples drive this.
 #ifndef SCOOP_HARNESS_EXPERIMENT_H_
 #define SCOOP_HARNESS_EXPERIMENT_H_
 
@@ -274,7 +275,7 @@ int ResolvedShards(const ExperimentConfig& config);
 /// campaign runner shards on this.
 ExperimentResult RunAnyTrial(const ExperimentConfig& config, uint64_t seed);
 
-/// Averages per-trial rows into the aggregate the benches print. Summation
+/// Averages per-trial rows into the aggregate the campaign reports. Summation
 /// follows the order of `trials`, so a fixed row order yields bit-identical
 /// aggregates regardless of how the trials were scheduled.
 ExperimentResult AggregateTrials(const std::vector<ExperimentResult>& trials);

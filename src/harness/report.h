@@ -1,5 +1,6 @@
-// Plain-text table formatting for bench binaries: fixed-width columns so
-// the regenerated figures/tables read like the paper's.
+// Plain-text table formatting for the campaign reporter's summary tables
+// and the examples: fixed-width columns, thousands-grouped counts and
+// percentages.
 #ifndef SCOOP_HARNESS_REPORT_H_
 #define SCOOP_HARNESS_REPORT_H_
 

@@ -57,7 +57,7 @@ struct CampaignResult {
 
 /// Expands and runs the whole campaign. Deterministic: per-combo trial
 /// seeds are MixSeed(config.seed, trial), exactly what RunExperiment uses,
-/// so a one-combo campaign reproduces the corresponding bench numbers.
+/// so a one-combo campaign reproduces RunExperiment on the same config.
 Result<CampaignResult> RunCampaign(const Scenario& scenario, const CampaignOptions& options);
 
 }  // namespace scoop::scenario

@@ -23,8 +23,8 @@ struct MetricColumn {
 /// The full metric-column table, in canonical order.
 const MetricColumn* MetricColumns(size_t* count);
 
-/// Human-readable summary table (the benches' format): one row per combo,
-/// axis columns plus the Figure 3 headline metrics.
+/// Human-readable summary table: one row per combo, axis columns plus the
+/// Figure 3 headline metrics.
 std::string CampaignTable(const CampaignResult& result);
 
 /// The profiler's buckets (queue, radio, agent, shard-sync, other) as a

@@ -2,7 +2,7 @@
 // axes, deserialized from ".scn" text files (see scenario_parser.h) or the
 // embedded registry (scenario_registry.h). A scenario is the unit the
 // campaign runner (campaign.h) expands into a work grid and shards across
-// threads -- every future ablation is a text file, not a new bench binary.
+// threads -- every figure, table and ablation is a text file, not a program.
 #ifndef SCOOP_SCENARIO_SCENARIO_H_
 #define SCOOP_SCENARIO_SCENARIO_H_
 
@@ -16,7 +16,7 @@ namespace scoop::scenario {
 /// One sweep axis: a scenario key plus the textual values it takes
 /// (`sweep.policy = scoop, local, base`). The campaign work grid is the
 /// cross product of all axes in declaration order; the last axis varies
-/// fastest, matching the nested loops of the hand-written benches.
+/// fastest, like the inner loop of nested loops.
 struct SweepAxis {
   std::string key;
   std::vector<std::string> values;

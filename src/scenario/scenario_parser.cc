@@ -567,6 +567,23 @@ Status ValidateConfig(const harness::ExperimentConfig& config) {
   if (config.source_options.domain_lo > config.source_options.domain_hi) {
     return Status::InvalidArgument("domain_lo must be <= domain_hi");
   }
+  // A Scoop node draws its first summary's phase between one sample
+  // interval and one summary interval.
+  if (config.sample_interval > config.summary_interval) {
+    return Status::InvalidArgument(
+        "sample_interval_seconds must be <= summary_interval_seconds");
+  }
+  if (config.stabilization >= config.duration) {
+    return Status::InvalidArgument(
+        "stabilization_minutes must be < duration_minutes (the measurement window would be "
+        "empty)");
+  }
+  if ((config.fault.partition_start != 0 || config.fault.partition_end != 0) &&
+      config.fault.partition_end <= config.fault.partition_start) {
+    return Status::InvalidArgument(
+        "fault.partition_end_minute must be > fault.partition_start_minute when a partition "
+        "is set");
+  }
   if (config.fault.base_outage_end > config.fault.base_outage_start &&
       config.fault.base_backup != 0 &&
       config.fault.base_backup >= config.num_nodes) {

@@ -42,10 +42,13 @@ Result<Scenario> ParseScenario(std::string_view text, std::string_view origin = 
 Status ApplyScenarioKey(harness::ExperimentConfig* config, std::string_view key,
                         std::string_view value);
 
-/// Cross-field invariants (query_width_lo <= query_width_hi, domain_lo <=
-/// domain_hi) that single-key setters cannot enforce. ParseScenario applies
-/// this to the base config and the campaign runner to every sweep-expanded
-/// combo, so a sweep cannot smuggle in an invalid configuration.
+/// Cross-field invariants that single-key setters cannot enforce:
+/// query_width_lo <= query_width_hi, domain_lo <= domain_hi, a base backup
+/// that exists, sample_interval <= summary_interval, stabilization <
+/// duration, and a set partition window that ends after it starts.
+/// ParseScenario applies this to the base config and the campaign runner
+/// to every sweep-expanded combo, so a sweep cannot smuggle in an invalid
+/// configuration.
 Status ValidateConfig(const harness::ExperimentConfig& config);
 
 /// All recognized config keys, in canonical (writer) order.

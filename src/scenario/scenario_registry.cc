@@ -8,10 +8,11 @@ namespace {
 
 // Keys omitted from a spec keep the ExperimentConfig defaults, which mirror
 // the paper's §6 table -- so these specs state only what each experiment
-// changes. The fig3_middle, fig3_right, fig4_selectivity,
-// fig5_query_interval and tbl_scalability benches expand these specs
-// rather than re-declaring their grids; fig3_left is the exception (its
-// bench prints the paper's four bars, its spec the full 3x2 grid).
+// changes. Every paper figure and in-text table is one entry here, run with
+// `scoop_campaign --scenario=<name>`; each spec's cross product holds every
+// row of the figure or table (fig3_left also covers the testbed bars, and
+// fig3_middle the root-skew table's policies), and the abl_* ablations
+// sweep whole knob grids that include the paper's variants.
 
 constexpr const char kFig3Left[] = R"(
 name = fig3_left
@@ -61,6 +62,70 @@ policy = scoop
 trials = 2
 sweep.source = real, random
 sweep.nodes = 25, 50, 63, 100
+)";
+
+constexpr const char kTblLossRates[] = R"(
+name = tbl_loss_rates
+description = In-text (§6): Scoop storage, owner-hit, query-success and summary-delivery rates on both topologies
+policy = scoop
+source = real
+sweep.topology = testbed, random
+)";
+
+constexpr const char kTblEnergyLifetime[] = R"(
+name = tbl_energy_lifetime
+description = In-text (§6): battery lifetime per policy at the default and a query-heavy query rate (REAL trace)
+source = real
+sweep.query_interval_seconds = 15, 3
+sweep.policy = local, scoop, base
+)";
+
+constexpr const char kTblSampleInterval[] = R"(
+name = tbl_sample_interval
+description = In-text (§6): Scoop cost per data source as the sample interval grows
+policy = scoop
+sweep.source = unique, real, gaussian, random
+sweep.sample_interval_seconds = 5, 15, 30, 60
+)";
+
+constexpr const char kAblFailures[] = R"(
+name = abl_failures
+description = Robustness: Scoop when a fraction of the sensors loses its radio at minute 20 (REAL trace)
+policy = scoop
+source = real
+trials = 2
+fault.crash_minute = 20
+sweep.fault.crash_fraction = 0, 0.1, 0.2, 0.3
+)";
+
+constexpr const char kAblRoutingFeatures[] = R"(
+name = abl_routing_features
+description = Ablation of the §5.4 routing features: reading batching, the neighbor shortcut and descendant routing (Scoop, REAL trace)
+policy = scoop
+source = real
+trials = 2
+sweep.max_batch = 1, 5, 10
+sweep.neighbor_shortcut = on, off
+sweep.descendant_routing = on, off
+)";
+
+constexpr const char kAblExtensions[] = R"(
+name = abl_extensions
+description = The §4 extensions: owner sets, range-granularity placement and the store-local fallback (Scoop, GAUSSIAN)
+policy = scoop
+source = gaussian
+trials = 2
+sweep.owner_set = 1, 2, 3
+sweep.range_granularity = 1, 5, 10
+sweep.consider_store_local = off, on
+)";
+
+constexpr const char kAblHashModel[] = R"(
+name = abl_hash_model
+description = Validation: simulated HASH against the analytical HASH model Figure 3 uses (GAUSSIAN)
+source = gaussian
+trials = 2
+sweep.policy = hash-sim, hash
 )";
 
 constexpr const char kGridDense[] = R"(
@@ -188,6 +253,13 @@ const RegistryEntry kRegistry[] = {
     {"fig4_selectivity", kFig4Selectivity},
     {"fig5_query_interval", kFig5QueryInterval},
     {"tbl_scalability", kTblScalability},
+    {"tbl_loss_rates", kTblLossRates},
+    {"tbl_energy_lifetime", kTblEnergyLifetime},
+    {"tbl_sample_interval", kTblSampleInterval},
+    {"abl_failures", kAblFailures},
+    {"abl_routing_features", kAblRoutingFeatures},
+    {"abl_extensions", kAblExtensions},
+    {"abl_hash_model", kAblHashModel},
     {"grid_dense", kGridDense},
     {"grid_1024", kGrid1024},
     {"bursty_queries", kBurstyQueries},

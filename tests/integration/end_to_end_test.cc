@@ -1,9 +1,19 @@
 // End-to-end integration tests: full networks of agents over the simulated
 // radio, driven by the experiment harness (shortened runs). These encode
-// the paper's qualitative claims as assertions.
+// the paper's qualitative claims as assertions. The §6 figure and table
+// claims run on the registered scenario that reproduces each one
+// (`scoop_campaign --scenario=<name>`), shrunk to a fast size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "harness/experiment.h"
+#include "scenario/campaign.h"
+#include "scenario/scenario_registry.h"
 
 namespace scoop::harness {
 namespace {
@@ -16,6 +26,36 @@ ExperimentConfig FastConfig() {
   config.trials = 1;
   config.seed = 2024;
   return config;
+}
+
+/// Runs every cell of the registered scenario `name`
+/// (src/scenario/scenario_registry.cc) with its base config shrunk to 32
+/// nodes, 18 sim-minutes (4 of them stabilization) and one trial; seeds,
+/// sweeps and every other key stay as registered. Results are keyed by the
+/// cell's axis values joined with '/' ("scoop/unique" for fig3_left's
+/// policy x source).
+std::map<std::string, ExperimentResult> RunShrunk(const char* name) {
+  Result<scenario::Scenario> scn = scenario::LoadRegisteredScenario(name);
+  EXPECT_TRUE(scn.ok()) << scn.status().ToString();
+  if (!scn.ok()) return {};
+  ExperimentConfig& base = scn.value().base;
+  base.num_nodes = 32;
+  base.duration = Minutes(18);
+  base.stabilization = Minutes(4);
+  base.trials = 1;
+  Result<std::vector<scenario::ExpandedRun>> runs = scenario::ExpandScenario(scn.value());
+  EXPECT_TRUE(runs.ok()) << runs.status().ToString();
+  if (!runs.ok()) return {};
+  std::map<std::string, ExperimentResult> cells;
+  for (const scenario::ExpandedRun& run : runs.value()) {
+    std::string label;
+    for (const auto& [key, value] : run.axes) {
+      if (!label.empty()) label += '/';
+      label += value;
+    }
+    cells.emplace(std::move(label), RunExperiment(run.config));
+  }
+  return cells;
 }
 
 TEST(EndToEndTest, ScoopRunsHealthy) {
@@ -36,15 +76,10 @@ TEST(EndToEndTest, ScoopRunsHealthy) {
 TEST(EndToEndTest, ScoopBeatsBaseAndLocalOnRealTrace) {
   // The headline claim (Fig. 3 middle): Scoop's total message cost is well
   // below both send-to-base and store-local under the default workload.
-  ExperimentConfig config = FastConfig();
-  config.source = workload::DataSourceKind::kReal;
-
-  config.policy = Policy::kScoop;
-  double scoop = RunTrial(config, 5).total_excl_beacons;
-  config.policy = Policy::kBase;
-  double base = RunTrial(config, 5).total_excl_beacons;
-  config.policy = Policy::kLocal;
-  double local = RunTrial(config, 5).total_excl_beacons;
+  std::map<std::string, ExperimentResult> cells = RunShrunk("fig3_middle");
+  double scoop = cells.at("scoop").total_excl_beacons;
+  double base = cells.at("base").total_excl_beacons;
+  double local = cells.at("local").total_excl_beacons;
 
   EXPECT_LT(scoop, base * 0.85);
   EXPECT_LT(scoop, local * 0.85);
@@ -128,20 +163,15 @@ TEST(EndToEndTest, DeterministicAcrossIdenticalRuns) {
 TEST(EndToEndTest, HashSimOrdersLikeAnalyticalModel) {
   // The simulated HASH should agree with the closed-form model to within a
   // modest factor (the model skips MAC dynamics).
-  ExperimentConfig config = FastConfig();
-  config.source = workload::DataSourceKind::kGaussian;
-  config.policy = Policy::kHashSim;
-  double sim = RunTrial(config, 17).total_excl_beacons;
-  core::HashModelResult model = RunHashAnalysis(config, 17);
-  EXPECT_GT(sim, model.total * 0.4);
-  EXPECT_LT(sim, model.total * 2.5);
+  std::map<std::string, ExperimentResult> cells = RunShrunk("abl_hash_model");
+  double sim = cells.at("hash-sim").total_excl_beacons;
+  double model = cells.at("hash").total_excl_beacons;
+  EXPECT_GT(sim, model * 0.4);
+  EXPECT_LT(sim, model * 2.5);
 }
 
 TEST(EndToEndTest, BasePolicyIsPureDataTraffic) {
-  ExperimentConfig config = FastConfig();
-  config.policy = Policy::kBase;
-  config.source = workload::DataSourceKind::kReal;
-  ExperimentResult r = RunTrial(config, 19);
+  ExperimentResult r = RunShrunk("fig3_middle").at("base");
   EXPECT_GT(r.data(), 0);
   EXPECT_EQ(r.summary(), 0);
   EXPECT_EQ(r.mapping(), 0);
@@ -149,10 +179,7 @@ TEST(EndToEndTest, BasePolicyIsPureDataTraffic) {
 }
 
 TEST(EndToEndTest, LocalPolicyIsPureQueryTraffic) {
-  ExperimentConfig config = FastConfig();
-  config.policy = Policy::kLocal;
-  config.source = workload::DataSourceKind::kReal;
-  ExperimentResult r = RunTrial(config, 21);
+  ExperimentResult r = RunShrunk("fig3_middle").at("local");
   EXPECT_EQ(r.data(), 0);
   EXPECT_EQ(r.summary(), 0);
   EXPECT_EQ(r.mapping(), 0);
@@ -186,20 +213,116 @@ TEST(EndToEndTest, NodeFailuresDegradeGracefully) {
 TEST(EndToEndTest, RootSkewShapes) {
   // §6: BASE's root receives by far the most; LOCAL's root is the least
   // loaded of the three policies.
-  ExperimentConfig config = FastConfig();
-  config.source = workload::DataSourceKind::kReal;
-  config.policy = Policy::kScoop;
-  ExperimentResult scoop = RunTrial(config, 23);
-  config.policy = Policy::kBase;
-  ExperimentResult base = RunTrial(config, 23);
-  config.policy = Policy::kLocal;
-  ExperimentResult local = RunTrial(config, 23);
+  std::map<std::string, ExperimentResult> cells = RunShrunk("fig3_middle");
+  const ExperimentResult& scoop = cells.at("scoop");
+  const ExperimentResult& base = cells.at("base");
+  const ExperimentResult& local = cells.at("local");
   EXPECT_GT(base.root_received, scoop.root_received);
   EXPECT_GT(base.root_received, local.root_received);
-  // (The paper additionally reports LOCAL's root below SCOOP's; that
-  // ordering depends on how many replies survive to the root and does not
-  // hold robustly across topologies, so it is not asserted here -- see
-  // EXPERIMENTS.md E8.)
+  // §6 also reports the LOCAL root (~2,000 queries sent, ~1,800 replies
+  // received) below the SCOOP root (~4,000 mappings and queries sent,
+  // ~8,000 summaries and ~2,000 replies received). That ordering depends on
+  // how many replies survive to the root and does not hold robustly across
+  // topologies, so it is not asserted here.
+}
+
+TEST(EndToEndTest, Fig3LeftUniqueIsCheapestAndScoopBeatsLocalAndBase) {
+  // Fig. 3 (left), testbed topology: Scoop over UNIQUE data costs least
+  // (each node's values are its own, so data stays local), and Scoop over
+  // GAUSSIAN still costs less than LOCAL and BASE.
+  std::map<std::string, ExperimentResult> cells = RunShrunk("fig3_left");
+  ASSERT_EQ(cells.size(), 6u);
+  const double unique = cells.at("scoop/unique").total_excl_beacons;
+  for (const auto& [label, r] : cells) {
+    if (label != "scoop/unique") {
+      EXPECT_LT(unique, r.total_excl_beacons) << label;
+    }
+  }
+  const double scoop = cells.at("scoop/gaussian").total_excl_beacons;
+  EXPECT_LT(scoop, cells.at("local/gaussian").total_excl_beacons);
+  EXPECT_LT(scoop, cells.at("base/gaussian").total_excl_beacons);
+}
+
+TEST(EndToEndTest, Fig4LocalIsFlatAndScoopRisesWithNodesQueried) {
+  // Fig. 4: LOCAL floods every query whatever the node list, so its cost is
+  // flat; Scoop asks only the listed nodes, so its cost rises with the
+  // fraction queried, from below both baselines to above BASE.
+  std::map<std::string, ExperimentResult> cells = RunShrunk("fig4_selectivity");
+  const std::vector<std::string> fractions = {"0.05", "0.10", "0.20", "0.40",
+                                              "0.60", "0.80", "1.0"};
+  std::vector<double> local;
+  std::vector<double> scoop;
+  for (const std::string& f : fractions) {
+    local.push_back(cells.at("local/" + f).total_excl_beacons);
+    scoop.push_back(cells.at("scoop/" + f).total_excl_beacons);
+  }
+  auto [lo, hi] = std::minmax_element(local.begin(), local.end());
+  EXPECT_LT(*hi, *lo * 1.05);
+  for (size_t i = 1; i < scoop.size(); ++i) {
+    EXPECT_GT(scoop[i], scoop[i - 1]) << "at " << fractions[i];
+  }
+  EXPECT_GT(scoop.back(), 2 * scoop.front());
+  EXPECT_LT(scoop.front(), local.front());
+  EXPECT_LT(scoop.front(), cells.at("base/0.05").total_excl_beacons);
+  EXPECT_GT(scoop.back(), cells.at("base/1.0").total_excl_beacons);
+}
+
+TEST(EndToEndTest, Fig5OnlyLocalMovesWithTheQueryInterval) {
+  // Fig. 5: LOCAL's whole cost is query flooding and replies, so it falls
+  // steeply as queries grow rare; BASE pays nothing for queries and Scoop
+  // little, so theirs barely move.
+  std::map<std::string, ExperimentResult> cells = RunShrunk("fig5_query_interval");
+  auto swing = [&](const std::string& policy) {
+    return cells.at(policy + "/5").total_excl_beacons /
+           cells.at(policy + "/50").total_excl_beacons;
+  };
+  EXPECT_GT(swing("local"), 3 * swing("scoop"));
+  EXPECT_GT(swing("local"), 3 * swing("base"));
+  EXPECT_LT(swing("base"), 1.05);
+}
+
+TEST(EndToEndTest, SampleIntervalWashesOutSourceDifferences) {
+  // §6: as the sample interval grows, less data is stored, queries,
+  // mappings and summaries dominate, and the data sources' costs draw
+  // together.
+  std::map<std::string, ExperimentResult> cells = RunShrunk("tbl_sample_interval");
+  auto spread = [&](const std::string& interval) {
+    double lo = 0;
+    double hi = 0;
+    for (const char* source : {"unique", "real", "gaussian", "random"}) {
+      double total = cells.at(std::string(source) + "/" + interval).total_excl_beacons;
+      lo = lo == 0 ? total : std::min(lo, total);
+      hi = std::max(hi, total);
+    }
+    return hi / lo;
+  };
+  EXPECT_LT(spread("60"), spread("5") / 2);
+}
+
+TEST(EndToEndTest, ScoopRootDrainsBeforeALocalNode) {
+  // §6 lifetime claim: the Scoop root, which handles every summary and
+  // mapping, lasts less than an average LOCAL node, at the default and at
+  // the query-heavy rate. Where queries dominate, an average Scoop node
+  // outlives an average LOCAL node, whose budget is all flooding.
+  std::map<std::string, ExperimentResult> cells = RunShrunk("tbl_energy_lifetime");
+  for (const char* interval : {"15", "3"}) {
+    const std::string at(interval);
+    EXPECT_LT(cells.at(at + "/scoop").root_lifetime_days,
+              cells.at(at + "/local").avg_node_lifetime_days)
+        << interval << " s";
+  }
+  EXPECT_GT(cells.at("3/scoop").avg_node_lifetime_days,
+            cells.at("3/local").avg_node_lifetime_days);
+  // The paper's ~3x average-node advantage at the default rate does not
+  // hold at this size (LOCAL's average node idles between floods), so it
+  // is not asserted.
+}
+
+TEST(EndToEndTest, BatchingCutsScoopDataTraffic) {
+  // §5.4 routing ablation: sending every reading on its own (max_batch = 1)
+  // pays the per-packet cost that batches of 5 share.
+  std::map<std::string, ExperimentResult> cells = RunShrunk("abl_routing_features");
+  EXPECT_GT(cells.at("1/on/on").data(), 2 * cells.at("5/on/on").data());
 }
 
 }  // namespace

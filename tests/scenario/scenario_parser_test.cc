@@ -395,6 +395,32 @@ TEST(ScenarioParserTest, CrossFieldChecks) {
   EXPECT_NE(err.find("domain_lo must be <= domain_hi"), std::string::npos) << err;
 }
 
+// Configs that each key accepts on its own but that cannot run as meant:
+// a sample interval past the summary interval would abort the run (a Scoop
+// node's first-summary phase is drawn between the two), an empty
+// measurement window would report all zeros, and a partition window that
+// ends before it starts would inject no partition.
+TEST(ScenarioParserTest, ConfigsThatCannotRunAsMeantAreRejected) {
+  std::string err = ErrorOf(
+      "name = t\nnodes = 20\nduration_minutes = 6\nstabilization_minutes = 2\n"
+      "sample_interval_seconds = 111\n");
+  EXPECT_NE(err.find("sample_interval_seconds must be <= summary_interval_seconds"),
+            std::string::npos)
+      << err;
+  MustParse("name = t\nsample_interval_seconds = 110\n");
+
+  err = ErrorOf("name = t\nstabilization_minutes = 3\nduration_minutes = 3\n");
+  EXPECT_NE(err.find("stabilization_minutes must be < duration_minutes"), std::string::npos)
+      << err;
+
+  err = ErrorOf(
+      "name = t\nfault.partition_start_minute = 4\nfault.partition_end_minute = 2\n");
+  EXPECT_NE(err.find("fault.partition_end_minute must be > fault.partition_start_minute"),
+            std::string::npos)
+      << err;
+  MustParse("name = t\nfault.partition_start_minute = 4\nfault.partition_end_minute = 6\n");
+}
+
 // The fault.crash_* keys are the one spelling of the crash-stop wave
 // knobs: they set the ExperimentConfig failure_* fields and format back
 // under their own names, and the retired failure_* keys are rejected.

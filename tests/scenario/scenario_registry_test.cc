@@ -4,6 +4,8 @@
 
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/types.h"
 #include "scenario/campaign.h"
@@ -36,13 +38,13 @@ TEST(ScenarioRegistryTest, EveryRegisteredScenarioParsesAndExpands) {
   EXPECT_EQ(names.size(), count) << "registry names must be unique";
 }
 
-TEST(ScenarioRegistryTest, Fig3MiddleMatchesTheBenchSetup) {
+TEST(ScenarioRegistryTest, Fig3MiddleRunsThePaperDefaults) {
   Result<Scenario> parsed = LoadRegisteredScenario("fig3_middle");
   ASSERT_TRUE(parsed.ok());
   const Scenario& s = parsed.value();
   EXPECT_EQ(s.base.source, workload::DataSourceKind::kReal);
   EXPECT_EQ(s.base.preset, harness::TopologyPreset::kRandom);
-  // Everything else stays at the paper defaults the bench uses.
+  // Everything else stays at the paper's §6 defaults.
   harness::ExperimentConfig d;
   EXPECT_EQ(s.base.num_nodes, d.num_nodes);
   EXPECT_EQ(s.base.duration, d.duration);
@@ -79,6 +81,66 @@ TEST(ScenarioRegistryTest, ExtensionScenariosUseTheirKnobs) {
   Result<Scenario> skew = LoadRegisteredScenario("gaussian_skew");
   ASSERT_TRUE(skew.ok());
   EXPECT_EQ(skew.value().base.source, workload::DataSourceKind::kGaussian);
+
+  // The §6 tables and the ablations: each sweeps these keys, in this order.
+  const std::vector<std::pair<const char*, std::vector<std::string>>> sweeps = {
+      {"tbl_loss_rates", {"topology"}},
+      {"tbl_energy_lifetime", {"query_interval_seconds", "policy"}},
+      {"tbl_sample_interval", {"source", "sample_interval_seconds"}},
+      {"abl_failures", {"fault.crash_fraction"}},
+      {"abl_routing_features", {"max_batch", "neighbor_shortcut", "descendant_routing"}},
+      {"abl_extensions", {"owner_set", "range_granularity", "consider_store_local"}},
+      {"abl_hash_model", {"policy"}},
+  };
+  for (const auto& [name, keys] : sweeps) {
+    SCOPED_TRACE(name);
+    Result<Scenario> scn = LoadRegisteredScenario(name);
+    ASSERT_TRUE(scn.ok()) << scn.status().ToString();
+    std::vector<std::string> swept;
+    for (const SweepAxis& axis : scn.value().sweeps) swept.push_back(axis.key);
+    EXPECT_EQ(swept, keys);
+  }
+  Result<Scenario> failures = LoadRegisteredScenario("abl_failures");
+  ASSERT_TRUE(failures.ok());
+  EXPECT_EQ(failures.value().base.failure_time, Minutes(20));
+}
+
+/// The axis values of every cell `name` expands to, joined with '/'.
+std::set<std::string> CellLabels(const char* name) {
+  Result<Scenario> scn = LoadRegisteredScenario(name);
+  EXPECT_TRUE(scn.ok()) << scn.status().ToString();
+  if (!scn.ok()) return {};
+  Result<std::vector<ExpandedRun>> runs = ExpandScenario(scn.value());
+  EXPECT_TRUE(runs.ok()) << runs.status().ToString();
+  if (!runs.ok()) return {};
+  std::set<std::string> labels;
+  for (const ExpandedRun& run : runs.value()) {
+    std::string label;
+    for (const auto& [key, value] : run.axes) {
+      if (!label.empty()) label += '/';
+      label += value;
+    }
+    labels.insert(label);
+  }
+  return labels;
+}
+
+// The ablation grids hold every variant the paper discusses: batching
+// (1, the paper's 5, and 10) with each §5.4 routing rule off in turn, and
+// owner sets k = 2, 3, range blocks of 5 and 10, and the store-local
+// fallback, each against the per-value, single-owner default.
+TEST(ScenarioRegistryTest, AblationGridsCoverEveryVariant) {
+  std::set<std::string> routing = CellLabels("abl_routing_features");
+  EXPECT_EQ(routing.size(), 12u);
+  for (const char* variant : {"5/on/on", "1/on/on", "5/off/on", "5/on/off", "10/on/on"}) {
+    EXPECT_EQ(routing.count(variant), 1u) << variant;
+  }
+  std::set<std::string> extensions = CellLabels("abl_extensions");
+  EXPECT_EQ(extensions.size(), 18u);
+  for (const char* variant : {"1/1/off", "2/1/off", "3/1/off", "1/5/off", "1/10/off",
+                              "1/1/on"}) {
+    EXPECT_EQ(extensions.count(variant), 1u) << variant;
+  }
 }
 
 TEST(ScenarioRegistryTest, UnknownNameIsNotFound) {

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Byte-identity check of campaign results between two builds: runs every
-# registered scenario (`scoop_campaign --list`) at --threads=4 with --csv
-# on both builds, plus four sharded legs, and cmp's each pair of CSVs.
+# scenario both builds register (`scoop_campaign --list`) at --threads=4
+# with --csv on both, plus four sharded legs, and cmp's each pair of CSVs.
+# Scenarios only one build registers are listed as `new:` or `gone:` lines
+# and are not failures.
 # Two observability legs also run churn_reboot with --trace-out and
 # --metrics-out:
 #   churn_reboot.obs          --shards=1: the CSV and every trace must be
@@ -48,11 +50,22 @@ else
   trap 'rm -rf "${out}"' EXIT
 fi
 
-# Each leg: a label, then the scoop_campaign arguments.
+# Each leg: a label, then the scoop_campaign arguments. A scenario leg
+# runs only where both builds register the scenario; a name only one side
+# lists is reported as `new:` (change only) or `gone:` (parent only).
+parent_names="$("${parent}" --list | awk 'NF { print $1 }')"
+change_names="$("${change}" --list | awk 'NF { print $1 }')"
 legs=()
-while read -r name _; do
-  [[ -n "${name}" ]] && legs+=("${name}|--scenario=${name}")
-done < <("${change}" --list)
+while read -r name; do
+  if grep -qxF -- "${name}" <<< "${parent_names}"; then
+    legs+=("${name}|--scenario=${name}")
+  else
+    echo "new:       ${name}"
+  fi
+done <<< "${change_names}"
+while read -r name; do
+  grep -qxF -- "${name}" <<< "${change_names}" || echo "gone:      ${name}"
+done <<< "${parent_names}"
 legs+=("grid_1024.shards4|--scenario=grid_1024 --shards=4")
 legs+=("churn_reboot.shards3|--scenario=churn_reboot --shards=3")
 legs+=("partition_heal.shards2|--scenario=partition_heal --shards=2")

@@ -221,6 +221,16 @@ int main(int argc, char** argv) {
     }
   }
 
+  // A flag can break a cross-key rule (ValidateConfig) in the base config
+  // or in one sweep combo; expanding checks both.
+  if (!overrides.empty()) {
+    Result<std::vector<scenario::ExpandedRun>> runs = scenario::ExpandScenario(scn);
+    if (!runs.ok()) {
+      std::fprintf(stderr, "bad flags: %s\n", runs.status().message().c_str());
+      Usage(argv[0]);
+    }
+  }
+
   scenario::CampaignOptions options;
   options.threads = threads;
   Result<scenario::CampaignResult> campaign = scenario::RunCampaign(scn, options);
