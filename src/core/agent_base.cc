@@ -7,6 +7,14 @@
 
 namespace scoop::core {
 
+namespace {
+
+/// Delay before the first send retry (fault.send_retry_max); attempt k
+/// waits this << k.
+constexpr SimTime kSendRetryBackoff = Millis(250);
+
+}  // namespace
+
 AgentBase::AgentBase(const AgentConfig& config)
     : cfg_(config),
       neighbors_(config.neighbor),
@@ -116,7 +124,7 @@ bool AgentBase::MaybeRetrySend(const Packet& pkt) {
   // then-current parent after an exponentially growing, draw-free delay.
   // The attempt count rides in the header's host-only retry_attempt field.
   Packet retry = pkt;
-  SimTime backoff = cfg_.fault_send_retry_backoff << retry.hdr.retry_attempt;
+  SimTime backoff = kSendRetryBackoff << retry.hdr.retry_attempt;
   ++retry.hdr.retry_attempt;
   ++telemetry_->send_retries;
   ctx_->Schedule(backoff, [this, retry] {

@@ -1,6 +1,9 @@
 // Configuration shared by every Scoop protocol agent (node and basestation)
 // and by the baseline-policy agents. Defaults follow the paper's §6
-// experiment table.
+// experiment table. Protocol constants no experiment varies live at their
+// one consumer instead: the §5.3 suppression threshold (0.90) in
+// ScoopBaseAgent, owner hysteresis (0.90) in index_builder.cc, and the
+// send-retry backoff (250 ms) in AgentBase.
 #ifndef SCOOP_CORE_AGENT_CONFIG_H_
 #define SCOOP_CORE_AGENT_CONFIG_H_
 
@@ -61,26 +64,12 @@ struct AgentConfig {
   double shortcut_min_quality = 0.3;
   /// Routing rule 5: route down via the descendants list.
   bool enable_descendant_routing = true;
-  /// Suppress dissemination when the new index maps at least this fraction
-  /// of the domain identically (§5.3).
-  double suppression_similarity = 0.90;
   /// Figure 2 options (store-local fallback, owner sets, range placement).
   IndexBuilderOptions builder;
 
   // --- Buffers ---
   /// Recent-readings buffer feeding summaries (§5.2; paper: 30).
   int recent_readings_capacity = 30;
-
-  // --- Summary history at the base (§5.5 historical queries) ---
-  /// Verbatim SummaryRecords older than this are folded into a compact
-  /// per-epoch digest (value extremes + coverage per epoch), bounding the
-  /// base's memory on long runs at large N. Aggregate queries whose time
-  /// range lies inside the window answer exactly as before; older ranges
-  /// answer from the epoch extremes (a conservative widening). 0 keeps
-  /// every record forever -- the paper's "never discards" behavior.
-  SimTime summary_history_window = Minutes(20);
-  /// Epoch granularity of the aged digest.
-  SimTime summary_history_epoch = Minutes(4);
 
   // --- Query dissemination (modified Trickle, §5.5) ---
   /// Suppress a pending query rebroadcast after hearing it this many times.
@@ -114,9 +103,8 @@ struct AgentConfig {
   /// index arrives, instead of dropping or base-fallback-only.
   bool fault_orphan_rehoming = false;
   /// Bounded retry-with-backoff after the MAC gives up on a data or
-  /// summary packet (0 = off; attempt k re-sends after backoff << k).
+  /// summary packet (0 = off; attempt k re-sends after 250 ms << k).
   int fault_send_retry_max = 0;
-  SimTime fault_send_retry_backoff = Millis(250);
   /// Base: re-issue a timed-out query against the responders still missing
   /// (0 = off; at most this many re-issues per query).
   int fault_query_reissue_max = 0;

@@ -10,6 +10,13 @@ namespace scoop::core {
 
 namespace {
 
+/// Owner hysteresis: keep the previous generation's owner unless the new
+/// argmin is cheaper than this fraction of the incumbent's cost. Stabilizes
+/// the index across remaps, which shrinks both mapping traffic (more
+/// suppression, §5.3) and the owner unions historical queries must contact
+/// (§5.5).
+constexpr double kOwnerHysteresis = 0.90;
+
 /// Per-value data-production weight of one producer: P(p→v) * rate_p.
 struct WeightedProducer {
   NodeId id;
@@ -221,7 +228,7 @@ BuildResult IndexBuilder::Build(const BuildInputs& inputs, const IndexBuilderOpt
       if (incumbent.has_value() && *incumbent != best_owner &&
           *incumbent != kStoreLocalOwner) {
         double incumbent_cost = CostOf(*incumbent, block, inputs);
-        if (incumbent_cost * options.owner_hysteresis <= best_cost) {
+        if (incumbent_cost * kOwnerHysteresis <= best_cost) {
           best_owner = *incumbent;
           best_cost = incumbent_cost;
         }

@@ -44,11 +44,6 @@ struct IndexBuilderOptions {
   /// Range-placement extension (§4): place blocks of this many consecutive
   /// values on one owner. 1 = per-value placement (paper default).
   int range_granularity = 1;
-  /// Owner hysteresis: keep the previous generation's owner unless the new
-  /// argmin is better by more than this factor. Stabilizes the index across
-  /// remaps, which shrinks both mapping traffic (more suppression, §5.3)
-  /// and the owner unions historical queries must contact (§5.5).
-  double owner_hysteresis = 0.90;
 };
 
 /// Everything the optimizer consumes.
@@ -65,7 +60,8 @@ struct BuildInputs {
   const XmitsEstimator* xmits = nullptr;
   /// Query statistics; may be null (no queries recorded yet).
   const QueryStats* query_stats = nullptr;
-  /// Previous index generation for owner hysteresis; may be null.
+  /// Previous index generation, whose owners are kept unless clearly
+  /// beaten (owner hysteresis, index_builder.cc); may be null.
   const StorageIndex* previous = nullptr;
   NodeId base = 0;
   SimTime now = 0;

@@ -8,6 +8,14 @@
 
 namespace scoop::core {
 
+namespace {
+
+/// Suppress dissemination when the new index routes at least this fraction
+/// of the produced traffic identically to the last disseminated one (§5.3).
+constexpr double kSuppressionSimilarity = 0.90;
+
+}  // namespace
+
 ScoopBaseAgent::ScoopBaseAgent(const AgentConfig& config)
     : AgentBase(config), xmits_(config.num_nodes) {
   SCOOP_CHECK(config.is_base());
@@ -58,13 +66,16 @@ void ScoopBaseAgent::HandleSummaryAtBase(const Packet& pkt) {
   tracker.prev_time = now;
   tracker.has_prev = true;
 
-  // The base always keeps the *last* histogram per node (tolerates summary
-  // loss) and keeps verbatim history across the configured window;
-  // anything older folds into the per-epoch digest so long campaigns at
-  // large N stay bounded (historical/aggregate queries, §5.5).
-  latest_[node] = SummaryRecord{now, summary};
-  history_[node].push_back(SummaryRecord{now, summary});
-  AgeSummaryHistory(node, now);
+  // The base keeps the *last* histogram per node (tolerates summary loss)
+  // for the index builder, and every summary's extent for aggregate
+  // queries (§5.5). A summary covers its recent-readings buffer: capacity
+  // readings at one per sample interval before its arrival.
+  latest_[node] = summary;
+  if (!summary.bins.empty()) {
+    extents_.push_back(SummaryExtent{
+        now - cfg_.sample_interval * cfg_.recent_readings_capacity, now, summary.vmin,
+        summary.vmax});
+  }
 
   // Early first dissemination: once most nodes have reported, build the
   // first index immediately instead of waiting out the remap interval.
@@ -74,45 +85,12 @@ void ScoopBaseAgent::HandleSummaryAtBase(const Packet& pkt) {
   }
 }
 
-void ScoopBaseAgent::AgeSummaryHistory(NodeId node, SimTime now) {
-  if (cfg_.summary_history_window <= 0) return;  // Never-discard mode.
-  // A non-positive epoch (only reachable from hand-built configs; the
-  // scenario parser rejects it) degenerates to one digest entry per tick
-  // rather than dividing by zero.
-  SimTime epoch_len = std::max<SimTime>(cfg_.summary_history_epoch, 1);
-  std::deque<SummaryRecord>& records = history_[node];
-  SimTime horizon = now - cfg_.summary_history_window;
-  while (!records.empty() && records.front().received_at < horizon) {
-    const SummaryRecord& record = records.front();
-    // Records without histogram content never carry extremes (the answer
-    // path skips them), so they age out without a digest entry.
-    if (!record.summary.bins.empty()) {
-      int64_t epoch = record.received_at / epoch_len;
-      SimTime cover_lo = SummaryCoverLo(record);
-      SimTime cover_hi = record.received_at;
-      std::vector<SummaryEpochDigest>& digest = digests_[node];
-      if (digest.empty() || digest.back().epoch != epoch) {
-        digest.push_back(SummaryEpochDigest{epoch, cover_lo, cover_hi,
-                                            record.summary.vmin, record.summary.vmax, 1});
-      } else {
-        SummaryEpochDigest& d = digest.back();
-        d.cover_lo = std::min(d.cover_lo, cover_lo);
-        d.cover_hi = std::max(d.cover_hi, cover_hi);
-        d.vmin = std::min(d.vmin, record.summary.vmin);
-        d.vmax = std::max(d.vmax, record.summary.vmax);
-        ++d.records;
-      }
-    }
-    records.pop_front();
-  }
-}
-
 void ScoopBaseAgent::RebuildXmits() {
   // Every remap re-ingests the latest statistics from scratch; Build()
   // then runs one Dijkstra per source over the resulting graph.
   xmits_.Clear();
-  for (const auto& [node, record] : latest_) {
-    for (const NeighborEntry& nbr : record.summary.neighbors) {
+  for (const auto& [node, summary] : latest_) {
+    for (const NeighborEntry& nbr : summary.neighbors) {
       if (static_cast<int>(nbr.id) >= cfg_.num_nodes) continue;
       // The summary reports the quality of the link neighbor -> node.
       xmits_.AddLink(nbr.id, node, static_cast<double>(nbr.quality_x255) / 255.0);
@@ -149,14 +127,14 @@ bool ScoopBaseAgent::RemapNow() {
 
   Value lo = std::numeric_limits<Value>::max();
   Value hi = std::numeric_limits<Value>::min();
-  for (const auto& [node, record] : latest_) {
-    if (record.summary.bins.empty()) continue;
-    lo = std::min(lo, record.summary.vmin);
-    hi = std::max(hi, record.summary.vmax);
+  for (const auto& [node, summary] : latest_) {
+    if (summary.bins.empty()) continue;
+    lo = std::min(lo, summary.vmin);
+    hi = std::max(hi, summary.vmax);
     ProducerStats producer;
     producer.id = node;
-    producer.histogram = storage::ValueHistogram::FromSummary(
-        record.summary.vmin, record.summary.vmax, record.summary.bins);
+    producer.histogram =
+        storage::ValueHistogram::FromSummary(summary.vmin, summary.vmax, summary.bins);
     producer.rate = rates_[node].rate;
     inputs.producers.push_back(std::move(producer));
   }
@@ -182,7 +160,7 @@ bool ScoopBaseAgent::RemapNow() {
   // mapping messages.
   if (last_disseminated_.valid() &&
       IndexBuilder::WeightedSimilarity(inputs, result.index, last_disseminated_) >=
-          cfg_.suppression_similarity) {
+          kSuppressionSimilarity) {
     ++telemetry().indices_suppressed;
     if (cfg_.trace != nullptr) {
       cfg_.trace->Instant(ctx().now(), "index.suppress", obs::TraceCat::kIndex,
@@ -282,33 +260,15 @@ bool ScoopBaseAgent::TryAnswerFromSummaries(const Query& query,
   if (!query.ranges.empty()) return false;  // Range-restricted aggregates need tuples.
   bool found = false;
   Value best = 0;
-  auto consider = [&](Value candidate) {
+  for (const SummaryExtent& e : extents_) {
+    if (e.cover_hi < query.time_lo || e.cover_lo > query.time_hi) continue;
+    Value candidate = query.kind == Query::Kind::kMax ? e.vmax : e.vmin;
     if (!found) {
       best = candidate;
       found = true;
     } else {
       best = query.kind == Query::Kind::kMax ? std::max(best, candidate)
                                              : std::min(best, candidate);
-    }
-  };
-  for (const auto& [node, records] : history_) {
-    for (const SummaryRecord& record : records) {
-      // A summary covers (roughly) the recent-readings window before its
-      // arrival.
-      SimTime cover_lo = SummaryCoverLo(record);
-      SimTime cover_hi = record.received_at;
-      if (cover_hi < query.time_lo || cover_lo > query.time_hi) continue;
-      if (record.summary.bins.empty()) continue;
-      consider(query.kind == Query::Kind::kMax ? record.summary.vmax
-                                               : record.summary.vmin);
-    }
-  }
-  // Records beyond the history window live on as per-epoch digests: same
-  // overlap rule at epoch granularity, answering with the epoch extremes.
-  for (const auto& [node, digest] : digests_) {
-    for (const SummaryEpochDigest& d : digest) {
-      if (d.cover_hi < query.time_lo || d.cover_lo > query.time_hi) continue;
-      consider(query.kind == Query::Kind::kMax ? d.vmax : d.vmin);
     }
   }
   if (!found) return false;

@@ -1,12 +1,13 @@
 // The Scoop basestation (§5.2-§5.5): collects summary statistics, rebuilds
 // the storage index every remap interval with the Figure 2 optimizer,
-// suppresses dissemination of near-identical indices, initiates Trickle
-// gossip of mapping chunks, plans queries over all historically active
-// indices, answers aggregates from stored summaries, and collects replies.
+// suppresses dissemination of an index that routes at least 90% of the
+// produced traffic like the last one (§5.3), initiates Trickle gossip of
+// mapping chunks, plans queries over all historically active indices,
+// answers MAX/MIN aggregates from every summary it ever received (§5.5:
+// the base never discards them), and collects replies.
 #ifndef SCOOP_CORE_SCOOP_BASE_AGENT_H_
 #define SCOOP_CORE_SCOOP_BASE_AGENT_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -18,30 +19,15 @@
 
 namespace scoop::core {
 
-/// One remembered summary, kept verbatim while inside the configured
-/// history window (§5.5).
-struct SummaryRecord {
-  SimTime received_at = 0;
-  SummaryPayload summary;
-};
-
-/// Compact digest of the SummaryRecords of one node that aged out of the
-/// history window within one epoch: enough to answer historical aggregate
-/// queries (value extremes over a covered time span) at a fraction of the
-/// memory of the verbatim records.
-struct SummaryEpochDigest {
-  /// Epoch index (received_at / summary_history_epoch).
-  int64_t epoch = 0;
-  /// Union of the folded records' covered time spans.
+/// What an aggregate query (§5.5) needs from one received summary: the
+/// time span its readings cover and their value extremes. The base keeps
+/// one per summary with histogram content for the whole run -- the paper's
+/// "never discards" rule at four numbers a summary.
+struct SummaryExtent {
   SimTime cover_lo = 0;
   SimTime cover_hi = 0;
-  /// Extremes over the folded records' [vmin, vmax].
   Value vmin = 0;
   Value vmax = 0;
-  /// How many records were folded in. Records without histogram content
-  /// never carried extremes and age out without a digest entry, so this is
-  /// always >= 1.
-  uint32_t records = 0;
 };
 
 /// One disseminated index generation (the base never discards old indices).
@@ -66,15 +52,9 @@ class ScoopBaseAgent : public AgentBase {
   /// Indices disseminated so far, oldest first.
   const std::vector<IndexGeneration>& index_history() const { return index_history_; }
   /// Last summary recorded per node.
-  const std::map<NodeId, SummaryRecord>& latest_summaries() const { return latest_; }
-  /// Verbatim summary records still inside the history window, per node.
-  const std::map<NodeId, std::deque<SummaryRecord>>& summary_history() const {
-    return history_;
-  }
-  /// Aged-out per-epoch digests, per node (oldest epoch first).
-  const std::map<NodeId, std::vector<SummaryEpochDigest>>& summary_digests() const {
-    return digests_;
-  }
+  const std::map<NodeId, SummaryPayload>& latest_summaries() const { return latest_; }
+  /// Every summary's extent, in arrival order.
+  const std::vector<SummaryExtent>& summary_extents() const { return extents_; }
   const QueryStats& query_stats() const { return query_stats_; }
   /// Force an immediate remap (tests/examples); returns true if a new index
   /// was disseminated (false = suppressed or no statistics yet).
@@ -107,20 +87,8 @@ class ScoopBaseAgent : public AgentBase {
     double rate = 0;  // readings/sec
   };
 
-  /// Folds history_ records of `node` older than the configured window
-  /// into digests_ (no-op when the window is 0).
-  void AgeSummaryHistory(NodeId node, SimTime now);
-
-  /// Start of the time span a summary covers: capacity readings at one per
-  /// sample interval before its arrival (the span's end is received_at).
-  /// The digest fold and the answer path must use the same formula.
-  SimTime SummaryCoverLo(const SummaryRecord& record) const {
-    return record.received_at - cfg_.sample_interval * cfg_.recent_readings_capacity;
-  }
-
-  std::map<NodeId, SummaryRecord> latest_;
-  std::map<NodeId, std::deque<SummaryRecord>> history_;
-  std::map<NodeId, std::vector<SummaryEpochDigest>> digests_;
+  std::map<NodeId, SummaryPayload> latest_;
+  std::vector<SummaryExtent> extents_;
   std::map<NodeId, RateTracker> rates_;
   std::map<NodeId, NodeId> tree_edges_;  // node -> parent (latest seen)
 

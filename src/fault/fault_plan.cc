@@ -12,29 +12,24 @@ namespace scoop::fault {
 
 namespace {
 
-/// Marks the nodes whose position falls inside the normalized rectangle
-/// [x_lo, x_hi] x [y_lo, y_hi] over the topology's bounding box. A
-/// degenerate bounding-box axis (all nodes collinear) maps every node to
-/// coordinate 0 on that axis.
-std::vector<bool> RegionMask(const sim::Topology& topology, int num_nodes,
-                             double x_lo, double x_hi, double y_lo, double y_hi) {
-  double min_x = 0, max_x = 0, min_y = 0, max_y = 0;
+/// Marks the nodes whose x coordinate, normalized to [0, 1] over the
+/// topology's bounding box, falls inside [x_lo, x_hi]: a band over the
+/// deployment's full height. A degenerate x extent (all nodes on one
+/// vertical line) maps every node to 0.
+std::vector<bool> RegionMask(const sim::Topology& topology, int num_nodes, double x_lo,
+                             double x_hi) {
+  double min_x = 0, max_x = 0;
   for (int i = 0; i < num_nodes; ++i) {
     const sim::Point& p = topology.position(static_cast<NodeId>(i));
     if (i == 0 || p.x < min_x) min_x = p.x;
     if (i == 0 || p.x > max_x) max_x = p.x;
-    if (i == 0 || p.y < min_y) min_y = p.y;
-    if (i == 0 || p.y > max_y) max_y = p.y;
   }
   double w = max_x - min_x;
-  double h = max_y - min_y;
   std::vector<bool> inside(static_cast<size_t>(num_nodes), false);
   for (int i = 0; i < num_nodes; ++i) {
     const sim::Point& p = topology.position(static_cast<NodeId>(i));
     double nx = w > 0 ? (p.x - min_x) / w : 0.0;
-    double ny = h > 0 ? (p.y - min_y) / h : 0.0;
-    inside[static_cast<size_t>(i)] =
-        nx >= x_lo && nx <= x_hi && ny >= y_lo && ny <= y_hi;
+    inside[static_cast<size_t>(i)] = nx >= x_lo && nx <= x_hi;
   }
   return inside;
 }
@@ -115,9 +110,7 @@ FaultPlan BuildFaultPlan(const FaultConfig& config, const LegacyCrashWaves& lega
   if (config.partition_end > config.partition_start) {
     plan.channel.AddWindow(
         config.partition_start, config.partition_end,
-        RegionMask(topology, num_nodes, config.partition_x_lo,
-                   config.partition_x_hi, config.partition_y_lo,
-                   config.partition_y_hi));
+        RegionMask(topology, num_nodes, config.partition_x_lo, config.partition_x_hi));
     plan.events.push_back(
         FaultEvent{config.partition_start, FaultKind::kMarkPartition, 0});
   }

@@ -37,19 +37,19 @@ struct FaultConfig {
   SimTime reboot_wave_interval = Minutes(5);
   SimTime reboot_downtime = Seconds(60);
 
-  // --- Spatial partition: every link crossing the rectangle's boundary is
-  // severed over [start, end) (both islands stay internally connected),
+  // --- Spatial partition: the region is the x band [x_lo, x_hi] over the
+  // full height of the deployment. Every link crossing the band's boundary
+  // is severed over [start, end) (both islands stay internally connected),
   // then heals. Active iff end > start.
   SimTime partition_start = 0;
   SimTime partition_end = 0;
   double partition_x_lo = 0.0;
   double partition_x_hi = 0.5;
-  double partition_y_lo = 0.0;
-  double partition_y_hi = 1.0;
 
   // --- Base outage/failover: the basestation's radio dies over
   // [start, end) and `base_backup` is promoted to tree root for the
-  // window. Active iff end > start and base_backup != 0.
+  // window. Active iff end > start and base_backup != 0; ValidateConfig
+  // (scenario_parser.h) rejects a window set any other way.
   SimTime base_outage_start = 0;
   SimTime base_outage_end = 0;
   int base_backup = 0;
@@ -60,9 +60,8 @@ struct FaultConfig {
   /// re-home at the next remap instead of dropping.
   bool orphan_rehoming = false;
   /// Bounded retry-with-backoff for data/summary forwarding after the MAC
-  /// gives up (0 = off; attempt k waits backoff << k).
+  /// gives up (0 = off; attempt k waits 250 ms << k, see AgentBase).
   int send_retry_max = 0;
-  SimTime send_retry_backoff = Millis(250);
   /// Base-side query re-issue after timeout against the responder set
   /// still missing (0 = off; at most this many re-issues per query).
   int query_reissue_max = 0;

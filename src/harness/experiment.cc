@@ -14,6 +14,7 @@
 #include "core/query.h"
 #include "core/scoop_base_agent.h"
 #include "core/scoop_node_agent.h"
+#include "metrics/energy_model.h"
 #include "metrics/message_stats.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -59,17 +60,13 @@ AgentConfig MakeAgentConfig(const ExperimentConfig& config, NodeId self,
   agent.summary_interval = config.summary_interval;
   agent.remap_interval = config.remap_interval;
   agent.sampling_start = config.stabilization;
-  agent.summary_history_window = config.summary_history_window;
-  agent.summary_history_epoch = config.summary_history_epoch;
   agent.max_batch = config.max_batch;
   agent.enable_neighbor_shortcut = config.enable_neighbor_shortcut;
   agent.enable_descendant_routing = config.enable_descendant_routing;
-  agent.suppression_similarity = config.suppression_similarity;
   agent.builder = config.builder;
   agent.hash_domain = source->domain();
   agent.fault_orphan_rehoming = config.fault.orphan_rehoming;
   agent.fault_send_retry_max = config.fault.send_retry_max;
-  agent.fault_send_retry_backoff = config.fault.send_retry_backoff;
   agent.fault_query_reissue_max = config.fault.query_reissue_max;
   agent.telemetry = telemetry;
   agent.trace = trace;
@@ -203,7 +200,7 @@ class QueryDriver {
   void IssueOne() {
     SimTime now = engine_->DriverNow();
     Query query;
-    query.time_lo = std::max<SimTime>(0, now - config_.query_history_window);
+    query.time_lo = std::max<SimTime>(0, now - kHistoryWindow);
     query.time_hi = now;
     if (config_.query_mode == ExperimentConfig::QueryMode::kNodeList) {
       // §5.5: "a user can query values from one or more specific nodes".
@@ -236,6 +233,10 @@ class QueryDriver {
       pct_sum_ += delta / static_cast<double>(config_.num_nodes - 1);
     }
   }
+
+  /// Queries ask about this much recent history (§3: snapshot queries over
+  /// recent readings).
+  static constexpr SimTime kHistoryWindow = Seconds(60);
 
   sim::ShardedEngine* engine_;
   ExperimentConfig config_;
@@ -389,15 +390,13 @@ ExperimentResult CollectResult(const ExperimentConfig& config,
   // workload bytes (tx + addressed rx, beacons excluded): the always-on
   // listening cost is identical across policies and would only dilute the
   // per-policy differences the paper reports.
-  metrics::EnergyModel energy(config.energy);
   double sum_lifetime = 0;
   for (int i = 1; i < config.num_nodes; ++i) {
-    double joules = energy.RadioEnergyJ(stats.WorkloadBytesBy(static_cast<NodeId>(i)), 0);
-    sum_lifetime += energy.LifetimeDays(joules, config.duration);
+    sum_lifetime +=
+        metrics::LifetimeDays(stats.WorkloadBytesBy(static_cast<NodeId>(i)), config.duration);
   }
   r.avg_node_lifetime_days = sum_lifetime / std::max(1, config.num_nodes - 1);
-  double root_joules = energy.RadioEnergyJ(stats.WorkloadBytesBy(0), 0);
-  r.root_lifetime_days = energy.LifetimeDays(root_joules, config.duration);
+  r.root_lifetime_days = metrics::LifetimeDays(stats.WorkloadBytesBy(0), config.duration);
   r.sim_events = static_cast<double>(processed);
   return r;
 }

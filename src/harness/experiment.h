@@ -15,7 +15,6 @@
 #include "core/hash_model.h"
 #include "core/index_builder.h"
 #include "fault/fault_plan.h"
-#include "metrics/energy_model.h"
 #include "metrics/telemetry.h"
 #include "net/wire.h"
 #include "sim/partition.h"
@@ -76,14 +75,6 @@ struct ExperimentConfig {
   double query_width_hi = 0.05;
   /// kNodeList: fraction of the (non-base) nodes each query names.
   double node_list_fraction = 0.10;
-  /// Queries ask about this much recent history (§3: snapshot queries over
-  /// recent readings).
-  SimTime query_history_window = Seconds(60);
-
-  /// Summary records older than this age into a compact per-epoch digest
-  /// at the base (0 = the paper's never-discard behavior); see AgentConfig.
-  SimTime summary_history_window = Minutes(20);
-  SimTime summary_history_epoch = Minutes(4);
 
   int trials = 3;
   uint64_t seed = 42;
@@ -125,10 +116,7 @@ struct ExperimentConfig {
   int max_batch = 5;
   bool enable_neighbor_shortcut = true;
   bool enable_descendant_routing = true;
-  double suppression_similarity = 0.90;
   core::IndexBuilderOptions builder;
-
-  metrics::EnergyOptions energy;
 
   // --- Observability (src/obs/; all off by default) ---
   /// Chrome-trace JSON output path ("" = tracing off). Multi-trial runs
@@ -219,7 +207,7 @@ struct ExperimentResult {
   double root_lifetime_days = 0;
 
   // Perf telemetry (host-side). Deliberately NOT part of the deterministic
-  // metric-column table the CSV/JSON reporters render: wall time varies
+  // metric-column table the table and CSV reporters render: wall time varies
   // run to run, and those outputs must stay byte-identical for a fixed
   // seed. The campaign runner surfaces these via its perf report instead.
   double wall_seconds = 0;  ///< Host wall-clock the trial took.

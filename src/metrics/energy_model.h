@@ -1,8 +1,9 @@
 // Energy model from §2.1: radio costs ~700 nJ/bit (two orders of magnitude
-// above Flash's 28 nJ/bit write), so communication dominates node lifetime.
-// Converts per-node byte counts into energy and battery-lifetime estimates
-// (the paper's "LOCAL node lasts a month, SCOOP average node three months,
-// SCOOP root two weeks" comparison).
+// above Flash's 28 nJ/bit write), so communication dominates node lifetime
+// and a node's lifetime is projected from its radio workload bytes alone,
+// each bit charged at the transmit rate. Backs the paper's "LOCAL node
+// lasts a month, SCOOP average node three months, SCOOP root two weeks"
+// comparison.
 #ifndef SCOOP_METRICS_ENERGY_MODEL_H_
 #define SCOOP_METRICS_ENERGY_MODEL_H_
 
@@ -12,46 +13,11 @@
 
 namespace scoop::metrics {
 
-/// Energy parameters (defaults per §2.1).
-struct EnergyOptions {
-  /// Radio transmit energy per bit.
-  double tx_nj_per_bit = 700.0;
-  /// Radio receive/decode energy per bit (comparable magnitude to tx on
-  /// mote radios).
-  double rx_nj_per_bit = 350.0;
-  /// Flash write energy per bit.
-  double flash_write_nj_per_bit = 28.0;
-  /// Usable battery capacity in joules (2x AA alkaline ~ 9 Wh usable at
-  /// mote loads ~= 32 kJ; we use a conservative fraction).
-  double battery_joules = 20000.0;
-};
-
-/// Converts activity totals into energy and lifetime.
-class EnergyModel {
- public:
-  explicit EnergyModel(const EnergyOptions& options = {}) : options_(options) {}
-
-  /// Radio energy (J) for `tx_bytes` transmitted and `rx_bytes` received.
-  double RadioEnergyJ(uint64_t tx_bytes, uint64_t rx_bytes) const {
-    return (options_.tx_nj_per_bit * 8.0 * static_cast<double>(tx_bytes) +
-            options_.rx_nj_per_bit * 8.0 * static_cast<double>(rx_bytes)) *
-           1e-9;
-  }
-
-  /// Flash write energy (J) for `bytes` written.
-  double FlashWriteEnergyJ(uint64_t bytes) const {
-    return options_.flash_write_nj_per_bit * 8.0 * static_cast<double>(bytes) * 1e-9;
-  }
-
-  /// Projects battery lifetime in days, given `energy_j` consumed over
-  /// `duration` of operation. Returns +inf-like large value when idle.
-  double LifetimeDays(double energy_j, SimTime duration) const;
-
-  const EnergyOptions& options() const { return options_; }
-
- private:
-  EnergyOptions options_;
-};
+/// Battery lifetime in days of a node whose radio moved `workload_bytes`
+/// (MessageStats::WorkloadBytesBy) over `duration` of operation, at
+/// 700 nJ/bit against a 20 kJ battery: +inf when it moved nothing, 0 for
+/// an empty duration.
+double LifetimeDays(uint64_t workload_bytes, SimTime duration);
 
 }  // namespace scoop::metrics
 

@@ -50,8 +50,8 @@ struct CampaignResult {
   std::vector<CampaignRow> rows;       ///< Expansion order.
   int threads_used = 1;
   /// Host wall-clock the whole grid took (all workers, start to join).
-  /// Perf telemetry only -- never rendered into the deterministic CSV/JSON
-  /// reports; CampaignPerfJson carries it instead.
+  /// Perf telemetry only -- never rendered into the deterministic table or
+  /// CSV; CampaignPerfJson carries it instead.
   double wall_seconds = 0;
 };
 

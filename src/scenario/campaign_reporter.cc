@@ -60,10 +60,10 @@ const MetricColumn kColumns[] = {
 };
 
 /// Metric cells use the shared shortest-round-trip formatter: it depends
-/// only on the double's bits, which keeps CSV/JSON stable across runs and
+/// only on the double's bits, which keeps the CSV stable across runs and
 /// thread counts. Non-finite values (an idle node's lifetime is +inf) have
-/// no JSON literal and no portable CSV spelling: JSON gets null, CSV an
-/// empty cell.
+/// no portable CSV spelling and get an empty cell; the perf JSON writes
+/// null.
 std::string FormatCsvMetric(double v) {
   return std::isfinite(v) ? FormatShortestDouble(v) : std::string();
 }
@@ -223,35 +223,6 @@ std::string CampaignCsv(const CampaignResult& result) {
       emit_row(row, std::to_string(t), row.trials[t]);
     }
     emit_row(row, "mean", row.mean);
-  }
-  return out;
-}
-
-std::string CampaignJsonLines(const CampaignResult& result) {
-  std::string out;
-  for (const CampaignRow& row : result.rows) {
-    out += "{\"scenario\":" + JsonString(result.scenario_name);
-    out += ",\"axes\":{";
-    for (size_t i = 0; i < row.axes.size(); ++i) {
-      if (i > 0) out += ",";
-      out += JsonString(row.axes[i].first) + ":" + JsonString(row.axes[i].second);
-    }
-    out += "},\"policy\":" + JsonString(harness::PolicyName(row.config.policy));
-    out += ",\"source\":" + JsonString(workload::DataSourceKindName(row.config.source));
-    out += ",\"nodes\":" + std::to_string(row.config.num_nodes);
-    out += ",\"trials\":" + std::to_string(row.trials.size());
-    out += ",\"seed\":" + std::to_string(row.config.seed);
-    out += ",\"metrics\":{";
-    for (size_t i = 0; i < sizeof(kColumns) / sizeof(kColumns[0]); ++i) {
-      if (i > 0) out += ",";
-      out += JsonString(kColumns[i].name) + ":" + FormatJsonMetric(kColumns[i].get(row.mean));
-    }
-    out += "},\"trial_total_excl_beacons\":[";
-    for (size_t t = 0; t < row.trials.size(); ++t) {
-      if (t > 0) out += ",";
-      out += FormatJsonMetric(row.trials[t].total_excl_beacons);
-    }
-    out += "]}\n";
   }
   return out;
 }

@@ -1,8 +1,7 @@
-// Structured output for campaign results: the existing aligned-table
-// format plus machine-readable CSV (one row per trial and a "mean" row per
-// combo) and JSON-lines (one object per combo, for BENCH_*.json style
-// trajectory tracking). All three render from the same metric-column table
-// so a metric cannot appear in one format and silently miss another.
+// Structured output for campaign results: the aligned summary table plus
+// machine-readable CSV (one row per trial and a "mean" row per combo), both
+// rendered from one metric-column table, and the separate wall-clock perf
+// report.
 #ifndef SCOOP_SCENARIO_CAMPAIGN_REPORTER_H_
 #define SCOOP_SCENARIO_CAMPAIGN_REPORTER_H_
 
@@ -37,15 +36,11 @@ std::string CampaignProfileTable(const CampaignResult& result);
 /// for a given scenario, at any thread count.
 std::string CampaignCsv(const CampaignResult& result);
 
-/// JSON-lines: one object per combo with scenario, axes, config summary,
-/// mean metrics, and the per-trial total_excl_beacons trajectory.
-std::string CampaignJsonLines(const CampaignResult& result);
-
 /// Perf report (one JSON document): campaign wall-clock plus per-combo
 /// wall seconds, simulated events, and events/second. This is the
 /// machine-tracked perf trajectory (BENCH_radio.json); it is kept separate
-/// from CampaignCsv/CampaignJsonLines because wall time varies run to run
-/// and those reports must stay byte-identical for a fixed seed.
+/// from CampaignCsv because wall time varies run to run and the CSV must
+/// stay byte-identical for a fixed seed.
 std::string CampaignPerfJson(const CampaignResult& result);
 
 }  // namespace scoop::scenario

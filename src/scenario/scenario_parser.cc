@@ -131,10 +131,6 @@ const TimeUnit kSeconds{
     "seconds", [](double s) { return s; },
     [](double s) { return static_cast<SimTime>(std::llround(s * kSecond)); },
     [](SimTime t) { return ToSeconds(t); }};
-const TimeUnit kMillis{
-    "milliseconds", [](double ms) { return ms / 1000.0; },
-    [](double ms) { return static_cast<SimTime>(std::llround(ms * kMillisecond)); },
-    [](SimTime t) { return ToSeconds(t) * 1000.0; }};
 
 const char* QueryModeName(ExperimentConfig::QueryMode mode) {
   return mode == ExperimentConfig::QueryMode::kNodeList ? "node-list" : "range";
@@ -259,7 +255,6 @@ KeyInfo EnumKey(const char* key, Field field, const char* (*name)(Enum),
 const std::vector<KeyInfo>& Keys() {
   constexpr bool kZeroOk = true;
   constexpr bool kPositive = false;
-  constexpr int64_t kValueBound = 1 << 30;
   static const std::vector<KeyInfo> keys = {
       EnumKey("policy", [](auto& c) -> auto& { return c.policy; }, harness::PolicyName,
               {Policy::kScoop, Policy::kLocal, Policy::kBase, Policy::kHashAnalytical,
@@ -292,12 +287,6 @@ const std::vector<KeyInfo>& Keys() {
       DoubleKey("query_width_hi", [](auto& c) -> auto& { return c.query_width_hi; }, 0.0, 1.0),
       DoubleKey("node_list_fraction", [](auto& c) -> auto& { return c.node_list_fraction; },
                 0.0, 1.0),
-      TimeKey("history_window_seconds", [](auto& c) -> auto& { return c.query_history_window; },
-              kSeconds, kPositive),
-      TimeKey("summary_history_window_minutes",
-              [](auto& c) -> auto& { return c.summary_history_window; }, kMinutes, kZeroOk),
-      TimeKey("summary_history_epoch_minutes",
-              [](auto& c) -> auto& { return c.summary_history_epoch; }, kMinutes, kPositive),
       IntKey("trials", [](auto& c) -> auto& { return c.trials; }, 1, 10000),
       UintKey("seed", [](auto& c) -> auto& { return c.seed; }),
       IntKey("shards", [](auto& c) -> auto& { return c.shards; }, 0, 64),
@@ -331,10 +320,6 @@ const std::vector<KeyInfo>& Keys() {
                 0.0, 1.0),
       DoubleKey("fault.partition_x_hi", [](auto& c) -> auto& { return c.fault.partition_x_hi; },
                 0.0, 1.0),
-      DoubleKey("fault.partition_y_lo", [](auto& c) -> auto& { return c.fault.partition_y_lo; },
-                0.0, 1.0),
-      DoubleKey("fault.partition_y_hi", [](auto& c) -> auto& { return c.fault.partition_y_hi; },
-                0.0, 1.0),
       TimeKey("fault.base_outage_start_minute",
               [](auto& c) -> auto& { return c.fault.base_outage_start; }, kMinutes, kZeroOk),
       TimeKey("fault.base_outage_end_minute",
@@ -344,51 +329,20 @@ const std::vector<KeyInfo>& Keys() {
       BoolKey("fault.orphan_rehoming", [](auto& c) -> auto& { return c.fault.orphan_rehoming; }),
       IntKey("fault.send_retry_max", [](auto& c) -> auto& { return c.fault.send_retry_max; }, 0,
              100),
-      TimeKey("fault.send_retry_backoff_ms",
-              [](auto& c) -> auto& { return c.fault.send_retry_backoff; }, kMillis, kPositive),
       IntKey("fault.query_reissue_max",
              [](auto& c) -> auto& { return c.fault.query_reissue_max; }, 0, 100),
       IntKey("max_batch", [](auto& c) -> auto& { return c.max_batch; }, 1, 1000),
       BoolKey("neighbor_shortcut", [](auto& c) -> auto& { return c.enable_neighbor_shortcut; }),
       BoolKey("descendant_routing", [](auto& c) -> auto& { return c.enable_descendant_routing; }),
-      DoubleKey("suppression_similarity",
-                [](auto& c) -> auto& { return c.suppression_similarity; }, 0.0, 1.0),
       BoolKey("consider_store_local",
               [](auto& c) -> auto& { return c.builder.consider_store_local; }),
       IntKey("owner_set", [](auto& c) -> auto& { return c.builder.owner_set_size; }, 1,
              kMaxSupportedNodes),
       IntKey("range_granularity", [](auto& c) -> auto& { return c.builder.range_granularity; }, 1,
              1 << 20),
-      DoubleKey("owner_hysteresis", [](auto& c) -> auto& { return c.builder.owner_hysteresis; },
-                0.0, 1.0),
-      IntKey("domain_lo", [](auto& c) -> auto& { return c.source_options.domain_lo; },
-             -kValueBound, kValueBound),
-      IntKey("domain_hi", [](auto& c) -> auto& { return c.source_options.domain_hi; },
-             -kValueBound, kValueBound),
-      IntKey("equal_value", [](auto& c) -> auto& { return c.source_options.equal_value; },
-             -kValueBound, kValueBound),
-      DoubleKey("gaussian_variance",
-                [](auto& c) -> auto& { return c.source_options.gaussian_variance; }, 0.0, 1e9),
       DoubleKey("gaussian_mean_skew",
                 [](auto& c) -> auto& { return c.source_options.gaussian_mean_skew; }, 0.01,
                 100.0),
-      IntKey("real_domain_hi", [](auto& c) -> auto& { return c.source_options.real_domain_hi; },
-             1, kValueBound),
-      DoubleKey("real_shared_weight",
-                [](auto& c) -> auto& { return c.source_options.real_shared_weight; }, 0.0, 1.0),
-      DoubleKey("real_correlation_meters",
-                [](auto& c) -> auto& { return c.source_options.real_correlation_meters; }, 0.01,
-                1e6),
-      DoubleKey("real_noise", [](auto& c) -> auto& { return c.source_options.real_noise; }, 0.0,
-                1e6),
-      DoubleKey("energy_tx_nj_per_bit", [](auto& c) -> auto& { return c.energy.tx_nj_per_bit; },
-                0.0, 1e9),
-      DoubleKey("energy_rx_nj_per_bit", [](auto& c) -> auto& { return c.energy.rx_nj_per_bit; },
-                0.0, 1e9),
-      DoubleKey("energy_flash_write_nj_per_bit",
-                [](auto& c) -> auto& { return c.energy.flash_write_nj_per_bit; }, 0.0, 1e9),
-      DoubleKey("energy_battery_joules",
-                [](auto& c) -> auto& { return c.energy.battery_joules; }, 0.0, 1e12),
       // Observability (src/obs/).
       PathKey("obs.trace_out", [](auto& c) -> auto& { return c.trace_out; }),
       PathKey("obs.metrics_out", [](auto& c) -> auto& { return c.metrics_out; }),
@@ -564,9 +518,6 @@ Status ValidateConfig(const harness::ExperimentConfig& config) {
   if (config.query_width_lo > config.query_width_hi) {
     return Status::InvalidArgument("query_width_lo must be <= query_width_hi");
   }
-  if (config.source_options.domain_lo > config.source_options.domain_hi) {
-    return Status::InvalidArgument("domain_lo must be <= domain_hi");
-  }
   // A Scoop node draws its first summary's phase between one sample
   // interval and one summary interval.
   if (config.sample_interval > config.summary_interval) {
@@ -584,11 +535,22 @@ Status ValidateConfig(const harness::ExperimentConfig& config) {
         "fault.partition_end_minute must be > fault.partition_start_minute when a partition "
         "is set");
   }
-  if (config.fault.base_outage_end > config.fault.base_outage_start &&
-      config.fault.base_backup != 0 &&
-      config.fault.base_backup >= config.num_nodes) {
-    return Status::InvalidArgument(
-        "fault.base_backup must name an existing non-base node (< nodes)");
+  // The fault plan injects an outage only for a forward window with a
+  // backup to promote; any other window set would run without one.
+  if (config.fault.base_outage_start != 0 || config.fault.base_outage_end != 0) {
+    if (config.fault.base_outage_end <= config.fault.base_outage_start) {
+      return Status::InvalidArgument(
+          "fault.base_outage_end_minute must be > fault.base_outage_start_minute when a base "
+          "outage is set");
+    }
+    if (config.fault.base_backup == 0) {
+      return Status::InvalidArgument(
+          "fault.base_backup must be set (a non-base node) when a base outage is set");
+    }
+    if (config.fault.base_backup >= config.num_nodes) {
+      return Status::InvalidArgument(
+          "fault.base_backup must name an existing non-base node (< nodes)");
+    }
   }
   return Status::OK();
 }

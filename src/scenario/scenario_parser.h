@@ -43,9 +43,10 @@ Status ApplyScenarioKey(harness::ExperimentConfig* config, std::string_view key,
                         std::string_view value);
 
 /// Cross-field invariants that single-key setters cannot enforce:
-/// query_width_lo <= query_width_hi, domain_lo <= domain_hi, a base backup
-/// that exists, sample_interval <= summary_interval, stabilization <
-/// duration, and a set partition window that ends after it starts.
+/// query_width_lo <= query_width_hi, sample_interval <= summary_interval,
+/// stabilization < duration, a set partition window that ends after it
+/// starts, and a set base-outage window that ends after it starts and names
+/// an existing non-base backup.
 /// ParseScenario applies this to the base config and the campaign runner
 /// to every sweep-expanded combo, so a sweep cannot smuggle in an invalid
 /// configuration.

@@ -25,6 +25,25 @@ const char* DataSourceKindName(DataSourceKind kind) {
 
 namespace {
 
+/// Domain of RANDOM, EQUAL and GAUSSIAN (§6: [0, 100]).
+constexpr Value kDomainLo = 0;
+constexpr Value kDomainHi = 100;
+/// EQUAL's constant.
+constexpr Value kEqualValue = 42;
+/// GAUSSIAN per-node variance (§6: 10).
+constexpr double kGaussianVariance = 10.0;
+/// REAL: top of the domain (the paper's light attribute spans V ~ 150).
+constexpr Value kRealDomainHi = 149;
+/// REAL: weight of the building-wide shared signal vs node-local offsets.
+constexpr double kRealSharedWeight = 0.55;
+/// REAL: spatial correlation length in meters (nearby nodes see similar
+/// light).
+constexpr double kRealCorrelationMeters = 15.0;
+/// REAL: stddev of per-reading sensor noise. Light sensors under steady
+/// illumination report nearly constant quantized values, so this is small;
+/// Scoop's batching (§5.4) depends on that stability.
+constexpr double kRealNoise = 0.8;
+
 /// One ephemeral generator per (base key, node, time): stateless between
 /// calls, so Next() is const-correct in spirit, thread-safe, and returns
 /// the same value for the same arguments under any shard interleaving.
@@ -48,77 +67,58 @@ class UniqueSource final : public DataSource {
 
 class EqualSource final : public DataSource {
  public:
-  explicit EqualSource(const DataSourceOptions& options) : options_(options) {}
   Value Next(NodeId node, SimTime now) override {
     (void)node;
     (void)now;
-    return options_.equal_value;
+    return kEqualValue;
   }
-  ValueRange domain() const override {
-    return ValueRange{options_.domain_lo, options_.domain_hi};
-  }
-
- private:
-  DataSourceOptions options_;
+  ValueRange domain() const override { return ValueRange{kDomainLo, kDomainHi}; }
 };
 
 class RandomSource final : public DataSource {
  public:
-  RandomSource(const DataSourceOptions& options, uint64_t seed)
-      : options_(options), key_(MixSeed(seed, 0x5EED)) {}
+  explicit RandomSource(uint64_t seed) : key_(MixSeed(seed, 0x5EED)) {}
   Value Next(NodeId node, SimTime now) override {
     Rng rng = KeyedRng(key_, node, now);
-    return static_cast<Value>(rng.UniformInt(options_.domain_lo, options_.domain_hi));
+    return static_cast<Value>(rng.UniformInt(kDomainLo, kDomainHi));
   }
-  ValueRange domain() const override {
-    return ValueRange{options_.domain_lo, options_.domain_hi};
-  }
+  ValueRange domain() const override { return ValueRange{kDomainLo, kDomainHi}; }
 
  private:
-  DataSourceOptions options_;
   uint64_t key_;
 };
 
 class GaussianSource final : public DataSource {
  public:
-  GaussianSource(const DataSourceOptions& options, int num_nodes, uint64_t seed)
-      : options_(options), key_(MixSeed(seed, 0x6A05)) {
+  GaussianSource(double mean_skew, int num_nodes, uint64_t seed)
+      : key_(MixSeed(seed, 0x6A05)) {
     // Each sensor i picks mean mu_i from the domain for the whole
     // experiment (§6: uniform; skew != 1 warps the draw toward one end).
     Rng rng(MixSeed(seed, 0x6A05), /*stream=*/4);
     means_.reserve(static_cast<size_t>(num_nodes));
     for (int i = 0; i < num_nodes; ++i) {
-      if (options_.gaussian_mean_skew == 1.0) {
-        means_.push_back(static_cast<double>(
-            rng.UniformInt(options_.domain_lo, options_.domain_hi)));
+      if (mean_skew == 1.0) {
+        means_.push_back(static_cast<double>(rng.UniformInt(kDomainLo, kDomainHi)));
       } else {
-        double u = std::pow(rng.UniformDouble(), options_.gaussian_mean_skew);
-        // Subtract in double: the domain can span more than INT32_MAX.
-        double span = static_cast<double>(options_.domain_hi) -
-                      static_cast<double>(options_.domain_lo);
-        means_.push_back(
-            std::round(static_cast<double>(options_.domain_lo) + u * span));
+        double u = std::pow(rng.UniformDouble(), mean_skew);
+        double span = static_cast<double>(kDomainHi) - static_cast<double>(kDomainLo);
+        means_.push_back(std::round(static_cast<double>(kDomainLo) + u * span));
       }
     }
-    stddev_ = std::sqrt(options_.gaussian_variance);
   }
 
   Value Next(NodeId node, SimTime now) override {
     SCOOP_CHECK_LT(static_cast<size_t>(node), means_.size());
     Rng rng = KeyedRng(key_, node, now);
     double v = rng.Gaussian(means_[node], stddev_);
-    return std::clamp(static_cast<Value>(std::lround(v)), options_.domain_lo,
-                      options_.domain_hi);
+    return std::clamp(static_cast<Value>(std::lround(v)), kDomainLo, kDomainHi);
   }
-  ValueRange domain() const override {
-    return ValueRange{options_.domain_lo, options_.domain_hi};
-  }
+  ValueRange domain() const override { return ValueRange{kDomainLo, kDomainHi}; }
 
  private:
-  DataSourceOptions options_;
   uint64_t key_;
   std::vector<double> means_;
-  double stddev_ = 1.0;
+  double stddev_ = std::sqrt(kGaussianVariance);
 };
 
 /// Synthetic Intel-Lab-style light trace (see header). The value a node
@@ -131,9 +131,8 @@ class GaussianSource final : public DataSource {
 /// keyed; the bumps are drawn once at construction.
 class RealTraceSource final : public DataSource {
  public:
-  RealTraceSource(const DataSourceOptions& options,
-                  const std::vector<sim::Point>& positions, uint64_t seed)
-      : options_(options), key_(MixSeed(seed, 0x4EA1)) {
+  RealTraceSource(const std::vector<sim::Point>& positions, uint64_t seed)
+      : key_(MixSeed(seed, 0x4EA1)) {
     SCOOP_CHECK(!positions.empty());
     Rng rng(MixSeed(seed, 0x4EA1), /*stream=*/5);
     double max_x = 1, max_y = 1;
@@ -150,7 +149,7 @@ class RealTraceSource final : public DataSource {
       bumps.push_back(Bump{rng.UniformDouble() * max_x, rng.UniformDouble() * max_y,
                            0.5 + rng.UniformDouble()});
     }
-    double sigma = options_.real_correlation_meters;
+    double sigma = kRealCorrelationMeters;
     brightness_.reserve(positions.size());
     offset_.reserve(positions.size());
     for (const sim::Point& p : positions) {
@@ -181,20 +180,16 @@ class RealTraceSource final : public DataSource {
     bool lights_on =
         (static_cast<int64_t>(now / lights_period_) % 3) != 0;  // On 2/3 of the time.
     double shared = 55.0 * daylight + (lights_on ? 45.0 : 0.0);
-    double w = options_.real_shared_weight;
+    double w = kRealSharedWeight;
     Rng rng = KeyedRng(key_, node, now);
     double v = w * shared * brightness_[node] + (1 - w) * (offset_[node] * 6.0) +
-               rng.Gaussian(0, options_.real_noise);
-    return std::clamp(static_cast<Value>(std::lround(v)), options_.domain_lo,
-                      options_.real_domain_hi);
+               rng.Gaussian(0, kRealNoise);
+    return std::clamp(static_cast<Value>(std::lround(v)), kDomainLo, kRealDomainHi);
   }
 
-  ValueRange domain() const override {
-    return ValueRange{options_.domain_lo, options_.real_domain_hi};
-  }
+  ValueRange domain() const override { return ValueRange{kDomainLo, kRealDomainHi}; }
 
  private:
-  DataSourceOptions options_;
   uint64_t key_;
   std::vector<double> brightness_;
   std::vector<double> offset_;
@@ -211,15 +206,15 @@ std::unique_ptr<DataSource> MakeDataSource(DataSourceKind kind,
   int num_nodes = static_cast<int>(positions.size());
   switch (kind) {
     case DataSourceKind::kReal:
-      return std::make_unique<RealTraceSource>(options, positions, seed);
+      return std::make_unique<RealTraceSource>(positions, seed);
     case DataSourceKind::kUnique:
       return std::make_unique<UniqueSource>(num_nodes);
     case DataSourceKind::kEqual:
-      return std::make_unique<EqualSource>(options);
+      return std::make_unique<EqualSource>();
     case DataSourceKind::kRandom:
-      return std::make_unique<RandomSource>(options, seed);
+      return std::make_unique<RandomSource>(seed);
     case DataSourceKind::kGaussian:
-      return std::make_unique<GaussianSource>(options, num_nodes, seed);
+      return std::make_unique<GaussianSource>(options.gaussian_mean_skew, num_nodes, seed);
   }
   return nullptr;
 }

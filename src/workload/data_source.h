@@ -41,31 +41,18 @@ enum class DataSourceKind {
 /// Parses/prints workload names ("real", "unique", ...).
 const char* DataSourceKindName(DataSourceKind kind);
 
-/// Tunables shared by the generators.
+/// The one generator tunable a scenario sets (`gaussian_mean_skew`). The
+/// rest of each workload's shape is fixed in data_source.cc at the §6
+/// values: the [0, 100] domain of RANDOM/EQUAL/GAUSSIAN, EQUAL's constant
+/// 42, GAUSSIAN's per-node variance 10, and the REAL trace's [0, 149]
+/// domain (the Intel Lab light attribute spans about 150 values) with its
+/// spatial-correlation and noise parameters.
 struct DataSourceOptions {
-  /// Domain for RANDOM/EQUAL/GAUSSIAN (paper: [0, 100]).
-  Value domain_lo = 0;
-  Value domain_hi = 100;
-  /// EQUAL's constant.
-  Value equal_value = 42;
-  /// GAUSSIAN per-node variance (paper: 10).
-  double gaussian_variance = 10.0;
   /// GAUSSIAN mean-placement skew: 1.0 draws per-node means uniformly from
-  /// the domain (the paper's setup); >1 biases means toward domain_lo as
+  /// the domain (the paper's setup); >1 biases means toward the low end as
   /// pow(u, skew), concentrating load on the low-value owners; <1 biases
-  /// toward domain_hi.
+  /// toward the high end.
   double gaussian_mean_skew = 1.0;
-  /// REAL: domain size (paper: V was about 150).
-  Value real_domain_hi = 149;
-  /// REAL: weight of the building-wide shared signal vs node-local offsets.
-  double real_shared_weight = 0.55;
-  /// REAL: spatial correlation length in meters (nearby nodes see similar
-  /// light).
-  double real_correlation_meters = 15.0;
-  /// REAL: stddev of per-reading sensor noise. Light sensors under steady
-  /// illumination report nearly constant quantized values, so this is
-  /// small; Scoop's batching (§5.4) depends on that stability.
-  double real_noise = 0.8;
 };
 
 /// A deterministic per-run generator of sensor readings.

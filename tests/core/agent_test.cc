@@ -2,6 +2,9 @@
 // of §5.4, batching, summary flow, index dissemination, and query answer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "core/agent_base.h"
 #include "core/policy_agents.h"
 #include "core/scoop_base_agent.h"
@@ -230,65 +233,22 @@ TEST(ScoopAgentTest, SuppressionSkipsUnchangedIndices) {
   EXPECT_LT(f.telemetry.indices_disseminated, f.telemetry.indices_built);
 }
 
-TEST(ScoopAgentTest, SummaryHistoryAgesIntoBoundedDigest) {
-  // An aggressive window forces aging during a short run: verbatim records
-  // stay bounded to the window while aged epochs land in the digest.
-  const SimTime kWindow = Minutes(2);
-  ScoopFixture f(
-      DenseTopology(),
-      [](NodeId n, SimTime t) { return static_cast<Value>(n * 10 + t % 7); },
-      Seconds(30), /*seed=*/11, [&](AgentConfig& cfg) {
-        cfg.summary_history_window = kWindow;
-        cfg.summary_history_epoch = Seconds(30);
-      });
-  f.engine.RunUntil(Minutes(10));
-
-  ASSERT_FALSE(f.base->summary_history().empty());
-  ASSERT_FALSE(f.base->summary_digests().empty());
-  for (const auto& [node, records] : f.base->summary_history()) {
-    // Aging runs on receipt, so the oldest surviving record is at most one
-    // summary interval older than the window.
-    if (!records.empty()) {
-      EXPECT_GE(records.front().received_at,
-                f.engine.DriverNow() - kWindow - Seconds(20) - Seconds(1))
-          << "node " << node;
-    }
-  }
-  for (const auto& [node, digest] : f.base->summary_digests()) {
-    for (size_t i = 0; i < digest.size(); ++i) {
-      EXPECT_GE(digest[i].records, 1u);
-      EXPECT_LE(digest[i].vmin, digest[i].vmax);
-      if (i > 0) {
-        EXPECT_LT(digest[i - 1].epoch, digest[i].epoch);
-      }
-    }
-  }
-}
-
-TEST(ScoopAgentTest, HistoricalAnswersInsideWindowUnchangedByAging) {
-  // The same seed with and without aging: a historical aggregate whose time
-  // range lies inside the window must answer identically, and a full-range
-  // aggregate still sees the aged extremes through the digest.
+TEST(ScoopAgentTest, BaseKeepsEverySummaryForAggregates) {
+  // §5.5: the base never discards summaries, so an aggregate over the first
+  // minutes of a long run answers from exactly the summaries covering that
+  // range, however old they are.
+  // Node n reads n * 10, +5 over the first 3 minutes, minus a sawtooth that
+  // drops one per minute and resets every 7 minutes.
   auto sample = [](NodeId n, SimTime t) {
-    return static_cast<Value>(n * 10 + (t < Minutes(2) ? 5 : 0));
+    return static_cast<Value>(n * 10 + (t < Minutes(3) ? 5 : 0) -
+                              (t % Minutes(7)) / Minutes(1));
   };
-  auto run_one = [&](SimTime window) {
-    auto f = std::make_unique<ScoopFixture>(
-        DenseTopology(), sample, Seconds(30), /*seed=*/11, [&](AgentConfig& cfg) {
-          cfg.summary_history_window = window;
-          cfg.summary_history_epoch = Seconds(30);
-        });
-    f->engine.RunUntil(Minutes(10));
-    return f;
-  };
-  auto keep_all = run_one(/*window=*/0);  // The paper's never-discard mode.
-  auto aged = run_one(Minutes(2));
-  EXPECT_TRUE(keep_all->base->summary_digests().empty());
-  EXPECT_FALSE(aged->base->summary_digests().empty());
+  ScoopFixture f(DenseTopology(), sample);
+  f.engine.RunUntil(Minutes(25));
 
-  auto answer = [](ScoopFixture& f, SimTime lo, SimTime hi) {
+  auto answer = [&](Query::Kind kind, SimTime lo, SimTime hi) {
     Query query;
-    query.kind = Query::Kind::kMax;
+    query.kind = kind;
     query.time_lo = lo;
     query.time_hi = hi;
     uint32_t id = 0;
@@ -296,24 +256,37 @@ TEST(ScoopAgentTest, HistoricalAnswersInsideWindowUnchangedByAging) {
                             [&] { id = f.base->IssueQuery(query); });
     f.engine.RunUntil(f.engine.DriverNow() + Seconds(5));
     const QueryOutcome* outcome = f.base->outcome(id);
-    EXPECT_NE(outcome, nullptr);
-    if (outcome == nullptr || !outcome->aggregate.has_value()) return Value{-1};
+    if (outcome == nullptr || !outcome->aggregate.has_value()) {
+      ADD_FAILURE() << "no aggregate answer for [" << lo << ", " << hi << "]";
+      return Value{-1};
+    }
     EXPECT_TRUE(outcome->answered_from_summaries);
     return *outcome->aggregate;
   };
+  // The extreme over the summaries whose covered span overlaps [lo, hi].
+  auto expected = [&](Query::Kind kind, SimTime lo, SimTime hi) {
+    std::optional<Value> best;
+    for (const SummaryExtent& e : f.base->summary_extents()) {
+      if (e.cover_hi < lo || e.cover_lo > hi) continue;
+      Value v = kind == Query::Kind::kMax ? e.vmax : e.vmin;
+      best = !best ? v : kind == Query::Kind::kMax ? std::max(*best, v) : std::min(*best, v);
+    }
+    return best.value_or(Value{-1});
+  };
 
-  // In-window historical range: verbatim records answer on both sides.
-  SimTime now = aged->engine.DriverNow();
-  Value in_window_aged = answer(*aged, now - Minutes(1), now);
-  Value in_window_all = answer(*keep_all, now - Minutes(1), now);
-  EXPECT_EQ(in_window_aged, in_window_all);
-  EXPECT_EQ(in_window_aged, 30);  // Node 3's steady value.
+  const SimTime lo = Minutes(1);
+  const SimTime hi = Minutes(2);
+  Value max_early = answer(Query::Kind::kMax, lo, hi);
+  Value min_early = answer(Query::Kind::kMin, lo, hi);
+  EXPECT_EQ(max_early, expected(Query::Kind::kMax, lo, hi));
+  EXPECT_EQ(min_early, expected(Query::Kind::kMin, lo, hi));
+  EXPECT_EQ(max_early, 35);  // Node 3 during the early +5 step.
+  EXPECT_LT(min_early, max_early);
 
-  // Full-range: the early +5 spike survives only via the digest extremes.
-  Value full_aged = answer(*aged, 0, now);
-  Value full_all = answer(*keep_all, 0, now);
-  EXPECT_EQ(full_aged, full_all);
-  EXPECT_EQ(full_aged, 35);
+  SimTime now = f.engine.DriverNow();
+  Value recent = answer(Query::Kind::kMax, now - Minutes(1), now);
+  EXPECT_EQ(recent, expected(Query::Kind::kMax, now - Minutes(1), now));
+  EXPECT_LE(recent, 30);  // The early step is long gone.
 }
 
 TEST(ScoopAgentTest, RemapNowWithoutStatsIsNoop) {

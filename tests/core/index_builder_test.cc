@@ -316,7 +316,6 @@ TEST(IndexBuilderTest, OwnerHysteresisKeepsIncumbent) {
       StorageIndex::FromOwnerArray(1, 0, 0, std::vector<NodeId>(10, 1));
   inputs.previous = &previous;
   IndexBuilderOptions options;
-  options.owner_hysteresis = 0.90;
   BuildResult result = IndexBuilder::Build(inputs, options, 2);
   EXPECT_EQ(result.index.Lookup(5).value(), 1);  // Incumbent kept.
 

@@ -58,7 +58,7 @@ TEST(CampaignTest, NoSweepsExpandToSingleBaseRun) {
 
 // The acceptance property: the same grid produces byte-identical structured
 // output at any thread count.
-TEST(CampaignTest, CsvAndJsonAreByteIdenticalAcrossThreadCounts) {
+TEST(CampaignTest, CsvAndTableAreByteIdenticalAcrossThreadCounts) {
   Scenario s = MustParse(std::string(kTinyBase) +
                          "sweep.policy = scoop, local\n"
                          "sweep.seed = 1..2\n");
@@ -73,7 +73,6 @@ TEST(CampaignTest, CsvAndJsonAreByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.value().threads_used, 1);
   EXPECT_GT(b.value().threads_used, 1);
   EXPECT_EQ(CampaignCsv(a.value()), CampaignCsv(b.value()));
-  EXPECT_EQ(CampaignJsonLines(a.value()), CampaignJsonLines(b.value()));
   EXPECT_EQ(CampaignTable(a.value()), CampaignTable(b.value()));
 }
 
@@ -150,14 +149,13 @@ TEST(CampaignTest, CsvHasHeaderPlusPerTrialAndMeanRows) {
 // the other side of a pair constraint).
 TEST(CampaignTest, ExpansionRejectsInvalidSweptCombos) {
   Scenario s = MustParse(std::string(kTinyBase) +
-                         "source = gaussian\n"
-                         "domain_lo = 75\n"
-                         "sweep.domain_hi = 50, 100\n");
+                         "query_width_lo = 0.03\n"
+                         "sweep.query_width_hi = 0.02, 0.5\n");
   Result<std::vector<ExpandedRun>> runs = ExpandScenario(s);
   ASSERT_FALSE(runs.ok());
-  EXPECT_NE(runs.status().message().find("domain_hi=50"), std::string::npos)
+  EXPECT_NE(runs.status().message().find("query_width_hi=0.02"), std::string::npos)
       << runs.status().ToString();
-  EXPECT_NE(runs.status().message().find("domain_lo must be <= domain_hi"),
+  EXPECT_NE(runs.status().message().find("query_width_lo must be <= query_width_hi"),
             std::string::npos);
 }
 
@@ -173,7 +171,7 @@ TEST(CampaignTest, ExpansionCapsTheCrossProduct) {
       << runs.status().ToString();
 }
 
-TEST(CampaignTest, NonFiniteMetricsSerializeAsNullInJsonAndEmptyInCsv) {
+TEST(CampaignTest, NonFiniteMetricsSerializeAsEmptyCsvCells) {
   CampaignResult result;
   result.scenario_name = "x";
   CampaignRow row;
@@ -181,9 +179,6 @@ TEST(CampaignTest, NonFiniteMetricsSerializeAsNullInJsonAndEmptyInCsv) {
   row.trials[0].avg_node_lifetime_days = std::numeric_limits<double>::infinity();
   row.mean = row.trials[0];
   result.rows.push_back(row);
-  std::string json = CampaignJsonLines(result);
-  EXPECT_NE(json.find("\"avg_node_lifetime_days\":null"), std::string::npos) << json;
-  EXPECT_EQ(json.find("inf,"), std::string::npos);
   std::string csv = CampaignCsv(result);
   EXPECT_EQ(csv.find("inf"), std::string::npos) << csv;
 }

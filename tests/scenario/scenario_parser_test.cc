@@ -74,9 +74,6 @@ const std::map<std::string, std::string>& NonDefaultValues() {
       {"query_width_lo", "0.02"},
       {"query_width_hi", "0.07"},
       {"node_list_fraction", "0.33"},
-      {"history_window_seconds", "45"},
-      {"summary_history_window_minutes", "6.5"},
-      {"summary_history_epoch_minutes", "1.5"},
       {"trials", "5"},
       {"seed", "123456789"},
       {"shards", "4"},
@@ -94,36 +91,19 @@ const std::map<std::string, std::string>& NonDefaultValues() {
       {"fault.partition_end_minute", "13"},
       {"fault.partition_x_lo", "0.05"},
       {"fault.partition_x_hi", "0.45"},
-      {"fault.partition_y_lo", "0.1"},
-      {"fault.partition_y_hi", "0.95"},
       {"fault.base_outage_start_minute", "10"},
       {"fault.base_outage_end_minute", "15"},
       {"fault.base_backup", "3"},
       {"fault.orphan_rehoming", "on"},
       {"fault.send_retry_max", "2"},
-      {"fault.send_retry_backoff_ms", "125.5"},
       {"fault.query_reissue_max", "1"},
       {"max_batch", "9"},
       {"neighbor_shortcut", "off"},
       {"descendant_routing", "off"},
-      {"suppression_similarity", "0.8"},
       {"consider_store_local", "on"},
       {"owner_set", "2"},
       {"range_granularity", "4"},
-      {"owner_hysteresis", "0.75"},
-      {"domain_lo", "-5"},
-      {"domain_hi", "205"},
-      {"equal_value", "7"},
-      {"gaussian_variance", "2.5"},
       {"gaussian_mean_skew", "3"},
-      {"real_domain_hi", "99"},
-      {"real_shared_weight", "0.4"},
-      {"real_correlation_meters", "22.5"},
-      {"real_noise", "1.25"},
-      {"energy_tx_nj_per_bit", "650"},
-      {"energy_rx_nj_per_bit", "325"},
-      {"energy_flash_write_nj_per_bit", "30"},
-      {"energy_battery_joules", "15000"},
       // Paths that only read back quoted: a comment-starting '#', a
       // sweep-splitting ',' and "..", a quote and surrounding space.
       {"obs.trace_out", "runs/a #1.json"},
@@ -183,14 +163,11 @@ TEST(ScenarioParserTest, RoundTripEveryKey) {
   EXPECT_EQ(c.fault.base_backup, 3);
   EXPECT_TRUE(c.fault.orphan_rehoming);
   EXPECT_EQ(c.fault.send_retry_max, 2);
-  EXPECT_EQ(c.fault.send_retry_backoff, 125 * kMillisecond + kMillisecond / 2);
   EXPECT_EQ(c.fault.query_reissue_max, 1);
   EXPECT_FALSE(c.enable_neighbor_shortcut);
   EXPECT_TRUE(c.builder.consider_store_local);
   EXPECT_EQ(c.builder.owner_set_size, 2);
-  EXPECT_EQ(c.source_options.domain_lo, -5);
   EXPECT_DOUBLE_EQ(c.source_options.gaussian_mean_skew, 3.0);
-  EXPECT_DOUBLE_EQ(c.energy.battery_joules, 15000.0);
   EXPECT_EQ(c.trace_out, "runs/a #1.json");
   EXPECT_EQ(c.metrics_out, " ../m, \"2\".jsonl");
   EXPECT_EQ(c.metrics_interval, Seconds(2.5));
@@ -391,15 +368,14 @@ TEST(ScenarioParserTest, MissingNameIsRejected) {
 TEST(ScenarioParserTest, CrossFieldChecks) {
   std::string err = ErrorOf("name = t\nquery_width_lo = 0.5\nquery_width_hi = 0.1\n");
   EXPECT_NE(err.find("query_width_lo must be <= query_width_hi"), std::string::npos) << err;
-  err = ErrorOf("name = t\ndomain_lo = 10\ndomain_hi = 5\n");
-  EXPECT_NE(err.find("domain_lo must be <= domain_hi"), std::string::npos) << err;
 }
 
 // Configs that each key accepts on its own but that cannot run as meant:
 // a sample interval past the summary interval would abort the run (a Scoop
 // node's first-summary phase is drawn between the two), an empty
-// measurement window would report all zeros, and a partition window that
-// ends before it starts would inject no partition.
+// measurement window would report all zeros, and a partition or base-outage
+// window that ends before it starts, or an outage with no backup to
+// promote, would inject nothing.
 TEST(ScenarioParserTest, ConfigsThatCannotRunAsMeantAreRejected) {
   std::string err = ErrorOf(
       "name = t\nnodes = 20\nduration_minutes = 6\nstabilization_minutes = 2\n"
@@ -419,6 +395,21 @@ TEST(ScenarioParserTest, ConfigsThatCannotRunAsMeantAreRejected) {
             std::string::npos)
       << err;
   MustParse("name = t\nfault.partition_start_minute = 4\nfault.partition_end_minute = 6\n");
+
+  err = ErrorOf(
+      "name = t\nfault.base_outage_start_minute = 15\nfault.base_outage_end_minute = 15\n"
+      "fault.base_backup = 1\n");
+  EXPECT_NE(err.find("fault.base_outage_end_minute must be > fault.base_outage_start_minute"),
+            std::string::npos)
+      << err;
+
+  err = ErrorOf(
+      "name = t\nfault.base_outage_start_minute = 15\nfault.base_outage_end_minute = 20\n");
+  EXPECT_NE(err.find("fault.base_backup must be set"), std::string::npos) << err;
+
+  MustParse("name = t\n");  // The all-zero default: no outage.
+  Result<Scenario> failover = LoadRegisteredScenario("base_failover");
+  EXPECT_TRUE(failover.ok()) << failover.status().ToString();
 }
 
 // The fault.crash_* keys are the one spelling of the crash-stop wave
@@ -459,8 +450,8 @@ TEST(ScenarioParserTest, FaultKeyDiagnosticsCarryPositions) {
   EXPECT_NE(err.find("test.scn:2:25"), std::string::npos) << err;
   EXPECT_NE(err.find("fault.reboot_fraction must be in [0, 1]"), std::string::npos) << err;
 
-  err = ErrorOf("name = t\nfault.send_retry_backoff_ms = 0\n");
-  EXPECT_NE(err.find("fault.send_retry_backoff_ms must be > 0"), std::string::npos) << err;
+  err = ErrorOf("name = t\nfault.reboot_downtime_seconds = 0\n");
+  EXPECT_NE(err.find("fault.reboot_downtime_seconds must be > 0"), std::string::npos) << err;
 }
 
 TEST(ScenarioParserTest, BaseBackupMustNameAnExistingNode) {
@@ -542,6 +533,22 @@ TEST(ScenarioParserTest, ApplyScenarioKeyRejectsUnknownKey) {
   harness::ExperimentConfig config;
   Status s = ApplyScenarioKey(&config, "frobnicate", "1");
   EXPECT_TRUE(s.IsNotFound());
+}
+
+// Knobs that no scenario set are protocol constants now; their old keys
+// are unknown like any other.
+TEST(ScenarioParserTest, RetiredConstantKeysAreUnknown) {
+  for (const char* retired :
+       {"history_window_seconds", "summary_history_window_minutes",
+        "summary_history_epoch_minutes", "fault.partition_y_lo", "fault.partition_y_hi",
+        "fault.send_retry_backoff_ms", "suppression_similarity", "owner_hysteresis",
+        "domain_lo", "domain_hi", "equal_value", "gaussian_variance", "real_domain_hi",
+        "real_shared_weight", "real_correlation_meters", "real_noise", "energy_tx_nj_per_bit",
+        "energy_rx_nj_per_bit", "energy_flash_write_nj_per_bit", "energy_battery_joules"}) {
+    std::string err = ErrorOf(std::string("name = t\n") + retired + " = 1\n");
+    EXPECT_NE(err.find("unknown key"), std::string::npos) << retired << ": " << err;
+  }
+  EXPECT_EQ(ScenarioKeyNames().size(), 51u);
 }
 
 }  // namespace

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/types.h"
 #include "scenario/campaign.h"
+#include "scenario/scenario_parser.h"
 
 namespace scoop::scenario {
 namespace {
@@ -140,6 +142,45 @@ TEST(ScenarioRegistryTest, AblationGridsCoverEveryVariant) {
   for (const char* variant : {"1/1/off", "2/1/off", "3/1/off", "1/5/off", "1/10/off",
                               "1/1/on"}) {
     EXPECT_EQ(extensions.count(variant), 1u) << variant;
+  }
+}
+
+// A knob exists because some experiment needs the choice: every scenario
+// key is set, as a key or a sweep axis, by at least one registered
+// scenario, or is listed here with the reason no scenario sets it.
+TEST(ScenarioRegistryTest, EveryKeyIsSetByARegisteredScenario) {
+  const std::set<std::string> allowed = {
+      // Run settings: how a trial is split across threads, and what it
+      // records about itself. Results do not depend on them.
+      "shards",
+      "partition",
+      "obs.trace_out",
+      "obs.metrics_out",
+      "obs.metrics_interval_seconds",
+      "obs.profile",
+      // The query-pressure lever behind the paper's P2 claim ("ownership
+      // moves toward the base as query pressure grows"), which EndToEndTest
+      // and examples/adaptive_comparison vary.
+      "queries",
+      "query_width_lo",
+      "query_width_hi",
+  };
+  std::set<std::string> set_keys;
+  size_t count = 0;
+  const RegistryEntry* entries = RegisteredScenarios(&count);
+  for (size_t i = 0; i < count; ++i) {
+    std::istringstream in(entries[i].spec);
+    for (std::string line; std::getline(in, line);) {
+      size_t eq = line.find('=');
+      if (line.empty() || line[0] == '#' || eq == std::string::npos) continue;
+      std::string key = line.substr(0, line.find_first_of(" =", 0));
+      if (key.rfind("sweep.", 0) == 0) key.erase(0, 6);
+      set_keys.insert(key);
+    }
+  }
+  for (const std::string& key : ScenarioKeyNames()) {
+    EXPECT_TRUE(set_keys.count(key) > 0 || allowed.count(key) > 0)
+        << "no registered scenario sets '" << key << "'";
   }
 }
 

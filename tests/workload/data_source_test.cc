@@ -36,9 +36,7 @@ TEST(DataSourceTest, UniqueProducesNodeId) {
 }
 
 TEST(DataSourceTest, EqualProducesConstant) {
-  DataSourceOptions opts;
-  opts.equal_value = 42;
-  auto source = MakeDataSource(DataSourceKind::kEqual, opts, GridPositions(5), 1);
+  auto source = MakeDataSource(DataSourceKind::kEqual, {}, GridPositions(5), 1);
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(source->Next(static_cast<NodeId>(i % 5), Seconds(i)), 42);
   }
@@ -90,12 +88,13 @@ TEST(DataSourceTest, GaussianDifferentNodesDifferentMeans) {
 }
 
 TEST(DataSourceTest, RealStaysInDomain) {
-  DataSourceOptions opts;
-  auto source = MakeDataSource(DataSourceKind::kReal, opts, GridPositions(20), 9);
+  auto source = MakeDataSource(DataSourceKind::kReal, {}, GridPositions(20), 9);
+  EXPECT_EQ(source->domain().lo, 0);
+  EXPECT_EQ(source->domain().hi, 149);  // The paper's V of about 150.
   for (int i = 0; i < 5000; ++i) {
     Value v = source->Next(static_cast<NodeId>(i % 20), Seconds(i * 3));
-    ASSERT_GE(v, opts.domain_lo);
-    ASSERT_LE(v, opts.real_domain_hi);
+    ASSERT_GE(v, source->domain().lo);
+    ASSERT_LE(v, source->domain().hi);
   }
 }
 

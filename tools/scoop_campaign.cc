@@ -4,7 +4,7 @@
 //   scoop_campaign --list
 //   scoop_campaign --print=fig3_middle            > mine.scn
 //   scoop_campaign --scenario=fig3_middle --threads=8
-//   scoop_campaign --file=mine.scn --csv=out.csv --json=out.jsonl
+//   scoop_campaign --file=mine.scn --csv=out.csv
 //   scoop_campaign --nodes=63 --duration_minutes=40 --topology=testbed
 //
 // Any scenario key given as --KEY=VALUE overrides that key of the base
@@ -13,8 +13,8 @@
 // one-combo scenario named "default". Expands the scenario's sweep axes
 // into a (combo x seed) grid, shards it across worker threads, and prints
 // the bench-style summary table (plus the profiler's bucket table when
-// any trial profiled); --csv and --json additionally write
-// machine-readable reports. Output is byte-identical at any thread count.
+// any trial profiled); --csv additionally writes every metric of every
+// trial and combo mean. Output is byte-identical at any thread count.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -96,7 +96,6 @@ bool MatchOverride(const char* arg, Override* out) {
                "                             (without --scenario/--file: on the defaults)\n"
                "          [--threads=N]      worker threads (0 = all hardware threads)\n"
                "          [--csv=PATH]       write per-trial + mean rows as CSV\n"
-               "          [--json=PATH]      write per-combo JSON-lines\n"
                "          [--perf-json=PATH] write wall-clock/events-per-second perf report\n"
                "          [--trace-out=PATH] Chrome-trace JSON per (combo, trial)\n"
                "          [--metrics-out=PATH] metrics JSONL per (combo, trial)\n"
@@ -138,7 +137,6 @@ int main(int argc, char** argv) {
   std::string scenario_name;
   std::string file_path;
   std::string csv_path;
-  std::string json_path;
   std::string perf_json_path;
   int sources = 0;  // --scenario and --file given.
   int threads = 0;
@@ -176,8 +174,6 @@ int main(int argc, char** argv) {
       threads = static_cast<int>(parsed);
     } else if (MatchFlag(arg, "--csv", &value) && value != nullptr) {
       csv_path = value;
-    } else if (MatchFlag(arg, "--json", &value) && value != nullptr) {
-      json_path = value;
     } else if (MatchFlag(arg, "--perf-json", &value) && value != nullptr) {
       perf_json_path = value;
     } else if (std::strcmp(arg, "-v") == 0) {
@@ -259,9 +255,6 @@ int main(int argc, char** argv) {
     if (!profile.empty()) std::printf("\n%s", profile.c_str());
   }
   if (!csv_path.empty() && !WriteFile(csv_path, scenario::CampaignCsv(result))) return 1;
-  if (!json_path.empty() && !WriteFile(json_path, scenario::CampaignJsonLines(result))) {
-    return 1;
-  }
   if (!perf_json_path.empty() &&
       !WriteFile(perf_json_path, scenario::CampaignPerfJson(result))) {
     return 1;
