@@ -85,8 +85,7 @@ BENCHMARK(BM_StorageIndexChunkRoundTrip);
 
 void BM_TrickleSteadyState(benchmark::State& state) {
   Rng rng(4);
-  trickle::TrickleOptions options;
-  trickle::TrickleTimer timer(options, &rng);
+  trickle::TrickleTimer timer(&rng);
   SimTime next = timer.Start(0);
   for (auto _ : state) {
     auto action = timer.OnEvent(next);
@@ -97,9 +96,9 @@ void BM_TrickleSteadyState(benchmark::State& state) {
 BENCHMARK(BM_TrickleSteadyState);
 
 void BM_FlashScan(benchmark::State& state) {
-  storage::FlashOptions options;
-  options.capacity_tuples = static_cast<size_t>(state.range(0));
-  storage::FlashStore store(options);
+  // Scans cost one pass over the live tuples; the store holds up to
+  // FlashStore::kCapacityTuples (16384).
+  storage::FlashStore store;
   Rng rng(5);
   for (int i = 0; i < state.range(0); ++i) {
     store.Store({static_cast<NodeId>(rng.UniformInt(1, 62)),

@@ -130,7 +130,7 @@ BENCHMARK(BM_TrickleCancelReschedule)->Arg(64);
 // MAC-backoff churn: N contending senders, each holding one pending CSMA
 // backoff timer drawn from the radio's binary-exponential distribution
 // (fresh window [8, 16) ms, doubling per busy attempt, capped at 64 ms --
-// radio_options.h defaults). Most timers are cancelled before they fire
+// sim/radio_constants.h). Most timers are cancelled before they fire
 // (the channel went busy again) and re-armed with the next window; one in
 // eight rounds runs the due timer instead.
 struct BackoffGen {

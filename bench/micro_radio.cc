@@ -17,14 +17,12 @@
 
 #include "net/neighbor_table.h"
 #include "net/wire.h"
-#include "sim/radio_options.h"
 #include "sim/shard.h"
 #include "sim/topology.h"
 
 namespace scoop {
 namespace {
 
-using sim::RadioOptions;
 using sim::Topology;
 
 /// A single-shard radio on its own queue; its traffic ledger counts the
@@ -35,7 +33,7 @@ class BenchRadio {
   BenchRadio(const Topology* topology, uint64_t seed)
       : owner_(static_cast<size_t>(topology->num_nodes()), 0),
         queue_(static_cast<uint32_t>(topology->num_nodes()) + 1),
-        radio_(topology, RadioOptions{}, &queue_, seed, &owner_, /*self_shard=*/0),
+        radio_(topology, &queue_, seed, &owner_, /*self_shard=*/0),
         driver_origin_(static_cast<uint32_t>(topology->num_nodes())) {}
 
   void set_send_done_hook(sim::ShardRadio::SendDoneHook hook) {

@@ -2,7 +2,8 @@
 // interval's tau and whether the node broadcast or suppressed. Shows the
 // sim layer used standalone (ShardQueue + Rng + a pure state machine), the
 // cancel/reschedule pattern every Scoop agent uses, and the exponential
-// decay of steady-state Trickle traffic (§5.3).
+// decay of steady-state Trickle traffic (§5.3): tau doubles from 2 s to
+// 64 s, the mapping gossip's bounds.
 #include <cstdio>
 
 #include "common/rng.h"
@@ -50,10 +51,7 @@ struct Driver {
 int main() {
   sim::ShardQueue queue(/*num_origins=*/1);
   Rng rng(7);
-  trickle::TrickleOptions options;
-  options.tau_min = Seconds(1);
-  options.tau_max = Seconds(64);
-  trickle::TrickleTimer timer(options, &rng);
+  trickle::TrickleTimer timer(&rng);
 
   std::printf("%10s  %8s  %s\n", "t (s)", "tau (s)", "action");
 

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "common/check.h"
+#include "sim/radio_constants.h"
 
 namespace scoop::core {
 
@@ -13,14 +14,38 @@ namespace {
 /// waits this << k.
 constexpr SimTime kSendRetryBackoff = Millis(250);
 
+/// Beacon period: each beacon waits a uniform draw from [1/2, 3/2] of it,
+/// so the interval must be at least 2 microseconds.
+constexpr SimTime kBeaconInterval = Seconds(10);
+static_assert(kBeaconInterval / 2 >= 1);
+/// Inbound-quality entries carried per beacon (bidirectional ETX).
+constexpr int kBeaconLinkReportSize = 12;
+/// Table-maintenance cadence (neighbor and descendant evictions).
+constexpr SimTime kMaintenanceInterval = Seconds(30);
+
+/// Minimum estimated link quality before rule 3 takes a shortcut (P4:
+/// avoid lossy links that cause expensive retransmissions).
+constexpr double kShortcutMinQuality = 0.3;
+
+// --- Query dissemination (modified Trickle, §5.5) ---
+/// Suppress a pending query rebroadcast after hearing it this many times.
+constexpr int kQueryRedundancyK = 2;
+/// A rebroadcast waits a uniform draw from [10 ms, this].
+constexpr SimTime kQueryRebroadcastJitter = Millis(400);
+static_assert(kQueryRebroadcastJitter >= Millis(10));
+/// Replies spread over [50 ms, this] so dozens of responders do not
+/// collide near the base (§5.5: "it takes several seconds for the first
+/// replies to come back").
+constexpr SimTime kReplyJitter = Seconds(3);
+static_assert(kReplyJitter >= Millis(50));
+/// Guard against pathological reply floods; chunking still applies.
+constexpr int kMaxReplyTuples = 90;
+
 }  // namespace
 
 AgentBase::AgentBase(const AgentConfig& config)
     : cfg_(config),
-      neighbors_(config.neighbor),
-      tree_(config.self, config.is_base(), config.tree),
-      descendants_(config.descendants),
-      flash_(config.flash),
+      tree_(config.self, config.is_base()),
       ledger_(config.num_nodes),
       telemetry_(config.telemetry != nullptr ? config.telemetry : &own_telemetry_) {
   SCOOP_CHECK_GT(cfg_.num_nodes, 0);
@@ -33,8 +58,7 @@ AgentBase::~AgentBase() = default;
 void AgentBase::OnBoot(sim::Context& ctx) {
   ctx_ = &ctx;
   if (MappingGossipEnabled()) {
-    gossip_ = std::make_unique<trickle::TrickleDriver>(ctx_, cfg_.mapping_trickle,
-                                                       [this] { ShareGossipChunk(); });
+    gossip_ = std::make_unique<trickle::TrickleDriver>(ctx_, [this] { ShareGossipChunk(); });
     gossip_->Start();
   }
   ScheduleBeaconLoop();
@@ -168,9 +192,9 @@ void AgentBase::OnReboot(sim::Context& ctx) {
   // visible in the accounting). The index store survives deliberately --
   // a rebooted node holds a stale index until gossip catches it up (§5.3).
   flash_.Clear();
-  neighbors_ = net::NeighborTable(cfg_.neighbor);
-  tree_ = net::RoutingTree(cfg_.self, cfg_.is_base(), cfg_.tree);
-  descendants_ = net::DescendantsTable(cfg_.descendants);
+  neighbors_ = net::NeighborTable();
+  tree_ = net::RoutingTree(cfg_.self, cfg_.is_base());
+  descendants_ = net::DescendantsTable();
   queries_heard_.clear();
   orphans_.clear();
   OnAgentReboot();
@@ -191,8 +215,7 @@ void AgentBase::OnRootPromote(sim::Context& ctx, bool promote) {
 // ---------------------------------------------------------------------------
 
 void AgentBase::ScheduleBeaconLoop() {
-  SimTime jitter = ctx_->rng().UniformInt(cfg_.beacon_interval / 2,
-                                          cfg_.beacon_interval * 3 / 2);
+  SimTime jitter = ctx_->rng().UniformInt(kBeaconInterval / 2, kBeaconInterval * 3 / 2);
   ctx_->Schedule(jitter, [this] {
     SendBeacon();
     ScheduleBeaconLoop();
@@ -212,12 +235,12 @@ void AgentBase::SendBeacon() {
   }
   BeaconPayload beacon = tree_.MakeBeacon();
   // Tell neighbors how well we hear them (bidirectional link estimation).
-  beacon.link_report = neighbors_.BestNeighbors(cfg_.beacon_link_report_size);
+  beacon.link_report = neighbors_.BestNeighbors(kBeaconLinkReportSize);
   ctx_->Broadcast(MakeFromSelf(std::move(beacon)));
 }
 
 void AgentBase::ScheduleMaintenanceLoop() {
-  ctx_->Schedule(cfg_.maintenance_interval, [this] {
+  ctx_->Schedule(kMaintenanceInterval, [this] {
     neighbors_.EvictStale(ctx_->now());
     descendants_.EvictStale(ctx_->now());
     ScheduleMaintenanceLoop();
@@ -300,7 +323,7 @@ void AgentBase::RouteData(DataPayload data, NodeId origin, NodeId origin_parent)
   // only over links good enough that the shortcut actually saves
   // transmissions (P4).
   if (cfg_.enable_neighbor_shortcut &&
-      neighbors_.UnicastQuality(data.owner) >= cfg_.shortcut_min_quality) {
+      neighbors_.UnicastQuality(data.owner) >= kShortcutMinQuality) {
     count_tx();
     Packet pkt = MakePacket(origin, origin_parent, std::move(data));
     ctx_->Unicast(pkt.As<DataPayload>().owner, std::move(pkt));
@@ -498,18 +521,18 @@ void AgentBase::HandleQueryPacket(const Packet& pkt) {
   if (++queries_heard_[query.query_id] > 1) return;
 
   if (query.targets.Test(cfg_.self)) {
-    SimTime jitter = ctx_->rng().UniformInt(Millis(50), cfg_.reply_jitter);
+    SimTime jitter = ctx_->rng().UniformInt(Millis(50), kReplyJitter);
     QueryPayload copy = query;
     ctx_->Schedule(jitter, [this, copy] { SendQueryReply(copy); });
   }
   if (ShouldRebroadcastQuery(query)) {
-    SimTime jitter = ctx_->rng().UniformInt(Millis(10), cfg_.query_rebroadcast_jitter);
+    SimTime jitter = ctx_->rng().UniformInt(Millis(10), kQueryRebroadcastJitter);
     Packet copy = pkt;  // Keep the base as origin.
     uint32_t id = query.query_id;
     ctx_->Schedule(jitter, [this, copy, id] {
       // Polite gossip: suppress if we heard the query enough times while
       // waiting (our neighborhood is covered).
-      if (queries_heard_[id] > cfg_.query_redundancy_k) return;
+      if (queries_heard_[id] > kQueryRedundancyK) return;
       if (cfg_.trace != nullptr) {
         cfg_.trace->Instant(ctx_->now(), "query.fwd", obs::TraceCat::kQuery,
                             static_cast<uint16_t>(cfg_.self), "id", id);
@@ -527,8 +550,8 @@ void AgentBase::SendQueryReply(const QueryPayload& query) {
                         static_cast<uint16_t>(cfg_.self), "id", query.query_id,
                         "matches", total);
   }
-  if (static_cast<int>(tuples.size()) > cfg_.max_reply_tuples) {
-    tuples.resize(static_cast<size_t>(cfg_.max_reply_tuples));
+  if (static_cast<int>(tuples.size()) > kMaxReplyTuples) {
+    tuples.resize(static_cast<size_t>(kMaxReplyTuples));
   }
   // Chunk to the MTU; nodes reply even when nothing matched (§5.5).
   const int per_chunk = 9;
@@ -579,7 +602,7 @@ QueryPayload AgentBase::MakeQueryPayload(const Query& query, NodeSet targets) {
 }
 
 bool AgentBase::FitToFrame(QueryPayload* payload) const {
-  int set_budget = ctx_->radio_options().max_packet_bytes - PacketHeader::kWireSize -
+  int set_budget = sim::kMaxPacketBytes - PacketHeader::kWireSize -
                    (payload->WireSize() - payload->targets.WireSize());
   if (payload->targets.WireSize() <= set_budget) return true;
   payload->targets = payload->targets.CoarsenedToFit(set_budget, cfg_.base);
@@ -631,7 +654,7 @@ uint32_t AgentBase::IssueQueryToTargets(const Query& query,
     return id;
   }
   ctx_->Broadcast(MakeFromSelf(std::move(payload)));
-  ctx_->Schedule(cfg_.query_timeout, [this, id] { CloseQuery(id); });
+  ctx_->Schedule(kQueryTimeout, [this, id] { CloseQuery(id); });
   return id;
 }
 
@@ -662,7 +685,7 @@ void AgentBase::ReissueQuery(uint32_t query_id) {
   // Intentionally NOT bumping queries_issued / query_targets_total: the
   // re-issue is the same logical query, and the QueryDriver's selectivity
   // metric reads those counters as per-query deltas.
-  ctx_->Schedule(cfg_.query_timeout, [this, query_id] { CloseQuery(query_id); });
+  ctx_->Schedule(kQueryTimeout, [this, query_id] { CloseQuery(query_id); });
 }
 
 void AgentBase::CloseQuery(uint32_t query_id) {

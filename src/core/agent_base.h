@@ -30,6 +30,9 @@ namespace scoop::core {
 /// Base class for all protocol agents.
 class AgentBase : public sim::App {
  public:
+  /// How long the base waits for query replies before closing a query.
+  static constexpr SimTime kQueryTimeout = Seconds(12);
+
   explicit AgentBase(const AgentConfig& config);
   ~AgentBase() override;
 
@@ -112,7 +115,6 @@ class AgentBase : public sim::App {
   sim::Context& ctx() { return *ctx_; }
   metrics::Telemetry& telemetry() { return *telemetry_; }
   IndexStore& mutable_index_store() { return index_store_; }
-  storage::FlashStore& mutable_flash() { return flash_; }
 
   /// Unicasts `pkt` to the current parent. Returns false (and drops) when
   /// there is no route.

@@ -1,9 +1,15 @@
 // Configuration shared by every Scoop protocol agent (node and basestation)
-// and by the baseline-policy agents. Defaults follow the paper's §6
-// experiment table. Protocol constants no experiment varies live at their
-// one consumer instead: the §5.3 suppression threshold (0.90) in
-// ScoopBaseAgent, owner hysteresis (0.90) in index_builder.cc, and the
-// send-retry backoff (250 ms) in AgentBase.
+// and by the baseline-policy agents: identity, the settings a scenario key
+// sets (defaults follow the paper's §6 experiment table), and wiring.
+// Protocol constants no experiment varies live at their one consumer
+// instead: the beacon, maintenance and query timers, reply and rebroadcast
+// jitters, the reply cap and the neighbor-shortcut quality floor in
+// agent_base.cc (the query timeout as AgentBase::kQueryTimeout); the
+// index-adoption slack and §5.3 suppression threshold (0.90) in
+// scoop_base_agent.cc; owner hysteresis (0.90) in index_builder.cc; the
+// 30-reading summary window in storage/summary_builder.h; and the
+// substrate's own constants in NeighborTable, RoutingTree,
+// DescendantsTable, FlashStore and TrickleTimer.
 #ifndef SCOOP_CORE_AGENT_CONFIG_H_
 #define SCOOP_CORE_AGENT_CONFIG_H_
 
@@ -13,14 +19,8 @@
 #include "common/types.h"
 #include "core/index_builder.h"
 #include "metrics/telemetry.h"
-#include "net/descendants.h"
 #include "obs/trace.h"
-#include "net/neighbor_table.h"
-#include "net/routing_tree.h"
 #include "net/wire.h"
-#include "storage/flash_store.h"
-#include "storage/summary_builder.h"
-#include "trickle/trickle_timer.h"
 
 namespace scoop::core {
 
@@ -37,60 +37,21 @@ struct AgentConfig {
   bool is_base() const { return self == base; }
 
   // --- Timers (§6 defaults) ---
-  SimTime beacon_interval = Seconds(10);
-  /// Inbound-quality entries carried per beacon (bidirectional ETX).
-  int beacon_link_report_size = 12;
   SimTime sample_interval = Seconds(15);     ///< 1 reading / 15 s.
   SimTime summary_interval = Seconds(110);   ///< 1 summary / 110 s.
   SimTime remap_interval = Seconds(240);     ///< New index every 4 min.
   /// Nodes start sampling after the network stabilizes (paper: 10 min).
   SimTime sampling_start = Minutes(10);
-  /// How long the base waits for query replies before closing a query.
-  SimTime query_timeout = Seconds(12);
-  /// How long after a new index generation the planner still assumes nodes
-  /// may have routed data under the previous one (Trickle dissemination +
-  /// adoption delay, §5.3/§5.5).
-  SimTime index_adoption_slack = Seconds(60);
-  /// Table-maintenance cadence (evictions, parent timeout).
-  SimTime maintenance_interval = Seconds(30);
 
   // --- Scoop features (ablation knobs) ---
   /// Readings batched per data packet (§5.4; paper default 5).
   int max_batch = 5;
   /// Routing rule 3: shortcut through the neighbor list.
   bool enable_neighbor_shortcut = true;
-  /// Minimum estimated link quality before rule 3 takes a shortcut (P4:
-  /// avoid lossy links that cause expensive retransmissions).
-  double shortcut_min_quality = 0.3;
   /// Routing rule 5: route down via the descendants list.
   bool enable_descendant_routing = true;
   /// Figure 2 options (store-local fallback, owner sets, range placement).
   IndexBuilderOptions builder;
-
-  // --- Buffers ---
-  /// Recent-readings buffer feeding summaries (§5.2; paper: 30).
-  int recent_readings_capacity = 30;
-
-  // --- Query dissemination (modified Trickle, §5.5) ---
-  /// Suppress a pending query rebroadcast after hearing it this many times.
-  int query_redundancy_k = 2;
-  SimTime query_rebroadcast_jitter = Millis(400);
-  /// Replies spread over a few seconds so dozens of responders do not
-  /// collide near the base (§5.5: "it takes several seconds for the first
-  /// replies to come back").
-  SimTime reply_jitter = Seconds(3);
-  /// Guard against pathological reply floods; chunking still applies.
-  int max_reply_tuples = 90;
-
-  // --- Mapping gossip (§5.3) ---
-  trickle::TrickleOptions mapping_trickle{Seconds(2), Seconds(64), 1};
-
-  // --- Substrate options ---
-  net::NeighborTableOptions neighbor;
-  net::RoutingTreeOptions tree;
-  net::DescendantsOptions descendants;
-  storage::FlashOptions flash;
-  storage::SummaryBuilderOptions summary;
 
   // --- HASH policy ---
   /// Value domain the static hash covers (HASH has no statistics loop).

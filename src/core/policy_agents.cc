@@ -54,7 +54,7 @@ uint32_t BasePolicyBaseAgent::IssueQuery(const Query& query) {
   // All data lives here: answer from local Flash, no messages (§4).
   QueryOutcome outcome;
   outcome.query = query;
-  outcome.tuples = mutable_flash().Scan(MakeQueryPayload(query, NodeSet()));
+  outcome.tuples = flash().Scan(MakeQueryPayload(query, NodeSet()));
   if (!query.explicit_nodes.empty()) {
     std::set<NodeId> wanted(query.explicit_nodes.begin(), query.explicit_nodes.end());
     std::erase_if(outcome.tuples,

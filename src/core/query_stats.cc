@@ -2,10 +2,15 @@
 
 namespace scoop::core {
 
-QueryStats::QueryStats(const QueryStatsOptions& options) : options_(options) {}
+namespace {
+
+/// Sliding window over which rates and value popularity are computed.
+constexpr SimTime kWindow = Minutes(10);
+
+}  // namespace
 
 void QueryStats::Prune(SimTime now) const {
-  SimTime cutoff = now - options_.window;
+  SimTime cutoff = now - kWindow;
   while (!recent_.empty() && recent_.front().first < cutoff) {
     recent_.pop_front();
   }
@@ -22,7 +27,7 @@ double QueryStats::QueryRate(SimTime now) const {
   if (recent_.empty()) return 0.0;
   // Early in a run the window has not filled yet; dividing by the full
   // window would under-estimate the rate, so use the observed span.
-  SimTime span = std::min<SimTime>(options_.window, now - recent_.front().first);
+  SimTime span = std::min<SimTime>(kWindow, now - recent_.front().first);
   if (span <= 0) span = kSecond;
   return static_cast<double>(recent_.size()) / ToSeconds(span);
 }

@@ -13,17 +13,10 @@
 
 namespace scoop::core {
 
-/// Tunables for QueryStats.
-struct QueryStatsOptions {
-  /// Sliding window over which rates and value popularity are computed.
-  SimTime window = Minutes(10);
-};
-
-/// Sliding-window statistics over issued queries.
+/// Sliding-window statistics over issued queries: rates and value
+/// popularity are computed over the last 10 minutes.
 class QueryStats {
  public:
-  explicit QueryStats(const QueryStatsOptions& options = {});
-
   /// Records a query issued at `now` asking for `ranges` (empty = whole
   /// domain, e.g. a pure node-list query).
   void RecordQuery(const std::vector<ValueRange>& ranges, SimTime now);
@@ -44,7 +37,6 @@ class QueryStats {
  private:
   void Prune(SimTime now) const;
 
-  QueryStatsOptions options_;
   // Mutable: pruning old entries is a logical no-op for observers.
   mutable std::deque<std::pair<SimTime, std::vector<ValueRange>>> recent_;
   uint64_t total_ = 0;

@@ -4,7 +4,9 @@
 #include <set>
 
 #include "common/check.h"
+#include "sim/radio_constants.h"
 #include "storage/histogram.h"
+#include "storage/summary_builder.h"
 
 namespace scoop::core {
 
@@ -13,6 +15,11 @@ namespace {
 /// Suppress dissemination when the new index routes at least this fraction
 /// of the produced traffic identically to the last disseminated one (§5.3).
 constexpr double kSuppressionSimilarity = 0.90;
+
+/// How long after a new index generation the planner still assumes nodes
+/// may have routed data under the previous one (Trickle dissemination +
+/// adoption delay, §5.3/§5.5).
+constexpr SimTime kIndexAdoptionSlack = Seconds(60);
 
 }  // namespace
 
@@ -73,8 +80,7 @@ void ScoopBaseAgent::HandleSummaryAtBase(const Packet& pkt) {
   latest_[node] = summary;
   if (!summary.bins.empty()) {
     extents_.push_back(SummaryExtent{
-        now - cfg_.sample_interval * cfg_.recent_readings_capacity, now, summary.vmin,
-        summary.vmax});
+        now - cfg_.sample_interval * storage::kSummaryReadings, now, summary.vmin, summary.vmax});
   }
 
   // Early first dissemination: once most nodes have reported, build the
@@ -183,8 +189,7 @@ bool ScoopBaseAgent::RemapNow() {
   // Chunk to the MTU and seed our own gossip store; Trickle spreads it.
   MappingPayload empty_chunk;
   int max_entries =
-      (ctx().radio_options().max_packet_bytes - PacketHeader::kWireSize -
-       empty_chunk.WireSize()) /
+      (sim::kMaxPacketBytes - PacketHeader::kWireSize - empty_chunk.WireSize()) /
       RangeEntry::kWireSize;
   for (const MappingPayload& chunk : result.index.ToChunks(max_entries)) {
     mutable_index_store().AddChunk(chunk);
@@ -221,7 +226,7 @@ std::vector<NodeId> ScoopBaseAgent::PlanTargets(const Query& query) const {
   for (size_t i = 0; i < index_history_.size(); ++i) {
     SimTime active_from = index_history_[i].built_at;
     SimTime active_to = (i + 1 < index_history_.size())
-                            ? index_history_[i + 1].built_at + cfg_.index_adoption_slack
+                            ? index_history_[i + 1].built_at + kIndexAdoptionSlack
                             : std::numeric_limits<SimTime>::max();
     if (active_to < query.time_lo || active_from > query.time_hi) continue;
     any_index_active = true;

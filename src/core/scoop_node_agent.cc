@@ -10,7 +10,7 @@ namespace scoop::core {
 
 ScoopNodeAgent::ScoopNodeAgent(const AgentConfig& config)
     : AgentBase(config),
-      recent_readings_(static_cast<size_t>(config.recent_readings_capacity)) {
+      recent_readings_(static_cast<size_t>(storage::kSummaryReadings)) {
   SCOOP_CHECK(!config.is_base());
 }
 
@@ -161,8 +161,8 @@ void ScoopNodeAgent::LoopSummary() {
 void ScoopNodeAgent::SendSummary() {
   if (recent_readings_.empty()) return;
   SummaryPayload summary =
-      storage::BuildSummary(cfg_.attr, recent_readings_, samples_since_summary_,
-                            neighbors_, index_store_.current_id(), cfg_.summary);
+      storage::BuildSummary(cfg_.attr, recent_readings_, samples_since_summary_, neighbors_,
+                            index_store_.current_id());
   samples_since_summary_ = 0;
   ++telemetry().summaries_sent;
   SendUp(MakeFromSelf(std::move(summary)));

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "net/routing_tree.h"
 
 namespace scoop::core {
 
@@ -13,8 +14,8 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
-XmitsEstimator::XmitsEstimator(int num_nodes, const XmitsOptions& options)
-    : num_nodes_(num_nodes), options_(options), reports_(static_cast<size_t>(num_nodes)) {
+XmitsEstimator::XmitsEstimator(int num_nodes)
+    : num_nodes_(num_nodes), reports_(static_cast<size_t>(num_nodes)) {
   SCOOP_CHECK_GT(num_nodes, 0);
 }
 
@@ -27,8 +28,8 @@ void XmitsEstimator::AddLink(NodeId from, NodeId to, double quality) {
   SCOOP_CHECK_LT(static_cast<int>(from), num_nodes_);
   SCOOP_CHECK_LT(static_cast<int>(to), num_nodes_);
   if (from == to) return;
-  if (quality < options_.min_quality) return;
-  double etx = std::min(1.0 / quality, options_.max_link_etx);
+  if (quality < net::kMinLinkQuality) return;
+  double etx = net::LinkEtx(quality);
   reports_[from].push_back(Report{to, etx, /*tree=*/false});
   built_ = false;
 }
@@ -36,7 +37,7 @@ void XmitsEstimator::AddLink(NodeId from, NodeId to, double quality) {
 void XmitsEstimator::AddTreeEdge(NodeId node, NodeId parent, double assumed_quality) {
   if (node == parent) return;
   if (static_cast<int>(node) >= num_nodes_ || static_cast<int>(parent) >= num_nodes_) return;
-  double etx = std::min(1.0 / assumed_quality, options_.max_link_etx);
+  double etx = net::LinkEtx(assumed_quality);
   reports_[node].push_back(Report{parent, etx, /*tree=*/true});
   reports_[parent].push_back(Report{node, etx, /*tree=*/true});
   built_ = false;
@@ -108,7 +109,7 @@ double XmitsEstimator::Xmits(NodeId x, NodeId y) const {
   SCOOP_CHECK_LT(static_cast<int>(y), num_nodes_);
   if (x == y) return 0.0;
   double d = dist_[static_cast<size_t>(x) * static_cast<size_t>(num_nodes_) + y];
-  return std::isinf(d) ? options_.unknown_cost : d;
+  return std::isinf(d) ? kUnknownCost : d;
 }
 
 }  // namespace scoop::core

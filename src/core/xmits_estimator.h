@@ -21,21 +21,15 @@
 
 namespace scoop::core {
 
-/// Tunables for XmitsEstimator.
-struct XmitsOptions {
-  /// Links with quality below this are unusable for routing estimates.
-  double min_quality = 0.10;
-  /// Per-hop expected transmissions are capped here (1/q explodes as q→0).
-  double max_link_etx = 8.0;
-  /// Cost charged for pairs with no known path (keeps the optimizer from
-  /// treating unknown nodes as free).
-  double unknown_cost = 12.0;
-};
-
-/// Directed expected-transmissions graph + all-pairs shortest paths.
+/// Directed expected-transmissions graph + all-pairs shortest paths. Link
+/// costs follow the routing tree's rule (net::LinkEtx, net::kMinLinkQuality).
 class XmitsEstimator {
  public:
-  explicit XmitsEstimator(int num_nodes, const XmitsOptions& options = {});
+  /// Cost charged for pairs with no known path (keeps the optimizer from
+  /// treating unknown nodes as free).
+  static constexpr double kUnknownCost = 12.0;
+
+  explicit XmitsEstimator(int num_nodes);
 
   /// Clears all edges (e.g., before re-ingesting fresh statistics).
   void Clear();
@@ -64,8 +58,6 @@ class XmitsEstimator {
 
   int num_nodes() const { return num_nodes_; }
 
-  const XmitsOptions& options() const { return options_; }
-
  private:
   /// One link report. After Build() folds a list, every entry is marked
   /// measured, so a committed edge keeps its slot against later tree
@@ -83,7 +75,6 @@ class XmitsEstimator {
   void DijkstraRow(int source);
 
   int num_nodes_;
-  XmitsOptions options_;
 
   std::vector<std::vector<Report>> reports_;  ///< Per-source, insertion order.
   // Flat CSR of the folded graph: source s's out-edges are

@@ -19,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "sim/radio_constants.h"
 #include "sim/sharded_engine.h"
 #include "sim/topology.h"
 
@@ -676,7 +677,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
 core::HashModelResult RunHashAnalysis(const ExperimentConfig& config, uint64_t seed) {
   sim::Topology topology = MakeTopology(config, seed);
   core::XmitsEstimator xmits(config.num_nodes);
-  sim::RadioOptions radio;  // For the ACK model, to match the simulated MAC.
   for (int i = 0; i < config.num_nodes; ++i) {
     // Only audible links matter: AddLink drops anything below its minimum
     // quality, so walking the CSR neighbor lists instead of the full matrix
@@ -685,7 +685,7 @@ core::HashModelResult RunHashAnalysis(const ExperimentConfig& config, uint64_t s
       // Effective per-attempt success = delivery * ack delivery, matching
       // what the simulated link layer experiences.
       double p_ack = std::pow(topology.delivery_prob(link.to, static_cast<NodeId>(i)),
-                              radio.ack_shortness_exponent);
+                              sim::kAckShortnessExponent);
       xmits.AddLink(static_cast<NodeId>(i), link.to, link.prob * p_ack);
     }
   }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/check.h"
-
 namespace scoop::net {
 
 namespace {
@@ -13,10 +11,9 @@ constexpr auto kIdLess = [](const auto& slot, NodeId id) { return slot.id < id; 
 
 }  // namespace
 
-DescendantsTable::DescendantsTable(const DescendantsOptions& options) : options_(options) {
-  SCOOP_CHECK_GT(options_.capacity, 0);
+DescendantsTable::DescendantsTable() {
   // Bounded table: one up-front allocation covers its whole lifetime.
-  entries_.reserve(static_cast<size_t>(options_.capacity));
+  entries_.reserve(static_cast<size_t>(kCapacity));
 }
 
 std::vector<DescendantsTable::Slot>::const_iterator DescendantsTable::Find(NodeId id) const {
@@ -31,7 +28,7 @@ void DescendantsTable::Learn(NodeId descendant, NodeId via_child, SimTime now) {
     it->last_update = now;
     return;
   }
-  if (static_cast<int>(entries_.size()) >= options_.capacity) {
+  if (static_cast<int>(entries_.size()) >= kCapacity) {
     EvictOldest();
     // Eviction shifted slots; recompute the insertion point.
     it = std::lower_bound(entries_.begin(), entries_.end(), descendant, kIdLess);
@@ -50,9 +47,8 @@ void DescendantsTable::ForgetChild(NodeId child) {
 }
 
 void DescendantsTable::EvictStale(SimTime now) {
-  std::erase_if(entries_, [this, now](const Slot& slot) {
-    return now - slot.last_update > options_.eviction_timeout;
-  });
+  std::erase_if(entries_,
+                [now](const Slot& slot) { return now - slot.last_update > kEvictionTimeout; });
 }
 
 std::vector<NodeId> DescendantsTable::Ids() const {

@@ -15,19 +15,17 @@
 
 namespace scoop::net {
 
-/// Tunables for DescendantsTable.
-struct DescendantsOptions {
-  /// Maximum tracked descendants (paper: 32). Overflow degrades routing
-  /// gracefully (§5.1): unknown destinations fall back to the basestation.
-  int capacity = 32;
-  /// Entries not refreshed within this window are evicted.
-  SimTime eviction_timeout = Seconds(600);
-};
-
 /// Bounded descendant→child routing table.
 class DescendantsTable {
  public:
-  explicit DescendantsTable(const DescendantsOptions& options = {});
+  /// Maximum tracked descendants (paper: 32). Overflow degrades routing
+  /// gracefully (§5.1): unknown destinations fall back to the basestation.
+  static constexpr int kCapacity = 32;
+  static_assert(kCapacity > 0);
+  /// Entries not refreshed within this window are evicted.
+  static constexpr SimTime kEvictionTimeout = Seconds(600);
+
+  DescendantsTable();
 
   /// Records that traffic originated by `descendant` arrived via direct
   /// child `via_child` (the link-layer sender of the forwarded packet).
@@ -72,7 +70,6 @@ class DescendantsTable {
   /// Drops the entry with the smallest (last_update, id).
   void EvictOldest();
 
-  DescendantsOptions options_;
   // Bounded and consulted per forwarded packet, so it is kept like
   // NeighborTable's: a vector sorted by id and reserved at capacity, where
   // a lookup is a binary search and an insert never allocates.

@@ -3,16 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.h"
-
 namespace scoop::net {
 
-NeighborTable::NeighborTable(const NeighborTableOptions& options) : options_(options) {
-  SCOOP_CHECK_GT(options_.capacity, 0);
-  SCOOP_CHECK_LE(options_.capacity, kMaxCapacity);
-  SCOOP_CHECK_GT(options_.estimation_window, 0);
+NeighborTable::NeighborTable() {
   // Bounded table: one up-front allocation covers its whole lifetime.
-  entries_.reserve(static_cast<size_t>(options_.capacity));
+  entries_.reserve(static_cast<size_t>(kCapacity));
 }
 
 std::vector<NeighborTable::Slot>::const_iterator NeighborTable::LowerBound(NodeId id) const {
@@ -34,14 +29,14 @@ void NeighborTable::OnPacketSeen(NodeId src, uint16_t seq, SimTime now, uint16_t
   if (pos >= entries_.size() || entries_[pos].id != src) {
     auto it = LowerBound(src);
     if (it == entries_.end() || it->id != src) {
-      if (static_cast<int>(entries_.size()) >= options_.capacity) {
+      if (static_cast<int>(entries_.size()) >= kCapacity) {
         EvictWorst();
         it = LowerBound(src);  // Eviction shifted slots.
       }
       Entry entry;
       entry.last_seq = seq;
       entry.window_received = 1;
-      entry.quality = options_.initial_quality;
+      entry.quality = kInitialQuality;
       entry.has_estimate = false;
       entry.last_heard = now;
       it = entries_.insert(it, Slot{src, entry});
@@ -60,15 +55,14 @@ void NeighborTable::OnPacketSeen(NodeId src, uint16_t seq, SimTime now, uint16_t
   entry.window_received += 1;
   // A gap of g means g-1 packets from this sender were missed. Huge gaps
   // (sender rebooted or we were deaf a long time) are clamped to the window.
-  int missed = std::min<int>(gap - 1, options_.estimation_window);
+  int missed = std::min<int>(gap - 1, kEstimationWindow);
   entry.window_missed += missed;
 
-  if (entry.window_received + entry.window_missed >= options_.estimation_window) {
+  if (entry.window_received + entry.window_missed >= kEstimationWindow) {
     double observed = static_cast<double>(entry.window_received) /
                       (entry.window_received + entry.window_missed);
     if (entry.has_estimate) {
-      entry.quality =
-          options_.ewma_alpha * observed + (1 - options_.ewma_alpha) * entry.quality;
+      entry.quality = kEwmaAlpha * observed + (1 - kEwmaAlpha) * entry.quality;
     } else {
       entry.quality = observed;
       entry.has_estimate = true;
@@ -84,8 +78,8 @@ void NeighborTable::OnReverseReport(NodeId neighbor, double quality_they_hear_us
   if (pos == entries_.size()) return;  // Only track reports from known neighbors.
   Entry& entry = entries_[pos].entry;
   if (entry.has_reverse) {
-    entry.reverse_quality = options_.ewma_alpha * quality_they_hear_us +
-                            (1 - options_.ewma_alpha) * entry.reverse_quality;
+    entry.reverse_quality =
+        kEwmaAlpha * quality_they_hear_us + (1 - kEwmaAlpha) * entry.reverse_quality;
   } else {
     entry.reverse_quality = quality_they_hear_us;
     entry.has_reverse = true;
@@ -116,7 +110,7 @@ std::vector<NeighborEntry> NeighborTable::BestNeighbors(int k) const {
     double quality;
     uint8_t pos;
   };
-  std::array<Ranked, kMaxCapacity> ranked;
+  std::array<Ranked, kCapacity> ranked;
   size_t n = entries_.size();
   for (size_t i = 0; i < n; ++i) {
     ranked[i] = Ranked{entries_[i].entry.quality, static_cast<uint8_t>(i)};
@@ -145,7 +139,7 @@ std::vector<NodeId> NeighborTable::Ids() const {
 void NeighborTable::EvictStale(SimTime now) {
   auto keep = entries_.begin();
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (now - it->entry.last_heard <= options_.eviction_timeout) {
+    if (now - it->entry.last_heard <= kEvictionTimeout) {
       if (keep != it) *keep = *it;
       ++keep;
     }

@@ -28,31 +28,27 @@
 
 namespace scoop::net {
 
-/// Tunables for NeighborTable.
-struct NeighborTableOptions {
-  /// Maximum tracked neighbors (paper: 32; at most
-  /// NeighborTable::kMaxCapacity).
-  int capacity = 32;
-  /// Entries not heard for this long are evicted.
-  SimTime eviction_timeout = Seconds(240);
-  /// Number of (received + inferred missed) packets per estimation window.
-  int estimation_window = 8;
-  /// EWMA weight of the newest window when folding into the estimate.
-  double ewma_alpha = 0.4;
-  /// Estimate assigned after the very first packet from a neighbor.
-  double initial_quality = 0.5;
-};
-
 /// Bounded table of radio neighbors with passive inbound link estimates.
 class NeighborTable {
  public:
-  /// Slot positions are cached in bytes.
-  static constexpr int kMaxCapacity = 256;
+  /// Maximum tracked neighbors (paper: 32). Slot positions are cached in
+  /// bytes.
+  static constexpr int kCapacity = 32;
+  static_assert(kCapacity > 0 && kCapacity <= 256);
+  /// Entries not heard for this long are evicted.
+  static constexpr SimTime kEvictionTimeout = Seconds(240);
+  /// Number of (received + inferred missed) packets per estimation window.
+  static constexpr int kEstimationWindow = 8;
+  static_assert(kEstimationWindow > 0);
+  /// EWMA weight of the newest window when folding into the estimate.
+  static constexpr double kEwmaAlpha = 0.4;
+  /// Estimate assigned after the very first packet from a neighbor.
+  static constexpr double kInitialQuality = 0.5;
   /// The in-link argument for callers that have none. Any value gives the
   /// same results; this one only names the case.
   static constexpr uint16_t kNoInLink = 0xFFFF;
 
-  explicit NeighborTable(const NeighborTableOptions& options = {});
+  NeighborTable();
 
   /// Records that a packet from `src` with sequence number `seq` was heard
   /// at time `now` (receive or snoop); `in_link` is src's in-link rank
@@ -136,14 +132,13 @@ class NeighborTable {
   // denser networks (100-node testbed: up to 49) ranks r and r + 32 do,
   // and a collision costs the binary search.
   std::array<uint8_t, 32> hint_{};
-  // The table is bounded at `capacity` (32 in the paper), so a flat vector
+  // The table is bounded at kCapacity (32 in the paper), so a flat vector
   // sorted by id beats a hash map: inserts never allocate past the
   // reserved capacity, the binary search behind a hint miss covers a few
   // cache lines, and iteration is a canonical ascending-id order, which
   // makes eviction tie-breaks and Ids() deterministic by construction
   // rather than by bucket layout.
   std::vector<Slot> entries_;
-  NeighborTableOptions options_;
 };
 
 }  // namespace scoop::net

@@ -2,13 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "common/check.h"
+#include <limits>
 
 namespace scoop::net {
 
-RoutingTree::RoutingTree(NodeId self, bool is_base, const RoutingTreeOptions& options)
-    : self_(self), is_base_(is_base), options_(options) {
+namespace {
+
+/// A parent not heard for this long is abandoned.
+constexpr SimTime kParentTimeout = Seconds(90);
+/// Switch parents only when the challenger's cost is below
+/// kHysteresis * current cost (guards against flapping).
+constexpr double kHysteresis = 0.85;
+/// Depth sanity cap: beacons advertising deeper paths are ignored.
+constexpr int kMaxDepth = 64;
+
+}  // namespace
+
+RoutingTree::RoutingTree(NodeId self, bool is_base) : self_(self), is_base_(is_base) {
   if (is_base_) {
     path_etx_ = 0;
     depth_ = 0;
@@ -40,10 +50,10 @@ void RoutingTree::OnBeacon(NodeId from, const BeaconPayload& beacon, double link
     }
     return;
   }
-  if (beacon.depth >= options_.max_depth) return;
+  if (beacon.depth >= kMaxDepth) return;
 
   double quality = std::max(link_quality_in, 0.0);
-  if (quality < options_.min_usable_quality) {
+  if (quality < kMinLinkQuality) {
     // Link too weak to route over; forget the candidate.
     auto it = Find(from);
     if (it != candidates_.end()) candidates_.erase(it);
@@ -56,7 +66,7 @@ void RoutingTree::OnBeacon(NodeId from, const BeaconPayload& beacon, double link
 
   Candidate c;
   c.advertised_etx = static_cast<double>(beacon.path_etx_x16) / 16.0;
-  c.link_etx = std::min(1.0 / quality, options_.max_link_etx);
+  c.link_etx = LinkEtx(quality);
   c.depth = beacon.depth;
   c.last_heard = now;
   auto it = std::lower_bound(
@@ -74,7 +84,7 @@ void RoutingTree::MaybeTimeoutParent(SimTime now) {
   if (is_base_) return;
   auto keep = candidates_.begin();
   for (auto it = candidates_.begin(); it != candidates_.end(); ++it) {
-    if (now - it->candidate.last_heard > options_.parent_timeout) {
+    if (now - it->candidate.last_heard > kParentTimeout) {
       if (it->id == parent_) parent_ = kInvalidNodeId;
     } else {
       if (keep != it) *keep = *it;
@@ -112,7 +122,7 @@ void RoutingTree::ReselectParent(SimTime now) {
   if (current != candidates_.end()) {
     double current_cost = CostThrough(current->candidate);
     // Keep the incumbent unless the challenger is clearly better.
-    if (best->id != parent_ && best_cost >= options_.hysteresis * current_cost) {
+    if (best->id != parent_ && best_cost >= kHysteresis * current_cost) {
       best = current;
       best_cost = current_cost;
     }

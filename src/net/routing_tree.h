@@ -9,6 +9,7 @@
 #ifndef SCOOP_NET_ROUTING_TREE_H_
 #define SCOOP_NET_ROUTING_TREE_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -17,28 +18,22 @@
 
 namespace scoop::net {
 
-/// Tunables for RoutingTree.
-struct RoutingTreeOptions {
-  /// Beacon broadcast period (plus jitter applied by the agent).
-  SimTime beacon_interval = Seconds(10);
-  /// A parent not heard for this long is abandoned.
-  SimTime parent_timeout = Seconds(90);
-  /// Switch parents only when the challenger's cost is below
-  /// `hysteresis * current cost` (guards against flapping).
-  double hysteresis = 0.85;
-  /// Links with estimated quality below this are unusable for routing.
-  double min_usable_quality = 0.10;
-  /// Per-link ETX is clamped to this many expected transmissions.
-  double max_link_etx = 8.0;
-  /// Depth sanity cap: beacons advertising deeper paths are ignored.
-  int max_depth = 64;
-};
+/// The one link-cost rule, shared by the tree's parent choice and the
+/// base's xmits() estimate (core/xmits_estimator.h): links whose estimated
+/// delivery probability is below kMinLinkQuality are unusable, and a
+/// usable link costs 1/quality expected transmissions, capped at
+/// kMaxLinkEtx (1/q explodes as q -> 0).
+inline constexpr double kMinLinkQuality = 0.10;
+inline constexpr double kMaxLinkEtx = 8.0;
+
+/// Expected transmissions over a link of delivery probability `quality`.
+inline double LinkEtx(double quality) { return std::min(1.0 / quality, kMaxLinkEtx); }
 
 /// Per-node routing-tree state.
 class RoutingTree {
  public:
   /// `is_base` nodes are the root: depth 0, path cost 0, no parent.
-  RoutingTree(NodeId self, bool is_base, const RoutingTreeOptions& options = {});
+  RoutingTree(NodeId self, bool is_base);
 
   /// Processes a beacon from `from`, whose inbound link quality we estimate
   /// as `link_quality_in` (from the neighbor table).
@@ -94,7 +89,6 @@ class RoutingTree {
 
   NodeId self_;
   bool is_base_;
-  RoutingTreeOptions options_;
   NodeId parent_ = kInvalidNodeId;
   double path_etx_ = 0;
   uint8_t depth_ = 0;

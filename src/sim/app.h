@@ -11,7 +11,6 @@
 #include "common/small_callback.h"
 #include "common/types.h"
 #include "net/wire.h"
-#include "sim/radio_options.h"
 
 namespace scoop::sim {
 
@@ -66,9 +65,6 @@ class Context {
 
   /// Cancels a pending Schedule() callback.
   virtual void Cancel(EventId id) = 0;
-
-  /// Radio configuration (MTU, bitrate) -- needed for chunk sizing.
-  virtual const RadioOptions& radio_options() const = 0;
 };
 
 /// A protocol stack running on one node.

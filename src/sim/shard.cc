@@ -9,6 +9,26 @@
 
 namespace scoop::sim {
 
+namespace {
+
+/// Raw channel bitrate (Mica2: 38.4 kbps; §2.1).
+constexpr double kBitrateBps = 38400.0;
+
+/// Link-layer framing overhead per packet (preamble, sync, link src/dst,
+/// CRC) added to Packet::WireSize() for airtime.
+constexpr int kLinkHeaderBytes = 11;
+
+/// After this many failed channel-acquisition attempts the frame is
+/// dropped (counted as a channel drop).
+constexpr int kMaxChannelAttempts = 16;
+
+/// Capture effect: a concurrent transmission corrupts reception only if
+/// the interferer's link to the receiver is at least this fraction as
+/// strong as the signal's (delivery probability as a power proxy).
+constexpr double kCaptureRatio = 0.5;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // ShardQueue
 // ---------------------------------------------------------------------------
@@ -194,11 +214,9 @@ void ShardQueue::AdvanceTo(SimTime t) {
 // ShardRadio
 // ---------------------------------------------------------------------------
 
-ShardRadio::ShardRadio(const Topology* topology, const RadioOptions& options,
-                       ShardQueue* queue, uint64_t seed,
+ShardRadio::ShardRadio(const Topology* topology, ShardQueue* queue, uint64_t seed,
                        const std::vector<int>* owner, int self_shard)
     : topology_(topology),
-      options_(options),
       queue_(queue),
       owner_(owner),
       self_shard_(self_shard),
@@ -212,7 +230,7 @@ ShardRadio::ShardRadio(const Topology* topology, const RadioOptions& options,
   SCOOP_CHECK(topology != nullptr);
   SCOOP_CHECK(queue != nullptr);
   SCOOP_CHECK(owner != nullptr);
-  max_airtime_ = Airtime(options_.max_packet_bytes);
+  max_airtime_ = Airtime(kMaxPacketBytes);
   // Per-node backoff streams: draws depend only on the node's own attempt
   // sequence, which is identical for every partitioning.
   uint64_t backoff_key = MixSeed(seed, /*entity_id=*/0xAD10);
@@ -264,13 +282,13 @@ void ShardRadio::EnableObservability(obs::TraceSink* trace,
 }
 
 SimTime ShardRadio::Airtime(int wire_size) const {
-  double bits = static_cast<double>(options_.link_header_bytes + wire_size) * 8.0;
-  return static_cast<SimTime>(bits / options_.bitrate_bps * kSecond);
+  double bits = static_cast<double>(kLinkHeaderBytes + wire_size) * 8.0;
+  return static_cast<SimTime>(bits / kBitrateBps * kSecond);
 }
 
 void ShardRadio::Send(NodeId src, Packet pkt) {
   SCOOP_CHECK_LT(src, mac_.size());
-  SCOOP_CHECK_LE(pkt.WireSize(), options_.max_packet_bytes);
+  SCOOP_CHECK_LE(pkt.WireSize(), kMaxPacketBytes);
   SCOOP_DCHECK(Owned(src));
   if (!alive_[src]) return;  // Dead radios transmit nothing.
   obs::ScopedBucket bucket(profiler_, obs::SimProfiler::kRadio);
@@ -284,7 +302,7 @@ void ShardRadio::Send(NodeId src, Packet pkt) {
   frame.airtime = Airtime(pkt.WireSize());
   frame.pkt = std::move(pkt);
   frame.retries_left =
-      (frame.pkt.hdr.link_dst == kBroadcastId) ? 0 : options_.unicast_retries;
+      (frame.pkt.hdr.link_dst == kBroadcastId) ? 0 : kUnicastRetries;
   mac_[src].queue.push_back(std::move(frame));
   TryStart(src);
 }
@@ -343,7 +361,6 @@ bool ShardRadio::ChannelBusy(NodeId node) const {
 
 void ShardRadio::CollectInterferers(NodeId sender, SimTime start, SimTime end) {
   collide_scratch_.clear();
-  if (!options_.model_collisions) return;
   // One ring walk per evaluation, shared by every receiver: ring entries
   // are in start order, so anything starting more than one max airtime
   // before the window cannot reach into it, and only transmissions
@@ -363,7 +380,7 @@ void ShardRadio::CollectInterferers(NodeId sender, SimTime start, SimTime end) {
 }
 
 bool ShardRadio::Collided(NodeId receiver, double signal) const {
-  const double capture = options_.capture_ratio * signal;
+  const double capture = kCaptureRatio * signal;
   for (NodeId isrc : collide_scratch_) {
     double p = topology_->delivery_prob(isrc, receiver);
     if (p >= Topology::kInterferenceThreshold && p >= capture) return true;
@@ -428,11 +445,10 @@ void ShardRadio::TryStart(NodeId src) {
   PdesMac& mac = mac_[src];
   if (mac.transmitting || mac.cca_scheduled || mac.queue.empty()) return;
   // The channel is never sensed inline: every acquisition is a scheduled
-  // carrier-sense event at least backoff_min out. That bound is the
+  // carrier-sense event at least kBackoffMin out. That bound is the
   // engine's cross-shard lookahead -- a neighbor shard that has heard about
-  // everything up to t knows no new frame can start before t + backoff_min.
-  SimTime delay =
-      options_.backoff_min + mac_rng_[src].UniformInt(0, options_.backoff_min - 1);
+  // everything up to t knows no new frame can start before t + kBackoffMin.
+  SimTime delay = kBackoffMin + mac_rng_[src].UniformInt(0, kBackoffMin - 1);
   // Record the already-drawn delay (never draw for instrumentation).
   if (backoff_hist_ != nullptr) backoff_hist_->Record(static_cast<uint64_t>(delay));
   if (ctr_backoffs_ != nullptr) ++*ctr_backoffs_;
@@ -453,7 +469,7 @@ void ShardRadio::CcaFire(NodeId src) {
     return;
   }
   ++frame.channel_attempts;
-  if (frame.channel_attempts >= options_.max_channel_attempts) {
+  if (frame.channel_attempts >= kMaxChannelAttempts) {
     OutFrame dropped = std::move(mac.queue.front());
     mac.queue.pop_front();
     traffic_.OnDrop(metrics::DropReason::kChannelBusy);
@@ -466,7 +482,7 @@ void ShardRadio::CcaFire(NodeId src) {
     TryStart(src);
     return;
   }
-  SimTime window = BackoffWindow(options_, frame.channel_attempts);
+  SimTime window = BackoffWindow(frame.channel_attempts);
   SimTime delay = 1 + mac_rng_[src].UniformInt(0, window - 1);
   if (backoff_hist_ != nullptr) backoff_hist_->Record(static_cast<uint64_t>(delay));
   if (ctr_backoffs_ != nullptr) ++*ctr_backoffs_;
@@ -485,7 +501,7 @@ void ShardRadio::StartTx(NodeId src) {
     frame.pkt.hdr.seq = mac.next_seq++;
     frame.seq_assigned = true;
   }
-  bool is_retx = frame.retries_left < options_.unicast_retries &&
+  bool is_retx = frame.retries_left < kUnicastRetries &&
                  frame.pkt.hdr.link_dst != kBroadcastId;
   traffic_.OnTransmit(src, frame.pkt, is_retx);
 
@@ -509,7 +525,7 @@ void ShardRadio::StartTx(NodeId src) {
   // No floor entry for the completion: while the evaluation and then the
   // completion are pending the queue head stays <= end, so the engine's
   // head floor already bounds every message this transmission can lead to
-  // (the next acquisition starts >= end + backoff_min; the ACK verdict at
+  // (the next acquisition starts >= end + kBackoffMin; the ACK verdict at
   // `end` needs no coverage -- the remote completion stalls on the message
   // itself).
 }
@@ -660,8 +676,7 @@ void ShardRadio::FinishCont(NodeId src, uint32_t gen) {
                         "received", dst_received ? 1 : 0);
       }
     }
-    double p_ack = std::pow(topology_->delivery_prob(dst, src),
-                            options_.ack_shortness_exponent);
+    double p_ack = std::pow(topology_->delivery_prob(dst, src), kAckShortnessExponent);
     bool severed = fault_ != nullptr && fault_->active() &&
                    fault_->Severed(dst, src, queue_->now());  // Reverse link.
     bool acked = dst_received && !severed && AckDraw(src, gen, p_ack);

@@ -34,7 +34,7 @@
 // snooping, and link-layer ACK + retransmission for unicasts -- the
 // TOSSIM-substitute substrate. Two rules keep it K-invariant: every fresh
 // channel acquisition is a *scheduled* carrier-sense event at least
-// backoff_min in the future (this is the engine's cross-shard lookahead
+// kBackoffMin in the future (this is the engine's cross-shard lookahead
 // floor: a frame heard about "now" cannot hit the air sooner), and all
 // random draws (backoff, per-link loss, ACK) are keyed on stable
 // identities (node, transmission generation, receiver) instead of pulled
@@ -81,7 +81,7 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "sim/app.h"
-#include "sim/radio_options.h"
+#include "sim/radio_constants.h"
 #include "sim/topology.h"
 
 namespace scoop::sim {
@@ -277,8 +277,8 @@ class ShardRadio {
   /// `owner` maps every node to its shard index; `self_shard` is this
   /// radio's shard. Only nodes with owner == self_shard transmit here;
   /// other nodes exist as mirrored channel state.
-  ShardRadio(const Topology* topology, const RadioOptions& options, ShardQueue* queue,
-             uint64_t seed, const std::vector<int>* owner, int self_shard);
+  ShardRadio(const Topology* topology, ShardQueue* queue, uint64_t seed,
+             const std::vector<int>* owner, int self_shard);
 
   ShardRadio(const ShardRadio&) = delete;
   ShardRadio& operator=(const ShardRadio&) = delete;
@@ -330,7 +330,7 @@ class ShardRadio {
   /// CCAs of interior nodes (and of boundary nodes facing other shards)
   /// never throttle `target`. Not-yet-armed acquisitions are the engine's
   /// global head-floor business: any future event at time t arms its CCA
-  /// at >= t + backoff_min. Lazily discards entries that already fired:
+  /// at >= t + kBackoffMin. Lazily discards entries that already fired:
   /// strictly before `clock` always, and at == `clock` when
   /// `head_past_clock` says every event at the current instant has run.
   /// kSimTimeHorizon if none.
@@ -353,8 +353,6 @@ class ShardRadio {
   void set_announce_fn(AnnounceFn fn) { announce_fn_ = std::move(fn); }
   void set_abort_fn(AbortFn fn) { abort_fn_ = std::move(fn); }
   void set_ack_fn(AckFn fn) { ack_fn_ = std::move(fn); }
-
-  const RadioOptions& options() const { return options_; }
 
   /// Airtime of a packet of `wire_size` bytes (plus link framing).
   SimTime Airtime(int wire_size) const;
@@ -438,7 +436,7 @@ class ShardRadio {
   }
 
   /// Arms carrier sense for the head frame. Fresh acquisitions wait at
-  /// least backoff_min (the cross-shard lookahead floor) plus a keyed
+  /// least kBackoffMin (the cross-shard lookahead floor) plus a keyed
   /// jitter; busy retries draw from the binary-exponential BackoffWindow.
   void ScheduleCca(NodeId src, SimTime delay);
   void TryStart(NodeId src);
@@ -467,7 +465,7 @@ class ShardRadio {
   /// True iff an overlapping transmitter corrupts `receiver`'s copy of a
   /// frame heard at link probability `signal`. An interferer counts iff
   /// its own link to the receiver p satisfies p >= kInterferenceThreshold
-  /// (membership in the receiver's interferer set) and p >= capture_ratio
+  /// (membership in the receiver's interferer set) and p >= kCaptureRatio
   /// * signal (no capture): one delivery_prob load per candidate. The
   /// receiver itself needs no skip, since delivery_prob(r, r) is 0.
   bool Collided(NodeId receiver, double signal) const;
@@ -476,7 +474,6 @@ class ShardRadio {
   void PruneRing();
 
   const Topology* topology_;
-  RadioOptions options_;
   ShardQueue* queue_;
   /// Optional partition windows (src/fault/); null = off.
   const fault::LinkFaultChannel* fault_ = nullptr;

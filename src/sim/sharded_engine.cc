@@ -31,7 +31,6 @@ class ShardedEngine::Host : public Context {
   void Unicast(NodeId dst, Packet pkt) override;
   EventId Schedule(SimTime delay, SmallCallback fn) override;
   void Cancel(EventId id) override;
-  const RadioOptions& radio_options() const override { return engine_->options_.radio; }
 
   void SendDone(const Packet& pkt, bool success) {
     if (app_ != nullptr) app_->OnSendDone(*this, pkt, success);
@@ -190,8 +189,7 @@ ShardedEngine::ShardedEngine(Topology topology, ShardedEngineOptions options)
     sh->out_mask = out_mask[s];
     // ACK verdicts flow opposite to announces, so drain both directions.
     sh->drain_mask = in_mask[s] | out_mask[s];
-    sh->radio = std::make_unique<ShardRadio>(&topology_, options_.radio, &sh->queue,
-                                             options_.seed, &owner_, s);
+    sh->radio = std::make_unique<ShardRadio>(&topology_, &sh->queue, options_.seed, &owner_, s);
     sh->radio->SetAnnounceTargets(&announce_mask_, num_shards_);
     sh->hosts.resize(static_cast<size_t>(n));
     sh->apps.assign(static_cast<size_t>(n), nullptr);
@@ -295,8 +293,7 @@ void ShardedEngine::Start() {
   Rng boot_rng(MixSeed(options_.seed, 0xB007), /*stream=*/0xB007);
   int n = topology_.num_nodes();
   for (NodeId id = 0; id < n; ++id) {
-    SimTime at =
-        options_.boot_jitter > 0 ? boot_rng.UniformInt(0, options_.boot_jitter) : 0;
+    SimTime at = boot_rng.UniformInt(0, kBootJitter);
     Shard* sh = shards_[owner_[id]].get();
     Host* h = sh->hosts[id].get();
     sh->queue.ScheduleRegular(at, id, [h] { h->Boot(); });
@@ -528,16 +525,15 @@ void ShardedEngine::PublishEpt(Shard* shard, SimTime safe) {
   const bool head_past_clock = head > clock;
   SimTime alive = shard->AliveFloor();
   // Any transmission this shard has not yet committed to must still clear
-  // a scheduled carrier sense: at least backoff_min past the earliest
+  // a scheduled carrier sense: at least kBackoffMin past the earliest
   // thing that could trigger one (queue head, or an inbound message at
   // our current safe time). This shard-global floor also covers every
   // post-completion acquisition: a frame finishing at `end` holds head <=
   // end until its completion runs, and its successor starts >= end +
-  // backoff_min, so in-flight transmit ends need no floor entry at all.
+  // kBackoffMin, so in-flight transmit ends need no floor entry at all.
   SimTime base = std::min(head, safe);
-  SimTime lookahead = base >= kSimTimeHorizon - options_.radio.backoff_min
-                          ? kSimTimeHorizon
-                          : base + options_.radio.backoff_min;
+  SimTime lookahead =
+      base >= kSimTimeHorizon - kBackoffMin ? kSimTimeHorizon : base + kBackoffMin;
   const SimTime shared = std::min(alive, lookahead);
   // Per-boundary promises: each out-neighbor is capped only by the armed
   // carrier senses of nodes whose announces actually reach it.

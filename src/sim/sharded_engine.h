@@ -19,13 +19,13 @@
 //               abort for a mirrored frame at exactly its event time;
 //               shard-global, since one fault callback may touch any of
 //               the shard's nodes),
-//   head floor  min(queue head, current safe time) + backoff_min: even a
+//   head floor  min(queue head, current safe time) + kBackoffMin: even a
 //               frame the shard has not heard about yet must clear a full
-//               scheduled carrier sense, so backoff_min is the lookahead
+//               scheduled carrier sense, so kBackoffMin is the lookahead
 //               (shard-global; also covers the post-completion case -- a
 //               transmission finishing at `end` keeps head <= end until
 //               its completion runs, and its successor acquisition starts
-//               >= end + backoff_min).
+//               >= end + kBackoffMin).
 //
 // A shard may execute every event with time <= min over its in-neighbor
 // shards' promises to it (its safe time). It publishes at the end of each
@@ -80,11 +80,8 @@ struct ShardMsg {
 
 /// Whole-engine configuration.
 struct ShardedEngineOptions {
-  RadioOptions radio;
   /// Master seed; per-node streams are derived from it.
   uint64_t seed = 1;
-  /// Nodes boot at a uniform random time in [0, boot_jitter].
-  SimTime boot_jitter = Seconds(2);
   /// Number of shards (threads) to split the trial across. Results are
   /// identical for every value; 1 runs inline without threads.
   int shards = 1;
@@ -97,6 +94,10 @@ struct ShardedEngineOptions {
 /// shard-aware observability and fault-injection hooks.
 class ShardedEngine {
  public:
+  /// Nodes boot at a uniform random time in [0, kBootJitter].
+  static constexpr SimTime kBootJitter = Seconds(2);
+  static_assert(kBootJitter >= 0);
+
   ShardedEngine(Topology topology, ShardedEngineOptions options);
   ~ShardedEngine();
 

@@ -2,15 +2,7 @@
 
 namespace scoop::storage {
 
-FlashStore::FlashStore(const FlashOptions& options)
-    : options_(options), buffer_(options.capacity_tuples) {}
-
-void FlashStore::Store(const StoredTuple& tuple) {
-  buffer_.Push(tuple);
-  energy_nj_ += options_.write_nj_per_bit * options_.bits_per_tuple;
-}
-
-std::vector<ReplyTuple> FlashStore::Scan(const QueryPayload& query) {
+std::vector<ReplyTuple> FlashStore::Scan(const QueryPayload& query) const {
   std::vector<ReplyTuple> out;
   buffer_.ForEach([&](const StoredTuple& t) {
     if (t.time < query.time_lo || t.time > query.time_hi) return;
@@ -26,9 +18,6 @@ std::vector<ReplyTuple> FlashStore::Scan(const QueryPayload& query) {
     }
     out.push_back(ReplyTuple{t.producer, t.value, t.time});
   });
-  // A scan reads the whole buffer (§5.5: linear scan; no index on Flash).
-  energy_nj_ +=
-      options_.read_nj_per_bit * options_.bits_per_tuple * static_cast<double>(size());
   return out;
 }
 

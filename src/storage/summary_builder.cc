@@ -4,10 +4,18 @@
 
 namespace scoop::storage {
 
+namespace {
+
+/// Histogram bins (paper: 10).
+constexpr int kNumBins = 10;
+/// Best-connected neighbors reported (paper: 12).
+constexpr int kMaxNeighbors = 12;
+
+}  // namespace
+
 SummaryPayload BuildSummary(AttrId attr, const RingBuffer<Reading>& recent_readings,
                             uint16_t sample_count, const net::NeighborTable& neighbors,
-                            IndexId last_complete_index,
-                            const SummaryBuilderOptions& options) {
+                            IndexId last_complete_index) {
   SummaryPayload summary;
   summary.attr = attr;
   summary.sample_count = sample_count;
@@ -22,14 +30,14 @@ SummaryPayload BuildSummary(AttrId attr, const RingBuffer<Reading>& recent_readi
   });
 
   if (!values.empty()) {
-    ValueHistogram hist = ValueHistogram::Build(values, options.num_bins);
+    ValueHistogram hist = ValueHistogram::Build(values, kNumBins);
     summary.vmin = hist.vmin();
     summary.vmax = hist.vmax();
     summary.sum = sum;
     summary.bins = hist.WireBins();
   }
 
-  summary.neighbors = neighbors.BestNeighbors(options.max_neighbors);
+  summary.neighbors = neighbors.BestNeighbors(kMaxNeighbors);
   return summary;
 }
 

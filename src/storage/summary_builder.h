@@ -9,22 +9,19 @@
 
 namespace scoop::storage {
 
-/// Tunables for summary construction.
-struct SummaryBuilderOptions {
-  /// Histogram bins (paper: 10).
-  int num_bins = 10;
-  /// Best-connected neighbors reported (paper: 12).
-  int max_neighbors = 12;
-};
+/// Readings a node's summary covers: its recent-readings buffer holds the
+/// last this many (§5.2; paper: 30).
+inline constexpr int kSummaryReadings = 30;
 
 /// Builds a SummaryPayload over the node's recent readings (§5.2). The
-/// histogram, min, max, and sum cover exactly the recent-readings buffer;
-/// `sample_count` is the number of readings produced since the previous
-/// summary (lets the basestation estimate the node's data rate).
+/// histogram (10 bins), min, max, and sum cover exactly the
+/// recent-readings buffer; the neighbor list holds the 12 best-connected
+/// neighbors (both counts from the paper). `sample_count` is the number
+/// of readings produced since the previous summary (lets the basestation
+/// estimate the node's data rate).
 SummaryPayload BuildSummary(AttrId attr, const RingBuffer<Reading>& recent_readings,
                             uint16_t sample_count, const net::NeighborTable& neighbors,
-                            IndexId last_complete_index,
-                            const SummaryBuilderOptions& options = {});
+                            IndexId last_complete_index);
 
 }  // namespace scoop::storage
 

@@ -6,9 +6,8 @@
 
 namespace scoop::trickle {
 
-TrickleDriver::TrickleDriver(sim::Context* ctx, const TrickleOptions& options,
-                             std::function<void()> broadcast_fn)
-    : ctx_(ctx), timer_(options, &ctx->rng()), broadcast_fn_(std::move(broadcast_fn)) {
+TrickleDriver::TrickleDriver(sim::Context* ctx, std::function<void()> broadcast_fn)
+    : ctx_(ctx), timer_(&ctx->rng()), broadcast_fn_(std::move(broadcast_fn)) {
   SCOOP_CHECK(ctx != nullptr);
   SCOOP_CHECK(broadcast_fn_ != nullptr);
 }

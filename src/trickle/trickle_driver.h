@@ -15,8 +15,7 @@ class TrickleDriver {
  public:
   /// `broadcast_fn` is invoked whenever Trickle fires unsuppressed. The
   /// callback may decline to send (e.g., nothing to share yet).
-  TrickleDriver(sim::Context* ctx, const TrickleOptions& options,
-                std::function<void()> broadcast_fn);
+  TrickleDriver(sim::Context* ctx, std::function<void()> broadcast_fn);
   ~TrickleDriver();
 
   TrickleDriver(const TrickleDriver&) = delete;

@@ -6,11 +6,8 @@
 
 namespace scoop::trickle {
 
-TrickleTimer::TrickleTimer(const TrickleOptions& options, Rng* rng)
-    : options_(options), rng_(rng), tau_(options.tau_min) {
+TrickleTimer::TrickleTimer(Rng* rng) : rng_(rng), tau_(kTauMin) {
   SCOOP_CHECK(rng != nullptr);
-  SCOOP_CHECK_GT(options_.tau_min, 0);
-  SCOOP_CHECK_GE(options_.tau_max, options_.tau_min);
 }
 
 SimTime TrickleTimer::BeginInterval(SimTime now) {
@@ -23,30 +20,30 @@ SimTime TrickleTimer::BeginInterval(SimTime now) {
 }
 
 SimTime TrickleTimer::Start(SimTime now) {
-  tau_ = options_.tau_min;
+  tau_ = kTauMin;
   return BeginInterval(now);
 }
 
 TrickleTimer::Action TrickleTimer::OnEvent(SimTime now) {
   Action action;
   if (phase_ == Phase::kBeforeFire) {
-    action.should_broadcast = heard_consistent_ < options_.redundancy_k;
+    action.should_broadcast = heard_consistent_ < kRedundancyK;
     phase_ = Phase::kAfterFire;
     action.next_event = interval_end_;
     return action;
   }
   // Interval ended: double tau and open the next interval.
-  tau_ = hold_at_min_ ? options_.tau_min : std::min(tau_ * 2, options_.tau_max);
+  tau_ = hold_at_min_ ? kTauMin : std::min(tau_ * 2, kTauMax);
   action.should_broadcast = false;
   action.next_event = BeginInterval(now);
   return action;
 }
 
 std::optional<SimTime> TrickleTimer::OnInconsistent(SimTime now) {
-  if (tau_ == options_.tau_min && interval_end_ > now) {
+  if (tau_ == kTauMin && interval_end_ > now) {
     return std::nullopt;  // Already listening at the fastest rate.
   }
-  tau_ = options_.tau_min;
+  tau_ = kTauMin;
   return BeginInterval(now);
 }
 

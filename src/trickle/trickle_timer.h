@@ -10,6 +10,9 @@
 // interval tau doubles (up to tau_max). Hearing an inconsistency resets tau
 // to tau_min, making propagation of news fast while steady-state traffic
 // decays exponentially.
+//
+// Scoop runs one instance, the mapping gossip (§5.3), with tau in
+// [2 s, 64 s] and k = 1.
 #ifndef SCOOP_TRICKLE_TRICKLE_TIMER_H_
 #define SCOOP_TRICKLE_TRICKLE_TIMER_H_
 
@@ -20,19 +23,19 @@
 
 namespace scoop::trickle {
 
-/// Tunables for TrickleTimer.
-struct TrickleOptions {
-  SimTime tau_min = Seconds(1);
-  SimTime tau_max = Seconds(60);
-  /// Suppress our broadcast if we heard this many consistent messages in
-  /// the current interval.
-  int redundancy_k = 2;
-};
-
 /// One Trickle instance.
 class TrickleTimer {
  public:
-  TrickleTimer(const TrickleOptions& options, Rng* rng);
+  /// Interval bounds. The fire point is drawn from [tau/2, tau - 1], so
+  /// tau_min must be at least 2 microseconds.
+  static constexpr SimTime kTauMin = Seconds(2);
+  static constexpr SimTime kTauMax = Seconds(64);
+  static_assert(kTauMin / 2 >= 1 && kTauMax >= kTauMin);
+  /// Suppress our broadcast if we heard this many consistent messages in
+  /// the current interval.
+  static constexpr int kRedundancyK = 1;
+
+  explicit TrickleTimer(Rng* rng);
 
   /// What the owner must do after calling an event-processing method.
   struct Action {
@@ -77,7 +80,6 @@ class TrickleTimer {
   /// Opens a new interval of length tau_ at `now`; returns fire time.
   SimTime BeginInterval(SimTime now);
 
-  TrickleOptions options_;
   Rng* rng_;
   SimTime tau_;
   SimTime interval_end_ = 0;

@@ -46,7 +46,7 @@ struct ScoopFixture {
   ScoopFixture(sim::Topology topo, std::function<Value(NodeId, SimTime)> sample_fn,
                SimTime sampling_start = Seconds(30), uint64_t seed = 11,
                std::function<void(AgentConfig&)> tweak = nullptr)
-      : engine(std::move(topo), MakeOptions(seed)) {
+      : engine(std::move(topo), sim::ShardedEngineOptions{.seed = seed}) {
     int n = engine.topology().num_nodes();
     for (int i = 0; i < n; ++i) {
       AgentConfig cfg;
@@ -71,13 +71,6 @@ struct ScoopFixture {
       }
     }
     engine.Start();
-  }
-
-  static sim::ShardedEngineOptions MakeOptions(uint64_t seed) {
-    sim::ShardedEngineOptions o;
-    o.seed = seed;
-    o.boot_jitter = Seconds(1);
-    return o;
   }
 
   metrics::Telemetry telemetry;

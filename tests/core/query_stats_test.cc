@@ -13,9 +13,7 @@ TEST(QueryStatsTest, EmptyStats) {
 }
 
 TEST(QueryStatsTest, RateReflectsWindowedCount) {
-  QueryStatsOptions opts;
-  opts.window = Seconds(100);
-  QueryStats stats(opts);
+  QueryStats stats;
   for (int i = 0; i < 10; ++i) {
     stats.RecordQuery({ValueRange{0, 5}}, Seconds(i * 10));
   }
@@ -24,12 +22,10 @@ TEST(QueryStatsTest, RateReflectsWindowedCount) {
 }
 
 TEST(QueryStatsTest, OldQueriesAgeOut) {
-  QueryStatsOptions opts;
-  opts.window = Seconds(50);
-  QueryStats stats(opts);
+  QueryStats stats;  // Counts the last 10 minutes.
   stats.RecordQuery({ValueRange{0, 5}}, Seconds(0));
-  stats.RecordQuery({ValueRange{0, 5}}, Seconds(60));
-  EXPECT_EQ(stats.WindowCount(Seconds(61)), 1);
+  stats.RecordQuery({ValueRange{0, 5}}, Minutes(11));
+  EXPECT_EQ(stats.WindowCount(Minutes(11) + Seconds(1)), 1);
   EXPECT_EQ(stats.total_queries(), 2u);
 }
 

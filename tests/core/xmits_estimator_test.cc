@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "net/routing_tree.h"
 
 namespace scoop::core {
 namespace {
@@ -27,9 +28,7 @@ TEST(XmitsEstimatorTest, DirectLinkCostIsInverseQuality) {
 }
 
 TEST(XmitsEstimatorTest, UnknownPairsChargedDefault) {
-  XmitsOptions opts;
-  opts.unknown_cost = 12.0;
-  XmitsEstimator x(3, opts);
+  XmitsEstimator x(3);
   x.AddLink(0, 1, 1.0);
   x.Build();
   EXPECT_DOUBLE_EQ(x.Xmits(0, 2), 12.0);
@@ -48,18 +47,14 @@ TEST(XmitsEstimatorTest, PrefersMultiHopOverLossyDirect) {
 }
 
 TEST(XmitsEstimatorTest, WeakLinksUnusable) {
-  XmitsOptions opts;
-  opts.min_quality = 0.10;
-  XmitsEstimator x(2, opts);
-  x.AddLink(0, 1, 0.05);
+  XmitsEstimator x(2);
+  x.AddLink(0, 1, 0.05);  // Below the 0.10 usable-link floor.
   x.Build();
-  EXPECT_DOUBLE_EQ(x.Xmits(0, 1), opts.unknown_cost);
+  EXPECT_DOUBLE_EQ(x.Xmits(0, 1), XmitsEstimator::kUnknownCost);
 }
 
 TEST(XmitsEstimatorTest, PerLinkEtxCapped) {
-  XmitsOptions opts;
-  opts.max_link_etx = 8.0;
-  XmitsEstimator x(2, opts);
+  XmitsEstimator x(2);
   x.AddLink(0, 1, 0.11);  // 1/0.11 = 9.1 > cap.
   x.Build();
   EXPECT_DOUBLE_EQ(x.Xmits(0, 1), 8.0);
@@ -78,8 +73,8 @@ TEST(XmitsEstimatorTest, TreeEdgesAreBidirectionalDefaults) {
   XmitsEstimator x(3);
   x.AddTreeEdge(2, 1);
   x.Build();
-  EXPECT_LT(x.Xmits(2, 1), x.options().unknown_cost);
-  EXPECT_LT(x.Xmits(1, 2), x.options().unknown_cost);
+  EXPECT_LT(x.Xmits(2, 1), XmitsEstimator::kUnknownCost);
+  EXPECT_LT(x.Xmits(1, 2), XmitsEstimator::kUnknownCost);
 }
 
 TEST(XmitsEstimatorTest, TreeEdgeDoesNotOverrideMeasuredLink) {
@@ -105,7 +100,7 @@ TEST(XmitsEstimatorTest, ClearForgetsLinks) {
   ASSERT_DOUBLE_EQ(x.Xmits(0, 1), 1.0);
   x.Clear();
   x.Build();
-  EXPECT_DOUBLE_EQ(x.Xmits(0, 1), x.options().unknown_cost);
+  EXPECT_DOUBLE_EQ(x.Xmits(0, 1), XmitsEstimator::kUnknownCost);
 }
 
 TEST(XmitsEstimatorTest, LongChainAccumulates) {
@@ -160,8 +155,7 @@ TEST(XmitsEstimatorTest, NewShortcutLowersDistance) {
 /// All-pairs costs by Floyd-Warshall over the edge set the fold rules
 /// give for `ops` (kind 0 = AddLink, 1 = AddTreeEdge at quality 0.5).
 std::vector<std::vector<double>> FloydWarshallOracle(
-    int n, const std::vector<std::tuple<int, NodeId, NodeId, double>>& ops,
-    const XmitsOptions& opts) {
+    int n, const std::vector<std::tuple<int, NodeId, NodeId, double>>& ops) {
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<std::vector<double>> d(n, std::vector<double>(n, inf));
   std::vector<std::vector<bool>> claimed(n, std::vector<bool>(n, false));
@@ -176,10 +170,10 @@ std::vector<std::vector<double>> FloydWarshallOracle(
   for (const auto& [kind, a, b, q] : ops) {
     if (a == b) continue;
     if (kind == 0) {
-      if (q < opts.min_quality) continue;
-      report(a, b, std::min(1.0 / q, opts.max_link_etx), /*tree=*/false);
+      if (q < net::kMinLinkQuality) continue;
+      report(a, b, std::min(1.0 / q, net::kMaxLinkEtx), /*tree=*/false);
     } else {
-      double etx = std::min(1.0 / q, opts.max_link_etx);
+      double etx = std::min(1.0 / q, net::kMaxLinkEtx);
       report(a, b, etx, /*tree=*/true);
       report(b, a, etx, /*tree=*/true);
     }
@@ -191,7 +185,7 @@ std::vector<std::vector<double>> FloydWarshallOracle(
   }
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
-      d[i][j] = i == j ? 0.0 : (std::isinf(d[i][j]) ? opts.unknown_cost : d[i][j]);
+      d[i][j] = i == j ? 0.0 : (std::isinf(d[i][j]) ? XmitsEstimator::kUnknownCost : d[i][j]);
     }
   }
   return d;
@@ -238,7 +232,7 @@ TEST(XmitsEstimatorTest, IncrementalBuildMatchesScratchBuildProperty) {
         }
         scratch.Build();
         std::vector<std::vector<double>> oracle =
-            FloydWarshallOracle(n, since_clear, accumulated.options());
+            FloydWarshallOracle(n, since_clear);
         for (int x = 0; x < n; ++x) {
           for (int y = 0; y < n; ++y) {
             ASSERT_DOUBLE_EQ(

@@ -2,6 +2,9 @@
 // bit-identical to the same trial at K=1, for every K. These tests pin that
 // equivalence on the configs the golden suite exercises (tiny random,
 // failure waves, grid), plus the degenerate K > nodes split.
+#include <fstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/check.h"
@@ -118,6 +121,48 @@ TEST(ShardedEquivalenceTest, ChurnRebootMatchesAcrossShardCounts) {
   for (int k : {2, 4, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(k));
     ExpectIdentical(ref, RunShardedTrial(config, /*seed=*/7, k));
+  }
+}
+
+/// Counter `name` in the last row of the metrics JSONL file at `path`: its
+/// end-of-run total.
+uint64_t FinalCounter(const std::string& path, const std::string& name) {
+  std::ifstream in(path);
+  std::string line;
+  std::string last;
+  while (std::getline(in, line)) {
+    if (!line.empty()) last = line;
+  }
+  const std::string key = "\"" + name + "\":";
+  size_t at = last.find(key);
+  EXPECT_NE(at, std::string::npos) << name << " missing from " << path;
+  return at == std::string::npos ? 0 : std::stoull(last.substr(at + key.size()));
+}
+
+TEST(ShardedEquivalenceTest, CrossShardAbortsMatchAcrossShardCounts) {
+  // A node powered down mid-frame while other shards mirror that frame:
+  // the mirrors must revoke it (abort.rx) and every K still match K = 1.
+  // A busy grid -- one unbatched reading per node per second -- under four
+  // reboot waves puts boundary nodes on the air at wave instants.
+  ExperimentConfig config = TinyConfig();
+  config.preset = TopologyPreset::kGrid;
+  config.num_nodes = 144;
+  config.sample_interval = Seconds(1);
+  config.max_batch = 1;
+  config.fault.reboot_fraction = 0.5;
+  config.fault.reboot_time = Minutes(4);
+  config.fault.reboot_wave_count = 4;
+  config.fault.reboot_wave_interval = Minutes(1);
+  config.fault.reboot_downtime = Seconds(20);
+  const uint64_t seed = 4;
+  ExperimentResult ref = RunShardedTrial(config, seed, /*shards=*/1);
+  EXPECT_GT(ref.total, 0);
+  for (int k : {2, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(k));
+    ExperimentConfig observed = config;
+    observed.metrics_out = ::testing::TempDir() + "abort-k" + std::to_string(k) + ".jsonl";
+    ExpectIdentical(ref, RunShardedTrial(observed, seed, k));
+    EXPECT_GT(FinalCounter(observed.metrics_out, "shard.abort_rx"), 0u);
   }
 }
 

@@ -35,7 +35,7 @@ sim::Topology DetourTopology(double q = 0.9) {
 
 struct Fixture {
   explicit Fixture(uint64_t seed = 7, int query_reissue_max = 0)
-      : engine(DetourTopology(), MakeOptions(seed)) {
+      : engine(DetourTopology(), sim::ShardedEngineOptions{.seed = seed}) {
     const int n = engine.topology().num_nodes();
     for (int i = 0; i < n; ++i) {
       AgentConfig cfg;
@@ -46,9 +46,6 @@ struct Fixture {
       cfg.sample_interval = Seconds(5);
       cfg.summary_interval = Seconds(20);
       cfg.remap_interval = Seconds(40);
-      // Faster healing for a compact test.
-      cfg.tree.parent_timeout = Seconds(45);
-      cfg.neighbor.eviction_timeout = Seconds(60);
       cfg.fault_query_reissue_max = query_reissue_max;
       cfg.telemetry = &telemetry;
       cfg.sample_fn = [](NodeId node, SimTime) { return Value{node * 10}; };
@@ -63,12 +60,6 @@ struct Fixture {
       }
     }
     engine.Start();
-  }
-
-  static sim::ShardedEngineOptions MakeOptions(uint64_t seed) {
-    sim::ShardedEngineOptions o;
-    o.seed = seed;
-    return o;
   }
 
   ScoopNodeAgent* node(NodeId id) { return nodes[static_cast<size_t>(id - 1)]; }
@@ -176,7 +167,7 @@ TEST(FailureTest, QueryToDeadNodeIsReissuedOnceAndClosesOnce) {
   EXPECT_EQ(outcome->responders, 1);  // Node 3 answers once, across both floods.
   EXPECT_FALSE(outcome->complete);
   // Closed by the re-issue's timeout, not the first one.
-  EXPECT_EQ(outcome->closed_at, issued_at + 2 * AgentConfig{}.query_timeout);
+  EXPECT_EQ(outcome->closed_at, issued_at + 2 * AgentBase::kQueryTimeout);
   // The re-issue's wire id is not a query of its own.
   EXPECT_EQ(f.base->outcome(id + 1), nullptr);
 }

@@ -21,26 +21,25 @@ TEST(DescendantsTest, UpdatesRoute) {
   EXPECT_EQ(table.size(), 1u);
 }
 
+constexpr NodeId kFull = DescendantsTable::kCapacity;
+
 TEST(DescendantsTest, CapacityEvictsOldest) {
-  DescendantsOptions opts;
-  opts.capacity = 3;
-  DescendantsTable table(opts);
-  table.Learn(1, 1, Seconds(1));
-  table.Learn(2, 1, Seconds(2));
-  table.Learn(3, 1, Seconds(3));
-  table.Learn(4, 1, Seconds(4));  // Evicts descendant 1.
-  EXPECT_EQ(table.size(), 3u);
+  DescendantsTable table;
+  for (NodeId id = 1; id <= kFull; ++id) table.Learn(id, 1, Seconds(id));
+  table.Learn(kFull + 1, 1, Seconds(kFull + 1));  // Evicts descendant 1.
+  EXPECT_EQ(table.size(), static_cast<size_t>(kFull));
   EXPECT_FALSE(table.Contains(1));
-  EXPECT_TRUE(table.Contains(4));
+  EXPECT_TRUE(table.Contains(2));
+  EXPECT_TRUE(table.Contains(kFull + 1));
 }
 
 TEST(DescendantsTest, EvictionTieGoesToTheLowestId) {
-  DescendantsOptions opts;
-  opts.capacity = 3;
-  DescendantsTable table(opts);
+  DescendantsTable table;
+  for (NodeId id = 100; id < 100 + kFull - 3; ++id) table.Learn(id, 1, Seconds(5));
   table.Learn(7, 1, Seconds(2));
   table.Learn(4, 1, Seconds(1));
   table.Learn(2, 1, Seconds(1));
+  ASSERT_EQ(table.size(), static_cast<size_t>(kFull));
   table.Learn(9, 1, Seconds(3));  // 2 and 4 tie on age; the lower id goes.
   EXPECT_FALSE(table.Contains(2));
   EXPECT_TRUE(table.Contains(4));
@@ -49,24 +48,19 @@ TEST(DescendantsTest, EvictionTieGoesToTheLowestId) {
 }
 
 TEST(DescendantsTest, RefreshProtectsFromEviction) {
-  DescendantsOptions opts;
-  opts.capacity = 2;
-  DescendantsTable table(opts);
-  table.Learn(1, 1, Seconds(1));
-  table.Learn(2, 1, Seconds(2));
-  table.Learn(1, 1, Seconds(3));  // Refresh 1; now 2 is oldest.
-  table.Learn(3, 1, Seconds(4));
+  DescendantsTable table;
+  for (NodeId id = 1; id <= kFull; ++id) table.Learn(id, 1, Seconds(id));
+  table.Learn(1, 1, Seconds(kFull + 1));  // Refresh 1; now 2 is oldest.
+  table.Learn(kFull + 1, 1, Seconds(kFull + 2));
   EXPECT_TRUE(table.Contains(1));
   EXPECT_FALSE(table.Contains(2));
 }
 
 TEST(DescendantsTest, EvictStale) {
-  DescendantsOptions opts;
-  opts.eviction_timeout = Seconds(100);
-  DescendantsTable table(opts);
+  DescendantsTable table;  // Evicts entries not refreshed for 600 s.
   table.Learn(1, 1, Seconds(0));
-  table.Learn(2, 1, Seconds(50));
-  table.EvictStale(Seconds(120));
+  table.Learn(2, 1, Seconds(500));
+  table.EvictStale(Seconds(620));
   EXPECT_FALSE(table.Contains(1));
   EXPECT_TRUE(table.Contains(2));
 }

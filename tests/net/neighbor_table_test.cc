@@ -71,25 +71,24 @@ TEST(NeighborTableTest, BestNeighborsClampsToSize) {
 }
 
 TEST(NeighborTableTest, CapacityEnforced) {
-  NeighborTableOptions opts;
-  opts.capacity = 4;
-  NeighborTable table(opts);
-  for (NodeId id = 1; id <= 10; ++id) {
+  NeighborTable table;
+  const NodeId last = NeighborTable::kCapacity + 6;
+  for (NodeId id = 1; id <= last; ++id) {
     table.OnPacketSeen(id, 1, Seconds(id), id);
   }
-  EXPECT_EQ(table.size(), 4u);
+  EXPECT_EQ(table.size(), static_cast<size_t>(NeighborTable::kCapacity));
   // The most recently heard neighbors survive.
-  EXPECT_TRUE(table.Contains(10));
+  EXPECT_TRUE(table.Contains(last));
+  EXPECT_TRUE(table.Contains(7));
+  EXPECT_FALSE(table.Contains(6));
   EXPECT_FALSE(table.Contains(1));
 }
 
 TEST(NeighborTableTest, EvictStaleRemovesSilentNeighbors) {
-  NeighborTableOptions opts;
-  opts.eviction_timeout = Seconds(100);
-  NeighborTable table(opts);
+  NeighborTable table;  // Evicts after 240 s of silence.
   table.OnPacketSeen(1, 1, Seconds(0), 1);
-  table.OnPacketSeen(2, 1, Seconds(90), 2);
-  table.EvictStale(Seconds(150));
+  table.OnPacketSeen(2, 1, Seconds(200), 2);
+  table.EvictStale(Seconds(250));
   EXPECT_FALSE(table.Contains(1));
   EXPECT_TRUE(table.Contains(2));
 }
@@ -108,9 +107,7 @@ TEST(NeighborTableTest, SequenceWraparoundHandled) {
 }
 
 TEST(NeighborTableTest, QualityTracksLinkChanges) {
-  NeighborTableOptions opts;
-  opts.ewma_alpha = 0.5;
-  NeighborTable table(opts);
+  NeighborTable table;
   uint16_t seq = 1;
   for (int i = 0; i < 32; ++i) table.OnPacketSeen(6, seq++, Seconds(i), 6);
   double good = table.Quality(6);
@@ -128,16 +125,16 @@ TEST(NeighborTableTest, QualityTracksLinkChanges) {
 /// ranking, no in-link hints. The oracle for the model test below.
 class ModelTable {
  public:
-  explicit ModelTable(const NeighborTableOptions& o) : o_(o) {}
+  using T = NeighborTable;
 
   void OnPacketSeen(NodeId src, uint16_t seq, SimTime now) {
     auto it = m_.find(src);
     if (it == m_.end()) {
-      if (static_cast<int>(m_.size()) >= o_.capacity) EvictWorst();
+      if (static_cast<int>(m_.size()) >= T::kCapacity) EvictWorst();
       E e;
       e.last_seq = seq;
       e.received = 1;
-      e.quality = o_.initial_quality;
+      e.quality = T::kInitialQuality;
       e.last_heard = now;
       m_[src] = e;
       return;
@@ -148,11 +145,12 @@ class ModelTable {
     if (gap == 0) return;
     e.last_seq = seq;
     e.received += 1;
-    e.missed += std::min<int>(gap - 1, o_.estimation_window);
-    if (e.received + e.missed >= o_.estimation_window) {
+    e.missed += std::min<int>(gap - 1, T::kEstimationWindow);
+    if (e.received + e.missed >= T::kEstimationWindow) {
       double observed = static_cast<double>(e.received) / (e.received + e.missed);
-      e.quality = e.has_estimate ? o_.ewma_alpha * observed + (1 - o_.ewma_alpha) * e.quality
-                                 : observed;
+      e.quality = e.has_estimate
+                      ? T::kEwmaAlpha * observed + (1 - T::kEwmaAlpha) * e.quality
+                      : observed;
       e.has_estimate = true;
       e.received = 0;
       e.missed = 0;
@@ -163,13 +161,13 @@ class ModelTable {
     auto it = m_.find(id);
     if (it == m_.end()) return;
     E& e = it->second;
-    e.reverse = e.has_reverse ? o_.ewma_alpha * q + (1 - o_.ewma_alpha) * e.reverse : q;
+    e.reverse = e.has_reverse ? T::kEwmaAlpha * q + (1 - T::kEwmaAlpha) * e.reverse : q;
     e.has_reverse = true;
   }
 
   void EvictStale(SimTime now) {
     std::erase_if(m_, [&](const auto& kv) {
-      return now - kv.second.last_heard > o_.eviction_timeout;
+      return now - kv.second.last_heard > T::kEvictionTimeout;
     });
   }
 
@@ -231,7 +229,6 @@ class ModelTable {
     m_.erase(worst);
   }
 
-  NeighborTableOptions o_;
   std::map<NodeId, E> m_;
 };
 
@@ -242,12 +239,10 @@ enum class Hints { kCorrect, kWrong, kStale };
 /// table with in-link hints of the given kind and to the model without
 /// any. Every query must agree after every op.
 void RunModelSequence(Hints hints, uint64_t seed) {
-  NeighborTableOptions opts;
-  opts.eviction_timeout = Seconds(40);
-  NeighborTable table(opts);
-  ModelTable model(opts);
+  NeighborTable table;
+  ModelTable model;
   Rng rng(seed, /*stream=*/static_cast<uint64_t>(hints));
-  constexpr int kSenders = 48;  // > capacity 32.
+  constexpr int kSenders = NeighborTable::kCapacity * 3 / 2;
   std::vector<uint16_t> seq(kSenders + 1, 0);
   // Correct ranks are a fixed permutation of 0..kSenders-1; stale ranks
   // are re-dealt every 40 ops, so cached positions go on naming whichever
@@ -270,7 +265,9 @@ void RunModelSequence(Hints hints, uint64_t seed) {
   int stale_drops = 0;
   for (int op = 0; op < 3000; ++op) {
     if (hints == Hints::kStale && op % 40 == 0) rng.Shuffle(rank.begin() + 1, rank.end());
-    now += rng.UniformInt(0, Millis(800));
+    // Steps average 2.4 s, so a 250-op phase spans ~600 s, well past the
+    // 240 s eviction timeout.
+    now += rng.UniformInt(0, Millis(4800));
     // Phases alternate: all senders talk (the table overflows), then only
     // ten do (the others go stale).
     bool quiet_phase = (op / 250) % 2 == 1;
@@ -279,7 +276,10 @@ void RunModelSequence(Hints hints, uint64_t seed) {
     if (kind < 80) {
       // Gaps of 0 (a retransmission) up to a few lost packets.
       seq[id] = static_cast<uint16_t>(seq[id] + rng.UniformInt(0, 3));
-      if (table.size() == 32 && !table.Contains(id)) ++inserts_at_capacity;
+      if (table.size() == static_cast<size_t>(NeighborTable::kCapacity) &&
+          !table.Contains(id)) {
+        ++inserts_at_capacity;
+      }
       table.OnPacketSeen(id, seq[id], now, in_link(id));
       model.OnPacketSeen(id, seq[id], now);
     } else if (kind < 95) {

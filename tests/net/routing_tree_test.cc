@@ -50,9 +50,7 @@ TEST(RoutingTreeTest, PrefersLowerTotalEtx) {
 }
 
 TEST(RoutingTreeTest, HysteresisPreventsFlapping) {
-  RoutingTreeOptions opts;
-  opts.hysteresis = 0.85;
-  RoutingTree tree(5, false, opts);
+  RoutingTree tree(5, false);  // Switches only below 0.85 x the parent's cost.
   tree.OnBeacon(3, Beacon(0, 1.0, 1), 0.5, Seconds(1));  // Cost 3.0.
   ASSERT_EQ(tree.parent(), 3);
   // A marginally better candidate (cost 2.9) must not displace the parent.
@@ -64,9 +62,7 @@ TEST(RoutingTreeTest, HysteresisPreventsFlapping) {
 }
 
 TEST(RoutingTreeTest, IgnoresWeakLinks) {
-  RoutingTreeOptions opts;
-  opts.min_usable_quality = 0.1;
-  RoutingTree tree(5, false, opts);
+  RoutingTree tree(5, false);  // 0.05 is below the 0.10 usable-link floor.
   tree.OnBeacon(0, Beacon(kInvalidNodeId, 0.0, 0), 0.05, Seconds(1));
   EXPECT_FALSE(tree.HasRoute());
 }
@@ -92,9 +88,7 @@ TEST(RoutingTreeTest, ParentSwitchesWhenChildClaimsUs) {
 }
 
 TEST(RoutingTreeTest, ParentTimesOut) {
-  RoutingTreeOptions opts;
-  opts.parent_timeout = Seconds(90);
-  RoutingTree tree(5, false, opts);
+  RoutingTree tree(5, false);  // Abandons a parent silent for 90 s.
   tree.OnBeacon(0, Beacon(kInvalidNodeId, 0.0, 0), 0.9, Seconds(1));
   ASSERT_TRUE(tree.HasRoute());
   tree.MaybeTimeoutParent(Seconds(200));
@@ -102,9 +96,7 @@ TEST(RoutingTreeTest, ParentTimesOut) {
 }
 
 TEST(RoutingTreeTest, FallsBackToSecondCandidateOnTimeout) {
-  RoutingTreeOptions opts;
-  opts.parent_timeout = Seconds(90);
-  RoutingTree tree(5, false, opts);
+  RoutingTree tree(5, false);  // Abandons a parent silent for 90 s.
   tree.OnBeacon(3, Beacon(0, 0.5, 1), 0.9, Seconds(1));
   ASSERT_EQ(tree.parent(), 3);
   tree.OnBeacon(4, Beacon(0, 2.0, 1), 0.9, Seconds(80));
@@ -123,9 +115,7 @@ TEST(RoutingTreeTest, MakeBeaconAdvertisesRoute) {
 }
 
 TEST(RoutingTreeTest, RejectsAbsurdDepth) {
-  RoutingTreeOptions opts;
-  opts.max_depth = 64;
-  RoutingTree tree(5, false, opts);
+  RoutingTree tree(5, false);  // Ignores beacons from depth 64 or more.
   tree.OnBeacon(3, Beacon(0, 1.0, 200), 0.9, Seconds(1));
   EXPECT_FALSE(tree.HasRoute());
 }

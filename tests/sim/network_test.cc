@@ -1,5 +1,5 @@
 // The simulated network as protocol code sees it: boots, app hosting,
-// radio power, per-node timers and radio options, on a single-shard
+// radio power and per-node timers, on a single-shard
 // ShardedEngine (the sequential simulator).
 #include <gtest/gtest.h>
 
@@ -32,9 +32,7 @@ Topology Pair(double q = 1.0) {
 }
 
 TEST(NetworkTest, BootsAllAppsWithinJitterWindow) {
-  ShardedEngineOptions opts;
-  opts.boot_jitter = Seconds(2);
-  ShardedEngine net(Pair(), opts);
+  ShardedEngine net(Pair(), ShardedEngineOptions{});
   auto a = std::make_unique<ProbeApp>();
   auto b = std::make_unique<ProbeApp>();
   ProbeApp* pa = a.get();
@@ -44,8 +42,9 @@ TEST(NetworkTest, BootsAllAppsWithinJitterWindow) {
   net.Start();
   net.RunUntil(Seconds(3));
   EXPECT_GE(pa->booted_at, 0);
-  EXPECT_LE(pa->booted_at, Seconds(2));
+  EXPECT_LE(pa->booted_at, ShardedEngine::kBootJitter);
   EXPECT_GE(pb->booted_at, 0);
+  EXPECT_LE(pb->booted_at, ShardedEngine::kBootJitter);
   EXPECT_EQ(pa->self, 0);
   EXPECT_EQ(pb->self, 1);
 }
@@ -60,29 +59,28 @@ TEST(NetworkTest, AppAccessorReturnsInstalledApp) {
 }
 
 TEST(NetworkTest, DeadNodeStopsSendingAndReceiving) {
-  ShardedEngineOptions opts;
-  opts.boot_jitter = 0;
-  ShardedEngine net(Pair(), opts);
+  ShardedEngine net(Pair(), ShardedEngineOptions{});
   auto a = std::make_unique<ProbeApp>();
   auto b = std::make_unique<ProbeApp>();
   ProbeApp* pb = b.get();
   net.SetApp(0, std::move(a));
   net.SetApp(1, std::move(b));
   net.Start();
-  net.RunUntil(Seconds(1));
+  SimTime t = ShardedEngine::kBootJitter + Seconds(1);  // Both nodes are up.
+  net.RunUntil(t);
 
   net.FaultSetAlive(1, false);
   net.context(0).Broadcast(MakePacket(0, kInvalidNodeId, BeaconPayload{}));
-  net.RunUntil(Seconds(2));
+  net.RunUntil(t + Seconds(1));
   EXPECT_EQ(pb->received, 0);  // Dead radio heard nothing.
 
   net.context(1).Broadcast(MakePacket(1, kInvalidNodeId, BeaconPayload{}));
-  net.RunUntil(Seconds(3));
+  net.RunUntil(t + Seconds(2));
   EXPECT_EQ(net.traffic().TotalSent(), 1u);  // Only node 0's broadcast went on air.
 
   net.FaultSetAlive(1, true);
   net.context(0).Broadcast(MakePacket(0, kInvalidNodeId, BeaconPayload{}));
-  net.RunUntil(Seconds(4));
+  net.RunUntil(t + Seconds(3));
   EXPECT_EQ(pb->received, 1);  // Recovered.
 }
 
@@ -99,17 +97,6 @@ TEST(NetworkTest, ContextScheduleAndCancel) {
   net.context(0).Cancel(cancel);
   net.RunUntil(Seconds(5));
   EXPECT_EQ(fired, 1);
-}
-
-TEST(NetworkTest, RadioOptionsExposedToApps) {
-  ShardedEngineOptions opts;
-  opts.radio.max_packet_bytes = 77;
-  ShardedEngine net(Pair(), opts);
-  net.SetApp(0, std::make_unique<ProbeApp>());
-  net.SetApp(1, std::make_unique<ProbeApp>());
-  net.Start();
-  net.RunUntil(Seconds(3));
-  EXPECT_EQ(net.context(0).radio_options().max_packet_bytes, 77);
 }
 
 }  // namespace

@@ -175,8 +175,8 @@ TEST(RadioTest, DeadLinkNeverDelivers) {
   const metrics::MessageStats traffic = f.engine.traffic();
   EXPECT_EQ(traffic.drops(metrics::DropReason::kNoAck), 20u);
   EXPECT_EQ(traffic.drops(metrics::DropReason::kChannelBusy), 0u);
-  // One first attempt plus unicast_retries retransmissions per frame.
-  EXPECT_EQ(traffic.SentBy(0), 20u * (1 + RadioOptions{}.unicast_retries));
+  // One first attempt plus kUnicastRetries retransmissions per frame.
+  EXPECT_EQ(traffic.SentBy(0), 20u * (1 + kUnicastRetries));
   EXPECT_EQ(traffic.receptions(), 0u);
 }
 
@@ -286,20 +286,21 @@ TEST(RadioTest, DuplicatesAreKeyedPerSender) {
   EXPECT_EQ(rx.ReceivedFrom(0) + rx.ReceivedFrom(2) - rx.duplicates, 60);
 }
 
-/// Runs 50 rounds in which `senders` each broadcast one beacon from the
-/// same driver instant (their carrier senses then fire a keyed random
-/// 8-16 ms later), and returns node `receiver`'s app.
+/// Runs 50 rounds, after every node has booted, in which `senders` each
+/// broadcast one beacon from the same driver instant (their carrier senses
+/// then fire a keyed random 8-16 ms later), and returns node `receiver`'s
+/// app.
 struct Rounds {
   std::unique_ptr<Fixture> fixture;
   RecorderApp* receiver;
 };
 Rounds BroadcastRounds(Topology topo, ShardedEngineOptions opts, std::vector<NodeId> senders,
                        NodeId receiver) {
-  opts.boot_jitter = 0;
   auto f = std::make_unique<Fixture>(std::move(topo), opts);
   for (int i = 0; i < 50; ++i) {
     ShardedEngine* engine = &f->engine;
-    f->engine.ScheduleDriver(Seconds(1) + Millis(100 * (i + 1)), [engine, senders] {
+    SimTime at = ShardedEngine::kBootJitter + Seconds(1) + Millis(100 * (i + 1));
+    f->engine.ScheduleDriver(at, [engine, senders] {
       for (NodeId s : senders) engine->context(s).Broadcast(TestBeacon(s));
     });
   }
@@ -310,24 +311,21 @@ Rounds BroadcastRounds(Topology topo, ShardedEngineOptions opts, std::vector<Nod
 
 TEST(RadioTest, CollisionsCorruptOverlappingTransmissions) {
   // Hidden-terminal setup: 0 and 2 cannot hear each other (no carrier
-  // sense), both send to 1 at nearly the same time on perfect links. With
-  // collisions modeled, most packets must be lost; without, all arrive.
-  auto run = [](bool model_collisions) {
-    ShardedEngineOptions opts = Options(9);
-    opts.radio.model_collisions = model_collisions;
-    Rounds r = BroadcastRounds(ChainTopology(1.0, 1.0), opts, {0, 2}, 1);
+  // sense) and send to 1 at nearly the same time on perfect links. Each
+  // sender alone gets every frame through; together most are lost.
+  auto received = [](std::vector<NodeId> senders) {
+    Rounds r = BroadcastRounds(ChainTopology(1.0, 1.0), Options(9), std::move(senders), 1);
     return static_cast<int>(r.receiver->received.size());
   };
-  int with_collisions = run(true);
-  int without_collisions = run(false);
-  EXPECT_EQ(without_collisions, 100);
-  EXPECT_LT(with_collisions, 20);  // Nearly everything collides.
+  EXPECT_EQ(received({0}), 50);
+  EXPECT_EQ(received({2}), 50);
+  EXPECT_LT(received({0, 2}), 20);  // Nearly everything collides.
 }
 
 TEST(RadioTest, CaptureLetsTheStrongerOfTwoOverlappingFramesSurvive) {
   // Hidden terminals 0 and 2 both reach receiver 1; 0's link is perfect.
   // An overlapping frame corrupts reception only if the interferer's link
-  // is at least capture_ratio (0.5) as strong as the signal's.
+  // is at least half (the capture ratio) as strong as the signal's.
   auto from_strong = [](double weak_link) {
     std::vector<Point> pos = {{0, 0}, {10, 0}, {20, 0}};
     std::vector<std::vector<double>> d = {
@@ -340,33 +338,35 @@ TEST(RadioTest, CaptureLetsTheStrongerOfTwoOverlappingFramesSurvive) {
 }
 
 TEST(RadioTest, OnlyInterferersAtTheThresholdCanCorrupt) {
-  // Hidden terminals 0 and 2 both reach receiver 1; 0's link is perfect.
-  // A capture ratio of 0.01 puts capture_ratio * signal below the
+  // Hidden terminals 0 and 2 both reach receiver 1. 0's link (0.099) is
+  // so weak that the capture bound (half the signal) lies below the
   // interference threshold, so capture alone would let any of 2's links
   // corrupt. The threshold must still decide: a link just below it never
-  // corrupts, and a link exactly at it does.
-  auto from_strong = [](double interferer_link) {
+  // corrupts -- 0's deliveries match a run in which 1 cannot hear 2 at
+  // all -- and a link exactly at it does. Loss and backoff draws are
+  // keyed per sender, so 0's frames see the same draws in every run.
+  auto from_weak = [](double interferer_link) {
     std::vector<Point> pos = {{0, 0}, {10, 0}, {20, 0}};
     std::vector<std::vector<double>> d = {
-        {0, 1.0, 0}, {1.0, 0, interferer_link}, {0, interferer_link, 0}};
-    ShardedEngineOptions opts = Options(21);
-    opts.radio.capture_ratio = 0.01;
-    Rounds r = BroadcastRounds(Topology::FromMatrix(pos, d), opts, {0, 2}, 1);
+        {0, 0.099, 0}, {0.099, 0, interferer_link}, {0, interferer_link, 0}};
+    Rounds r = BroadcastRounds(Topology::FromMatrix(pos, d), Options(21), {0, 2}, 1);
     return r.receiver->ReceivedFrom(0);
   };
   const double threshold = Topology::kInterferenceThreshold;
-  EXPECT_EQ(from_strong(std::nextafter(threshold, 0.0)), 50);
-  EXPECT_LT(from_strong(threshold), 20);
+  const int unheard = from_weak(0.0);
+  EXPECT_GT(unheard, 0);
+  EXPECT_EQ(from_weak(std::nextafter(threshold, 0.0)), unheard);
+  EXPECT_LT(from_weak(threshold), unheard);
 }
 
 TEST(RadioTest, HalfDuplexReceiverMissesFramesWhileTransmitting) {
   // 0 -> 1 is perfect but 1 -> 0 is silent, so 0 never senses 1's frames.
   // Whenever 1 is on the air (broadcasting to 2) while 0's frame arrives,
-  // 1 cannot receive it. Collisions are off to isolate half duplex.
+  // 1 cannot receive it. Node 2 never transmits, so no frame can collide
+  // at 1: any loss is half duplex.
   std::vector<Point> pos = {{0, 0}, {10, 0}, {20, 0}};
   std::vector<std::vector<double>> d = {{0, 1.0, 0}, {0, 0, 1.0}, {0, 1.0, 0}};
   ShardedEngineOptions opts = Options(13);
-  opts.radio.model_collisions = false;
   Rounds alone = BroadcastRounds(Topology::FromMatrix(pos, d), opts, {0}, 1);
   EXPECT_EQ(alone.receiver->ReceivedFrom(0), 50);
   Rounds busy = BroadcastRounds(Topology::FromMatrix(pos, d), opts, {0, 1}, 1);
@@ -395,7 +395,7 @@ TEST(RadioTest, RejectsOversizedPackets) {
     big.entries.push_back(RangeEntry{i, i, 1});
   }
   Packet pkt = MakePacket(0, 0, big);
-  EXPECT_GT(pkt.WireSize(), f.ctx(0).radio_options().max_packet_bytes);
+  EXPECT_GT(pkt.WireSize(), kMaxPacketBytes);
   EXPECT_DEATH(f.ctx(0).Broadcast(pkt), "SCOOP_CHECK");
 }
 
@@ -403,7 +403,7 @@ TEST(RadioTest, AirtimeScalesWithSize) {
   Topology topo = ChainTopology(1.0, 1.0);
   std::vector<int> owner(3, 0);
   ShardQueue queue(/*num_origins=*/3);
-  ShardRadio radio(&topo, RadioOptions{}, &queue, /*seed=*/1, &owner, /*self_shard=*/0);
+  ShardRadio radio(&topo, &queue, /*seed=*/1, &owner, /*self_shard=*/0);
   SimTime small = radio.Airtime(20);
   SimTime large = radio.Airtime(90);
   EXPECT_GT(large, small);
@@ -412,24 +412,10 @@ TEST(RadioTest, AirtimeScalesWithSize) {
 }
 
 TEST(RadioTest, BackoffWindowStartsAtMinDoublesAndClamps) {
-  RadioOptions opts;
-  opts.backoff_min = Millis(1);
-  opts.backoff_max = Millis(32);
   std::vector<SimTime> windows;
-  for (int attempt = 1; attempt <= 8; ++attempt) {
-    windows.push_back(BackoffWindow(opts, attempt));
-  }
-  EXPECT_EQ(windows, (std::vector<SimTime>{Millis(1), Millis(2), Millis(4), Millis(8),
-                                           Millis(16), Millis(32), Millis(32), Millis(32)}));
-
-  opts.backoff_min = Millis(2);
-  opts.backoff_max = Millis(16);
-  windows.clear();
-  for (int attempt = 1; attempt <= 6; ++attempt) {
-    windows.push_back(BackoffWindow(opts, attempt));
-  }
-  EXPECT_EQ(windows, (std::vector<SimTime>{Millis(2), Millis(4), Millis(8), Millis(16),
-                                           Millis(16), Millis(16)}));
+  for (int attempt = 1; attempt <= 6; ++attempt) windows.push_back(BackoffWindow(attempt));
+  EXPECT_EQ(windows, (std::vector<SimTime>{Millis(8), Millis(16), Millis(32), Millis(64),
+                                           Millis(64), Millis(64)}));
 }
 
 /// Sends `first` from node 0 and steps the engine in 1 ms slices until it

@@ -134,7 +134,7 @@ TEST(ShardRadioDeathTest, AnnounceBehindTheClockIsAStraggler) {
   Topology topo = Topology::FromMatrix(pos, d);
   std::vector<int> owner = {0, 1};
   ShardQueue queue(/*num_origins=*/2);
-  ShardRadio radio(&topo, RadioOptions{}, &queue, /*seed=*/1, &owner, /*self_shard=*/0);
+  ShardRadio radio(&topo, &queue, /*seed=*/1, &owner, /*self_shard=*/0);
   const SimTime t = Millis(50);
   queue.ScheduleRegular(t, 0, [] {});
   queue.RunOne();

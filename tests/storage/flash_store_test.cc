@@ -43,26 +43,15 @@ TEST(FlashStoreTest, EmptyRangesMatchAllValues) {
 }
 
 TEST(FlashStoreTest, RingOverwriteDropsOldest) {
-  FlashOptions opts;
-  opts.capacity_tuples = 4;
-  FlashStore store(opts);
-  for (Value v = 0; v < 10; ++v) store.Store({1, v, Seconds(v)});
-  EXPECT_EQ(store.size(), 4u);
+  FlashStore store;
+  const Value total = static_cast<Value>(FlashStore::kCapacityTuples) + 6;
+  for (Value v = 0; v < total; ++v) store.Store({1, v, Seconds(v)});
+  EXPECT_EQ(store.size(), FlashStore::kCapacityTuples);
   EXPECT_EQ(store.tuples_overwritten(), 6u);
-  auto hits = store.Scan(TimeRangeQuery(0, Seconds(1000)));
-  ASSERT_EQ(hits.size(), 4u);
+  auto hits = store.Scan(TimeRangeQuery(0, Seconds(total)));
+  ASSERT_EQ(hits.size(), FlashStore::kCapacityTuples);
   EXPECT_EQ(hits[0].value, 6);
-}
-
-TEST(FlashStoreTest, EnergyAccounting) {
-  FlashOptions opts;
-  opts.write_nj_per_bit = 28.0;
-  opts.bits_per_tuple = 64;
-  FlashStore store(opts);
-  store.Store({1, 1, 0});
-  EXPECT_DOUBLE_EQ(store.energy_nj(), 28.0 * 64);
-  store.Scan(TimeRangeQuery(0, 10));
-  EXPECT_GT(store.energy_nj(), 28.0 * 64);  // Scan adds read energy.
+  EXPECT_EQ(hits.back().value, total - 1);
 }
 
 TEST(SummaryBuilderTest, BuildsFromRecentReadings) {
@@ -96,10 +85,8 @@ TEST(SummaryBuilderTest, NeighborListCapped) {
   recent.Push(Reading{5, 0});
   net::NeighborTable neighbors;
   for (NodeId id = 1; id <= 20; ++id) neighbors.OnPacketSeen(id, 1, Seconds(1), id);
-  SummaryBuilderOptions opts;
-  opts.max_neighbors = 12;
-  SummaryPayload summary = BuildSummary(0, recent, 1, neighbors, kNoIndex, opts);
-  EXPECT_EQ(summary.neighbors.size(), 12u);
+  SummaryPayload summary = BuildSummary(0, recent, 1, neighbors, kNoIndex);
+  EXPECT_EQ(summary.neighbors.size(), 12u);  // The paper's 12 best.
 }
 
 }  // namespace

@@ -30,30 +30,27 @@ struct Fixture {
   sim::ShardedEngine engine;
 };
 
-TrickleOptions FastOptions() {
-  TrickleOptions o;
-  o.tau_min = Seconds(1);
-  o.tau_max = Seconds(8);
-  o.redundancy_k = 1;
-  return o;
-}
+// The product's mapping-gossip Trickle: tau in [2 s, 64 s], k = 1.
+constexpr SimTime kTauMin = TrickleTimer::kTauMin;
+constexpr SimTime kTauMax = TrickleTimer::kTauMax;
 
 TEST(TrickleDriverTest, FiresRepeatedlyWithBackoff) {
   Fixture f;
   int fires = 0;
-  TrickleDriver driver(&f.engine.context(0), FastOptions(), [&] { ++fires; });
+  TrickleDriver driver(&f.engine.context(0), [&] { ++fires; });
   driver.Start();
-  f.engine.RunUntil(f.engine.DriverNow() + Seconds(64));
-  // Quiet medium: one fire per interval; intervals double 1,2,4,8,8,...
+  f.engine.RunUntil(f.engine.DriverNow() + Minutes(4));
+  // Quiet medium: one fire per interval; intervals double 2,4,...,64,64,
+  // so four minutes hold 7 or 8 fires where tau_min would give ~120.
   EXPECT_GE(fires, 7);
-  EXPECT_LE(fires, 14);
-  EXPECT_EQ(driver.tau(), Seconds(8));
+  EXPECT_LE(fires, 8);
+  EXPECT_EQ(driver.tau(), kTauMax);
 }
 
 TEST(TrickleDriverTest, ConsistentMessagesSuppressFires) {
   Fixture f;
   int fires = 0;
-  TrickleDriver driver(&f.engine.context(0), FastOptions(), [&] { ++fires; });
+  TrickleDriver driver(&f.engine.context(0), [&] { ++fires; });
   driver.Start();
   // Continuously mark the interval consistent: nothing should fire.
   std::function<void()> chatter = [&] {
@@ -68,21 +65,21 @@ TEST(TrickleDriverTest, ConsistentMessagesSuppressFires) {
 TEST(TrickleDriverTest, InconsistencyResetsInterval) {
   Fixture f;
   int fires = 0;
-  TrickleDriver driver(&f.engine.context(0), FastOptions(), [&] { ++fires; });
+  TrickleDriver driver(&f.engine.context(0), [&] { ++fires; });
   driver.Start();
-  f.engine.RunUntil(f.engine.DriverNow() + Seconds(40));  // tau has grown to max.
-  ASSERT_EQ(driver.tau(), Seconds(8));
+  f.engine.RunUntil(f.engine.DriverNow() + Seconds(100));  // tau has grown to max.
+  ASSERT_EQ(driver.tau(), kTauMax);
   driver.NoteInconsistent();
-  EXPECT_EQ(driver.tau(), Seconds(1));
+  EXPECT_EQ(driver.tau(), kTauMin);
   int fires_before = fires;
-  f.engine.RunUntil(f.engine.DriverNow() + Seconds(2));
+  f.engine.RunUntil(f.engine.DriverNow() + kTauMin);
   EXPECT_GT(fires, fires_before);  // Fast re-announcement after reset.
 }
 
 TEST(TrickleDriverTest, StopCancelsPendingFire) {
   Fixture f;
   int fires = 0;
-  TrickleDriver driver(&f.engine.context(0), FastOptions(), [&] { ++fires; });
+  TrickleDriver driver(&f.engine.context(0), [&] { ++fires; });
   driver.Start();
   driver.Stop();
   f.engine.RunUntil(f.engine.DriverNow() + Seconds(20));
@@ -96,14 +93,14 @@ TEST(TrickleDriverTest, StopCancelsPendingFire) {
 TEST(TrickleDriverTest, HoldAtMinKeepsFiringFast) {
   Fixture f;
   int fires = 0;
-  TrickleDriver driver(&f.engine.context(0), FastOptions(), [&] { ++fires; });
+  TrickleDriver driver(&f.engine.context(0), [&] { ++fires; });
   driver.set_hold_at_min(true);
   driver.Start();
-  f.engine.RunUntil(f.engine.DriverNow() + Seconds(32));
-  // Held at tau_min=1s: about one fire per second, far more than the
-  // doubled-backoff case (~7).
-  EXPECT_GE(fires, 25);
-  EXPECT_EQ(driver.tau(), Seconds(1));
+  f.engine.RunUntil(f.engine.DriverNow() + Seconds(64));
+  // Held at tau_min = 2 s: about one fire per 2 s, far more than the
+  // doubled-backoff case (5).
+  EXPECT_GE(fires, 30);
+  EXPECT_EQ(driver.tau(), kTauMin);
 }
 
 }  // namespace

@@ -16,11 +16,15 @@
 #                             and the traces are compared as multisets of
 #                             events, less the wall-clock `ept.stall`
 #                             instants.
+# An examples leg runs every examples/ program both builds hold, with no
+# arguments, and cmp's their stdout; a program only one build holds is
+# listed as `new:` or `gone:`.
 # Exits non-zero if any pair differs or any run fails.
 #
 # Usage: tools/csv_identity.sh PARENT_BUILD CHANGE_BUILD
-#   Each argument is a build directory holding tools/scoop_campaign
-#   (e.g. a build of the parent commit and one of the change). Given the
+#   Each argument is a build directory holding tools/scoop_campaign and
+#   examples/example_* (e.g. a build of the parent commit and one of the
+#   change). Given the
 #   same build twice, it checks run-to-run reproducibility instead: every
 #   leg, the K = 3 metrics and traces included, must come out identical.
 #   CSV_IDENTITY_OUT=DIR keeps the outputs in DIR (default: a temp dir,
@@ -33,8 +37,10 @@ if [[ $# -ne 2 ]]; then
   echo "usage: $0 PARENT_BUILD CHANGE_BUILD" >&2
   exit 2
 fi
-parent="$1/tools/scoop_campaign"
-change="$2/tools/scoop_campaign"
+parent_dir="$1"
+change_dir="$2"
+parent="${parent_dir}/tools/scoop_campaign"
+change="${change_dir}/tools/scoop_campaign"
 for bin in "${parent}" "${change}"; do
   if [[ ! -x "${bin}" ]]; then
     echo "csv_identity: no scoop_campaign at ${bin}" >&2
@@ -189,8 +195,34 @@ done
 obs_leg churn_reboot.obs 1
 obs_leg churn_reboot.obs.shards3 3
 
+example_legs=0
+for bin in "${change_dir}"/examples/example_*; do
+  [[ -x "${bin}" ]] || continue
+  name="$(basename "${bin}")"
+  if [[ ! -x "${parent_dir}/examples/${name}" ]]; then
+    echo "new:       ${name}"
+    continue
+  fi
+  example_legs=$(( example_legs + 1 ))
+  if ! "${parent_dir}/examples/${name}" > "${out}/${name}.parent.out" ||
+     ! "${bin}" > "${out}/${name}.change.out"; then
+    echo "FAILED     ${name} (a run exited non-zero)"
+    failed=1
+  elif cmp -s "${out}/${name}.parent.out" "${out}/${name}.change.out"; then
+    echo "identical  ${name}"
+  else
+    echo "DIFFERS    ${name}"
+    failed=1
+  fi
+done
+for bin in "${parent_dir}"/examples/example_*; do
+  if [[ -x "${bin}" && ! -x "${change_dir}/examples/$(basename "${bin}")" ]]; then
+    echo "gone:      $(basename "${bin}")"
+  fi
+done
+
 if [[ "${failed}" -ne 0 ]]; then
   echo "csv_identity: results differ" >&2
   exit 1
 fi
-echo "csv_identity: all $(( ${#legs[@]} + 2 )) legs identical"
+echo "csv_identity: all $(( ${#legs[@]} + 2 + example_legs )) legs identical"
