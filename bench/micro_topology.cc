@@ -1,12 +1,10 @@
-// Microbenchmarks of topology generation: the spatial-hash link walk vs
-// the brute-force all-pairs reference (ComputeDeliveryDense, retained in
-// sim/topology.cc exactly for this comparison and the equivalence test),
-// and end-to-end Topology::MakeRandom / MakeGrid at paper scale through
-// 10000 nodes. Areas scale with N so physical density -- and therefore
-// node degree -- stays constant, matching how micro_radio sizes its
-// networks; without that, a 10k-node network at ~20% audibility would
-// mean 2000-neighbor nodes no deployment has. The PR-4 acceptance bar is
-// MakeRandom at N = 10000 in under one second.
+// Microbenchmarks of topology generation: the spatial-hash link walk
+// (ComputeDelivery) and end-to-end Topology::MakeRandom / MakeGrid at
+// paper scale through 10000 nodes. Areas scale with N so physical density
+// -- and therefore node degree -- stays constant, matching how micro_radio
+// sizes its networks; without that, a 10k-node network at ~20% audibility
+// would mean 2000-neighbor nodes no deployment has. The bar is MakeRandom
+// at N = 10000 in under one second.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -44,16 +42,14 @@ std::vector<Point> ScatterPositions(int n, uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Link computation alone: spatial hash vs dense all-pairs, identical
-// output (the topology_test equivalence pin).
+// Link computation alone (topology_test pins its output against a dense
+// all-pairs reference).
 void BM_ComputeDeliverySpatial(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   std::vector<Point> positions = ScatterPositions(n, /*seed=*/4);
-  PropagationOptions prop;
   size_t links = 0;
   for (auto _ : state) {
-    auto result = Topology::ComputeDelivery(positions, prop, /*range=*/18.0,
-                                            /*link_seed=*/11);
+    auto result = Topology::ComputeDelivery(positions, /*range=*/18.0, /*link_seed=*/11);
     for (const auto& row : result) links += row.size();
     benchmark::DoNotOptimize(result);
   }
@@ -62,23 +58,6 @@ void BM_ComputeDeliverySpatial(benchmark::State& state) {
       static_cast<double>(links) / static_cast<double>(std::max<size_t>(1, state.iterations()));
 }
 BENCHMARK(BM_ComputeDeliverySpatial)->Arg(250)->Arg(1000)->Arg(4000)->Arg(10000);
-
-void BM_ComputeDeliveryDense(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  std::vector<Point> positions = ScatterPositions(n, /*seed=*/4);
-  PropagationOptions prop;
-  size_t links = 0;
-  for (auto _ : state) {
-    auto result = Topology::ComputeDeliveryDense(positions, prop, /*range=*/18.0,
-                                                 /*link_seed=*/11);
-    for (const auto& row : result) links += row.size();
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  state.counters["links"] =
-      static_cast<double>(links) / static_cast<double>(std::max<size_t>(1, state.iterations()));
-}
-BENCHMARK(BM_ComputeDeliveryDense)->Arg(250)->Arg(1000)->Arg(4000);
 
 // ---------------------------------------------------------------------------
 // End-to-end generation, including range growth to connectivity and the

@@ -6,10 +6,16 @@ namespace scoop {
 
 namespace {
 LogLevel g_level = LogLevel::kWarning;
-void (*g_sink)(LogLevel, const std::string&) = nullptr;
 
 thread_local ScopedLogClock::NowFn t_clock_fn = nullptr;
 thread_local const void* t_clock_ctx = nullptr;
+
+/// Reads the calling thread's registered sim clock; false when none.
+bool CurrentLogSimTime(SimTime* out) {
+  if (t_clock_fn == nullptr) return false;
+  *out = t_clock_fn(t_clock_ctx);
+  return true;
+}
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -35,16 +41,6 @@ LogLevel LogLevelForVerbosity(int verbosity) {
   return LogLevel::kDebug;
 }
 
-void SetLogSink(void (*sink)(LogLevel level, const std::string& line)) {
-  g_sink = sink;
-}
-
-bool CurrentLogSimTime(SimTime* out) {
-  if (t_clock_fn == nullptr) return false;
-  *out = t_clock_fn(t_clock_ctx);
-  return true;
-}
-
 ScopedLogClock::ScopedLogClock(NowFn fn, const void* ctx)
     : previous_fn_(t_clock_fn), previous_ctx_(t_clock_ctx) {
   t_clock_fn = fn;
@@ -58,7 +54,7 @@ ScopedLogClock::~ScopedLogClock() {
 
 namespace internal {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(level) {
+LogMessage::LogMessage(LogLevel level, const char* file, int line) {
   stream_ << "[" << LevelName(level);
   SimTime now = 0;
   if (CurrentLogSimTime(&now)) {
@@ -69,13 +65,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(leve
   stream_ << " " << file << ":" << line << "] ";
 }
 
-LogMessage::~LogMessage() {
-  if (g_sink != nullptr) {
-    g_sink(level_, stream_.str());
-    return;
-  }
-  std::fprintf(stderr, "%s\n", stream_.str().c_str());
-}
+LogMessage::~LogMessage() { std::fprintf(stderr, "%s\n", stream_.str().c_str()); }
 
 }  // namespace internal
 }  // namespace scoop

@@ -8,14 +8,11 @@
 // provider is thread-local, so the sharded engine's K worker threads each
 // stamp with their own shard clock without any synchronization.
 //
-// Sink: lines go to stderr unless a process-wide sink is installed
-// (SetLogSink) -- the same pluggable-sink shape the obs layer uses.
-// Install sinks before spawning engine threads.
+// Lines go to stderr.
 #ifndef SCOOP_COMMON_LOGGING_H_
 #define SCOOP_COMMON_LOGGING_H_
 
 #include <sstream>
-#include <string>
 
 #include "common/sim_time.h"
 
@@ -38,14 +35,6 @@ LogLevel GetLogLevel();
 /// Maps a -v count (0 = default, 1 = -v, >= 2 = -vv) to a threshold:
 /// kWarning / kInfo / kDebug.
 LogLevel LogLevelForVerbosity(int verbosity);
-
-/// Redirects emitted lines (the formatted text, no trailing newline) to
-/// `sink`; null restores the default stderr sink. Not thread-safe against
-/// concurrent logging -- install before engine threads start.
-void SetLogSink(void (*sink)(LogLevel level, const std::string& line));
-
-/// Reads the calling thread's registered sim clock; false when none.
-bool CurrentLogSimTime(SimTime* out);
 
 /// Registers `fn(ctx)` as the calling thread's sim clock for this scope.
 /// A raw function pointer + context (rather than std::function) so the
@@ -79,7 +68,6 @@ class LogMessage {
   std::ostringstream& stream() { return stream_; }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
 };
 

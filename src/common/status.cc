@@ -15,12 +15,6 @@ const char* CodeName(Status::Code code) {
       return "OutOfRange";
     case Status::Code::kResourceExhausted:
       return "ResourceExhausted";
-    case Status::Code::kFailedPrecondition:
-      return "FailedPrecondition";
-    case Status::Code::kUnavailable:
-      return "Unavailable";
-    case Status::Code::kInternal:
-      return "Internal";
   }
   return "Unknown";
 }

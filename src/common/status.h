@@ -22,9 +22,6 @@ class Status {
     kNotFound,
     kOutOfRange,
     kResourceExhausted,
-    kFailedPrecondition,
-    kUnavailable,
-    kInternal,
   };
 
   Status() = default;
@@ -39,11 +36,6 @@ class Status {
   static Status ResourceExhausted(std::string_view msg) {
     return Status(Code::kResourceExhausted, msg);
   }
-  static Status FailedPrecondition(std::string_view msg) {
-    return Status(Code::kFailedPrecondition, msg);
-  }
-  static Status Unavailable(std::string_view msg) { return Status(Code::kUnavailable, msg); }
-  static Status Internal(std::string_view msg) { return Status(Code::kInternal, msg); }
 
   /// True iff the operation succeeded.
   bool ok() const { return code_ == Code::kOk; }

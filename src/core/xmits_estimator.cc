@@ -12,6 +12,8 @@ namespace scoop::core {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Delivery quality assumed for both directions of a routing-tree edge.
+constexpr double kTreeEdgeQuality = 0.5;
 }  // namespace
 
 XmitsEstimator::XmitsEstimator(int num_nodes)
@@ -34,10 +36,10 @@ void XmitsEstimator::AddLink(NodeId from, NodeId to, double quality) {
   built_ = false;
 }
 
-void XmitsEstimator::AddTreeEdge(NodeId node, NodeId parent, double assumed_quality) {
+void XmitsEstimator::AddTreeEdge(NodeId node, NodeId parent) {
   if (node == parent) return;
   if (static_cast<int>(node) >= num_nodes_ || static_cast<int>(parent) >= num_nodes_) return;
-  double etx = net::LinkEtx(assumed_quality);
+  double etx = net::LinkEtx(kTreeEdgeQuality);
   reports_[node].push_back(Report{parent, etx, /*tree=*/true});
   reports_[parent].push_back(Report{node, etx, /*tree=*/true});
   built_ = false;

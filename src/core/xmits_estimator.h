@@ -42,7 +42,7 @@ class XmitsEstimator {
   /// Records a routing-tree edge learned from packet headers. Tree links
   /// are known-usable, so absent better information both directions get a
   /// conservative default quality.
-  void AddTreeEdge(NodeId node, NodeId parent, double assumed_quality = 0.5);
+  void AddTreeEdge(NodeId node, NodeId parent);
 
   /// Computes all-pairs costs. Must be called after mutations and before
   /// Xmits() queries.

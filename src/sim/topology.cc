@@ -11,16 +11,29 @@ namespace scoop::sim {
 
 namespace {
 
+// The synthetic radio model behind every preset, fixed at the §6 regime.
+/// Delivery probability at distance 0 before noise (<1: even adjacent
+/// motes drop packets, per §6: best pairs still lose ~25%).
+constexpr double kMaxDelivery = 0.78;
+/// Delivery falls off as (1 - (d/range)^kFalloffExp) * kMaxDelivery.
+constexpr double kFalloffExp = 2.2;
+/// Lognormal shadowing: per-directed-link multiplicative noise stddev.
+constexpr double kShadowingSigma = 0.22;
+/// Links weaker than this are inaudible (prob clamped to 0).
+constexpr double kMinDelivery = 0.08;
+
+/// Links at least this strong count toward a generated network's
+/// connectivity and its mean neighbor fraction.
+constexpr double kConnectivityThreshold = 0.1;
+
 double Distance(const Point& a, const Point& b) {
   return std::hypot(a.x - b.x, a.y - b.y);
 }
 
-/// True iff a BFS from node 0 over `row(u)` links with prob >= threshold
-/// reaches every node. The one reachability loop every connectivity check
-/// shares; `row` returns an iterable of Topology::Link.
-template <typename RowFn>
-bool ReachesAllFromBase(size_t n, double threshold, RowFn&& row) {
-  std::vector<bool> seen(n, false);
+/// True iff a BFS from node 0 over links with prob >=
+/// kConnectivityThreshold reaches every node.
+bool ReachesAllFromBase(const Topology::SparseLinks& links) {
+  std::vector<bool> seen(links.size(), false);
   std::queue<int> frontier;
   frontier.push(0);
   seen[0] = true;
@@ -28,48 +41,96 @@ bool ReachesAllFromBase(size_t n, double threshold, RowFn&& row) {
   while (!frontier.empty()) {
     int u = frontier.front();
     frontier.pop();
-    for (const Topology::Link& link : row(static_cast<size_t>(u))) {
-      if (link.prob < threshold || seen[link.to]) continue;
+    for (const Topology::Link& link : links[static_cast<size_t>(u)]) {
+      if (link.prob < kConnectivityThreshold || seen[link.to]) continue;
       seen[link.to] = true;
       ++reached;
       frontier.push(link.to);
     }
   }
-  return reached == n;
+  return reached == links.size();
 }
 
-/// Reverse adjacency restricted to links with prob >= threshold.
-template <typename RowFn>
-Topology::SparseLinks TransposeAbove(size_t n, double threshold, RowFn&& row) {
-  Topology::SparseLinks reverse(n);
-  for (size_t from = 0; from < n; ++from) {
-    for (const Topology::Link& link : row(from)) {
-      if (link.prob >= threshold) {
-        reverse[link.to].push_back(
-            Topology::Link{static_cast<NodeId>(from), link.prob});
+/// True iff every node is reachable *from* the base and can reach the
+/// base over links with prob >= kConnectivityThreshold. (Asymmetric
+/// shadowing can leave clusters with outbound-only links; those are not
+/// usable networks.) Two BFS passes, O(links).
+bool ConnectedBothWays(const Topology::SparseLinks& links) {
+  if (!ReachesAllFromBase(links)) return false;
+  Topology::SparseLinks reverse(links.size());
+  for (size_t from = 0; from < links.size(); ++from) {
+    for (const Topology::Link& link : links[from]) {
+      if (link.prob >= kConnectivityThreshold) {
+        reverse[link.to].push_back(Topology::Link{static_cast<NodeId>(from), link.prob});
       }
     }
   }
-  return reverse;
+  return ReachesAllFromBase(reverse);
+}
+
+/// Mean fraction of the network a node hears over links with prob >=
+/// kConnectivityThreshold.
+double NeighborFraction(const Topology::SparseLinks& links) {
+  size_t n = links.size();
+  long total = 0;
+  for (const auto& row : links) {
+    for (const Topology::Link& link : row) {
+      if (link.prob >= kConnectivityThreshold) ++total;
+    }
+  }
+  return static_cast<double>(total) / (static_cast<double>(n) * (n - 1));
 }
 
 /// Delivery probability of the directed pair (from, to) at distance `d`.
 /// The lognormal shadowing draw comes from a generator keyed on
 /// (link_seed, from, to), so any enumeration order produces the same link.
-double PairDelivery(const PropagationOptions& prop, uint64_t link_seed, NodeId from,
-                    NodeId to, double d, double range) {
-  double base = prop.max_delivery * (1.0 - std::pow(d / range, prop.falloff_exp));
+double PairDelivery(uint64_t link_seed, NodeId from, NodeId to, double d, double range) {
+  double base = kMaxDelivery * (1.0 - std::pow(d / range, kFalloffExp));
   uint64_t pair_key = (static_cast<uint64_t>(from) << 32) | to;
   Rng rng(MixSeed(link_seed, pair_key), /*stream=*/pair_key);
-  double noisy = base * std::exp(rng.Gaussian(0.0, prop.shadowing_sigma));
-  noisy = std::min(noisy, prop.max_delivery);
-  return (noisy < prop.min_delivery) ? 0.0 : noisy;
+  double noisy = base * std::exp(rng.Gaussian(0.0, kShadowingSigma));
+  noisy = std::min(noisy, kMaxDelivery);
+  return (noisy < kMinDelivery) ? 0.0 : noisy;
+}
+
+/// The connect-or-widen loop every generator runs: attempt k draws links
+/// at `range` with link seed MixSeed(seed, first_offset + k) and returns
+/// the first set connected both ways, growing the range 1.12x after each
+/// disconnected one. With `target_fraction` > 0 a connected set is also
+/// re-tuned toward that mean neighbor fraction (x0.93 when over 1.25x the
+/// target, x1.08 when under 0.75x). After 40 attempts the last resort is
+/// 4x the range, link seed MixSeed(seed, last_resort_offset): effectively
+/// always connected.
+Topology::SparseLinks ConnectOrWiden(const std::vector<Point>& positions, uint64_t seed,
+                                     uint64_t first_offset, uint64_t last_resort_offset,
+                                     double range, double target_fraction) {
+  for (int attempt = 0; attempt < 40; ++attempt) {
+    uint64_t link_seed = MixSeed(seed, first_offset + static_cast<uint64_t>(attempt));
+    Topology::SparseLinks links = Topology::ComputeDelivery(positions, range, link_seed);
+    if (!ConnectedBothWays(links)) {
+      range *= 1.12;
+      continue;
+    }
+    if (target_fraction > 0) {
+      double frac = NeighborFraction(links);
+      if (frac > target_fraction * 1.25) {
+        range *= 0.93;
+        continue;
+      }
+      if (frac < target_fraction * 0.75) {
+        range *= 1.08;
+        continue;
+      }
+    }
+    return links;
+  }
+  return Topology::ComputeDelivery(positions, range * 4,
+                                   MixSeed(seed, last_resort_offset));
 }
 
 }  // namespace
 
 Topology::SparseLinks Topology::ComputeDelivery(const std::vector<Point>& positions,
-                                                const PropagationOptions& prop,
                                                 double range, uint64_t link_seed) {
   size_t n = positions.size();
   SparseLinks links(n);
@@ -137,7 +198,7 @@ Topology::SparseLinks Topology::ComputeDelivery(const std::vector<Point>& positi
           if (j == i) continue;
           double d = Distance(positions[i], positions[j]);
           if (d >= range) continue;
-          double p = PairDelivery(prop, link_seed, static_cast<NodeId>(i),
+          double p = PairDelivery(link_seed, static_cast<NodeId>(i),
                                   static_cast<NodeId>(j), d, range);
           if (p > 0.0) out.push_back(Link{static_cast<NodeId>(j), p});
         }
@@ -145,25 +206,6 @@ Topology::SparseLinks Topology::ComputeDelivery(const std::vector<Point>& positi
     }
     std::sort(out.begin(), out.end(),
               [](const Link& a, const Link& b) { return a.to < b.to; });
-  }
-  return links;
-}
-
-Topology::SparseLinks Topology::ComputeDeliveryDense(const std::vector<Point>& positions,
-                                                     const PropagationOptions& prop,
-                                                     double range, uint64_t link_seed) {
-  size_t n = positions.size();
-  SparseLinks links(n);
-  if (n < 2 || range <= 0.0) return links;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      double d = Distance(positions[i], positions[j]);
-      if (d >= range) continue;
-      double p = PairDelivery(prop, link_seed, static_cast<NodeId>(i),
-                              static_cast<NodeId>(j), d, range);
-      if (p > 0.0) links[i].push_back(Link{static_cast<NodeId>(j), p});
-    }
   }
   return links;
 }
@@ -238,6 +280,8 @@ std::vector<InterfererSet> Topology::BuildInterfererSets() const {
 }
 
 Topology Topology::MakeRandom(const RandomTopologyOptions& options) {
+  // Starting radio range, before tuning toward the neighbor fraction.
+  constexpr double kRadioRange = 18.0;
   SCOOP_CHECK_GE(options.num_nodes, 2);
   Rng rng(options.seed, /*stream=*/0x70F0);
   std::vector<Point> positions(static_cast<size_t>(options.num_nodes));
@@ -249,50 +293,28 @@ Topology Topology::MakeRandom(const RandomTopologyOptions& options) {
         Point{rng.UniformDouble() * options.area_width,
               rng.UniformDouble() * options.area_height};
   }
-
-  double range = options.radio_range;
-  // Tune range to the requested mean neighbor fraction, then grow it until
-  // the network is connected.
-  for (int attempt = 0; attempt < 40; ++attempt) {
-    uint64_t link_seed = MixSeed(options.seed, 7 + static_cast<uint64_t>(attempt));
-    SparseLinks links =
-        ComputeDelivery(positions, options.propagation, range, link_seed);
-    int n = options.num_nodes;
-    bool connected = ConnectedAt(links, n, 0.1);
-    if (connected && options.target_neighbor_fraction > 0) {
-      double frac = NeighborFractionAt(links, n, 0.1);
-      if (frac > options.target_neighbor_fraction * 1.25) {
-        range *= 0.93;
-        continue;
-      }
-      if (frac < options.target_neighbor_fraction * 0.75) {
-        range *= 1.08;
-        continue;
-      }
-    }
-    if (connected) return Topology(positions, std::move(links));
-    range *= 1.12;
-  }
-  // Last resort: huge range; always connected.
-  uint64_t link_seed = MixSeed(options.seed, 999);
-  SparseLinks links =
-      ComputeDelivery(positions, options.propagation, range * 4, link_seed);
-  return Topology(positions, std::move(links));
+  SparseLinks links = ConnectOrWiden(positions, options.seed, /*first_offset=*/7,
+                                     /*last_resort_offset=*/999, kRadioRange,
+                                     options.target_neighbor_fraction);
+  return Topology(std::move(positions), std::move(links));
 }
 
 Topology Topology::MakeTestbed(const TestbedTopologyOptions& options) {
+  constexpr double kFloorLength = 90.0;
+  constexpr double kFloorWidth = 18.0;
+  constexpr double kRadioRange = 22.0;
   SCOOP_CHECK_GE(options.num_nodes, 2);
   Rng rng(options.seed, /*stream=*/0xBED);
   int n = options.num_nodes;
   std::vector<Point> positions(static_cast<size_t>(n));
   // Base near the left end of the floor (the paper's PC-attached mote).
-  positions[0] = Point{1.5, options.floor_width / 2};
+  positions[0] = Point{1.5, kFloorWidth / 2};
   // Motes laid out roughly in a grid down the floor (offices along a
   // corridor), with placement jitter.
-  int rows = std::max(2, static_cast<int>(std::floor(options.floor_width / 4.5)));
+  int rows = std::max(2, static_cast<int>(std::floor(kFloorWidth / 4.5)));
   int cols = (n - 2 + rows) / rows;
-  double dx = options.floor_length / (cols + 1);
-  double dy = options.floor_width / (rows + 1);
+  double dx = kFloorLength / (cols + 1);
+  double dy = kFloorWidth / (rows + 1);
   for (int i = 1; i < n; ++i) {
     int k = i - 1;
     int c = k / rows;
@@ -300,27 +322,23 @@ Topology Topology::MakeTestbed(const TestbedTopologyOptions& options) {
     double jx = rng.Gaussian(0, dx * 0.18);
     double jy = rng.Gaussian(0, dy * 0.18);
     positions[static_cast<size_t>(i)] =
-        Point{std::clamp((c + 1) * dx + jx, 0.0, options.floor_length),
-              std::clamp((r + 1) * dy + jy, 0.0, options.floor_width)};
+        Point{std::clamp((c + 1) * dx + jx, 0.0, kFloorLength),
+              std::clamp((r + 1) * dy + jy, 0.0, kFloorWidth)};
   }
-
-  double range = options.radio_range;
-  for (int attempt = 0; attempt < 40; ++attempt) {
-    uint64_t link_seed = MixSeed(options.seed, 1000 + static_cast<uint64_t>(attempt));
-    SparseLinks links =
-        ComputeDelivery(positions, options.propagation, range, link_seed);
-    if (ConnectedAt(links, n, 0.1)) return Topology(positions, std::move(links));
-    range *= 1.12;
-  }
-  uint64_t link_seed = MixSeed(options.seed, 2999);
-  SparseLinks links =
-      ComputeDelivery(positions, options.propagation, range * 4, link_seed);
-  return Topology(positions, std::move(links));
+  SparseLinks links = ConnectOrWiden(positions, options.seed, /*first_offset=*/1000,
+                                     /*last_resort_offset=*/2999, kRadioRange,
+                                     /*target_fraction=*/0);
+  return Topology(std::move(positions), std::move(links));
 }
 
 Topology Topology::MakeGrid(const GridTopologyOptions& options) {
+  // Meters between lattice neighbors.
+  constexpr double kSpacing = 6.0;
+  // Per-node placement jitter as a fraction of kSpacing (small jitter
+  // avoids degenerate equidistant link ties).
+  constexpr double kJitterFraction = 0.10;
+  constexpr double kRadioRange = 18.0;
   SCOOP_CHECK_GE(options.num_nodes, 2);
-  SCOOP_CHECK_GT(options.spacing, 0.0);
   Rng rng(options.seed, /*stream=*/0x6B1D);
   int n = options.num_nodes;
   int cols = static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n))));
@@ -330,24 +348,15 @@ Topology Topology::MakeGrid(const GridTopologyOptions& options) {
   for (int i = 0; i < n; ++i) {
     int r = i / cols;
     int c = i % cols;
-    double jx = (i == 0) ? 0.0 : rng.Gaussian(0, options.spacing * options.jitter_fraction);
-    double jy = (i == 0) ? 0.0 : rng.Gaussian(0, options.spacing * options.jitter_fraction);
+    double jx = (i == 0) ? 0.0 : rng.Gaussian(0, kSpacing * kJitterFraction);
+    double jy = (i == 0) ? 0.0 : rng.Gaussian(0, kSpacing * kJitterFraction);
     positions[static_cast<size_t>(i)] =
-        Point{std::max(0.0, c * options.spacing + jx), std::max(0.0, r * options.spacing + jy)};
+        Point{std::max(0.0, c * kSpacing + jx), std::max(0.0, r * kSpacing + jy)};
   }
-
-  double range = options.radio_range;
-  for (int attempt = 0; attempt < 40; ++attempt) {
-    uint64_t link_seed = MixSeed(options.seed, 3000 + static_cast<uint64_t>(attempt));
-    SparseLinks links =
-        ComputeDelivery(positions, options.propagation, range, link_seed);
-    if (ConnectedAt(links, n, 0.1)) return Topology(positions, std::move(links));
-    range *= 1.12;
-  }
-  uint64_t link_seed = MixSeed(options.seed, 3999);
-  SparseLinks links =
-      ComputeDelivery(positions, options.propagation, range * 4, link_seed);
-  return Topology(positions, std::move(links));
+  SparseLinks links = ConnectOrWiden(positions, options.seed, /*first_offset=*/3000,
+                                     /*last_resort_offset=*/3999, kRadioRange,
+                                     /*target_fraction=*/0);
+  return Topology(std::move(positions), std::move(links));
 }
 
 Topology Topology::FromMatrix(std::vector<Point> positions,
@@ -365,77 +374,6 @@ Topology Topology::FromMatrix(std::vector<Point> positions,
     }
   }
   return Topology(std::move(positions), std::move(links));
-}
-
-double Topology::NeighborFractionAt(const SparseLinks& links, int n, double threshold) {
-  if (n <= 1) return 0;
-  long total = 0;
-  for (const auto& row : links) {
-    for (const Link& link : row) {
-      if (link.prob >= threshold) ++total;
-    }
-  }
-  return static_cast<double>(total) / (static_cast<double>(n) * (n - 1));
-}
-
-double Topology::AvgNeighborFraction(double threshold) const {
-  int n = num_nodes();
-  if (n <= 1) return 0;
-  long total = 0;
-  for (const Link& link : out_links_) {
-    if (link.prob >= threshold) ++total;
-  }
-  return static_cast<double>(total) / (static_cast<double>(n) * (n - 1));
-}
-
-bool Topology::ConnectedAt(const SparseLinks& links, int n, double threshold) {
-  // `forward` follows edges u->v (base pushes data out); `reverse` follows
-  // v->u (data flows toward the base). Both must span the network; each
-  // BFS is O(links).
-  size_t un = static_cast<size_t>(n);
-  auto forward = [&links](size_t u) -> const std::vector<Link>& { return links[u]; };
-  if (!ReachesAllFromBase(un, threshold, forward)) return false;
-  SparseLinks reverse = TransposeAbove(un, threshold, forward);
-  return ReachesAllFromBase(
-      un, threshold, [&reverse](size_t u) -> const std::vector<Link>& { return reverse[u]; });
-}
-
-bool Topology::IsConnected(double threshold) const {
-  // Forward pass straight off the CSR; the reverse pass builds the one
-  // adjacency the index lacks.
-  size_t n = positions_.size();
-  auto forward = [this](size_t u) { return audible_from(static_cast<NodeId>(u)); };
-  if (!ReachesAllFromBase(n, threshold, forward)) return false;
-  SparseLinks reverse = TransposeAbove(n, threshold, forward);
-  return ReachesAllFromBase(
-      n, threshold, [&reverse](size_t u) -> const std::vector<Link>& { return reverse[u]; });
-}
-
-double Topology::MeanHopsFrom(NodeId from, double threshold) const {
-  int n = num_nodes();
-  std::vector<int> dist(static_cast<size_t>(n), -1);
-  std::queue<int> frontier;
-  dist[from] = 0;
-  frontier.push(from);
-  while (!frontier.empty()) {
-    int u = frontier.front();
-    frontier.pop();
-    for (const Link& link : audible_from(static_cast<NodeId>(u))) {
-      if (link.prob < threshold) continue;
-      if (dist[link.to] >= 0) continue;
-      dist[link.to] = dist[static_cast<size_t>(u)] + 1;
-      frontier.push(link.to);
-    }
-  }
-  double sum = 0;
-  int count = 0;
-  for (int v = 0; v < n; ++v) {
-    if (v != from && dist[static_cast<size_t>(v)] > 0) {
-      sum += dist[static_cast<size_t>(v)];
-      ++count;
-    }
-  }
-  return count == 0 ? 0.0 : sum / count;
 }
 
 }  // namespace scoop::sim

@@ -42,54 +42,32 @@ struct Point {
   double y = 0;
 };
 
-/// Parameters for the synthetic radio propagation model.
-struct PropagationOptions {
-  /// Delivery probability at distance 0 before noise (<1: even adjacent
-  /// motes drop packets, per §6: best pairs still lose ~25%).
-  double max_delivery = 0.78;
-  /// Delivery falls off as (1 - (d/range)^falloff_exp) * max_delivery.
-  double falloff_exp = 2.2;
-  /// Lognormal shadowing: per-directed-link multiplicative noise stddev.
-  double shadowing_sigma = 0.22;
-  /// Links weaker than this are inaudible (prob clamped to 0).
-  double min_delivery = 0.08;
-};
-
-/// Options for the random square-area generator.
+/// Options for the random square-area generator. The radio model and each
+/// preset's radio range and geometry are constants in topology.cc.
 struct RandomTopologyOptions {
   int num_nodes = 63;  ///< Including the basestation (node 0).
   double area_width = 55.0;
   double area_height = 55.0;
-  double radio_range = 18.0;
-  /// If >0, radio_range is auto-tuned so the mean node hears approximately
-  /// this fraction of the network (paper: ~0.2).
+  /// If >0, the radio range is auto-tuned so the mean node hears
+  /// approximately this fraction of the network (paper: ~0.2).
   double target_neighbor_fraction = 0.20;
-  PropagationOptions propagation;
   uint64_t seed = 1;
 };
 
-/// Options for the dense-grid preset: nodes on a regular square lattice
-/// with the basestation at a corner (a machine-room or agricultural
-/// deployment; the densest regime Scoop's neighbor shortcut can exploit).
+/// Options for the dense-grid preset: nodes on a regular 6 m square
+/// lattice with the basestation at a corner (a machine-room or
+/// agricultural deployment; the densest regime Scoop's neighbor shortcut
+/// can exploit).
 struct GridTopologyOptions {
-  int num_nodes = 121;   ///< Including the basestation; laid out row-major.
-  double spacing = 6.0;  ///< Meters between lattice neighbors.
-  double radio_range = 18.0;
-  /// Per-node placement jitter as a fraction of `spacing` (0 = perfect
-  /// lattice; small jitter avoids degenerate equidistant link ties).
-  double jitter_fraction = 0.10;
-  PropagationOptions propagation;
+  int num_nodes = 121;  ///< Including the basestation; laid out row-major.
   uint64_t seed = 1;
 };
 
-/// Options for the "testbed" preset: one elongated office floor with the
-/// basestation near one end (the paper's 62-node indoor deployment).
+/// Options for the "testbed" preset: one elongated 90 x 18 m office floor
+/// with the basestation near one end (the paper's 62-node indoor
+/// deployment).
 struct TestbedTopologyOptions {
   int num_nodes = 63;  ///< 62 motes + basestation.
-  double floor_length = 90.0;
-  double floor_width = 18.0;
-  double radio_range = 22.0;
-  PropagationOptions propagation;
   uint64_t seed = 1;
 };
 
@@ -142,16 +120,8 @@ class Topology {
   /// pair is keyed on (link_seed, from, to), so results are independent of
   /// enumeration order. Public so benches and the equivalence test can
   /// target it directly.
-  static SparseLinks ComputeDelivery(const std::vector<Point>& positions,
-                                     const PropagationOptions& prop, double range,
+  static SparseLinks ComputeDelivery(const std::vector<Point>& positions, double range,
                                      uint64_t link_seed);
-
-  /// Brute-force all-pairs reference for ComputeDelivery: identical output
-  /// (same pair-keyed draws), O(N^2). Kept for the spatial-vs-dense
-  /// equivalence test.
-  static SparseLinks ComputeDeliveryDense(const std::vector<Point>& positions,
-                                          const PropagationOptions& prop, double range,
-                                          uint64_t link_seed);
 
   /// Number of nodes, including the basestation.
   int num_nodes() const { return static_cast<int>(positions_.size()); }
@@ -205,28 +175,9 @@ class Topology {
   /// All node positions.
   const std::vector<Point>& positions() const { return positions_; }
 
-  /// Average fraction of the network a node can hear (links with delivery
-  /// probability >= threshold). O(links).
-  double AvgNeighborFraction(double threshold) const;
-
-  /// True iff every node is reachable *from* the base and can reach the
-  /// base over directed links with delivery >= threshold. (Asymmetric
-  /// shadowing can leave clusters with outbound-only links; those are not
-  /// usable networks.) O(links).
-  bool IsConnected(double threshold) const;
-
-  /// Mean hop distance from `from` to all other nodes over audible links
-  /// (used by the analytical HASH model).
-  double MeanHopsFrom(NodeId from, double threshold) const;
-
  private:
   Topology(std::vector<Point> positions, SparseLinks links);
 
-  // Sparse forms of the public queries, so the generators' range-tuning
-  // loops can accept/reject candidate link sets without paying the index
-  // build for topologies they are about to discard.
-  static bool ConnectedAt(const SparseLinks& links, int n, double threshold);
-  static double NeighborFractionAt(const SparseLinks& links, int n, double threshold);
   /// Per-receiver interferer sets at kInterferenceThreshold, from the CSR.
   std::vector<InterfererSet> BuildInterfererSets() const;
 

@@ -19,6 +19,10 @@ TEST(QueryStatsTest, RateReflectsWindowedCount) {
   }
   // 10 queries over the 90s span observed so far.
   EXPECT_NEAR(stats.QueryRate(Seconds(90)), 10.0 / 90.0, 0.01);
+  // At 10m45s the five queries issued before 45 s are older than the
+  // 10-minute window: the rate counts the other five over the 595 s since
+  // the oldest of them (50 s). Asked before any other call that prunes.
+  EXPECT_NEAR(stats.QueryRate(Minutes(10) + Seconds(45)), 5.0 / 595.0, 1e-9);
 }
 
 TEST(QueryStatsTest, OldQueriesAgeOut) {

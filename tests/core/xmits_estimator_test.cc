@@ -80,7 +80,7 @@ TEST(XmitsEstimatorTest, TreeEdgesAreBidirectionalDefaults) {
 TEST(XmitsEstimatorTest, TreeEdgeDoesNotOverrideMeasuredLink) {
   XmitsEstimator x(2);
   x.AddLink(0, 1, 0.8);
-  x.AddTreeEdge(0, 1, 0.5);
+  x.AddTreeEdge(0, 1);
   x.Build();
   EXPECT_DOUBLE_EQ(x.Xmits(0, 1), 1.25);  // Measured 0.8 kept.
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sim/topology.h"
+#include "topology_test_util.h"
 
 namespace scoop::sim {
 namespace {
@@ -126,7 +127,7 @@ TEST(PartitionTest, BalanceWithinDocumentedBound) {
 
 TEST(PartitionTest, MincutPartsNonEmptyAndConnected) {
   for (const Topology& t : {Grid(121), Grid(256), Random(63), Random(200)}) {
-    ASSERT_TRUE(t.IsConnected(0.0));
+    ASSERT_TRUE(IsConnected(t, 0.0));
     for (int k : {2, 3, 4, 8}) {
       std::vector<int> owner = PartitionNodes(t, k, PartitionKind::kMincut);
       std::vector<int> sizes = PartSizes(owner, k);

@@ -1,13 +1,74 @@
 #include "sim/topology.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "topology_test_util.h"
+
 namespace scoop::sim {
 namespace {
+
+/// Brute-force all-pairs reference for Topology::ComputeDelivery, O(N^2),
+/// with its own copy of the propagation model (0.78 peak delivery, 2.2
+/// falloff exponent, 0.22 shadowing sigma, 0.08 audibility floor) and the
+/// same pair-keyed shadowing draws, so the spatial walk must match it to
+/// the bit.
+Topology::SparseLinks ComputeDeliveryDense(const std::vector<Point>& positions,
+                                           double range, uint64_t link_seed) {
+  constexpr double kMaxDelivery = 0.78;
+  constexpr double kFalloffExp = 2.2;
+  constexpr double kShadowingSigma = 0.22;
+  constexpr double kMinDelivery = 0.08;
+  size_t n = positions.size();
+  Topology::SparseLinks links(n);
+  if (n < 2 || range <= 0.0) return links;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      double d = std::hypot(positions[i].x - positions[j].x, positions[i].y - positions[j].y);
+      if (d >= range) continue;
+      double base = kMaxDelivery * (1.0 - std::pow(d / range, kFalloffExp));
+      uint64_t pair_key = (static_cast<uint64_t>(i) << 32) | j;
+      Rng rng(MixSeed(link_seed, pair_key), /*stream=*/pair_key);
+      double p = std::min(base * std::exp(rng.Gaussian(0.0, kShadowingSigma)), kMaxDelivery);
+      if (p >= kMinDelivery) links[i].push_back(Topology::Link{static_cast<NodeId>(j), p});
+    }
+  }
+  return links;
+}
+
+/// Mean fraction of the network a node hears over links with delivery
+/// probability >= 0.1.
+double NeighborFraction(const Topology& t) {
+  long heard = 0;
+  for (NodeId from = 0; from < t.num_nodes(); ++from) {
+    for (const Topology::Link& link : t.audible_from(from)) {
+      if (link.prob >= 0.1) ++heard;
+    }
+  }
+  double n = t.num_nodes();
+  return static_cast<double>(heard) / (n * (n - 1));
+}
+
+/// Mean hop distance from the base to the nodes it reaches over links with
+/// delivery probability >= 0.1.
+double MeanHopsFromBase(const Topology& t) {
+  double sum = 0;
+  int count = 0;
+  for (int hops : HopsFrom(t, 0, 0.1)) {
+    if (hops > 0) {
+      sum += hops;
+      ++count;
+    }
+  }
+  return count == 0 ? 0.0 : sum / count;
+}
 
 TEST(TopologyTest, FromMatrixRoundTrip) {
   std::vector<Point> pos = {{0, 0}, {1, 0}, {2, 0}};
@@ -26,7 +87,7 @@ TEST(TopologyTest, RandomIsConnected) {
   opts.seed = 7;
   Topology t = Topology::MakeRandom(opts);
   EXPECT_EQ(t.num_nodes(), 63);
-  EXPECT_TRUE(t.IsConnected(0.1));
+  EXPECT_TRUE(IsConnected(t, 0.1));
 }
 
 TEST(TopologyTest, RandomNeighborFractionNearTarget) {
@@ -35,7 +96,7 @@ TEST(TopologyTest, RandomNeighborFractionNearTarget) {
   opts.target_neighbor_fraction = 0.20;
   opts.seed = 11;
   Topology t = Topology::MakeRandom(opts);
-  double frac = t.AvgNeighborFraction(0.1);
+  double frac = NeighborFraction(t);
   // The paper reports nodes hear ~20% of the network.
   EXPECT_GT(frac, 0.10);
   EXPECT_LT(frac, 0.35);
@@ -72,9 +133,9 @@ TEST(TopologyTest, TestbedIsConnectedAndElongated) {
   opts.seed = 3;
   Topology t = Topology::MakeTestbed(opts);
   EXPECT_EQ(t.num_nodes(), 63);
-  EXPECT_TRUE(t.IsConnected(0.1));
+  EXPECT_TRUE(IsConnected(t, 0.1));
   // Multi-hop: mean hops from the base must exceed 1 (base can't hear all).
-  EXPECT_GT(t.MeanHopsFrom(0, 0.1), 1.2);
+  EXPECT_GT(MeanHopsFromBase(t), 1.2);
 }
 
 TEST(TopologyTest, DeterministicForSeed) {
@@ -110,13 +171,13 @@ TEST(TopologyTest, GridIsConnectedWithBaseAtCorner) {
   opts.seed = 5;
   Topology t = Topology::MakeGrid(opts);
   EXPECT_EQ(t.num_nodes(), 121);
-  EXPECT_TRUE(t.IsConnected(0.1));
+  EXPECT_TRUE(IsConnected(t, 0.1));
   // The basestation anchors the (0, 0) corner of the lattice, unjittered.
   EXPECT_DOUBLE_EQ(t.position(0).x, 0.0);
   EXPECT_DOUBLE_EQ(t.position(0).y, 0.0);
   // 121 nodes on an 11x11 lattice at 6 m spacing: the far corner is ~60 m
   // out, so the deployment is multi-hop from the base.
-  EXPECT_GT(t.MeanHopsFrom(0, 0.1), 1.2);
+  EXPECT_GT(MeanHopsFromBase(t), 1.2);
 }
 
 TEST(TopologyTest, GridIsDenserThanRandom) {
@@ -130,7 +191,7 @@ TEST(TopologyTest, GridIsDenserThanRandom) {
   Topology random = Topology::MakeRandom(rand_opts);
   // 6 m lattice spacing packs nodes tighter than the 55 m random square, so
   // a node should hear a larger fraction of the network.
-  EXPECT_GT(grid.AvgNeighborFraction(0.1), random.AvgNeighborFraction(0.1));
+  EXPECT_GT(NeighborFraction(grid), NeighborFraction(random));
 }
 
 TEST(TopologyTest, GridDeterministicForSeed) {
@@ -158,13 +219,11 @@ TEST(TopologyTest, SpatialDeliveryMatchesDenseReference) {
     for (auto& p : positions) {
       p = Point{rng.UniformDouble() * 120.0, rng.UniformDouble() * 80.0};
     }
-    PropagationOptions prop;
     double range = 10.0 + trial * 9.0;
     uint64_t link_seed = MixSeed(1234, static_cast<uint64_t>(trial));
     Topology::SparseLinks spatial =
-        Topology::ComputeDelivery(positions, prop, range, link_seed);
-    Topology::SparseLinks dense =
-        Topology::ComputeDeliveryDense(positions, prop, range, link_seed);
+        Topology::ComputeDelivery(positions, range, link_seed);
+    Topology::SparseLinks dense = ComputeDeliveryDense(positions, range, link_seed);
     ASSERT_EQ(spatial.size(), dense.size());
     for (size_t i = 0; i < spatial.size(); ++i) {
       ASSERT_EQ(spatial[i].size(), dense[i].size()) << "node " << i;
@@ -187,12 +246,10 @@ TEST(TopologyTest, SpatialDeliveryDegenerateRanges) {
   for (auto& p : positions) {
     p = Point{rng.UniformDouble() * 500.0, rng.UniformDouble() * 2.0};
   }
-  PropagationOptions prop;
   for (double range : {0.05, 1.0, 5000.0}) {
     Topology::SparseLinks spatial =
-        Topology::ComputeDelivery(positions, prop, range, /*link_seed=*/9);
-    Topology::SparseLinks dense =
-        Topology::ComputeDeliveryDense(positions, prop, range, /*link_seed=*/9);
+        Topology::ComputeDelivery(positions, range, /*link_seed=*/9);
+    Topology::SparseLinks dense = ComputeDeliveryDense(positions, range, /*link_seed=*/9);
     EXPECT_EQ(spatial, dense) << "range " << range;
   }
 
@@ -204,8 +261,8 @@ TEST(TopologyTest, SpatialDeliveryDegenerateRanges) {
     line[i] = Point{static_cast<double>(i) * 25000.0, 0.0};
   }
   line[1] = Point{0.005, 0.0};  // One in-range pair so links exist.
-  EXPECT_EQ(Topology::ComputeDelivery(line, prop, 0.01, /*link_seed=*/3),
-            Topology::ComputeDeliveryDense(line, prop, 0.01, /*link_seed=*/3));
+  EXPECT_EQ(Topology::ComputeDelivery(line, 0.01, /*link_seed=*/3),
+            ComputeDeliveryDense(line, 0.01, /*link_seed=*/3));
 }
 
 TEST(TopologyTest, MeanHopsFromBasePositive) {
@@ -213,9 +270,76 @@ TEST(TopologyTest, MeanHopsFromBasePositive) {
   opts.num_nodes = 63;
   opts.seed = 21;
   Topology t = Topology::MakeRandom(opts);
-  double hops = t.MeanHopsFrom(0, 0.1);
+  double hops = MeanHopsFromBase(t);
   EXPECT_GT(hops, 1.0);
   EXPECT_LT(hops, 10.0);
+}
+
+// FNV-1a over a generator's whole output: positions, the CSR links
+// (receiver plus the bits of prob) and each link's in-rank.
+uint64_t OutputHash(const Topology& t) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const Point& p : t.positions()) {
+    mix(std::bit_cast<uint64_t>(p.x));
+    mix(std::bit_cast<uint64_t>(p.y));
+  }
+  for (NodeId from = 0; from < t.num_nodes(); ++from) {
+    std::span<const Topology::Link> row = t.audible_from(from);
+    for (uint32_t k = 0; k < row.size(); ++k) {
+      mix(row[k].to);
+      mix(std::bit_cast<uint64_t>(row[k].prob));
+      mix(t.in_rank(t.link_base(from) + k));
+    }
+  }
+  return h;
+}
+
+// Every preset's output, pinned bit for bit at two sizes and two seeds:
+// the positions RNG streams, link-seed offsets, range-tuning steps and the
+// propagation arithmetic must not move.
+TEST(TopologyTest, GeneratorsArePinned) {
+  struct Case {
+    const char* preset;
+    int nodes;
+    uint64_t seed;
+    uint64_t hash;
+  };
+  const Case cases[] = {
+      {"testbed", 63, 1, 0xb488a48d7df00efcULL},  {"testbed", 63, 42, 0xd9a44a923d3acc49ULL},
+      {"testbed", 150, 1, 0x5ae597b873b994a1ULL}, {"testbed", 150, 42, 0x0232f713de2c3e95ULL},
+      {"grid", 121, 1, 0xbe6c81218bbb44eaULL},    {"grid", 121, 42, 0xb1b428efc3af609dULL},
+      {"grid", 400, 1, 0xb419c4a3e2a0d3aaULL},    {"grid", 400, 42, 0x5e3c977a38200218ULL},
+      {"random", 63, 1, 0xd921e3fb8548664aULL},   {"random", 63, 42, 0xe78710affab4dfffULL},
+      {"random", 250, 1, 0xd0b2572ee508e455ULL},  {"random", 250, 42, 0xd7aa8536659d549dULL},
+  };
+  for (const Case& c : cases) {
+    std::string preset = c.preset;
+    uint64_t hash = 0;
+    if (preset == "testbed") {
+      TestbedTopologyOptions opts;
+      opts.num_nodes = c.nodes;
+      opts.seed = c.seed;
+      hash = OutputHash(Topology::MakeTestbed(opts));
+    } else if (preset == "grid") {
+      GridTopologyOptions opts;
+      opts.num_nodes = c.nodes;
+      opts.seed = c.seed;
+      hash = OutputHash(Topology::MakeGrid(opts));
+    } else {
+      RandomTopologyOptions opts;
+      opts.num_nodes = c.nodes;
+      opts.seed = c.seed;
+      hash = OutputHash(Topology::MakeRandom(opts));
+    }
+    EXPECT_EQ(hash, c.hash) << c.preset << " n=" << c.nodes << " seed=" << c.seed
+                            << " hash=0x" << std::hex << hash;
+  }
 }
 
 TEST(TopologyTest, InRankIsTheSendersPositionAmongTheReceiversInLinks) {
