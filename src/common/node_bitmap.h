@@ -61,15 +61,6 @@ class DynamicNodeBitmap {
     return true;
   }
 
-  /// True iff this set shares at least one id with `other`.
-  bool Intersects(const DynamicNodeBitmap& other) const {
-    size_t n = std::min(words_.size(), other.words_.size());
-    for (size_t i = 0; i < n; ++i) {
-      if ((words_[i] & other.words_[i]) != 0) return true;
-    }
-    return false;
-  }
-
   /// Calls `fn(id)` for each id in the intersection with `other`, in
   /// ascending id order, stopping early as soon as a call returns true.
   /// Returns true iff some call did. The radio's carrier sense uses this to

@@ -1,7 +1,6 @@
 #include "core/agent_base.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/check.h"
 #include "sim/radio_constants.h"
@@ -46,8 +45,8 @@ constexpr int kMaxReplyTuples = 90;
 AgentBase::AgentBase(const AgentConfig& config)
     : cfg_(config),
       tree_(config.self, config.is_base()),
-      ledger_(config.num_nodes),
-      telemetry_(config.telemetry != nullptr ? config.telemetry : &own_telemetry_) {
+      ledger_(config.num_nodes) {
+  SCOOP_CHECK(cfg_.telemetry != nullptr);
   SCOOP_CHECK_GT(cfg_.num_nodes, 0);
   SCOOP_CHECK_LT(static_cast<int>(cfg_.self), cfg_.num_nodes);
   SCOOP_CHECK(cfg_.is_base() || cfg_.sample_fn != nullptr);
@@ -128,14 +127,7 @@ void AgentBase::OnSendDone(sim::Context& ctx, const Packet& pkt, bool success) {
       StoreReadings(d, StoreClass::kFallback);
       return;
     }
-    if (MaybeRetrySend(pkt)) return;
-    // Retries exhausted (or off): orphan the readings locally instead of
-    // dropping when the degradation knob is on.
-    if (cfg_.fault_orphan_rehoming) {
-      OrphanReadings(d);
-      return;
-    }
-    telemetry_->readings_lost += d.readings.size();
+    if (!MaybeRetrySend(pkt)) ParkOrLose(d);
     return;
   }
   if (pkt.hdr.type == PacketType::kSummary) MaybeRetrySend(pkt);
@@ -150,19 +142,12 @@ bool AgentBase::MaybeRetrySend(const Packet& pkt) {
   Packet retry = pkt;
   SimTime backoff = kSendRetryBackoff << retry.hdr.retry_attempt;
   ++retry.hdr.retry_attempt;
-  ++telemetry_->send_retries;
+  ++telemetry().send_retries;
   ctx_->Schedule(backoff, [this, retry] {
     if (down_) {
       // Crashed while backing off. Account for the readings rather than
       // letting them vanish with the dead radio.
-      if (retry.hdr.type == PacketType::kData) {
-        const DataPayload& d = retry.As<DataPayload>();
-        if (cfg_.fault_orphan_rehoming) {
-          OrphanReadings(d);
-        } else {
-          telemetry_->readings_lost += d.readings.size();
-        }
-      }
+      if (retry.hdr.type == PacketType::kData) ParkOrLose(retry.As<DataPayload>());
       return;
     }
     NodeId dst =
@@ -187,15 +172,18 @@ void AgentBase::OnReboot(sim::Context& ctx) {
   (void)ctx;
   down_ = false;
   // Volatile state is gone: stored tuples, routing tree, link estimates,
-  // descendant cache, the query ids heard, and the orphan buffer (its
-  // readings stay counted as orphaned-but-never-rehomed, so the loss is
-  // visible in the accounting). The index store survives deliberately --
-  // a rebooted node holds a stale index until gossip catches it up (§5.3).
+  // descendant cache, the query ids heard, the outgoing batch (its
+  // readings are neither stored nor counted lost), and the orphan buffer
+  // (its readings stay counted as orphaned-but-never-rehomed, so the loss
+  // is visible in the accounting). The index store survives deliberately
+  // -- a rebooted node holds a stale index until gossip catches it up
+  // (§5.3).
   flash_.Clear();
   neighbors_ = net::NeighborTable();
   tree_ = net::RoutingTree(cfg_.self, cfg_.is_base());
   descendants_ = net::DescendantsTable();
   queries_heard_.clear();
+  batch_.clear();
   orphans_.clear();
   OnAgentReboot();
 }
@@ -227,7 +215,7 @@ void AgentBase::SendBeacon() {
   bool had_parent = tree_.parent() != kInvalidNodeId;
   tree_.MaybeTimeoutParent(ctx_->now());
   if (had_parent && tree_.parent() == kInvalidNodeId) {
-    ++telemetry_->parent_losses;
+    ++telemetry().parent_losses;
     if (cfg_.trace != nullptr) {
       cfg_.trace->Instant(ctx_->now(), "route.parent_lost", obs::TraceCat::kFault,
                           static_cast<uint16_t>(cfg_.self));
@@ -257,7 +245,7 @@ void AgentBase::SampleTick() {
   // A crashed node samples nothing; the timer chain keeps ticking so
   // sampling resumes on its own phase after a reboot.
   if (!down_) {
-    ++telemetry_->readings_produced;
+    ++telemetry().readings_produced;
     OnSample(cfg_.sample_fn(cfg_.self, ctx_->now()));
   }
   ctx_->Schedule(cfg_.sample_interval, [this] { SampleTick(); });
@@ -307,8 +295,8 @@ void AgentBase::RouteData(DataPayload data, NodeId origin, NodeId origin_parent)
   // Telemetry: a fresh batch leaving its producer (relay hops not counted).
   auto count_tx = [this, origin, &data] {
     if (origin != cfg_.self) return;
-    ++telemetry_->data_packets_originated;
-    telemetry_->readings_sent_remote += data.readings.size();
+    ++telemetry().data_packets_originated;
+    telemetry().readings_sent_remote += data.readings.size();
   };
   // Rule 2 (and the store-local sentinel): this node is the destination.
   if (data.owner == kStoreLocalOwner) {
@@ -355,16 +343,40 @@ void AgentBase::RouteData(DataPayload data, NodeId origin, NodeId origin_parent)
   StoreReadings(data, StoreClass::kFallback);
 }
 
+void AgentBase::RouteReading(NodeId owner, Reading reading) {
+  if (owner == kStoreLocalOwner || owner == cfg_.self) {
+    StoreReadings(OwnReadings(cfg_.self, kNoIndex, {reading}), StoreClass::kOwner);
+    return;
+  }
+  if (!batch_.empty() && batch_owner_ != owner) FlushBatch();
+  batch_owner_ = owner;
+  batch_.push_back(reading);
+  if (static_cast<int>(batch_.size()) >= cfg_.max_batch) FlushBatch();
+}
+
+void AgentBase::FlushBatch() {
+  if (batch_.empty()) return;
+  std::vector<Reading> readings = std::move(batch_);
+  batch_.clear();
+  RouteBatch(batch_owner_, std::move(readings));
+}
+
+void AgentBase::RouteBatch(NodeId owner, std::vector<Reading> readings) {
+  (void)owner;
+  (void)readings;
+  SCOOP_CHECK(false);  // A policy that batches routes its own batches.
+}
+
 void AgentBase::StoreReadings(const DataPayload& data, StoreClass cls) {
   for (const Reading& r : data.readings) {
     flash_.Store(storage::StoredTuple{data.producer, r.value, r.time});
-    ++telemetry_->readings_stored;
+    ++telemetry().readings_stored;
     switch (cls) {
       case StoreClass::kOwner:
-        ++telemetry_->stored_at_owner;
+        ++telemetry().stored_at_owner;
         break;
       case StoreClass::kLocalNoIndex:
-        ++telemetry_->stored_local_no_index;
+        ++telemetry().stored_local_no_index;
         break;
       case StoreClass::kFallback:
         break;  // Stored, but in no headline category.
@@ -376,12 +388,16 @@ void AgentBase::StoreReadings(const DataPayload& data, StoreClass cls) {
 // Orphaned readings (fault degradation: owner unreachable)
 // ---------------------------------------------------------------------------
 
-void AgentBase::OrphanReadings(const DataPayload& data) {
+void AgentBase::ParkOrLose(const DataPayload& data) {
+  if (!cfg_.fault_orphan_rehoming) {
+    telemetry().readings_lost += data.readings.size();
+    return;
+  }
   // Park locally -- the tuples are queryable here in the meantime -- and
   // remember the batch so RehomeOrphans can re-route it once a fresh index
   // arrives.
   StoreReadings(data, StoreClass::kFallback);
-  telemetry_->readings_orphaned += data.readings.size();
+  telemetry().readings_orphaned += data.readings.size();
   if (cfg_.trace != nullptr) {
     cfg_.trace->Instant(ctx_->now(), "data.orphaned", obs::TraceCat::kFault,
                         static_cast<uint16_t>(cfg_.self), "readings",
@@ -390,7 +406,7 @@ void AgentBase::OrphanReadings(const DataPayload& data) {
   if (orphans_.size() >= kMaxOrphanBatches) {
     // Evict the oldest batch, visibly: its readings move from "awaiting
     // re-home" to lost. (They remain stored locally from the park above.)
-    telemetry_->readings_lost += orphans_.front().readings.size();
+    telemetry().readings_lost += orphans_.front().readings.size();
     orphans_.erase(orphans_.begin());
   }
   orphans_.push_back(data);
@@ -405,22 +421,19 @@ void AgentBase::RehomeOrphans() {
   uint64_t rehomed = 0;
   for (DataPayload& stale : batches) {
     // Re-resolve each reading's owner under the newest index, splitting
-    // the batch where the mapping diverged (same shape as rule 1).
-    std::map<NodeId, std::vector<Reading>> groups;
-    for (const Reading& r : stale.readings) {
-      std::optional<NodeId> owner = index->Lookup(r.value);
-      groups[owner.value_or(cfg_.self)].push_back(r);
-    }
+    // the batch where the mapping diverged (rule 1); unmapped values stay.
+    auto groups = SplitByOwner(
+        stale.readings, [this, index](Value v) { return index->Lookup(v).value_or(cfg_.self); });
     for (auto& [owner, readings] : groups) {
       rehomed += readings.size();
-      telemetry_->readings_rehomed += readings.size();
+      telemetry().readings_rehomed += readings.size();
       // Already stored here; the new index now agrees this is home.
       if (owner == kStoreLocalOwner || owner == cfg_.self) continue;
       // Re-routed away: the parked copy was a stopgap, not storage. Undo
       // its readings_stored credit so the batch counts once -- wherever it
       // lands next (owner, fallback, or a fresh orphan park) re-counts it,
       // keeping storage_success a fraction of unique readings.
-      telemetry_->readings_stored -= readings.size();
+      telemetry().readings_stored -= readings.size();
       RouteData(DataPayload{.attr = stale.attr, .producer = stale.producer, .owner = owner,
                             .sid = index->id(), .readings = std::move(readings)},
                 cfg_.self, tree_.parent());
@@ -472,7 +485,9 @@ void AgentBase::HandleMappingPacket(const Packet& pkt) {
       break;
     case IndexStore::ChunkResult::kCompleted:
       gossip_->NoteInconsistent();
-      OnIndexCompleted();
+      // A new index may re-map the pending batch: send it under the new
+      // mapping rather than letting it go stale.
+      FlushBatch();
       // A fresh index is the re-homing trigger: owners that were
       // unreachable before the remap may be mapped (or reachable) now.
       RehomeOrphans();
@@ -609,6 +624,18 @@ bool AgentBase::FitToFrame(QueryPayload* payload) const {
   return payload->targets.WireSize() <= set_budget;
 }
 
+std::vector<NodeId> AgentBase::AllSensors() const {
+  std::vector<NodeId> all;
+  for (int i = 0; i < cfg_.num_nodes; ++i) {
+    if (static_cast<NodeId>(i) != cfg_.base) all.push_back(static_cast<NodeId>(i));
+  }
+  return all;
+}
+
+uint32_t AgentBase::IssueQuery(const Query& query) {
+  return IssueQueryToTargets(query, AllSensors());
+}
+
 uint32_t AgentBase::IssueQueryToTargets(const Query& query,
                                         const std::vector<NodeId>& targets) {
   SCOOP_CHECK(cfg_.is_base());
@@ -646,8 +673,8 @@ uint32_t AgentBase::IssueQueryToTargets(const Query& query,
   // index mapped to the base).
   outcome.tuples = flash_.Scan(payload);
 
-  ++telemetry_->queries_issued;
-  telemetry_->query_targets_total += static_cast<uint64_t>(outcome.targets);
+  ++telemetry().queries_issued;
+  telemetry().query_targets_total += static_cast<uint64_t>(outcome.targets);
 
   if (payload.targets.Empty()) {
     CloseQuery(id);
@@ -662,7 +689,7 @@ void AgentBase::ReissueQuery(uint32_t query_id) {
   // Flood only the requested-but-silent responders, under a fresh wire id
   // so nodes that already reacted to the original flood react again.
   uint32_t wire_id = ledger_.Alias(query_id);
-  ++telemetry_->queries_reissued;
+  ++telemetry().queries_reissued;
 
   const QueryLedger::Entry& entry = *ledger_.open(query_id);
   NodeSet missing(cfg_.num_nodes);
@@ -707,14 +734,14 @@ void AgentBase::CloseQuery(uint32_t query_id) {
                      "id", query_id, "responders",
                      static_cast<uint64_t>(outcome.responders));
   }
-  telemetry_->replies_received += static_cast<uint64_t>(outcome.responders);
-  telemetry_->tuples_returned += outcome.tuples.size();
+  telemetry().replies_received += static_cast<uint64_t>(outcome.responders);
+  telemetry().tuples_returned += outcome.tuples.size();
   if (on_query_complete) on_query_complete(outcome);
 }
 
 uint32_t AgentBase::RecordImmediateOutcome(QueryOutcome outcome) {
   uint32_t id = ledger_.Record(std::move(outcome));
-  ++telemetry_->queries_issued;
+  ++telemetry().queries_issued;
   CloseQuery(id);
   return id;
 }

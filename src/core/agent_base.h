@@ -1,14 +1,18 @@
 // Shared protocol machinery for every agent in a Scoop network: routing-
 // tree maintenance (§5.1), passive neighbor estimation (§5.2), descendants
 // learning (§5.1), query dissemination with the bitmap-filtered "modified
-// Trickle" (§5.5), reply generation and collection, the data routing rules
-// 2-6 of §5.4, and storage-index gossip (§5.3).
+// Trickle" (§5.5), reply generation and collection, storage-index gossip
+// (§5.3), and the one data path of §5.4: the sampling loop, the per-owner
+// batch, rule 1's split of readings by owner, routing rules 2-6, and the
+// park-or-lose choice for a batch whose send failed for good.
 //
-// Policy agents (Scoop, LOCAL, BASE, HASH) subclass this and plug into the
-// virtual hooks.
+// Policy agents (Scoop, LOCAL, BASE, HASH) subclass this and only decide:
+// which owner a reading goes to (OnSample), how a flushed batch is routed
+// (RouteBatch), and which nodes a query asks (IssueQuery).
 #ifndef SCOOP_CORE_AGENT_BASE_H_
 #define SCOOP_CORE_AGENT_BASE_H_
 
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -55,6 +59,11 @@ class AgentBase : public sim::App {
 
   // --- Base-side query machinery (usable by any is_base() agent) ---
 
+  /// Issues a user query (§5.5) and returns its id; the outcome is
+  /// available via outcome() once closed. Must only be called on the
+  /// basestation agent. Default: flood every sensor (LOCAL's plan).
+  virtual uint32_t IssueQuery(const Query& query);
+
   /// Sends a query to `targets` (the base's own store is always scanned
   /// locally as well). Returns the query id. Must only be called on the
   /// basestation agent.
@@ -86,6 +95,11 @@ class AgentBase : public sim::App {
   /// except while the node is down.
   virtual void OnSample(Value v) { (void)v; }
 
+  /// Routes a flushed batch (see RouteReading): this node's own readings,
+  /// all queued for `owner`. Policies that call RouteReading for a remote
+  /// owner override it.
+  virtual void RouteBatch(NodeId owner, std::vector<Reading> readings);
+
   /// Handles a data packet addressed to this node. Default: apply routing
   /// rules 2-6 as-is (no index rewriting).
   virtual void HandleData(const Packet& pkt);
@@ -97,13 +111,10 @@ class AgentBase : public sim::App {
   /// (lets it harvest origin/origin_parent tree edges, §5.2).
   virtual void OnPacketAtBase(const Packet& pkt) { (void)pkt; }
 
-  /// Called when mapping gossip completes assembly of a new index.
-  virtual void OnIndexCompleted() {}
-
   /// Called after the shared reboot handling reset the volatile substrate
-  /// (routing tree, neighbors, descendants, flash, orphan buffer). The
-  /// index store is deliberately left as-is: a rebooted node holds a stale
-  /// index until gossip catches it up (§5.3).
+  /// (routing tree, neighbors, descendants, flash, outgoing batch, orphan
+  /// buffer). The index store is deliberately left as-is: a rebooted node
+  /// holds a stale index until gossip catches it up (§5.3).
   virtual void OnAgentReboot() {}
 
   /// Subclasses using storage-index gossip (Scoop node and base) return
@@ -113,7 +124,7 @@ class AgentBase : public sim::App {
   // --- Services for subclasses ---
 
   sim::Context& ctx() { return *ctx_; }
-  metrics::Telemetry& telemetry() { return *telemetry_; }
+  metrics::Telemetry& telemetry() { return *cfg_.telemetry; }
   IndexStore& mutable_index_store() { return index_store_; }
 
   /// Unicasts `pkt` to the current parent. Returns false (and drops) when
@@ -128,6 +139,24 @@ class AgentBase : public sim::App {
   /// Stores all readings of `data` in local Flash with telemetry.
   void StoreReadings(const DataPayload& data, StoreClass cls);
 
+  /// Sends this node's own `reading` toward `owner` (§5.4). A reading for
+  /// this node (or the store-local owner) is stored at once. Otherwise it
+  /// joins the one outgoing batch: a reading for a different owner flushes
+  /// the batch first, and a batch of cfg_.max_batch readings is flushed at
+  /// once. Flushing hands the batch to RouteBatch.
+  void RouteReading(NodeId owner, Reading reading);
+
+  /// Rule 1's re-resolution (§5.4): groups `readings` by the owner
+  /// `owner_of(value)` names, in owner-id order. Each caller supplies its
+  /// own owner function and fallback.
+  template <typename OwnerOf>
+  static std::map<NodeId, std::vector<Reading>> SplitByOwner(
+      const std::vector<Reading>& readings, OwnerOf owner_of) {
+    std::map<NodeId, std::vector<Reading>> groups;
+    for (const Reading& r : readings) groups[owner_of(r.value)].push_back(r);
+    return groups;
+  }
+
   /// This node's own `readings`, bound for `owner` as looked up in index
   /// version `sid`.
   DataPayload OwnReadings(NodeId owner, IndexId sid, std::vector<Reading> readings) const {
@@ -139,11 +168,8 @@ class AgentBase : public sim::App {
   /// loops must skip their work (their timers keep firing).
   bool is_down() const { return down_; }
 
-  /// Graceful degradation: parks `data` locally with an "orphaned" mark
-  /// (queryable meanwhile) and remembers it for re-homing after the next
-  /// complete index arrives. Used when the owner is unreachable and
-  /// cfg_.fault_orphan_rehoming is on.
-  void OrphanReadings(const DataPayload& data);
+  /// Every sensor node: the target set of a flood.
+  std::vector<NodeId> AllSensors() const;
 
   /// Records a query that was answered without any network traffic (e.g.
   /// from summaries); assigns an id, closes it, and fires the completion
@@ -185,6 +211,15 @@ class AgentBase : public sim::App {
   /// Closes the query `query_id` -- network or immediate -- unless it is
   /// already closed or is re-issued instead; the one close path.
   void CloseQuery(uint32_t query_id);
+
+  /// Sends the outgoing batch (if any) to RouteBatch.
+  void FlushBatch();
+
+  /// A data batch whose send failed for good (no retry left). With
+  /// cfg_.fault_orphan_rehoming on, parks it locally with an "orphaned"
+  /// mark (queryable meanwhile) for re-homing after the next complete
+  /// index arrives; otherwise counts its readings lost.
+  void ParkOrLose(const DataPayload& data);
 
   /// Re-routes buffered orphans under the (new) current index.
   void RehomeOrphans();
@@ -231,12 +266,13 @@ class AgentBase : public sim::App {
   SimTime last_gossip_help_ = -Minutes(1);
   /// How often a sensor node heard each query id; it reacts to the first.
   std::unordered_map<uint32_t, int> queries_heard_;
+  /// The outgoing §5.4 batch: this node's readings queued for batch_owner_.
+  NodeId batch_owner_ = kInvalidNodeId;
+  std::vector<Reading> batch_;
   /// Orphaned batches awaiting re-homing (fault_orphan_rehoming).
   std::vector<DataPayload> orphans_;
   /// Every query id the base hands out.
   QueryLedger ledger_;
-  metrics::Telemetry* telemetry_;
-  metrics::Telemetry own_telemetry_;  // Used when config.telemetry is null.
 };
 
 }  // namespace scoop::core

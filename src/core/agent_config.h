@@ -71,7 +71,7 @@ struct AgentConfig {
   int fault_query_reissue_max = 0;
 
   // --- Wiring ---
-  /// Success counters (shared across agents); may be null.
+  /// Success counters (shared across agents); required.
   metrics::Telemetry* telemetry = nullptr;
   /// Structured trace sink for query/index lifecycle events; may be null
   /// (off). Observation-only: agents record into it but never branch on it.

@@ -10,11 +10,6 @@ IndexId IndexStore::newest_heard() const {
   return std::max(assembling_id_, current_id());
 }
 
-bool IndexStore::HasChunk(IndexId id, uint8_t idx) const {
-  if (id != assembling_id_) return false;
-  return chunks_.count(idx) > 0;
-}
-
 IndexStore::ChunkResult IndexStore::AddChunk(const MappingPayload& chunk) {
   if (chunk.index_id < assembling_id_) {
     // Strictly older than the version we track: the sender lags behind.

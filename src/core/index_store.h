@@ -37,9 +37,6 @@ class IndexStore {
   /// Newest version we have heard of (complete or still assembling).
   IndexId newest_heard() const;
 
-  /// True iff we hold chunk `idx` of version `id`.
-  bool HasChunk(IndexId id, uint8_t idx) const;
-
   /// Next chunk to share with neighbors, round-robin over the chunks we
   /// hold of the newest version. nullopt if we hold nothing.
   std::optional<MappingPayload> NextShareChunk();

@@ -14,21 +14,10 @@ LocalNodeAgent::LocalNodeAgent(const AgentConfig& config) : AgentBase(config) {
   SCOOP_CHECK(!config.is_base());
 }
 
-void LocalNodeAgent::OnSample(Value v) {
-  StoreReadings(OwnReadings(cfg_.self, kNoIndex, {Reading{v, ctx().now()}}), StoreClass::kOwner);
-}
+void LocalNodeAgent::OnSample(Value v) { RouteReading(cfg_.self, Reading{v, ctx().now()}); }
 
 LocalBaseAgent::LocalBaseAgent(const AgentConfig& config) : AgentBase(config) {
   SCOOP_CHECK(config.is_base());
-}
-
-uint32_t LocalBaseAgent::IssueQuery(const Query& query) {
-  std::vector<NodeId> all;
-  for (int i = 0; i < cfg_.num_nodes; ++i) {
-    NodeId id = static_cast<NodeId>(i);
-    if (id != cfg_.self) all.push_back(id);
-  }
-  return IssueQueryToTargets(query, all);
 }
 
 // ---------------------------------------------------------------------------
@@ -87,30 +76,13 @@ HashNodeAgent::HashNodeAgent(const AgentConfig& config) : AgentBase(config) {
 }
 
 void HashNodeAgent::OnSample(Value v) {
-  Reading reading{v, ctx().now()};
-  NodeId owner = HashOwner(v, cfg_.num_nodes);
-  if (owner == cfg_.self) {
-    StoreReadings(OwnReadings(cfg_.self, kNoIndex, {reading}), StoreClass::kOwner);
-  } else {
-    // Same batching rule as Scoop: consecutive same-owner readings share a
-    // packet (only helps when consecutive values hash alike, e.g. EQUAL).
-    if (batch_.active && batch_.owner != owner) FlushBatch();
-    if (!batch_.active) {
-      batch_.active = true;
-      batch_.owner = owner;
-      batch_.readings.clear();
-    }
-    batch_.readings.push_back(reading);
-    if (static_cast<int>(batch_.readings.size()) >= cfg_.max_batch) FlushBatch();
-  }
+  // Batching only helps when consecutive values hash alike (e.g. EQUAL).
+  RouteReading(HashOwner(v, cfg_.num_nodes), Reading{v, ctx().now()});
 }
 
-void HashNodeAgent::FlushBatch() {
-  if (!batch_.active) return;
-  batch_.active = false;
+void HashNodeAgent::RouteBatch(NodeId owner, std::vector<Reading> readings) {
   // The hash "index" is static and version-less: sid 1.
-  RouteData(OwnReadings(batch_.owner, 1, std::move(batch_.readings)), cfg_.self, tree_.parent());
-  batch_.readings.clear();
+  RouteData(OwnReadings(owner, 1, std::move(readings)), cfg_.self, tree_.parent());
 }
 
 HashBaseAgent::HashBaseAgent(const AgentConfig& config) : AgentBase(config) {

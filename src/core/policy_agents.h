@@ -8,6 +8,9 @@
 //            The paper evaluates HASH analytically (core/hash_model.h);
 //            these agents additionally provide a *simulated* HASH for
 //            validation.
+//
+// Each agent only names an owner for a reading and the targets of a query;
+// storing, batching, routing and query collection are AgentBase's.
 #ifndef SCOOP_CORE_POLICY_AGENTS_H_
 #define SCOOP_CORE_POLICY_AGENTS_H_
 
@@ -28,13 +31,11 @@ class LocalNodeAgent : public AgentBase {
   void OnSample(Value v) override;
 };
 
-/// LOCAL basestation: floods every query to all nodes and collects replies.
+/// LOCAL basestation: floods every query to all nodes and collects replies
+/// (AgentBase::IssueQuery's default plan).
 class LocalBaseAgent : public AgentBase {
  public:
   explicit LocalBaseAgent(const AgentConfig& config);
-
-  /// Issues a query: targets are always all nodes (store-local flooding).
-  uint32_t IssueQuery(const Query& query);
 };
 
 /// BASE sensor node: unicasts each reading (unbatched, like TinyDB's
@@ -54,31 +55,23 @@ class BasePolicyBaseAgent : public AgentBase {
   explicit BasePolicyBaseAgent(const AgentConfig& config);
 
   /// Answers the query from the local store (no messages).
-  uint32_t IssueQuery(const Query& query);
+  uint32_t IssueQuery(const Query& query) override;
 };
 
 /// The static hash function shared by HASH agents and the planner:
 /// uniformly maps a value to a node id in [0, num_nodes).
 NodeId HashOwner(Value v, int num_nodes);
 
-/// HASH sensor node: routes readings to hash(value) using the same routing
-/// rules as Scoop, minus statistics and index traffic.
+/// HASH sensor node: routes readings to hash(value) using the same
+/// batching and routing rules as Scoop, minus statistics and index traffic.
 class HashNodeAgent : public AgentBase {
  public:
   explicit HashNodeAgent(const AgentConfig& config);
 
  protected:
   void OnSample(Value v) override;
-
- private:
-  void FlushBatch();
-
-  struct Batch {
-    bool active = false;
-    NodeId owner = kInvalidNodeId;
-    std::vector<Reading> readings;
-  };
-  Batch batch_;
+  /// Sends the batch as-is: the hash never changes.
+  void RouteBatch(NodeId owner, std::vector<Reading> readings) override;
 };
 
 /// HASH basestation: queries exactly the nodes the hash maps the requested
@@ -87,7 +80,7 @@ class HashBaseAgent : public AgentBase {
  public:
   explicit HashBaseAgent(const AgentConfig& config);
 
-  uint32_t IssueQuery(const Query& query);
+  uint32_t IssueQuery(const Query& query) override;
 };
 
 }  // namespace scoop::core

@@ -219,7 +219,6 @@ std::vector<NodeId> ScoopBaseAgent::PlanTargets(const Query& query) const {
     if (!overlaps_data_period) return {};  // Nothing can exist yet.
     flood = true;
   }
-  bool any_index_active = false;
   // An index generation is possibly in force from its build time until the
   // adoption slack after the *next* generation appeared (nodes adopt
   // asynchronously and may miss mapping chunks, §5.3/§5.5).
@@ -229,7 +228,6 @@ std::vector<NodeId> ScoopBaseAgent::PlanTargets(const Query& query) const {
                             ? index_history_[i + 1].built_at + kIndexAdoptionSlack
                             : std::numeric_limits<SimTime>::max();
     if (active_to < query.time_lo || active_from > query.time_hi) continue;
-    any_index_active = true;
     const StorageIndex& index = index_history_[i].index;
     std::vector<ValueRange> ranges = query.ranges;
     if (ranges.empty()) {
@@ -247,14 +245,7 @@ std::vector<NodeId> ScoopBaseAgent::PlanTargets(const Query& query) const {
   }
   // Flood when required: no index yet, or a store-local generation covers
   // the window.
-  (void)any_index_active;
-  if (flood) {
-    std::vector<NodeId> all;
-    for (int i = 0; i < cfg_.num_nodes; ++i) {
-      if (static_cast<NodeId>(i) != cfg_.self) all.push_back(static_cast<NodeId>(i));
-    }
-    return all;
-  }
+  if (flood) return AllSensors();
   targets.erase(cfg_.self);
   return {targets.begin(), targets.end()};
 }

@@ -46,7 +46,7 @@ class ScoopBaseAgent : public AgentBase {
   /// index that may have been active in the query's time range; aggregate
   /// queries are answered from summaries when possible. Returns the query
   /// id; the outcome is available via outcome() once closed.
-  uint32_t IssueQuery(const Query& query);
+  uint32_t IssueQuery(const Query& query) override;
 
   // --- Introspection ---
   /// Indices disseminated so far, oldest first.

@@ -1,6 +1,5 @@
 #include "core/scoop_node_agent.h"
 
-#include <map>
 #include <optional>
 
 #include "common/check.h"
@@ -32,23 +31,7 @@ void ScoopNodeAgent::OnSample(Value v) {
     return;
   }
 
-  NodeId owner = PickOwner(*index, v);
-  if (owner == kStoreLocalOwner || owner == cfg_.self) {
-    StoreReadings(OwnReadings(cfg_.self, index->id(), {reading}), StoreClass::kOwner);
-    return;
-  }
-
-  // Batch readings destined for the same owner (§5.4). A reading for a
-  // different owner flushes the batch first.
-  if (batch_.active && batch_.owner != owner) FlushBatch();
-  if (!batch_.active) {
-    batch_.active = true;
-    batch_.owner = owner;
-    batch_.sid = index->id();
-    batch_.readings.clear();
-  }
-  batch_.readings.push_back(reading);
-  if (static_cast<int>(batch_.readings.size()) >= cfg_.max_batch) FlushBatch();
+  RouteReading(PickOwner(*index, v), reading);
 }
 
 NodeId ScoopNodeAgent::PickOwner(const StorageIndex& index, Value v) const {
@@ -72,25 +55,17 @@ NodeId ScoopNodeAgent::PickOwner(const StorageIndex& index, Value v) const {
   return best_neighbor != kInvalidNodeId ? best_neighbor : candidates.front();
 }
 
-void ScoopNodeAgent::FlushBatch() {
-  if (!batch_.active) return;
-  batch_.active = false;
+void ScoopNodeAgent::RouteBatch(NodeId /*owner*/, std::vector<Reading> readings) {
   const StorageIndex* index = index_store_.current();
   if (index == nullptr || !index->valid()) {
     // Index vanished (cannot normally happen); store locally.
-    StoreReadings(OwnReadings(cfg_.self, kNoIndex, std::move(batch_.readings)),
+    StoreReadings(OwnReadings(cfg_.self, kNoIndex, std::move(readings)),
                   StoreClass::kLocalNoIndex);
     return;
   }
-  // Rule 1 applies to queued readings as well: resolve owners against the
-  // *current* index, splitting the batch if the mapping changed.
-  std::map<NodeId, std::vector<Reading>> groups;
-  for (const Reading& r : batch_.readings) {
-    groups[PickOwner(*index, r.value)].push_back(r);
-  }
-  batch_.readings.clear();
-  for (auto& [owner, readings] : groups) {
-    RouteData(OwnReadings(owner, index->id(), std::move(readings)), cfg_.self, tree_.parent());
+  auto groups = SplitByOwner(readings, [this, index](Value v) { return PickOwner(*index, v); });
+  for (auto& [owner, group] : groups) {
+    RouteData(OwnReadings(owner, index->id(), std::move(group)), cfg_.self, tree_.parent());
   }
 }
 
@@ -108,11 +83,9 @@ void ScoopNodeAgent::HandleData(const Packet& pkt) {
   }
   // Rule 1: we hold a newer index; rewrite owner and sid. Readings that now
   // map to different owners are split into separate packets.
-  std::map<NodeId, std::vector<Reading>> groups;
-  for (const Reading& r : incoming.readings) {
-    std::optional<NodeId> owner = index->Lookup(r.value);
-    groups[owner.value_or(incoming.owner)].push_back(r);
-  }
+  auto groups = SplitByOwner(incoming.readings, [index, &incoming](Value v) {
+    return index->Lookup(v).value_or(incoming.owner);
+  });
   for (auto& [owner, readings] : groups) {
     NodeId dst = owner == kStoreLocalOwner ? incoming.producer : owner;
     RouteData(DataPayload{.attr = incoming.attr, .producer = incoming.producer, .owner = dst,
@@ -121,19 +94,10 @@ void ScoopNodeAgent::HandleData(const Packet& pkt) {
   }
 }
 
-void ScoopNodeAgent::OnIndexCompleted() {
-  // A new index may re-map the pending batch; flush it under the new
-  // mapping rather than letting it go stale.
-  FlushBatch();
-}
-
 void ScoopNodeAgent::OnAgentReboot() {
   // Volatile sampling state died with the node: the recent-readings buffer
-  // feeding summaries, the outgoing batch, and the since-last-summary
-  // count.
+  // feeding summaries and the since-last-summary count.
   recent_readings_.Clear();
-  batch_.active = false;
-  batch_.readings.clear();
   samples_since_summary_ = 0;
 }
 

@@ -1,7 +1,8 @@
 // The Scoop protocol stack for a regular sensor node: sampling into the
 // recent-readings buffer, periodic summaries up the tree (§5.2), storage-
-// index assembly via Trickle gossip (§5.3), and the full data routing of
-// §5.4 (rule 1 index rewriting, batching, shortcuts).
+// index assembly via Trickle gossip (§5.3), and the owner choices of §5.4:
+// PickOwner for its own readings, rule 1's index rewriting for readings it
+// forwards. AgentBase batches and routes.
 #ifndef SCOOP_CORE_SCOOP_NODE_AGENT_H_
 #define SCOOP_CORE_SCOOP_NODE_AGENT_H_
 
@@ -22,7 +23,9 @@ class ScoopNodeAgent : public AgentBase {
   /// Stores/forwards the reading per the current index.
   void OnSample(Value v) override;
   void HandleData(const Packet& pkt) override;
-  void OnIndexCompleted() override;
+  /// Rule 1 applies to queued readings as well: re-resolves owners against
+  /// the *current* index, splitting the batch where the mapping changed.
+  void RouteBatch(NodeId owner, std::vector<Reading> readings) override;
   void OnAgentReboot() override;
   bool MappingGossipEnabled() const override { return true; }
 
@@ -36,22 +39,8 @@ class ScoopNodeAgent : public AgentBase {
   /// first listed candidate.
   NodeId PickOwner(const StorageIndex& index, Value v) const;
 
-  /// Sends the pending batch (if any), re-resolving owners against the
-  /// current index (rule 1 applies to not-yet-sent readings too) and
-  /// splitting when readings now map to different owners.
-  void FlushBatch();
-
   storage::RingBuffer<Reading> recent_readings_;
   uint16_t samples_since_summary_ = 0;
-
-  /// Pending outgoing batch (§5.4: up to max_batch readings for one owner).
-  struct Batch {
-    bool active = false;
-    NodeId owner = kInvalidNodeId;
-    IndexId sid = kNoIndex;
-    std::vector<Reading> readings;
-  };
-  Batch batch_;
 };
 
 }  // namespace scoop::core

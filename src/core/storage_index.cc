@@ -252,23 +252,4 @@ std::optional<StorageIndex> StorageIndex::FromChunks(
   return index;
 }
 
-double StorageIndex::Similarity(const StorageIndex& other) const {
-  if (!valid() || !other.valid()) return 0.0;
-  Value lo = std::min(domain_lo(), other.domain_lo());
-  Value hi = std::max(domain_hi(), other.domain_hi());
-  SCOOP_CHECK_LE(lo, hi);
-  int64_t same = 0;
-  int64_t total = static_cast<int64_t>(hi) - lo + 1;
-  for (Value v = lo; v <= hi; ++v) {
-    if (Lookup(v) == other.Lookup(v)) ++same;
-  }
-  return static_cast<double>(same) / static_cast<double>(total);
-}
-
-std::vector<NodeId> StorageIndex::DistinctOwners() const {
-  std::set<NodeId> owners;
-  for (const RangeEntry& e : entries_) owners.insert(e.owner);
-  return {owners.begin(), owners.end()};
-}
-
 }  // namespace scoop::core

@@ -86,15 +86,6 @@ class StorageIndex {
   /// wide domains stays cheap.
   int64_t OwnedValueCount(NodeId owner) const;
 
-  /// Fraction of integer domain values that map to the same owner in both
-  /// indices, evaluated over the union of the two domains (values outside
-  /// either domain use that index's clamped lookup). 1.0 = identical
-  /// behaviour; used for dissemination suppression (§5.3).
-  double Similarity(const StorageIndex& other) const;
-
-  /// Distinct owners referenced by the index.
-  std::vector<NodeId> DistinctOwners() const;
-
  private:
   Value domain_lo_multi() const;
   Value domain_hi_multi() const;

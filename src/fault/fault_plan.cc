@@ -12,12 +12,16 @@ namespace scoop::fault {
 
 namespace {
 
-/// Marks the nodes whose x coordinate, normalized to [0, 1] over the
-/// topology's bounding box, falls inside [x_lo, x_hi]: a band over the
-/// deployment's full height. A degenerate x extent (all nodes on one
-/// vertical line) maps every node to 0.
-std::vector<bool> RegionMask(const sim::Topology& topology, int num_nodes, double x_lo,
-                             double x_hi) {
+/// The partitioned region: the left half of the deployment, as an x band
+/// normalized to [0, 1] over the topology's bounding box.
+constexpr double kPartitionXLo = 0.0;
+constexpr double kPartitionXHi = 0.5;
+
+/// Marks the nodes whose normalized x coordinate falls inside
+/// [kPartitionXLo, kPartitionXHi]: a band over the deployment's full
+/// height. A degenerate x extent (all nodes on one vertical line) maps
+/// every node to 0.
+std::vector<bool> RegionMask(const sim::Topology& topology, int num_nodes) {
   double min_x = 0, max_x = 0;
   for (int i = 0; i < num_nodes; ++i) {
     const sim::Point& p = topology.position(static_cast<NodeId>(i));
@@ -29,7 +33,7 @@ std::vector<bool> RegionMask(const sim::Topology& topology, int num_nodes, doubl
   for (int i = 0; i < num_nodes; ++i) {
     const sim::Point& p = topology.position(static_cast<NodeId>(i));
     double nx = w > 0 ? (p.x - min_x) / w : 0.0;
-    inside[static_cast<size_t>(i)] = nx >= x_lo && nx <= x_hi;
+    inside[static_cast<size_t>(i)] = nx >= kPartitionXLo && nx <= kPartitionXHi;
   }
   return inside;
 }
@@ -108,9 +112,8 @@ FaultPlan BuildFaultPlan(const FaultConfig& config, const LegacyCrashWaves& lega
 
   // Partition window: sever boundary-crossing links, then heal.
   if (config.partition_end > config.partition_start) {
-    plan.channel.AddWindow(
-        config.partition_start, config.partition_end,
-        RegionMask(topology, num_nodes, config.partition_x_lo, config.partition_x_hi));
+    plan.channel.AddWindow(config.partition_start, config.partition_end,
+                           RegionMask(topology, num_nodes));
     plan.events.push_back(
         FaultEvent{config.partition_start, FaultKind::kMarkPartition, 0});
   }

@@ -37,14 +37,13 @@ struct FaultConfig {
   SimTime reboot_wave_interval = Minutes(5);
   SimTime reboot_downtime = Seconds(60);
 
-  // --- Spatial partition: the region is the x band [x_lo, x_hi] over the
-  // full height of the deployment. Every link crossing the band's boundary
-  // is severed over [start, end) (both islands stay internally connected),
-  // then heals. Active iff end > start.
+  // --- Spatial partition: the region is the left half of the deployment
+  // (an x band over its full height; the band is a constant in
+  // fault_plan.cc). Every link crossing the band's boundary is severed over
+  // [start, end) (both islands stay internally connected), then heals.
+  // Active iff end > start.
   SimTime partition_start = 0;
   SimTime partition_end = 0;
-  double partition_x_lo = 0.0;
-  double partition_x_hi = 0.5;
 
   // --- Base outage/failover: the basestation's radio dies over
   // [start, end) and `base_backup` is promoted to tree root for the

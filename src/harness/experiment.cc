@@ -102,42 +102,32 @@ void AddProfile(ExperimentResult* r, obs::SimProfiler* profiler) {
   r->profile_other_seconds += profiler->Seconds(obs::SimProfiler::kOther);
 }
 
-/// Everything needed to issue queries against whichever base agent the
-/// policy uses.
-struct BaseHandle {
-  AgentBase* agent = nullptr;
-  std::function<uint32_t(const Query&)> issue;
-};
-
 /// Per-shard sinks, indexed by shard: each agent reports into its owning
 /// shard's Telemetry and trace sink, so shards never contend.
 using ShardTelemetry = std::vector<metrics::Telemetry>;
 using ShardTraces = std::vector<std::unique_ptr<obs::TraceSink>>;
 
 /// Installs one base agent (node 0) plus num_nodes-1 node agents on the
-/// engine, wiring each to its owning shard's sinks.
+/// engine, wiring each to its owning shard's sinks. Returns the base.
 template <typename BaseT, typename NodeT>
-BaseHandle InstallPolicy(sim::ShardedEngine* engine, const ExperimentConfig& config,
+AgentBase* InstallPolicy(sim::ShardedEngine* engine, const ExperimentConfig& config,
                          ShardTelemetry* telemetry, const ShardTraces& traces,
                          workload::DataSource* source) {
   auto agent_config = [&](NodeId id) {
     size_t s = static_cast<size_t>(engine->shard_of(id));
     return MakeAgentConfig(config, id, &(*telemetry)[s], traces[s].get(), source);
   };
-  BaseHandle handle;
   auto base = std::make_unique<BaseT>(agent_config(0));
-  auto* base_ptr = base.get();
-  handle.agent = base_ptr;
-  handle.issue = [base_ptr](const Query& q) { return base_ptr->IssueQuery(q); };
+  AgentBase* base_ptr = base.get();
   engine->SetApp(0, std::move(base));
   for (int i = 1; i < config.num_nodes; ++i) {
     NodeId id = static_cast<NodeId>(i);
     engine->SetApp(id, std::make_unique<NodeT>(agent_config(id)));
   }
-  return handle;
+  return base_ptr;
 }
 
-BaseHandle InstallAgents(sim::ShardedEngine* engine, const ExperimentConfig& config,
+AgentBase* InstallAgents(sim::ShardedEngine* engine, const ExperimentConfig& config,
                          ShardTelemetry* telemetry, const ShardTraces& traces,
                          workload::DataSource* source) {
   switch (config.policy) {
@@ -156,7 +146,7 @@ BaseHandle InstallAgents(sim::ShardedEngine* engine, const ExperimentConfig& con
     case Policy::kHashAnalytical:
       SCOOP_CHECK(false);  // RunAnyTrial evaluates the model instead.
   }
-  return {};
+  return nullptr;
 }
 
 /// Generates the §6 query workload: every query_interval, a value-range
@@ -164,11 +154,11 @@ BaseHandle InstallAgents(sim::ShardedEngine* engine, const ExperimentConfig& con
 /// the shard that owns the basestation.
 class QueryDriver {
  public:
-  QueryDriver(sim::ShardedEngine* engine, const ExperimentConfig& config, BaseHandle handle,
+  QueryDriver(sim::ShardedEngine* engine, const ExperimentConfig& config, AgentBase* base,
               ValueRange domain, uint64_t seed)
       : engine_(engine),
         config_(config),
-        handle_(std::move(handle)),
+        base_(base),
         domain_(domain),
         rng_(MixSeed(seed, 0x9E44)) {}
 
@@ -222,17 +212,14 @@ class QueryDriver {
       Value lo = domain_.lo + static_cast<Value>(rng_.UniformInt(0, start_max));
       query.ranges.push_back(ValueRange{lo, lo + static_cast<Value>(width) - 1});
     }
-    uint32_t id = handle_.issue(query);
-    (void)id;
+    base_->IssueQuery(query);
     ++issued_;
     // Figure 4's x-axis: how many nodes the planner decided to ask, read
     // off the telemetry delta this query caused.
-    const metrics::Telemetry* t = handle_.agent->config().telemetry;
-    if (t != nullptr) {
-      double delta = static_cast<double>(t->query_targets_total - last_targets_total_);
-      last_targets_total_ = t->query_targets_total;
-      pct_sum_ += delta / static_cast<double>(config_.num_nodes - 1);
-    }
+    const metrics::Telemetry& t = *base_->config().telemetry;
+    double delta = static_cast<double>(t.query_targets_total - last_targets_total_);
+    last_targets_total_ = t.query_targets_total;
+    pct_sum_ += delta / static_cast<double>(config_.num_nodes - 1);
   }
 
   /// Queries ask about this much recent history (§3: snapshot queries over
@@ -241,7 +228,7 @@ class QueryDriver {
 
   sim::ShardedEngine* engine_;
   ExperimentConfig config_;
-  BaseHandle handle_;
+  AgentBase* base_;
   ValueRange domain_;
   Rng rng_;
   uint64_t issued_ = 0;
@@ -500,17 +487,17 @@ ExperimentResult RunShardedTrial(const ExperimentConfig& config, uint64_t seed, 
 
   std::unique_ptr<workload::DataSource> source = workload::MakeDataSource(
       config.source, config.source_options, engine.topology().positions(), seed);
-  BaseHandle handle = InstallAgents(&engine, config, &shard_telemetry, traces, source.get());
+  AgentBase* base = InstallAgents(&engine, config, &shard_telemetry, traces, source.get());
 
   // Per-query success timeline; on_query_complete fires on the base
   // shard's thread only, so a plain vector is race-free.
   std::vector<ExperimentResult::QueryTimelinePoint> timeline;
-  handle.agent->on_query_complete = [&timeline](const core::QueryOutcome& o) {
+  base->on_query_complete = [&timeline](const core::QueryOutcome& o) {
     timeline.push_back(ExperimentResult::QueryTimelinePoint{
         ToSeconds(o.closed_at), o.targets, o.responders});
   };
 
-  QueryDriver queries(&engine, config, handle, source->domain(), seed);
+  QueryDriver queries(&engine, config, base, source->domain(), seed);
 
   // Fault events go through the engine's pre-Start fault channel, which
   // feeds every shard's AliveFloor (the lookahead floor that makes aborts
@@ -595,7 +582,7 @@ ExperimentResult RunShardedTrial(const ExperimentConfig& config, uint64_t seed, 
                    << " events=" << engine.processed();
 
   ExperimentResult r = CollectResult(config, engine.traffic(), telemetry,
-                                     queries.AvgPctNodesQueried(), handle.agent,
+                                     queries.AvgPctNodesQueried(), base,
                                      engine.processed());
   r.query_timeline = std::move(timeline);
   r.resolved_shards = static_cast<double>(k);

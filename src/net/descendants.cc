@@ -42,10 +42,6 @@ std::optional<NodeId> DescendantsTable::NextHop(NodeId dst) const {
   return it->via_child;
 }
 
-void DescendantsTable::ForgetChild(NodeId child) {
-  std::erase_if(entries_, [child](const Slot& slot) { return slot.via_child == child; });
-}
-
 void DescendantsTable::EvictStale(SimTime now) {
   std::erase_if(entries_,
                 [now](const Slot& slot) { return now - slot.last_update > kEvictionTimeout; });

@@ -37,10 +37,6 @@ class DescendantsTable {
   /// True iff `dst` is a known descendant.
   bool Contains(NodeId dst) const { return Find(dst) != entries_.end(); }
 
-  /// Forgets a child branch entirely (e.g., when the child stops being a
-  /// neighbor); all descendants routed via it are dropped.
-  void ForgetChild(NodeId child);
-
   /// Drops entries not refreshed within the eviction timeout.
   void EvictStale(SimTime now);
 

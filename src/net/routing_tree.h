@@ -46,9 +46,6 @@ class RoutingTree {
   /// Current parent, or kInvalidNodeId if none (base never has a parent).
   NodeId parent() const { return parent_; }
 
-  /// True iff this node can route toward the base (is base, or has parent).
-  bool HasRoute() const { return is_base_ || parent_ != kInvalidNodeId; }
-
   /// This node's path cost to the base in expected transmissions.
   double path_etx() const { return path_etx_; }
 

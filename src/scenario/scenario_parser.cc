@@ -316,10 +316,6 @@ const std::vector<KeyInfo>& Keys() {
               [](auto& c) -> auto& { return c.fault.partition_start; }, kMinutes, kZeroOk),
       TimeKey("fault.partition_end_minute",
               [](auto& c) -> auto& { return c.fault.partition_end; }, kMinutes, kZeroOk),
-      DoubleKey("fault.partition_x_lo", [](auto& c) -> auto& { return c.fault.partition_x_lo; },
-                0.0, 1.0),
-      DoubleKey("fault.partition_x_hi", [](auto& c) -> auto& { return c.fault.partition_x_hi; },
-                0.0, 1.0),
       TimeKey("fault.base_outage_start_minute",
               [](auto& c) -> auto& { return c.fault.base_outage_start; }, kMinutes, kZeroOk),
       TimeKey("fault.base_outage_end_minute",

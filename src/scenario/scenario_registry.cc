@@ -204,8 +204,6 @@ stabilization_minutes = 5
 remap_interval_seconds = 120
 fault.partition_start_minute = 14
 fault.partition_end_minute = 20
-fault.partition_x_lo = 0
-fault.partition_x_hi = 0.5
 fault.orphan_rehoming = on
 fault.send_retry_max = 2
 fault.query_reissue_max = 1

@@ -37,10 +37,11 @@ TEST(DynamicNodeBitmapTest, IntersectsAcrossDifferentCapacities) {
   DynamicNodeBitmap b(100);
   a.Set(650);
   b.Set(70);
-  EXPECT_FALSE(a.Intersects(b));
+  auto any = [](NodeId) { return true; };
+  EXPECT_FALSE(a.AnyOfIntersection(b, any));
   a.Set(70);
-  EXPECT_TRUE(a.Intersects(b));
-  EXPECT_TRUE(b.Intersects(a));
+  EXPECT_TRUE(a.AnyOfIntersection(b, any));
+  EXPECT_TRUE(b.AnyOfIntersection(a, any));
 }
 
 TEST(DynamicNodeBitmapTest, AnyOfIntersectionVisitsAscendingAndStopsEarly) {

@@ -133,8 +133,6 @@ TEST(IndexStoreTest, ChunkAtReturnsHeldChunks) {
   EXPECT_TRUE(store.ChunkAt(3, 2).has_value());
   EXPECT_FALSE(store.ChunkAt(3, 0).has_value());
   EXPECT_FALSE(store.ChunkAt(2, 2).has_value());
-  EXPECT_TRUE(store.HasChunk(3, 2));
-  EXPECT_FALSE(store.HasChunk(3, 1));
 }
 
 }  // namespace

@@ -198,5 +198,57 @@ TEST(HashAgentsTest, DataRoutedToHashOwnerAndQueriesTargetIt) {
   }
 }
 
+TEST(HashAgentsTest, RebootDropsThePreCrashBatch) {
+  // The outgoing batch is volatile state: readings a node queued before a
+  // crash must never reach their owner after it reboots.
+  const int n = 4;
+  const SimTime crash_at = Seconds(60);
+  const SimTime reboot_at = Seconds(65);
+  const SimTime switch_at = Seconds(120);
+  // HashOwner(v, 4) == v % 4: nodes 2 and 3 own their own values. Node 1
+  // queues value 2 for owner 2 until switch_at, then value 3 for owner 3,
+  // whose first reading flushes the batch to owner 2.
+  ASSERT_EQ(HashOwner(2, n), 2);
+  ASSERT_EQ(HashOwner(3, n), 3);
+  metrics::Telemetry telemetry;
+  sim::ShardedEngineOptions opts;
+  opts.seed = 7;
+  sim::ShardedEngine net(DenseTopology(n), opts);
+  std::vector<HashNodeAgent*> nodes;
+  for (NodeId i = 0; i < n; ++i) {
+    AgentConfig cfg = MakeConfig(i, n, &telemetry);
+    cfg.sample_interval = Seconds(10);
+    cfg.max_batch = 12;  // Holds all of node 1's readings: only an owner change flushes.
+    cfg.sample_fn = [switch_at](NodeId node, SimTime now) {
+      if (node != 1) return static_cast<Value>(node);
+      return static_cast<Value>(now < switch_at ? 2 : 3);
+    };
+    if (i == 0) {
+      net.SetApp(0, std::make_unique<HashBaseAgent>(cfg));
+    } else {
+      auto app = std::make_unique<HashNodeAgent>(cfg);
+      nodes.push_back(app.get());
+      net.SetApp(i, std::move(app));
+    }
+  }
+  net.Start();
+  net.RunUntil(crash_at);
+  net.FaultSetAlive(1, false);
+  net.FaultCrash(1);
+  net.RunUntil(reboot_at);
+  net.FaultSetAlive(1, true);
+  net.FaultReboot(1);
+  net.RunUntil(switch_at + Minutes(1));
+
+  // Owner 2 holds node 1's post-reboot readings, and none from before.
+  int from_node1 = 0;
+  nodes[1]->flash().ForEach([&](const storage::StoredTuple& t) {
+    if (t.producer != 1) return;
+    ++from_node1;
+    EXPECT_GE(t.time, reboot_at) << "pre-crash reading (value " << t.value << ") delivered";
+  });
+  EXPECT_GT(from_node1, 0);
+}
+
 }  // namespace
 }  // namespace scoop::core

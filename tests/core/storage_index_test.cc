@@ -66,11 +66,6 @@ TEST(StorageIndexTest, OwnersInRange) {
   EXPECT_EQ(index.OwnersInRange(100, 200), (std::vector<NodeId>{1}));
 }
 
-TEST(StorageIndexTest, DistinctOwners) {
-  StorageIndex index = StorageIndex::FromOwnerArray(1, 0, 0, {5, 5, 9, 9, 5, 7});
-  EXPECT_EQ(index.DistinctOwners(), (std::vector<NodeId>{5, 7, 9}));
-}
-
 TEST(StorageIndexTest, ChunkRoundTrip) {
   std::vector<NodeId> owners;
   for (int i = 0; i < 100; ++i) owners.push_back(static_cast<NodeId>(i % 7));
@@ -117,26 +112,6 @@ TEST(StorageIndexTest, FromChunksRejectsMixedVersions) {
   std::vector<MappingPayload> other = b.ToChunks(3);
   chunks[1] = other[1];
   EXPECT_FALSE(StorageIndex::FromChunks(chunks).has_value());
-}
-
-TEST(StorageIndexTest, SimilarityIdenticalIsOne) {
-  StorageIndex a = StorageIndex::FromOwnerArray(1, 0, 0, {1, 1, 2, 2});
-  StorageIndex b = StorageIndex::FromOwnerArray(2, 0, 0, {1, 1, 2, 2});
-  EXPECT_DOUBLE_EQ(a.Similarity(b), 1.0);
-}
-
-TEST(StorageIndexTest, SimilarityCountsChangedValues) {
-  StorageIndex a = StorageIndex::FromOwnerArray(1, 0, 0, {1, 1, 1, 1});
-  StorageIndex b = StorageIndex::FromOwnerArray(2, 0, 0, {1, 1, 2, 2});
-  EXPECT_DOUBLE_EQ(a.Similarity(b), 0.5);
-  EXPECT_DOUBLE_EQ(b.Similarity(a), 0.5);
-}
-
-TEST(StorageIndexTest, SimilarityAcrossDifferentDomains) {
-  // b extends the domain; the extension clamps to the same owners.
-  StorageIndex a = StorageIndex::FromOwnerArray(1, 0, 0, {1, 1, 2, 2});
-  StorageIndex b = StorageIndex::FromOwnerArray(2, 0, 0, {1, 1, 2, 2, 2, 2});
-  EXPECT_DOUBLE_EQ(a.Similarity(b), 1.0);
 }
 
 TEST(StorageIndexTest, StoreLocalSentinel) {

@@ -222,8 +222,6 @@ TEST(ShardedEquivalenceTest, PartitionHealMatchesAcrossShardCounts) {
   config.duration = Minutes(10);
   config.fault.partition_start = Minutes(3);
   config.fault.partition_end = Minutes(6);
-  config.fault.partition_x_lo = 0.0;
-  config.fault.partition_x_hi = 0.5;
   config.fault.orphan_rehoming = true;
   config.fault.send_retry_max = 2;
   config.fault.query_reissue_max = 1;

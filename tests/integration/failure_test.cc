@@ -91,16 +91,16 @@ TEST(FailureTest, TreeHealsAroundDeadRelay) {
   Fixture f;
   f.engine.RunUntil(Minutes(3));
   // Nodes 3 and 4 initially route via 2 or 5; force the common case.
-  ASSERT_TRUE(f.node(3)->tree().HasRoute());
-  ASSERT_TRUE(f.node(4)->tree().HasRoute());
+  ASSERT_NE(f.node(3)->tree().parent(), kInvalidNodeId);
+  ASSERT_NE(f.node(4)->tree().parent(), kInvalidNodeId);
 
   f.engine.FaultSetAlive(2, false);
   f.engine.RunUntil(Minutes(6));
 
   // Node 3 must now route via the detour (node 5), never via dead node 2.
-  EXPECT_TRUE(f.node(3)->tree().HasRoute());
+  EXPECT_NE(f.node(3)->tree().parent(), kInvalidNodeId);
   EXPECT_EQ(f.node(3)->tree().parent(), 5);
-  EXPECT_TRUE(f.node(4)->tree().HasRoute());
+  EXPECT_NE(f.node(4)->tree().parent(), kInvalidNodeId);
   EXPECT_EQ(f.node(4)->tree().parent(), 3);
 }
 
@@ -201,7 +201,7 @@ TEST(FailureTest, RebootedNodeAnswersAQueryItHeardBeforeTheCrash) {
   f.engine.FaultSetAlive(4, true);
   f.engine.FaultReboot(4);
   f.engine.RunUntil(f.engine.DriverNow() + Minutes(2));
-  ASSERT_TRUE(f.node(4)->tree().HasRoute());
+  ASSERT_NE(f.node(4)->tree().parent(), kInvalidNodeId);
 
   EXPECT_GT(replies_to_flood(), 0u);  // After the reboot q is news again.
 }
@@ -235,7 +235,7 @@ TEST(FailureTest, RecoveredNodeRejoins) {
   f.engine.FaultSetAlive(2, true);
   f.engine.RunUntil(Minutes(10));
   // Node 2 has a route again and caught up with the newest index.
-  EXPECT_TRUE(f.node(2)->tree().HasRoute());
+  EXPECT_NE(f.node(2)->tree().parent(), kInvalidNodeId);
   EXPECT_NE(f.node(2)->index_store().current(), nullptr);
 }
 

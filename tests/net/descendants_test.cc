@@ -65,17 +65,6 @@ TEST(DescendantsTest, EvictStale) {
   EXPECT_TRUE(table.Contains(2));
 }
 
-TEST(DescendantsTest, ForgetChildDropsWholeBranch) {
-  DescendantsTable table;
-  table.Learn(1, 7, Seconds(1));
-  table.Learn(2, 7, Seconds(1));
-  table.Learn(3, 8, Seconds(1));
-  table.ForgetChild(7);
-  EXPECT_FALSE(table.Contains(1));
-  EXPECT_FALSE(table.Contains(2));
-  EXPECT_TRUE(table.Contains(3));
-}
-
 TEST(DescendantsTest, IdsListsAll) {
   DescendantsTable table;
   table.Learn(5, 1, Seconds(1));

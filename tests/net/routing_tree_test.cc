@@ -15,7 +15,6 @@ BeaconPayload Beacon(NodeId parent, double path_etx, uint8_t depth) {
 
 TEST(RoutingTreeTest, BaseIsRoot) {
   RoutingTree tree(0, /*is_base=*/true);
-  EXPECT_TRUE(tree.HasRoute());
   EXPECT_EQ(tree.parent(), kInvalidNodeId);
   EXPECT_EQ(tree.depth(), 0);
   EXPECT_DOUBLE_EQ(tree.path_etx(), 0.0);
@@ -26,14 +25,14 @@ TEST(RoutingTreeTest, BaseIsRoot) {
 
 TEST(RoutingTreeTest, NodeStartsWithoutRoute) {
   RoutingTree tree(5, /*is_base=*/false);
-  EXPECT_FALSE(tree.HasRoute());
+  EXPECT_EQ(tree.parent(), kInvalidNodeId);
   EXPECT_EQ(tree.parent(), kInvalidNodeId);
 }
 
 TEST(RoutingTreeTest, AdoptsFirstUsableParent) {
   RoutingTree tree(5, false);
   tree.OnBeacon(0, Beacon(kInvalidNodeId, 0.0, 0), /*quality=*/0.8, Seconds(1));
-  EXPECT_TRUE(tree.HasRoute());
+  EXPECT_NE(tree.parent(), kInvalidNodeId);
   EXPECT_EQ(tree.parent(), 0);
   EXPECT_EQ(tree.depth(), 1);
   EXPECT_NEAR(tree.path_etx(), 1.25, 0.01);  // 1/0.8.
@@ -64,7 +63,7 @@ TEST(RoutingTreeTest, HysteresisPreventsFlapping) {
 TEST(RoutingTreeTest, IgnoresWeakLinks) {
   RoutingTree tree(5, false);  // 0.05 is below the 0.10 usable-link floor.
   tree.OnBeacon(0, Beacon(kInvalidNodeId, 0.0, 0), 0.05, Seconds(1));
-  EXPECT_FALSE(tree.HasRoute());
+  EXPECT_EQ(tree.parent(), kInvalidNodeId);
 }
 
 TEST(RoutingTreeTest, LoopGuardRejectsOwnChild) {
@@ -90,9 +89,9 @@ TEST(RoutingTreeTest, ParentSwitchesWhenChildClaimsUs) {
 TEST(RoutingTreeTest, ParentTimesOut) {
   RoutingTree tree(5, false);  // Abandons a parent silent for 90 s.
   tree.OnBeacon(0, Beacon(kInvalidNodeId, 0.0, 0), 0.9, Seconds(1));
-  ASSERT_TRUE(tree.HasRoute());
+  ASSERT_NE(tree.parent(), kInvalidNodeId);
   tree.MaybeTimeoutParent(Seconds(200));
-  EXPECT_FALSE(tree.HasRoute());
+  EXPECT_EQ(tree.parent(), kInvalidNodeId);
 }
 
 TEST(RoutingTreeTest, FallsBackToSecondCandidateOnTimeout) {
@@ -117,7 +116,7 @@ TEST(RoutingTreeTest, MakeBeaconAdvertisesRoute) {
 TEST(RoutingTreeTest, RejectsAbsurdDepth) {
   RoutingTree tree(5, false);  // Ignores beacons from depth 64 or more.
   tree.OnBeacon(3, Beacon(0, 1.0, 200), 0.9, Seconds(1));
-  EXPECT_FALSE(tree.HasRoute());
+  EXPECT_EQ(tree.parent(), kInvalidNodeId);
 }
 
 TEST(RoutingTreeTest, EtxQuantizationRoundTrips) {

@@ -89,8 +89,6 @@ const std::map<std::string, std::string>& NonDefaultValues() {
       {"fault.reboot_downtime_seconds", "45"},
       {"fault.partition_start_minute", "9"},
       {"fault.partition_end_minute", "13"},
-      {"fault.partition_x_lo", "0.05"},
-      {"fault.partition_x_hi", "0.45"},
       {"fault.base_outage_start_minute", "10"},
       {"fault.base_outage_end_minute", "15"},
       {"fault.base_backup", "3"},
@@ -158,7 +156,6 @@ TEST(ScenarioParserTest, RoundTripEveryKey) {
   EXPECT_EQ(c.failure_wave_count, 3);
   EXPECT_DOUBLE_EQ(c.fault.reboot_fraction, 0.15);
   EXPECT_EQ(c.fault.reboot_downtime, Seconds(45));
-  EXPECT_DOUBLE_EQ(c.fault.partition_x_lo, 0.05);
   EXPECT_EQ(c.fault.partition_start, Seconds(9 * 60));
   EXPECT_EQ(c.fault.base_backup, 3);
   EXPECT_TRUE(c.fault.orphan_rehoming);
@@ -544,11 +541,12 @@ TEST(ScenarioParserTest, RetiredConstantKeysAreUnknown) {
         "fault.send_retry_backoff_ms", "suppression_similarity", "owner_hysteresis",
         "domain_lo", "domain_hi", "equal_value", "gaussian_variance", "real_domain_hi",
         "real_shared_weight", "real_correlation_meters", "real_noise", "energy_tx_nj_per_bit",
-        "energy_rx_nj_per_bit", "energy_flash_write_nj_per_bit", "energy_battery_joules"}) {
+        "energy_rx_nj_per_bit", "energy_flash_write_nj_per_bit", "energy_battery_joules",
+        "fault.partition_x_lo", "fault.partition_x_hi"}) {
     std::string err = ErrorOf(std::string("name = t\n") + retired + " = 1\n");
     EXPECT_NE(err.find("unknown key"), std::string::npos) << retired << ": " << err;
   }
-  EXPECT_EQ(ScenarioKeyNames().size(), 51u);
+  EXPECT_EQ(ScenarioKeyNames().size(), 49u);
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # Byte-identity check of campaign results between two builds: runs every
 # scenario both builds register (`scoop_campaign --list`) at --threads=4
-# with --csv on both, plus four sharded legs, and cmp's each pair of CSVs.
+# with --csv on both, plus four sharded legs and three baseline-policy
+# legs, and cmp's each pair of CSVs. The baseline legs run churn_reboot
+# under the local, base and hash-sim policies: no registered scenario runs
+# a baseline policy under faults, so their data path (batching, retries,
+# reboot) is checked nowhere else.
 # Scenarios only one build registers are listed as `new:` or `gone:` lines
 # and are not failures.
 # Two observability legs also run churn_reboot with --trace-out and
@@ -76,6 +80,9 @@ legs+=("grid_1024.shards4|--scenario=grid_1024 --shards=4")
 legs+=("churn_reboot.shards3|--scenario=churn_reboot --shards=3")
 legs+=("partition_heal.shards2|--scenario=partition_heal --shards=2")
 legs+=("base_failover.shards4|--scenario=base_failover --shards=4")
+for policy in local base hash-sim; do
+  legs+=("churn_reboot.${policy}|--scenario=churn_reboot --policy=${policy}")
+done
 
 # The metrics keys that depend on thread timing at K > 1; a trailing `*`
 # matches a prefix.
